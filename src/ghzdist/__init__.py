@@ -35,7 +35,7 @@ from .dm import (
     structured_state,
     tensor,
 )
-from .factory import Estimates, ShotRecord, estimate, run_shot_dm, run_shot_fast
+from .factory import Estimates, ShotRecord, estimate, run_shot_fast
 from .oracles import enumerate_waiting_times, mc_g, replay_factory_dm, run_verification
 from .params import ConfigError, SimParams, derive_p_ghz, load_params, sample_geometric, shot_rng
 from .switch import NetworkState, SwitchRecord, estimate_switch, run_to_ghz
@@ -78,7 +78,6 @@ __all__ = [
     "rate_exact",
     "rate_leading",
     "replay_factory_dm",
-    "run_shot_dm",
     "run_shot_fast",
     "run_to_ghz",
     "run_verification",

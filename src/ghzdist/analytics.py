@@ -14,9 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import SimParams
+from .params import ConfigError, SimParams
 
 SUBSET_SUM_MAX_QUBITS = 24  # 2^N subset enumeration feasibility cap
+FIDELITY_MAX_NODES = 1023  # 2^N and every subset count C(N, u) stay finite doubles
 
 
 def _one_minus_q_pow(q: float, k: int) -> float:
@@ -151,6 +152,20 @@ class GSpec:
                 raise ValueError(f"rates must lie in [0, 1], got {r}")
 
 
+def _rank_factor(
+    n: int, k: int, q_link: float, rate_sum: float, survive: float, mode: str
+) -> float:
+    """Factor of arrival rank k in G, given the tracked ranks before k through
+    their summed loss rates (``leading``) or joint survival (``lower_bound``)."""
+    boost = (n + 1 - k) * q_link
+    if mode == "leading":
+        return boost / (rate_sum + boost)
+    if mode == "lower_bound":
+        num = boost * _one_minus_q_pow(q_link, n - k) * survive
+        return num / (1.0 - _one_minus_q_pow(q_link, n + 1 - k) * survive)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def g_value(spec: GSpec, q_link: float, mode: str = "leading") -> float:
     """E[prod_i (1 - r_i)^(rounds qubit i waits until the last arrival)].
 
@@ -163,46 +178,25 @@ def g_value(spec: GSpec, q_link: float, mode: str = "leading") -> float:
     """
     if not 0.0 < q_link <= 1.0:
         raise ValueError(f"q_link must be in (0, 1], got {q_link}")
-    n = spec.n_total
-    if mode == "leading":
-        out = 1.0
-        rate_sum = 0.0
-        idx = 0
-        for k in range(1, n + 1):
-            while idx < len(spec.positions) and spec.positions[idx] < k:
-                rate_sum += spec.rates[idx]
-                idx += 1
-            boost = (n + 1 - k) * q_link
-            out *= boost / (rate_sum + boost)
-        return out
-    if mode == "lower_bound":
-        out = 1.0
-        survive = 1.0
-        idx = 0
-        for k in range(1, n + 1):
-            while idx < len(spec.positions) and spec.positions[idx] < k:
-                survive *= 1.0 - spec.rates[idx]
-                idx += 1
-            boost = (n + 1 - k) * q_link
-            num = boost * _one_minus_q_pow(q_link, n - k) * survive
-            den = 1.0 - _one_minus_q_pow(q_link, n + 1 - k) * survive
-            out *= num / den
-        return out
-    raise ValueError(f"unknown mode {mode!r}")
+    out = 1.0
+    rate_sum = 0.0
+    survive = 1.0
+    idx = 0
+    for k in range(1, spec.n_total + 1):
+        while idx < len(spec.positions) and spec.positions[idx] < k:
+            rate_sum += spec.rates[idx]
+            survive *= 1.0 - spec.rates[idx]
+            idx += 1
+        out *= _rank_factor(spec.n_total, k, q_link, rate_sum, survive, mode)
+    return out
 
 
 def fidelity_coefficient(u_size: int, n: int, p_link: float, p_bsm: float) -> float:
-    """Subset-size coefficient A_|U| of the rearranged fidelity sum.
-
-    (p_link p_bsm^2)^|U| (2^-n + delta_{|U|,n}/2) for even |U|, and
-    (p_link p_bsm^2)^|U| delta_{|U|,n}/2 for odd |U|.
-    """
+    """Subset-size coefficient A_|U| = (p_link p_bsm^2)^|U| B_|U| of the
+    rearranged fidelity sum."""
     if not 0 <= u_size <= n:
         raise ValueError(f"subset size {u_size} outside 0..{n}")
-    base = (p_link * p_bsm**2) ** u_size
-    if u_size % 2 == 0:
-        return base * (2.0**-n + (0.5 if u_size == n else 0.0))
-    return 0.5 * base if u_size == n else 0.0
+    return (p_link * p_bsm**2) ** u_size * subset_coefficient_b(u_size, n)
 
 
 def f_rand(p_ghz: float, p: Sequence[float]) -> float:
@@ -285,39 +279,44 @@ def coefficient_identity_check(
 
 @dataclass(frozen=True)
 class FidelityBreakdown:
-    """Closed-form fidelity and its per-subset contributions.
+    """Closed-form fidelity and its per-subset-size contributions.
 
-    value = (1 - p_ghz)/2^N + p_ghz * sum(contributions.values()); keys are
-    the tracked position tuples.
+    value = (1 - p_ghz)/2^N + p_ghz * sum(contributions.values()); key u holds
+    A_u times G summed over all subsets of u tracked ranks.
     """
 
     value: float
-    contributions: dict[tuple[int, ...], float]
+    contributions: dict[int, float]
     mode: str
 
 
 def fidelity_closed_form(params: SimParams, mode: str = "leading") -> FidelityBreakdown:
     """Expected GHZ fidelity of the factory protocol.
 
-    Sums A_|U| g_value(U) over all subsets U of arrival ranks, with every
-    tracked rate equal to 1 - p_mem^2.  ``mode`` selects the leading-order or
-    lower-bound evaluation of the decoherence kernel.
+    The sum of A_|U| G(U) over all subsets U of arrival ranks, with every
+    tracked rate equal to 1 - p_mem^2.  Rank k's factor in G(U) then depends on
+    U only through the number j of tracked ranks before k, so the G values
+    summed per subset size follow in O(N^2) from one pass over the ranks.
+    ``mode`` selects the leading-order or lower-bound evaluation of G.
     """
     n = params.n_end_nodes
-    if n > SUBSET_SUM_MAX_QUBITS:
-        raise ValueError(f"subset sum infeasible beyond {SUBSET_SUM_MAX_QUBITS} qubits")
-    rate = 1.0 - params.p_mem**2
-    contributions: dict[tuple[int, ...], float] = {}
-    total = 0.0
-    for mask in range(2**n):
-        size = mask.bit_count()
-        coeff = fidelity_coefficient(size, n, params.p_link, params.p_bsm)
-        if coeff == 0.0:
-            continue
-        positions = tuple(i + 1 for i in range(n) if (mask >> i) & 1)
-        spec = GSpec(n, positions, (rate,) * size)
-        contrib = coeff * g_value(spec, params.q_link, mode)
-        contributions[positions] = contrib
-        total += contrib
-    value = (1.0 - params.p_ghz) / 2.0**n + params.p_ghz * total
+    if n > FIDELITY_MAX_NODES:
+        raise ConfigError(
+            f"n_end_nodes = {n} exceeds {FIDELITY_MAX_NODES}, the double-precision "
+            "range of the closed-form fidelity"
+        )
+    keep = params.p_mem**2
+    # sums[j]: G restricted to the ranks so far, summed over their j-subsets
+    sums = [1.0]
+    for k in range(1, n + 1):
+        scaled = [
+            s * _rank_factor(n, k, params.q_link, j * (1.0 - keep), keep**j, mode)
+            for j, s in enumerate(sums)
+        ]
+        sums = [a + b for a, b in zip(scaled + [0.0], [0.0] + scaled)]
+    contributions = {
+        u: fidelity_coefficient(u, n, params.p_link, params.p_bsm) * s
+        for u, s in enumerate(sums)
+    }
+    value = (1.0 - params.p_ghz) / 2.0**n + params.p_ghz * sum(contributions.values())
     return FidelityBreakdown(value, contributions, mode)

@@ -54,6 +54,15 @@ def _parse_overrides(pairs: list[str] | None) -> dict:
     return overrides
 
 
+def _parse_list(flag: str, text: str, kind) -> tuple:
+    try:
+        return tuple(kind(s) for s in text.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"{flag} expects comma-separated numbers, got {text!r}"
+        ) from None
+
+
 def _analytic_columns(protocol: str, params: SimParams) -> dict:
     if protocol != "factory":
         return {key: "" for key in CSV_COLUMNS[8:]}
@@ -226,14 +235,20 @@ def cmd_analytic(args) -> int:
     elif args.quantity == "order-stat":
         if args.index is None:
             raise ConfigError("order-stat needs --index")
+        if not 1 <= args.index <= n:
+            raise ConfigError(f"--index must lie in 1..{n}, got {args.index}")
+        if args.mode not in ("exact", "leading", "upper_bound"):
+            raise ConfigError(
+                f"order-stat --mode must be exact|leading|upper_bound, got {args.mode!r}"
+            )
         result["index"] = args.index
         result["value"] = analytics.expected_order_stat(args.index, n, q, args.mode)
     elif args.quantity == "g":
         if args.positions is None:
             raise ConfigError("quantity g needs --positions")
-        positions = tuple(int(s) for s in args.positions.split(","))
+        positions = _parse_list("--positions", args.positions, int)
         if args.rates is not None:
-            rates = tuple(float(s) for s in args.rates.split(","))
+            rates = _parse_list("--rates", args.rates, float)
         else:
             rates = (1.0 - params.p_mem**2,) * len(positions)
         if args.mode not in ("leading", "lower_bound"):

@@ -27,7 +27,6 @@ PSD_TOL = 1e-10  # eigenvalue floor allowed in validate()
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 CNOT = np.array(

@@ -1,9 +1,8 @@
 """Monte Carlo engine for factory-node GHZ distribution.
 
-Two paths compute the same per-shot fidelity: a fast one that turns the drawn
-waiting times straight into per-qubit depolarizing parameters, and a full
-density-matrix one that replays the whole noisy teleportation pipeline.  The
-dm path is the validation tool and is capped at small N.
+Each shot turns the drawn waiting times straight into per-qubit depolarizing
+parameters.  ``teleport_pipeline`` replays the same noisy teleportation as
+density matrices; ``ghzdist.oracles`` uses it to validate the fast path.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ import numpy as np
 from . import dm as dmod
 from .analytics import f_rand
 from .dm import BsmOutcome, DensityMatrix, Qubit
-from .params import TAG_FACTORY, ConfigError, SimParams, sample_geometric, shot_rng
-
-DM_PATH_MAX_NODES = 4
+from .params import TAG_FACTORY, SimParams, sample_geometric, shot_rng
 
 WORKERS_ENV = "GHZDIST_WORKERS"
 
@@ -61,11 +58,6 @@ def fidelity_from_deltas(params: SimParams, delta_n: Sequence[int]) -> float:
     return f_rand(params.p_ghz, qubit_parameters(params, delta_n))
 
 
-def _draw_attempt(params: SimParams, rng: np.random.Generator) -> tuple[list[int], int]:
-    rounds = [sample_geometric(rng, params.q_link) for _ in range(params.n_end_nodes)]
-    return rounds, max(rounds)
-
-
 def run_shot_fast(params: SimParams, rng: np.random.Generator) -> ShotRecord:
     """One full protocol execution with closed-form noise bookkeeping.
 
@@ -77,7 +69,8 @@ def run_shot_fast(params: SimParams, rng: np.random.Generator) -> ShotRecord:
     attempts = 0
     duration = 0
     while True:
-        rounds, n_all = _draw_attempt(params, rng)
+        rounds = [sample_geometric(rng, params.q_link) for _ in range(n)]
+        n_all = max(rounds)
         attempts += 1
         duration += n_all
         if params.q_bsm == 1.0 or rng.random() < params.q_bsm**n:
@@ -131,52 +124,6 @@ def teleport_pipeline(
         _, state = dmod.project_bell(state, ghz_qubits[i], held, bits)
         state = dmod.pauli_correct(state, remote, BsmOutcome(bits, True))
     return state
-
-
-def _born_chooser(rng: np.random.Generator):
-    def choose(state: DensityMatrix, q_a: Qubit, q_b: Qubit) -> tuple[int, int]:
-        probs = dmod.bell_probabilities(state, q_a, q_b)
-        idx = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-        idx = min(idx, 3)
-        return idx >> 1, idx & 1
-
-    return choose
-
-
-def run_shot_dm(params: SimParams, rng: np.random.Generator) -> ShotRecord:
-    """Density-matrix twin of run_shot_fast.
-
-    Mirrors the protocol literally: one success coin per Bell measurement, and
-    a full restart whenever any of them fails.  Restricted to small N by the
-    register cap.
-    """
-    n = params.n_end_nodes
-    if n > DM_PATH_MAX_NODES:
-        raise ConfigError(
-            f"density-matrix path supports at most {DM_PATH_MAX_NODES} end nodes"
-        )
-    attempts = 0
-    duration = 0
-    while True:
-        rounds, n_all = _draw_attempt(params, rng)
-        attempts += 1
-        duration += n_all
-        if params.q_bsm == 1.0:
-            break
-        # all N measurements are performed before checking for failures
-        coins = [rng.random() < params.q_bsm for _ in range(n)]
-        if all(coins):
-            break
-    state = teleport_pipeline(params, rounds, _born_chooser(rng))
-    delta = tuple(n_all - r for r in rounds)
-    return ShotRecord(
-        teleport_attempts=attempts,
-        rounds=tuple(rounds),
-        n_all=n_all,
-        delta_n=delta,
-        duration_rounds=duration,
-        fidelity=dmod.fidelity_to_ghz(state),
-    )
 
 
 def summarize(

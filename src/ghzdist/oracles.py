@@ -1,7 +1,8 @@
 """Independent brute-force references for the closed forms and the fast engine.
 
 Nothing here reuses the formula under test: waiting-time expectations come
-from exhaustive round enumeration, G from direct sampling, and per-shot
+from exhaustive round enumeration, G from direct sampling, the closed-form
+fidelity from the literal sum over subsets of arrival ranks, and per-shot
 fidelities from a full density-matrix replay of the teleportation pipeline.
 """
 
@@ -119,6 +120,26 @@ def mc_g(
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0) * samples / (samples - 1)
     return mean, math.sqrt(var / samples)
+
+
+def fidelity_subset_sum(params: SimParams, mode: str) -> float:
+    """The closed-form factory fidelity as the literal 2^N-term sum of
+    A_|U| G(U) over all subsets U of arrival ranks."""
+    n = params.n_end_nodes
+    if n > analytics.SUBSET_SUM_MAX_QUBITS:
+        raise ConfigError(
+            f"subset sum infeasible beyond {analytics.SUBSET_SUM_MAX_QUBITS} end nodes"
+        )
+    rate = 1.0 - params.p_mem**2
+    total = 0.0
+    for mask in range(2**n):
+        positions = tuple(i + 1 for i in range(n) if (mask >> i) & 1)
+        coeff = analytics.fidelity_coefficient(
+            len(positions), n, params.p_link, params.p_bsm
+        )
+        spec = GSpec(n, positions, (rate,) * len(positions))
+        total += coeff * analytics.g_value(spec, params.q_link, mode)
+    return (1.0 - params.p_ghz) / 2.0**n + params.p_ghz * total
 
 
 def replay_factory_dm(
@@ -317,6 +338,23 @@ def run_all_checks(inject_coefficient_error: float = 0.0) -> list[CheckResult]:
                 ),
             )
     checks.append(_check("dm_replay_vs_fast_kernel", 1e-10, worst))
+
+    # O(N^2) fidelity recursion against the literal subset sum, relative
+    worst = 0.0
+    for n in range(2, 9):
+        params = SimParams(
+            n_end_nodes=n,
+            q_link=float(rng.choice([0.005, 0.05, 0.5])),
+            p_link=0.9 + 0.1 * rng.random(),
+            p_mem=1.0 - 0.01 * rng.random(),
+            p_bsm=0.9 + 0.1 * rng.random(),
+            p_ghz=0.8 + 0.2 * rng.random(),
+        )
+        for mode in ("leading", "lower_bound"):
+            ref = fidelity_subset_sum(params, mode)
+            got = analytics.fidelity_closed_form(params, mode).value
+            worst = max(worst, abs(got - ref) / ref)
+    checks.append(_check("fidelity_recursion_vs_subset_sum", 1e-12, worst))
 
     return checks
 

@@ -12,9 +12,7 @@ GEOMETRIC_CAP = 2**31  # statistically unreachable for q >= 1e-6
 
 # stream tags: one per independent consumer of randomness
 TAG_FACTORY = 1
-TAG_FACTORY_DM = 2
 TAG_SWITCH = 3
-TAG_MCG = 4
 
 
 class ConfigError(ValueError):

@@ -17,7 +17,7 @@ import numpy as np
 from . import dm as dmod
 from .dm import DensityMatrix, Qubit
 from .factory import Estimates, summarize
-from .params import TAG_SWITCH, SimParams, sample_geometric, shot_rng
+from .params import TAG_SWITCH, ConfigError, SimParams, sample_geometric, shot_rng
 
 NODE_MEMORY_SLOTS = 2
 
@@ -74,21 +74,6 @@ class NetworkState:
                     )
                 owners[q.slot] = comp
         return owners
-
-    def node_holdings(self, node: int) -> list[tuple[Component, Qubit]]:
-        held = []
-        for comp in self.components:
-            for q in comp.qubits:
-                if q.node == node:
-                    held.append((comp, q))
-        return held
-
-    def free_node_slot(self, node: int) -> int | None:
-        used = {q.slot for _, q in self.node_holdings(node)}
-        for slot in range(NODE_MEMORY_SLOTS):
-            if slot not in used:
-                return slot
-        return None
 
     def full_component(self, n_end_nodes: int) -> Component | None:
         """The component spanning every end node, if one exists."""
@@ -381,6 +366,12 @@ WARMUP_EXECUTIONS = 1
 
 def run_executions(params: SimParams, shots: int, warmup: int = WARMUP_EXECUTIONS):
     """Consecutive executions on one persistent network stream."""
+    # the widest component holds every end node's qubit plus one switch qubit
+    if params.n_end_nodes + 1 > dmod.MAX_QUBITS:
+        raise ConfigError(
+            f"the switch supports n_end_nodes <= {dmod.MAX_QUBITS - 1}, "
+            f"got {params.n_end_nodes}"
+        )
     rng = shot_rng(params.seed, 0, TAG_SWITCH)
     state = NetworkState()
     records: list[SwitchRecord] = []

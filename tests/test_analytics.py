@@ -20,8 +20,10 @@ from ghzdist.analytics import (
     rate_exact,
     rate_leading,
 )
+from ghzdist.cli import main
 from ghzdist.dm import fidelity_to_ghz, structured_state
-from ghzdist.params import SimParams
+from ghzdist.oracles import fidelity_subset_sum
+from ghzdist.params import ConfigError, SimParams
 
 
 class TestHarmonic:
@@ -294,3 +296,49 @@ class TestFidelityClosedForm:
                 )
                 val = fidelity_closed_form(params, "leading").value
                 assert 2.0**-5 - 1e-12 <= val <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("mode", ["leading", "lower_bound"])
+    def test_matches_subset_sum_oracle(self, mode):
+        rng = np.random.default_rng(29)
+        for n in range(2, 11):
+            for _ in range(3):
+                params = SimParams(
+                    n_end_nodes=n,
+                    q_link=float(rng.choice([0.002, 0.03, 0.4, 1.0])),
+                    p_link=float(rng.uniform(0.7, 1.0)),
+                    p_mem=float(rng.choice([rng.uniform(0.9, 1.0), 1 - 1e-4])),
+                    p_bsm=float(rng.uniform(0.7, 1.0)),
+                    p_ghz=float(rng.uniform(0.5, 1.0)),
+                )
+                br = fidelity_closed_form(params, mode)
+                assert sorted(br.contributions) == list(range(n + 1))
+                ref = fidelity_subset_sum(params, mode)
+                assert abs(br.value - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("n", [25, 200])
+    def test_no_subset_cap(self, n):
+        params = SimParams(
+            n_end_nodes=n, q_link=0.01, p_link=0.99, p_bsm=0.99, p_mem=1 - 1e-4,
+            p_ghz=0.9,
+        )
+        lead = fidelity_closed_form(params, "leading").value
+        bound = fidelity_closed_form(params, "lower_bound").value
+        assert 2.0**-n <= lead <= 1.0
+        assert math.isfinite(bound)
+
+    def test_beyond_double_range_rejected(self):
+        with pytest.raises(ConfigError, match="n_end_nodes"):
+            fidelity_closed_form(SimParams(n_end_nodes=1024, q_link=0.5))
+
+    def test_simulate_factory_fills_analytic_columns_at_n25(self, tmp_path):
+        out = tmp_path / "res.csv"
+        code = main(
+            ["simulate", "--protocol", "factory", "--set", "n_end_nodes=25",
+             "--set", "q_link=0.2", "--set", "p_mem=0.999", "--set", "shots=20",
+             "--output", str(out), "--no-timestamp"]
+        )
+        assert code == 0
+        header, row = out.read_text().splitlines()
+        values = dict(zip(header.split(","), row.split(",")))
+        for col in ("analytic_fid_leading", "analytic_fid_lower_bound"):
+            assert 0.0 < float(values[col]) <= 1.0

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import time
 
 import pytest
 
@@ -64,6 +65,18 @@ class TestSimulate:
         assert code == 1
         assert "q_linc" in capsys.readouterr().err
 
+    def test_switch_register_limit_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code = main(
+            ["simulate", "--protocol", "switch", "--set", "n_end_nodes=12",
+             "--set", "q_link=0.5", "--set", "shots=10"]
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "n_end_nodes" in err[0] and "11" in err[0]
+
 
 class TestAnalytic:
     def run_json(self, capsys, *argv):
@@ -108,6 +121,34 @@ class TestAnalytic:
             ["analytic", "--quantity", "rate", "--mode", "wrong", "--config", cfg]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--quantity", "order-stat", "--mode", "exact", "--index", "9"], "--index"),
+            (["--quantity", "order-stat", "--mode", "bogus", "--index", "2"], "--mode"),
+            (["--quantity", "g", "--mode", "leading", "--positions", "1,x"],
+             "--positions"),
+            (["--quantity", "g", "--mode", "leading", "--positions", "1,2",
+              "--rates", "0.1,y"], "--rates"),
+            (["--quantity", "fidelity", "--mode", "leading", "--set",
+              "n_end_nodes=1024"], "n_end_nodes"),
+        ],
+    )
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, flags, named):
+        cfg = write_config(tmp_path, n_end_nodes=5, q_link=0.01)
+        assert main(["analytic", "--config", cfg, *flags]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
+    @pytest.mark.parametrize("n", [25, 200])
+    def test_fidelity_has_no_subset_cap(self, tmp_path, capsys, n):
+        cfg = write_config(tmp_path, n_end_nodes=n, q_link=0.01, p_mem=0.9999)
+        out = self.run_json(
+            capsys, "analytic", "--quantity", "fidelity", "--mode", "leading",
+            "--config", cfg,
+        )
+        assert 2.0**-n <= out["value"] <= 1.0
 
 
 class TestSweep:

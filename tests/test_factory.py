@@ -1,4 +1,4 @@
-"""Factory-protocol engine: fast path, density-matrix twin, aggregation."""
+"""Factory-protocol engine: fast path and aggregation."""
 
 import os
 
@@ -9,11 +9,10 @@ from ghzdist.analytics import rate_exact
 from ghzdist.factory import (
     estimate,
     fidelity_from_deltas,
-    run_shot_dm,
     run_shot_fast,
     summarize,
 )
-from ghzdist.params import TAG_FACTORY, ConfigError, SimParams, shot_rng
+from ghzdist.params import TAG_FACTORY, SimParams, shot_rng
 
 
 def make_params(**kwargs):
@@ -83,44 +82,6 @@ class TestRunShotFast:
                 if last is not None:
                     assert rec.fidelity >= last - 1e-12
                 last = rec.fidelity
-
-
-class TestRunShotDm:
-    def test_node_cap(self):
-        with pytest.raises(ConfigError):
-            run_shot_dm(make_params(n_end_nodes=5), shot_rng(0, 0, TAG_FACTORY))
-
-    def test_noiseless_n3(self):
-        params = make_params(n_end_nodes=3, q_link=0.3, q_bsm=0.9)
-        for s in range(10):
-            rec = run_shot_dm(params, shot_rng(17, s, TAG_FACTORY))
-            assert rec.fidelity == pytest.approx(1.0, abs=1e-12)
-
-    def test_dead_ghz_source_gives_mixed(self):
-        params = make_params(n_end_nodes=3, q_link=0.5, q_bsm=1.0, p_ghz=0.0)
-        rec = run_shot_dm(params, shot_rng(19, 0, TAG_FACTORY))
-        assert rec.fidelity == pytest.approx(1 / 8, abs=1e-12)
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_matches_fast_path_with_shared_stream(self, n):
-        # with q_bsm = 1 both paths consume the same waiting-time draws first,
-        # so records must agree shot for shot
-        rng = np.random.default_rng(23)
-        for trial in range(200):
-            params = SimParams(
-                n_end_nodes=n,
-                q_link=float(rng.uniform(0.1, 0.9)),
-                q_bsm=1.0,
-                p_link=float(rng.uniform(0.8, 1.0)),
-                p_mem=float(rng.uniform(0.9, 1.0)),
-                p_bsm=float(rng.uniform(0.8, 1.0)),
-                p_ghz=float(rng.uniform(0.7, 1.0)),
-                seed=int(rng.integers(2**32)),
-            )
-            fast = run_shot_fast(params, shot_rng(params.seed, trial, TAG_FACTORY))
-            slow = run_shot_dm(params, shot_rng(params.seed, trial, TAG_FACTORY))
-            assert fast.rounds == slow.rounds
-            assert abs(fast.fidelity - slow.fidelity) < 1e-10
 
 
 class TestEstimate:

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from ghzdist.analytics import GSpec, expected_order_stat, g_value
-from ghzdist.factory import fidelity_from_deltas
+from ghzdist.factory import fidelity_from_deltas, run_shot_fast
 from ghzdist.oracles import (
     enumerate_waiting_times,
     mc_g,
     replay_factory_dm,
     run_verification,
 )
-from ghzdist.params import ConfigError, SimParams
+from ghzdist.params import TAG_FACTORY, ConfigError, SimParams, shot_rng
 
 
 class TestEnumeration:
@@ -127,6 +127,34 @@ class TestReplay:
     def test_node_cap(self):
         with pytest.raises(ConfigError):
             replay_factory_dm(SimParams(n_end_nodes=4, q_link=0.5), [1, 1, 1, 1])
+
+    def test_noiseless_fast_records(self):
+        params = SimParams(n_end_nodes=3, q_link=0.3, q_bsm=0.9)
+        for s in range(10):
+            rec = run_shot_fast(params, shot_rng(17, s, TAG_FACTORY))
+            assert replay_factory_dm(params, rec.rounds) == pytest.approx(1.0, abs=1e-12)
+
+    def test_dead_ghz_source_gives_mixed(self):
+        params = SimParams(n_end_nodes=3, q_link=0.5, p_ghz=0.0)
+        rec = run_shot_fast(params, shot_rng(19, 0, TAG_FACTORY))
+        assert replay_factory_dm(params, rec.rounds) == pytest.approx(1 / 8, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_fast_records(self, n):
+        rng = np.random.default_rng(23)
+        for trial in range(200):
+            params = SimParams(
+                n_end_nodes=n,
+                q_link=float(rng.uniform(0.1, 0.9)),
+                q_bsm=float(rng.uniform(0.5, 1.0)),
+                p_link=float(rng.uniform(0.8, 1.0)),
+                p_mem=float(rng.uniform(0.9, 1.0)),
+                p_bsm=float(rng.uniform(0.8, 1.0)),
+                p_ghz=float(rng.uniform(0.7, 1.0)),
+                seed=int(rng.integers(2**32)),
+            )
+            rec = run_shot_fast(params, shot_rng(params.seed, trial, TAG_FACTORY))
+            assert abs(replay_factory_dm(params, rec.rounds) - rec.fidelity) < 1e-10
 
 
 class TestVerificationRunner:

@@ -39,16 +39,14 @@ def harmonic(n: int) -> float:
 def expected_n_all_exact(n: int, q: float) -> float:
     """Expected maximum of n iid geometric(q) variables.
 
-    Alternating binomial sum: sum_j (-1)^(j+1) C(n, j) / (1 - (1-q)^j).
+    The last order statistic of the T-mass recursion, whose terms are all
+    positive, so it stays accurate at any n; the alternating binomial sum
+    (``oracles.n_all_alternating_sum``) cancels catastrophically beyond
+    n ~ 40.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"q must be in (0, 1], got {q}")
-    return math.fsum(
-        (-1.0) ** (j + 1) * math.comb(n, j) / (1.0 - _one_minus_q_pow(q, j))
-        for j in range(1, n + 1)
-    )
+    return expected_order_stat(n, n, q)
 
 
 def expected_n_all_upper_bound(n: int, q: float) -> float:
@@ -77,18 +75,21 @@ def _t_masses(n: int, q: float, i_max: int) -> list[float]:
 
     T_0 = 1 and
     T_i = sum_l C(n-i+l, l) q^l (1-q)^(n-i) / (1 - (1-q)^(n-i+l)) T_(i-l).
+    Every term is positive.  The binomial weight is one term of
+    (q + 1 - q)^(n-i+l), so at most 1; it is carried as a logarithm, so
+    neither C(n-i+l, l) nor (1-q)^(n-i) leaves the double range at large n.
     """
+    if q == 1.0:
+        return [1.0] + [0.0] * i_max  # all links succeed in round 1
+    log_q, log_miss = math.log(q), math.log1p(-q)
+    miss = [_one_minus_q_pow(q, k) for k in range(n + 1)]
     t = [1.0]
     for i in range(1, i_max + 1):
+        log_weight = (n - i) * log_miss
         acc = 0.0
         for l in range(1, i + 1):
-            num = (
-                math.comb(n - i + l, l)
-                * q**l
-                * _one_minus_q_pow(q, n - i)
-            )
-            den = 1.0 - _one_minus_q_pow(q, n - i + l)
-            acc += num / den * t[i - l]
+            log_weight += log_q + math.log((n - i + l) / l)
+            acc += math.exp(log_weight) / (1.0 - miss[n - i + l]) * t[i - l]
         t.append(acc)
     return t
 
@@ -210,12 +211,12 @@ def f_rand(p_ghz: float, p: Sequence[float]) -> float:
     n = len(p)
     if n < 2:
         raise ValueError("f_rand needs at least 2 qubits")
-    arr = np.asarray(p, dtype=float)
-    core = 0.5 * (
-        float(np.prod(arr))
-        + float(np.prod((1.0 - arr) / 2.0))
-        + float(np.prod((1.0 + arr) / 2.0))
-    )
+    prod_p = lost = kept = 1.0
+    for pi in p:
+        prod_p *= pi
+        lost *= (1.0 - pi) / 2.0
+        kept *= (1.0 + pi) / 2.0
+    core = 0.5 * (prod_p + lost + kept)
     return (1.0 - p_ghz) / 2.0**n + p_ghz * core
 
 

@@ -15,6 +15,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,10 +25,6 @@ MAX_QUBITS = 12
 TRACE_TOL = 1e-10  # trace deviation and state-equality comparisons
 HERM_TOL = 1e-12  # entrywise Hermiticity
 PSD_TOL = 1e-10  # eigenvalue floor allowed in validate()
-
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -381,6 +378,24 @@ def project_z(
     return prob, DensityMatrix(kept, reduced / prob)
 
 
+@lru_cache(maxsize=None)
+def _fusion_indices(k: int, c: int, t: int, bit: int) -> np.ndarray:
+    """Full-register indices that CNOT(c -> t) followed by the Z readout
+    ``bit`` of t keeps, listed in the order of the reduced basis (t removed).
+
+    Each keeps its other bits and carries t = (bit of c) XOR ``bit``.
+    Cached per register shape; the returned array is read-only.
+    """
+    reduced = np.arange(2 ** (k - 1))
+    low = k - 1 - t  # bits below the target in the full index
+    c_shift = k - 2 - (c if c < t else c - 1)  # control's bit in the reduced index
+    t_bit = ((reduced >> c_shift) & 1) ^ bit
+    high = reduced >> low
+    idx = (high << (low + 1)) | (t_bit << low) | (reduced & ((1 << low) - 1))
+    idx.flags.writeable = False
+    return idx
+
+
 def fuse(
     dm: DensityMatrix, control: Qubit, target: Qubit, rng: np.random.Generator
 ) -> tuple[int, DensityMatrix]:
@@ -388,16 +403,23 @@ def fuse(
 
     The target leaves the register and the state is renormalized.  The
     outcome-dependent Pauli corrections of the fusion protocol are up to the
-    caller.  Gate and measurement are noiseless.
+    caller.  Gate and measurement are noiseless.  The CNOT only permutes basis
+    states, so each outcome's state is a gather of the entries it keeps.
     """
     if control == target:
         raise RegisterError("fusion needs two distinct qubits")
-    dm = apply_unitary(dm, (control, target), CNOT)
-    red = partial_trace(dm, tuple(q for q in dm.labels if q != target))
-    p0 = float(np.clip(red.mat[0, 0].real, 0.0, 1.0))
+    k, c, t = dm.num_qubits, dm.pos(control), dm.pos(target)
+    diag = dm.mat.diagonal().real
+    p0 = min(max(float(diag[_fusion_indices(k, c, t, 0)].sum()), 0.0), 1.0)
     bit = 0 if rng.random() < p0 else 1
-    _, post = project_z(dm, target, bit)
-    return bit, post
+    idx = _fusion_indices(k, c, t, bit)
+    post = dm.mat.take(idx, axis=0).take(idx, axis=1)
+    prob = float(np.trace(post).real)
+    if prob <= 0.0:
+        raise ArithmeticError(f"Z outcome {bit} has probability {prob}")
+    post /= prob
+    kept = tuple(q for q in dm.labels if q != target)
+    return bit, DensityMatrix(kept, post)
 
 
 def fidelity_to_ghz(dm: DensityMatrix) -> float:

@@ -69,7 +69,7 @@ def run_shot_fast(params: SimParams, rng: np.random.Generator) -> ShotRecord:
     attempts = 0
     duration = 0
     while True:
-        rounds = [sample_geometric(rng, params.q_link) for _ in range(n)]
+        rounds = sample_geometric(rng, params.q_link, n)
         n_all = max(rounds)
         attempts += 1
         duration += n_all

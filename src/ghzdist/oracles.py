@@ -1,9 +1,10 @@
 """Independent brute-force references for the closed forms and the fast engine.
 
 Nothing here reuses the formula under test: waiting-time expectations come
-from exhaustive round enumeration, G from direct sampling, the closed-form
-fidelity from the literal sum over subsets of arrival ranks, and per-shot
-fidelities from a full density-matrix replay of the teleportation pipeline.
+from exhaustive round enumeration and the alternating binomial sum, G from
+direct sampling, the closed-form fidelity from the literal sum over subsets of
+arrival ranks, per-shot fidelities from a full density-matrix replay of the
+teleportation pipeline, and fusion from a dense CNOT plus a Z projection.
 """
 
 from __future__ import annotations
@@ -93,6 +94,19 @@ def enumerate_waiting_times(
     return WaitingTimeTable(tuple(expectations), captured, horizon)
 
 
+def n_all_alternating_sum(n: int, q: float) -> float:
+    """E[max of n iid geometric(q)] as the alternating binomial sum
+    sum_j (-1)^(j+1) C(n, j) / (1 - (1-q)^j).
+
+    Exact in exact arithmetic, but its terms cancel catastrophically in
+    doubles beyond n ~ 40; use it at small n only.
+    """
+    return math.fsum(
+        (-1.0) ** (j + 1) * math.comb(n, j) / (1.0 - (1.0 - q) ** j)
+        for j in range(1, n + 1)
+    )
+
+
 def mc_g(
     spec: GSpec, q: float, samples: int, rng: np.random.Generator
 ) -> tuple[float, float]:
@@ -140,6 +154,28 @@ def fidelity_subset_sum(params: SimParams, mode: str) -> float:
         spec = GSpec(n, positions, (rate,) * len(positions))
         total += coeff * analytics.g_value(spec, params.q_link, mode)
     return (1.0 - params.p_ghz) / 2.0**n + params.p_ghz * total
+
+
+def fuse_by_cnot(
+    dm: DensityMatrix, control: Qubit, target: Qubit, bit: int
+) -> tuple[float, DensityMatrix]:
+    """Fusion through the dense kernels: the probability p0 of reading 0 on
+    the target after CNOT(control -> target), and the normalized state left
+    by reading ``bit``."""
+    rotated = dmod.apply_unitary(dm, (control, target), dmod.CNOT)
+    red = dmod.partial_trace(rotated, tuple(q for q in rotated.labels if q != target))
+    _, post = dmod.project_z(rotated, target, bit)
+    return float(red.mat[0, 0].real), post
+
+
+class FixedDraw:
+    """Stand-in generator whose every ``random()`` returns ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
 
 
 def replay_factory_dm(
@@ -232,7 +268,7 @@ def run_all_checks(inject_coefficient_error: float = 0.0) -> list[CheckResult]:
     # the alternating-sum maximum against the recursion at i = n
     worst = max(
         abs(
-            analytics.expected_n_all_exact(n, q)
+            n_all_alternating_sum(n, q)
             - analytics.expected_order_stat(n, n, q, "exact")
         )
         for n in range(1, 7)
@@ -355,6 +391,22 @@ def run_all_checks(inject_coefficient_error: float = 0.0) -> list[CheckResult]:
             got = analytics.fidelity_closed_form(params, mode).value
             worst = max(worst, abs(got - ref) / ref)
     checks.append(_check("fidelity_recursion_vs_subset_sum", 1e-12, worst))
+
+    # fusion as an index gather against the dense CNOT and Z projection: a
+    # draw just below (above) the reference p0 must read 0 (1) and leave the
+    # reference state
+    worst = 0.0
+    for k in range(3, 7):
+        state = _random_state(rng, k)
+        for _ in range(2):
+            a, b = (state.labels[int(i)] for i in rng.choice(k, 2, replace=False))
+            for control, target in ((a, b), (b, a)):
+                for bit, shift in ((0, -1e-12), (1, 1e-12)):
+                    p0, ref = fuse_by_cnot(state, control, target, bit)
+                    got, post = dmod.fuse(state, control, target, FixedDraw(p0 + shift))
+                    err = dmod.max_abs_diff(ref, post) if got == bit else math.inf
+                    worst = max(worst, err)
+    checks.append(_check("fuse_gather_vs_cnot_projection", 1e-12, worst))
 
     return checks
 

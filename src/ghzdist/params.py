@@ -54,8 +54,10 @@ class SimParams:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.t_cl != 0.0:
             raise ConfigError("t_cl is fixed to 0 in this model")
-        if self.shots < 1:
-            raise ConfigError(f"shots must be >= 1, got {self.shots}")
+        if self.shots < 2:
+            raise ConfigError(
+                f"shots must be >= 2 for standard errors, got {self.shots}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned int, got {self.seed}")
 
@@ -126,19 +128,21 @@ def shot_rng(seed: int, shot_index: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def sample_geometric(rng: np.random.Generator, q: float) -> int:
-    """Number of attempts until first success, Pr(n) = q (1-q)^(n-1).
+def sample_geometric(rng: np.random.Generator, q: float, size: int) -> list[int]:
+    """``size`` numbers of attempts until first success, Pr(n) = q (1-q)^(n-1).
 
-    Inverse-CDF on one uniform draw, capped at GEOMETRIC_CAP.
+    Inverse CDF on one uniform per sample, capped at GEOMETRIC_CAP.  The
+    uniforms come from one ``rng.random(size)`` call, which yields the same
+    doubles as ``size`` scalar calls; they are drawn also at q = 1, so the
+    draw count does not depend on q.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError(f"success probability must be in (0, 1], got {q}")
+    draws = rng.random(size).tolist()
     if q == 1.0:
-        rng.random()  # keep the draw count independent of q
-        return 1
-    u = rng.random()
-    n = int(math.log1p(-u) / math.log1p(-q)) + 1
-    return min(n, GEOMETRIC_CAP)
+        return [1] * size
+    log_miss = math.log1p(-q)
+    return [min(int(math.log1p(-u) / log_miss) + 1, GEOMETRIC_CAP) for u in draws]
 
 
 def derive_p_ghz(local_ghz_fidelity: float, n: int) -> float:

@@ -197,7 +197,7 @@ def advance_to_link_event(
     if not eligible:
         state.round += 1
         return []
-    times = [sample_geometric(rng, params.q_link) for _ in eligible]
+    times = sample_geometric(rng, params.q_link, len(eligible))
     first = min(times)
     state.round += first
     events: list[tuple] = []
@@ -304,7 +304,7 @@ def do_fusions(
                 # classical broadcast of the outcome: flip the detached branch
                 for q in comp_b.qubits:
                     if q != q_b:
-                        post = dmod.apply_unitary(post, (q,), dmod.PAULI_X)
+                        post = dmod.apply_pauli_x(post, q)
             fresh = {
                 q: r
                 for comp in (comp_a, comp_b)

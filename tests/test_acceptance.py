@@ -16,7 +16,6 @@ from ghzdist import dm as dmod
 from ghzdist.analytics import (
     GSpec,
     coefficient_identity_check,
-    expected_n_all_exact,
     expected_order_stat,
     fidelity_closed_form,
     g_value,
@@ -29,6 +28,7 @@ from ghzdist.oracles import (
     enumerate_waiting_times,
     factory_outcome_branches,
     mc_g,
+    n_all_alternating_sum,
     replay_factory_dm,
 )
 from ghzdist.params import SimParams, derive_p_ghz
@@ -221,7 +221,7 @@ def test_criterion_7_order_statistics():
     clauses = []
     worst = max(
         abs(
-            expected_order_stat(n, n, q, "exact") - expected_n_all_exact(n, q)
+            expected_order_stat(n, n, q, "exact") - n_all_alternating_sum(n, q)
         )
         for n in range(1, 7)
         for q in (0.1, 0.5, 0.9)

@@ -22,7 +22,7 @@ from ghzdist.analytics import (
 )
 from ghzdist.cli import main
 from ghzdist.dm import fidelity_to_ghz, structured_state
-from ghzdist.oracles import fidelity_subset_sum
+from ghzdist.oracles import fidelity_subset_sum, n_all_alternating_sum
 from ghzdist.params import ConfigError, SimParams
 
 
@@ -53,6 +53,21 @@ class TestExpectedNAll:
         for n in (1, 2, 5, 8):
             for q in (0.005, 0.01, 0.3, 0.9):
                 assert expected_n_all_upper_bound(n, q) > expected_n_all_exact(n, q)
+
+    # 1100: C(n, n/2) is beyond the double range there
+    @pytest.mark.parametrize("n", [60, 200, 1100])
+    def test_large_n_matches_direct_round_sum(self, n):
+        # E[max] = sum_{t>=0} P(max > t) = sum_t [1 - (1 - (1-q)^t)^n]
+        q = 0.01
+        terms, t = [1.0], 1  # P(max > 0) = 1
+        while True:
+            term = -math.expm1(n * math.log1p(-((1.0 - q) ** t)))
+            terms.append(term)
+            if term < 1e-18:
+                break
+            t += 1
+        direct = math.fsum(terms)
+        assert expected_n_all_exact(n, q) == pytest.approx(direct, rel=1e-12)
 
     def test_upper_bound_values(self):
         assert expected_n_all_upper_bound(1, 0.5) == pytest.approx(
@@ -96,7 +111,7 @@ class TestOrderStatistics:
         for n in range(1, 7):
             for q in (0.1, 0.5, 0.9):
                 assert expected_order_stat(n, n, q, "exact") == pytest.approx(
-                    expected_n_all_exact(n, q), abs=1e-10
+                    n_all_alternating_sum(n, q), abs=1e-10
                 )
 
     def test_leading_accurate_at_tiny_q(self):

@@ -77,6 +77,16 @@ class TestSimulate:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "n_end_nodes" in err[0] and "11" in err[0]
 
+    @pytest.mark.parametrize("protocol", ["factory", "switch"])
+    def test_single_shot_is_one_error_line(self, capsys, protocol):
+        code = main(
+            ["simulate", "--protocol", protocol, "--set", "n_end_nodes=3",
+             "--set", "q_link=0.5", "--set", "shots=1"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "shots" in err[0]
+
 
 class TestAnalytic:
     def run_json(self, capsys, *argv):
@@ -90,6 +100,15 @@ class TestAnalytic:
             "--config", cfg,
         )
         assert out["value"] == pytest.approx(0.003389, abs=5e-7)
+
+    def test_rate_exact_stays_positive_at_large_n(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n_end_nodes=200, q_link=0.01)
+        out = self.run_json(
+            capsys, "analytic", "--quantity", "rate", "--mode", "exact",
+            "--config", cfg,
+        )
+        # q_bsm = 1: the rate is 1 / E[max of 200 geometric(0.01)] = 1 / 585.359...
+        assert out["value"] == pytest.approx(1 / 585.3591563309344, rel=1e-12)
 
     def test_fidelity_noiseless(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_end_nodes=5, q_link=0.01)

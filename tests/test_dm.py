@@ -25,6 +25,7 @@ from ghzdist.dm import (
     structured_state,
     tensor,
 )
+from ghzdist.oracles import FixedDraw, fuse_by_cnot
 
 
 def random_state(rng, k, labels=None):
@@ -219,6 +220,23 @@ class TestFusion:
             post = dmod.apply_pauli_x(post, Qubit(4, 0))
         assert post.num_qubits == 4
         assert fidelity_to_ghz(post) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_gather_matches_cnot_projection(self, k):
+        # every ordered (control, target) pair, so the control sits both
+        # before and after the target; a draw 1e-12 below (above) the
+        # reference p0 must read 0 (1), which pins p0 to that tolerance
+        state = random_state(np.random.default_rng(100 + k), k)
+        for control in state.labels:
+            for target in state.labels:
+                if control == target:
+                    continue
+                for bit, shift in ((0, -1e-12), (1, 1e-12)):
+                    p0, ref = fuse_by_cnot(state, control, target, bit)
+                    got, post = fuse(state, control, target, FixedDraw(p0 + shift))
+                    assert got == bit
+                    assert post.labels == ref.labels
+                    assert np.max(np.abs(post.mat - ref.mat)) <= 1e-12
 
 
 class TestFidelityAndPlumbing:

@@ -31,6 +31,7 @@ class TestSimParams:
             {"dt": 0.0},
             {"t_cl": 1.0},
             {"shots": 0},
+            {"shots": 1},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
@@ -111,22 +112,32 @@ class TestRngStreams:
 class TestGeometricSampling:
     def test_certain_success(self):
         rng = shot_rng(0, 0, 1)
-        assert all(sample_geometric(rng, 1.0) == 1 for _ in range(100))
+        assert sample_geometric(rng, 1.0, 100) == [1] * 100
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            sample_geometric(shot_rng(0, 0, 1), 0.0)
+            sample_geometric(shot_rng(0, 0, 1), 0.0, 1)
+
+    @pytest.mark.parametrize("q", [0.3, 1.0])
+    def test_batch_equals_single_draws(self, q):
+        # one rng.random(k) call must consume exactly the uniforms of k calls
+        # with size 1, so batching leaves every fixed-seed stream unchanged
+        batched, single = shot_rng(5, 3, 1), shot_rng(5, 3, 1)
+        draws = sample_geometric(batched, q, 17)
+        assert draws == [sample_geometric(single, q, 1)[0] for _ in range(17)]
+        assert all(type(d) is int for d in draws)
+        assert batched.random() == single.random()
 
     def test_mean_at_half(self):
         rng = shot_rng(11, 0, 1)
-        draws = np.array([sample_geometric(rng, 0.5) for _ in range(1_000_000)])
+        draws = np.array(sample_geometric(rng, 0.5, 1_000_000))
         assert draws.min() >= 1
         assert abs(draws.mean() - 2.0) < 0.01
 
     def test_first_round_mass_small_q(self):
         rng = shot_rng(12, 0, 1)
         n = 1_000_000
-        hits = sum(sample_geometric(rng, 0.01) == 1 for _ in range(n))
+        hits = sample_geometric(rng, 0.01, n).count(1)
         sigma = np.sqrt(n * 0.01 * 0.99)
         assert abs(hits - n * 0.01) < 3 * sigma
 

@@ -1,8 +1,8 @@
 """Command-line front end: simulate, analytic, sweep, verify.
 
-Exit codes: 0 on success, 1 for configuration errors, 2 when verification
-fails.  CSV output is byte-identical for identical configs and seeds; the
-timestamp header line can be suppressed for that purpose.
+Exit codes: 0 on success, 1 for configuration and file errors, 2 when
+verification fails.  CSV output is byte-identical for identical configs and
+seeds; the timestamp header line can be suppressed for that purpose.
 """
 
 from __future__ import annotations
@@ -340,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,8 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-GEOMETRIC_CAP = 2**31  # statistically unreachable for q >= 1e-6
-
 # stream tags: one per independent consumer of randomness
 TAG_FACTORY = 1
 TAG_SWITCH = 3
@@ -42,16 +40,17 @@ class SimParams:
     def __post_init__(self):
         if self.n_end_nodes < 2:
             raise ConfigError(f"n_end_nodes must be >= 2, got {self.n_end_nodes}")
-        if not 0.0 < self.q_link <= 1.0:
-            raise ConfigError(f"q_link must be in (0, 1], got {self.q_link}")
+        # durations are int64 and a geometric draw is at most 1 + 53 ln 2 / q_link
+        if not 1e-15 <= self.q_link <= 1.0:
+            raise ConfigError(f"q_link must be in [1e-15, 1], got {self.q_link}")
         if not 0.0 < self.q_bsm <= 1.0:
             raise ConfigError(f"q_bsm must be in (0, 1], got {self.q_bsm}")
         for name in ("p_link", "p_mem", "p_bsm", "p_ghz"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {val}")
-        if self.dt <= 0.0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if self.t_cl != 0.0:
             raise ConfigError("t_cl is fixed to 0 in this model")
         if self.shots < 2:
@@ -131,10 +130,10 @@ def shot_rng(seed: int, shot_index: int, tag: int) -> np.random.Generator:
 def sample_geometric(rng: np.random.Generator, q: float, size: int) -> list[int]:
     """``size`` numbers of attempts until first success, Pr(n) = q (1-q)^(n-1).
 
-    Inverse CDF on one uniform per sample, capped at GEOMETRIC_CAP.  The
-    uniforms come from one ``rng.random(size)`` call, which yields the same
-    doubles as ``size`` scalar calls; they are drawn also at q = 1, so the
-    draw count does not depend on q.
+    Inverse CDF on one uniform per sample.  The uniforms come from one
+    ``rng.random(size)`` call, which yields the same doubles as ``size``
+    scalar calls; they are drawn also at q = 1, so the draw count does not
+    depend on q.  As u <= 1 - 2^-53, no draw exceeds 1 + 53 ln 2 / q.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError(f"success probability must be in (0, 1], got {q}")
@@ -142,7 +141,7 @@ def sample_geometric(rng: np.random.Generator, q: float, size: int) -> list[int]
     if q == 1.0:
         return [1] * size
     log_miss = math.log1p(-q)
-    return [min(int(math.log1p(-u) / log_miss) + 1, GEOMETRIC_CAP) for u in draws]
+    return [int(math.log1p(-u) / log_miss) + 1 for u in draws]
 
 
 def derive_p_ghz(local_ghz_fidelity: float, n: int) -> float:

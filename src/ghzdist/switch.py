@@ -1,11 +1,14 @@
 """Discrete-event Monte Carlo engine for 2-switch GHZ distribution.
 
-The network state persists across executions: Bell pairs distributed but not
-consumed while building one GHZ state seed the next one.  Each entangled
-component carries its own density matrix, so full-network states are never
-materialized.  Memory decoherence is bookkept lazily per qubit (depolarizing
-channels on idle qubits commute with everything acting elsewhere) and flushed
-just before a qubit is operated on or read out.
+The state says where each qubit lives: the link pair waiting at the switch on
+each connection (the central node holds at most one qubit per connection,
+until a Bell measurement consumes it), and the end-to-end groups built by
+successful measurements and by fusions.  It persists across executions: pairs
+not consumed while building one GHZ state seed the next one.  Each component
+carries its own density matrix, so full-network states are never materialized.
+Memory decoherence is bookkept lazily per qubit (depolarizing channels on idle
+qubits commute with everything acting elsewhere) and flushed just before a
+qubit is operated on or read out.
 """
 
 from __future__ import annotations
@@ -43,9 +46,6 @@ class Component:
     def end_nodes(self) -> set[int]:
         return {q.node for q in self.dm.labels if q.node != 0}
 
-    def switch_qubits(self) -> list[Qubit]:
-        return [q for q in self.dm.labels if q.node == 0]
-
     def flush_memory(self, qubits, round_now: int, p_mem: float) -> None:
         """Apply the pending p_mem^k decoherence on the given qubits."""
         for q in qubits:
@@ -58,34 +58,33 @@ class Component:
 
 @dataclass
 class NetworkState:
-    """Persistent 2-switch network: round clock plus the live components."""
+    """Persistent 2-switch network: the round clock, the link pair waiting at
+    the switch on each connection, and the end-to-end groups."""
 
     round: int = 0
-    components: list[Component] = field(default_factory=list)
-
-    def switch_owners(self) -> dict[int, Component]:
-        """Connection index -> component currently holding its switch qubit."""
-        owners: dict[int, Component] = {}
-        for comp in self.components:
-            for q in comp.switch_qubits():
-                if q.slot in owners:
-                    raise ProtocolInvariantError(
-                        f"switch slot {q.slot} held by two components"
-                    )
-                owners[q.slot] = comp
-        return owners
+    links: dict[int, Component] = field(default_factory=dict)
+    groups: list[Component] = field(default_factory=list)
 
     def full_component(self, n_end_nodes: int) -> Component | None:
-        """The component spanning every end node, if one exists."""
-        for comp in self.components:
+        """The group spanning every end node, if one exists."""
+        for comp in self.groups:
             if len(comp.end_nodes()) == n_end_nodes:
                 return comp
         return None
 
     def validate(self, n_end_nodes: int) -> None:
-        """Occupancy bookkeeping: unique labels, slot capacities, dm health."""
+        """Where each qubit lives: a link holds its connection's switch qubit
+        and one end-node qubit of that connection, groups hold end-node qubits
+        only; labels are unique, slot capacities kept, dm healthy."""
+        for conn, comp in self.links.items():
+            held = Qubit(0, conn)
+            if held not in comp.qubits or sorted(q.node for q in comp.qubits) != [0, conn]:
+                raise ProtocolInvariantError(f"connection {conn} holds a bad link pair")
+        for comp in self.groups:
+            if any(q.node == 0 for q in comp.qubits):
+                raise ProtocolInvariantError("a group holds a switch qubit")
         seen: set[Qubit] = set()
-        for comp in self.components:
+        for comp in [*self.links.values(), *self.groups]:
             for q in comp.qubits:
                 if q in seen:
                     raise ProtocolInvariantError(f"qubit {q} in two components")
@@ -96,20 +95,17 @@ class NetworkState:
         for node in range(1, n_end_nodes + 1):
             if len([q for q in seen if q.node == node]) > NODE_MEMORY_SLOTS:
                 raise ProtocolInvariantError(f"node {node} over memory capacity")
-        switch = [q for q in seen if q.node == 0]
-        if len({q.slot for q in switch}) != len(switch):
-            raise ProtocolInvariantError("a connection holds two switch qubits")
 
 
 def _entangled_clusters(state: NetworkState, n_end_nodes: int) -> dict[int, int]:
-    """Union-find roots of end nodes under "shares a component, directly or
-    through a chain of components".
+    """Union-find roots of end nodes under "shares a group, directly or
+    through a chain of groups".
 
     Step 2's condition that measured qubits must not belong to end nodes that
     are already part of the same (to-be) GHZ state is evaluated on these
     clusters: every connected group is fused into a single GHZ-like state by
     the end of the round, and pairing inside a cluster would create a cycle
-    that fusion cannot absorb.
+    that fusion cannot absorb.  Link pairs have one end node and join none.
     """
     parent = list(range(n_end_nodes + 1))
 
@@ -119,7 +115,7 @@ def _entangled_clusters(state: NetworkState, n_end_nodes: int) -> dict[int, int]
             x = parent[x]
         return x
 
-    for comp in state.components:
+    for comp in state.groups:
         nodes = sorted(comp.end_nodes())
         for a, b in zip(nodes, nodes[1:]):
             ra, rb = find(a), find(b)
@@ -128,27 +124,17 @@ def _entangled_clusters(state: NetworkState, n_end_nodes: int) -> dict[int, int]
     return {node: find(node) for node in range(1, n_end_nodes + 1)}
 
 
-def _occupancy(state: NetworkState, n_end_nodes: int):
-    """One sweep over the components: busy switch connections and the used
-    memory slots per end node."""
-    busy: set[int] = set()
-    used: list[set[int]] = [set() for _ in range(n_end_nodes + 1)]
-    for comp in state.components:
-        for q in comp.qubits:
-            if q.node == 0:
-                busy.add(q.slot)
-            else:
-                used[q.node].add(q.slot)
-    return busy, used
-
-
 def _eligible_connections(state: NetworkState, n_end_nodes: int) -> list[tuple[int, int]]:
-    """Connections that may attempt a Bell pair: free switch slot and a free
-    end-node slot.  Returns (connection, node slot to fill) in fixed order."""
-    busy, used = _occupancy(state, n_end_nodes)
+    """Connections that may attempt a Bell pair: no link pair waiting and a
+    free end-node slot.  Returns (connection, node slot to fill) in fixed
+    order.  A free connection's node slots can only be held by groups."""
+    used: list[set[int]] = [set() for _ in range(n_end_nodes + 1)]
+    for comp in state.groups:
+        for q in comp.qubits:
+            used[q.node].add(q.slot)
     out = []
     for conn in range(1, n_end_nodes + 1):
-        if conn in busy or len(used[conn]) >= NODE_MEMORY_SLOTS:
+        if conn in state.links or len(used[conn]) >= NODE_MEMORY_SLOTS:
             continue
         slot = min(set(range(NODE_MEMORY_SLOTS)) - used[conn])
         out.append((conn, slot))
@@ -165,7 +151,7 @@ def _create_pair(state: NetworkState, params: SimParams, conn: int, slot: int) -
     # two-qubit depolarized Bell pair, written out directly
     mat = params.p_link * _BELL_MAT + ((1.0 - params.p_link) / 4.0) * _EYE4
     pair = dmod.DensityMatrix((held, remote), mat)
-    state.components.append(Component(pair, {held: state.round, remote: state.round}))
+    state.links[conn] = Component(pair, {held: state.round, remote: state.round})
 
 
 def advance_round(
@@ -220,8 +206,7 @@ def do_switch_bsms(
     """
     events: list[tuple] = []
     while True:
-        owners = state.switch_owners()
-        conns = sorted(owners)
+        conns = sorted(state.links)
         roots = _entangled_clusters(state, params.n_end_nodes)
         valid = [
             (a, b)
@@ -232,11 +217,7 @@ def do_switch_bsms(
         if not valid:
             return events
         a, b = valid[rng.integers(len(valid))]
-        comp_a, comp_b = owners[a], owners[b]
-        if len(comp_a.qubits) != 2 or len(comp_b.qubits) != 2:
-            # switch qubits live in link pairs only; anything else means the
-            # fusion step leaked a switch qubit into a grown component
-            raise ProtocolInvariantError("switch slot held by a non-pair component")
+        comp_a, comp_b = state.links.pop(a), state.links.pop(b)
         held_a, held_b = Qubit(0, a), Qubit(0, b)
         comp_a.flush_memory([held_a], state.round, params.p_mem)
         comp_b.flush_memory([held_b], state.round, params.p_mem)
@@ -244,8 +225,6 @@ def do_switch_bsms(
         comp_b.dm = dmod.depolarize(comp_b.dm, (held_b,), params.p_bsm)
         joint = dmod.tensor(comp_a.dm, comp_b.dm)
         outcome, post = dmod.bsm(joint, held_a, held_b, params.q_bsm, rng)
-        state.components.remove(comp_a)
-        state.components.remove(comp_b)
         if outcome.succeeded:
             partner_b = next(q for q in comp_b.qubits if q != held_b)
             post = dmod.pauli_correct(post, partner_b, outcome)
@@ -255,7 +234,7 @@ def do_switch_bsms(
                 for q, r in comp.fresh.items()
                 if q not in (held_a, held_b)
             }
-            state.components.append(
+            state.groups.append(
                 Component(post, fresh, comp_a.pairs_consumed + comp_b.pairs_consumed)
             )
             events.append(("bsm", a, b, True))
@@ -268,25 +247,24 @@ def do_switch_bsms(
 def do_fusions(
     state: NetworkState, params: SimParams, rng: np.random.Generator
 ) -> list[tuple]:
-    """Fuse end-to-end components at every node holding two of their qubits.
+    """Fuse end-to-end groups at every node holding two of their qubits.
 
-    Nodes are processed in ascending index until stable.  A link pair still
-    waiting for its switch-side measurement is not fused: pulling a qubit that
-    is entangled to the switch into a finished GHZ state would leave the
-    delivered state entangled with the central node.
+    Nodes are processed in ascending index until stable.  A node with a link
+    pair still waiting for its switch-side measurement is not fused: pulling a
+    qubit that is entangled to the switch into a finished GHZ state would
+    leave the delivered state entangled with the central node.
     """
     events: list[tuple] = []
     restart = True
     while restart:
         restart = False
         holdings: dict[int, list[tuple[Component, Qubit]]] = {}
-        for comp in state.components:
+        for comp in state.groups:
             for q in comp.qubits:
-                if q.node != 0:
-                    holdings.setdefault(q.node, []).append((comp, q))
+                holdings.setdefault(q.node, []).append((comp, q))
         for node in range(1, params.n_end_nodes + 1):
             held = holdings.get(node, [])
-            if len(held) != 2:
+            if len(held) != 2 or node in state.links:
                 continue
             held.sort(key=lambda cq: cq[1].slot)
             (comp_a, q_a), (comp_b, q_b) = held
@@ -294,8 +272,6 @@ def do_fusions(
                 raise ProtocolInvariantError(
                     f"node {node} holds two qubits of one component"
                 )
-            if comp_a.switch_qubits() or comp_b.switch_qubits():
-                continue
             comp_a.flush_memory([q_a], state.round, params.p_mem)
             comp_b.flush_memory([q_b], state.round, params.p_mem)
             joint = dmod.tensor(comp_a.dm, comp_b.dm)
@@ -311,9 +287,9 @@ def do_fusions(
                 for q, r in comp.fresh.items()
                 if q != q_b
             }
-            state.components.remove(comp_a)
-            state.components.remove(comp_b)
-            state.components.append(
+            state.groups.remove(comp_a)
+            state.groups.remove(comp_b)
+            state.groups.append(
                 Component(post, fresh, comp_a.pairs_consumed + comp_b.pairs_consumed)
             )
             events.append(("fusion", node, bit))
@@ -349,7 +325,7 @@ def run_to_ghz(
         full = state.full_component(n)
         if full is None:
             continue
-        if full.switch_qubits() or len(full.qubits) != n:
+        if len(full.qubits) != n:
             raise ProtocolInvariantError("delivered state is not an n-qubit GHZ")
         full.flush_memory(full.qubits, state.round, params.p_mem)
         record = SwitchRecord(
@@ -357,16 +333,17 @@ def run_to_ghz(
             fidelity=dmod.fidelity_to_ghz(full.dm),
             pairs_consumed=full.pairs_consumed,
         )
-        state.components.remove(full)
+        state.groups.remove(full)
         return record, state
 
 
 WARMUP_EXECUTIONS = 1
 
 
-def run_executions(params: SimParams, shots: int, warmup: int = WARMUP_EXECUTIONS):
+def run_executions(params: SimParams, shots: int) -> list[SwitchRecord]:
     """Consecutive executions on one persistent network stream."""
-    # the widest component holds every end node's qubit plus one switch qubit
+    # the widest register is a fusion's joint state: every end node's qubit
+    # plus the second qubit at the fused node
     if params.n_end_nodes + 1 > dmod.MAX_QUBITS:
         raise ConfigError(
             f"the switch supports n_end_nodes <= {dmod.MAX_QUBITS - 1}, "
@@ -374,12 +351,9 @@ def run_executions(params: SimParams, shots: int, warmup: int = WARMUP_EXECUTION
         )
     rng = shot_rng(params.seed, 0, TAG_SWITCH)
     state = NetworkState()
-    records: list[SwitchRecord] = []
-    for i in range(warmup + shots):
-        record, state = run_to_ghz(state, params, rng)
-        if i >= warmup:
-            records.append(record)
-    return records
+    for _ in range(WARMUP_EXECUTIONS):
+        run_to_ghz(state, params, rng)
+    return [run_to_ghz(state, params, rng)[0] for _ in range(shots)]
 
 
 def estimate_switch(params: SimParams) -> Estimates:

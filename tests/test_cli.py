@@ -87,6 +87,22 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "shots" in err[0]
 
+    @pytest.mark.parametrize("target", ["output", "svg", "config"])
+    def test_file_error_is_one_error_line(self, tmp_path, capsys, target):
+        missing = str(tmp_path / "no_such_dir" / "x")
+        argv = ["--set", "n_end_nodes=3", "--set", "q_link=0.5", "--set", "shots=2"]
+        if target == "output":
+            argv = ["simulate", "--protocol", "factory", *argv, "--output", missing]
+        elif target == "svg":
+            argv = ["sweep", "--protocol", "factory", *argv, "--param", "q_bsm",
+                    "--values", "1", "--svg", missing]
+        else:
+            argv = ["simulate", "--protocol", "factory", *argv, "--config", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert (str(tmp_path) if target == "config" else missing) in err[0]
+
 
 class TestAnalytic:
     def run_json(self, capsys, *argv):

@@ -25,10 +25,13 @@ class TestSimParams:
             {"n_end_nodes": 1},
             {"q_link": 0.0},
             {"q_link": 1.5},
+            {"q_link": 1e-16},
             {"q_bsm": 0.0},
             {"p_mem": -0.1},
             {"p_ghz": 1.2},
             {"dt": 0.0},
+            {"dt": float("nan")},
+            {"dt": float("inf")},
             {"t_cl": 1.0},
             {"shots": 0},
             {"shots": 1},
@@ -140,6 +143,12 @@ class TestGeometricSampling:
         hits = sample_geometric(rng, 0.01, n).count(1)
         sigma = np.sqrt(n * 0.01 * 0.99)
         assert abs(hits - n * 0.01) < 3 * sigma
+
+    def test_mean_at_tiny_q_is_uncapped(self):
+        # the variance of a geometric law is (1 - q)/q^2, so sigma ~ 1/q
+        q, n = 1e-9, 200_000
+        draws = np.array(sample_geometric(shot_rng(13, 0, 1), q, n), dtype=float)
+        assert abs(draws.mean() - 1 / q) < 5 / (q * np.sqrt(n))
 
 
 class TestDerivePGhz:

@@ -7,6 +7,7 @@ from ghzdist import dm as dmod
 from ghzdist.dm import Qubit
 from ghzdist.params import TAG_SWITCH, SimParams, shot_rng
 from ghzdist.switch import (
+    NODE_MEMORY_SLOTS,
     Component,
     NetworkState,
     ProtocolInvariantError,
@@ -30,15 +31,28 @@ def bell_component(a: Qubit, b: Qubit, born_round=0) -> Component:
     return Component(dmod.make_bell(a, b), {a: born_round, b: born_round})
 
 
+def network(*comps: Component) -> NetworkState:
+    """A state holding each component where the engine keeps it: under its
+    connection if it holds a switch qubit, among the groups otherwise."""
+    state = NetworkState()
+    for comp in comps:
+        held = [q for q in comp.qubits if q.node == 0]
+        if held:
+            state.links[held[0].slot] = comp
+        else:
+            state.groups.append(comp)
+    return state
+
+
 class TestAdvanceRound:
     def test_certain_links_fill_all_connections(self):
         state = NetworkState()
         events = advance_round(state, make_params(q_link=1.0), shot_rng(0, 0, 9))
         assert sorted(events) == [("link", c) for c in range(1, 6)]
-        assert len(state.components) == 5
-        for comp in state.components:
+        assert sorted(state.links) == [1, 2, 3, 4, 5] and state.groups == []
+        for conn, comp in state.links.items():
             assert comp.dm.num_qubits == 2
-            assert len(comp.switch_qubits()) == 1
+            assert set(comp.qubits) == {Qubit(0, conn), Qubit(conn, 0)}
 
     def test_busy_connection_does_not_attempt(self):
         state = NetworkState()
@@ -51,10 +65,10 @@ class TestAdvanceRound:
         state = NetworkState()
         params = make_params(q_link=1.0, p_mem=1.0)
         advance_round(state, params, shot_rng(0, 0, 9))
-        before = [c.dm.mat.copy() for c in state.components]
+        before = [c.dm.mat.copy() for c in state.links.values()]
         for _ in range(5):
             advance_round(state, params, shot_rng(0, 2, 9))
-        for comp, mat in zip(state.components, before):
+        for comp, mat in zip(state.links.values(), before):
             comp.flush_memory(comp.qubits, state.round, params.p_mem)
             np.testing.assert_array_equal(comp.dm.mat, mat)
 
@@ -63,7 +77,7 @@ class TestAdvanceRound:
         params = make_params(q_link=1.0, p_mem=0.9, p_link=0.95)
         state = NetworkState()
         advance_round(state, params, shot_rng(0, 0, 9))
-        comp = state.components[0]
+        comp = state.links[1]
         reference = comp.dm
         for _ in range(3):
             advance_round(
@@ -107,41 +121,38 @@ class TestAdvanceRound:
 
 class TestSwitchBsms:
     def test_two_pairs_merge_into_end_to_end_bell(self):
-        state = NetworkState()
-        state.components = [
+        state = network(
             bell_component(Qubit(0, 1), Qubit(1, 0)),
             bell_component(Qubit(0, 2), Qubit(2, 0)),
-        ]
+        )
         events = do_switch_bsms(state, make_params(n_end_nodes=2), shot_rng(0, 0, 9))
         assert events == [("bsm", 1, 2, True)]
-        assert len(state.components) == 1
-        comp = state.components[0]
+        assert state.links == {} and len(state.groups) == 1
+        comp = state.groups[0]
         assert set(comp.qubits) == {Qubit(1, 0), Qubit(2, 0)}
-        assert not comp.switch_qubits()
+        state.validate(2)
         assert dmod.fidelity_to_ghz(comp.dm) == pytest.approx(1.0, abs=1e-12)
         assert comp.pairs_consumed == 2
 
     def test_failed_measurement_destroys_both_pairs(self):
-        state = NetworkState()
-        state.components = [
+        state = network(
             bell_component(Qubit(0, 1), Qubit(1, 0)),
             bell_component(Qubit(0, 2), Qubit(2, 0)),
-        ]
+        )
         events = do_switch_bsms(
             state, make_params(n_end_nodes=2, q_bsm=1e-12), shot_rng(0, 0, 9)
         )
         assert events == [("bsm", 1, 2, False)]
-        assert state.components == []
+        assert state.links == {} and state.groups == []
 
     def test_three_pairs_single_uniform_measurement(self):
         params = make_params(n_end_nodes=3)
         counts = {(1, 2): 0, (1, 3): 0, (2, 3): 0}
         trials = 3000
         for s in range(trials):
-            state = NetworkState()
-            state.components = [
-                bell_component(Qubit(0, c), Qubit(c, 0)) for c in (1, 2, 3)
-            ]
+            state = network(
+                *(bell_component(Qubit(0, c), Qubit(c, 0)) for c in (1, 2, 3))
+            )
             events = do_switch_bsms(state, params, shot_rng(13, s, 9))
             assert len(events) == 1
             counts[events[0][1:3]] += 1
@@ -152,64 +163,61 @@ class TestSwitchBsms:
     def test_pairs_to_already_entangled_nodes_wait(self):
         # nodes 1 and 2 already share a Bell state: their fresh link pairs
         # must not be measured into a redundant second one
-        state = NetworkState()
-        state.components = [
+        state = network(
             bell_component(Qubit(1, 0), Qubit(2, 0)),
             bell_component(Qubit(0, 1), Qubit(1, 1)),
             bell_component(Qubit(0, 2), Qubit(2, 1)),
-        ]
+        )
         events = do_switch_bsms(state, make_params(n_end_nodes=2), shot_rng(0, 0, 9))
         assert events == []
-        assert len(state.components) == 3
+        assert sorted(state.links) == [1, 2] and len(state.groups) == 1
 
 
 class TestFusions:
     def test_fuses_two_bells_at_shared_node(self):
-        state = NetworkState()
-        state.components = [
+        state = network(
             bell_component(Qubit(1, 0), Qubit(2, 0)),
             bell_component(Qubit(1, 1), Qubit(3, 0)),
-        ]
+        )
         events = do_fusions(state, make_params(n_end_nodes=3), shot_rng(0, 0, 9))
         assert len(events) == 1 and events[0][0] == "fusion"
-        comp = state.components[0]
+        assert len(state.groups) == 1
+        comp = state.groups[0]
         assert {q.node for q in comp.qubits} == {1, 2, 3}
         assert dmod.fidelity_to_ghz(comp.dm) == pytest.approx(1.0, abs=1e-12)
 
     def test_no_shared_node_no_fusion(self):
-        state = NetworkState()
-        state.components = [
+        state = network(
             bell_component(Qubit(1, 0), Qubit(2, 0)),
             bell_component(Qubit(3, 0), Qubit(4, 0)),
-        ]
+        )
         assert do_fusions(state, make_params(), shot_rng(0, 0, 9)) == []
-        assert len(state.components) == 2
+        assert len(state.groups) == 2
 
     def test_fusion_cascade_builds_ghz4(self):
-        state = NetworkState()
-        state.components = [
+        state = network(
             bell_component(Qubit(1, 0), Qubit(2, 0)),
             bell_component(Qubit(2, 1), Qubit(3, 0)),
             bell_component(Qubit(3, 1), Qubit(4, 0)),
-        ]
+        )
         events = do_fusions(state, make_params(n_end_nodes=4), shot_rng(0, 0, 9))
         assert len(events) == 2
-        comp = state.components[0]
+        assert len(state.groups) == 1
+        comp = state.groups[0]
         assert {q.node for q in comp.qubits} == {1, 2, 3, 4}
         assert dmod.fidelity_to_ghz(comp.dm) == pytest.approx(1.0, abs=1e-12)
 
     def test_link_pair_is_not_absorbed(self):
-        state = NetworkState()
-        state.components = [
+        state = network(
             bell_component(Qubit(1, 0), Qubit(2, 0)),
             bell_component(Qubit(0, 1), Qubit(1, 1)),
-        ]
+        )
         assert do_fusions(state, make_params(), shot_rng(0, 0, 9)) == []
+        assert list(state.links) == [1] and len(state.groups) == 1
 
     def test_same_component_twice_at_node_is_flagged(self):
         ghz = dmod.make_ghz(3, (Qubit(1, 0), Qubit(1, 1), Qubit(2, 0)))
-        state = NetworkState()
-        state.components = [Component(ghz, {q: 0 for q in ghz.labels})]
+        state = network(Component(ghz, {q: 0 for q in ghz.labels}))
         with pytest.raises(ProtocolInvariantError):
             do_fusions(state, make_params(n_end_nodes=2), shot_rng(0, 0, 9))
 
@@ -263,8 +271,8 @@ class TestRunToGhz:
             full = state.full_component(params.n_end_nodes)
             if full is not None:
                 assert len(full.qubits) == params.n_end_nodes
-                assert not full.switch_qubits()
-                state.components.remove(full)
+                assert {q.node for q in full.qubits} == {1, 2, 3, 4}
+                state.groups.remove(full)
                 deliveries += 1
 
 
@@ -288,7 +296,7 @@ class TestJumpEquivalence:
                 if full is not None:
                     full.flush_memory(full.qubits, state.round, params.p_mem)
                     fid = dmod.fidelity_to_ghz(full.dm)
-                    state.components.remove(full)
+                    state.groups.remove(full)
                     return state.round - start, fid
 
         rng = shot_rng(71, 0, TAG_SWITCH)
@@ -323,5 +331,58 @@ class TestEstimateSwitch:
 
     def test_warmup_execution_is_discarded(self):
         params = make_params(q_link=0.7, shots=25, seed=6)
-        records = run_executions(params, 25, warmup=1)
+        records = run_executions(params, 25)
         assert len(records) == 25
+        state, rng = NetworkState(), shot_rng(6, 0, TAG_SWITCH)
+        stream = [run_to_ghz(state, params, rng)[0] for _ in range(26)]
+        assert records == stream[1:]
+
+
+class TestValidate:
+    """Negative controls: each state the engine cannot reach is flagged."""
+
+    def test_engine_state_passes(self):
+        network(
+            bell_component(Qubit(0, 1), Qubit(1, 0)),
+            bell_component(Qubit(1, 1), Qubit(2, 0)),
+        ).validate(2)
+
+    def test_group_holding_a_switch_qubit(self):
+        state = NetworkState(groups=[bell_component(Qubit(0, 1), Qubit(1, 0))])
+        with pytest.raises(ProtocolInvariantError, match="switch qubit"):
+            state.validate(2)
+
+    @pytest.mark.parametrize(
+        "conn, labels",
+        [
+            (2, (Qubit(0, 1), Qubit(1, 0))),  # stored under the wrong connection
+            (1, (Qubit(0, 1), Qubit(2, 0))),  # end-node qubit of another node
+            (1, (Qubit(1, 0), Qubit(2, 0))),  # no switch qubit at all
+            (1, (Qubit(0, 2), Qubit(1, 0))),  # another connection's switch qubit
+            (1, (Qubit(0, 1), Qubit(1, 0), Qubit(2, 0))),  # not a pair
+            (1, (Qubit(1, 0),)),  # a lone end-node qubit
+        ],
+    )
+    def test_link_not_a_pair_of_its_connection(self, conn, labels):
+        mixed = dmod.DensityMatrix(labels, np.eye(2 ** len(labels)) / 2 ** len(labels))
+        comp = Component(mixed, {q: 0 for q in labels})
+        state = NetworkState(links={conn: comp})
+        with pytest.raises(ProtocolInvariantError, match=f"connection {conn}"):
+            state.validate(2)
+
+    def test_qubit_in_two_components(self):
+        state = network(
+            bell_component(Qubit(0, 1), Qubit(1, 0)),
+            bell_component(Qubit(1, 0), Qubit(2, 0)),
+        )
+        with pytest.raises(ProtocolInvariantError, match="two components"):
+            state.validate(2)
+
+    def test_node_over_memory_slots(self):
+        state = network(
+            bell_component(Qubit(0, 1), Qubit(1, NODE_MEMORY_SLOTS)),
+            *(bell_component(Qubit(1, s), Qubit(s + 2, 0))
+              for s in range(NODE_MEMORY_SLOTS)),
+        )
+        with pytest.raises(ProtocolInvariantError, match="node 1 over memory"):
+            state.validate(NODE_MEMORY_SLOTS + 2)

@@ -10,15 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
 from dataclasses import asdict
 from datetime import datetime, timezone
+from typing import TextIO
 
 from . import analytics
 from .analytics import GSpec
 from .factory import Estimates, estimate
 from .params import ConfigError, SimParams, load_params
 from .svgplot import Panel, Series, render_sweep_svg
-from .switch import estimate_switch
+from .switch import check_register_limit, estimate_switch
 
 CSV_COLUMNS = [
     "sweep_param",
@@ -80,10 +82,18 @@ def _analytic_columns(protocol: str, params: SimParams) -> dict:
     }
 
 
+def _resolve_point(protocol: str, params: SimParams) -> dict:
+    """The analytic columns of one point; raises on any input the point
+    would fail on, so that a run checks every point before simulating one."""
+    if protocol == "switch":
+        check_register_limit(params)
+    return _analytic_columns(protocol, params)
+
+
 def _result_row(
-    protocol: str, params: SimParams, est: Estimates, sweep_param="", sweep_value=""
+    params: SimParams, analytic: dict, est: Estimates, sweep_param="", sweep_value=""
 ) -> dict:
-    row = {
+    return {
         "sweep_param": sweep_param,
         "sweep_value": sweep_value,
         "shots": est.shots,
@@ -92,14 +102,19 @@ def _result_row(
         "rate_stderr": est.rate_stderr,
         "fid_mean": est.fidelity_mean,
         "fid_stderr": est.fidelity_stderr,
+        **analytic,
     }
-    row.update(_analytic_columns(protocol, params))
-    return row
+
+
+def _open_output(stack: ExitStack, path: str | None) -> TextIO:
+    if path is None:
+        return sys.stdout
+    return stack.enter_context(open(path, "w", newline=""))
 
 
 def _write_csv(
     rows: list[dict],
-    output: str | None,
+    out: TextIO,
     timestamp: bool,
     metadata: list[str] | None = None,
 ) -> None:
@@ -110,12 +125,7 @@ def _write_csv(
     lines.append(",".join(CSV_COLUMNS))
     for row in rows:
         lines.append(",".join(_fmt(row[col]) for col in CSV_COLUMNS))
-    text = "\n".join(lines) + "\n"
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", newline="") as fh:
-            fh.write(text)
+    out.write("\n".join(lines) + "\n")
 
 
 def _run_point(protocol: str, params: SimParams) -> Estimates:
@@ -134,13 +144,16 @@ def _metadata(protocol: str) -> list[str]:
 
 def cmd_simulate(args) -> int:
     params = load_params(args.config, _parse_overrides(args.set))
-    est = _run_point(args.protocol, params)
-    _write_csv(
-        [_result_row(args.protocol, params, est)],
-        args.output,
-        not args.no_timestamp,
-        metadata=_metadata(args.protocol),
-    )
+    analytic = _resolve_point(args.protocol, params)
+    with ExitStack() as stack:
+        out = _open_output(stack, args.output)
+        est = _run_point(args.protocol, params)
+        _write_csv(
+            [_result_row(params, analytic, est)],
+            out,
+            not args.no_timestamp,
+            metadata=_metadata(args.protocol),
+        )
     return 0
 
 
@@ -149,22 +162,28 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
     overrides = _parse_overrides(args.set)
-    rows = []
+    points = []
     for value in values:
-        point_overrides = dict(overrides)
-        point_overrides[args.param] = value
-        params = load_params(args.config, point_overrides)
-        est = _run_point(args.protocol, params)
-        rows.append(_result_row(args.protocol, params, est, args.param, value))
-    _write_csv(
-        rows, args.output, not args.no_timestamp, metadata=_metadata(args.protocol)
-    )
-    if args.svg:
-        _render_sweep_chart(args, rows)
+        params = load_params(args.config, {**overrides, args.param: value})
+        points.append((value, params, _resolve_point(args.protocol, params)))
+    with ExitStack() as stack:
+        out = _open_output(stack, args.output)
+        svg = stack.enter_context(open(args.svg, "w")) if args.svg else None
+        rows = [
+            _result_row(
+                params, analytic, _run_point(args.protocol, params), args.param, value
+            )
+            for value, params, analytic in points
+        ]
+        _write_csv(
+            rows, out, not args.no_timestamp, metadata=_metadata(args.protocol)
+        )
+        if svg is not None:
+            _render_sweep_chart(args, rows, svg)
     return 0
 
 
-def _render_sweep_chart(args, rows: list[dict]) -> None:
+def _render_sweep_chart(args, rows: list[dict], out: TextIO) -> None:
     x = [float(r["sweep_value"]) for r in rows]
     rate_panel = Panel(
         "rate",
@@ -206,7 +225,7 @@ def _render_sweep_chart(args, rows: list[dict]) -> None:
             )
         )
     render_sweep_svg(
-        args.svg,
+        out,
         f"{args.protocol}: sweep over {args.param}",
         args.param,
         x,
@@ -269,13 +288,10 @@ def cmd_analytic(args) -> int:
 def cmd_verify(args) -> int:
     from .oracles import run_verification
 
-    rep = run_verification(inject_coefficient_error=args.inject_coefficient_error)
-    text = json.dumps(rep, indent=2)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with ExitStack() as stack:
+        out = _open_output(stack, args.output)
+        rep = run_verification(inject_coefficient_error=args.inject_coefficient_error)
+        out.write(json.dumps(rep, indent=2) + "\n")
     return 0 if rep["all_passed"] else 2
 
 

@@ -4,7 +4,8 @@ Nothing here reuses the formula under test: waiting-time expectations come
 from exhaustive round enumeration and the alternating binomial sum, G from
 direct sampling, the closed-form fidelity from the literal sum over subsets of
 arrival ranks, per-shot fidelities from a full density-matrix replay of the
-teleportation pipeline, and fusion from a dense CNOT plus a Z projection.
+teleportation pipeline, fusion from a dense CNOT plus a Z projection, and
+the per-shot streams from a literal numpy SeedSequence.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import analytics, dm as dmod
 from .analytics import GSpec
 from .dm import DensityMatrix, Qubit
 from .factory import fidelity_from_deltas, teleport_pipeline
-from .params import ConfigError, SimParams
+from .params import TAG_FACTORY, TAG_SWITCH, ConfigError, SimParams, shot_rng
 
 ENUMERATION_MAX_LINKS = 4
 ENUMERATION_RESIDUAL = 1e-13
@@ -234,6 +235,39 @@ def factory_outcome_branches(
     return branches
 
 
+def reference_shot_rng(seed: int, shot_index: int, tag: int) -> np.random.Generator:
+    """The per-shot stream as numpy builds it from the entropy tuple."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=(seed, shot_index, tag)))
+    )
+
+
+def shot_rng_cases(
+    rng: np.random.Generator, count: int = 64
+) -> list[tuple[int, int, int]]:
+    """(seed, shot, tag) triples: ``count`` random ones of random bit width,
+    so every entropy word count occurs, plus the edges of the word count and
+    of power-of-two shot blocks."""
+
+    def draw() -> int:
+        return int(rng.integers(2 ** int(rng.integers(1, 65)), dtype=np.uint64))
+
+    cases = [(draw(), draw(), draw()) for _ in range(count)]
+    for seed in (0, 2**32 + 5, 2**64 - 1):
+        for shot in (0, 1023, 1024, 2**32 - 1, 2**32, 2**64 - 1):
+            cases.extend((seed, shot, tag) for tag in (TAG_FACTORY, TAG_SWITCH))
+    return cases
+
+
+def shot_rng_mismatches(cases: Sequence[tuple[int, int, int]]) -> int:
+    """How many cases' first 16 doubles from ``shot_rng`` differ from the
+    reference stream."""
+    return sum(
+        not np.array_equal(shot_rng(*c).random(16), reference_shot_rng(*c).random(16))
+        for c in cases
+    )
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -407,6 +441,10 @@ def run_all_checks(inject_coefficient_error: float = 0.0) -> list[CheckResult]:
                     err = dmod.max_abs_diff(ref, post) if got == bit else math.inf
                     worst = max(worst, err)
     checks.append(_check("fuse_gather_vs_cnot_projection", 1e-12, worst))
+
+    # block-hashed per-shot seeding against a literal SeedSequence
+    mismatches = shot_rng_mismatches(shot_rng_cases(rng))
+    checks.append(_check("shot_rng_vs_seed_sequence", 0, mismatches))
 
     return checks
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # stream tags: one per independent consumer of randomness
 TAG_FACTORY = 1
@@ -117,14 +119,117 @@ def load_params(
     return SimParams(**values)
 
 
+# numpy's SeedSequence (pool of 4 uint32 words): hashmix multiplies by a
+# constant that starts at INIT_A and advances by MULT_A on every call, the
+# output hash by one from INIT_B and MULT_B.  Neither chain depends on the
+# data, so both are tabled.
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# at most 6 entropy words (two per 64-bit value): 4 fills, 12 pool mixes and
+# 4 mixes per word beyond the pool
+_MAX_HASHMIX = _POOL + _POOL * (_POOL - 1) + _POOL * 2
+
+
+def _constant_chain(init: int, mult: int, calls: int) -> np.ndarray:
+    chain = [init]
+    for _ in range(calls):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint32)
+
+
+_HASH_A = _constant_chain(0x43B0D7E5, 0x931E8875, _MAX_HASHMIX)
+_HASH_B = _constant_chain(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
+# shots per cached block; a power of two, so a block never straddles 2**32
+# and all its indices have the same number of entropy words
+_SEED_BLOCK = 1024
+
+
+def _uint32_words(value: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: little-endian uint32
+    words, one word for 0."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=4)
+def _seed_block(seed: int, tag: int, block: int) -> np.ndarray:
+    """``SeedSequence(entropy=(seed, s, tag)).generate_state(4, np.uint64)``
+    for the shots s of one aligned block, one read-only row per shot."""
+    first = block * _SEED_BLOCK
+    shots = np.arange(first, first + _SEED_BLOCK, dtype=np.uint64)
+    shot_words = [(shots & _MASK32).astype(np.uint32)]
+    if first >> 32:
+        shot_words.append((shots >> 32).astype(np.uint32))
+
+    def const(word: int) -> np.ndarray:
+        return np.full(_SEED_BLOCK, word, dtype=np.uint32)
+
+    entropy = [
+        *map(const, _uint32_words(seed)),
+        *shot_words,
+        *map(const, _uint32_words(tag)),
+    ]
+    calls = iter(range(_MAX_HASHMIX))
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        k = next(calls)
+        value = (value ^ _HASH_A[k]) * _HASH_A[k + 1]
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value = x * _MIX_L - y * _MIX_R
+        return value ^ (value >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else const(0)) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    state = np.empty((_SEED_BLOCK, 2 * _POOL), dtype=np.uint32)
+    for i in range(2 * _POOL):
+        value = (pool[i % _POOL] ^ _HASH_B[i]) * _HASH_B[i + 1]
+        state[:, i] = value ^ (value >> 16)
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    words.flags.writeable = False
+    return words
+
+
+class _ShotSeed(ISeedSequence):
+    """The four PCG64 seed words of one shot, hashed by ``_seed_block``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("a shot seed holds exactly PCG64's 4 uint64 words")
+        return self.words
+
+
 def shot_rng(seed: int, shot_index: int, tag: int) -> np.random.Generator:
     """Counter-based per-shot stream.
 
     Identical (seed, shot_index, tag) gives the identical draw sequence no
-    matter how shots are scheduled across workers.
+    matter how shots are scheduled across workers.  The stream is
+    ``Generator(PCG64(SeedSequence(entropy=(seed, shot_index, tag))))`` draw
+    for draw; the SeedSequence hash is computed for a block of shots at a
+    time, so ``bit_generator.seed_seq`` is not a SeedSequence and cannot
+    ``spawn``.  Each argument must lie in [0, 2**64).
     """
-    ss = np.random.SeedSequence(entropy=(seed, shot_index, tag))
-    return np.random.Generator(np.random.PCG64(ss))
+    if not (0 <= seed < 2**64 and 0 <= shot_index < 2**64 and 0 <= tag < 2**64):
+        args = {"seed": seed, "shot_index": shot_index, "tag": tag}
+        name = next(name for name, value in args.items() if not 0 <= value < 2**64)
+        raise ValueError(f"{name} must lie in [0, 2**64), got {args[name]}")
+    block, row = divmod(shot_index, _SEED_BLOCK)
+    words = _seed_block(seed, tag, block)[row]
+    return np.random.Generator(np.random.PCG64(_ShotSeed(words)))
 
 
 def sample_geometric(rng: np.random.Generator, q: float, size: int) -> list[int]:

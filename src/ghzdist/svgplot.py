@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TextIO
 
 PANEL_W = 460
 PANEL_H = 260
@@ -41,7 +42,7 @@ def _fmt(v: float) -> str:
 
 
 def render_sweep_svg(
-    path: str, title: str, xlabel: str, x: list[float], panels: list[Panel]
+    fh: TextIO, title: str, xlabel: str, x: list[float], panels: list[Panel]
 ) -> None:
     """Write a static chart: one stacked panel per quantity, shared x axis."""
     log_x = all(v > 0 for v in x) and len(x) > 1 and max(x) / min(x) > 20.0
@@ -129,5 +130,4 @@ def render_sweep_svg(
             )
 
     out.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(out) + "\n")
+    fh.write("\n".join(out) + "\n")

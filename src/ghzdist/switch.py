@@ -340,8 +340,8 @@ def run_to_ghz(
 WARMUP_EXECUTIONS = 1
 
 
-def run_executions(params: SimParams, shots: int) -> list[SwitchRecord]:
-    """Consecutive executions on one persistent network stream."""
+def check_register_limit(params: SimParams) -> None:
+    """Reject a point whose widest register exceeds ``dm.MAX_QUBITS``."""
     # the widest register is a fusion's joint state: every end node's qubit
     # plus the second qubit at the fused node
     if params.n_end_nodes + 1 > dmod.MAX_QUBITS:
@@ -349,6 +349,11 @@ def run_executions(params: SimParams, shots: int) -> list[SwitchRecord]:
             f"the switch supports n_end_nodes <= {dmod.MAX_QUBITS - 1}, "
             f"got {params.n_end_nodes}"
         )
+
+
+def run_executions(params: SimParams, shots: int) -> list[SwitchRecord]:
+    """Consecutive executions on one persistent network stream."""
+    check_register_limit(params)
     rng = shot_rng(params.seed, 0, TAG_SWITCH)
     state = NetworkState()
     for _ in range(WARMUP_EXECUTIONS):

@@ -271,6 +271,57 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestInputCheckedBeforeAnyPoint:
+    @pytest.fixture
+    def no_points(self, monkeypatch):
+        def refuse(params):
+            raise AssertionError("a point ran before the input was checked")
+
+        monkeypatch.setattr("ghzdist.cli.estimate", refuse)
+        monkeypatch.setattr("ghzdist.cli.estimate_switch", refuse)
+
+    @pytest.mark.parametrize(
+        "protocol, param, values, named",
+        [
+            ("factory", "q_link", "0.01,abc", "abc"),
+            ("factory", "n_end_nodes", "5,1", "n_end_nodes"),
+            ("factory", "n_end_nodes", "5,1024", "n_end_nodes"),
+            ("switch", "n_end_nodes", "5,12", "n_end_nodes"),
+        ],
+    )
+    def test_bad_last_sweep_value(
+        self, capsys, no_points, protocol, param, values, named
+    ):
+        argv = ["sweep", "--protocol", protocol, "--set", "n_end_nodes=5",
+                "--set", "q_link=0.5", "--param", param, "--values", values]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("sweep", "--output"), ("sweep", "--svg"), ("simulate", "--output"),
+         ("verify", "--output")],
+    )
+    def test_unwritable_output(
+        self, tmp_path, capsys, monkeypatch, no_points, command, flag
+    ):
+        def refuse(**kwargs):
+            raise AssertionError("verification ran before --output was opened")
+
+        monkeypatch.setattr("ghzdist.oracles.run_verification", refuse)
+        missing = str(tmp_path / "no_such_dir" / "x")
+        argv = [command, flag, missing]
+        if command != "verify":
+            argv += ["--protocol", "factory", "--set", "n_end_nodes=3",
+                     "--set", "q_link=0.5"]
+        if command == "sweep":
+            argv += ["--param", "q_bsm", "--values", "1,0.9"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and missing in err[0]
+
+
 class TestVerify:
     def test_verify_passes(self, tmp_path):
         report_path = tmp_path / "report.json"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ghzdist import params as params_module
 from ghzdist.analytics import GSpec, expected_order_stat, g_value
 from ghzdist.factory import fidelity_from_deltas, run_shot_fast
 from ghzdist.oracles import (
@@ -10,6 +11,8 @@ from ghzdist.oracles import (
     mc_g,
     replay_factory_dm,
     run_verification,
+    shot_rng_cases,
+    shot_rng_mismatches,
 )
 from ghzdist.params import TAG_FACTORY, ConfigError, SimParams, shot_rng
 
@@ -163,9 +166,39 @@ class TestVerificationRunner:
         failed = [c["name"] for c in rep["checks"] if not c["passed"]]
         assert rep["all_passed"], f"failing checks: {failed}"
         assert rep["runtime_s"] > 0.0
+        assert rep["checks"][-1]["name"] == "shot_rng_vs_seed_sequence"
 
     def test_negative_control_trips_identity_check(self):
         rep = run_verification(inject_coefficient_error=1e-6)
         assert not rep["all_passed"]
         bad = {c["name"]: c["passed"] for c in rep["checks"]}
         assert not bad["coefficient_identity"]
+
+
+class TestShotRngCheck:
+    def test_cases_cover_word_count_and_block_edges(self):
+        cases = shot_rng_cases(np.random.default_rng(1))
+        assert any(seed == 2**64 - 1 for seed, _, _ in cases)
+        assert {0, 1023, 1024, 2**32 - 1, 2**32} <= {shot for _, shot, _ in cases}
+        assert shot_rng_mismatches(cases) == 0
+
+    @pytest.mark.parametrize(
+        "name, index", [("_HASH_A", 5), ("_HASH_B", 3), ("_MIX_L", None)]
+    )
+    def test_mutated_hash_constant_trips_check(self, monkeypatch, name, index):
+        value = getattr(params_module, name)
+        if index is None:
+            mutated = value ^ 1
+        else:
+            mutated = value.copy()
+            mutated[index] ^= 1
+        monkeypatch.setattr(params_module, name, mutated)
+        params_module._seed_block.cache_clear()
+        try:
+            cases = shot_rng_cases(np.random.default_rng(1))
+            assert shot_rng_mismatches(cases) == len(cases)
+            rep = run_verification()
+            failed = [c["name"] for c in rep["checks"] if not c["passed"]]
+            assert failed == ["shot_rng_vs_seed_sequence"]
+        finally:
+            params_module._seed_block.cache_clear()

@@ -111,6 +111,26 @@ class TestRngStreams:
         ]
         assert all(abs(m - 0.5) < 0.03 for m in means)
 
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1])
+    def test_pinned_to_numpy_seed_sequence(self, seed):
+        shots = [*range(0, 3001, 97), 1023, 1024, 1025, 2**32 - 1, 2**32, 2**33 + 5,
+                 2**64 - 1]
+        for tag in (0, 1, 3, 9, 2**32 + 1):
+            for shot in shots:
+                ref = np.random.PCG64(np.random.SeedSequence(entropy=(seed, shot, tag)))
+                got = shot_rng(seed, shot, tag)
+                assert got.bit_generator.state == ref.state, (seed, shot, tag)
+                np.testing.assert_array_equal(
+                    got.random(16), np.random.Generator(ref).random(16)
+                )
+
+    @pytest.mark.parametrize("arg", ["seed", "shot_index", "tag"])
+    @pytest.mark.parametrize("value", [-1, 2**64])
+    def test_rejects_arguments_outside_64_bits(self, arg, value):
+        kwargs = {"seed": 5, "shot_index": 3, "tag": 1, arg: value}
+        with pytest.raises(ValueError, match=arg):
+            shot_rng(**kwargs)
+
 
 class TestGeometricSampling:
     def test_certain_success(self):

@@ -4,8 +4,9 @@ Nothing here reuses the formula under test: waiting-time expectations come
 from exhaustive round enumeration and the alternating binomial sum, G from
 direct sampling, the closed-form fidelity from the literal sum over subsets of
 arrival ranks, per-shot fidelities from a full density-matrix replay of the
-teleportation pipeline, fusion from a dense CNOT plus a Z projection, and
-the per-shot streams from a literal numpy SeedSequence.
+teleportation pipeline, fusion from a dense CNOT plus a Z projection, the
+per-shot streams from a literal numpy SeedSequence, and the switch's
+Werner-weight entanglement swap from a dense Bell measurement.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import analytics, dm as dmod
+from . import analytics, dm as dmod, switch
 from .analytics import GSpec
 from .dm import DensityMatrix, Qubit
 from .factory import fidelity_from_deltas, teleport_pipeline
@@ -446,7 +447,47 @@ def run_all_checks(inject_coefficient_error: float = 0.0) -> list[CheckResult]:
     mismatches = shot_rng_mismatches(shot_rng_cases(rng))
     checks.append(_check("shot_rng_vs_seed_sequence", 0, mismatches))
 
+    # the switch's Werner-weight swap against a dense Bell measurement on two
+    # link pairs aged one round at a time: every outcome has probability 1/4
+    # and, once corrected, leaves the Werner pair of the closed-form weight
+    checks.append(_check("werner_swap_vs_dense_bsm", 1e-12, werner_swap_error(rng)))
+
     return checks
+
+
+def werner_swap_error(rng: np.random.Generator) -> float:
+    """Worst deviation of ``switch.swapped_weight`` from dense Bell
+    measurements on 20 random draws of Werner links, memory waits and
+    ``p_bsm``."""
+    worst = 0.0
+    for _ in range(20):
+        params = SimParams(
+            n_end_nodes=2,
+            q_link=0.5,
+            p_mem=float(rng.choice([1.0, 0.8 + 0.2 * rng.random()])),
+            p_bsm=0.8 + 0.2 * rng.random(),
+        )
+        born = [int(b) for b in rng.integers(0, 5, size=2)]
+        now = max(born) + int(rng.integers(0, 4))
+        links = [
+            switch.Link(Qubit(c, 0), float(rng.random()), b) for c, b in zip((1, 2), born)
+        ]
+        pairs = []
+        for link in links:
+            held = Qubit(0, link.remote.node)
+            pair = dmod.make_bell(held, link.remote)
+            pair = dmod.depolarize(pair, (link.remote,), link.weight)
+            for _ in range(now - link.born):
+                pair = dmod.depolarize(pair, (held,), params.p_mem)
+            pairs.append(dmod.depolarize(pair, (held,), params.p_bsm))
+        joint = dmod.tensor(*pairs)
+        w = switch.swapped_weight(*links, now, params)
+        expected = switch.werner((links[0].remote, links[1].remote), w)
+        for bits in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            prob, post = dmod.project_bell(joint, Qubit(0, 1), Qubit(0, 2), bits)
+            fixed = dmod.pauli_correct(post, links[1].remote, dmod.BsmOutcome(bits, True))
+            worst = max(worst, abs(prob - 0.25), dmod.max_abs_diff(fixed, expected))
+    return worst
 
 
 def _random_state(

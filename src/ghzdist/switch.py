@@ -4,16 +4,21 @@ The state says where each qubit lives: the link pair waiting at the switch on
 each connection (the central node holds at most one qubit per connection,
 until a Bell measurement consumes it), and the end-to-end groups built by
 successful measurements and by fusions.  It persists across executions: pairs
-not consumed while building one GHZ state seed the next one.  Each component
-carries its own density matrix, so full-network states are never materialized.
-Memory decoherence is bookkept lazily per qubit (depolarizing channels on idle
-qubits commute with everything acting elsewhere) and flushed just before a
-qubit is operated on or read out.
+not consumed while building one GHZ state seed the next one.  A link pair is a
+Werner state, stored as its weight alone.  That is exact: depolarizing either
+qubit by d scales the weight by d, and a Bell measurement on the switch qubits
+of two Werner pairs gives each outcome with probability 1/4 and, once Pauli-
+corrected, a Werner pair of weight w_a w_b.  Dense density matrices start at
+the end-to-end groups, one per group, never network-wide.  Memory decoherence
+is bookkept lazily per qubit (depolarizing channels on idle qubits commute
+with everything acting elsewhere) and flushed just before a qubit is operated
+on or read out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -29,22 +34,32 @@ class ProtocolInvariantError(RuntimeError):
     """The network reached a state the protocol rules are meant to exclude."""
 
 
+@dataclass(frozen=True)
+class Link:
+    """A link pair waiting at the switch: the Werner state weight Phi+ + (1 -
+    weight) 1/4 on (Qubit(0, connection), remote), both fresh at round born."""
+
+    remote: Qubit
+    weight: float
+    born: int
+
+
 @dataclass
 class Component:
-    """One connected entangled state: its density matrix, the round through
-    which each qubit's memory decoherence has been applied, and how many
-    link-level Bell pairs it has absorbed."""
+    """One end-to-end group: its density matrix, the round through which
+    each qubit's memory decoherence has been applied, and how many link-level
+    Bell pairs it has absorbed."""
 
     dm: DensityMatrix
     fresh: dict[Qubit, int]
-    pairs_consumed: int = 1
+    pairs_consumed: int
 
     @property
     def qubits(self) -> tuple[Qubit, ...]:
         return self.dm.labels
 
     def end_nodes(self) -> set[int]:
-        return {q.node for q in self.dm.labels if q.node != 0}
+        return {q.node for q in self.dm.labels}
 
     def flush_memory(self, qubits, round_now: int, p_mem: float) -> None:
         """Apply the pending p_mem^k decoherence on the given qubits."""
@@ -62,7 +77,7 @@ class NetworkState:
     the switch on each connection, and the end-to-end groups."""
 
     round: int = 0
-    links: dict[int, Component] = field(default_factory=dict)
+    links: dict[int, Link] = field(default_factory=dict)
     groups: list[Component] = field(default_factory=list)
 
     def full_component(self, n_end_nodes: int) -> Component | None:
@@ -73,27 +88,26 @@ class NetworkState:
         return None
 
     def validate(self, n_end_nodes: int) -> None:
-        """Where each qubit lives: a link holds its connection's switch qubit
-        and one end-node qubit of that connection, groups hold end-node qubits
-        only; labels are unique, slot capacities kept, dm healthy."""
-        for conn, comp in self.links.items():
-            held = Qubit(0, conn)
-            if held not in comp.qubits or sorted(q.node for q in comp.qubits) != [0, conn]:
-                raise ProtocolInvariantError(f"connection {conn} holds a bad link pair")
+        """Where each qubit lives: links are keyed by their end node, with a
+        weight in [0, 1] and a birth no later than now; groups hold end-node
+        qubits only; labels are unique, slot capacities kept, dm healthy."""
+        for conn, link in self.links.items():
+            node = link.remote.node
+            weight_ok = 0.0 <= link.weight <= 1.0
+            if node == 0 or node != conn or not weight_ok or link.born > self.round:
+                raise ProtocolInvariantError(f"connection {conn} holds a bad link {link}")
         for comp in self.groups:
             if any(q.node == 0 for q in comp.qubits):
                 raise ProtocolInvariantError("a group holds a switch qubit")
-        seen: set[Qubit] = set()
-        for comp in [*self.links.values(), *self.groups]:
-            for q in comp.qubits:
-                if q in seen:
-                    raise ProtocolInvariantError(f"qubit {q} in two components")
-                seen.add(q)
             if set(comp.fresh) != set(comp.qubits):
                 raise ProtocolInvariantError("decoherence ledger out of sync")
             comp.dm.validate(context="component")
+        held = [link.remote for link in self.links.values()]
+        held += [q for comp in self.groups for q in comp.qubits]
+        if len(set(held)) != len(held):
+            raise ProtocolInvariantError("a qubit in two components")
         for node in range(1, n_end_nodes + 1):
-            if len([q for q in seen if q.node == node]) > NODE_MEMORY_SLOTS:
+            if len([q for q in held if q.node == node]) > NODE_MEMORY_SLOTS:
                 raise ProtocolInvariantError(f"node {node} over memory capacity")
 
 
@@ -132,26 +146,34 @@ def _eligible_connections(state: NetworkState, n_end_nodes: int) -> list[tuple[i
     for comp in state.groups:
         for q in comp.qubits:
             used[q.node].add(q.slot)
-    out = []
-    for conn in range(1, n_end_nodes + 1):
-        if conn in state.links or len(used[conn]) >= NODE_MEMORY_SLOTS:
-            continue
-        slot = min(set(range(NODE_MEMORY_SLOTS)) - used[conn])
-        out.append((conn, slot))
-    return out
+    return [
+        (conn, min(set(range(NODE_MEMORY_SLOTS)) - used[conn]))
+        for conn in range(1, n_end_nodes + 1)
+        if conn not in state.links and len(used[conn]) < NODE_MEMORY_SLOTS
+    ]
 
 
 _BELL_MAT = dmod.make_bell().mat
 _EYE4 = np.eye(4, dtype=complex)
 
 
+def werner(labels: tuple[Qubit, Qubit], w: float) -> DensityMatrix:
+    """The Werner state w Phi+ + (1 - w) 1/4 on two qubits."""
+    return DensityMatrix(labels, w * _BELL_MAT + ((1.0 - w) / 4.0) * _EYE4)
+
+
+def swapped_weight(a: Link, b: Link, round_now: int, params: SimParams) -> float:
+    """Werner weight of the pair a successful BSM leaves on the remotes of a
+    and b: each switch qubit ages p_mem per round since its link's birth and
+    is depolarized by p_bsm before the measurement; the remotes age lazily."""
+    w = 1.0
+    for link in (a, b):
+        w *= link.weight * params.p_mem ** (round_now - link.born) * params.p_bsm
+    return w
+
+
 def _create_pair(state: NetworkState, params: SimParams, conn: int, slot: int) -> None:
-    held = Qubit(0, conn)
-    remote = Qubit(conn, slot)
-    # two-qubit depolarized Bell pair, written out directly
-    mat = params.p_link * _BELL_MAT + ((1.0 - params.p_link) / 4.0) * _EYE4
-    pair = dmod.DensityMatrix((held, remote), mat)
-    state.links[conn] = Component(pair, {held: state.round, remote: state.round})
+    state.links[conn] = Link(Qubit(conn, slot), params.p_link, state.round)
 
 
 def advance_round(
@@ -201,47 +223,28 @@ def do_switch_bsms(
 
     A pair is valid when the end nodes reached through the two qubits are in
     different entangled clusters.  Success merges the two link pairs into an
-    end-to-end state (Pauli-corrected at the second end node); failure resets
-    both source pairs entirely.
+    end-to-end Werner pair (Pauli-corrected at the second end node); failure
+    resets both source pairs entirely.
     """
     events: list[tuple] = []
     while True:
         conns = sorted(state.links)
         roots = _entangled_clusters(state, params.n_end_nodes)
-        valid = [
-            (a, b)
-            for i, a in enumerate(conns)
-            for b in conns[i + 1 :]
-            if roots[a] != roots[b]
-        ]
+        valid = [(a, b) for a, b in combinations(conns, 2) if roots[a] != roots[b]]
         if not valid:
             return events
         a, b = valid[rng.integers(len(valid))]
-        comp_a, comp_b = state.links.pop(a), state.links.pop(b)
-        held_a, held_b = Qubit(0, a), Qubit(0, b)
-        comp_a.flush_memory([held_a], state.round, params.p_mem)
-        comp_b.flush_memory([held_b], state.round, params.p_mem)
-        comp_a.dm = dmod.depolarize(comp_a.dm, (held_a,), params.p_bsm)
-        comp_b.dm = dmod.depolarize(comp_b.dm, (held_b,), params.p_bsm)
-        joint = dmod.tensor(comp_a.dm, comp_b.dm)
-        outcome, post = dmod.bsm(joint, held_a, held_b, params.q_bsm, rng)
-        if outcome.succeeded:
-            partner_b = next(q for q in comp_b.qubits if q != held_b)
-            post = dmod.pauli_correct(post, partner_b, outcome)
-            fresh = {
-                q: r
-                for comp in (comp_a, comp_b)
-                for q, r in comp.fresh.items()
-                if q not in (held_a, held_b)
-            }
-            state.groups.append(
-                Component(post, fresh, comp_a.pairs_consumed + comp_b.pairs_consumed)
-            )
-            events.append(("bsm", a, b, True))
-        else:
+        link_a, link_b = state.links.pop(a), state.links.pop(b)
+        if params.q_bsm < 1.0 and rng.random() >= params.q_bsm:
             # failed measurement: both source pairs are reset in full
             events.append(("bsm", a, b, False))
-    return events
+            continue
+        rng.random()  # Born draw, unused: all four outcomes leave the same pair
+        w = swapped_weight(link_a, link_b, state.round, params)
+        pair = werner((link_a.remote, link_b.remote), w)
+        fresh = {link_a.remote: link_a.born, link_b.remote: link_b.born}
+        state.groups.append(Component(pair, fresh, 2))
+        events.append(("bsm", a, b, True))
 
 
 def do_fusions(
@@ -281,12 +284,8 @@ def do_fusions(
                 for q in comp_b.qubits:
                     if q != q_b:
                         post = dmod.apply_pauli_x(post, q)
-            fresh = {
-                q: r
-                for comp in (comp_a, comp_b)
-                for q, r in comp.fresh.items()
-                if q != q_b
-            }
+            fresh = {**comp_a.fresh, **comp_b.fresh}
+            del fresh[q_b]
             state.groups.remove(comp_a)
             state.groups.remove(comp_b)
             state.groups.append(

@@ -4,10 +4,11 @@ The per-shot streams are counter-based, so the integer draws, and with them
 every rate, standard error of the rate and shot count, are a pure function of
 the code's draw order; they must match with ``==``.  The factory fidelity is
 plain Python arithmetic and matches with ``==`` too.  The switch fidelity
-passes through BLAS (``np.tensordot`` in the Bell projection), whose kernel
-and reduction order depend on the CPU, so its last bits may differ between
-hosts; it is compared to 1e-12 relative, far below what a reordered, added or
-dropped draw moves it by.
+passes through numpy's vectorised kernels (``depolarize``, ``tensor`` and
+``fuse`` on the end-to-end groups), whose SIMD width and summation order
+depend on the CPU, so its last bits may differ between hosts; it is compared
+to 1e-12 relative, far below what a reordered, added or dropped draw moves it
+by.
 A change that alters the RNG scheme on purpose updates these values and says
 so in CHANGES.md.
 """

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ghzdist import params as params_module
+from ghzdist import params as params_module, switch as switch_module
 from ghzdist.analytics import GSpec, expected_order_stat, g_value
 from ghzdist.factory import fidelity_from_deltas, run_shot_fast
 from ghzdist.oracles import (
@@ -13,6 +13,7 @@ from ghzdist.oracles import (
     run_verification,
     shot_rng_cases,
     shot_rng_mismatches,
+    werner_swap_error,
 )
 from ghzdist.params import TAG_FACTORY, ConfigError, SimParams, shot_rng
 
@@ -166,7 +167,7 @@ class TestVerificationRunner:
         failed = [c["name"] for c in rep["checks"] if not c["passed"]]
         assert rep["all_passed"], f"failing checks: {failed}"
         assert rep["runtime_s"] > 0.0
-        assert rep["checks"][-1]["name"] == "shot_rng_vs_seed_sequence"
+        assert rep["checks"][-1]["name"] == "werner_swap_vs_dense_bsm"
 
     def test_negative_control_trips_identity_check(self):
         rep = run_verification(inject_coefficient_error=1e-6)
@@ -202,3 +203,34 @@ class TestShotRngCheck:
             assert failed == ["shot_rng_vs_seed_sequence"]
         finally:
             params_module._seed_block.cache_clear()
+
+
+def _weight_dropping_p_bsm(a, b, round_now, params):
+    return a.weight * b.weight * params.p_mem ** (2 * round_now - a.born - b.born)
+
+
+def _weight_as_sum(a, b, round_now, params):
+    w = 1.0
+    for link in (a, b):
+        w *= params.p_mem ** (round_now - link.born) * params.p_bsm
+    return w * (a.weight + b.weight - 1.0)
+
+
+def _weight_without_memory(a, b, round_now, params):
+    return a.weight * b.weight * params.p_bsm**2
+
+
+class TestWernerSwapCheck:
+    def test_closed_form_matches_dense_bsm(self):
+        for seed in range(10):
+            assert werner_swap_error(np.random.default_rng(seed)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "wrong", [_weight_dropping_p_bsm, _weight_as_sum, _weight_without_memory]
+    )
+    def test_wrong_closed_form_trips_check(self, monkeypatch, wrong):
+        monkeypatch.setattr(switch_module, "swapped_weight", wrong)
+        assert werner_swap_error(np.random.default_rng(5)) > 1e-3
+        rep = run_verification()
+        failed = [c["name"] for c in rep["checks"] if not c["passed"]]
+        assert failed == ["werner_swap_vs_dense_bsm"]

@@ -9,6 +9,7 @@ from ghzdist.params import TAG_SWITCH, SimParams, shot_rng
 from ghzdist.switch import (
     NODE_MEMORY_SLOTS,
     Component,
+    Link,
     NetworkState,
     ProtocolInvariantError,
     advance_round,
@@ -18,6 +19,8 @@ from ghzdist.switch import (
     estimate_switch,
     run_executions,
     run_to_ghz,
+    swapped_weight,
+    werner,
 )
 
 
@@ -28,17 +31,19 @@ def make_params(**kwargs):
 
 
 def bell_component(a: Qubit, b: Qubit, born_round=0) -> Component:
-    return Component(dmod.make_bell(a, b), {a: born_round, b: born_round})
+    return Component(dmod.make_bell(a, b), {a: born_round, b: born_round}, 2)
 
 
 def network(*comps: Component) -> NetworkState:
-    """A state holding each component where the engine keeps it: under its
-    connection if it holds a switch qubit, among the groups otherwise."""
+    """A state holding each pair where the engine keeps it: a pair holding a
+    switch qubit as a Link of weight 1 under its connection, any other
+    component among the groups."""
     state = NetworkState()
     for comp in comps:
         held = [q for q in comp.qubits if q.node == 0]
         if held:
-            state.links[held[0].slot] = comp
+            (remote,) = (q for q in comp.qubits if q.node != 0)
+            state.links[held[0].slot] = Link(remote, 1.0, comp.fresh[remote])
         else:
             state.groups.append(comp)
     return state
@@ -47,12 +52,13 @@ def network(*comps: Component) -> NetworkState:
 class TestAdvanceRound:
     def test_certain_links_fill_all_connections(self):
         state = NetworkState()
-        events = advance_round(state, make_params(q_link=1.0), shot_rng(0, 0, 9))
+        params = make_params(q_link=1.0, p_link=0.9)
+        events = advance_round(state, params, shot_rng(0, 0, 9))
         assert sorted(events) == [("link", c) for c in range(1, 6)]
         assert sorted(state.links) == [1, 2, 3, 4, 5] and state.groups == []
-        for conn, comp in state.links.items():
-            assert comp.dm.num_qubits == 2
-            assert set(comp.qubits) == {Qubit(0, conn), Qubit(conn, 0)}
+        for conn, link in state.links.items():
+            assert link.remote == Qubit(conn, 0)
+            assert link.weight == 0.9 and link.born == 1
 
     def test_busy_connection_does_not_attempt(self):
         state = NetworkState()
@@ -65,28 +71,33 @@ class TestAdvanceRound:
         state = NetworkState()
         params = make_params(q_link=1.0, p_mem=1.0)
         advance_round(state, params, shot_rng(0, 0, 9))
-        before = [c.dm.mat.copy() for c in state.links.values()]
+        before = dict(state.links)
         for _ in range(5):
             advance_round(state, params, shot_rng(0, 2, 9))
-        for comp, mat in zip(state.links.values(), before):
-            comp.flush_memory(comp.qubits, state.round, params.p_mem)
-            np.testing.assert_array_equal(comp.dm.mat, mat)
+        assert state.links == before
+        a, b = state.links[1], state.links[2]
+        assert swapped_weight(a, b, state.round, params) == a.weight * b.weight
 
     def test_lazy_memory_aging_matches_direct_channel(self):
-        # a pair stored for k rounds must carry p_mem^k per qubit once flushed
+        # a link stored for k rounds is the dense pair with p_mem^k applied
+        # to each qubit: the switch qubit's share scales the Werner weight
         params = make_params(q_link=1.0, p_mem=0.9, p_link=0.95)
         state = NetworkState()
         advance_round(state, params, shot_rng(0, 0, 9))
-        comp = state.links[1]
-        reference = comp.dm
+        link = state.links[1]
+        held = Qubit(0, 1)
+        reference = dmod.depolarize(dmod.make_bell(held, link.remote), (held,), 0.95)
         for _ in range(3):
             advance_round(
                 state, params.with_overrides(q_link=1e-9), shot_rng(0, 1, 9)
             )
-        comp.flush_memory(comp.qubits, state.round, params.p_mem)
+        k = state.round - link.born
+        assert k == 3
         for q in reference.labels:
-            reference = dmod.depolarize(reference, (q,), 0.9**3)
-        assert dmod.max_abs_diff(comp.dm, reference) < 1e-12
+            reference = dmod.depolarize(reference, (q,), 0.9**k)
+        aged = werner((held, link.remote), link.weight * params.p_mem**k)
+        aged = dmod.depolarize(aged, (link.remote,), params.p_mem**k)
+        assert dmod.max_abs_diff(aged, reference) < 1e-12
 
     def test_success_frequency(self):
         params = make_params(q_link=0.01)
@@ -217,7 +228,7 @@ class TestFusions:
 
     def test_same_component_twice_at_node_is_flagged(self):
         ghz = dmod.make_ghz(3, (Qubit(1, 0), Qubit(1, 1), Qubit(2, 0)))
-        state = network(Component(ghz, {q: 0 for q in ghz.labels}))
+        state = network(Component(ghz, {q: 0 for q in ghz.labels}, 4))
         with pytest.raises(ProtocolInvariantError):
             do_fusions(state, make_params(n_end_nodes=2), shot_rng(0, 0, 9))
 
@@ -353,20 +364,28 @@ class TestValidate:
             state.validate(2)
 
     @pytest.mark.parametrize(
-        "conn, labels",
+        "conn, link",
         [
-            (2, (Qubit(0, 1), Qubit(1, 0))),  # stored under the wrong connection
-            (1, (Qubit(0, 1), Qubit(2, 0))),  # end-node qubit of another node
-            (1, (Qubit(1, 0), Qubit(2, 0))),  # no switch qubit at all
-            (1, (Qubit(0, 2), Qubit(1, 0))),  # another connection's switch qubit
-            (1, (Qubit(0, 1), Qubit(1, 0), Qubit(2, 0))),  # not a pair
-            (1, (Qubit(1, 0),)),  # a lone end-node qubit
+            (2, Link(Qubit(1, 0), 1.0, 0)),
+            (1, Link(Qubit(2, 0), 1.0, 0)),
+            (0, Link(Qubit(0, 0), 1.0, 0)),
+            (1, Link(Qubit(1, 0), float("nan"), 0)),
+            (1, Link(Qubit(1, 0), -1e-9, 0)),
+            (1, Link(Qubit(1, 0), 1.0 + 1e-9, 0)),
+            (1, Link(Qubit(1, 0), 1.0, 4)),
+        ],
+        ids=[
+            "stored-under-another-connection",
+            "remote-on-another-node",
+            "remote-is-a-switch-qubit",
+            "weight-nan",
+            "weight-below-0",
+            "weight-above-1",
+            "born-after-now",
         ],
     )
-    def test_link_not_a_pair_of_its_connection(self, conn, labels):
-        mixed = dmod.DensityMatrix(labels, np.eye(2 ** len(labels)) / 2 ** len(labels))
-        comp = Component(mixed, {q: 0 for q in labels})
-        state = NetworkState(links={conn: comp})
+    def test_bad_link_is_flagged(self, conn, link):
+        state = NetworkState(round=3, links={conn: link})
         with pytest.raises(ProtocolInvariantError, match=f"connection {conn}"):
             state.validate(2)
 

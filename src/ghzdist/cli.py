@@ -20,7 +20,7 @@ from .analytics import GSpec
 from .factory import Estimates, estimate
 from .params import ConfigError, SimParams, load_params
 from .svgplot import Panel, Series, render_sweep_svg
-from .switch import check_register_limit, estimate_switch
+from .switch import WARMUP_EXECUTIONS, check_register_limit, estimate_switch
 
 CSV_COLUMNS = [
     "sweep_param",
@@ -136,8 +136,6 @@ def _run_point(protocol: str, params: SimParams) -> Estimates:
 
 def _metadata(protocol: str) -> list[str]:
     if protocol == "switch":
-        from .switch import WARMUP_EXECUTIONS
-
         return [f"# switch_warmup_executions = {WARMUP_EXECUTIONS}"]
     return []
 

@@ -51,8 +51,9 @@ class SimParams:
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {val}")
-        if not 0.0 < self.dt < math.inf:
-            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        # keeps every time, its square and the rate finite and nonzero
+        if not 1e-100 <= self.dt <= 1e100:
+            raise ConfigError(f"dt must be in [1e-100, 1e100], got {self.dt}")
         if self.t_cl != 0.0:
             raise ConfigError("t_cl is fixed to 0 in this model")
         if self.shots < 2:

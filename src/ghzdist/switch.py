@@ -12,7 +12,11 @@ corrected, a Werner pair of weight w_a w_b.  Dense density matrices start at
 the end-to-end groups, one per group, never network-wide.  Memory decoherence
 is bookkept lazily per qubit (depolarizing channels on idle qubits commute
 with everything acting elsewhere) and flushed just before a qubit is operated
-on or read out.
+on or read out.  Each round's middle phases build their bookkeeping once per
+call: ``do_switch_bsms`` keeps the rule that only end nodes in different
+clusters are paired, and ``do_fusions`` fuses in one ascending pass over the
+nodes; a node with a waiting link pair holds at most one group qubit, so no
+fusion ever touches it.
 """
 
 from __future__ import annotations
@@ -111,33 +115,6 @@ class NetworkState:
                 raise ProtocolInvariantError(f"node {node} over memory capacity")
 
 
-def _entangled_clusters(state: NetworkState, n_end_nodes: int) -> dict[int, int]:
-    """Union-find roots of end nodes under "shares a group, directly or
-    through a chain of groups".
-
-    Step 2's condition that measured qubits must not belong to end nodes that
-    are already part of the same (to-be) GHZ state is evaluated on these
-    clusters: every connected group is fused into a single GHZ-like state by
-    the end of the round, and pairing inside a cluster would create a cycle
-    that fusion cannot absorb.  Link pairs have one end node and join none.
-    """
-    parent = list(range(n_end_nodes + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for comp in state.groups:
-        nodes = sorted(comp.end_nodes())
-        for a, b in zip(nodes, nodes[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-    return {node: find(node) for node in range(1, n_end_nodes + 1)}
-
-
 def _eligible_connections(state: NetworkState, n_end_nodes: int) -> list[tuple[int, int]]:
     """Connections that may attempt a Bell pair: no link pair waiting and a
     free end-node slot.  Returns (connection, node slot to fill) in fixed
@@ -222,15 +199,27 @@ def do_switch_bsms(
     """Measure random valid pairs of switch qubits until none remain.
 
     A pair is valid when the end nodes reached through the two qubits are in
-    different entangled clusters.  Success merges the two link pairs into an
-    end-to-end Werner pair (Pauli-corrected at the second end node); failure
-    resets both source pairs entirely.
+    different clusters, a cluster being the end nodes joined by a chain of
+    groups: every connected group is fused into one GHZ-like state by the end
+    of the round, and pairing inside a cluster would create a cycle that
+    fusion cannot absorb.  The clusters are built once from the groups and
+    joined as measurements succeed; a failed one changes no group.  Success
+    merges the two link pairs into an end-to-end Werner pair (Pauli-corrected
+    at the second end node); failure resets both source pairs entirely.
     """
+    clusters = {node: {node} for node in range(1, params.n_end_nodes + 1)}
+
+    def join(nodes) -> None:
+        merged = set().union(*(clusters[node] for node in nodes))
+        for node in merged:
+            clusters[node] = merged
+
+    for comp in state.groups:
+        join(comp.end_nodes())
     events: list[tuple] = []
     while True:
         conns = sorted(state.links)
-        roots = _entangled_clusters(state, params.n_end_nodes)
-        valid = [(a, b) for a, b in combinations(conns, 2) if roots[a] != roots[b]]
+        valid = [(a, b) for a, b in combinations(conns, 2) if b not in clusters[a]]
         if not valid:
             return events
         a, b = valid[rng.integers(len(valid))]
@@ -244,6 +233,7 @@ def do_switch_bsms(
         pair = werner((link_a.remote, link_b.remote), w)
         fresh = {link_a.remote: link_a.born, link_b.remote: link_b.born}
         state.groups.append(Component(pair, fresh, 2))
+        join((a, b))
         events.append(("bsm", a, b, True))
 
 
@@ -252,48 +242,43 @@ def do_fusions(
 ) -> list[tuple]:
     """Fuse end-to-end groups at every node holding two of their qubits.
 
-    Nodes are processed in ascending index until stable.  A node with a link
-    pair still waiting for its switch-side measurement is not fused: pulling a
-    qubit that is entangled to the switch into a finished GHZ state would
-    leave the delivered state entangled with the central node.
+    One pass over the nodes in ascending index.  A fusion at a node keeps
+    every other qubit where it was, so each lower node that held two group
+    qubits is already fused and every other lower node still holds fewer.  A
+    waiting link pair never meets a fusion: it takes one of the node's
+    NODE_MEMORY_SLOTS = 2 slots, so that node holds at most one group qubit.
     """
+    owner: dict[Qubit, Component] = {}
+    held: dict[int, list[Qubit]] = {}
+    for comp in state.groups:
+        for q in comp.qubits:
+            owner[q] = comp
+            held.setdefault(q.node, []).append(q)
     events: list[tuple] = []
-    restart = True
-    while restart:
-        restart = False
-        holdings: dict[int, list[tuple[Component, Qubit]]] = {}
-        for comp in state.groups:
-            for q in comp.qubits:
-                holdings.setdefault(q.node, []).append((comp, q))
-        for node in range(1, params.n_end_nodes + 1):
-            held = holdings.get(node, [])
-            if len(held) != 2 or node in state.links:
-                continue
-            held.sort(key=lambda cq: cq[1].slot)
-            (comp_a, q_a), (comp_b, q_b) = held
-            if comp_a is comp_b:
-                raise ProtocolInvariantError(
-                    f"node {node} holds two qubits of one component"
-                )
-            comp_a.flush_memory([q_a], state.round, params.p_mem)
-            comp_b.flush_memory([q_b], state.round, params.p_mem)
-            joint = dmod.tensor(comp_a.dm, comp_b.dm)
-            bit, post = dmod.fuse(joint, q_a, q_b, rng)
-            if bit == 1:
-                # classical broadcast of the outcome: flip the detached branch
-                for q in comp_b.qubits:
-                    if q != q_b:
-                        post = dmod.apply_pauli_x(post, q)
-            fresh = {**comp_a.fresh, **comp_b.fresh}
-            del fresh[q_b]
-            state.groups.remove(comp_a)
-            state.groups.remove(comp_b)
-            state.groups.append(
-                Component(post, fresh, comp_a.pairs_consumed + comp_b.pairs_consumed)
-            )
-            events.append(("fusion", node, bit))
-            restart = True
-            break
+    for node in range(1, params.n_end_nodes + 1):
+        if len(held.get(node, ())) != 2:
+            continue
+        q_a, q_b = sorted(held[node])
+        comp_a, comp_b = owner[q_a], owner.pop(q_b)
+        if comp_a is comp_b:
+            raise ProtocolInvariantError(f"node {node} holds two qubits of one component")
+        comp_a.flush_memory([q_a], state.round, params.p_mem)
+        comp_b.flush_memory([q_b], state.round, params.p_mem)
+        joint = dmod.tensor(comp_a.dm, comp_b.dm)
+        bit, post = dmod.fuse(joint, q_a, q_b, rng)
+        if bit == 1:
+            # classical broadcast of the outcome: flip the detached branch
+            for q in comp_b.qubits:
+                if q != q_b:
+                    post = dmod.apply_pauli_x(post, q)
+        fresh = {**comp_a.fresh, **comp_b.fresh}
+        del fresh[q_b]
+        merged = Component(post, fresh, comp_a.pairs_consumed + comp_b.pairs_consumed)
+        state.groups.remove(comp_a)
+        state.groups.remove(comp_b)
+        state.groups.append(merged)
+        owner.update(dict.fromkeys(merged.qubits, merged))
+        events.append(("fusion", node, bit))
     return events
 
 

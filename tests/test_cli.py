@@ -87,6 +87,22 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "shots" in err[0]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--protocol", "factory", "--set", "dt=1e-320"],
+            ["simulate", "--protocol", "switch", "--set", "dt=1e-320"],
+            ["simulate", "--protocol", "factory", "--set", "dt=1e300"],
+            ["analytic", "--quantity", "rate", "--mode", "exact", "--set", "dt=1e-320"],
+        ],
+    )
+    def test_extreme_dt_is_one_error_line(self, capsys, argv):
+        # an underflowing t_mean**2 or an infinite rate must not reach output
+        argv = [*argv, "--set", "n_end_nodes=3", "--set", "q_link=0.1", "--set", "shots=2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "dt" in err[0]
+
     @pytest.mark.parametrize("target", ["output", "svg", "config"])
     def test_file_error_is_one_error_line(self, tmp_path, capsys, target):
         missing = str(tmp_path / "no_such_dir" / "x")

@@ -35,6 +35,8 @@ class TestSimParams:
             {"t_cl": 1.0},
             {"shots": 0},
             {"shots": 1},
+            {"dt": 1e-320},
+            {"dt": 1e300},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):

@@ -183,6 +183,24 @@ class TestSwitchBsms:
         assert events == []
         assert sorted(state.links) == [1, 2] and len(state.groups) == 1
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_success_joins_clusters_within_the_call(self, seed):
+        # groups 1-2 and 3-4 with a link waiting on every connection: the
+        # first measured pair joins both clusters, so the other two links wait
+        state = network(
+            bell_component(Qubit(1, 0), Qubit(2, 0)),
+            bell_component(Qubit(3, 0), Qubit(4, 0)),
+            *(bell_component(Qubit(0, c), Qubit(c, 1)) for c in (1, 2, 3, 4)),
+        )
+        params = make_params(n_end_nodes=4, q_bsm=1.0)
+        events = do_switch_bsms(state, params, shot_rng(seed, 0, 9))
+        assert len(events) == 1 and events[0][3] is True
+        a, b = events[0][1:3]
+        assert (a in (1, 2)) != (b in (1, 2))
+        assert sorted(state.links) == sorted({1, 2, 3, 4} - {a, b})
+        assert len(state.groups) == 3
+        state.validate(4)
+
 
 class TestFusions:
     def test_fuses_two_bells_at_shared_node(self):
@@ -206,17 +224,20 @@ class TestFusions:
         assert len(state.groups) == 2
 
     def test_fusion_cascade_builds_ghz4(self):
-        state = network(
-            bell_component(Qubit(1, 0), Qubit(2, 0)),
-            bell_component(Qubit(2, 1), Qubit(3, 0)),
-            bell_component(Qubit(3, 1), Qubit(4, 0)),
-        )
-        events = do_fusions(state, make_params(n_end_nodes=4), shot_rng(0, 0, 9))
-        assert len(events) == 2
-        assert len(state.groups) == 1
-        comp = state.groups[0]
-        assert {q.node for q in comp.qubits} == {1, 2, 3, 4}
-        assert dmod.fidelity_to_ghz(comp.dm) == pytest.approx(1.0, abs=1e-12)
+        chains = [
+            [((1, 0), (2, 0)), ((2, 1), (3, 0)), ((3, 1), (4, 0))],
+            # shared nodes out of group order: the single ascending pass
+            # still fuses node 2 and then node 3 in one call
+            [((3, 0), (4, 0)), ((2, 1), (3, 1)), ((1, 0), (2, 0))],
+        ]
+        for pairs in chains:
+            state = network(*(bell_component(Qubit(*a), Qubit(*b)) for a, b in pairs))
+            events = do_fusions(state, make_params(n_end_nodes=4), shot_rng(0, 0, 9))
+            assert [e[:2] for e in events] == [("fusion", 2), ("fusion", 3)]
+            assert len(state.groups) == 1
+            comp = state.groups[0]
+            assert {q.node for q in comp.qubits} == {1, 2, 3, 4}
+            assert dmod.fidelity_to_ghz(comp.dm) == pytest.approx(1.0, abs=1e-12)
 
     def test_link_pair_is_not_absorbed(self):
         state = network(
@@ -279,6 +300,9 @@ class TestRunToGhz:
             state.validate(params.n_end_nodes)
             do_fusions(state, params, rng)
             state.validate(params.n_end_nodes)
+            # every node that held two group qubits was fused, none skipped
+            nodes = [q.node for comp in state.groups for q in comp.qubits]
+            assert len(nodes) == len(set(nodes))
             full = state.full_component(params.n_end_nodes)
             if full is not None:
                 assert len(full.qubits) == params.n_end_nodes

@@ -3,7 +3,8 @@
 States live on an ordered register of labeled qubits (node, slot).  The only
 channel is depolarizing; gates, measurements and Pauli corrections are
 noiseless.  Matrices are stored densely, so the register is hard-capped at
-MAX_QUBITS qubits.
+MAX_QUBITS qubits.  A real (float64) matrix stays real through ``tensor``,
+``permute``, ``partial_trace``, ``depolarize``, ``fuse`` and the X flip.
 
 Conventions:
   * The register order is the label-list order; ``tensor`` appends.
@@ -242,10 +243,10 @@ def depolarize(
         return _depolarize_one(dm, positions[0], p)
     if m == dm.num_qubits:
         dim = 2**m
-        mixed = np.eye(dim, dtype=complex) * (dm.trace() / dim)
+        mixed = np.eye(dim) * (dm.trace() / dim)
         return DensityMatrix(dm.labels, p * dm.mat + (1.0 - p) * mixed)
     rest = partial_trace(dm, targets)
-    mixed = DensityMatrix(targets, np.eye(2**m, dtype=complex) / 2**m)
+    mixed = DensityMatrix(targets, np.eye(2**m) / 2**m)
     rebuilt = permute(tensor(rest, mixed), dm.labels)
     return DensityMatrix(dm.labels, p * dm.mat + (1.0 - p) * rebuilt.mat)
 
@@ -329,14 +330,15 @@ def bsm(
     return BsmOutcome(bits, True), post
 
 
-def apply_pauli_x(dm: DensityMatrix, q: Qubit) -> DensityMatrix:
-    """X on one qubit: a basis swap on its row and column index."""
+def apply_pauli_x(dm: DensityMatrix, *qubits: Qubit) -> DensityMatrix:
+    """X on each of ``qubits``: one gather of rows and columns at the indices
+    XORed with the qubits' bit mask."""
     k = dm.num_qubits
-    pos = dm.pos(q)
-    pre = 2**pos
-    post = 2 ** (k - pos - 1)
-    t = dm.mat.reshape(pre, 2, post, pre, 2, post)
-    return DensityMatrix(dm.labels, t[:, ::-1, :, :, ::-1, :].reshape(2**k, 2**k).copy())
+    mask = 0
+    for q in qubits:
+        mask |= 1 << (k - 1 - dm.pos(q))
+    idx = np.arange(2**k) ^ mask
+    return DensityMatrix(dm.labels, dm.mat.take(idx, axis=0).take(idx, axis=1))
 
 
 def apply_pauli_z(dm: DensityMatrix, q: Qubit) -> DensityMatrix:
@@ -422,15 +424,37 @@ def fuse(
     return bit, DensityMatrix(kept, post)
 
 
-def fidelity_to_ghz(dm: DensityMatrix) -> float:
-    """<GHZ| rho |GHZ> for the register's own qubit count (>= 2)."""
-    if dm.num_qubits < 2:
+@lru_cache(maxsize=None)
+def _basis_bits(k: int) -> np.ndarray:
+    """Bit q of every basis index of a k-qubit register, qubit 0 most
+    significant: a read-only (2^k, k) boolean table."""
+    bits = ((np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(bool)
+    bits.flags.writeable = False
+    return bits
+
+
+def fidelity_to_ghz(
+    dm: DensityMatrix, pending: Sequence[float] | None = None
+) -> float:
+    """<GHZ| D(rho) |GHZ> for the register's own qubit count (>= 2), where D
+    depolarizes each register qubit q by ``pending[q]`` (default: no channel).
+
+    A local depolarizing channel maps the diagonal to the diagonal and scales
+    the corner rho_{0..0,1..1} by d_q, so this is one pass over the diagonal:
+    (1/2) sum_x rho_xx [prod_q (1 +- d_q)/2 + prod_q (1 -+ d_q)/2]
+    + Re rho_{0..0,1..1} prod_q d_q, the upper sign where x_q = 0.  The
+    second product at x is the first at the complement of x, which is the
+    reversed diagonal's entry.
+    """
+    k = dm.num_qubits
+    if k < 2:
         raise RegisterError("GHZ fidelity needs at least 2 qubits")
-    corners = dm.mat[0, 0] + dm.mat[0, -1] + dm.mat[-1, 0] + dm.mat[-1, -1]
-    val = corners / 2.0
-    if abs(val.imag) > 1e-10:
-        raise ArithmeticError(f"GHZ fidelity has imaginary part {val.imag}")
-    return float(val.real)
+    d = np.ones(k) if pending is None else np.asarray(pending, dtype=float)
+    if d.shape != (k,):
+        raise RegisterError(f"{len(d)} depolarizing parameters for {dm.labels}")
+    weight = np.where(_basis_bits(k), (1.0 - d) / 2.0, (1.0 + d) / 2.0).prod(axis=1)
+    diag = dm.mat.diagonal().real
+    return float(0.5 * ((diag + diag[::-1]) @ weight) + dm.mat[0, -1].real * d.prod())
 
 
 def structured_state(

@@ -5,8 +5,9 @@ from exhaustive round enumeration and the alternating binomial sum, G from
 direct sampling, the closed-form fidelity from the literal sum over subsets of
 arrival ranks, per-shot fidelities from a full density-matrix replay of the
 teleportation pipeline, fusion from a dense CNOT plus a Z projection, the
-per-shot streams from a literal numpy SeedSequence, and the switch's
-Werner-weight entanglement swap from a dense Bell measurement.
+per-shot streams from a literal numpy SeedSequence, the switch's
+Werner-weight entanglement swap from a dense Bell measurement, and its
+diagonal read-out from dense per-qubit depolarizing.
 """
 
 from __future__ import annotations
@@ -452,6 +453,10 @@ def run_all_checks(inject_coefficient_error: float = 0.0) -> list[CheckResult]:
     # and, once corrected, leaves the Werner pair of the closed-form weight
     checks.append(_check("werner_swap_vs_dense_bsm", 1e-12, werner_swap_error(rng)))
 
+    # the switch's read-out, which applies pending depolarizing channels in
+    # one pass over the diagonal, against flushing them densely first
+    checks.append(_check("ghz_readout_vs_dense_flush", 1e-12, ghz_readout_error(rng)))
+
     return checks
 
 
@@ -487,6 +492,30 @@ def werner_swap_error(rng: np.random.Generator) -> float:
             prob, post = dmod.project_bell(joint, Qubit(0, 1), Qubit(0, 2), bits)
             fixed = dmod.pauli_correct(post, links[1].remote, dmod.BsmOutcome(bits, True))
             worst = max(worst, abs(prob - 0.25), dmod.max_abs_diff(fixed, expected))
+    return worst
+
+
+def ghz_readout_error(rng: np.random.Generator) -> float:
+    """Worst deviation of ``dm.fidelity_to_ghz`` with pending depolarizing
+    parameters from depolarizing each qubit densely and then reading the
+    plain corner formula, on random full-rank complex states of 2..7 qubits.
+    Per size, one draw holds a 0 and a 1, one is all 1, one is uniform."""
+    worst = 0.0
+    for k in range(2, 8):
+        for trial in range(3):
+            state = _random_state(rng, k)
+            d = rng.random(k)
+            if trial == 0:
+                i, j = rng.choice(k, 2, replace=False)
+                d[i], d[j] = 0.0, 1.0
+            elif trial == 1:
+                d[:] = 1.0
+            flushed = state
+            for q, dq in zip(state.labels, d):
+                flushed = dmod.depolarize(flushed, (q,), float(dq))
+            m = flushed.mat
+            ref = float((m[0, 0] + m[0, -1] + m[-1, 0] + m[-1, -1]).real / 2.0)
+            worst = max(worst, abs(dmod.fidelity_to_ghz(state, d.tolist()) - ref))
     return worst
 
 

@@ -47,6 +47,12 @@ class SimParams:
             raise ConfigError(f"q_link must be in [1e-15, 1], got {self.q_link}")
         if not 0.0 < self.q_bsm <= 1.0:
             raise ConfigError(f"q_bsm must be in (0, 1], got {self.q_bsm}")
+        # the factory's teleportation coin lands with probability q_bsm^N
+        if self.q_bsm**self.n_end_nodes == 0.0:
+            raise ConfigError(
+                f"q_bsm ** n_end_nodes underflows to 0 (q_bsm = {self.q_bsm}, "
+                f"n_end_nodes = {self.n_end_nodes}): no teleportation can succeed"
+            )
         for name in ("p_link", "p_mem", "p_bsm", "p_ghz"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:

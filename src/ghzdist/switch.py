@@ -9,14 +9,19 @@ Werner state, stored as its weight alone.  That is exact: depolarizing either
 qubit by d scales the weight by d, and a Bell measurement on the switch qubits
 of two Werner pairs gives each outcome with probability 1/4 and, once Pauli-
 corrected, a Werner pair of weight w_a w_b.  Dense density matrices start at
-the end-to-end groups, one per group, never network-wide.  Memory decoherence
-is bookkept lazily per qubit (depolarizing channels on idle qubits commute
-with everything acting elsewhere) and flushed just before a qubit is operated
-on or read out.  Each round's middle phases build their bookkeeping once per
-call: ``do_switch_bsms`` keeps the rule that only end nodes in different
-clusters are paired, and ``do_fusions`` fuses in one ascending pass over the
-nodes; a node with a waiting link pair holds at most one group qubit, so no
-fusion ever touches it.
+the end-to-end groups, one per group, never network-wide.  They are real
+(float64): every state the switch reaches is real in the computational basis.
+Memory decoherence is bookkept lazily per qubit (depolarizing channels on idle
+qubits commute with everything acting elsewhere) and flushed just before a
+qubit is fused; read-out applies the pending channels inside one pass over
+the diagonal of the delivered group (``dm.fidelity_to_ghz``).  A phase runs
+only when it can act: the Bell measurements when at least two links wait, the
+fusions and the delivery check only after a measurement succeeded.  Each
+round's middle phases build their bookkeeping once per call:
+``do_switch_bsms`` keeps the rule that only end nodes in different clusters
+are paired, and ``do_fusions`` fuses in one ascending pass over the nodes; a
+node with a waiting link pair holds at most one group qubit, so no fusion ever
+touches it.
 """
 
 from __future__ import annotations
@@ -130,12 +135,12 @@ def _eligible_connections(state: NetworkState, n_end_nodes: int) -> list[tuple[i
     ]
 
 
-_BELL_MAT = dmod.make_bell().mat
-_EYE4 = np.eye(4, dtype=complex)
+_BELL_MAT = dmod.make_bell().mat.real.copy()
+_EYE4 = np.eye(4)
 
 
 def werner(labels: tuple[Qubit, Qubit], w: float) -> DensityMatrix:
-    """The Werner state w Phi+ + (1 - w) 1/4 on two qubits."""
+    """The Werner state w Phi+ + (1 - w) 1/4 on two qubits, as a real matrix."""
     return DensityMatrix(labels, w * _BELL_MAT + ((1.0 - w) / 4.0) * _EYE4)
 
 
@@ -268,9 +273,7 @@ def do_fusions(
         bit, post = dmod.fuse(joint, q_a, q_b, rng)
         if bit == 1:
             # classical broadcast of the outcome: flip the detached branch
-            for q in comp_b.qubits:
-                if q != q_b:
-                    post = dmod.apply_pauli_x(post, q)
+            post = dmod.apply_pauli_x(post, *(q for q in comp_b.qubits if q != q_b))
         fresh = {**comp_a.fresh, **comp_b.fresh}
         del fresh[q_b]
         merged = Component(post, fresh, comp_a.pairs_consumed + comp_b.pairs_consumed)
@@ -298,23 +301,30 @@ def run_to_ghz(
     """Advance the network until a component spans all end nodes.
 
     The finished component is measured out of the network (its fidelity to the
-    GHZ state recorded) and the remaining entanglement carries over.
+    GHZ state recorded) and the remaining entanglement carries over.  A phase
+    is skipped when it cannot act, which draws nothing: with fewer than two
+    links waiting no pair is valid, and groups change, so that a node can hold
+    two group qubits or a group can span every end node, only through a
+    successful measurement.
     """
     start = state.round
     n = params.n_end_nodes
     while True:
         advance_to_link_event(state, params, rng)
-        do_switch_bsms(state, params, rng)
+        if len(state.links) < 2:
+            continue
+        if not any(ok for *_, ok in do_switch_bsms(state, params, rng)):
+            continue
         do_fusions(state, params, rng)
         full = state.full_component(n)
         if full is None:
             continue
         if len(full.qubits) != n:
             raise ProtocolInvariantError("delivered state is not an n-qubit GHZ")
-        full.flush_memory(full.qubits, state.round, params.p_mem)
+        pending = [params.p_mem ** (state.round - full.fresh[q]) for q in full.qubits]
         record = SwitchRecord(
             duration_rounds=state.round - start,
-            fidelity=dmod.fidelity_to_ghz(full.dm),
+            fidelity=dmod.fidelity_to_ghz(full.dm, pending),
             pairs_consumed=full.pairs_consumed,
         )
         state.groups.remove(full)

@@ -103,6 +103,22 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "dt" in err[0]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--protocol", "factory", "--set", "shots=2"],
+            ["analytic", "--quantity", "rate", "--mode", "exact"],
+        ],
+    )
+    def test_underflowing_q_bsm_power_is_one_error_line(self, capsys, argv):
+        # q_bsm^5 underflows to 0: the factory's coin could never land and the
+        # rate would print as 0
+        argv = [*argv, "--set", "n_end_nodes=5", "--set", "q_link=0.5",
+                "--set", "q_bsm=1e-70"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "q_bsm" in err[0]
+
     @pytest.mark.parametrize("target", ["output", "svg", "config"])
     def test_file_error_is_one_error_line(self, tmp_path, capsys, target):
         missing = str(tmp_path / "no_such_dir" / "x")

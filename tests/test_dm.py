@@ -255,6 +255,12 @@ class TestFidelityAndPlumbing:
             state = depolarize(state, (q,), 0.8)
         assert fidelity_to_ghz(state) == pytest.approx(0.73, abs=1e-12)
 
+    def test_pending_channels_fold_into_readout(self):
+        # the same two channels, left pending instead of applied
+        assert fidelity_to_ghz(make_ghz(2), (0.8, 0.8)) == pytest.approx(0.73, abs=1e-12)
+        with pytest.raises(RegisterError):
+            fidelity_to_ghz(make_ghz(3), (0.8, 0.8))
+
     def test_tensor_then_trace_roundtrip(self):
         rng = np.random.default_rng(6)
         a = random_state(rng, 2, labels=(Qubit(1, 0), Qubit(2, 0)))
@@ -285,6 +291,65 @@ class TestFidelityAndPlumbing:
         shuffled = permute(state, state.labels[::-1])
         back = permute(shuffled, state.labels)
         np.testing.assert_allclose(back.mat, state.mat, atol=1e-15)
+
+
+def real_state(rng, k, labels=None):
+    """Random full-rank real density matrix (real Wishart construction)."""
+    a = rng.normal(size=(2**k, 2**k))
+    mat = a @ a.T
+    mat /= np.trace(mat)
+    if labels is None:
+        labels = tuple(Qubit(70 + i, 0) for i in range(k))
+    return DensityMatrix(tuple(labels), mat)
+
+
+def as_complex(state):
+    return DensityMatrix(state.labels, state.mat.astype(complex))
+
+
+class TestRealRegisters:
+    """A real matrix stays float64 through the kernels the switch runs, and
+    agrees with the same matrix computed as complex."""
+
+    @staticmethod
+    def assert_real_and_equal(real, cplx):
+        assert real.mat.dtype == np.float64 and real.labels == cplx.labels
+        assert np.max(np.abs(real.mat - cplx.mat)) <= 1e-15
+
+    def test_tensor(self):
+        rng = np.random.default_rng(30)
+        a = real_state(rng, 3)
+        b = real_state(rng, 2, labels=(Qubit(1, 0), Qubit(2, 0)))
+        self.assert_real_and_equal(tensor(a, b), tensor(as_complex(a), as_complex(b)))
+
+    @pytest.mark.parametrize("u", [0.1, 0.5, 0.9])
+    def test_fuse(self, u):
+        rng = np.random.default_rng(31)
+        state = real_state(rng, 5)
+        c, t = state.labels[1], state.labels[3]
+        bit, real = fuse(state, c, t, FixedDraw(u))
+        cbit, cplx = fuse(as_complex(state), c, t, FixedDraw(u))
+        assert bit == cbit
+        self.assert_real_and_equal(real, cplx)
+
+    @pytest.mark.parametrize("targets", [(0,), (1, 3), (0, 1, 2, 3)])
+    def test_depolarize(self, targets):
+        rng = np.random.default_rng(32)
+        state = real_state(rng, 4)
+        qubits = tuple(state.labels[i] for i in targets)
+        self.assert_real_and_equal(
+            depolarize(state, qubits, 0.37), depolarize(as_complex(state), qubits, 0.37)
+        )
+
+    def test_x_flip_on_several_qubits(self):
+        rng = np.random.default_rng(33)
+        state = real_state(rng, 5)
+        flipped = (state.labels[0], state.labels[2], state.labels[4])
+        cplx = as_complex(state)
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        for q in flipped:
+            cplx = apply_unitary(cplx, (q,), x)
+        self.assert_real_and_equal(dmod.apply_pauli_x(state, *flipped), cplx)
 
 
 class TestStructuredState:

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from ghzdist import params as params_module, switch as switch_module
+from ghzdist import dm as dm_module, params as params_module, switch as switch_module
 from ghzdist.analytics import GSpec, expected_order_stat, g_value
 from ghzdist.factory import fidelity_from_deltas, run_shot_fast
 from ghzdist.oracles import (
     enumerate_waiting_times,
+    ghz_readout_error,
     mc_g,
     replay_factory_dm,
     run_verification,
@@ -167,7 +168,7 @@ class TestVerificationRunner:
         failed = [c["name"] for c in rep["checks"] if not c["passed"]]
         assert rep["all_passed"], f"failing checks: {failed}"
         assert rep["runtime_s"] > 0.0
-        assert rep["checks"][-1]["name"] == "werner_swap_vs_dense_bsm"
+        assert rep["checks"][-1]["name"] == "ghz_readout_vs_dense_flush"
 
     def test_negative_control_trips_identity_check(self):
         rep = run_verification(inject_coefficient_error=1e-6)
@@ -234,3 +235,48 @@ class TestWernerSwapCheck:
         rep = run_verification()
         failed = [c["name"] for c in rep["checks"] if not c["passed"]]
         assert failed == ["werner_swap_vs_dense_bsm"]
+
+
+def _wrong_readout(swap_signs=False, drop_corner_factor=False, drop_flipped_term=False):
+    """fidelity_to_ghz with pending channels read out by a mistaken formula;
+    without pending channels it is left exact, so only the read-out check
+    can see it."""
+    exact = dm_module.fidelity_to_ghz
+
+    def readout(dm, pending=None):
+        if pending is None:
+            return exact(dm)
+        same = flipped = np.ones(1)
+        for d in pending:
+            same = np.outer(same, ((1.0 + d) / 2.0, (1.0 - d) / 2.0)).ravel()
+            flipped = np.outer(flipped, ((1.0 - d) / 2.0, (1.0 + d) / 2.0)).ravel()
+        if swap_signs:
+            same = flipped
+        weight = same if drop_flipped_term else same + flipped
+        corner = 1.0 if drop_corner_factor else np.prod(pending)
+        diag = dm.mat.diagonal().real
+        return float(0.5 * (diag @ weight) + dm.mat[0, -1].real * corner)
+
+    return readout
+
+
+class TestGhzReadoutCheck:
+    def test_diagonal_readout_matches_dense_flush(self, monkeypatch):
+        for seed in range(10):
+            assert ghz_readout_error(np.random.default_rng(seed)) < 1e-12
+        # the mistaken forms below start from an exact copy
+        monkeypatch.setattr(dm_module, "fidelity_to_ghz", _wrong_readout())
+        assert ghz_readout_error(np.random.default_rng(5)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [dict(swap_signs=True), dict(drop_corner_factor=True),
+         dict(drop_flipped_term=True)],
+        ids=["signs-swapped", "corner-factor-dropped", "flipped-term-dropped"],
+    )
+    def test_wrong_readout_trips_check(self, monkeypatch, wrong):
+        monkeypatch.setattr(dm_module, "fidelity_to_ghz", _wrong_readout(**wrong))
+        assert ghz_readout_error(np.random.default_rng(5)) > 1e-3
+        rep = run_verification()
+        failed = [c["name"] for c in rep["checks"] if not c["passed"]]
+        assert failed == ["ghz_readout_vs_dense_flush"]

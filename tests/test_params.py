@@ -45,6 +45,15 @@ class TestSimParams:
         with pytest.raises(ConfigError):
             SimParams(**base)
 
+    @pytest.mark.parametrize("q_bsm, n", [(1e-70, 5), (1e-10, 40), (5e-324, 2)])
+    def test_rejects_q_bsm_power_underflow(self, q_bsm, n):
+        # the factory's success coin has probability q_bsm^N and would never land
+        with pytest.raises(ConfigError, match="q_bsm"):
+            SimParams(n_end_nodes=n, q_link=0.01, q_bsm=q_bsm)
+
+    def test_accepts_small_q_bsm_power(self):
+        assert SimParams(n_end_nodes=5, q_link=0.01, q_bsm=1e-60).q_bsm == 1e-60
+
     def test_overrides(self):
         p = SimParams(n_end_nodes=5, q_link=0.01).with_overrides(p_mem=0.5)
         assert p.p_mem == 0.5 and p.q_link == 0.01

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from ghzdist import dm as dmod
+from ghzdist import dm as dmod, switch as switch_module
 from ghzdist.dm import Qubit
 from ghzdist.params import TAG_SWITCH, SimParams, shot_rng
 from ghzdist.switch import (
     NODE_MEMORY_SLOTS,
+    WARMUP_EXECUTIONS,
     Component,
     Link,
     NetworkState,
@@ -351,6 +352,75 @@ class TestJumpEquivalence:
                 literal[:, col].var() / n_exec + jump[:, col].var() / n_exec
             )
             assert abs(literal[:, col].mean() - jump[:, col].mean()) < 5 * pooled
+
+
+def literal_executions(params: SimParams, shots: int) -> list[tuple[int, int, float]]:
+    """run_executions as a literal loop: every phase runs every iteration,
+    and memory decoherence is flushed densely before the plain read-out.
+    Returns (duration_rounds, pairs_consumed, fidelity) per delivery."""
+    rng = shot_rng(params.seed, 0, TAG_SWITCH)
+    state = NetworkState()
+    records = []
+    for _ in range(WARMUP_EXECUTIONS + shots):
+        start = state.round
+        full = None
+        while full is None:
+            advance_to_link_event(state, params, rng)
+            do_switch_bsms(state, params, rng)
+            do_fusions(state, params, rng)
+            full = state.full_component(params.n_end_nodes)
+        full.flush_memory(full.qubits, state.round, params.p_mem)
+        fidelity = dmod.fidelity_to_ghz(full.dm)
+        records.append((state.round - start, full.pairs_consumed, fidelity))
+        state.groups.remove(full)
+    return records[WARMUP_EXECUTIONS:]
+
+
+NOISE = dict(p_link=0.97, p_mem=0.99, p_bsm=0.98)
+
+
+class TestSkippedPhasesAndDiagonalReadout:
+    """run_to_ghz runs a phase only when it can act and reads out with the
+    pending channels folded into one diagonal pass; neither may change a
+    record."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n_end_nodes=2, q_link=0.3, q_bsm=0.8, shots=40, **NOISE),
+            dict(n_end_nodes=4, q_link=0.2, q_bsm=0.6, shots=30, **NOISE),
+            dict(n_end_nodes=5, q_link=1.0, q_bsm=0.95, shots=30, **NOISE),
+            dict(n_end_nodes=5, q_link=0.4, q_bsm=1.0, shots=30),
+            dict(n_end_nodes=8, q_link=0.1, q_bsm=0.95, shots=6, **NOISE),
+        ],
+        ids=["n2-bsm-delivers", "n4-qbsm-0.6", "n5-qlink-1", "n5-noiseless", "n8"],
+    )
+    def test_records_match_literal_loop(self, kwargs):
+        params = make_params(seed=21, **kwargs)
+        literal = literal_executions(params, params.shots)
+        records = run_executions(params, params.shots)
+        assert [(r.duration_rounds, r.pairs_consumed) for r in records] == [
+            rec[:2] for rec in literal
+        ]
+        for r, (_, _, fidelity) in zip(records, literal):
+            assert r.fidelity == pytest.approx(fidelity, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_group_registers_stay_real(self, monkeypatch, n):
+        dtypes = set()
+
+        def watch(phase):
+            def run(state, params, rng):
+                events = phase(state, params, rng)
+                dtypes.update(comp.dm.mat.dtype for comp in state.groups)
+                return events
+            return run
+
+        for name in ("do_switch_bsms", "do_fusions"):
+            monkeypatch.setattr(switch_module, name, watch(getattr(switch_module, name)))
+        run_executions(make_params(n_end_nodes=n, q_link=0.3, q_bsm=0.95, shots=4,
+                                   **NOISE), 4)
+        assert dtypes == {np.dtype(np.float64)}
 
 
 class TestEstimateSwitch:

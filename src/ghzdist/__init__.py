@@ -2,13 +2,14 @@
 
 Monte Carlo engines for the factory-node and 2-switch protocols under
 depolarizing noise, the closed-form rate/fidelity expressions they are
-validated against, and brute-force oracles tying the two together.
+validated against, and brute-force oracles tying the two together.  The
+dense density-matrix kernels and the oracles' internals are reached as
+``ghzdist.dm.*`` and ``ghzdist.oracles.*``.
 """
 
 from .analytics import (
     GSpec,
     FidelityBreakdown,
-    coefficient_identity_check,
     expected_n_all_exact,
     expected_n_all_upper_bound,
     expected_order_stat,
@@ -20,28 +21,13 @@ from .analytics import (
     rate_exact,
     rate_leading,
 )
-from .dm import (
-    BsmOutcome,
-    DensityMatrix,
-    Qubit,
-    bsm,
-    depolarize,
-    fidelity_to_ghz,
-    fuse,
-    make_bell,
-    make_ghz,
-    partial_trace,
-    pauli_correct,
-    structured_state,
-    tensor,
-)
+from .dm import DensityMatrix, Qubit, fidelity_to_ghz
 from .factory import Estimates, ShotRecord, estimate, run_shot_fast
 from .oracles import enumerate_waiting_times, mc_g, replay_factory_dm, run_verification
 from .params import ConfigError, SimParams, derive_p_ghz, load_params, sample_geometric, shot_rng
 from .switch import NetworkState, SwitchRecord, estimate_switch, run_to_ghz
 
 __all__ = [
-    "BsmOutcome",
     "ConfigError",
     "DensityMatrix",
     "Estimates",
@@ -52,9 +38,6 @@ __all__ = [
     "ShotRecord",
     "SimParams",
     "SwitchRecord",
-    "bsm",
-    "coefficient_identity_check",
-    "depolarize",
     "derive_p_ghz",
     "enumerate_waiting_times",
     "estimate",
@@ -66,15 +49,10 @@ __all__ = [
     "fidelity_closed_form",
     "fidelity_coefficient",
     "fidelity_to_ghz",
-    "fuse",
     "g_value",
     "harmonic",
     "load_params",
-    "make_bell",
-    "make_ghz",
     "mc_g",
-    "partial_trace",
-    "pauli_correct",
     "rate_exact",
     "rate_leading",
     "replay_factory_dm",
@@ -83,6 +61,4 @@ __all__ = [
     "run_verification",
     "sample_geometric",
     "shot_rng",
-    "structured_state",
-    "tensor",
 ]

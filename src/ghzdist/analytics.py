@@ -3,7 +3,9 @@
 Everything here is a pure function of the parameters: exact, leading-order and
 bounded expressions for the distribution rate, the per-qubit noise
 combinatorics of the delivered state, expected order statistics of geometric
-waiting times, and the memory-decoherence kernel G.
+waiting times, and the memory-decoherence kernel G.  The brute-force routes
+these are checked against (the explicit 2^N subset sums and the coefficient
+identity) live in ``ghzdist.oracles``.
 """
 
 from __future__ import annotations
@@ -12,11 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .params import ConfigError, SimParams
 
-SUBSET_SUM_MAX_QUBITS = 24  # 2^N subset enumeration feasibility cap
 FIDELITY_MAX_NODES = 1023  # 2^N and every subset count C(N, u) stay finite doubles
 
 
@@ -205,7 +204,7 @@ def f_rand(p_ghz: float, p: Sequence[float]) -> float:
     depolarizing channels p_i.
 
     The subset sum with weights 2^(delta_{|U|,0} + delta_{|U|,N} - 1)
-    collapses to the product form
+    (``oracles.ghz_overlap_subset_sum``) collapses to the product form
     (1-p_ghz)/2^N + p_ghz [prod p_i + prod (1-p_i)/2 + prod (1+p_i)/2] / 2.
     """
     n = len(p)
@@ -220,62 +219,11 @@ def f_rand(p_ghz: float, p: Sequence[float]) -> float:
     return (1.0 - p_ghz) / 2.0**n + p_ghz * core
 
 
-def ghz_overlap_subset_sum(p: Sequence[float]) -> float:
-    """Explicit 2^N-term subset sum behind f_rand (p_ghz stripped).
-
-    Kept as the slow reference route; f_rand evaluates the same polynomial in
-    product form.
-    """
-    n = len(p)
-    if n > SUBSET_SUM_MAX_QUBITS:
-        raise ValueError(f"subset sum infeasible beyond {SUBSET_SUM_MAX_QUBITS} qubits")
-    total = 0.0
-    for mask in range(2**n):
-        size = mask.bit_count()
-        weight = 2.0 ** ((size == 0) + (size == n) - 1)
-        term = weight
-        for i in range(n):
-            term *= (1.0 - p[i]) / 2.0 if (mask >> i) & 1 else p[i]
-        total += term
-    return total
-
-
 def subset_coefficient_b(u_size: int, n: int) -> float:
     """Coefficient B_|U| collecting the subset sum by monomials prod p_i."""
     if u_size % 2 == 0:
         return 2.0**-n + (0.5 if u_size == n else 0.0)
     return 0.5 if u_size == n else 0.0
-
-
-def coefficient_identity_check(
-    n: int,
-    samples: int = 100,
-    seed: int = 0,
-    perturbation: float = 0.0,
-) -> float:
-    """Max |subset-sum form - B-coefficient form| over random p vectors.
-
-    ``perturbation`` skews B_0 and exists as a negative control for the
-    verification runner.
-    """
-    if n > 8:
-        raise ValueError("identity check capped at n = 8")
-    rng = np.random.default_rng(seed)
-    vectors = [np.zeros(n), np.ones(n)]
-    vectors += [rng.random(n) for _ in range(samples)]
-    worst = 0.0
-    for p in vectors:
-        lhs = ghz_overlap_subset_sum(p)
-        rhs = perturbation
-        for mask in range(2**n):
-            size = mask.bit_count()
-            term = subset_coefficient_b(size, n)
-            for i in range(n):
-                if (mask >> i) & 1:
-                    term *= p[i]
-            rhs += term
-        worst = max(worst, abs(lhs - rhs))
-    return worst
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,14 @@ CSV_COLUMNS = [
     "analytic_fid_lower_bound",
 ]
 
+# the valid --mode values of each analytic quantity
+ANALYTIC_MODES = {
+    "rate": ("exact", "leading"),
+    "fidelity": ("leading", "lower_bound"),
+    "order-stat": ("exact", "leading", "upper_bound"),
+    "g": ("leading", "lower_bound"),
+}
+
 
 def _fmt(value) -> str:
     if value == "":
@@ -233,34 +241,26 @@ def _render_sweep_chart(args, rows: list[dict], out: TextIO) -> None:
 
 def cmd_analytic(args) -> int:
     params = load_params(args.config, _parse_overrides(args.set))
+    modes = ANALYTIC_MODES[args.quantity]
+    if args.mode not in modes:
+        raise ConfigError(
+            f"--mode for {args.quantity} must be {'|'.join(modes)}, got {args.mode!r}"
+        )
     n, q = params.n_end_nodes, params.q_link
     result: dict = {"quantity": args.quantity, "mode": args.mode, "params": asdict(params)}
     if args.quantity == "rate":
-        if args.mode == "exact":
-            result["value"] = analytics.rate_exact(n, q, params.q_bsm, params.dt)
-        elif args.mode == "leading":
-            result["value"] = analytics.rate_leading(n, q, params.q_bsm, params.dt)
-        else:
-            raise ConfigError(f"rate has modes exact|leading, got {args.mode!r}")
+        rate = analytics.rate_exact if args.mode == "exact" else analytics.rate_leading
+        result["value"] = rate(n, q, params.q_bsm, params.dt)
     elif args.quantity == "fidelity":
-        if args.mode not in ("leading", "lower_bound"):
-            raise ConfigError(
-                f"fidelity has modes leading|lower_bound, got {args.mode!r}"
-            )
-        breakdown = analytics.fidelity_closed_form(params, args.mode)
-        result["value"] = breakdown.value
+        result["value"] = analytics.fidelity_closed_form(params, args.mode).value
     elif args.quantity == "order-stat":
         if args.index is None:
             raise ConfigError("order-stat needs --index")
         if not 1 <= args.index <= n:
             raise ConfigError(f"--index must lie in 1..{n}, got {args.index}")
-        if args.mode not in ("exact", "leading", "upper_bound"):
-            raise ConfigError(
-                f"order-stat --mode must be exact|leading|upper_bound, got {args.mode!r}"
-            )
         result["index"] = args.index
         result["value"] = analytics.expected_order_stat(args.index, n, q, args.mode)
-    elif args.quantity == "g":
+    else:
         if args.positions is None:
             raise ConfigError("quantity g needs --positions")
         positions = _parse_list("--positions", args.positions, int)
@@ -268,8 +268,6 @@ def cmd_analytic(args) -> int:
             rates = _parse_list("--rates", args.rates, float)
         else:
             rates = (1.0 - params.p_mem**2,) * len(positions)
-        if args.mode not in ("leading", "lower_bound"):
-            raise ConfigError(f"g has modes leading|lower_bound, got {args.mode!r}")
         try:
             spec = GSpec(n, positions, rates)
         except ValueError as exc:
@@ -277,8 +275,6 @@ def cmd_analytic(args) -> int:
         result["positions"] = list(positions)
         result["rates"] = list(rates)
         result["value"] = analytics.g_value(spec, q, args.mode)
-    else:
-        raise ConfigError(f"unknown quantity {args.quantity!r}")
     print(json.dumps(result))
     return 0
 
@@ -288,7 +284,7 @@ def cmd_verify(args) -> int:
 
     with ExitStack() as stack:
         out = _open_output(stack, args.output)
-        rep = run_verification(inject_coefficient_error=args.inject_coefficient_error)
+        rep = run_verification()
         out.write(json.dumps(rep, indent=2) + "\n")
     return 0 if rep["all_passed"] else 2
 
@@ -328,9 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analytic", help="closed-form quantities as JSON")
     add_common(p_an)
-    p_an.add_argument(
-        "--quantity", choices=("rate", "fidelity", "order-stat", "g"), required=True
-    )
+    p_an.add_argument("--quantity", choices=tuple(ANALYTIC_MODES), required=True)
     p_an.add_argument("--mode", required=True)
     p_an.add_argument("--index", type=int, help="order statistic index i")
     p_an.add_argument("--positions", help="comma-separated ranks for g")
@@ -339,12 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the oracle suite, JSON report")
     p_ver.add_argument("--output", help="report path (stdout if omitted)")
-    p_ver.add_argument(
-        "--inject-coefficient-error",
-        type=float,
-        default=0.0,
-        help=argparse.SUPPRESS,  # negative control for tests
-    )
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

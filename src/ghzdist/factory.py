@@ -1,8 +1,9 @@
 """Monte Carlo engine for factory-node GHZ distribution.
 
 Each shot turns the drawn waiting times straight into per-qubit depolarizing
-parameters.  ``teleport_pipeline`` replays the same noisy teleportation as
-density matrices; ``ghzdist.oracles`` uses it to validate the fast path.
+parameters and the closed-form fidelity ``f_rand``.  The density-matrix
+replay of the same noisy teleportation that certifies this fast path lives
+in ``ghzdist.oracles``.
 """
 
 from __future__ import annotations
@@ -10,13 +11,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import dm as dmod
 from .analytics import f_rand
-from .dm import BsmOutcome, DensityMatrix, Qubit
 from .params import TAG_FACTORY, SimParams, sample_geometric, shot_rng
 
 WORKERS_ENV = "GHZDIST_WORKERS"
@@ -46,16 +45,13 @@ class Estimates:
     shots: int
 
 
-def qubit_parameters(params: SimParams, delta_n: Sequence[int]) -> list[float]:
-    """Combined depolarizing parameter per end node:
-    p_i = p_link p_bsm^2 p_mem^(2 delta_n_i)."""
-    base = params.p_link * params.p_bsm**2
-    return [base * params.p_mem ** (2 * d) for d in delta_n]
-
-
 def fidelity_from_deltas(params: SimParams, delta_n: Sequence[int]) -> float:
-    """Per-shot fidelity given the waiting times of one successful attempt."""
-    return f_rand(params.p_ghz, qubit_parameters(params, delta_n))
+    """Per-shot fidelity given the waiting times of one successful attempt.
+
+    End node i's qubit is depolarized by p_i = p_link p_bsm^2 p_mem^(2 delta_n_i).
+    """
+    base = params.p_link * params.p_bsm**2
+    return f_rand(params.p_ghz, [base * params.p_mem ** (2 * d) for d in delta_n])
 
 
 def run_shot_fast(params: SimParams, rng: np.random.Generator) -> ShotRecord:
@@ -84,46 +80,6 @@ def run_shot_fast(params: SimParams, rng: np.random.Generator) -> ShotRecord:
         duration_rounds=duration,
         fidelity=fidelity_from_deltas(params, delta),
     )
-
-
-def teleport_pipeline(
-    params: SimParams,
-    rounds: Sequence[int],
-    choose_outcome: Callable[[DensityMatrix, Qubit, Qubit], tuple[int, int]],
-) -> DensityMatrix:
-    """Density-matrix replay of one successful teleportation attempt.
-
-    Builds the depolarized local GHZ state, then consumes one noisy Bell pair
-    per end node with a Bell measurement and Pauli correction.  Pairs are
-    created and measured one at a time so the live register never exceeds
-    N + 2 qubits; this reordering is exact because the measurements act on
-    disjoint qubits.  ``choose_outcome`` picks each measurement branch (Born
-    sampling or a forced outcome) given the pre-measurement state.
-    """
-    n = params.n_end_nodes
-    if len(rounds) != n:
-        raise ValueError(f"expected {n} waiting times, got {len(rounds)}")
-    n_all = max(rounds)
-    ghz_qubits = [Qubit(0, i) for i in range(n)]
-    state = dmod.make_ghz(n, ghz_qubits)
-    state = dmod.depolarize(state, ghz_qubits, params.p_ghz)
-    for i in range(n):
-        held = Qubit(0, n + i)
-        remote = Qubit(i + 1, 0)
-        pair = dmod.make_bell(held, remote)
-        pair = dmod.depolarize(pair, (held, remote), params.p_link)
-        wait = n_all - rounds[i]
-        if wait > 0 and params.p_mem < 1.0:
-            decay = params.p_mem**wait
-            pair = dmod.depolarize(pair, (held,), decay)
-            pair = dmod.depolarize(pair, (remote,), decay)
-        state = dmod.tensor(state, pair)
-        state = dmod.depolarize(state, (ghz_qubits[i],), params.p_bsm)
-        state = dmod.depolarize(state, (held,), params.p_bsm)
-        bits = choose_outcome(state, ghz_qubits[i], held)
-        _, state = dmod.project_bell(state, ghz_qubits[i], held, bits)
-        state = dmod.pauli_correct(state, remote, BsmOutcome(bits, True))
-    return state
 
 
 def summarize(

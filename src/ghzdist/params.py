@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,11 +47,13 @@ class SimParams:
             raise ConfigError(f"q_link must be in [1e-15, 1], got {self.q_link}")
         if not 0.0 < self.q_bsm <= 1.0:
             raise ConfigError(f"q_bsm must be in (0, 1], got {self.q_bsm}")
-        # the factory's teleportation coin lands with probability q_bsm^N
-        if self.q_bsm**self.n_end_nodes == 0.0:
+        # the teleportation coin u < q_bsm^N draws u on a 2^-53 grid, so a
+        # smaller q_bsm^N lands only at u = 0, with the wrong probability
+        if self.q_bsm**self.n_end_nodes < 2.0**-53:
             raise ConfigError(
-                f"q_bsm ** n_end_nodes underflows to 0 (q_bsm = {self.q_bsm}, "
-                f"n_end_nodes = {self.n_end_nodes}): no teleportation can succeed"
+                f"q_bsm ** n_end_nodes is below 2**-53 (q_bsm = {self.q_bsm}, "
+                f"n_end_nodes = {self.n_end_nodes}): a uniform draw cannot resolve "
+                "the teleportation success probability"
             )
         for name in ("p_link", "p_mem", "p_bsm", "p_ghz"):
             val = getattr(self, name)
@@ -68,9 +70,6 @@ class SimParams:
             )
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned int, got {self.seed}")
-
-    def with_overrides(self, **kwargs) -> "SimParams":
-        return replace(self, **kwargs)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(SimParams)}

@@ -15,7 +15,6 @@ import numpy as np
 from ghzdist import dm as dmod
 from ghzdist.analytics import (
     GSpec,
-    coefficient_identity_check,
     expected_order_stat,
     fidelity_closed_form,
     g_value,
@@ -23,13 +22,15 @@ from ghzdist.analytics import (
     rate_exact,
     rate_leading,
 )
-from ghzdist.factory import estimate, fidelity_from_deltas, teleport_pipeline
+from ghzdist.factory import estimate, fidelity_from_deltas
 from ghzdist.oracles import (
+    coefficient_identity_check,
     enumerate_waiting_times,
     factory_outcome_branches,
     mc_g,
     n_all_alternating_sum,
     replay_factory_dm,
+    teleport_pipeline,
 )
 from ghzdist.params import SimParams, derive_p_ghz
 from ghzdist.switch import estimate_switch

@@ -7,7 +7,6 @@ import pytest
 
 from ghzdist.analytics import (
     GSpec,
-    coefficient_identity_check,
     expected_n_all_exact,
     expected_n_all_upper_bound,
     expected_order_stat,
@@ -15,14 +14,18 @@ from ghzdist.analytics import (
     fidelity_closed_form,
     fidelity_coefficient,
     g_value,
-    ghz_overlap_subset_sum,
     harmonic,
     rate_exact,
     rate_leading,
 )
 from ghzdist.cli import main
 from ghzdist.dm import fidelity_to_ghz, structured_state
-from ghzdist.oracles import fidelity_subset_sum, n_all_alternating_sum
+from ghzdist.oracles import (
+    coefficient_identity_check,
+    fidelity_subset_sum,
+    ghz_overlap_subset_sum,
+    n_all_alternating_sum,
+)
 from ghzdist.params import ConfigError, SimParams
 
 
@@ -245,8 +248,8 @@ class TestCoefficientIdentity:
         assert ghz_overlap_subset_sum([0.0] * 3) == pytest.approx(1 / 8, abs=1e-14)
         assert f_rand(1.0, [0.0] * 3) == pytest.approx(1 / 8, abs=1e-14)
 
-    def test_perturbation_detected(self):
-        assert coefficient_identity_check(4, samples=10, seed=3, perturbation=1e-6) > 1e-7
+    def test_perturbation_detected(self, skewed_b0):
+        assert coefficient_identity_check(4, samples=10, seed=3) > 1e-7
 
 
 class TestFidelityClosedForm:

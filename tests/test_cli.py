@@ -119,6 +119,16 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "q_bsm" in err[0]
 
+    @pytest.mark.parametrize("protocol", ["factory", "switch"])
+    def test_unresolvable_q_bsm_power_is_one_error_line(self, capsys, protocol):
+        # q_bsm^5 = 1e-300 does not underflow, but a uniform draw on the 2^-53
+        # grid meets it only at u = 0, so both engines would all but hang
+        argv = ["simulate", "--protocol", protocol, "--set", "n_end_nodes=5",
+                "--set", "q_link=0.5", "--set", "q_bsm=1e-60", "--set", "shots=2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "q_bsm" in err[0]
+
     @pytest.mark.parametrize("target", ["output", "svg", "config"])
     def test_file_error_is_one_error_line(self, tmp_path, capsys, target):
         missing = str(tmp_path / "no_such_dir" / "x")
@@ -200,6 +210,10 @@ class TestAnalytic:
               "--rates", "0.1,y"], "--rates"),
             (["--quantity", "fidelity", "--mode", "leading", "--set",
               "n_end_nodes=1024"], "n_end_nodes"),
+            (["--quantity", "rate", "--mode", "lower_bound"], "--mode"),
+            (["--quantity", "fidelity", "--mode", "exact"], "--mode"),
+            (["--quantity", "g", "--mode", "upper_bound", "--positions", "1,2"],
+             "--mode"),
         ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, flags, named):
@@ -364,8 +378,8 @@ class TestVerify:
         assert report["runtime_s"] > 0
         assert all({"name", "tolerance", "observed", "passed"} <= set(c) for c in report["checks"])
 
-    def test_verify_negative_control_exit_code(self, tmp_path, capsys):
-        code = main(["verify", "--inject-coefficient-error", "1e-6"])
+    def test_verify_negative_control_exit_code(self, tmp_path, capsys, skewed_b0):
+        code = main(["verify"])
         assert code == 2
         report = json.loads(capsys.readouterr().out)
         assert not report["all_passed"]

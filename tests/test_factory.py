@@ -1,6 +1,7 @@
 """Factory-protocol engine: fast path and aggregation."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,9 +76,10 @@ class TestRunShotFast:
         for name in ("p_link", "p_mem", "p_bsm", "p_ghz"):
             last = None
             for value in (0.5, 0.8, 0.95, 1.0):
-                params = make_params(
-                    q_link=0.1, p_link=0.9, p_mem=0.99, p_bsm=0.9, p_ghz=0.9
-                ).with_overrides(**{name: value})
+                params = replace(
+                    make_params(q_link=0.1, p_link=0.9, p_mem=0.99, p_bsm=0.9, p_ghz=0.9),
+                    **{name: value},
+                )
                 rec = run_shot_fast(params, shot_rng(31, 0, TAG_FACTORY))
                 if last is not None:
                     assert rec.fidelity >= last - 1e-12

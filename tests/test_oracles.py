@@ -170,8 +170,8 @@ class TestVerificationRunner:
         assert rep["runtime_s"] > 0.0
         assert rep["checks"][-1]["name"] == "ghz_readout_vs_dense_flush"
 
-    def test_negative_control_trips_identity_check(self):
-        rep = run_verification(inject_coefficient_error=1e-6)
+    def test_negative_control_trips_identity_check(self, skewed_b0):
+        rep = run_verification()
         assert not rep["all_passed"]
         bad = {c["name"]: c["passed"] for c in rep["checks"]}
         assert not bad["coefficient_identity"]

@@ -1,5 +1,7 @@
 """Parameter validation, config parsing, seeding, geometric sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,17 +47,21 @@ class TestSimParams:
         with pytest.raises(ConfigError):
             SimParams(**base)
 
-    @pytest.mark.parametrize("q_bsm, n", [(1e-70, 5), (1e-10, 40), (5e-324, 2)])
+    @pytest.mark.parametrize(
+        "q_bsm, n", [(1e-70, 5), (1e-60, 5), (1e-10, 40), (5e-324, 2), (1e-8, 2)]
+    )
     def test_rejects_q_bsm_power_underflow(self, q_bsm, n):
-        # the factory's success coin has probability q_bsm^N and would never land
+        # the success coin u < q_bsm^N draws u on a 2^-53 grid: below that
+        # step it lands only at u = 0, with the wrong probability
         with pytest.raises(ConfigError, match="q_bsm"):
             SimParams(n_end_nodes=n, q_link=0.01, q_bsm=q_bsm)
 
     def test_accepts_small_q_bsm_power(self):
-        assert SimParams(n_end_nodes=5, q_link=0.01, q_bsm=1e-60).q_bsm == 1e-60
+        assert SimParams(n_end_nodes=5, q_link=0.01, q_bsm=1e-3).q_bsm == 1e-3
+        assert SimParams(n_end_nodes=2, q_link=0.01, q_bsm=1e-6).q_bsm == 1e-6
 
     def test_overrides(self):
-        p = SimParams(n_end_nodes=5, q_link=0.01).with_overrides(p_mem=0.5)
+        p = replace(SimParams(n_end_nodes=5, q_link=0.01), p_mem=0.5)
         assert p.p_mem == 0.5 and p.q_link == 0.01
 
 

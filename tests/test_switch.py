@@ -1,5 +1,7 @@
 """2-switch engine: round mechanics, measurements, fusions, carry-over."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -89,9 +91,7 @@ class TestAdvanceRound:
         held = Qubit(0, 1)
         reference = dmod.depolarize(dmod.make_bell(held, link.remote), (held,), 0.95)
         for _ in range(3):
-            advance_round(
-                state, params.with_overrides(q_link=1e-9), shot_rng(0, 1, 9)
-            )
+            advance_round(state, replace(params, q_link=1e-9), shot_rng(0, 1, 9))
         k = state.round - link.born
         assert k == 3
         for q in reference.labels:
@@ -152,7 +152,7 @@ class TestSwitchBsms:
             bell_component(Qubit(0, 2), Qubit(2, 0)),
         )
         events = do_switch_bsms(
-            state, make_params(n_end_nodes=2, q_bsm=1e-12), shot_rng(0, 0, 9)
+            state, make_params(n_end_nodes=2, q_bsm=1e-6), shot_rng(0, 0, 9)
         )
         assert events == [("bsm", 1, 2, False)]
         assert state.links == {} and state.groups == []

@@ -17,7 +17,7 @@ from typing import TextIO
 
 from . import analytics
 from .analytics import GSpec
-from .factory import Estimates, estimate
+from .factory import Estimates, check_attempt_budget, estimate
 from .params import ConfigError, SimParams, load_params
 from .svgplot import Panel, Series, render_sweep_svg
 from .switch import WARMUP_EXECUTIONS, check_register_limit, estimate_switch
@@ -95,6 +95,8 @@ def _resolve_point(protocol: str, params: SimParams) -> dict:
     would fail on, so that a run checks every point before simulating one."""
     if protocol == "switch":
         check_register_limit(params)
+    else:
+        check_attempt_budget(params)
     return _analytic_columns(protocol, params)
 
 

@@ -26,6 +26,9 @@ MAX_QUBITS = 12
 TRACE_TOL = 1e-10  # trace deviation and state-equality comparisons
 HERM_TOL = 1e-12  # entrywise Hermiticity
 PSD_TOL = 1e-10  # eigenvalue floor allowed in validate()
+# tensor writes one scaled copy of a per entry of b once a has this many
+# times b's dimension; below it the plain broadcast is faster
+TENSOR_LOOP_RATIO = 8
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -156,8 +159,16 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     if overlap:
         raise RegisterError(f"label collision in tensor: {sorted(overlap)}")
     da, db = a.mat.shape[0], b.mat.shape[0]
-    out = (a.mat[:, None, :, None] * b.mat[None, :, None, :]).reshape(da * db, da * db)
-    return DensityMatrix(a.labels + b.labels, out)
+    if da >= TENSOR_LOOP_RATIO * db:
+        # the broadcast's inner loop would span only b's columns; one scaled
+        # copy of a per entry of b forms the same products in long runs
+        out = np.empty((da, db, da, db), dtype=np.result_type(a.mat, b.mat))
+        for j in range(db):
+            for k in range(db):
+                out[:, j, :, k] = a.mat * b.mat[j, k]
+    else:
+        out = a.mat[:, None, :, None] * b.mat[None, :, None, :]
+    return DensityMatrix(a.labels + b.labels, out.reshape(da * db, da * db))
 
 
 def permute(dm: DensityMatrix, new_labels: Sequence[Qubit]) -> DensityMatrix:

@@ -9,20 +9,32 @@ in ``ghzdist.oracles``.
 from __future__ import annotations
 
 import os
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .analytics import f_rand
-from .params import TAG_FACTORY, SimParams, sample_geometric, shot_rng
+from .params import (
+    TAG_FACTORY,
+    ConfigError,
+    SimParams,
+    geometric_log_miss,
+    geometric_rounds,
+    longest_geometric_round,
+    shot_rng,
+)
+from .params import sample_geometric  # noqa: F401  traced by name as factory.sample_geometric
 
 WORKERS_ENV = "GHZDIST_WORKERS"
+# expected uniforms an estimate may draw: at about a microsecond per failed
+# attempt, tens of minutes of sampling at any N
+ATTEMPT_DRAW_BUDGET = 1e10
 
 
-@dataclass(frozen=True)
-class ShotRecord:
+class ShotRecord(NamedTuple):
     """One protocol execution: timing draws of the last (successful)
     teleportation attempt plus the resulting fidelity."""
 
@@ -57,29 +69,48 @@ def fidelity_from_deltas(params: SimParams, delta_n: Sequence[int]) -> float:
 def run_shot_fast(params: SimParams, rng: np.random.Generator) -> ShotRecord:
     """One full protocol execution with closed-form noise bookkeeping.
 
-    Teleportation success is a single Bernoulli(q_bsm^N) coin; a failure
-    restarts Bell distribution from scratch, accumulating that attempt's
-    rounds into the duration.
+    Each teleportation attempt draws its N link waits and then, unless
+    q_bsm = 1, its Bernoulli(q_bsm^N) success coin, in one ``rng.random``
+    call.  A failure restarts Bell distribution from scratch and adds only
+    the attempt's longest wait to the duration, so only the successful
+    attempt's uniforms are turned into rounds.
     """
     n = params.n_end_nodes
-    attempts = 0
+    log_miss = geometric_log_miss(params.q_link)
+    coin = params.q_bsm != 1.0  # at q_bsm = 1 no coin is drawn
+    p_teleport = params.q_bsm**n
+    attempts = 1
     duration = 0
-    while True:
-        rounds = sample_geometric(rng, params.q_link, n)
-        n_all = max(rounds)
+    u = rng.random(n + coin).tolist()
+    while coin and u.pop() >= p_teleport:
         attempts += 1
-        duration += n_all
-        if params.q_bsm == 1.0 or rng.random() < params.q_bsm**n:
-            break
-    delta = tuple(n_all - r for r in rounds)
+        duration += longest_geometric_round(u, log_miss)
+        u = rng.random(n + 1).tolist()
+    rounds = geometric_rounds(u, log_miss)
+    n_all = max(rounds)
+    delta = tuple([n_all - r for r in rounds])
     return ShotRecord(
-        teleport_attempts=attempts,
-        rounds=tuple(rounds),
-        n_all=n_all,
-        delta_n=delta,
-        duration_rounds=duration,
-        fidelity=fidelity_from_deltas(params, delta),
+        attempts,
+        tuple(rounds),
+        n_all,
+        delta,
+        duration + n_all,
+        fidelity_from_deltas(params, delta),
     )
+
+
+def check_attempt_budget(params: SimParams) -> None:
+    """Reject a point whose expected draws, q_bsm^-N attempts of N + 1
+    uniforms per shot, exceed ``ATTEMPT_DRAW_BUDGET``."""
+    n = params.n_end_nodes
+    draws = params.q_bsm**-n * (n + 1) * params.shots
+    if draws > ATTEMPT_DRAW_BUDGET:
+        raise ConfigError(
+            f"the factory would draw ~{draws:.2g} uniforms (budget "
+            f"{ATTEMPT_DRAW_BUDGET:.0e}): each shot needs q_bsm ** -n_end_nodes = "
+            f"{params.q_bsm**-n:.2g} teleportation attempts at q_bsm = {params.q_bsm}, "
+            f"n_end_nodes = {n}; raise q_bsm or lower shots ({params.shots})"
+        )
 
 
 def summarize(
@@ -108,13 +139,14 @@ def summarize(
 
 def _fast_chunk(args: tuple[SimParams, int, int]) -> tuple[np.ndarray, np.ndarray]:
     params, lo, hi = args
-    durations = np.empty(hi - lo, dtype=np.int64)
-    fidelities = np.empty(hi - lo)
+    # typed arrays append as fast as lists but hold 8 bytes per shot
+    durations = array("q")
+    fidelities = array("d")
     for s in range(lo, hi):
         rec = run_shot_fast(params, shot_rng(params.seed, s, TAG_FACTORY))
-        durations[s - lo] = rec.duration_rounds
-        fidelities[s - lo] = rec.fidelity
-    return durations, fidelities
+        durations.append(rec.duration_rounds)
+        fidelities.append(rec.fidelity)
+    return np.array(durations, dtype=np.int64), np.array(fidelities)
 
 
 def worker_count() -> int:
@@ -130,6 +162,7 @@ def estimate(params: SimParams) -> Estimates:
     Shots are seeded per index, so the result is identical no matter how many
     workers split the range.
     """
+    check_attempt_budget(params)
     shots = params.shots
     workers = worker_count()
     if workers == 1 or shots < 4 * workers:

@@ -6,14 +6,17 @@ direct sampling, ``f_rand`` from the explicit 2^N-term overlap sum, the
 subset coefficients B_|U| from the coefficient identity against that sum,
 the closed-form fidelity from the literal sum over subsets of arrival ranks,
 per-shot fidelities from a full density-matrix replay of the teleportation
-pipeline, fusion from a dense CNOT plus a Z projection, the per-shot streams
-from a literal numpy SeedSequence, the switch's Werner-weight entanglement
-swap from a dense Bell measurement, and its diagonal read-out from dense
-per-qubit depolarizing.  The engines import nothing from here.
+pipeline, the factory's shot kernel from a loop that turns every attempt's
+uniforms into rounds, fusion from a dense CNOT plus a Z projection, the
+per-shot streams from a literal numpy SeedSequence, the switch's
+Werner-weight entanglement swap from a dense Bell measurement, and its
+diagonal read-out from dense per-qubit depolarizing.  The engines import
+nothing from here.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -21,11 +24,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import analytics, dm as dmod, switch
+from . import analytics, dm as dmod, factory, switch
 from .analytics import GSpec
 from .dm import DensityMatrix, Qubit
-from .factory import fidelity_from_deltas
-from .params import TAG_FACTORY, TAG_SWITCH, ConfigError, SimParams, shot_rng
+from .factory import ShotRecord, fidelity_from_deltas
+from .params import (
+    TAG_FACTORY,
+    TAG_SWITCH,
+    ConfigError,
+    SimParams,
+    sample_geometric,
+    shot_rng,
+)
 
 SUBSET_SUM_MAX_QUBITS = 24  # 2^N subset enumeration feasibility cap
 ENUMERATION_MAX_LINKS = 4
@@ -318,6 +328,31 @@ def factory_outcome_branches(
     return branches
 
 
+def reference_run_shot(params: SimParams, rng: np.random.Generator) -> ShotRecord:
+    """``factory.run_shot_fast`` as a scalar loop: every attempt turns all N
+    uniforms into rounds with ``sample_geometric``, takes their maximum, and
+    then draws the Bernoulli(q_bsm^N) coin with a second call."""
+    n = params.n_end_nodes
+    attempts = 0
+    duration = 0
+    while True:
+        rounds = sample_geometric(rng, params.q_link, n)
+        n_all = max(rounds)
+        attempts += 1
+        duration += n_all
+        if params.q_bsm == 1.0 or rng.random() < params.q_bsm**n:
+            break
+    delta = tuple(n_all - r for r in rounds)
+    return ShotRecord(
+        teleport_attempts=attempts,
+        rounds=tuple(rounds),
+        n_all=n_all,
+        delta_n=delta,
+        duration_rounds=duration,
+        fidelity=fidelity_from_deltas(params, delta),
+    )
+
+
 def reference_shot_rng(seed: int, shot_index: int, tag: int) -> np.random.Generator:
     """The per-shot stream as numpy builds it from the entropy tuple."""
     return np.random.Generator(
@@ -535,7 +570,30 @@ def run_all_checks() -> list[CheckResult]:
     # one pass over the diagonal, against flushing them densely first
     checks.append(_check("ghz_readout_vs_dense_flush", 1e-12, ghz_readout_error(rng)))
 
+    # the factory kernel, which turns only the successful attempt's uniforms
+    # into rounds, against the loop that turns every attempt's
+    checks.append(_check("factory_kernel_vs_reference", 0, factory_kernel_mismatches()))
+
     return checks
+
+
+def factory_kernel_mismatches() -> int:
+    """How many ``factory.run_shot_fast`` records differ in any field from
+    ``reference_run_shot``, over N in {2, 5, 16}, q_link in {1e-6, 0.01,
+    0.5, 1} and q_bsm in {1, 0.95, 0.8}, at shots 0..9 of one seed below
+    2^32 and one above."""
+    mismatches = 0
+    grid = itertools.product((2, 5, 16), (1e-6, 0.01, 0.5, 1.0), (1.0, 0.95, 0.8))
+    for n, q_link, q_bsm in grid:
+        params = SimParams(
+            n_end_nodes=n, q_link=q_link, q_bsm=q_bsm,
+            p_link=0.98, p_mem=0.999, p_bsm=0.99, p_ghz=0.9,
+        )
+        for seed, s in itertools.product((17, 2**32 + 17), range(10)):
+            fast = factory.run_shot_fast(params, shot_rng(seed, s, TAG_FACTORY))
+            ref = reference_run_shot(params, shot_rng(seed, s, TAG_FACTORY))
+            mismatches += fast != ref
+    return mismatches
 
 
 def werner_swap_error(rng: np.random.Generator) -> float:

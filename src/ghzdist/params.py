@@ -6,6 +6,7 @@ import functools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -238,21 +239,39 @@ def shot_rng(seed: int, shot_index: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_ShotSeed(words)))
 
 
-def sample_geometric(rng: np.random.Generator, q: float, size: int) -> list[int]:
-    """``size`` numbers of attempts until first success, Pr(n) = q (1-q)^(n-1).
-
-    Inverse CDF on one uniform per sample.  The uniforms come from one
-    ``rng.random(size)`` call, which yields the same doubles as ``size``
-    scalar calls; they are drawn also at q = 1, so the draw count does not
-    depend on q.  As u <= 1 - 2^-53, no draw exceeds 1 + 53 ln 2 / q.
-    """
+def geometric_log_miss(q: float) -> float:
+    """log(1 - q), the scale of the geometric inverse CDF; -inf at q = 1,
+    where it maps every uniform to 1."""
     if not 0.0 < q <= 1.0:
         raise ValueError(f"success probability must be in (0, 1], got {q}")
-    draws = rng.random(size).tolist()
-    if q == 1.0:
-        return [1] * size
-    log_miss = math.log1p(-q)
-    return [int(math.log1p(-u) / log_miss) + 1 for u in draws]
+    return math.log1p(-q) if q < 1.0 else -math.inf
+
+
+def geometric_rounds(uniforms: Sequence[float], log_miss: float) -> list[int]:
+    """Numbers of attempts until first success, Pr(n) = q (1-q)^(n-1), by the
+    inverse CDF ``int(log1p(-u) / log1p(-q)) + 1`` on one uniform each.
+
+    ``log_miss`` is ``geometric_log_miss(q)``.  As u <= 1 - 2^-53, no draw
+    exceeds 1 + 53 ln 2 / q.
+    """
+    return [int(math.log1p(-u) / log_miss) + 1 for u in uniforms]
+
+
+def longest_geometric_round(uniforms: Sequence[float], log_miss: float) -> int:
+    """``max(geometric_rounds(uniforms, log_miss))`` from a single log: the
+    inverse CDF is non-decreasing in u, so the largest uniform waits longest."""
+    return int(math.log1p(-max(uniforms)) / log_miss) + 1
+
+
+def sample_geometric(rng: np.random.Generator, q: float, size: int) -> list[int]:
+    """``size`` geometric(q) numbers of attempts until first success.
+
+    The uniforms come from one ``rng.random(size)`` call, which yields the
+    same doubles as ``size`` scalar calls; they are drawn also at q = 1, so
+    the draw count does not depend on q.
+    """
+    log_miss = geometric_log_miss(q)
+    return geometric_rounds(rng.random(size).tolist(), log_miss)
 
 
 def derive_p_ghz(local_ghz_fidelity: float, n: int) -> float:

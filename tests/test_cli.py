@@ -3,7 +3,10 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +130,22 @@ class TestSimulate:
                 "--set", "q_link=0.5", "--set", "q_bsm=1e-60", "--set", "shots=2"]
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "q_bsm" in err[0]
+
+    def test_factory_attempt_budget_is_one_error_line(self):
+        # q_bsm^5 = 1e-15 passes validation, but each shot would need ~1e15
+        # teleportation attempts; run in a child process so that a missing
+        # check fails on the timeout instead of hanging the suite
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        argv = ["simulate", "--protocol", "factory", "--set", "n_end_nodes=5",
+                "--set", "q_link=0.5", "--set", "q_bsm=1e-3", "--set", "shots=2"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghzdist.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        err = proc.stderr.splitlines()
+        assert proc.returncode == 1 and proc.stdout == ""
         assert len(err) == 1 and err[0].startswith("error:") and "q_bsm" in err[0]
 
     @pytest.mark.parametrize("target", ["output", "svg", "config"])

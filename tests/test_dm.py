@@ -278,6 +278,19 @@ class TestFidelityAndPlumbing:
         with pytest.raises(RegisterError):
             tensor(make_bell(), make_bell())
 
+    # the first three shapes take the copy-per-entry branch, the rest the broadcast
+    @pytest.mark.parametrize("ka, kb", [(7, 2), (6, 2), (5, 1), (3, 1), (2, 2), (1, 5)])
+    @pytest.mark.parametrize("kinds", ["rr", "rc", "cr", "cc"])
+    def test_tensor_equals_broadcast(self, ka, kb, kinds):
+        rng = np.random.default_rng(ka * 10 + kb)
+        make = {"r": real_state, "c": random_state}
+        a = make[kinds[0]](rng, ka)
+        b = make[kinds[1]](rng, kb, labels=tuple(Qubit(90 + i, 0) for i in range(kb)))
+        dim = a.mat.shape[0] * b.mat.shape[0]
+        ref = (a.mat[:, None, :, None] * b.mat[None, :, None, :]).reshape(dim, dim)
+        got = tensor(a, b).mat
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
     def test_ghz_partial_trace_is_classical_correlation(self):
         ghz = make_ghz(3)
         reduced = partial_trace(ghz, (ghz.labels[0],))

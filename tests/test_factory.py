@@ -1,19 +1,24 @@
 """Factory-protocol engine: fast path and aggregation."""
 
+import itertools
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghzdist.analytics import rate_exact
 from ghzdist.factory import (
+    ATTEMPT_DRAW_BUDGET,
+    check_attempt_budget,
     estimate,
     fidelity_from_deltas,
     run_shot_fast,
     summarize,
 )
-from ghzdist.params import TAG_FACTORY, SimParams, shot_rng
+from ghzdist.oracles import reference_run_shot
+from ghzdist.params import TAG_FACTORY, ConfigError, SimParams, shot_rng
 
 
 def make_params(**kwargs):
@@ -124,3 +129,85 @@ class TestEstimate:
     def test_summarize_rejects_single_shot(self):
         with pytest.raises(ValueError):
             summarize(np.array([3]), np.array([0.9]), 1.0)
+
+
+def assert_matches_reference(params, seed, shot):
+    fast = run_shot_fast(params, shot_rng(seed, shot, TAG_FACTORY))
+    ref = reference_run_shot(params, shot_rng(seed, shot, TAG_FACTORY))
+    assert fast._asdict() == ref._asdict()
+
+
+class TestKernelAgainstReference:
+    """The kernel turns only the successful attempt's uniforms into rounds;
+    the reference turns every attempt's and draws the coin separately."""
+
+    @pytest.mark.parametrize(
+        "n, q_link, q_bsm",
+        [
+            c
+            for c in itertools.product((2, 5, 16, 64), (1e-6, 0.01, 0.5, 1.0), (1.0, 0.95, 0.5))
+            # 0.5^64 is below a uniform's resolution, and 0.5^16 costs the
+            # reference ~65k attempts per shot (one case below)
+            if c[0] <= 5 or c[2] != 0.5
+        ],
+    )
+    def test_records_equal(self, n, q_link, q_bsm):
+        params = make_params(
+            n_end_nodes=n, q_link=q_link, q_bsm=q_bsm, p_link=0.98, p_mem=0.999
+        )
+        for seed, shot in ((4, 0), (4, 1), (2**32 + 4, 0), (2**40 + 1, 2**33 + 5)):
+            assert_matches_reference(params, seed, shot)
+
+    def test_records_equal_at_half_q_bsm_and_sixteen_nodes(self):
+        params = make_params(n_end_nodes=16, q_link=0.5, q_bsm=0.5)
+        assert_matches_reference(params, 2**32 + 4, 0)
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        n=st.integers(2, 12),
+        q_link=st.floats(1e-15, 1.0),
+        q_bsm=st.sampled_from([1.0, 0.99, 0.9, 0.75]),
+        seed=st.integers(0, 2**64 - 1),
+        shot=st.integers(0, 2**64 - 1),
+    )
+    def test_records_equal_on_random_points(self, n, q_link, q_bsm, seed, shot):
+        params = make_params(n_end_nodes=n, q_link=q_link, q_bsm=q_bsm)
+        assert_matches_reference(params, seed, shot)
+
+    def test_one_draw_call_per_attempt(self):
+        class CountingGenerator:
+            def __init__(self, rng):
+                self.rng, self.sizes = rng, []
+
+            def random(self, size):
+                self.sizes.append(size)
+                return self.rng.random(size)
+
+        for q_bsm, draws in ((1.0, 5), (0.6, 6)):
+            rng = CountingGenerator(shot_rng(8, 0, TAG_FACTORY))
+            rec = run_shot_fast(make_params(q_bsm=q_bsm), rng)
+            assert rng.sizes == [draws] * rec.teleport_attempts
+
+
+class TestAttemptBudget:
+    @pytest.mark.parametrize(
+        "point",
+        [dict(q_link=q, shots=10_000) for q in (0.001, 0.005, 0.01, 0.05)]
+        + [dict(n_end_nodes=16, shots=10_000), dict(q_bsm=0.5, shots=100_000)],
+    )
+    def test_accepts_feasible_points(self, point):
+        check_attempt_budget(make_params(**point))
+
+    def test_rejects_expected_draws_over_budget(self):
+        # q_bsm^-5 = 1e15 attempts of 6 uniforms per shot
+        params = make_params(q_link=0.5, q_bsm=1e-3, shots=2)
+        with pytest.raises(ConfigError, match="q_bsm"):
+            check_attempt_budget(params)
+        with pytest.raises(ConfigError, match="q_bsm"):
+            estimate(params)
+
+    def test_budget_scales_with_shots(self):
+        shots = int(ATTEMPT_DRAW_BUDGET / 6)
+        check_attempt_budget(make_params(q_bsm=1.0, shots=shots))
+        with pytest.raises(ConfigError, match="shots"):
+            check_attempt_budget(make_params(q_bsm=1.0, shots=shots + 1))

@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from ghzdist import dm as dm_module, params as params_module, switch as switch_module
+from ghzdist import (
+    dm as dm_module,
+    factory as factory_module,
+    params as params_module,
+    switch as switch_module,
+)
 from ghzdist.analytics import GSpec, expected_order_stat, g_value
 from ghzdist.factory import fidelity_from_deltas, run_shot_fast
 from ghzdist.oracles import (
     enumerate_waiting_times,
+    factory_kernel_mismatches,
     ghz_readout_error,
     mc_g,
     replay_factory_dm,
@@ -168,13 +174,29 @@ class TestVerificationRunner:
         failed = [c["name"] for c in rep["checks"] if not c["passed"]]
         assert rep["all_passed"], f"failing checks: {failed}"
         assert rep["runtime_s"] > 0.0
-        assert rep["checks"][-1]["name"] == "ghz_readout_vs_dense_flush"
+        assert rep["checks"][-1]["name"] == "factory_kernel_vs_reference"
 
     def test_negative_control_trips_identity_check(self, skewed_b0):
         rep = run_verification()
         assert not rep["all_passed"]
         bad = {c["name"]: c["passed"] for c in rep["checks"]}
         assert not bad["coefficient_identity"]
+
+
+class TestFactoryKernelCheck:
+    def test_kernel_matches_reference(self):
+        assert factory_kernel_mismatches() == 0
+
+    def test_off_by_one_longest_wait_trips_check(self, monkeypatch):
+        # a failed attempt that adds one round too many to the duration
+        longest = params_module.longest_geometric_round
+        monkeypatch.setattr(
+            factory_module, "longest_geometric_round", lambda u, log_miss: longest(u, log_miss) + 1
+        )
+        assert factory_kernel_mismatches() > 0
+        rep = run_verification()
+        failed = [c["name"] for c in rep["checks"] if not c["passed"]]
+        assert failed == ["factory_kernel_vs_reference"]
 
 
 class TestShotRngCheck:

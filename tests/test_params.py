@@ -1,19 +1,28 @@
 """Parameter validation, config parsing, seeding, geometric sampling."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ghzdist.params import (
     ConfigError,
     SimParams,
     derive_p_ghz,
+    geometric_log_miss,
+    geometric_rounds,
     load_params,
+    longest_geometric_round,
     parse_config_text,
     sample_geometric,
     shot_rng,
 )
+
+LARGEST_UNIFORM = 1.0 - 2.0**-53  # the largest double rng.random() returns
+q_links = st.floats(1e-15, 1.0)
+uniforms = st.floats(0.0, LARGEST_UNIFORM)
 
 
 class TestSimParams:
@@ -186,6 +195,49 @@ class TestGeometricSampling:
         q, n = 1e-9, 200_000
         draws = np.array(sample_geometric(shot_rng(13, 0, 1), q, n), dtype=float)
         assert abs(draws.mean() - 1 / q) < 5 / (q * np.sqrt(n))
+
+
+class TestLongestRound:
+    """A failed teleportation attempt adds only the wait of its largest
+    uniform, which must equal the largest of its N rounds."""
+
+    @settings(deadline=None)
+    @given(q=q_links, us=st.lists(uniforms, min_size=1, max_size=20))
+    @example(q=1.0, us=[0.0, LARGEST_UNIFORM])
+    @example(q=1e-15, us=[0.0, LARGEST_UNIFORM])
+    def test_equals_max_of_rounds(self, q, us):
+        log_miss = geometric_log_miss(q)
+        assert longest_geometric_round(us, log_miss) == max(geometric_rounds(us, log_miss))
+
+    @settings(deadline=None)
+    @given(q=q_links, frac=st.floats(0.0, 1.0))
+    @example(q=0.5, frac=0.0)
+    @example(q=1e-15, frac=1.0)
+    def test_monotone_across_step(self, q, frac):
+        # the inverse CDF steps from k to k + 1 at u_k = -expm1(k log1p(-q));
+        # the rounds of the uniforms a few ulps either side must not decrease
+        assume(q < 1.0)
+        log_miss = geometric_log_miss(q)
+        k = 1 + int(frac * (36.0 / -log_miss))
+        u = -math.expm1(k * log_miss)
+        assume(u < LARGEST_UNIFORM)
+        near = [u]
+        for _ in range(4):
+            near = [math.nextafter(near[0], 0.0), *near, math.nextafter(near[-1], 1.0)]
+        near = [v for v in near if 0.0 <= v <= LARGEST_UNIFORM]
+        rounds = geometric_rounds(near, log_miss)
+        assert rounds == sorted(rounds)
+        for i in range(len(near)):
+            for j in range(i, len(near)):
+                pair = [near[j], near[i]]
+                assert longest_geometric_round(pair, log_miss) == rounds[j]
+
+    def test_certain_success_maps_every_uniform_to_one(self):
+        assert geometric_rounds([0.0, 0.5, LARGEST_UNIFORM], geometric_log_miss(1.0)) == [1, 1, 1]
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError, match="success probability"):
+            geometric_log_miss(0.0)
 
 
 class TestDerivePGhz:

@@ -17,7 +17,7 @@ from typing import TextIO
 
 from . import analytics
 from .analytics import GSpec
-from .factory import Estimates, check_attempt_budget, estimate
+from .factory import check_attempt_budget, estimate, worker_count
 from .params import ConfigError, SimParams, load_params
 from .svgplot import Panel, Series, render_sweep_svg
 from .switch import WARMUP_EXECUTIONS, check_register_limit, estimate_switch
@@ -45,10 +45,40 @@ ANALYTIC_MODES = {
     "g": ("leading", "lower_bound"),
 }
 
+# (quantity, mode) -> closed form at one point.  The first four, in order,
+# are the CSV's analytic columns; each looks up ``analytics.<fn>`` when called.
+CLOSED_FORMS = {
+    ("rate", "exact"): lambda p: analytics.rate_exact(
+        p.n_end_nodes, p.q_link, p.q_bsm, p.dt
+    ),
+    ("rate", "leading"): lambda p: analytics.rate_leading(
+        p.n_end_nodes, p.q_link, p.q_bsm, p.dt
+    ),
+    ("fidelity", "leading"): lambda p: analytics.fidelity_closed_form(
+        p, "leading"
+    ).value,
+    ("fidelity", "lower_bound"): lambda p: analytics.fidelity_closed_form(
+        p, "lower_bound"
+    ).value,
+}
+
+# (panel, [(series name, column, error column)]) of the sweep chart; series
+# without an error column are the closed forms, drawn for the factory only
+CHART = [
+    ("rate", [
+        ("MC", "rate_mean", "rate_stderr"),
+        ("exact", "analytic_rate_exact", None),
+        ("leading", "analytic_rate_leading", None),
+    ]),
+    ("fidelity", [
+        ("MC", "fid_mean", "fid_stderr"),
+        ("leading", "analytic_fid_leading", None),
+        ("lower bound", "analytic_fid_lower_bound", None),
+    ]),
+]
+
 
 def _fmt(value) -> str:
-    if value == "":
-        return ""
     if isinstance(value, float):
         return repr(float(value))
     return str(value)
@@ -73,47 +103,16 @@ def _parse_list(flag: str, text: str, kind) -> tuple:
         ) from None
 
 
-def _analytic_columns(protocol: str, params: SimParams) -> dict:
-    if protocol != "factory":
-        return {key: "" for key in CSV_COLUMNS[8:]}
-    return {
-        "analytic_rate_exact": analytics.rate_exact(
-            params.n_end_nodes, params.q_link, params.q_bsm, params.dt
-        ),
-        "analytic_rate_leading": analytics.rate_leading(
-            params.n_end_nodes, params.q_link, params.q_bsm, params.dt
-        ),
-        "analytic_fid_leading": analytics.fidelity_closed_form(params, "leading").value,
-        "analytic_fid_lower_bound": analytics.fidelity_closed_form(
-            params, "lower_bound"
-        ).value,
-    }
-
-
 def _resolve_point(protocol: str, params: SimParams) -> dict:
     """The analytic columns of one point; raises on any input the point
     would fail on, so that a run checks every point before simulating one."""
     if protocol == "switch":
         check_register_limit(params)
-    else:
-        check_attempt_budget(params)
-    return _analytic_columns(protocol, params)
-
-
-def _result_row(
-    params: SimParams, analytic: dict, est: Estimates, sweep_param="", sweep_value=""
-) -> dict:
-    return {
-        "sweep_param": sweep_param,
-        "sweep_value": sweep_value,
-        "shots": est.shots,
-        "seed": params.seed,
-        "rate_mean": est.rate_mean,
-        "rate_stderr": est.rate_stderr,
-        "fid_mean": est.fidelity_mean,
-        "fid_stderr": est.fidelity_stderr,
-        **analytic,
-    }
+        return {col: "" for col in CSV_COLUMNS[8:]}
+    check_attempt_budget(params)
+    worker_count()
+    forms = CLOSED_FORMS.values()
+    return {col: form(params) for col, form in zip(CSV_COLUMNS[8:], forms)}
 
 
 def _open_output(stack: ExitStack, path: str | None) -> TextIO:
@@ -122,123 +121,69 @@ def _open_output(stack: ExitStack, path: str | None) -> TextIO:
     return stack.enter_context(open(path, "w", newline=""))
 
 
-def _write_csv(
-    rows: list[dict],
-    out: TextIO,
-    timestamp: bool,
-    metadata: list[str] | None = None,
-) -> None:
-    lines = []
-    if timestamp:
-        lines.append(f"# generated {datetime.now(timezone.utc).isoformat()}")
-    lines.extend(metadata or [])
-    lines.append(",".join(CSV_COLUMNS))
-    for row in rows:
-        lines.append(",".join(_fmt(row[col]) for col in CSV_COLUMNS))
-    out.write("\n".join(lines) + "\n")
+def _render_chart(protocol: str, sweep_param: str, rows: list[dict], out: TextIO) -> None:
+    panels = [
+        Panel(ylabel, [
+            Series(name, [r[col] for r in rows], err and [r[err] for r in rows])
+            for name, col, err in series
+            if err or protocol == "factory"
+        ])
+        for ylabel, series in CHART
+    ]
+    x = [float(r["sweep_value"]) for r in rows]
+    render_sweep_svg(out, f"{protocol}: sweep over {sweep_param}", sweep_param, x, panels)
 
 
-def _run_point(protocol: str, params: SimParams) -> Estimates:
-    if protocol == "factory":
-        return estimate(params)
-    return estimate_switch(params)
-
-
-def _metadata(protocol: str) -> list[str]:
-    if protocol == "switch":
-        return [f"# switch_warmup_executions = {WARMUP_EXECUTIONS}"]
-    return []
+def _run_points(args, sweep_param: str, values: list[str], svg_path: str | None) -> int:
+    """Check every point, open the outputs, simulate each point and write
+    one CSV row per point, plus the chart if ``svg_path`` is given.  An empty
+    ``sweep_param`` runs the single point of the config."""
+    overrides = _parse_overrides(args.set)
+    points = []
+    for value in values:
+        point = {sweep_param: value} if sweep_param else {}
+        params = load_params(args.config, {**overrides, **point})
+        points.append((value, params, _resolve_point(args.protocol, params)))
+    with ExitStack() as stack:
+        out = _open_output(stack, args.output)
+        svg = stack.enter_context(open(svg_path, "w")) if svg_path else None
+        run = estimate if args.protocol == "factory" else estimate_switch
+        rows = []
+        for value, params, analytic in points:
+            est = run(params)
+            rows.append({
+                "sweep_param": sweep_param,
+                "sweep_value": value,
+                "shots": est.shots,
+                "seed": params.seed,
+                "rate_mean": est.rate_mean,
+                "rate_stderr": est.rate_stderr,
+                "fid_mean": est.fidelity_mean,
+                "fid_stderr": est.fidelity_stderr,
+                **analytic,
+            })
+        lines = []
+        if not args.no_timestamp:
+            lines.append(f"# generated {datetime.now(timezone.utc).isoformat()}")
+        if args.protocol == "switch":
+            lines.append(f"# switch_warmup_executions = {WARMUP_EXECUTIONS}")
+        lines.append(",".join(CSV_COLUMNS))
+        lines.extend(",".join(_fmt(row[col]) for col in CSV_COLUMNS) for row in rows)
+        out.write("\n".join(lines) + "\n")
+        if svg is not None:
+            _render_chart(args.protocol, sweep_param, rows, svg)
+    return 0
 
 
 def cmd_simulate(args) -> int:
-    params = load_params(args.config, _parse_overrides(args.set))
-    analytic = _resolve_point(args.protocol, params)
-    with ExitStack() as stack:
-        out = _open_output(stack, args.output)
-        est = _run_point(args.protocol, params)
-        _write_csv(
-            [_result_row(params, analytic, est)],
-            out,
-            not args.no_timestamp,
-            metadata=_metadata(args.protocol),
-        )
-    return 0
+    return _run_points(args, "", [""], None)
 
 
 def cmd_sweep(args) -> int:
     values = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
-    overrides = _parse_overrides(args.set)
-    points = []
-    for value in values:
-        params = load_params(args.config, {**overrides, args.param: value})
-        points.append((value, params, _resolve_point(args.protocol, params)))
-    with ExitStack() as stack:
-        out = _open_output(stack, args.output)
-        svg = stack.enter_context(open(args.svg, "w")) if args.svg else None
-        rows = [
-            _result_row(
-                params, analytic, _run_point(args.protocol, params), args.param, value
-            )
-            for value, params, analytic in points
-        ]
-        _write_csv(
-            rows, out, not args.no_timestamp, metadata=_metadata(args.protocol)
-        )
-        if svg is not None:
-            _render_sweep_chart(args, rows, svg)
-    return 0
-
-
-def _render_sweep_chart(args, rows: list[dict], out: TextIO) -> None:
-    x = [float(r["sweep_value"]) for r in rows]
-    rate_panel = Panel(
-        "rate",
-        [
-            Series(
-                "MC",
-                [r["rate_mean"] for r in rows],
-                yerr=[r["rate_stderr"] for r in rows],
-                line=False,
-            )
-        ],
-    )
-    fid_panel = Panel(
-        "fidelity",
-        [
-            Series(
-                "MC",
-                [r["fid_mean"] for r in rows],
-                yerr=[r["fid_stderr"] for r in rows],
-                line=False,
-            )
-        ],
-    )
-    if args.protocol == "factory":
-        rate_panel.series.append(
-            Series("exact", [r["analytic_rate_exact"] for r in rows], markers=False)
-        )
-        rate_panel.series.append(
-            Series("leading", [r["analytic_rate_leading"] for r in rows], markers=False)
-        )
-        fid_panel.series.append(
-            Series("leading", [r["analytic_fid_leading"] for r in rows], markers=False)
-        )
-        fid_panel.series.append(
-            Series(
-                "lower bound",
-                [r["analytic_fid_lower_bound"] for r in rows],
-                markers=False,
-            )
-        )
-    render_sweep_svg(
-        out,
-        f"{args.protocol}: sweep over {args.param}",
-        args.param,
-        x,
-        [rate_panel, fid_panel],
-    )
+    return _run_points(args, args.param, values, args.svg)
 
 
 def cmd_analytic(args) -> int:
@@ -250,11 +195,8 @@ def cmd_analytic(args) -> int:
         )
     n, q = params.n_end_nodes, params.q_link
     result: dict = {"quantity": args.quantity, "mode": args.mode, "params": asdict(params)}
-    if args.quantity == "rate":
-        rate = analytics.rate_exact if args.mode == "exact" else analytics.rate_leading
-        result["value"] = rate(n, q, params.q_bsm, params.dt)
-    elif args.quantity == "fidelity":
-        result["value"] = analytics.fidelity_closed_form(params, args.mode).value
+    if (args.quantity, args.mode) in CLOSED_FORMS:
+        result["value"] = CLOSED_FORMS[args.quantity, args.mode](params)
     elif args.quantity == "order-stat":
         if args.index is None:
             raise ConfigError("order-stat needs --index")
@@ -307,22 +249,20 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a parameter (repeatable)",
         )
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo estimate at one point")
-    add_common(p_sim)
-    p_sim.add_argument("--protocol", choices=("factory", "switch"), required=True)
-    p_sim.add_argument("--output", help="CSV path (stdout if omitted)")
-    p_sim.add_argument("--no-timestamp", action="store_true")
-    p_sim.set_defaults(func=cmd_simulate)
+    def add_points(name, summary, func):
+        p = sub.add_parser(name, help=summary)
+        add_common(p)
+        p.add_argument("--protocol", choices=("factory", "switch"), required=True)
+        p.add_argument("--output", help="CSV path (stdout if omitted)")
+        p.add_argument("--no-timestamp", action="store_true")
+        p.set_defaults(func=func)
+        return p
 
-    p_sweep = sub.add_parser("sweep", help="sweep one parameter, CSV + optional SVG")
-    add_common(p_sweep)
-    p_sweep.add_argument("--protocol", choices=("factory", "switch"), required=True)
+    add_points("simulate", "Monte Carlo estimate at one point", cmd_simulate)
+    p_sweep = add_points("sweep", "sweep one parameter, CSV + optional SVG", cmd_sweep)
     p_sweep.add_argument("--param", required=True, help="SimParams field to sweep")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
-    p_sweep.add_argument("--output", help="CSV path (stdout if omitted)")
     p_sweep.add_argument("--svg", help="also render a chart to this path")
-    p_sweep.add_argument("--no-timestamp", action="store_true")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_an = sub.add_parser("analytic", help="closed-form quantities as JSON")
     add_common(p_an)

@@ -150,10 +150,18 @@ def _fast_chunk(args: tuple[SimParams, int, int]) -> tuple[np.ndarray, np.ndarra
 
 
 def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
+    """The worker processes ``GHZDIST_WORKERS`` asks for: 1 if it is unset or
+    empty, else an integer >= 1."""
+    raw = os.environ.get(WORKERS_ENV, "")
+    if not raw:
         return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return workers
 
 
 def estimate(params: SimParams) -> Estimates:

@@ -25,7 +25,8 @@ class SimParams:
     """All protocol and noise parameters for one simulation point.
 
     q_* are success probabilities, p_* are depolarizing parameters (p = 1
-    means no noise).  dt is the round duration; t_cl is pinned to 0.
+    means no noise).  dt is the round duration; classical messages are
+    instantaneous.
     """
 
     n_end_nodes: int
@@ -36,7 +37,6 @@ class SimParams:
     p_bsm: float = 1.0
     p_ghz: float = 1.0
     dt: float = 1.0
-    t_cl: float = 0.0
     shots: int = 10_000
     seed: int = 0
 
@@ -63,8 +63,6 @@ class SimParams:
         # keeps every time, its square and the rate finite and nonzero
         if not 1e-100 <= self.dt <= 1e100:
             raise ConfigError(f"dt must be in [1e-100, 1e100], got {self.dt}")
-        if self.t_cl != 0.0:
-            raise ConfigError("t_cl is fixed to 0 in this model")
         if self.shots < 2:
             raise ConfigError(
                 f"shots must be >= 2 for standard errors, got {self.shots}"

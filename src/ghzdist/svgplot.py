@@ -20,9 +20,8 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
 class Series:
     name: str
     y: list[float]
+    # a series with error bars is drawn as markers, one without as a line
     yerr: list[float] | None = None
-    line: bool = True
-    markers: bool = True
 
 
 @dataclass
@@ -106,16 +105,9 @@ def render_sweep_svg(
                 for xv, yv in zip(xs, series.y)
                 if math.isfinite(yv)
             ]
-            if series.line and len(pts) > 1:
-                coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in pts)
-                out.append(
-                    f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                    f'stroke-width="1.5"/>'
-                )
-            if series.markers:
+            if series.yerr is not None:
                 for px, py in pts:
                     out.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" fill="{color}"/>')
-            if series.yerr is not None:
                 for xv, yv, ev in zip(xs, series.y, series.yerr):
                     if not (math.isfinite(yv) and math.isfinite(ev)):
                         continue
@@ -124,6 +116,12 @@ def render_sweep_svg(
                         f'<line x1="{px:.2f}" y1="{y_px(yv - ev):.2f}" '
                         f'x2="{px:.2f}" y2="{y_px(yv + ev):.2f}" stroke="{color}"/>'
                     )
+            elif len(pts) > 1:
+                coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in pts)
+                out.append(
+                    f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                    f'stroke-width="1.5"/>'
+                )
             out.append(
                 f'<text x="{MARGIN_L + PANEL_W - 8}" y="{top + 16 + 14 * s_idx}" '
                 f'text-anchor="end" fill="{color}">{series.name}</text>'

@@ -165,6 +165,71 @@ class TestSimulate:
         assert (str(tmp_path) if target == "config" else missing) in err[0]
 
 
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_t_cl_is_an_unknown_key(self, tmp_path, capsys, source):
+        if source == "set":
+            argv = ["--set", "n_end_nodes=3", "--set", "q_link=0.5", "--set", "t_cl=0"]
+        else:
+            argv = ["--config", write_config(tmp_path, n_end_nodes=3, q_link=0.5, t_cl=0)]
+        assert main(["simulate", "--protocol", "factory", *argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "t_cl" in err[0]
+
+
+POINT = ["--set", "n_end_nodes=4", "--set", "q_link=0.2", "--set", "q_bsm=0.9",
+         "--set", "p_mem=0.99", "--set", "p_ghz=0.9", "--set", "seed=5"]
+
+
+class TestSharedPipeline:
+    @pytest.mark.parametrize("protocol, shots", [("factory", 300), ("switch", 10)])
+    def test_simulate_is_the_one_point_sweep(self, tmp_path, protocol, shots):
+        one, swept = tmp_path / "one.csv", tmp_path / "swept.csv"
+        argv = ["--protocol", protocol, *POINT, "--no-timestamp"]
+        assert main(["simulate", *argv, "--set", f"shots={shots}",
+                     "--output", str(one)]) == 0
+        assert main(["sweep", *argv, "--param", "shots", "--values", str(shots),
+                     "--output", str(swept)]) == 0
+        [row], [swept_row] = read_rows(one), read_rows(swept)
+        assert (row.pop("sweep_param"), row.pop("sweep_value")) == ("", "")
+        assert (swept_row.pop("sweep_param"), swept_row.pop("sweep_value")) == (
+            "shots", str(shots))
+        assert row == swept_row
+
+    def test_analytic_matches_the_csv_columns(self, tmp_path, capsys):
+        out = tmp_path / "one.csv"
+        assert main(["simulate", "--protocol", "factory", *POINT, "--set", "shots=50",
+                     "--output", str(out)]) == 0
+        [row] = read_rows(out)
+        for quantity, mode, column in [
+            ("rate", "exact", "analytic_rate_exact"),
+            ("rate", "leading", "analytic_rate_leading"),
+            ("fidelity", "leading", "analytic_fid_leading"),
+            ("fidelity", "lower_bound", "analytic_fid_lower_bound"),
+        ]:
+            assert main(["analytic", "--quantity", quantity, "--mode", mode, *POINT]) == 0
+            assert json.loads(capsys.readouterr().out)["value"] == float(row[column])
+
+    @pytest.mark.parametrize("protocol, shots", [("factory", 200), ("switch", 10)])
+    def test_chart_draws_mc_as_markers_and_closed_forms_as_lines(
+        self, tmp_path, protocol, shots
+    ):
+        svg = tmp_path / "sweep.svg"
+        assert main(["sweep", "--protocol", protocol, *POINT, "--set", f"shots={shots}",
+                     "--param", "q_link", "--values", "0.1,0.2,0.4",
+                     "--output", str(tmp_path / "sweep.csv"), "--svg", str(svg)]) == 0
+        text = svg.read_text()
+        # two MC series (rate, fidelity) of three points, each with an error bar
+        assert text.count("<circle ") == 6 and text.count("<line ") == 6
+        assert text.count(">MC</text>") == 2
+        closed_forms = [">exact<", ">leading<", ">lower bound<"]
+        if protocol == "factory":
+            assert text.count("<polyline ") == 4
+            assert all(name in text for name in closed_forms)
+        else:
+            assert "<polyline " not in text
+            assert not any(name in text for name in closed_forms)
+
+
 class TestAnalytic:
     def run_json(self, capsys, *argv):
         assert main(list(argv)) == 0
@@ -385,6 +450,19 @@ class TestInputCheckedBeforeAnyPoint:
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and missing in err[0]
+
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_worker_count(self, tmp_path, capsys, monkeypatch, no_points, value):
+        monkeypatch.setenv("GHZDIST_WORKERS", value)
+        out = tmp_path / "res.csv"
+        argv = ["simulate", "--protocol", "factory", "--set", "n_end_nodes=3",
+                "--set", "q_link=0.5", "--output", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "GHZDIST_WORKERS" in err[0]
+        assert not out.exists()
 
 
 class TestVerify:

@@ -16,6 +16,7 @@ from ghzdist.factory import (
     fidelity_from_deltas,
     run_shot_fast,
     summarize,
+    worker_count,
 )
 from ghzdist.oracles import reference_run_shot
 from ghzdist.params import TAG_FACTORY, ConfigError, SimParams, shot_rng
@@ -125,6 +126,21 @@ class TestEstimate:
             else:
                 os.environ["GHZDIST_WORKERS"] = old
         assert one == three
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_worker_count_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("GHZDIST_WORKERS", value)
+        with pytest.raises(ConfigError, match="GHZDIST_WORKERS"):
+            estimate(make_params(q_link=0.5, shots=8))
+
+    @pytest.mark.parametrize("value", [None, ""])
+    def test_unset_or_empty_worker_count_is_one(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("GHZDIST_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("GHZDIST_WORKERS", value)
+        assert worker_count() == 1
+        assert estimate(make_params(q_link=0.5, shots=8)).shots == 8
 
     def test_summarize_rejects_single_shot(self):
         with pytest.raises(ValueError):

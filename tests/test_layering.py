@@ -44,3 +44,46 @@ def test_oracles_seen_importing_dm():
     # the walk itself must recognise both import forms the package uses
     names = imported_names("oracles")
     assert {"ghzdist.dm", "ghzdist.dm.DensityMatrix", "numpy"} <= names
+
+
+ROOT = PACKAGE.parents[1]
+REFERENCE_DIRS = ("src", "tests", "perfbench")
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """Names a statement uses: plain and attribute names, imported names, and
+    string constants (perfbench names its trace sites as strings)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rsplit(".", 1)[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
+
+
+def test_every_module_level_definition_is_referenced():
+    # no dead helpers: each top-level def/class of the package is used by
+    # some other top-level statement in the package, its tests or perfbench
+    definitions = []
+    uses = []
+    for top in REFERENCE_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for stmt in ast.parse(path.read_text()).body:
+                uses.append((stmt, referenced_names(stmt)))
+                if path.parent == PACKAGE and isinstance(
+                    stmt, (ast.FunctionDef, ast.ClassDef)
+                ):
+                    definitions.append((f"{path.stem}.{stmt.name}", stmt))
+    dead = [
+        qualified
+        for qualified, stmt in definitions
+        if not any(
+            other is not stmt and stmt.name in names for other, names in uses
+        )
+    ]
+    assert dead == []

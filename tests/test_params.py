@@ -28,7 +28,7 @@ uniforms = st.floats(0.0, LARGEST_UNIFORM)
 class TestSimParams:
     def test_valid_defaults(self):
         p = SimParams(n_end_nodes=5, q_link=0.01)
-        assert p.shots == 10_000 and p.dt == 1.0 and p.t_cl == 0.0
+        assert p.shots == 10_000 and p.dt == 1.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -43,7 +43,6 @@ class TestSimParams:
             {"dt": 0.0},
             {"dt": float("nan")},
             {"dt": float("inf")},
-            {"t_cl": 1.0},
             {"shots": 0},
             {"shots": 1},
             {"dt": 1e-320},
@@ -106,6 +105,15 @@ class TestConfigFile:
         cfg.write_text("n_end_nodes = 5\nq_link = 0.01\n")
         p = load_params(cfg, {"q_link": "0.5"})
         assert p.q_link == 0.5
+
+    def test_t_cl_is_an_unknown_key(self, tmp_path):
+        # classical messages are instantaneous; there is no t_cl knob
+        cfg = tmp_path / "point.cfg"
+        cfg.write_text("n_end_nodes = 5\nq_link = 0.01\nt_cl = 0\n")
+        with pytest.raises(ConfigError, match="unknown key 't_cl'"):
+            load_params(cfg)
+        with pytest.raises(ConfigError, match="unknown key 't_cl'"):
+            load_params(None, {"n_end_nodes": "5", "q_link": "0.01", "t_cl": "0"})
 
     def test_unparseable_value(self):
         with pytest.raises(ConfigError, match="cannot parse"):

@@ -111,8 +111,9 @@ def _resolve_point(protocol: str, params: SimParams) -> dict:
         return {col: "" for col in CSV_COLUMNS[8:]}
     check_attempt_budget(params)
     worker_count()
-    forms = CLOSED_FORMS.values()
-    return {col: form(params) for col, form in zip(CSV_COLUMNS[8:], forms)}
+    # fidelity first: its n_end_nodes cap fires before the O(N^2) exact rate runs
+    forms = reversed(list(zip(CSV_COLUMNS[8:], CLOSED_FORMS.values())))
+    return {col: form(params) for col, form in forms}
 
 
 def _open_output(stack: ExitStack, path: str | None) -> TextIO:

@@ -9,9 +9,10 @@ per-shot fidelities from a full density-matrix replay of the teleportation
 pipeline, the factory's shot kernel from a loop that turns every attempt's
 uniforms into rounds, fusion from a dense CNOT plus a Z projection, the
 per-shot streams from a literal numpy SeedSequence, the switch's
-Werner-weight entanglement swap from a dense Bell measurement, and its
-diagonal read-out from dense per-qubit depolarizing.  The engines import
-nothing from here.
+Werner-weight entanglement swap from a dense Bell measurement, its diagonal
+read-out from dense per-qubit depolarizing, and its link jump from a loop of
+single rounds.  ``CHECKS`` lists the comparisons that ``verify`` runs.  The
+engines import nothing from here.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -353,6 +355,20 @@ def reference_run_shot(params: SimParams, rng: np.random.Generator) -> ShotRecor
     )
 
 
+def advance_round(
+    state: switch.NetworkState, params: SimParams, rng: np.random.Generator
+) -> list[tuple]:
+    """One time step: stored qubits age by one round, then every connection
+    with a free switch slot and a free end-node slot attempts a Bell pair."""
+    state.round += 1
+    events: list[tuple] = []
+    for conn, slot in switch._eligible_connections(state, params.n_end_nodes):
+        if rng.random() < params.q_link:
+            switch._create_pair(state, params, conn, slot)
+            events.append(("link", conn))
+    return events
+
+
 def reference_shot_rng(seed: int, shot_index: int, tag: int) -> np.random.Generator:
     """The per-shot stream as numpy builds it from the entropy tuple."""
     return np.random.Generator(
@@ -386,49 +402,28 @@ def shot_rng_mismatches(cases: Sequence[tuple[int, int, int]]) -> int:
     )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    tolerance: float
-    observed: float
-    passed: bool
-
-
-def _check(name: str, tolerance: float, observed: float) -> CheckResult:
-    observed = float(observed)
-    return CheckResult(name, float(tolerance), observed, bool(observed <= tolerance))
-
-
-def run_all_checks() -> list[CheckResult]:
-    """The oracle suite behind the ``verify`` command.
-
-    Every check compares an independent reference against the corresponding
-    closed form or engine and reports the observed error.
-    """
-    rng = np.random.default_rng(20240601)
-    checks: list[CheckResult] = []
-
-    # waiting-time enumeration against the exact order-statistic recursion
+def order_stat_error(_rng) -> float:
+    """Waiting-time enumeration against the exact order-statistic recursion."""
     worst = 0.0
     for n, q in [(2, 0.5), (3, 0.3), (4, 0.6), (4, 0.1)]:
         table = enumerate_waiting_times(n, q)
         for i in range(1, n + 1):
             exact = analytics.expected_order_stat(i, n, q, "exact")
             worst = max(worst, abs(exact - table.expectations[i - 1]))
-    checks.append(_check("order_stat_exact_vs_enumeration", 1e-9, worst))
+    return worst
 
-    # the alternating-sum maximum against the recursion at i = n
-    worst = max(
-        abs(
-            n_all_alternating_sum(n, q)
-            - analytics.expected_order_stat(n, n, q, "exact")
-        )
+
+def n_all_error(_rng) -> float:
+    """The alternating-sum maximum against the recursion at i = n."""
+    return max(
+        abs(n_all_alternating_sum(n, q) - analytics.expected_order_stat(n, n, q, "exact"))
         for n in range(1, 7)
         for q in (0.1, 0.5, 0.9)
     )
-    checks.append(_check("n_all_alternating_sum_vs_recursion", 1e-10, worst))
 
-    # depolarizing composition law on random two-qubit states
+
+def depolarize_composition_error(rng: np.random.Generator) -> float:
+    """Depolarizing composition law on random two-qubit states."""
     worst = 0.0
     for _ in range(20):
         state = _random_state(rng, 2)
@@ -437,9 +432,11 @@ def run_all_checks() -> list[CheckResult]:
         once = dmod.depolarize(dmod.depolarize(state, (q,), p1), (q,), p2)
         fused = dmod.depolarize(state, (q,), p1 * p2)
         worst = max(worst, dmod.max_abs_diff(once, fused))
-    checks.append(_check("depolarize_composition", 1e-12, worst))
+    return worst
 
-    # noiseless teleportation round trip over all four outcomes
+
+def teleportation_error(rng: np.random.Generator) -> float:
+    """Noiseless teleportation round trip over all four outcomes."""
     worst = 0.0
     for _ in range(10):
         single = _random_state(rng, 1, labels=(Qubit(9, 9),))
@@ -448,60 +445,67 @@ def run_all_checks() -> list[CheckResult]:
         for bits in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             prob, post = dmod.project_bell(joint, Qubit(9, 9), Qubit(0, 0), bits)
             fixed = dmod.pauli_correct(post, Qubit(1, 0), dmod.BsmOutcome(bits, True))
-            worst = max(worst, abs(prob - 0.25))
-            worst = max(
-                worst, float(np.max(np.abs(fixed.mat - single.mat)))
-            )
-    checks.append(_check("noiseless_teleportation_identity", 1e-12, worst))
+            err = float(np.max(np.abs(fixed.mat - single.mat)))
+            worst = max(worst, abs(prob - 0.25), err)
+    return worst
 
-    # structured state against channel composition, and f_rand against both
-    worst_state = 0.0
-    worst_frand = 0.0
+
+def structured_state_error(rng: np.random.Generator) -> float:
+    """The structured state against channel composition."""
+    worst = 0.0
     for n in (2, 3, 4):
         for _ in range(10):
-            p_ghz = rng.random()
-            p = rng.random(n)
+            p_ghz, p = rng.random(), rng.random(n)
             built = dmod.structured_state(p_ghz, p)
-            ghz = dmod.make_ghz(n, built.labels)
-            channel = dmod.depolarize(ghz, built.labels, p_ghz)
+            channel = dmod.depolarize(dmod.make_ghz(n, built.labels), built.labels, p_ghz)
             for q, pi in zip(built.labels, p):
                 channel = dmod.depolarize(channel, (q,), pi)
-            worst_state = max(worst_state, dmod.trace_distance(built, channel))
-            worst_frand = max(
-                worst_frand,
-                abs(dmod.fidelity_to_ghz(built) - analytics.f_rand(p_ghz, p)),
-            )
-    checks.append(_check("structured_state_vs_channels", 1e-10, worst_state))
-    checks.append(_check("f_rand_vs_dm_fidelity", 1e-12, worst_frand))
+            worst = max(worst, dmod.trace_distance(built, channel))
+    return worst
 
-    # f_rand product form against the explicit subset sum (p_ghz = 1 strips
-    # the mixing term, leaving exactly the summed overlap)
+
+def f_rand_dm_error(rng: np.random.Generator) -> float:
+    """``f_rand`` against the GHZ fidelity of the structured state."""
+    worst = 0.0
+    for n in (2, 3, 4):
+        for _ in range(10):
+            p_ghz, p = rng.random(), rng.random(n)
+            built = dmod.structured_state(p_ghz, p)
+            err = abs(dmod.fidelity_to_ghz(built) - analytics.f_rand(p_ghz, p))
+            worst = max(worst, err)
+    return worst
+
+
+def f_rand_subset_sum_error(rng: np.random.Generator) -> float:
+    """``f_rand``'s product form against the explicit subset sum (p_ghz = 1
+    strips the mixing term, leaving exactly the summed overlap)."""
     worst = 0.0
     for n in (2, 4, 6):
         for _ in range(10):
             p = rng.random(n)
-            worst = max(
-                worst,
-                abs(ghz_overlap_subset_sum(p) - analytics.f_rand(1.0, p)),
-            )
-    checks.append(_check("f_rand_product_vs_subset_sum", 1e-12, worst))
+            worst = max(worst, abs(ghz_overlap_subset_sum(p) - analytics.f_rand(1.0, p)))
+    return worst
 
-    # subset-coefficient identity
-    observed = max(
-        coefficient_identity_check(n, samples=100, seed=7) for n in range(2, 7)
-    )
-    checks.append(_check("coefficient_identity", 1e-10, observed))
 
-    # leading-order G against direct sampling (the approximation carries an
-    # O(q_link) systematic error, so the gate is relative, not statistical)
-    spec = GSpec(5, (1, 3, 5), (2e-4, 2e-4, 2e-4))
-    mean, stderr = mc_g(spec, 0.01, 200_000, rng)
-    lead = analytics.g_value(spec, 0.01, "leading")
-    bound = analytics.g_value(spec, 0.01, "lower_bound")
-    checks.append(_check("g_leading_vs_mc_relative", 0.01, abs(lead - mean) / mean))
-    checks.append(_check("g_lower_bound_below_mc", 3 * stderr, bound - mean))
+G_SPEC = GSpec(5, (1, 3, 5), (2e-4, 2e-4, 2e-4))
 
-    # density-matrix replay against the fast fidelity kernel
+
+def g_leading_error(rng: np.random.Generator) -> float:
+    """Leading-order G against direct sampling, relative: the approximation
+    carries an O(q_link) systematic error, so the gate is not statistical."""
+    mean, _ = mc_g(G_SPEC, 0.01, 200_000, rng)
+    return abs(analytics.g_value(G_SPEC, 0.01, "leading") - mean) / mean
+
+
+def g_lower_bound_z(rng: np.random.Generator) -> float:
+    """By how many standard errors the lower bound on G exceeds direct
+    sampling."""
+    mean, stderr = mc_g(G_SPEC, 0.01, 200_000, rng)
+    return (analytics.g_value(G_SPEC, 0.01, "lower_bound") - mean) / stderr
+
+
+def dm_replay_error(rng: np.random.Generator) -> float:
+    """Density-matrix replay against the fast fidelity kernel."""
     worst = 0.0
     for n in (2, 3):
         for _ in range(8):
@@ -515,16 +519,13 @@ def run_all_checks() -> list[CheckResult]:
             )
             rounds = [int(x) for x in rng.integers(1, 6, size=n)]
             delta = [max(rounds) - r for r in rounds]
-            worst = max(
-                worst,
-                abs(
-                    replay_factory_dm(params, rounds)
-                    - fidelity_from_deltas(params, delta)
-                ),
-            )
-    checks.append(_check("dm_replay_vs_fast_kernel", 1e-10, worst))
+            ref = replay_factory_dm(params, rounds)
+            worst = max(worst, abs(ref - fidelity_from_deltas(params, delta)))
+    return worst
 
-    # O(N^2) fidelity recursion against the literal subset sum, relative
+
+def fidelity_recursion_error(rng: np.random.Generator) -> float:
+    """The O(N^2) fidelity recursion against the literal subset sum, relative."""
     worst = 0.0
     for n in range(2, 9):
         params = SimParams(
@@ -539,11 +540,13 @@ def run_all_checks() -> list[CheckResult]:
             ref = fidelity_subset_sum(params, mode)
             got = analytics.fidelity_closed_form(params, mode).value
             worst = max(worst, abs(got - ref) / ref)
-    checks.append(_check("fidelity_recursion_vs_subset_sum", 1e-12, worst))
+    return worst
 
-    # fusion as an index gather against the dense CNOT and Z projection: a
-    # draw just below (above) the reference p0 must read 0 (1) and leave the
-    # reference state
+
+def fuse_error(rng: np.random.Generator) -> float:
+    """Fusion as an index gather against the dense CNOT and Z projection: a
+    draw just below (above) the reference p0 must read 0 (1) and leave the
+    reference state."""
     worst = 0.0
     for k in range(3, 7):
         state = _random_state(rng, k)
@@ -555,26 +558,7 @@ def run_all_checks() -> list[CheckResult]:
                     got, post = dmod.fuse(state, control, target, FixedDraw(p0 + shift))
                     err = dmod.max_abs_diff(ref, post) if got == bit else math.inf
                     worst = max(worst, err)
-    checks.append(_check("fuse_gather_vs_cnot_projection", 1e-12, worst))
-
-    # block-hashed per-shot seeding against a literal SeedSequence
-    mismatches = shot_rng_mismatches(shot_rng_cases(rng))
-    checks.append(_check("shot_rng_vs_seed_sequence", 0, mismatches))
-
-    # the switch's Werner-weight swap against a dense Bell measurement on two
-    # link pairs aged one round at a time: every outcome has probability 1/4
-    # and, once corrected, leaves the Werner pair of the closed-form weight
-    checks.append(_check("werner_swap_vs_dense_bsm", 1e-12, werner_swap_error(rng)))
-
-    # the switch's read-out, which applies pending depolarizing channels in
-    # one pass over the diagonal, against flushing them densely first
-    checks.append(_check("ghz_readout_vs_dense_flush", 1e-12, ghz_readout_error(rng)))
-
-    # the factory kernel, which turns only the successful attempt's uniforms
-    # into rounds, against the loop that turns every attempt's
-    checks.append(_check("factory_kernel_vs_reference", 0, factory_kernel_mismatches()))
-
-    return checks
+    return worst
 
 
 def factory_kernel_mismatches() -> int:
@@ -668,23 +652,51 @@ def _random_state(
     return DensityMatrix(tuple(labels), mat)
 
 
-def report(checks: list[CheckResult], runtime_s: float) -> dict:
-    return {
-        "all_passed": all(c.passed for c in checks),
-        "runtime_s": runtime_s,
-        "checks": [
-            {
-                "name": c.name,
-                "tolerance": c.tolerance,
-                "observed": c.observed,
-                "passed": c.passed,
-            }
-            for c in checks
-        ],
-    }
+VERIFY_SEED = 20240601
+
+# The oracle suite behind the ``verify`` command, as (name, tolerance, check):
+# each check compares an independent reference against the closed form or
+# engine it covers, draws only from the stream it is handed, and returns the
+# observed error, which passes when it is at most the tolerance.
+CHECKS = (
+    ("order_stat_exact_vs_enumeration", 1e-9, order_stat_error),
+    ("n_all_alternating_sum_vs_recursion", 1e-10, n_all_error),
+    ("depolarize_composition", 1e-12, depolarize_composition_error),
+    ("noiseless_teleportation_identity", 1e-12, teleportation_error),
+    ("structured_state_vs_channels", 1e-10, structured_state_error),
+    ("f_rand_vs_dm_fidelity", 1e-12, f_rand_dm_error),
+    ("f_rand_product_vs_subset_sum", 1e-12, f_rand_subset_sum_error),
+    ("coefficient_identity", 1e-10, lambda _rng: max(
+        coefficient_identity_check(n, samples=100, seed=7) for n in range(2, 7)
+    )),
+    ("g_leading_vs_mc_relative", 0.01, g_leading_error),
+    ("g_lower_bound_below_mc", 3.0, g_lower_bound_z),
+    ("dm_replay_vs_fast_kernel", 1e-10, dm_replay_error),
+    ("fidelity_recursion_vs_subset_sum", 1e-12, fidelity_recursion_error),
+    ("fuse_gather_vs_cnot_projection", 1e-12, fuse_error),
+    ("shot_rng_vs_seed_sequence", 0.0,
+     lambda rng: shot_rng_mismatches(shot_rng_cases(rng))),
+    ("werner_swap_vs_dense_bsm", 1e-12, werner_swap_error),
+    ("ghz_readout_vs_dense_flush", 1e-12, ghz_readout_error),
+    ("factory_kernel_vs_reference", 0.0, lambda _rng: factory_kernel_mismatches()),
+)
 
 
 def run_verification() -> dict:
+    """Run every entry of ``CHECKS`` on a stream of its own, seeded by
+    ``VERIFY_SEED`` and the CRC-32 of the check's name, so no check's draws
+    depend on which checks run before it."""
     start = time.perf_counter()
-    checks = run_all_checks()
-    return report(checks, time.perf_counter() - start)
+    checks = []
+    for name, tolerance, check in CHECKS:
+        rng = np.random.default_rng((VERIFY_SEED, zlib.crc32(name.encode())))
+        observed = float(check(rng))
+        checks.append(
+            {"name": name, "tolerance": tolerance, "observed": observed,
+             "passed": observed <= tolerance}
+        )
+    return {
+        "all_passed": all(c["passed"] for c in checks),
+        "runtime_s": time.perf_counter() - start,
+        "checks": checks,
+    }

@@ -158,24 +158,10 @@ def _create_pair(state: NetworkState, params: SimParams, conn: int, slot: int) -
     state.links[conn] = Link(Qubit(conn, slot), params.p_link, state.round)
 
 
-def advance_round(
-    state: NetworkState, params: SimParams, rng: np.random.Generator
-) -> list[tuple]:
-    """One time step: stored qubits age by one round, then every connection
-    with a free switch slot and a free end-node slot attempts a Bell pair."""
-    state.round += 1
-    events: list[tuple] = []
-    for conn, slot in _eligible_connections(state, params.n_end_nodes):
-        if rng.random() < params.q_link:
-            _create_pair(state, params, conn, slot)
-            events.append(("link", conn))
-    return events
-
-
 def advance_to_link_event(
     state: NetworkState, params: SimParams, rng: np.random.Generator
 ) -> list[tuple]:
-    """Fast-forward: repeat advance_round until at least one pair is created.
+    """Fast-forward: ``oracles.advance_round`` repeated until a pair is created.
 
     Equivalent in distribution to the per-round loop by memorylessness: each
     eligible connection draws its geometric time to success, the clock jumps

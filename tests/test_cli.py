@@ -80,6 +80,21 @@ class TestSimulate:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "n_end_nodes" in err[0] and "11" in err[0]
 
+    def test_fidelity_node_cap_fires_before_the_exact_rate(self, capsys, monkeypatch):
+        # the exact rate costs O(N^2), seconds at N = 4000, and its value
+        # would be thrown away once the closed-form fidelity rejects N
+        def refuse(*args):
+            raise AssertionError("rate_exact evaluated")
+
+        monkeypatch.setattr("ghzdist.analytics.rate_exact", refuse)
+        code = main(
+            ["simulate", "--protocol", "factory", "--set", "n_end_nodes=4000",
+             "--set", "q_link=0.5", "--set", "shots=2"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "n_end_nodes" in err[0]
+
     @pytest.mark.parametrize("protocol", ["factory", "switch"])
     def test_single_shot_is_one_error_line(self, capsys, protocol):
         code = main(

@@ -1,17 +1,24 @@
 """Brute-force references and the verification runner."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
 from ghzdist import (
+    analytics as analytics_module,
     dm as dm_module,
     factory as factory_module,
+    oracles as oracles_module,
     params as params_module,
     switch as switch_module,
 )
 from ghzdist.analytics import GSpec, expected_order_stat, g_value
 from ghzdist.factory import fidelity_from_deltas, run_shot_fast
 from ghzdist.oracles import (
+    CHECKS,
+    coefficient_identity_check,
     enumerate_waiting_times,
     factory_kernel_mismatches,
     ghz_readout_error,
@@ -168,35 +175,14 @@ class TestReplay:
             assert abs(replay_factory_dm(params, rec.rounds) - rec.fidelity) < 1e-10
 
 
-class TestVerificationRunner:
-    def test_fresh_build_passes(self):
-        rep = run_verification()
-        failed = [c["name"] for c in rep["checks"] if not c["passed"]]
-        assert rep["all_passed"], f"failing checks: {failed}"
-        assert rep["runtime_s"] > 0.0
-        assert rep["checks"][-1]["name"] == "factory_kernel_vs_reference"
-
-    def test_negative_control_trips_identity_check(self, skewed_b0):
-        rep = run_verification()
-        assert not rep["all_passed"]
-        bad = {c["name"]: c["passed"] for c in rep["checks"]}
-        assert not bad["coefficient_identity"]
-
-
 class TestFactoryKernelCheck:
     def test_kernel_matches_reference(self):
         assert factory_kernel_mismatches() == 0
 
     def test_off_by_one_longest_wait_trips_check(self, monkeypatch):
-        # a failed attempt that adds one round too many to the duration
-        longest = params_module.longest_geometric_round
-        monkeypatch.setattr(
-            factory_module, "longest_geometric_round", lambda u, log_miss: longest(u, log_miss) + 1
-        )
+        fault, _ = FAULTS["factory_kernel_vs_reference"]
+        fault(monkeypatch)
         assert factory_kernel_mismatches() > 0
-        rep = run_verification()
-        failed = [c["name"] for c in rep["checks"] if not c["passed"]]
-        assert failed == ["factory_kernel_vs_reference"]
 
 
 class TestShotRngCheck:
@@ -221,9 +207,6 @@ class TestShotRngCheck:
         try:
             cases = shot_rng_cases(np.random.default_rng(1))
             assert shot_rng_mismatches(cases) == len(cases)
-            rep = run_verification()
-            failed = [c["name"] for c in rep["checks"] if not c["passed"]]
-            assert failed == ["shot_rng_vs_seed_sequence"]
         finally:
             params_module._seed_block.cache_clear()
 
@@ -254,9 +237,6 @@ class TestWernerSwapCheck:
     def test_wrong_closed_form_trips_check(self, monkeypatch, wrong):
         monkeypatch.setattr(switch_module, "swapped_weight", wrong)
         assert werner_swap_error(np.random.default_rng(5)) > 1e-3
-        rep = run_verification()
-        failed = [c["name"] for c in rep["checks"] if not c["passed"]]
-        assert failed == ["werner_swap_vs_dense_bsm"]
 
 
 def _wrong_readout(swap_signs=False, drop_corner_factor=False, drop_flipped_term=False):
@@ -299,6 +279,226 @@ class TestGhzReadoutCheck:
     def test_wrong_readout_trips_check(self, monkeypatch, wrong):
         monkeypatch.setattr(dm_module, "fidelity_to_ghz", _wrong_readout(**wrong))
         assert ghz_readout_error(np.random.default_rng(5)) > 1e-3
+
+
+# the exact functions that the faults below wrap
+_EXACT_B = analytics_module.subset_coefficient_b
+_EXACT_CLOSED_FORM = analytics_module.fidelity_closed_form
+_EXACT_DEPOLARIZE_ONE = dm_module._depolarize_one
+_EXACT_F_RAND = analytics_module.f_rand
+_EXACT_FUSION_INDICES = dm_module._fusion_indices
+_EXACT_LONGEST = params_module.longest_geometric_round
+_EXACT_ORDER_STAT = analytics_module.expected_order_stat
+_EXACT_PAULI_CORRECT = dm_module.pauli_correct
+_EXACT_RANK_FACTOR = analytics_module._rank_factor
+_EXACT_STRUCTURED_STATE = dm_module.structured_state
+
+
+def _patch(*patches):
+    """A fault that sets each (module, name, value) for one test."""
+
+    def fault(monkeypatch):
+        for module, name, value in patches:
+            monkeypatch.setattr(module, name, value)
+
+    return fault
+
+
+def _order_stat_shifted(when):
+    """expected_order_stat off by 1e-6 at the (i, n) where ``when`` holds."""
+    return lambda i, n, q, mode="exact": _EXACT_ORDER_STAT(i, n, q, mode) + 1e-6 * when(i, n)
+
+
+def _f_rand_fault(mixed, core):
+    """A fault in f_rand, in analytics and as the factory imported it: 1e-6
+    added to its maximally mixed part (weight 1 - p_ghz) or GHZ part (p_ghz)."""
+
+    def f_rand(p_ghz, p):
+        return _EXACT_F_RAND(p_ghz, p) + 1e-6 * (mixed * (1.0 - p_ghz) + core * p_ghz)
+
+    return _patch((analytics_module, "f_rand", f_rand), (factory_module, "f_rand", f_rand))
+
+
+def _rank_factor_doubled_rates(n, k, q_link, rate_sum, survive, mode):
+    if mode == "leading":
+        rate_sum *= 2.0
+    return _EXACT_RANK_FACTOR(n, k, q_link, rate_sum, survive, mode)
+
+
+def _rank_factor_without_miss(n, k, q_link, rate_sum, survive, mode):
+    # the lower bound's (1 - q)^(N - k) factor dropped
+    value = _EXACT_RANK_FACTOR(n, k, q_link, rate_sum, survive, mode)
+    if mode == "lower_bound":
+        value /= analytics_module._one_minus_q_pow(q_link, n - k)
+    return value
+
+
+def _structured_state_corner_shifted(p_ghz, p, labels=None):
+    state = _EXACT_STRUCTURED_STATE(p_ghz, p, labels)
+    state.mat[0, -1] += 1e-6
+    state.mat[-1, 0] += 1e-6
+    return state
+
+
+def _fidelity_with_single_memory_decay(params, delta_n):
+    # each waiting qubit ages by p_mem per round instead of p_mem^2
+    base = params.p_link * params.p_bsm**2
+    return analytics_module.f_rand(params.p_ghz, [base * params.p_mem**d for d in delta_n])
+
+
+def _closed_form_shifted(params, mode="leading"):
+    exact = _EXACT_CLOSED_FORM(params, mode)
+    return dataclasses.replace(exact, value=exact.value + 1e-9)
+
+
+def _hash_bit_flipped(monkeypatch):
+    """shot_rng with one bit of a hash constant flipped, on a block cache of
+    its own, so the real cache never holds a mutated block."""
+    mutated = params_module._HASH_A.copy()
+    mutated[5] ^= 1
+    monkeypatch.setattr(params_module, "_HASH_A", mutated)
+    fresh = functools.lru_cache(maxsize=4)(params_module._seed_block.__wrapped__)
+    monkeypatch.setattr(params_module, "_seed_block", fresh)
+
+
+# check name -> (a fault, every check that fault fails).  A fault in code
+# that several checks share fails each of them.
+FAULTS = {
+    "order_stat_exact_vs_enumeration": (
+        _patch((analytics_module, "expected_order_stat",
+                _order_stat_shifted(lambda i, n: i < n))),
+        {"order_stat_exact_vs_enumeration"},
+    ),
+    # the maximum of more links than the enumeration covers
+    "n_all_alternating_sum_vs_recursion": (
+        _patch((analytics_module, "expected_order_stat",
+                _order_stat_shifted(lambda i, n: i == n > 4))),
+        {"n_all_alternating_sum_vs_recursion"},
+    ),
+    # a single-qubit channel whose parameters do not multiply
+    "depolarize_composition": (
+        _patch((dm_module, "_depolarize_one",
+                lambda dm, pos, p: _EXACT_DEPOLARIZE_ONE(dm, pos, p + 0.01 * p * (1.0 - p)))),
+        {"depolarize_composition", "structured_state_vs_channels",
+         "dm_replay_vs_fast_kernel", "werner_swap_vs_dense_bsm",
+         "ghz_readout_vs_dense_flush"},
+    ),
+    # X corrected for the Z bit and Z for the X bit
+    "noiseless_teleportation_identity": (
+        _patch((dm_module, "pauli_correct", lambda dm, q, outcome: _EXACT_PAULI_CORRECT(
+            dm, q, dm_module.BsmOutcome(outcome.bits[::-1], True)))),
+        {"noiseless_teleportation_identity", "werner_swap_vs_dense_bsm"},
+    ),
+    "structured_state_vs_channels": (
+        _patch((dm_module, "structured_state", _structured_state_corner_shifted)),
+        {"structured_state_vs_channels", "f_rand_vs_dm_fidelity"},
+    ),
+    "f_rand_vs_dm_fidelity": (
+        _f_rand_fault(mixed=1, core=0),
+        {"f_rand_vs_dm_fidelity", "dm_replay_vs_fast_kernel"},
+    ),
+    "f_rand_product_vs_subset_sum": (
+        _f_rand_fault(mixed=0, core=1),
+        {"f_rand_product_vs_subset_sum", "f_rand_vs_dm_fidelity",
+         "dm_replay_vs_fast_kernel"},
+    ),
+    "coefficient_identity": (
+        _patch((analytics_module, "subset_coefficient_b",
+                lambda u_size, n: _EXACT_B(u_size, n) + (1e-6 if u_size == 0 else 0.0))),
+        {"coefficient_identity"},
+    ),
+    "g_leading_vs_mc_relative": (
+        _patch((analytics_module, "_rank_factor", _rank_factor_doubled_rates)),
+        {"g_leading_vs_mc_relative"},
+    ),
+    "g_lower_bound_below_mc": (
+        _patch((analytics_module, "_rank_factor", _rank_factor_without_miss)),
+        {"g_lower_bound_below_mc"},
+    ),
+    # the fast kernel, as the factory and the oracles imported it
+    "dm_replay_vs_fast_kernel": (
+        _patch((factory_module, "fidelity_from_deltas", _fidelity_with_single_memory_decay),
+               (oracles_module, "fidelity_from_deltas", _fidelity_with_single_memory_decay)),
+        {"dm_replay_vs_fast_kernel"},
+    ),
+    "fidelity_recursion_vs_subset_sum": (
+        _patch((analytics_module, "fidelity_closed_form", _closed_form_shifted)),
+        {"fidelity_recursion_vs_subset_sum"},
+    ),
+    # control and target swapped in the gather
+    "fuse_gather_vs_cnot_projection": (
+        _patch((dm_module, "_fusion_indices",
+                lambda k, c, t, bit: _EXACT_FUSION_INDICES(k, t, c, bit))),
+        {"fuse_gather_vs_cnot_projection"},
+    ),
+    "shot_rng_vs_seed_sequence": (_hash_bit_flipped, {"shot_rng_vs_seed_sequence"}),
+    "werner_swap_vs_dense_bsm": (
+        _patch((switch_module, "swapped_weight", _weight_dropping_p_bsm)),
+        {"werner_swap_vs_dense_bsm"},
+    ),
+    "ghz_readout_vs_dense_flush": (
+        _patch((dm_module, "fidelity_to_ghz", _wrong_readout(swap_signs=True))),
+        {"ghz_readout_vs_dense_flush"},
+    ),
+    # a failed attempt that adds one round too many to the duration
+    "factory_kernel_vs_reference": (
+        _patch((factory_module, "longest_geometric_round",
+                lambda u, log_miss: _EXACT_LONGEST(u, log_miss) + 1)),
+        {"factory_kernel_vs_reference"},
+    ),
+}
+
+
+def _observed() -> dict:
+    return {c["name"]: c["observed"] for c in run_verification()["checks"]}
+
+
+class TestVerificationRunner:
+    def test_fresh_build_passes(self):
         rep = run_verification()
         failed = [c["name"] for c in rep["checks"] if not c["passed"]]
-        assert failed == ["ghz_readout_vs_dense_flush"]
+        assert rep["all_passed"], f"failing checks: {failed}"
+        assert rep["runtime_s"] > 0.0
+        assert [c["name"] for c in rep["checks"]] == [
+            "order_stat_exact_vs_enumeration",
+            "n_all_alternating_sum_vs_recursion",
+            "depolarize_composition",
+            "noiseless_teleportation_identity",
+            "structured_state_vs_channels",
+            "f_rand_vs_dm_fidelity",
+            "f_rand_product_vs_subset_sum",
+            "coefficient_identity",
+            "g_leading_vs_mc_relative",
+            "g_lower_bound_below_mc",
+            "dm_replay_vs_fast_kernel",
+            "fidelity_recursion_vs_subset_sum",
+            "fuse_gather_vs_cnot_projection",
+            "shot_rng_vs_seed_sequence",
+            "werner_swap_vs_dense_bsm",
+            "ghz_readout_vs_dense_flush",
+            "factory_kernel_vs_reference",
+        ]
+
+    def test_negative_control_trips_identity_check(self, skewed_b0):
+        assert max(coefficient_identity_check(n) for n in range(2, 7)) > 1e-10
+
+    def test_every_check_has_a_fault(self):
+        assert set(FAULTS) == {name for name, *_ in CHECKS}
+
+    @pytest.mark.parametrize("name", list(FAULTS))
+    def test_fault_fails_exactly_its_checks(self, monkeypatch, name):
+        fault, failed = FAULTS[name]
+        assert name in failed
+        fault(monkeypatch)
+        rep = run_verification()
+        assert {c["name"] for c in rep["checks"] if not c["passed"]} == failed
+
+    def test_checks_are_order_independent(self, monkeypatch):
+        # each check draws from a stream of its own, so reordering the table
+        # or dropping an entry leaves every other observed value as it was
+        observed = _observed()
+        monkeypatch.setattr(oracles_module, "CHECKS", CHECKS[::-1])
+        assert _observed() == observed
+        for i, (dropped, *_) in enumerate(CHECKS):
+            monkeypatch.setattr(oracles_module, "CHECKS", CHECKS[:i] + CHECKS[i + 1:])
+            assert _observed() == {k: v for k, v in observed.items() if k != dropped}

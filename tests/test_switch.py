@@ -7,6 +7,7 @@ import pytest
 
 from ghzdist import dm as dmod, switch as switch_module
 from ghzdist.dm import Qubit
+from ghzdist.oracles import advance_round
 from ghzdist.params import TAG_SWITCH, SimParams, shot_rng
 from ghzdist.switch import (
     NODE_MEMORY_SLOTS,
@@ -15,7 +16,6 @@ from ghzdist.switch import (
     Link,
     NetworkState,
     ProtocolInvariantError,
-    advance_round,
     advance_to_link_event,
     do_fusions,
     do_switch_bsms,

@@ -236,7 +236,6 @@ class FidelityBreakdown:
 
     value: float
     contributions: dict[int, float]
-    mode: str
 
 
 def fidelity_closed_form(params: SimParams, mode: str = "leading") -> FidelityBreakdown:
@@ -268,4 +267,4 @@ def fidelity_closed_form(params: SimParams, mode: str = "leading") -> FidelityBr
         for u, s in enumerate(sums)
     }
     value = (1.0 - params.p_ghz) / 2.0**n + params.p_ghz * sum(contributions.values())
-    return FidelityBreakdown(value, contributions, mode)
+    return FidelityBreakdown(value, contributions)

@@ -46,13 +46,6 @@ class RegisterError(ValueError):
     """Label collision, unknown label, or register overflow."""
 
 
-class BsmOutcome(NamedTuple):
-    """Result of a Bell-state measurement; ``bits`` is meaningful only on success."""
-
-    bits: tuple[int, int]
-    succeeded: bool
-
-
 def _make_bell_vector(i: int, j: int) -> np.ndarray:
     v = np.zeros(4, dtype=complex)
     v[0b00 | i] = 1.0
@@ -252,10 +245,6 @@ def depolarize(
     m = len(targets)
     if m == 1:
         return _depolarize_one(dm, positions[0], p)
-    if m == dm.num_qubits:
-        dim = 2**m
-        mixed = np.eye(dim) * (dm.trace() / dim)
-        return DensityMatrix(dm.labels, p * dm.mat + (1.0 - p) * mixed)
     rest = partial_trace(dm, targets)
     mixed = DensityMatrix(targets, np.eye(2**m) / 2**m)
     rebuilt = permute(tensor(rest, mixed), dm.labels)
@@ -270,6 +259,8 @@ def _project_vector(
     Returns the (unnormalized) reduced matrix on the remaining qubits and its
     trace, which is the outcome probability.
     """
+    if len(set(targets)) != len(targets):
+        raise RegisterError(f"projection needs distinct qubits: {targets}")
     k = dm.num_qubits
     m = len(targets)
     positions = [dm.pos(q) for q in targets]
@@ -290,8 +281,6 @@ def project_bell(
 
     Returns the outcome probability and the normalized post-measurement state.
     """
-    if q_a == q_b:
-        raise RegisterError("Bell projection needs two distinct qubits")
     prob, reduced = _project_vector(dm, (q_a, q_b), bell_vector(*bits))
     if prob <= 0.0:
         raise ArithmeticError(f"Bell outcome {bits} has probability {prob}")
@@ -299,46 +288,20 @@ def project_bell(
     return prob, DensityMatrix(kept, reduced / prob)
 
 
-def bell_probabilities(dm: DensityMatrix, q_a: Qubit, q_b: Qubit) -> np.ndarray:
-    """Born probabilities of the four Bell outcomes on (q_a, q_b)."""
-    red = partial_trace(dm, tuple(q for q in dm.labels if q not in (q_a, q_b)))
-    red = permute(red, (q_a, q_b))
-    probs = np.empty(4)
-    for i in (0, 1):
-        for j in (0, 1):
-            v = bell_vector(i, j)
-            probs[2 * i + j] = float((v.conj() @ red.mat @ v).real)
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if total <= 0.0:
-        raise ArithmeticError("all Bell outcomes have probability 0")
-    return probs / total
-
-
 def bsm(
-    dm: DensityMatrix,
-    q_a: Qubit,
-    q_b: Qubit,
-    q_bsm: float,
-    rng: np.random.Generator,
-) -> tuple[BsmOutcome, DensityMatrix]:
-    """Probabilistic Bell-state measurement of (q_a, q_b).
-
-    With probability 1 - q_bsm a fail flag is raised and the state is returned
-    unchanged (resets are the caller's business).  Otherwise one of the four
-    Bell outcomes is sampled by the Born rule and the measured pair leaves the
-    register.  The measurement itself is noiseless; depolarizing the inputs is
-    up to the caller.
-    """
-    if q_bsm < 1.0 and rng.random() >= q_bsm:
-        return BsmOutcome((0, 0), False), dm
-    probs = bell_probabilities(dm, q_a, q_b)
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    idx = min(idx, 3)
+    dm: DensityMatrix, q_a: Qubit, q_b: Qubit, u: float
+) -> tuple[tuple[int, int], DensityMatrix]:
+    """Bell-state measurement of (q_a, q_b), Born-sampled from the uniform
+    ``u``: the first outcome (i, j) in the order 00, 01, 10, 11 whose
+    cumulative probability exceeds u.  The pair leaves the register.  It never
+    fails and is noiseless; success rules and input noise are the caller's."""
+    probs = np.array([_project_vector(dm, (q_a, q_b), bell_vector(i, j))[0]
+                      for i in (0, 1) for j in (0, 1)]).clip(0.0, None)
+    if probs.sum() <= 0.0:
+        raise ArithmeticError("all Bell outcomes have probability 0")
+    idx = min(int(np.searchsorted(np.cumsum(probs / probs.sum()), u, side="right")), 3)
     bits = (idx >> 1, idx & 1)
-    _, post = project_bell(dm, q_a, q_b, bits)
-    return BsmOutcome(bits, True), post
+    return bits, project_bell(dm, q_a, q_b, bits)[1]
 
 
 def apply_pauli_x(dm: DensityMatrix, *qubits: Qubit) -> DensityMatrix:
@@ -364,13 +327,10 @@ def apply_pauli_z(dm: DensityMatrix, q: Qubit) -> DensityMatrix:
     return DensityMatrix(dm.labels, out.reshape(2**k, 2**k))
 
 
-def pauli_correct(
-    dm: DensityMatrix, q: Qubit, outcome: BsmOutcome
-) -> DensityMatrix:
-    """Undo the teleportation byproduct of ``outcome`` by Z^j X^i on q."""
-    if not outcome.succeeded:
-        raise ValueError("cannot correct a failed BSM outcome")
-    i, j = outcome.bits
+def pauli_correct(dm: DensityMatrix, q: Qubit, bits: tuple[int, int]) -> DensityMatrix:
+    """Undo the teleportation byproduct of Bell outcome ``bits`` = (i, j) by
+    Z^j X^i on q."""
+    i, j = bits
     if i:
         dm = apply_pauli_x(dm, q)
     if j:
@@ -410,9 +370,10 @@ def _fusion_indices(k: int, c: int, t: int, bit: int) -> np.ndarray:
 
 
 def fuse(
-    dm: DensityMatrix, control: Qubit, target: Qubit, rng: np.random.Generator
+    dm: DensityMatrix, control: Qubit, target: Qubit, u: float
 ) -> tuple[int, DensityMatrix]:
-    """CNOT(control -> target) followed by a Z measurement of the target.
+    """CNOT(control -> target) followed by a Z measurement of the target,
+    which reads 0 iff the uniform ``u`` is below its probability p0.
 
     The target leaves the register and the state is renormalized.  The
     outcome-dependent Pauli corrections of the fusion protocol are up to the
@@ -424,7 +385,7 @@ def fuse(
     k, c, t = dm.num_qubits, dm.pos(control), dm.pos(target)
     diag = dm.mat.diagonal().real
     p0 = min(max(float(diag[_fusion_indices(k, c, t, 0)].sum()), 0.0), 1.0)
-    bit = 0 if rng.random() < p0 else 1
+    bit = 0 if u < p0 else 1
     idx = _fusion_indices(k, c, t, bit)
     post = dm.mat.take(idx, axis=0).take(idx, axis=1)
     prob = float(np.trace(post).real)

@@ -40,8 +40,6 @@ class ShotRecord(NamedTuple):
 
     teleport_attempts: int
     rounds: tuple[int, ...]
-    n_all: int
-    delta_n: tuple[int, ...]
     duration_rounds: int
     fidelity: float
 
@@ -88,14 +86,11 @@ def run_shot_fast(params: SimParams, rng: np.random.Generator) -> ShotRecord:
         u = rng.random(n + 1).tolist()
     rounds = geometric_rounds(u, log_miss)
     n_all = max(rounds)
-    delta = tuple([n_all - r for r in rounds])
     return ShotRecord(
         attempts,
         tuple(rounds),
-        n_all,
-        delta,
         duration + n_all,
-        fidelity_from_deltas(params, delta),
+        fidelity_from_deltas(params, [n_all - r for r in rounds]),
     )
 
 

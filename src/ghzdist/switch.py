@@ -256,7 +256,7 @@ def do_fusions(
         comp_a.flush_memory([q_a], state.round, params.p_mem)
         comp_b.flush_memory([q_b], state.round, params.p_mem)
         joint = dmod.tensor(comp_a.dm, comp_b.dm)
-        bit, post = dmod.fuse(joint, q_a, q_b, rng)
+        bit, post = dmod.fuse(joint, q_a, q_b, rng.random())
         if bit == 1:
             # classical broadcast of the outcome: flip the detached branch
             post = dmod.apply_pauli_x(post, *(q for q in comp_b.qubits if q != q_b))

@@ -184,7 +184,8 @@ def test_criterion_4_dm_equivalence():
 
 def test_criterion_5_coefficient_identity():
     worst = max(
-        coefficient_identity_check(n, samples=100, seed=501) for n in range(2, 7)
+        coefficient_identity_check(n, np.random.default_rng(501), samples=100)
+        for n in range(2, 7)
     )
     report(
         "5 (coefficient identity)",

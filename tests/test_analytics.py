@@ -240,7 +240,7 @@ class TestFRand:
 class TestCoefficientIdentity:
     def test_identity_holds(self):
         for n in range(2, 7):
-            assert coefficient_identity_check(n, samples=100, seed=3) < 1e-10
+            assert coefficient_identity_check(n, np.random.default_rng(3), samples=100) < 1e-10
 
     def test_edge_vectors(self):
         # all-one vector: perfect state, both sides 1; all-zero: 1/2^n
@@ -249,7 +249,7 @@ class TestCoefficientIdentity:
         assert f_rand(1.0, [0.0] * 3) == pytest.approx(1 / 8, abs=1e-14)
 
     def test_perturbation_detected(self, skewed_b0):
-        assert coefficient_identity_check(4, samples=10, seed=3) > 1e-7
+        assert coefficient_identity_check(4, np.random.default_rng(3), samples=10) > 1e-7
 
 
 class TestFidelityClosedForm:

@@ -5,12 +5,10 @@ import pytest
 
 from ghzdist import dm as dmod
 from ghzdist.dm import (
-    BsmOutcome,
     DensityMatrix,
     Qubit,
     RegisterError,
     apply_unitary,
-    bell_probabilities,
     bsm,
     depolarize,
     fidelity_to_ghz,
@@ -25,7 +23,7 @@ from ghzdist.dm import (
     structured_state,
     tensor,
 )
-from ghzdist.oracles import FixedDraw, fuse_by_cnot
+from ghzdist.oracles import fuse_by_cnot
 
 
 def random_state(rng, k, labels=None):
@@ -122,11 +120,11 @@ class TestDepolarize:
             state.validate()
             state = apply_unitary(state, (qs[1], qs[2]), dmod.CNOT)
             state.validate()
-            state = pauli_correct(state, qs[3], BsmOutcome((1, 1), True))
+            state = pauli_correct(state, qs[3], (1, 1))
             state.validate()
             _, state = project_bell(state, qs[0], qs[1], (0, 1))
             state.validate()
-            bit, state = fuse(tensor(state, make_bell(Qubit(90, 0), Qubit(91, 0))), qs[2], Qubit(90, 0), rng)
+            bit, state = fuse(tensor(state, make_bell(Qubit(90, 0), Qubit(91, 0))), qs[2], Qubit(90, 0), rng.random())
             state.validate()
 
 
@@ -139,7 +137,7 @@ class TestMeasurements:
             joint = tensor(payload, make_bell(mid, dst))
             for bits in [(0, 0), (0, 1), (1, 0), (1, 1)]:
                 prob, post = project_bell(joint, src, mid, bits)
-                fixed = pauli_correct(post, dst, BsmOutcome(bits, True))
+                fixed = pauli_correct(post, dst, bits)
                 assert prob == pytest.approx(0.25, abs=1e-12)
                 assert np.max(np.abs(fixed.mat - payload.mat)) < 1e-12
 
@@ -149,7 +147,7 @@ class TestMeasurements:
         joint = tensor(zero, make_bell(mid, dst))
         for bits in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             _, post = project_bell(joint, src, mid, bits)
-            fixed = pauli_correct(post, dst, BsmOutcome(bits, True))
+            fixed = pauli_correct(post, dst, bits)
             assert fixed.mat[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
     def test_bsm_uniform_outcomes_on_depolarized_pair(self):
@@ -157,29 +155,31 @@ class TestMeasurements:
         pair = depolarize(make_bell(Qubit(0, 1), Qubit(1, 0)), (Qubit(0, 1),), 0.7)
         payload = depolarize(make_bell(Qubit(0, 0), Qubit(2, 0)), (Qubit(2, 0),), 0.9)
         joint = tensor(payload, pair)
-        probs = bell_probabilities(joint, Qubit(0, 0), Qubit(0, 1))
-        np.testing.assert_allclose(probs, 0.25, atol=1e-12)
+        outcomes = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for k, bits in enumerate(outcomes):
+            prob, ref = project_bell(joint, Qubit(0, 0), Qubit(0, 1), bits)
+            assert prob == pytest.approx(0.25, abs=1e-12)
+            # a uniform inside the k-th quarter samples the k-th outcome
+            got, post = bsm(joint, Qubit(0, 0), Qubit(0, 1), 0.25 * k + 0.125)
+            assert got == bits
+            assert post.labels == ref.labels
+            assert np.array_equal(post.mat, ref.mat)
 
-    def test_bsm_never_succeeds_at_zero(self):
-        rng = np.random.default_rng(3)
-        joint = tensor(make_bell(Qubit(0, 0), Qubit(1, 0)), make_bell(Qubit(0, 1), Qubit(2, 0)))
-        for _ in range(10_000):
-            outcome, post = bsm(joint, Qubit(0, 0), Qubit(0, 1), 0.0, rng)
-            assert not outcome.succeeded
-            assert post is joint
-
-    def test_correct_failed_outcome_rejected(self):
-        with pytest.raises(ValueError):
-            pauli_correct(make_bell(), Qubit(0, 0), BsmOutcome((0, 0), False))
+    def test_bsm_of_no_outcome_rejected(self):
+        zero = DensityMatrix((Qubit(0, 0), Qubit(0, 1)), np.zeros((4, 4)))
+        with pytest.raises(ArithmeticError):
+            bsm(zero, Qubit(0, 0), Qubit(0, 1), 0.5)
+        with pytest.raises(RegisterError):
+            bsm(make_bell(), Qubit(0, 0), Qubit(0, 0), 0.5)
 
     def test_identity_outcome_is_noop(self):
         bell = make_bell()
-        out = pauli_correct(bell, Qubit(0, 0), BsmOutcome((0, 0), True))
+        out = pauli_correct(bell, Qubit(0, 0), (0, 0))
         np.testing.assert_array_equal(out.mat, bell.mat)
 
     def test_x_correction_flips_zero(self):
         state = DensityMatrix((Qubit(1, 0),), np.diag([1.0, 0.0]).astype(complex))
-        out = pauli_correct(state, Qubit(1, 0), BsmOutcome((1, 0), True))
+        out = pauli_correct(state, Qubit(1, 0), (1, 0))
         np.testing.assert_allclose(out.mat, np.diag([0.0, 1.0]), atol=1e-15)
 
 
@@ -205,7 +205,7 @@ class TestFusion:
         rng = np.random.default_rng(4)
         a1, a2, b, c = Qubit(1, 0), Qubit(1, 1), Qubit(2, 0), Qubit(3, 0)
         joint = tensor(make_bell(a1, b), make_bell(a2, c))
-        bit, post = fuse(joint, a1, a2, rng)
+        bit, post = fuse(joint, a1, a2, rng.random())
         if bit == 1:
             post = dmod.apply_pauli_x(post, c)
         assert fidelity_to_ghz(post) == pytest.approx(1.0, abs=1e-12)
@@ -215,7 +215,7 @@ class TestFusion:
         ghz = make_ghz(3, nodes)
         extra = make_bell(Qubit(3, 1), Qubit(4, 0))
         joint = tensor(ghz, extra)
-        bit, post = fuse(joint, Qubit(3, 0), Qubit(3, 1), np.random.default_rng(5))
+        bit, post = fuse(joint, Qubit(3, 0), Qubit(3, 1), np.random.default_rng(5).random())
         if bit == 1:
             post = dmod.apply_pauli_x(post, Qubit(4, 0))
         assert post.num_qubits == 4
@@ -233,7 +233,7 @@ class TestFusion:
                     continue
                 for bit, shift in ((0, -1e-12), (1, 1e-12)):
                     p0, ref = fuse_by_cnot(state, control, target, bit)
-                    got, post = fuse(state, control, target, FixedDraw(p0 + shift))
+                    got, post = fuse(state, control, target, p0 + shift)
                     assert got == bit
                     assert post.labels == ref.labels
                     assert np.max(np.abs(post.mat - ref.mat)) <= 1e-12
@@ -340,8 +340,8 @@ class TestRealRegisters:
         rng = np.random.default_rng(31)
         state = real_state(rng, 5)
         c, t = state.labels[1], state.labels[3]
-        bit, real = fuse(state, c, t, FixedDraw(u))
-        cbit, cplx = fuse(as_complex(state), c, t, FixedDraw(u))
+        bit, real = fuse(state, c, t, u)
+        cbit, cplx = fuse(as_complex(state), c, t, u)
         assert bit == cbit
         self.assert_real_and_equal(real, cplx)
 

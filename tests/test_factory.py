@@ -34,8 +34,7 @@ class TestRunShotFast:
         rec = run_shot_fast(params, shot_rng(0, 0, TAG_FACTORY))
         assert rec.duration_rounds == 1
         assert rec.teleport_attempts == 1
-        assert rec.n_all == 1
-        assert rec.delta_n == (0,) * 5
+        assert rec.rounds == (1,) * 5
 
     def test_noiseless_fidelity_is_one(self):
         params = make_params(q_link=0.2, q_bsm=0.8)
@@ -47,7 +46,7 @@ class TestRunShotFast:
         for p_mem in (0.2, 0.7, 1.0):
             params = make_params(q_link=1.0, q_bsm=1.0, p_mem=p_mem, p_link=0.9)
             rec = run_shot_fast(params, shot_rng(9, 0, TAG_FACTORY))
-            assert rec.delta_n == (0,) * 5
+            assert rec.rounds == (1,) * 5
             assert rec.fidelity == pytest.approx(
                 fidelity_from_deltas(params, (0,) * 5), abs=1e-14
             )
@@ -56,10 +55,12 @@ class TestRunShotFast:
         params = make_params(q_link=0.05)
         for s in range(100):
             rec = run_shot_fast(params, shot_rng(7, s, TAG_FACTORY))
-            assert rec.n_all == max(rec.rounds)
-            assert rec.delta_n == tuple(rec.n_all - r for r in rec.rounds)
-            assert all(d >= 0 for d in rec.delta_n)
-            assert rec.duration_rounds >= rec.n_all
+            n_all = max(rec.rounds)
+            assert all(r >= 1 for r in rec.rounds)
+            assert rec.duration_rounds >= n_all
+            assert rec.fidelity == fidelity_from_deltas(
+                params, [n_all - r for r in rec.rounds]
+            )
             assert 2.0**-5 - 1e-12 <= rec.fidelity <= 1.0
 
     def test_deterministic_given_seed(self):

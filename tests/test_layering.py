@@ -87,3 +87,20 @@ def test_every_module_level_definition_is_referenced():
         )
     ]
     assert dead == []
+
+
+def test_dm_draws_nothing():
+    # the dense kernels take the uniforms they need; every draw is the caller's
+    tree = ast.parse((PACKAGE / "dm.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.arg == "rng":
+            found.append(f"parameter rng (line {node.lineno})")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in ("random", "integers"):
+                found.append(f".{node.func.attr}( call (line {node.lineno})")
+        if isinstance(node, ast.Attribute) and node.attr == "random":
+            if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                found.append(f"numpy.random reference (line {node.lineno})")
+    assert under(imported_names("dm"), "numpy.random") == set()
+    assert found == []

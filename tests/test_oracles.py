@@ -333,6 +333,12 @@ def _rank_factor_without_miss(n, k, q_link, rate_sum, survive, mode):
     return value
 
 
+def _rank_factor_lower_bound_low(n, k, q_link, rate_sum, survive, mode):
+    # every rank's lower-bound factor 1 % low: a bound still below G, but loose
+    value = _EXACT_RANK_FACTOR(n, k, q_link, rate_sum, survive, mode)
+    return 0.99 * value if mode == "lower_bound" else value
+
+
 def _structured_state_corner_shifted(p_ghz, p, labels=None):
     state = _EXACT_STRUCTURED_STATE(p_ghz, p, labels)
     state.mat[0, -1] += 1e-6
@@ -385,8 +391,8 @@ FAULTS = {
     ),
     # X corrected for the Z bit and Z for the X bit
     "noiseless_teleportation_identity": (
-        _patch((dm_module, "pauli_correct", lambda dm, q, outcome: _EXACT_PAULI_CORRECT(
-            dm, q, dm_module.BsmOutcome(outcome.bits[::-1], True)))),
+        _patch((dm_module, "pauli_correct",
+                lambda dm, q, bits: _EXACT_PAULI_CORRECT(dm, q, bits[::-1]))),
         {"noiseless_teleportation_identity", "werner_swap_vs_dense_bsm"},
     ),
     "structured_state_vs_channels": (
@@ -446,6 +452,10 @@ FAULTS = {
                 lambda u, log_miss: _EXACT_LONGEST(u, log_miss) + 1)),
         {"factory_kernel_vs_reference"},
     ),
+    "g_lower_bound_gap_relative": (
+        _patch((analytics_module, "_rank_factor", _rank_factor_lower_bound_low)),
+        {"g_lower_bound_gap_relative"},
+    ),
 }
 
 
@@ -477,10 +487,24 @@ class TestVerificationRunner:
             "werner_swap_vs_dense_bsm",
             "ghz_readout_vs_dense_flush",
             "factory_kernel_vs_reference",
+            "g_lower_bound_gap_relative",
         ]
 
     def test_negative_control_trips_identity_check(self, skewed_b0):
-        assert max(coefficient_identity_check(n) for n in range(2, 7)) > 1e-10
+        rng = np.random.default_rng(0)
+        assert max(coefficient_identity_check(n, rng) for n in range(2, 7)) > 1e-10
+
+    def test_one_generator_per_check(self, monkeypatch):
+        built = []
+        original = np.random.default_rng
+
+        def counting_default_rng(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        run_verification()
+        assert len(built) == len(CHECKS)
 
     def test_every_check_has_a_fault(self):
         assert set(FAULTS) == {name for name, *_ in CHECKS}

@@ -1,11 +1,13 @@
-"""Closed-form rate and fidelity expressions for factory-node GHZ distribution.
+"""Closed-form rate and fidelity expressions for GHZ distribution.
 
-Everything here is a pure function of the parameters: exact, leading-order and
-bounded expressions for the distribution rate, the per-qubit noise
-combinatorics of the delivered state, expected order statistics of geometric
-waiting times, and the memory-decoherence kernel G.  The brute-force routes
-these are checked against (the explicit 2^N subset sums and the coefficient
-identity) live in ``ghzdist.oracles``.
+Everything here is a pure function of the parameters: for the factory node,
+exact, leading-order and bounded expressions for the distribution rate, the
+per-qubit noise combinatorics of the delivered state, expected order
+statistics of geometric waiting times and the memory-decoherence kernel G;
+for the switch, the fidelity of every delivery at perfect memory.  The routes
+these are checked against (the explicit 2^N subset sums, the coefficient
+identity, dense channel composition and the switch engine) are in
+``ghzdist.oracles``.
 """
 
 from __future__ import annotations
@@ -217,6 +219,15 @@ def f_rand(p_ghz: float, p: Sequence[float]) -> float:
         kept *= (1.0 + pi) / 2.0
     core = 0.5 * (prod_p + lost + kept)
     return (1.0 - p_ghz) / 2.0**n + p_ghz * core
+
+
+def switch_fidelity_perfect_memory(n: int, p_link: float, p_bsm: float) -> float:
+    """GHZ fidelity of every switch delivery at p_mem = 1: a tree of N - 1
+    swapped pairs, each Phi+ with one qubit depolarized by w = (p_link p_bsm)^2.
+    Their Pauli errors leave the GHZ state iff none has an X part (a tree's
+    cuts are independent) and an even number have a Z part, whatever the tree."""
+    w = (p_link * p_bsm) ** 2
+    return w ** (n - 1) / 2.0 + (1.0 + w) ** (n - 1) / 2.0**n
 
 
 def subset_coefficient_b(u_size: int, n: int) -> float:

@@ -429,57 +429,8 @@ def fidelity_to_ghz(
     return float(0.5 * ((diag + diag[::-1]) @ weight) + dm.mat[0, -1].real * d.prod())
 
 
-def structured_state(
-    p_ghz: float,
-    p: Sequence[float],
-    labels: Sequence[Qubit] | None = None,
-) -> DensityMatrix:
-    """GHZ state after global depolarizing p_ghz and per-qubit depolarizing p_i.
-
-    Built as the explicit subset sum: a maximally mixed part, the surviving
-    GHZ part, and for every proper nonempty subset U of depolarized qubits a
-    classically correlated term (1/2) 1_U (x) P on the rest, where
-    P = |0...0><0...0| + |1...1><1...1|.
-    """
-    n = len(p)
-    if n < 2:
-        raise ValueError("structured_state needs at least 2 qubits")
-    if not 0.0 <= p_ghz <= 1.0 or any(not 0.0 <= pi <= 1.0 for pi in p):
-        raise ValueError("depolarizing parameters must lie in [0, 1]")
-    if labels is None:
-        labels = tuple(Qubit(i + 1, 0) for i in range(n))
-    dim = 2**n
-    p = np.asarray(p, dtype=float)
-
-    diag = np.full(dim, (1.0 - p_ghz) / dim)
-    prod_lost = float(np.prod((1.0 - p) / 2.0))
-    diag += p_ghz * prod_lost
-
-    basis = np.arange(dim)
-    bits = ((basis[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1).astype(bool)
-    for mask in range(1, dim - 1):
-        in_u = np.array([bool((mask >> (n - 1 - i)) & 1) for i in range(n)])
-        coeff = 0.5 * p_ghz * float(np.prod(np.where(in_u, (1.0 - p) / 2.0, p)))
-        rest = bits[:, ~in_u]
-        aligned = np.all(rest, axis=1) | np.all(~rest, axis=1)
-        diag[aligned] += coeff
-
-    mat = np.diag(diag.astype(complex))
-    ghz_coeff = p_ghz * float(np.prod(p))
-    for r in (0, dim - 1):
-        for c in (0, dim - 1):
-            mat[r, c] += ghz_coeff * 0.5
-    return DensityMatrix(tuple(labels), mat)
-
-
 def max_abs_diff(a: DensityMatrix, b: DensityMatrix) -> float:
     """Entrywise distance after aligning b's register order to a's."""
     b = permute(b, a.labels)
     return float(np.max(np.abs(a.mat - b.mat)))
 
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """(1/2) tr |a - b| for Hermitian a, b on the same register."""
-    b = permute(b, a.labels)
-    eig = np.linalg.eigvalsh(a.mat - b.mat)
-    return float(0.5 * np.abs(eig).sum())

@@ -2,17 +2,18 @@
 
 Nothing here reuses the formula under test: waiting-time expectations come
 from exhaustive round enumeration and the alternating binomial sum, G from
-direct sampling, ``f_rand`` from the explicit 2^N-term overlap sum, the
-subset coefficients B_|U| from the coefficient identity against that sum,
-the closed-form fidelity from the literal sum over subsets of arrival ranks,
-per-shot fidelities from a full density-matrix replay of the teleportation
-pipeline, the factory's shot kernel from a loop that turns every attempt's
-uniforms into rounds, fusion from a dense CNOT plus a Z projection, the
-per-shot streams from a literal numpy SeedSequence, the switch's
-Werner-weight entanglement swap from a dense Bell measurement, its diagonal
-read-out from dense per-qubit depolarizing, and its link jump from a loop of
-single rounds.  ``CHECKS`` lists the comparisons that ``verify`` runs.  The
-engines import nothing from here.
+direct sampling, ``f_rand`` from the explicit 2^N-term overlap sum and from
+dense channel composition, the subset coefficients B_|U| from the
+coefficient identity against that sum, the closed-form fidelity from the
+literal sum over subsets of arrival ranks, per-shot fidelities from a full
+density-matrix replay of the teleportation pipeline, the factory's shot
+kernel from a loop that turns every attempt's uniforms into rounds, fusion
+from a dense CNOT plus a Z projection, the per-shot streams from a literal
+numpy SeedSequence, the switch's Werner-weight entanglement swap from a
+dense Bell measurement, its diagonal read-out from dense per-qubit
+depolarizing, its link jump from a loop of single rounds, and its deliveries
+at p_mem = 1 from the tree closed form.  ``CHECKS`` lists the comparisons
+that ``verify`` runs.  The engines import nothing from here.
 """
 
 from __future__ import annotations
@@ -436,29 +437,18 @@ def teleportation_error(rng: np.random.Generator) -> float:
     return worst
 
 
-def structured_state_error(rng: np.random.Generator) -> float:
-    """The structured state against channel composition."""
-    worst = 0.0
-    for n in (2, 3, 4):
-        for _ in range(10):
-            p_ghz, p = rng.random(), rng.random(n)
-            built = dmod.structured_state(p_ghz, p)
-            channel = dmod.depolarize(dmod.make_ghz(n, built.labels), built.labels, p_ghz)
-            for q, pi in zip(built.labels, p):
-                channel = dmod.depolarize(channel, (q,), pi)
-            worst = max(worst, dmod.trace_distance(built, channel))
-    return worst
-
-
 def f_rand_dm_error(rng: np.random.Generator) -> float:
-    """``f_rand`` against the GHZ fidelity of the structured state."""
+    """``f_rand`` against the GHZ fidelity of channel composition: a dense
+    GHZ state depolarized by p_ghz on all qubits, then by p_i on qubit i."""
     worst = 0.0
     for n in (2, 3, 4):
         for _ in range(10):
             p_ghz, p = rng.random(), rng.random(n)
-            built = dmod.structured_state(p_ghz, p)
-            err = abs(dmod.fidelity_to_ghz(built) - analytics.f_rand(p_ghz, p))
-            worst = max(worst, err)
+            state = dmod.make_ghz(n)
+            state = dmod.depolarize(state, state.labels, p_ghz)
+            for q, pi in zip(state.labels, p):
+                state = dmod.depolarize(state, (q,), pi)
+            worst = max(worst, abs(dmod.fidelity_to_ghz(state) - analytics.f_rand(p_ghz, p)))
     return worst
 
 
@@ -633,6 +623,23 @@ def ghz_readout_error(rng: np.random.Generator) -> float:
     return worst
 
 
+def switch_fidelity_error(rng: np.random.Generator) -> float:
+    """Worst relative gap between switch deliveries at p_mem = 1 and the tree
+    closed form: 4 deliveries at each N in 2..7 and q_bsm in {1, 0.7}, with
+    p_link and p_bsm from [0.7, 1] and q_link from [0.2, 1]."""
+    worst = 0.0
+    for n, q_bsm in itertools.product(range(2, 8), (1.0, 0.7)):
+        p_link, p_bsm = 0.7 + 0.3 * rng.random(2)
+        params = SimParams(n_end_nodes=n, q_link=0.2 + 0.8 * rng.random(), q_bsm=q_bsm,
+                           p_link=float(p_link), p_bsm=float(p_bsm))
+        ref = analytics.switch_fidelity_perfect_memory(n, params.p_link, params.p_bsm)
+        state = switch.NetworkState()
+        for _ in range(4):
+            fidelity = switch.run_to_ghz(state, params, rng)[0].fidelity
+            worst = max(worst, abs(fidelity - ref) / ref)
+    return worst
+
+
 def _random_state(
     rng: np.random.Generator, k: int, labels: Sequence[Qubit] | None = None
 ) -> DensityMatrix:
@@ -657,7 +664,6 @@ CHECKS = (
     ("n_all_alternating_sum_vs_recursion", 1e-10, n_all_error),
     ("depolarize_composition", 1e-12, depolarize_composition_error),
     ("noiseless_teleportation_identity", 1e-12, teleportation_error),
-    ("structured_state_vs_channels", 1e-10, structured_state_error),
     ("f_rand_vs_dm_fidelity", 1e-12, f_rand_dm_error),
     ("f_rand_product_vs_subset_sum", 1e-12, f_rand_subset_sum_error),
     ("coefficient_identity", 1e-10,
@@ -673,6 +679,7 @@ CHECKS = (
     ("ghz_readout_vs_dense_flush", 1e-12, ghz_readout_error),
     ("factory_kernel_vs_reference", 0.0, lambda _rng: factory_kernel_mismatches()),
     ("g_lower_bound_gap_relative", 0.055, g_lower_bound_gap),
+    ("switch_fidelity_vs_tree_closed_form", 1e-12, switch_fidelity_error),
 )
 
 

@@ -121,18 +121,12 @@ class NetworkState:
 
 
 def _eligible_connections(state: NetworkState, n_end_nodes: int) -> list[tuple[int, int]]:
-    """Connections that may attempt a Bell pair: no link pair waiting and a
-    free end-node slot.  Returns (connection, node slot to fill) in fixed
-    order.  A free connection's node slots can only be held by groups."""
-    used: list[set[int]] = [set() for _ in range(n_end_nodes + 1)]
-    for comp in state.groups:
-        for q in comp.qubits:
-            used[q.node].add(q.slot)
-    return [
-        (conn, min(set(range(NODE_MEMORY_SLOTS)) - used[conn]))
-        for conn in range(1, n_end_nodes + 1)
-        if conn not in state.links and len(used[conn]) < NODE_MEMORY_SLOTS
-    ]
+    """(connection, node slot to fill) for each connection with no link pair
+    waiting, in order.  Between rounds a node holds at most one group qubit (a
+    second is fused in the round it arrives), so its other slot is free."""
+    group_slot = {q.node: q.slot for comp in state.groups for q in comp.qubits}
+    return [(conn, 1 - group_slot.get(conn, 1))
+            for conn in range(1, n_end_nodes + 1) if conn not in state.links]
 
 
 _BELL_MAT = dmod.make_bell().mat.real.copy()

@@ -19,7 +19,7 @@ from ghzdist.analytics import (
     rate_leading,
 )
 from ghzdist.cli import main
-from ghzdist.dm import fidelity_to_ghz, structured_state
+from ghzdist.dm import depolarize, fidelity_to_ghz, make_ghz
 from ghzdist.oracles import (
     coefficient_identity_check,
     fidelity_subset_sum,
@@ -228,12 +228,18 @@ class TestFRand:
                 )
 
     def test_matches_structured_state(self):
+        # the structured state as channel composition: a dense GHZ state
+        # depolarized by p_ghz on all qubits, then by p_i on qubit i
         rng = np.random.default_rng(14)
         for n in (2, 4, 6):
             for _ in range(20):
                 p_ghz = rng.random()
                 p = rng.random(n)
-                dm_val = fidelity_to_ghz(structured_state(p_ghz, p))
+                state = make_ghz(n)
+                state = depolarize(state, state.labels, p_ghz)
+                for q, pi in zip(state.labels, p):
+                    state = depolarize(state, (q,), pi)
+                dm_val = fidelity_to_ghz(state)
                 assert f_rand(p_ghz, p) == pytest.approx(dm_val, abs=1e-12)
 
 

@@ -20,7 +20,6 @@ from ghzdist.dm import (
     permute,
     project_bell,
     project_z,
-    structured_state,
     tensor,
 )
 from ghzdist.oracles import fuse_by_cnot
@@ -363,29 +362,6 @@ class TestRealRegisters:
         for q in flipped:
             cplx = apply_unitary(cplx, (q,), x)
         self.assert_real_and_equal(dmod.apply_pauli_x(state, *flipped), cplx)
-
-
-class TestStructuredState:
-    def test_no_noise_is_ghz(self):
-        out = structured_state(1.0, [1.0, 1.0, 1.0])
-        np.testing.assert_allclose(out.mat, make_ghz(3).mat, atol=1e-15)
-
-    def test_p_ghz_zero_is_maximally_mixed(self):
-        out = structured_state(0.0, [0.3, 0.9])
-        np.testing.assert_allclose(out.mat, np.eye(4) / 4, atol=1e-15)
-
-    def test_matches_channel_composition(self):
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            n = int(rng.integers(2, 7))
-            p_ghz = rng.random()
-            p = rng.random(n)
-            built = structured_state(p_ghz, p)
-            state = depolarize(make_ghz(n, built.labels), built.labels, p_ghz)
-            for q, pi in zip(built.labels, p):
-                state = depolarize(state, (q,), pi)
-            assert dmod.trace_distance(built, state) < 1e-10
-            built.validate(psd=True)
 
 
 class TestOutcomeIndependence:

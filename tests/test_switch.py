@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ghzdist import dm as dmod, switch as switch_module
+from ghzdist.analytics import switch_fidelity_perfect_memory
 from ghzdist.dm import Qubit
 from ghzdist.oracles import advance_round
 from ghzdist.params import TAG_SWITCH, SimParams, shot_rng
@@ -421,6 +422,50 @@ class TestSkippedPhasesAndDiagonalReadout:
         run_executions(make_params(n_end_nodes=n, q_link=0.3, q_bsm=0.95, shots=4,
                                    **NOISE), 4)
         assert dtypes == {np.dtype(np.float64)}
+
+
+def perfect_memory_gap(configs: int = 30, shots: int = 8) -> float:
+    """Worst relative gap between switch records at p_mem = 1 and the tree
+    closed form, over random configs with N in 2..8 and q_bsm in {1, 0.7}."""
+    rng = np.random.default_rng(47)
+    worst = 0.0
+    for _ in range(configs):
+        params = make_params(
+            n_end_nodes=int(rng.integers(2, 9)),
+            q_link=float(rng.uniform(0.2, 1.0)),
+            q_bsm=float(rng.choice([1.0, 0.7])),
+            p_link=float(rng.uniform(0.7, 1.0)),
+            p_bsm=float(rng.uniform(0.7, 1.0)),
+            seed=int(rng.integers(2**32)),
+            shots=shots,
+        )
+        ref = switch_fidelity_perfect_memory(
+            params.n_end_nodes, params.p_link, params.p_bsm
+        )
+        for r in run_executions(params, shots):
+            worst = max(worst, abs(r.fidelity - ref) / ref)
+    return worst
+
+
+class TestPerfectMemoryClosedForm:
+    """At p_mem = 1 every delivery is a tree of N - 1 swapped Werner pairs of
+    weight (p_link p_bsm)^2, whose GHZ fidelity does not depend on the tree."""
+
+    def test_every_record_matches(self):
+        assert perfect_memory_gap() < 1e-12
+
+    def test_two_nodes_is_the_werner_fidelity(self):
+        w = (0.9 * 0.8) ** 2
+        assert switch_fidelity_perfect_memory(2, 0.9, 0.8) == pytest.approx(
+            (1 + 3 * w) / 4, rel=1e-15
+        )
+
+    def test_swap_without_p_bsm_fails(self, monkeypatch):
+        def without_p_bsm(a, b, round_now, params):
+            return a.weight * b.weight * params.p_mem ** (2 * round_now - a.born - b.born)
+
+        monkeypatch.setattr(switch_module, "swapped_weight", without_p_bsm)
+        assert perfect_memory_gap(configs=5) > 1e-3
 
 
 class TestEstimateSwitch:

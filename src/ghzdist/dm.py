@@ -6,6 +6,14 @@ noiseless.  Matrices are stored densely, so the register is hard-capped at
 MAX_QUBITS qubits.  A real (float64) matrix stays real through ``tensor``,
 ``permute``, ``partial_trace``, ``depolarize``, ``fuse`` and the X flip.
 
+Single-qubit depolarizing, the switch's hot channel, has two kernels with
+the same arithmetic in the same order, so the same bits.  Up to
+DEPOLARIZE_GATHER_MAX_QUBITS qubits it is one gather and two scatters
+through cached flat-index tables, which costs about half the per-call
+overhead of strided views on the small groups the switch keeps.  Above
+it the 6-D strided views are faster, and the tables, which grow as 4^k,
+are never built.
+
 Conventions:
   * The register order is the label-list order; ``tensor`` appends.
   * Qubit 0 of the register is the most significant bit of the matrix index.
@@ -29,6 +37,9 @@ PSD_TOL = 1e-10  # eigenvalue floor allowed in validate()
 # tensor writes one scaled copy of a per entry of b once a has this many
 # times b's dimension; below it the plain broadcast is faster
 TENSOR_LOOP_RATIO = 8
+# single-qubit depolarize gathers through flat-index tables up to this many
+# qubits; above it the strided views are faster and no table is built
+DEPOLARIZE_GATHER_MAX_QUBITS = 6
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -212,18 +223,58 @@ def apply_unitary(
     return DensityMatrix(dm.labels, t.reshape(2**k, 2**k))
 
 
-def _depolarize_one(dm: DensityMatrix, pos: int, p: float) -> DensityMatrix:
-    """Single-qubit depolarizing via direct index arithmetic (hot path)."""
-    k = dm.num_qubits
+@lru_cache(maxsize=None)
+def _pair_entries(k: int, pos: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (row-major) indices of the k-qubit entries whose row and column
+    both have qubit ``pos`` at 0, and of their partners with it at 1 in both.
+
+    Cached per register shape; the returned arrays are read-only.
+    """
+    dim = 2**k
+    bit = 1 << (k - 1 - pos)
+    free = np.arange(dim)
+    free = free[free & bit == 0]
+    zero = (free[:, None] * dim + free[None, :]).ravel()
+    one = zero + bit * (dim + 1)
+    zero.flags.writeable = False
+    one.flags.writeable = False
+    return zero, one
+
+
+def _depolarize_gather(mat: np.ndarray, pos: int, p: float) -> np.ndarray:
+    """Single-qubit depolarizing as one gather and two scatters through the
+    cached flat-index tables: low per-call overhead on small registers."""
+    zero, one = _pair_entries(mat.shape[0].bit_length() - 1, pos)
+    flat = mat.ravel()
+    half = (0.5 * (1.0 - p)) * (flat[zero] + flat[one])
+    out = np.multiply(p, mat, order="C")
+    flat_out = out.reshape(-1)
+    flat_out[zero] += half
+    flat_out[one] += half
+    return out
+
+
+def _depolarize_strided(mat: np.ndarray, pos: int, p: float) -> np.ndarray:
+    """Single-qubit depolarizing on 6-D strided views: no index tables, and
+    faster than the gather on large registers."""
+    dim = mat.shape[0]
     pre = 2**pos
-    post = 2 ** (k - pos - 1)
+    post = dim // (2 * pre)
     shape = (pre, 2, post, pre, 2, post)
-    t = dm.mat.reshape(shape)
+    t = mat.reshape(shape)
     half = (0.5 * (1.0 - p)) * (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :])
-    out = (p * dm.mat).reshape(shape)
+    out = (p * mat).reshape(shape)
     out[:, 0, :, :, 0, :] += half
     out[:, 1, :, :, 1, :] += half
-    return DensityMatrix(dm.labels, out.reshape(2**k, 2**k))
+    return out.reshape(dim, dim)
+
+
+def _depolarize_one(dm: DensityMatrix, pos: int, p: float) -> DensityMatrix:
+    """Single-qubit depolarizing by the kernel that is faster at the
+    register's size (hot path)."""
+    if dm.num_qubits <= DEPOLARIZE_GATHER_MAX_QUBITS:
+        return DensityMatrix(dm.labels, _depolarize_gather(dm.mat, pos, p))
+    return DensityMatrix(dm.labels, _depolarize_strided(dm.mat, pos, p))
 
 
 def depolarize(

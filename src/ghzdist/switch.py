@@ -129,13 +129,21 @@ def _eligible_connections(state: NetworkState, n_end_nodes: int) -> list[tuple[i
             for conn in range(1, n_end_nodes + 1) if conn not in state.links]
 
 
-_BELL_MAT = dmod.make_bell().mat.real.copy()
-_EYE4 = np.eye(4)
-
-
 def werner(labels: tuple[Qubit, Qubit], w: float) -> DensityMatrix:
-    """The Werner state w Phi+ + (1 - w) 1/4 on two qubits, as a real matrix."""
-    return DensityMatrix(labels, w * _BELL_MAT + ((1.0 - w) / 4.0) * _EYE4)
+    """The Werner state w Phi+ + (1 - w) 1/4 on two qubits, as a real matrix.
+
+    Built from its closed-form entries.  Phi+'s entry is the dense
+    ``make_bell`` one, |1/sqrt 2|^2 as rounded there (0.4999999999999999, not
+    0.5), so every entry is the bits of w Phi+ + (1 - w)/4 1 summed densely.
+    """
+    c = w * 0.4999999999999999
+    d = (1.0 - w) / 4.0
+    return DensityMatrix(labels, np.array([
+        [c + d, 0.0, 0.0, c],
+        [0.0, d, 0.0, 0.0],
+        [0.0, 0.0, d, 0.0],
+        [c, 0.0, 0.0, c + d],
+    ]))
 
 
 def swapped_weight(a: Link, b: Link, round_now: int, params: SimParams) -> float:

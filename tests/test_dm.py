@@ -54,10 +54,12 @@ class TestConstructors:
             make_ghz(1)
 
     def test_register_cap(self):
+        # the cap is checked before the matrix, so a zero-cost view of the
+        # 13-qubit shape stands in for a 1 GiB one
         with pytest.raises(RegisterError):
             DensityMatrix(
                 tuple(Qubit(i, 0) for i in range(13)),
-                np.eye(2**13, dtype=complex) / 2**13,
+                np.broadcast_to(np.zeros((), dtype=complex), (2**13, 2**13)),
             )
 
     def test_duplicate_labels_rejected(self):
@@ -100,6 +102,54 @@ class TestDepolarize:
             state = random_state(rng, 3)
             out = depolarize(state, state.labels[:2], rng.random())
             out.validate(psd=True)
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_single_qubit_matches_definition(self, k, dtype):
+        # p rho + (1 - p) Tr_q(rho) (x) 1/2, re-embedded at q's position
+        rng = np.random.default_rng(40 + k)
+        state = random_state(rng, k)
+        if dtype is float:
+            state = DensityMatrix(state.labels, state.mat.real.copy())
+        p = 0.37
+        for q in state.labels:
+            out = depolarize(state, (q,), p)
+            assert out.mat.dtype == dtype
+            mixed = DensityMatrix((q,), np.eye(2) / 2)
+            rebuilt = permute(tensor(partial_trace(state, (q,)), mixed), state.labels)
+            expected = p * state.mat + (1.0 - p) * rebuilt.mat
+            np.testing.assert_allclose(out.mat, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("k", range(1, dmod.DEPOLARIZE_GATHER_MAX_QUBITS + 2))
+    def test_single_qubit_kernels_agree_bitwise(self, k):
+        rng = np.random.default_rng(50 + k)
+        mats = (random_state(rng, k).mat, rng.normal(size=(2**k, 2**k)))
+        for mat in mats:
+            for pos in range(k):
+                p = rng.random()
+                gathered = dmod._depolarize_gather(mat, pos, p)
+                strided = dmod._depolarize_strided(mat, pos, p)
+                assert gathered.dtype == strided.dtype == mat.dtype
+                assert (gathered == strided).all()
+
+    @pytest.mark.parametrize("k", [1, 3, dmod.DEPOLARIZE_GATHER_MAX_QUBITS,
+                                   dmod.DEPOLARIZE_GATHER_MAX_QUBITS + 1])
+    @pytest.mark.parametrize("layout", ["fortran", "transposed", "strided"])
+    def test_single_qubit_ignores_memory_layout(self, k, layout):
+        # the result equals the one for a row-major copy, whatever the input
+        rng = np.random.default_rng(60 + k)
+        dim = 2**k
+        odd = {
+            "fortran": lambda: np.asfortranarray(rng.normal(size=(dim, dim))),
+            "transposed": lambda: rng.normal(size=(dim, dim)).T,
+            "strided": lambda: rng.normal(size=(2 * dim, 2 * dim))[::2, 1::2],
+        }[layout]()
+        assert not odd.flags.c_contiguous
+        labels = tuple(Qubit(80 + i, 0) for i in range(k))
+        for q in labels:
+            out = depolarize(DensityMatrix(labels, odd), (q,), 0.61)
+            ref = depolarize(DensityMatrix(labels, np.ascontiguousarray(odd)), (q,), 0.61)
+            assert (out.mat == ref.mat).all()
 
     def test_duplicate_targets_rejected(self):
         ghz = make_ghz(3)

@@ -66,25 +66,48 @@ def referenced_names(node: ast.AST) -> set[str]:
     return names
 
 
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """Names a top-level statement defines: a def or class, or the plain
+    names an assignment binds.  Dunder names (``__all__``) are exempt."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [
+            sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name)
+        ]
+    else:
+        names = []
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_defined_names_cover_assignments():
+    tree = ast.parse("A = 1\nB, (C, D) = 2, (3, 4)\nE: int = 5\n__all__ = []\n"
+                     "def f(): pass\nclass G: pass\nimport os\n")
+    assert [n for stmt in tree.body for n in defined_names(stmt)] == [
+        "A", "B", "C", "D", "E", "f", "G"]
+
+
 def test_every_module_level_definition_is_referenced():
-    # no dead helpers: each top-level def/class of the package is used by
-    # some other top-level statement in the package, its tests or perfbench
+    # no dead helpers or constants: each top-level def, class or assigned name
+    # of the package is used by some other top-level statement in the
+    # package, its tests or perfbench
     definitions = []
     uses = []
     for top in REFERENCE_DIRS:
         for path in sorted((ROOT / top).rglob("*.py")):
             for stmt in ast.parse(path.read_text()).body:
                 uses.append((stmt, referenced_names(stmt)))
-                if path.parent == PACKAGE and isinstance(
-                    stmt, (ast.FunctionDef, ast.ClassDef)
-                ):
-                    definitions.append((f"{path.stem}.{stmt.name}", stmt))
+                if path.parent == PACKAGE:
+                    definitions.extend(
+                        (f"{path.stem}.{name}", name, stmt)
+                        for name in defined_names(stmt)
+                    )
     dead = [
         qualified
-        for qualified, stmt in definitions
-        if not any(
-            other is not stmt and stmt.name in names for other, names in uses
-        )
+        for qualified, name, stmt in definitions
+        if not any(other is not stmt and name in names for other, names in uses)
     ]
     assert dead == []
 

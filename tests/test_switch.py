@@ -132,6 +132,18 @@ class TestAdvanceRound:
         assert abs(jump_rounds.mean() - loop_rounds.mean()) < 5 * pooled
 
 
+class TestWerner:
+    @pytest.mark.parametrize("w", [0.0, 0.3, 0.99, 1.0])
+    def test_closed_form_is_the_dense_mixture(self, w):
+        # the closed-form entries carry the bits of the dense sum
+        labels = (Qubit(1, 0), Qubit(2, 0))
+        pair = werner(labels, w)
+        dense = w * dmod.make_bell().mat.real + (1.0 - w) / 4.0 * np.eye(4)
+        assert pair.labels == labels
+        assert pair.mat.dtype == np.float64
+        assert (pair.mat == dense).all()
+
+
 class TestSwitchBsms:
     def test_two_pairs_merge_into_end_to_end_bell(self):
         state = network(

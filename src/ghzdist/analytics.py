@@ -18,7 +18,8 @@ from typing import Sequence
 
 from .params import ConfigError, SimParams
 
-FIDELITY_MAX_NODES = 1023  # 2^N and every subset count C(N, u) stay finite doubles
+# 2^N and every C(N, u) stay finite doubles; the exact order statistics cost N^2
+CLOSED_FORM_MAX_NODES = 1023
 
 
 def _one_minus_q_pow(q: float, k: int) -> float:
@@ -259,9 +260,9 @@ def fidelity_closed_form(params: SimParams, mode: str = "leading") -> FidelityBr
     ``mode`` selects the leading-order or lower-bound evaluation of G.
     """
     n = params.n_end_nodes
-    if n > FIDELITY_MAX_NODES:
+    if n > CLOSED_FORM_MAX_NODES:
         raise ConfigError(
-            f"n_end_nodes = {n} exceeds {FIDELITY_MAX_NODES}, the double-precision "
+            f"n_end_nodes = {n} exceeds {CLOSED_FORM_MAX_NODES}, the double-precision "
             "range of the closed-form fidelity"
         )
     keep = params.p_mem**2

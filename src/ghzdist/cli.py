@@ -195,6 +195,9 @@ def cmd_analytic(args) -> int:
             f"--mode for {args.quantity} must be {'|'.join(modes)}, got {args.mode!r}"
         )
     n, q = params.n_end_nodes, params.q_link
+    if args.mode == "exact" and n > analytics.CLOSED_FORM_MAX_NODES:
+        raise ConfigError(f"n_end_nodes = {n} exceeds {analytics.CLOSED_FORM_MAX_NODES}, the "
+                          f"closed forms' node cap (the exact {args.quantity} costs N^2)")
     result: dict = {"quantity": args.quantity, "mode": args.mode, "params": asdict(params)}
     if (args.quantity, args.mode) in CLOSED_FORMS:
         result["value"] = CLOSED_FORMS[args.quantity, args.mode](params)

@@ -9,8 +9,8 @@ literal sum over subsets of arrival ranks, per-shot fidelities from a full
 density-matrix replay of the teleportation pipeline, the factory's shot
 kernel from a loop that turns every attempt's uniforms into rounds, fusion
 from a dense CNOT plus a Z projection, the per-shot streams from a literal
-numpy SeedSequence, the switch's Werner-weight entanglement swap from a
-dense Bell measurement, its diagonal read-out from dense per-qubit
+numpy SeedSequence, the switch's entanglement swap with its pending noise
+from a dense Bell measurement, its diagonal read-out from dense per-qubit
 depolarizing, its link jump from a loop of single rounds, and its deliveries
 at p_mem = 1 from the tree closed form.  ``CHECKS`` lists the comparisons
 that ``verify`` runs.  The engines import nothing from here.
@@ -351,7 +351,7 @@ def advance_round(
     events: list[tuple] = []
     for conn, slot in switch._eligible_connections(state, params.n_end_nodes):
         if rng.random() < params.q_link:
-            switch._create_pair(state, params, conn, slot)
+            state.links[conn] = switch.Link(Qubit(conn, slot), state.round)
             events.append(("link", conn))
     return events
 
@@ -565,37 +565,40 @@ def factory_kernel_mismatches() -> int:
 
 
 def werner_swap_error(rng: np.random.Generator) -> float:
-    """Worst deviation of ``switch.swapped_weight`` from dense Bell
-    measurements on 20 random draws of Werner links, memory waits and
-    ``p_bsm``."""
+    """Worst deviation of a successful ``switch.do_switch_bsms`` on two aged
+    link pairs, both remotes then flushed, from the dense chain: each pair
+    depolarized by p_link, both its qubits by p_mem per round waited and its
+    switch qubit by p_bsm, then each Bell outcome projected and
+    Pauli-corrected.  20 random draws of p_link, p_mem, p_bsm and waits."""
     worst = 0.0
     for _ in range(20):
         params = SimParams(
             n_end_nodes=2,
             q_link=0.5,
+            p_link=float(rng.random()),
             p_mem=float(rng.choice([1.0, 0.8 + 0.2 * rng.random()])),
             p_bsm=0.8 + 0.2 * rng.random(),
         )
         born = [int(b) for b in rng.integers(0, 5, size=2)]
         now = max(born) + int(rng.integers(0, 4))
-        links = [
-            switch.Link(Qubit(c, 0), float(rng.random()), b) for c, b in zip((1, 2), born)
-        ]
+        links = {c: switch.Link(Qubit(c, 0), b) for c, b in zip((1, 2), born)}
+        state = switch.NetworkState(round=now, links=dict(links))
+        switch.do_switch_bsms(state, params, rng)
+        (group,) = state.groups
+        for q in group.qubits:
+            group.flush(q, now, params.p_mem)
         pairs = []
-        for link in links:
-            held = Qubit(0, link.remote.node)
-            pair = dmod.make_bell(held, link.remote)
-            pair = dmod.depolarize(pair, (link.remote,), link.weight)
-            for _ in range(now - link.born):
-                pair = dmod.depolarize(pair, (held,), params.p_mem)
+        for conn, link in links.items():
+            held = Qubit(0, conn)
+            pair = dmod.depolarize(dmod.make_bell(held, link.remote), (held,), params.p_link)
+            for q in [held, link.remote] * (now - link.born):
+                pair = dmod.depolarize(pair, (q,), params.p_mem)
             pairs.append(dmod.depolarize(pair, (held,), params.p_bsm))
         joint = dmod.tensor(*pairs)
-        w = switch.swapped_weight(*links, now, params)
-        expected = switch.werner((links[0].remote, links[1].remote), w)
         for bits in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             prob, post = dmod.project_bell(joint, Qubit(0, 1), Qubit(0, 2), bits)
-            fixed = dmod.pauli_correct(post, links[1].remote, bits)
-            worst = max(worst, abs(prob - 0.25), dmod.max_abs_diff(fixed, expected))
+            fixed = dmod.pauli_correct(post, links[2].remote, bits)
+            worst = max(worst, abs(prob - 0.25), dmod.max_abs_diff(fixed, group.dm))
     return worst
 
 

@@ -4,24 +4,25 @@ The state says where each qubit lives: the link pair waiting at the switch on
 each connection (the central node holds at most one qubit per connection,
 until a Bell measurement consumes it), and the end-to-end groups built by
 successful measurements and by fusions.  It persists across executions: pairs
-not consumed while building one GHZ state seed the next one.  A link pair is a
-Werner state, stored as its weight alone.  That is exact: depolarizing either
-qubit by d scales the weight by d, and a Bell measurement on the switch qubits
-of two Werner pairs gives each outcome with probability 1/4 and, once Pauli-
-corrected, a Werner pair of weight w_a w_b.  Dense density matrices start at
-the end-to-end groups, one per group, never network-wide.  They are real
-(float64): every state the switch reaches is real in the computational basis.
-Memory decoherence is bookkept lazily per qubit (depolarizing channels on idle
-qubits commute with everything acting elsewhere) and flushed just before a
-qubit is fused; read-out applies the pending channels inside one pass over
-the diagonal of the delivered group (``dm.fidelity_to_ghz``).  A phase runs
-only when it can act: the Bell measurements when at least two links wait, the
-fusions and the delivery check only after a measurement succeeded.  Each
-round's middle phases build their bookkeeping once per call:
-``do_switch_bsms`` keeps the rule that only end nodes in different clusters
-are paired, and ``do_fusions`` fuses in one ascending pass over the nodes; a
-node with a waiting link pair holds at most one group qubit, so no fusion ever
-touches it.
+not consumed while building one GHZ state seed the next one.
+
+All noise (p_link, p_mem per round, p_bsm) is single-qubit depolarizing,
+which composes by multiplying parameters and commutes with whatever acts on
+other qubits.  So it has one rule: each group qubit owes the channel of its
+pending factor (``Component.factor``), applied when the qubit is fused
+(``Component.flush``) or folded into the read-out's one pass over the
+diagonal (``dm.fidelity_to_ghz``).  A link pair is only its remote and birth
+round: a successful Bell measurement on two gives each outcome with
+probability 1/4 and, once Pauli-corrected, Phi+ on the remotes (one shared
+read-only matrix) with both pairs' noise pending on one remote
+(``swapped_weight``), as depolarizing either qubit of Phi+ gives one state.
+Dense matrices exist only per group and are real (float64): every state the
+switch reaches is real in the computational basis.  A phase runs only when it
+can act: the Bell measurements when at least two links wait, the fusions and
+the delivery check only after a measurement succeeded.  ``do_switch_bsms``
+pairs only end nodes in different clusters, and ``do_fusions`` fuses in one
+ascending pass over the nodes; a node with a waiting link pair holds at most
+one group qubit, so no fusion ever touches it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ from .params import TAG_SWITCH, ConfigError, SimParams, sample_geometric, shot_r
 
 NODE_MEMORY_SLOTS = 2
 
+# Phi+ on two qubits, shared by every swapped pair, so kept read-only
+_PHI_PLUS = np.zeros((4, 4))
+_PHI_PLUS[::3, ::3] = 0.5
+_PHI_PLUS.flags.writeable = False
+
 
 class ProtocolInvariantError(RuntimeError):
     """The network reached a state the protocol rules are meant to exclude."""
@@ -45,22 +51,23 @@ class ProtocolInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class Link:
-    """A link pair waiting at the switch: the Werner state weight Phi+ + (1 -
-    weight) 1/4 on (Qubit(0, connection), remote), both fresh at round born."""
+    """A link pair waiting at the switch: Phi+ on (Qubit(0, connection),
+    remote), created at round born.  Its noise is not stored: the Bell
+    measurement that consumes it turns it into the swapped pair's pending
+    factors."""
 
     remote: Qubit
-    weight: float
     born: int
 
 
 @dataclass
 class Component:
-    """One end-to-end group: its density matrix, the round through which
-    each qubit's memory decoherence has been applied, and how many link-level
-    Bell pairs it has absorbed."""
+    """One end-to-end group: its density matrix, the pending factor
+    ``(d, since)`` of each qubit (it owes depolarizing by d p_mem^(now -
+    since)), and how many link-level Bell pairs it has absorbed."""
 
     dm: DensityMatrix
-    fresh: dict[Qubit, int]
+    pending: dict[Qubit, tuple[float, int]]
     pairs_consumed: int
 
     @property
@@ -70,14 +77,17 @@ class Component:
     def end_nodes(self) -> set[int]:
         return {q.node for q in self.dm.labels}
 
-    def flush_memory(self, qubits, round_now: int, p_mem: float) -> None:
-        """Apply the pending p_mem^k decoherence on the given qubits."""
-        for q in qubits:
-            waited = round_now - self.fresh[q]
-            if waited > 0:
-                if p_mem < 1.0:
-                    self.dm = dmod.depolarize(self.dm, (q,), p_mem**waited)
-                self.fresh[q] = round_now
+    def factor(self, q: Qubit, now: int, p_mem: float) -> float:
+        """The depolarizing parameter q owes at round now."""
+        d, since = self.pending[q]
+        return d * p_mem ** (now - since)
+
+    def flush(self, q: Qubit, now: int, p_mem: float) -> None:
+        """Apply q's pending channel to the matrix; q then owes nothing."""
+        p = self.factor(q, now, p_mem)
+        if p != 1.0:
+            self.dm = dmod.depolarize(self.dm, (q,), p)
+        self.pending[q] = (1.0, now)
 
 
 @dataclass
@@ -98,17 +108,16 @@ class NetworkState:
 
     def validate(self, n_end_nodes: int) -> None:
         """Where each qubit lives: links are keyed by their end node, with a
-        weight in [0, 1] and a birth no later than now; groups hold end-node
-        qubits only; labels are unique, slot capacities kept, dm healthy."""
+        birth no later than now; groups hold end-node qubits only, each with a
+        pending factor; labels are unique, slot capacities kept, dm healthy."""
         for conn, link in self.links.items():
             node = link.remote.node
-            weight_ok = 0.0 <= link.weight <= 1.0
-            if node == 0 or node != conn or not weight_ok or link.born > self.round:
+            if node == 0 or node != conn or link.born > self.round:
                 raise ProtocolInvariantError(f"connection {conn} holds a bad link {link}")
         for comp in self.groups:
             if any(q.node == 0 for q in comp.qubits):
                 raise ProtocolInvariantError("a group holds a switch qubit")
-            if set(comp.fresh) != set(comp.qubits):
+            if set(comp.pending) != set(comp.qubits):
                 raise ProtocolInvariantError("decoherence ledger out of sync")
             comp.dm.validate(context="component")
         held = [link.remote for link in self.links.values()]
@@ -129,35 +138,15 @@ def _eligible_connections(state: NetworkState, n_end_nodes: int) -> list[tuple[i
             for conn in range(1, n_end_nodes + 1) if conn not in state.links]
 
 
-def werner(labels: tuple[Qubit, Qubit], w: float) -> DensityMatrix:
-    """The Werner state w Phi+ + (1 - w) 1/4 on two qubits, as a real matrix.
-
-    Built from its closed-form entries.  Phi+'s entry is the dense
-    ``make_bell`` one, |1/sqrt 2|^2 as rounded there (0.4999999999999999, not
-    0.5), so every entry is the bits of w Phi+ + (1 - w)/4 1 summed densely.
-    """
-    c = w * 0.4999999999999999
-    d = (1.0 - w) / 4.0
-    return DensityMatrix(labels, np.array([
-        [c + d, 0.0, 0.0, c],
-        [0.0, d, 0.0, 0.0],
-        [0.0, 0.0, d, 0.0],
-        [c, 0.0, 0.0, c + d],
-    ]))
-
-
 def swapped_weight(a: Link, b: Link, round_now: int, params: SimParams) -> float:
-    """Werner weight of the pair a successful BSM leaves on the remotes of a
-    and b: each switch qubit ages p_mem per round since its link's birth and
-    is depolarized by p_bsm before the measurement; the remotes age lazily."""
+    """Pending factor a successful BSM on the switch qubits of a and b adds to
+    the swapped pair: each link's p_link, its switch qubit's p_mem per round
+    since the link's birth, and p_bsm before the measurement.  The remotes'
+    own aging stays pending from their links' births."""
     w = 1.0
     for link in (a, b):
-        w *= link.weight * params.p_mem ** (round_now - link.born) * params.p_bsm
+        w *= params.p_link * params.p_mem ** (round_now - link.born) * params.p_bsm
     return w
-
-
-def _create_pair(state: NetworkState, params: SimParams, conn: int, slot: int) -> None:
-    state.links[conn] = Link(Qubit(conn, slot), params.p_link, state.round)
 
 
 def advance_to_link_event(
@@ -181,7 +170,7 @@ def advance_to_link_event(
     events: list[tuple] = []
     for (conn, slot), t in zip(eligible, times):
         if t == first:
-            _create_pair(state, params, conn, slot)
+            state.links[conn] = Link(Qubit(conn, slot), state.round)
             events.append(("link", conn))
     return events
 
@@ -197,8 +186,9 @@ def do_switch_bsms(
     of the round, and pairing inside a cluster would create a cycle that
     fusion cannot absorb.  The clusters are built once from the groups and
     joined as measurements succeed; a failed one changes no group.  Success
-    merges the two link pairs into an end-to-end Werner pair (Pauli-corrected
-    at the second end node); failure resets both source pairs entirely.
+    merges the two link pairs into Phi+ on their remotes (Pauli-corrected at
+    the second end node), whose noise is pending on the second remote;
+    failure resets both source pairs entirely.
     """
     clusters = {node: {node} for node in range(1, params.n_end_nodes + 1)}
 
@@ -223,9 +213,9 @@ def do_switch_bsms(
             continue
         rng.random()  # Born draw, unused: all four outcomes leave the same pair
         w = swapped_weight(link_a, link_b, state.round, params)
-        pair = werner((link_a.remote, link_b.remote), w)
-        fresh = {link_a.remote: link_a.born, link_b.remote: link_b.born}
-        state.groups.append(Component(pair, fresh, 2))
+        pending = {link_a.remote: (1.0, link_a.born), link_b.remote: (w, link_b.born)}
+        pair = DensityMatrix((link_a.remote, link_b.remote), _PHI_PLUS)
+        state.groups.append(Component(pair, pending, 2))
         join((a, b))
         events.append(("bsm", a, b, True))
 
@@ -255,16 +245,16 @@ def do_fusions(
         comp_a, comp_b = owner[q_a], owner.pop(q_b)
         if comp_a is comp_b:
             raise ProtocolInvariantError(f"node {node} holds two qubits of one component")
-        comp_a.flush_memory([q_a], state.round, params.p_mem)
-        comp_b.flush_memory([q_b], state.round, params.p_mem)
+        comp_a.flush(q_a, state.round, params.p_mem)
+        comp_b.flush(q_b, state.round, params.p_mem)
         joint = dmod.tensor(comp_a.dm, comp_b.dm)
         bit, post = dmod.fuse(joint, q_a, q_b, rng.random())
         if bit == 1:
             # classical broadcast of the outcome: flip the detached branch
             post = dmod.apply_pauli_x(post, *(q for q in comp_b.qubits if q != q_b))
-        fresh = {**comp_a.fresh, **comp_b.fresh}
-        del fresh[q_b]
-        merged = Component(post, fresh, comp_a.pairs_consumed + comp_b.pairs_consumed)
+        pending = {**comp_a.pending, **comp_b.pending}
+        del pending[q_b]
+        merged = Component(post, pending, comp_a.pairs_consumed + comp_b.pairs_consumed)
         state.groups.remove(comp_a)
         state.groups.remove(comp_b)
         state.groups.append(merged)
@@ -309,7 +299,7 @@ def run_to_ghz(
             continue
         if len(full.qubits) != n:
             raise ProtocolInvariantError("delivered state is not an n-qubit GHZ")
-        pending = [params.p_mem ** (state.round - full.fresh[q]) for q in full.qubits]
+        pending = [full.factor(q, state.round, params.p_mem) for q in full.qubits]
         record = SwitchRecord(
             duration_rounds=state.round - start,
             fidelity=dmod.fidelity_to_ghz(full.dm, pending),

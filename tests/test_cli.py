@@ -313,6 +313,10 @@ class TestAnalytic:
             (["--quantity", "fidelity", "--mode", "exact"], "--mode"),
             (["--quantity", "g", "--mode", "upper_bound", "--positions", "1,2"],
              "--mode"),
+            (["--quantity", "rate", "--mode", "exact", "--set", "n_end_nodes=1024"],
+             "n_end_nodes"),
+            (["--quantity", "order-stat", "--mode", "exact", "--index", "1", "--set",
+              "n_end_nodes=200000"], "n_end_nodes"),
         ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, flags, named):

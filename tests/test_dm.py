@@ -414,6 +414,40 @@ class TestRealRegisters:
         self.assert_real_and_equal(dmod.apply_pauli_x(state, *flipped), cplx)
 
 
+def read_only(state):
+    mat = state.mat.copy()
+    mat.flags.writeable = False
+    return DensityMatrix(state.labels, mat)
+
+
+PAIR = (Qubit(1, 0), Qubit(2, 0))
+
+
+class TestReadOnlyInputs:
+    """Switch groups share one read-only Phi+ matrix, so every kernel the
+    switch calls takes a read-only input and leaves it as it was."""
+
+    @pytest.mark.parametrize(
+        "k, kernel",
+        [
+            (6, lambda s: depolarize(s, (s.labels[2],), 0.3)),
+            (7, lambda s: depolarize(s, (s.labels[2],), 0.3)),
+            (6, lambda s: tensor(s, read_only(make_bell(*PAIR)))),
+            (2, lambda s: tensor(read_only(make_bell(*PAIR)), s)),
+            (5, lambda s: fuse(s, s.labels[1], s.labels[3], 0.5)),
+            (5, lambda s: dmod.apply_pauli_x(s, s.labels[0], s.labels[2])),
+            (5, lambda s: fidelity_to_ghz(s, [0.9] * 5)),
+        ],
+        ids=["depolarize-gather", "depolarize-strided", "tensor-loop",
+             "tensor-broadcast", "fuse", "pauli-x", "fidelity-to-ghz"],
+    )
+    def test_input_left_unchanged(self, k, kernel):
+        state = read_only(real_state(np.random.default_rng(40 + k), k))
+        before = state.mat.copy()
+        kernel(state)
+        assert np.array_equal(state.mat, before) and not state.mat.flags.writeable
+
+
 class TestOutcomeIndependence:
     @pytest.mark.parametrize("n", [2, 3])
     def test_all_branches_equal_for_depolarized_bell_resources(self, n):

@@ -36,6 +36,37 @@ def test_imports_nothing_from_dm(module):
     assert under(imported_names(module), "ghzdist.dm") == set()
 
 
+def dm_names_read(module: str) -> set[str]:
+    """Names ``ghzdist.<module>`` reads from ``ghzdist.dm``: those it imports
+    from it and the attributes it reads off a name bound to the module."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = under(imported_names(module), "ghzdist.dm") - {"ghzdist.dm"}
+    names = {n.rsplit(".", 1)[-1] for n in imported}
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+        for alias in node.names
+        if alias.name == "dm"
+    }
+    names.update(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+    )
+    return names
+
+
+def test_switch_reads_only_its_dm_kernels():
+    # a new dense kernel in the switch's hot path is a design change, not a
+    # drive-by import
+    assert dm_names_read("switch") == {
+        "Qubit", "DensityMatrix", "MAX_QUBITS", "depolarize", "tensor", "fuse",
+        "apply_pauli_x", "fidelity_to_ghz",
+    }
+
+
 def test_analytics_imports_no_numpy():
     assert under(imported_names("analytics"), "numpy") == set()
 

@@ -212,18 +212,18 @@ class TestShotRngCheck:
 
 
 def _weight_dropping_p_bsm(a, b, round_now, params):
-    return a.weight * b.weight * params.p_mem ** (2 * round_now - a.born - b.born)
+    return params.p_link**2 * params.p_mem ** (2 * round_now - a.born - b.born)
 
 
 def _weight_as_sum(a, b, round_now, params):
-    w = 1.0
-    for link in (a, b):
-        w *= params.p_mem ** (round_now - link.born) * params.p_bsm
-    return w * (a.weight + b.weight - 1.0)
+    # the two links' factors averaged where they multiply
+    terms = [params.p_link * params.p_mem ** (round_now - link.born) * params.p_bsm
+             for link in (a, b)]
+    return sum(terms) / 2.0
 
 
 def _weight_without_memory(a, b, round_now, params):
-    return a.weight * b.weight * params.p_bsm**2
+    return params.p_link**2 * params.p_bsm**2
 
 
 class TestWernerSwapCheck:
@@ -375,12 +375,13 @@ FAULTS = {
         {"n_all_alternating_sum_vs_recursion"},
     ),
     # a single-qubit channel whose parameters do not multiply
+    # the switch's fusions flush pending factors through it even at p_mem = 1
     "depolarize_composition": (
         _patch((dm_module, "_depolarize_one",
                 lambda dm, pos, p: _EXACT_DEPOLARIZE_ONE(dm, pos, p + 0.01 * p * (1.0 - p)))),
         {"depolarize_composition", "f_rand_vs_dm_fidelity",
          "dm_replay_vs_fast_kernel", "werner_swap_vs_dense_bsm",
-         "ghz_readout_vs_dense_flush"},
+         "ghz_readout_vs_dense_flush", "switch_fidelity_vs_tree_closed_form"},
     ),
     # X corrected for the Z bit and Z for the X bit
     "noiseless_teleportation_identity": (

@@ -129,6 +129,15 @@ class DensityMatrix:
                 raise AssertionError(f"negative eigenvalue {lo}{where}")
 
 
+def _trusted(labels: tuple[Qubit, ...], mat: np.ndarray) -> DensityMatrix:
+    """A kernel's result, not re-checked by ``__post_init__``: its labels are
+    the input's, the input's minus one, or a checked concatenation."""
+    dm = object.__new__(DensityMatrix)
+    object.__setattr__(dm, "labels", labels)
+    object.__setattr__(dm, "mat", mat)
+    return dm
+
+
 def _tensor_view(dm: DensityMatrix) -> np.ndarray:
     k = dm.num_qubits
     return dm.mat.reshape((2,) * (2 * k))
@@ -162,6 +171,9 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     overlap = set(a.labels) & set(b.labels)
     if overlap:
         raise RegisterError(f"label collision in tensor: {sorted(overlap)}")
+    labels = a.labels + b.labels
+    if len(labels) > MAX_QUBITS:
+        raise RegisterError(f"register of {len(labels)} qubits exceeds cap {MAX_QUBITS}")
     da, db = a.mat.shape[0], b.mat.shape[0]
     if da >= TENSOR_LOOP_RATIO * db:
         # the broadcast's inner loop would span only b's columns; one scaled
@@ -172,7 +184,7 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
                 out[:, j, :, k] = a.mat * b.mat[j, k]
     else:
         out = a.mat[:, None, :, None] * b.mat[None, :, None, :]
-    return DensityMatrix(a.labels + b.labels, out.reshape(da * db, da * db))
+    return _trusted(labels, out.reshape(da * db, da * db))
 
 
 def permute(dm: DensityMatrix, new_labels: Sequence[Qubit]) -> DensityMatrix:
@@ -273,8 +285,8 @@ def _depolarize_one(dm: DensityMatrix, pos: int, p: float) -> DensityMatrix:
     """Single-qubit depolarizing by the kernel that is faster at the
     register's size (hot path)."""
     if dm.num_qubits <= DEPOLARIZE_GATHER_MAX_QUBITS:
-        return DensityMatrix(dm.labels, _depolarize_gather(dm.mat, pos, p))
-    return DensityMatrix(dm.labels, _depolarize_strided(dm.mat, pos, p))
+        return _trusted(dm.labels, _depolarize_gather(dm.mat, pos, p))
+    return _trusted(dm.labels, _depolarize_strided(dm.mat, pos, p))
 
 
 def depolarize(
@@ -299,7 +311,7 @@ def depolarize(
     rest = partial_trace(dm, targets)
     mixed = DensityMatrix(targets, np.eye(2**m) / 2**m)
     rebuilt = permute(tensor(rest, mixed), dm.labels)
-    return DensityMatrix(dm.labels, p * dm.mat + (1.0 - p) * rebuilt.mat)
+    return _trusted(dm.labels, p * dm.mat + (1.0 - p) * rebuilt.mat)
 
 
 def _project_vector(
@@ -363,7 +375,7 @@ def apply_pauli_x(dm: DensityMatrix, *qubits: Qubit) -> DensityMatrix:
     for q in qubits:
         mask |= 1 << (k - 1 - dm.pos(q))
     idx = np.arange(2**k) ^ mask
-    return DensityMatrix(dm.labels, dm.mat.take(idx, axis=0).take(idx, axis=1))
+    return _trusted(dm.labels, dm.mat.take(idx, axis=0).take(idx, axis=1))
 
 
 def apply_pauli_z(dm: DensityMatrix, q: Qubit) -> DensityMatrix:
@@ -375,7 +387,7 @@ def apply_pauli_z(dm: DensityMatrix, q: Qubit) -> DensityMatrix:
     out = dm.mat.copy().reshape(pre, 2, post, pre, 2, post)
     out[:, 0, :, :, 1, :] *= -1.0
     out[:, 1, :, :, 0, :] *= -1.0
-    return DensityMatrix(dm.labels, out.reshape(2**k, 2**k))
+    return _trusted(dm.labels, out.reshape(2**k, 2**k))
 
 
 def pauli_correct(dm: DensityMatrix, q: Qubit, bits: tuple[int, int]) -> DensityMatrix:
@@ -399,7 +411,7 @@ def project_z(
     if prob <= 0.0:
         raise ArithmeticError(f"Z outcome {bit} has probability {prob}")
     kept = tuple(lbl for lbl in dm.labels if lbl != q)
-    return prob, DensityMatrix(kept, reduced / prob)
+    return prob, _trusted(kept, reduced / prob)
 
 
 @lru_cache(maxsize=None)
@@ -421,15 +433,17 @@ def _fusion_indices(k: int, c: int, t: int, bit: int) -> np.ndarray:
 
 
 def fuse(
-    dm: DensityMatrix, control: Qubit, target: Qubit, u: float
+    dm: DensityMatrix, control: Qubit, target: Qubit, u: float,
+    flip: Sequence[Qubit] = (),
 ) -> tuple[int, DensityMatrix]:
     """CNOT(control -> target) followed by a Z measurement of the target,
-    which reads 0 iff the uniform ``u`` is below its probability p0.
+    which reads 0 iff the uniform ``u`` is below its probability p0, and on
+    outcome 1 the protocol's correction, X on each qubit of ``flip``.
 
-    The target leaves the register and the state is renormalized.  The
-    outcome-dependent Pauli corrections of the fusion protocol are up to the
-    caller.  Gate and measurement are noiseless.  The CNOT only permutes basis
-    states, so each outcome's state is a gather of the entries it keeps.
+    The target leaves the register and the state is renormalized.  All three
+    are noiseless and only permute basis states, so the state is one gather
+    of the entries it keeps, with the X folded in by XOR-ing the gather
+    indices; the outcome probability is summed from the diagonal before it.
     """
     if control == target:
         raise RegisterError("fusion needs two distinct qubits")
@@ -438,13 +452,18 @@ def fuse(
     p0 = min(max(float(diag[_fusion_indices(k, c, t, 0)].sum()), 0.0), 1.0)
     bit = 0 if u < p0 else 1
     idx = _fusion_indices(k, c, t, bit)
-    post = dm.mat.take(idx, axis=0).take(idx, axis=1)
-    prob = float(np.trace(post).real)
+    prob = float(diag[idx].sum())
     if prob <= 0.0:
         raise ArithmeticError(f"Z outcome {bit} has probability {prob}")
+    if bit and flip:
+        if target in flip:
+            raise RegisterError(f"the measured qubit {target} cannot be flipped")
+        # X on the control also flips the target bit the CNOT wrote
+        flipped = {*flip, target} if control in flip else set(flip)
+        idx = idx ^ sum(1 << (k - 1 - dm.pos(q)) for q in flipped)
+    post = dm.mat.take(idx, axis=0).take(idx, axis=1)
     post /= prob
-    kept = tuple(q for q in dm.labels if q != target)
-    return bit, DensityMatrix(kept, post)
+    return bit, _trusted(tuple(q for q in dm.labels if q != target), post)
 
 
 @lru_cache(maxsize=None)

@@ -528,7 +528,8 @@ def fidelity_recursion_error(rng: np.random.Generator) -> float:
 
 
 def fuse_error(rng: np.random.Generator) -> float:
-    """Fusion as an index gather against the dense CNOT and Z projection: a
+    """Fusion as an index gather against the dense CNOT and Z projection,
+    followed on outcome 1 by X on a random flip set of the kept qubits: a
     draw just below (above) the reference p0 must read 0 (1) and leave the
     reference state."""
     worst = 0.0
@@ -537,9 +538,11 @@ def fuse_error(rng: np.random.Generator) -> float:
         for _ in range(2):
             a, b = (state.labels[int(i)] for i in rng.choice(k, 2, replace=False))
             for control, target in ((a, b), (b, a)):
+                flip = tuple(q for q in state.labels if q != target and rng.random() < 0.5)
                 for bit, shift in ((0, -1e-12), (1, 1e-12)):
                     p0, ref = fuse_by_cnot(state, control, target, bit)
-                    got, post = dmod.fuse(state, control, target, p0 + shift)
+                    ref = dmod.apply_pauli_x(ref, *flip) if bit else ref
+                    got, post = dmod.fuse(state, control, target, p0 + shift, flip)
                     err = dmod.max_abs_diff(ref, post) if got == bit else math.inf
                     worst = max(worst, err)
     return worst

@@ -19,16 +19,19 @@ read-only matrix) with both pairs' noise pending on one remote
 Dense matrices exist only per group and are real (float64): every state the
 switch reaches is real in the computational basis.  A phase runs only when it
 can act: the Bell measurements when at least two links wait, the fusions and
-the delivery check only after a measurement succeeded.  ``do_switch_bsms``
-pairs only end nodes in different clusters, and ``do_fusions`` fuses in one
-ascending pass over the nodes; a node with a waiting link pair holds at most
-one group qubit, so no fusion ever touches it.
+the delivery check only after a measurement succeeded.  Each phase reads the
+group labels once per call: ``do_switch_bsms`` pairs only end nodes in
+different clusters (one id per node), and ``do_fusions`` visits the nodes
+holding two group qubits in ascending order, with each fusion's outcome-1
+correction inside ``dm.fuse``'s gather; a node with a waiting link pair holds
+no second group qubit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +52,7 @@ class ProtocolInvariantError(RuntimeError):
     """The network reached a state the protocol rules are meant to exclude."""
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     """A link pair waiting at the switch: Phi+ on (Qubit(0, connection),
     remote), created at round born.  Its noise is not stored: the Bell
     measurement that consumes it turns it into the swapped pair's pending
@@ -73,9 +75,6 @@ class Component:
     @property
     def qubits(self) -> tuple[Qubit, ...]:
         return self.dm.labels
-
-    def end_nodes(self) -> set[int]:
-        return {q.node for q in self.dm.labels}
 
     def factor(self, q: Qubit, now: int, p_mem: float) -> float:
         """The depolarizing parameter q owes at round now."""
@@ -100,9 +99,10 @@ class NetworkState:
     groups: list[Component] = field(default_factory=list)
 
     def full_component(self, n_end_nodes: int) -> Component | None:
-        """The group spanning every end node, if one exists."""
+        """The group spanning every end node, if one exists: one of >= n_end_nodes qubits."""
         for comp in self.groups:
-            if len(comp.end_nodes()) == n_end_nodes:
+            labels = comp.dm.labels
+            if len(labels) >= n_end_nodes and len({node for node, _ in labels}) == n_end_nodes:
                 return comp
         return None
 
@@ -133,7 +133,7 @@ def _eligible_connections(state: NetworkState, n_end_nodes: int) -> list[tuple[i
     """(connection, node slot to fill) for each connection with no link pair
     waiting, in order.  Between rounds a node holds at most one group qubit (a
     second is fused in the round it arrives), so its other slot is free."""
-    group_slot = {q.node: q.slot for comp in state.groups for q in comp.qubits}
+    group_slot = {node: slot for comp in state.groups for node, slot in comp.dm.labels}
     return [(conn, 1 - group_slot.get(conn, 1))
             for conn in range(1, n_end_nodes + 1) if conn not in state.links]
 
@@ -184,29 +184,27 @@ def do_switch_bsms(
     different clusters, a cluster being the end nodes joined by a chain of
     groups: every connected group is fused into one GHZ-like state by the end
     of the round, and pairing inside a cluster would create a cycle that
-    fusion cannot absorb.  The clusters are built once from the groups and
-    joined as measurements succeed; a failed one changes no group.  Success
-    merges the two link pairs into Phi+ on their remotes (Pauli-corrected at
-    the second end node), whose noise is pending on the second remote;
-    failure resets both source pairs entirely.
+    fusion cannot absorb.  The clusters are one id per node, read from the
+    groups (node-disjoint between fusion phases) and relabelled as
+    measurements succeed; a failed one changes no group.  Success merges the
+    two link pairs into Phi+ on their remotes (Pauli-corrected at the second
+    end node), its noise pending on the second remote; failure resets both.
     """
-    clusters = {node: {node} for node in range(1, params.n_end_nodes + 1)}
-
-    def join(nodes) -> None:
-        merged = set().union(*(clusters[node] for node in nodes))
-        for node in merged:
-            clusters[node] = merged
-
-    for comp in state.groups:
-        join(comp.end_nodes())
+    cluster = list(range(params.n_end_nodes + 1))  # a lone node's id is itself
+    for gid, comp in enumerate(state.groups, start=len(cluster)):
+        for node, _ in comp.dm.labels:
+            if cluster[node] not in (node, gid):
+                raise ProtocolInvariantError(f"node {node} in two groups")
+            cluster[node] = gid
+    links = state.links
     events: list[tuple] = []
     while True:
-        conns = sorted(state.links)
-        valid = [(a, b) for a, b in combinations(conns, 2) if b not in clusters[a]]
+        valid = [(a, b) for a, b in combinations(sorted(links), 2) if cluster[a] != cluster[b]]
         if not valid:
             return events
-        a, b = valid[rng.integers(len(valid))]
-        link_a, link_b = state.links.pop(a), state.links.pop(b)
+        # integers(1) draws nothing, so a single valid pair skips the call
+        a, b = valid[rng.integers(len(valid))] if len(valid) > 1 else valid[0]
+        link_a, link_b = links.pop(a), links.pop(b)
         if params.q_bsm < 1.0 and rng.random() >= params.q_bsm:
             # failed measurement: both source pairs are reset in full
             events.append(("bsm", a, b, False))
@@ -216,7 +214,8 @@ def do_switch_bsms(
         pending = {link_a.remote: (1.0, link_a.born), link_b.remote: (w, link_b.born)}
         pair = DensityMatrix((link_a.remote, link_b.remote), _PHI_PLUS)
         state.groups.append(Component(pair, pending, 2))
-        join((a, b))
+        old, new = cluster[b], cluster[a]
+        cluster = [new if c == old else c for c in cluster]
         events.append(("bsm", a, b, True))
 
 
@@ -225,40 +224,39 @@ def do_fusions(
 ) -> list[tuple]:
     """Fuse end-to-end groups at every node holding two of their qubits.
 
-    One pass over the nodes in ascending index.  A fusion at a node keeps
-    every other qubit where it was, so each lower node that held two group
-    qubits is already fused and every other lower node still holds fewer.  A
-    waiting link pair never meets a fusion: it takes one of the node's
-    NODE_MEMORY_SLOTS = 2 slots, so that node holds at most one group qubit.
+    Only nodes holding two group qubits are visited, in ascending index: a
+    fusion keeps every other qubit where it was, so it never gives another
+    node a second one.  A waiting link pair takes one of its node's
+    NODE_MEMORY_SLOTS = 2 slots, so no fusion meets it.  ``dm.fuse`` applies
+    the outcome-1 correction, X on the detached branch, inside its gather.
     """
     owner: dict[Qubit, Component] = {}
-    held: dict[int, list[Qubit]] = {}
+    first: dict[int, Qubit] = {}
+    shared: list[tuple[int, Qubit, Qubit]] = []
     for comp in state.groups:
-        for q in comp.qubits:
+        for q in comp.dm.labels:
             owner[q] = comp
-            held.setdefault(q.node, []).append(q)
+            other = first.setdefault(q.node, q)
+            if other != q:
+                shared.append((q.node, *sorted((other, q))))
     events: list[tuple] = []
-    for node in range(1, params.n_end_nodes + 1):
-        if len(held.get(node, ())) != 2:
-            continue
-        q_a, q_b = sorted(held[node])
+    for node, q_a, q_b in sorted(shared):
         comp_a, comp_b = owner[q_a], owner.pop(q_b)
         if comp_a is comp_b:
             raise ProtocolInvariantError(f"node {node} holds two qubits of one component")
         comp_a.flush(q_a, state.round, params.p_mem)
         comp_b.flush(q_b, state.round, params.p_mem)
         joint = dmod.tensor(comp_a.dm, comp_b.dm)
-        bit, post = dmod.fuse(joint, q_a, q_b, rng.random())
-        if bit == 1:
-            # classical broadcast of the outcome: flip the detached branch
-            post = dmod.apply_pauli_x(post, *(q for q in comp_b.qubits if q != q_b))
+        # classical broadcast of the outcome: on 1, flip the detached branch
+        branch = tuple(q for q in comp_b.dm.labels if q != q_b)
+        bit, post = dmod.fuse(joint, q_a, q_b, rng.random(), branch)
         pending = {**comp_a.pending, **comp_b.pending}
         del pending[q_b]
         merged = Component(post, pending, comp_a.pairs_consumed + comp_b.pairs_consumed)
         state.groups.remove(comp_a)
         state.groups.remove(comp_b)
         state.groups.append(merged)
-        owner.update(dict.fromkeys(merged.qubits, merged))
+        owner.update(dict.fromkeys(post.labels, merged))
         events.append(("fusion", node, bit))
     return events
 

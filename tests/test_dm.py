@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghzdist import dm as dmod
 from ghzdist.dm import (
@@ -65,6 +66,45 @@ class TestConstructors:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(RegisterError):
             DensityMatrix((Qubit(1, 0), Qubit(1, 0)), np.eye(4, dtype=complex) / 4)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(RegisterError):
+            DensityMatrix((Qubit(1, 0), Qubit(2, 0)), np.eye(8) / 8)
+
+    def test_tensor_over_the_cap_rejected(self, monkeypatch):
+        # kernel results skip the constructor's checks; tensor keeps the cap
+        # (lowered here, so the rejected register costs nothing)
+        monkeypatch.setattr(dmod, "MAX_QUBITS", 3)
+        with pytest.raises(RegisterError, match="exceeds cap 3"):
+            tensor(make_bell(Qubit(1, 0), Qubit(2, 0)), make_bell(Qubit(3, 0), Qubit(4, 0)))
+
+
+class TestUncheckedResults:
+    """Kernels whose result labels follow from their input's build it without
+    re-running the constructor's checks; each result must still be the
+    validated construction of its labels and matrix."""
+
+    @pytest.mark.parametrize(
+        "k, kernel",
+        [
+            (4, lambda s: depolarize(s, (s.labels[1],), 0.3)),
+            (7, lambda s: depolarize(s, (s.labels[1],), 0.3)),
+            (4, lambda s: depolarize(s, s.labels[1:3], 0.3)),
+            (4, lambda s: dmod.apply_pauli_x(s, s.labels[0], s.labels[3])),
+            (4, lambda s: dmod.apply_pauli_z(s, s.labels[2])),
+            (4, lambda s: fuse(s, s.labels[0], s.labels[2], 0.7, (s.labels[1],))[1]),
+            (4, lambda s: project_z(s, s.labels[1], 1)[1]),
+            (4, lambda s: tensor(s, make_bell(*PAIR))),
+            (2, lambda s: tensor(make_bell(*PAIR), s)),
+        ],
+        ids=["depolarize-gather", "depolarize-strided", "depolarize-two", "pauli-x",
+             "pauli-z", "fuse", "project-z", "tensor-loop", "tensor-broadcast"],
+    )
+    def test_result_equals_validated_construction(self, k, kernel):
+        out = kernel(real_state(np.random.default_rng(50 + k), k))
+        checked = DensityMatrix(out.labels, out.mat)
+        assert type(out) is DensityMatrix and out.labels == checked.labels
+        assert out.mat is checked.mat and out.mat.shape == (2**len(out.labels),) * 2
 
 
 class TestDepolarize:
@@ -269,6 +309,31 @@ class TestFusion:
             post = dmod.apply_pauli_x(post, Qubit(4, 0))
         assert post.num_qubits == 4
         assert fidelity_to_ghz(post) == pytest.approx(1.0, abs=1e-12)
+
+    def test_flip_of_the_target_rejected(self):
+        joint = tensor(make_bell(Qubit(1, 0), Qubit(2, 0)), make_bell(Qubit(1, 1), Qubit(3, 0)))
+        with pytest.raises(RegisterError):
+            fuse(joint, Qubit(1, 0), Qubit(1, 1), 0.99, (Qubit(1, 1),))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), k=st.integers(2, 6), u=st.floats(0.0, 1.0, exclude_max=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_flip_is_the_x_correction_of_the_unflipped_result(self, data, k, u, seed):
+        # outcome 1: X on the flip set of the unflipped result, bit for bit;
+        # outcome 0: the unflipped result.  A mask one qubit short differs.
+        state = real_state(np.random.default_rng(seed), k)
+        c, t = data.draw(st.permutations(range(k)))[:2]
+        control, target = state.labels[c], state.labels[t]
+        others = [q for q in state.labels if q != target]
+        flip = tuple(data.draw(st.sets(st.sampled_from(others))))
+        bit, post = fuse(state, control, target, u, flip)
+        ref_bit, ref = fuse(state, control, target, u)
+        want = dmod.apply_pauli_x(ref, *flip) if bit else ref
+        assert bit == ref_bit and post.labels == want.labels
+        assert np.array_equal(post.mat, want.mat)
+        if bit and flip:
+            short = fuse(state, control, target, u, flip[:-1])[1]
+            assert not np.array_equal(short.mat, want.mat)
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_gather_matches_cnot_projection(self, k):

@@ -63,7 +63,7 @@ def test_switch_reads_only_its_dm_kernels():
     # drive-by import
     assert dm_names_read("switch") == {
         "Qubit", "DensityMatrix", "MAX_QUBITS", "depolarize", "tensor", "fuse",
-        "apply_pauli_x", "fidelity_to_ghz",
+        "fidelity_to_ghz",
     }
 
 

@@ -198,6 +198,23 @@ class TestSwitchBsms:
         assert events == []
         assert sorted(state.links) == [1, 2] and len(state.groups) == 1
 
+    def test_single_valid_pair_draws_no_choice(self):
+        # the pair choice skips rng.integers(1), which would draw nothing
+        rng = shot_rng(0, 0, 9)
+        before = rng.bit_generator.state
+        assert rng.integers(1) == 0 and rng.bit_generator.state == before
+
+    def test_groups_sharing_a_node_are_flagged(self):
+        # between fusion phases every node holds at most one group qubit
+        state = network(
+            bell_component(Qubit(1, 0), Qubit(2, 0)),
+            bell_component(Qubit(1, 1), Qubit(3, 0)),
+            bell_component(Qubit(0, 2), Qubit(2, 1)),
+            bell_component(Qubit(0, 3), Qubit(3, 1)),
+        )
+        with pytest.raises(ProtocolInvariantError, match="node 1 in two groups"):
+            do_switch_bsms(state, make_params(n_end_nodes=3), shot_rng(0, 0, 9))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_success_joins_clusters_within_the_call(self, seed):
         # groups 1-2 and 3-4 with a link waiting on every connection: the

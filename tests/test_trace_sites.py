@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from ghzdist import switch
+from ghzdist.params import SimParams
+
 TRACE_LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "trace_layers.py"
 
 
@@ -38,9 +41,6 @@ def uncalled_phases(monkeypatch) -> list[str]:
     """The switch phases that a 3-delivery ``estimate_switch`` never calls by
     their module name, each wrapped there by a counting patch as the tracer
     and the benchmark gate's delivery tap wrap them."""
-    from ghzdist import switch
-    from ghzdist.params import SimParams
-
     counts = dict.fromkeys(PHASES, 0)
     for name in PHASES:
         def counted(*args, _name=name, _phase=getattr(switch, name)):
@@ -58,8 +58,6 @@ def test_switch_phases_are_called_by_name(monkeypatch):
 def test_phases_bound_at_definition_are_caught(monkeypatch):
     # negative control: a run_to_ghz whose phases were bound when it was
     # defined, as local or default-argument aliases would bind them
-    from ghzdist import switch
-
     bound = types.FunctionType(switch.run_to_ghz.__code__, dict(vars(switch)))
     monkeypatch.setattr(switch, "run_to_ghz", bound)
     assert uncalled_phases(monkeypatch) == [

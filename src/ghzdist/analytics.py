@@ -31,6 +31,24 @@ def _one_minus_q_pow(q: float, k: int) -> float:
     return math.exp(k * math.log1p(-q))
 
 
+def _one_minus_miss(q: float, k: int, survive: float = 1.0) -> float:
+    """1 - (1 - q)^k survive (k >= 1 if q = 1), as -expm1 of the logarithm
+    of the product, so it keeps its digits where k q << 1 and the
+    subtraction would cancel."""
+    if q == 1.0 or survive == 0.0:
+        return 1.0
+    return -math.expm1(k * math.log1p(-q) + math.log(survive))
+
+
+def check_node_cap(n: int) -> None:
+    """Reject an N beyond ``CLOSED_FORM_MAX_NODES`` with a ConfigError that
+    names the config key."""
+    if n > CLOSED_FORM_MAX_NODES:
+        raise ConfigError(
+            f"n_end_nodes = {n} exceeds {CLOSED_FORM_MAX_NODES}, the closed forms' node cap"
+        )
+
+
 def harmonic(n: int) -> float:
     """n-th harmonic number, exact partial sum."""
     if n < 1:
@@ -84,14 +102,14 @@ def _t_masses(n: int, q: float, i_max: int) -> list[float]:
     if q == 1.0:
         return [1.0] + [0.0] * i_max  # all links succeed in round 1
     log_q, log_miss = math.log(q), math.log1p(-q)
-    miss = [_one_minus_q_pow(q, k) for k in range(n + 1)]
+    hit = [_one_minus_miss(q, k) for k in range(n + 1)]
     t = [1.0]
     for i in range(1, i_max + 1):
         log_weight = (n - i) * log_miss
         acc = 0.0
         for l in range(1, i + 1):
             log_weight += log_q + math.log((n - i + l) / l)
-            acc += math.exp(log_weight) / (1.0 - miss[n - i + l]) * t[i - l]
+            acc += math.exp(log_weight) / hit[n - i + l] * t[i - l]
         t.append(acc)
     return t
 
@@ -110,15 +128,13 @@ def expected_order_stat(i: int, n: int, q: float, mode: str = "exact") -> float:
     if mode == "leading":
         return math.fsum(1.0 / k for k in range(n + 1 - i, n + 1)) / q
     if mode == "upper_bound":
-        return math.fsum(
-            1.0 / (1.0 - _one_minus_q_pow(q, k)) for k in range(n + 1 - i, n + 1)
-        )
+        return math.fsum(1.0 / _one_minus_miss(q, k) for k in range(n + 1 - i, n + 1))
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     t = _t_masses(n, q, i - 1)
-    total = 1.0 / (1.0 - _one_minus_q_pow(q, n))
+    total = 1.0 / _one_minus_miss(q, n)
     for k in range(1, i):
-        total += t[k] / (1.0 - _one_minus_q_pow(q, n - k))
+        total += t[k] / _one_minus_miss(q, n - k)
     return total
 
 
@@ -165,7 +181,7 @@ def _rank_factor(
         return boost / (rate_sum + boost)
     if mode == "lower_bound":
         num = boost * _one_minus_q_pow(q_link, n - k) * survive
-        return num / (1.0 - _one_minus_q_pow(q_link, n + 1 - k) * survive)
+        return num / _one_minus_miss(q_link, n + 1 - k, survive)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -260,11 +276,7 @@ def fidelity_closed_form(params: SimParams, mode: str = "leading") -> FidelityBr
     ``mode`` selects the leading-order or lower-bound evaluation of G.
     """
     n = params.n_end_nodes
-    if n > CLOSED_FORM_MAX_NODES:
-        raise ConfigError(
-            f"n_end_nodes = {n} exceeds {CLOSED_FORM_MAX_NODES}, the double-precision "
-            "range of the closed-form fidelity"
-        )
+    check_node_cap(n)
     keep = params.p_mem**2
     # sums[j]: G restricted to the ranks so far, summed over their j-subsets
     sums = [1.0]

@@ -111,9 +111,8 @@ def _resolve_point(protocol: str, params: SimParams) -> dict:
         return {col: "" for col in CSV_COLUMNS[8:]}
     check_attempt_budget(params)
     worker_count()
-    # fidelity first: its n_end_nodes cap fires before the O(N^2) exact rate runs
-    forms = reversed(list(zip(CSV_COLUMNS[8:], CLOSED_FORMS.values())))
-    return {col: form(params) for col, form in forms}
+    analytics.check_node_cap(params.n_end_nodes)
+    return {col: form(params) for col, form in zip(CSV_COLUMNS[8:], CLOSED_FORMS.values())}
 
 
 def _open_output(stack: ExitStack, path: str | None) -> TextIO:
@@ -195,9 +194,8 @@ def cmd_analytic(args) -> int:
             f"--mode for {args.quantity} must be {'|'.join(modes)}, got {args.mode!r}"
         )
     n, q = params.n_end_nodes, params.q_link
-    if args.mode == "exact" and n > analytics.CLOSED_FORM_MAX_NODES:
-        raise ConfigError(f"n_end_nodes = {n} exceeds {analytics.CLOSED_FORM_MAX_NODES}, the "
-                          f"closed forms' node cap (the exact {args.quantity} costs N^2)")
+    if args.mode == "exact":
+        analytics.check_node_cap(n)
     result: dict = {"quantity": args.quantity, "mode": args.mode, "params": asdict(params)}
     if (args.quantity, args.mode) in CLOSED_FORMS:
         result["value"] = CLOSED_FORMS[args.quantity, args.mode](params)

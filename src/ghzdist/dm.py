@@ -4,7 +4,8 @@ States live on an ordered register of labeled qubits (node, slot).  The only
 channel is depolarizing; gates, measurements and Pauli corrections are
 noiseless.  Matrices are stored densely, so the register is hard-capped at
 MAX_QUBITS qubits.  A real (float64) matrix stays real through ``tensor``,
-``permute``, ``partial_trace``, ``depolarize``, ``fuse`` and the X flip.
+``permute``, ``partial_trace``, ``depolarize`` and ``fuse``, and through
+``apply_unitary`` with a real gate, which every Pauli correction is.
 
 Single-qubit depolarizing, the switch's hot channel, has two kernels with
 the same arithmetic in the same order, so the same bits.  Up to
@@ -19,6 +20,9 @@ Conventions:
   * Qubit 0 of the register is the most significant bit of the matrix index.
   * Bell basis: ``|phi_ij> = (1 (x) X^i Z^j) |phi_00>``.  A measurement
     outcome (i, j) is undone at the remote qubit by ``Z^j X^i``.
+  * Every projection (``project_bell``, ``project_z``, ``bsm``'s post-state)
+    goes through ``_project``; every Pauli outside ``fuse`` through
+    ``apply_unitary``.
 """
 
 from __future__ import annotations
@@ -44,6 +48,15 @@ DEPOLARIZE_GATHER_MAX_QUBITS = 6
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+# row 2i + j: |phi_ij> over the computational basis |ab>
+_BELL = np.array(
+    [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex
+) / np.sqrt(2.0)
+# index 2i + j: Z^j X^i, which undoes Bell outcome (i, j)
+_CORRECTIONS = (
+    np.eye(2), np.diag([1.0, -1.0]), PAULI_X, np.array([[0.0, 1.0], [-1.0, 0.0]])
+)
 
 
 class Qubit(NamedTuple):
@@ -55,23 +68,6 @@ class Qubit(NamedTuple):
 
 class RegisterError(ValueError):
     """Label collision, unknown label, or register overflow."""
-
-
-def _make_bell_vector(i: int, j: int) -> np.ndarray:
-    v = np.zeros(4, dtype=complex)
-    v[0b00 | i] = 1.0
-    v[0b10 | (1 - i)] = -1.0 if j else 1.0
-    return v / np.sqrt(2.0)
-
-
-_BELL_VECTORS = tuple(
-    tuple(_make_bell_vector(i, j) for j in (0, 1)) for i in (0, 1)
-)
-
-
-def bell_vector(i: int, j: int) -> np.ndarray:
-    """State vector of |phi_ij> over the computational basis |ab>."""
-    return _BELL_VECTORS[i][j]
 
 
 @dataclass(frozen=True)
@@ -106,9 +102,6 @@ class DensityMatrix:
             return self.labels.index(q)
         except ValueError:
             raise RegisterError(f"qubit {q} not in register {self.labels}") from None
-
-    def trace(self) -> float:
-        return float(np.trace(self.mat).real)
 
     def validate(self, psd: bool = False, context: str = "") -> None:
         """Assert trace, Hermiticity and (optionally) positive semidefiniteness.
@@ -145,8 +138,7 @@ def _tensor_view(dm: DensityMatrix) -> np.ndarray:
 
 def make_bell(a: Qubit = Qubit(0, 0), b: Qubit = Qubit(1, 0)) -> DensityMatrix:
     """Pure |phi_00> = (|00> + |11>)/sqrt(2) on qubits (a, b)."""
-    v = bell_vector(0, 0)
-    return DensityMatrix((a, b), np.outer(v, v.conj()))
+    return DensityMatrix((a, b), np.outer(_BELL[0], _BELL[0].conj()))
 
 
 def make_ghz(n: int, labels: Sequence[Qubit] | None = None) -> DensityMatrix:
@@ -337,18 +329,26 @@ def _project_vector(
     return float(np.trace(reduced).real), reduced
 
 
+def _project(
+    dm: DensityMatrix, targets: tuple[Qubit, ...], v: np.ndarray
+) -> tuple[float, DensityMatrix]:
+    """Project ``targets`` onto |v>; they leave the register.  Returns the
+    outcome probability and the normalized post-measurement state."""
+    prob, reduced = _project_vector(dm, targets, v)
+    if prob <= 0.0:
+        raise ArithmeticError(f"projecting {targets} has outcome probability {prob}")
+    kept = tuple(q for q in dm.labels if q not in targets)
+    return prob, _trusted(kept, reduced / prob)
+
+
 def project_bell(
     dm: DensityMatrix, q_a: Qubit, q_b: Qubit, bits: tuple[int, int]
 ) -> tuple[float, DensityMatrix]:
-    """Project (q_a, q_b) onto |phi_ij>; the pair leaves the register.
-
-    Returns the outcome probability and the normalized post-measurement state.
-    """
-    prob, reduced = _project_vector(dm, (q_a, q_b), bell_vector(*bits))
-    if prob <= 0.0:
-        raise ArithmeticError(f"Bell outcome {bits} has probability {prob}")
-    kept = tuple(q for q in dm.labels if q not in (q_a, q_b))
-    return prob, DensityMatrix(kept, reduced / prob)
+    """Project (q_a, q_b) onto |phi_ij>, ``bits`` = (i, j); the pair leaves
+    the register.  Returns the outcome probability and the normalized
+    post-measurement state."""
+    i, j = bits
+    return _project(dm, (q_a, q_b), _BELL[2 * i + j])
 
 
 def bsm(
@@ -358,60 +358,23 @@ def bsm(
     ``u``: the first outcome (i, j) in the order 00, 01, 10, 11 whose
     cumulative probability exceeds u.  The pair leaves the register.  It never
     fails and is noiseless; success rules and input noise are the caller's."""
-    probs = np.array([_project_vector(dm, (q_a, q_b), bell_vector(i, j))[0]
-                      for i in (0, 1) for j in (0, 1)]).clip(0.0, None)
+    probs = np.array([_project_vector(dm, (q_a, q_b), v)[0] for v in _BELL]).clip(0.0, None)
     if probs.sum() <= 0.0:
         raise ArithmeticError("all Bell outcomes have probability 0")
     idx = min(int(np.searchsorted(np.cumsum(probs / probs.sum()), u, side="right")), 3)
-    bits = (idx >> 1, idx & 1)
-    return bits, project_bell(dm, q_a, q_b, bits)[1]
-
-
-def apply_pauli_x(dm: DensityMatrix, *qubits: Qubit) -> DensityMatrix:
-    """X on each of ``qubits``: one gather of rows and columns at the indices
-    XORed with the qubits' bit mask."""
-    k = dm.num_qubits
-    mask = 0
-    for q in qubits:
-        mask |= 1 << (k - 1 - dm.pos(q))
-    idx = np.arange(2**k) ^ mask
-    return _trusted(dm.labels, dm.mat.take(idx, axis=0).take(idx, axis=1))
-
-
-def apply_pauli_z(dm: DensityMatrix, q: Qubit) -> DensityMatrix:
-    """Z on one qubit: sign flip of the off-diagonal blocks."""
-    k = dm.num_qubits
-    pos = dm.pos(q)
-    pre = 2**pos
-    post = 2 ** (k - pos - 1)
-    out = dm.mat.copy().reshape(pre, 2, post, pre, 2, post)
-    out[:, 0, :, :, 1, :] *= -1.0
-    out[:, 1, :, :, 0, :] *= -1.0
-    return _trusted(dm.labels, out.reshape(2**k, 2**k))
+    return (idx >> 1, idx & 1), _project(dm, (q_a, q_b), _BELL[idx])[1]
 
 
 def pauli_correct(dm: DensityMatrix, q: Qubit, bits: tuple[int, int]) -> DensityMatrix:
     """Undo the teleportation byproduct of Bell outcome ``bits`` = (i, j) by
     Z^j X^i on q."""
     i, j = bits
-    if i:
-        dm = apply_pauli_x(dm, q)
-    if j:
-        dm = apply_pauli_z(dm, q)
-    return dm
+    return apply_unitary(dm, (q,), _CORRECTIONS[2 * i + j])
 
 
-def project_z(
-    dm: DensityMatrix, q: Qubit, bit: int
-) -> tuple[float, DensityMatrix]:
+def project_z(dm: DensityMatrix, q: Qubit, bit: int) -> tuple[float, DensityMatrix]:
     """Project qubit q onto |bit>; q leaves the register."""
-    v = np.zeros(2, dtype=complex)
-    v[bit] = 1.0
-    prob, reduced = _project_vector(dm, (q,), v)
-    if prob <= 0.0:
-        raise ArithmeticError(f"Z outcome {bit} has probability {prob}")
-    kept = tuple(lbl for lbl in dm.labels if lbl != q)
-    return prob, _trusted(kept, reduced / prob)
+    return _project(dm, (q,), np.eye(2, dtype=complex)[bit])
 
 
 @lru_cache(maxsize=None)

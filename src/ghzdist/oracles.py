@@ -8,7 +8,8 @@ coefficient identity against that sum, the closed-form fidelity from the
 literal sum over subsets of arrival ranks, per-shot fidelities from a full
 density-matrix replay of the teleportation pipeline, the factory's shot
 kernel from a loop that turns every attempt's uniforms into rounds, fusion
-from a dense CNOT plus a Z projection, the per-shot streams from a literal
+with its outcome-1 flip from a dense CNOT, a Z projection and dense X gates
+(not the XOR-mask gather under test), the per-shot streams from a literal
 numpy SeedSequence, the switch's entanglement swap with its pending noise
 from a dense Bell measurement, its diagonal read-out from dense per-qubit
 depolarizing, its link jump from a loop of single rounds, and its deliveries
@@ -529,9 +530,9 @@ def fidelity_recursion_error(rng: np.random.Generator) -> float:
 
 def fuse_error(rng: np.random.Generator) -> float:
     """Fusion as an index gather against the dense CNOT and Z projection,
-    followed on outcome 1 by X on a random flip set of the kept qubits: a
-    draw just below (above) the reference p0 must read 0 (1) and leave the
-    reference state."""
+    followed on outcome 1 by X, as a dense gate, on a random flip set of the
+    kept qubits: a draw just below (above) the reference p0 must read 0 (1)
+    and leave the reference state."""
     worst = 0.0
     for k in range(3, 7):
         state = _random_state(rng, k)
@@ -541,7 +542,9 @@ def fuse_error(rng: np.random.Generator) -> float:
                 flip = tuple(q for q in state.labels if q != target and rng.random() < 0.5)
                 for bit, shift in ((0, -1e-12), (1, 1e-12)):
                     p0, ref = fuse_by_cnot(state, control, target, bit)
-                    ref = dmod.apply_pauli_x(ref, *flip) if bit else ref
+                    if bit:
+                        for q in flip:
+                            ref = dmod.apply_unitary(ref, (q,), dmod.PAULI_X)
                     got, post = dmod.fuse(state, control, target, p0 + shift, flip)
                     err = dmod.max_abs_diff(ref, post) if got == bit else math.inf
                     worst = max(worst, err)

@@ -1,9 +1,11 @@
 """Closed-form expressions: frozen oracle values, identities, bounds."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghzdist.analytics import (
     GSpec,
@@ -77,6 +79,44 @@ class TestExpectedNAll:
             1 + 1 / math.log(2), abs=1e-12
         )
         assert expected_n_all_upper_bound(4, 1.0) == 1.0
+
+
+def n_all_fraction(n, q):
+    """E[max of n geometric(q)] as the alternating binomial sum, in exact
+    rational arithmetic on the double q."""
+    miss = 1 - Fraction(q)
+    return float(sum((-1) ** (k + 1) * math.comb(n, k) / (1 - miss**k) for k in range(1, n + 1)))
+
+
+# q_link log-uniform over its whole range [1e-15, 1]
+Q_LINK = st.floats(-15.0, 0.0).map(lambda e: 10.0**e)
+
+
+class TestSmallQLink:
+    """1 - (1 - q)^k cancels in floating point when k q << 1; the closed
+    forms must keep their digits down to q_link = 1e-15."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 300), q=Q_LINK)
+    def test_n_all_within_its_exponential_bounds(self, n, q):
+        # a geometric wait is the ceiling of an exponential one of rate
+        # -log(1 - q), whose maximum over n has mean H_n / rate (0 at q = 1)
+        exact = expected_n_all_exact(n, q)
+        lower = harmonic(n) / -math.log1p(-q) if q < 1.0 else 0.0
+        assert lower <= exact * (1 + 1e-12)
+        assert exact <= expected_n_all_upper_bound(n, q) * (1 + 1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 300), q=Q_LINK,
+           p_mem=st.one_of(st.just(1.0), st.floats(0.9, 1.0)))
+    def test_fidelity_lower_bound_is_a_probability(self, n, q, p_mem):
+        params = SimParams(n_end_nodes=n, q_link=q, p_mem=p_mem)
+        assert 0.0 <= fidelity_closed_form(params, "lower_bound").value <= 1.0
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    @pytest.mark.parametrize("q", [1e-15, 1e-12, 1e-9])
+    def test_n_all_matches_exact_rational_sum(self, n, q):
+        assert expected_n_all_exact(n, q) == pytest.approx(n_all_fraction(n, q), rel=1e-13)
 
 
 class TestRates:

@@ -1,8 +1,10 @@
 """Command-line front end: simulate, analytic, sweep, verify.
 
-Exit codes: 0 on success, 1 for configuration and file errors, 2 when
-verification fails.  CSV output is byte-identical for identical configs and
-seeds; the timestamp header line can be suppressed for that purpose.
+Parameters: ``--config``, then each ``--set`` (one ``key = value``, the last
+one winning), then a sweep's point, read as ``--param``.  Exit codes: 0 on
+success, 1 for configuration and file errors, 2 when verification fails.
+CSV output is byte-identical for identical configs and seeds; the timestamp
+header line can be suppressed for that purpose.
 """
 
 from __future__ import annotations
@@ -22,6 +24,18 @@ from .params import ConfigError, SimParams, load_params
 from .svgplot import Panel, Series, render_sweep_svg
 from .switch import WARMUP_EXECUTIONS, check_register_limit, estimate_switch
 
+# (column, quantity, mode, chart label, form); forms look up analytics.<fn> when called
+ANALYTIC_COLUMNS = [
+    ("analytic_rate_exact", "rate", "exact", "exact",
+     lambda p: analytics.rate_exact(p.n_end_nodes, p.q_link, p.q_bsm, p.dt)),
+    ("analytic_rate_leading", "rate", "leading", "leading",
+     lambda p: analytics.rate_leading(p.n_end_nodes, p.q_link, p.q_bsm, p.dt)),
+    ("analytic_fid_leading", "fidelity", "leading", "leading",
+     lambda p: analytics.fidelity_closed_form(p, "leading").value),
+    ("analytic_fid_lower_bound", "fidelity", "lower_bound", "lower bound",
+     lambda p: analytics.fidelity_closed_form(p, "lower_bound").value),
+]
+
 CSV_COLUMNS = [
     "sweep_param",
     "sweep_value",
@@ -31,10 +45,7 @@ CSV_COLUMNS = [
     "rate_stderr",
     "fid_mean",
     "fid_stderr",
-    "analytic_rate_exact",
-    "analytic_rate_leading",
-    "analytic_fid_leading",
-    "analytic_fid_lower_bound",
+    *(column for column, *_ in ANALYTIC_COLUMNS),
 ]
 
 # the valid --mode values of each analytic quantity
@@ -45,53 +56,14 @@ ANALYTIC_MODES = {
     "g": ("leading", "lower_bound"),
 }
 
-# (quantity, mode) -> closed form at one point.  The first four, in order,
-# are the CSV's analytic columns; each looks up ``analytics.<fn>`` when called.
-CLOSED_FORMS = {
-    ("rate", "exact"): lambda p: analytics.rate_exact(
-        p.n_end_nodes, p.q_link, p.q_bsm, p.dt
-    ),
-    ("rate", "leading"): lambda p: analytics.rate_leading(
-        p.n_end_nodes, p.q_link, p.q_bsm, p.dt
-    ),
-    ("fidelity", "leading"): lambda p: analytics.fidelity_closed_form(
-        p, "leading"
-    ).value,
-    ("fidelity", "lower_bound"): lambda p: analytics.fidelity_closed_form(
-        p, "lower_bound"
-    ).value,
-}
-
-# (panel, [(series name, column, error column)]) of the sweep chart; series
-# without an error column are the closed forms, drawn for the factory only
-CHART = [
-    ("rate", [
-        ("MC", "rate_mean", "rate_stderr"),
-        ("exact", "analytic_rate_exact", None),
-        ("leading", "analytic_rate_leading", None),
-    ]),
-    ("fidelity", [
-        ("MC", "fid_mean", "fid_stderr"),
-        ("leading", "analytic_fid_leading", None),
-        ("lower bound", "analytic_fid_lower_bound", None),
-    ]),
-]
+# (panel, MC column, error column); a factory panel adds its quantity's closed forms
+CHART = [("rate", "rate_mean", "rate_stderr"), ("fidelity", "fid_mean", "fid_stderr")]
 
 
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(float(value))
     return str(value)
-
-
-def _parse_overrides(pairs: list[str] | None) -> dict:
-    overrides = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, val = pair.split("=", 1)
-        overrides[key.strip()] = val.strip()
-    return overrides
 
 
 def _parse_list(flag: str, text: str, kind) -> tuple:
@@ -108,11 +80,11 @@ def _resolve_point(protocol: str, params: SimParams) -> dict:
     would fail on, so that a run checks every point before simulating one."""
     if protocol == "switch":
         check_register_limit(params)
-        return {col: "" for col in CSV_COLUMNS[8:]}
+        return {column: "" for column, *_ in ANALYTIC_COLUMNS}
     check_attempt_budget(params)
     worker_count()
     analytics.check_node_cap(params.n_end_nodes)
-    return {col: form(params) for col, form in zip(CSV_COLUMNS[8:], CLOSED_FORMS.values())}
+    return {column: form(params) for column, *_, form in ANALYTIC_COLUMNS}
 
 
 def _open_output(stack: ExitStack, path: str | None) -> TextIO:
@@ -123,12 +95,13 @@ def _open_output(stack: ExitStack, path: str | None) -> TextIO:
 
 def _render_chart(protocol: str, sweep_param: str, rows: list[dict], out: TextIO) -> None:
     panels = [
-        Panel(ylabel, [
-            Series(name, [r[col] for r in rows], err and [r[err] for r in rows])
-            for name, col, err in series
-            if err or protocol == "factory"
+        Panel(panel, [
+            Series("MC", [r[col] for r in rows], [r[err] for r in rows]),
+            *(Series(label, [r[column] for r in rows])
+              for column, quantity, _, label, _ in ANALYTIC_COLUMNS
+              if quantity == panel and protocol == "factory"),
         ])
-        for ylabel, series in CHART
+        for panel, col, err in CHART
     ]
     x = [float(r["sweep_value"]) for r in rows]
     render_sweep_svg(out, f"{protocol}: sweep over {sweep_param}", sweep_param, x, panels)
@@ -138,11 +111,10 @@ def _run_points(args, sweep_param: str, values: list[str], svg_path: str | None)
     """Check every point, open the outputs, simulate each point and write
     one CSV row per point, plus the chart if ``svg_path`` is given.  An empty
     ``sweep_param`` runs the single point of the config."""
-    overrides = _parse_overrides(args.set)
     points = []
     for value in values:
-        point = {sweep_param: value} if sweep_param else {}
-        params = load_params(args.config, {**overrides, **point})
+        setting = value and f"{sweep_param}={value}"
+        params = load_params(args.config, args.set or (), setting)
         points.append((value, params, _resolve_point(args.protocol, params)))
     with ExitStack() as stack:
         out = _open_output(stack, args.output)
@@ -183,22 +155,24 @@ def cmd_sweep(args) -> int:
     values = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
+    if "#" in args.values:
+        raise ConfigError(f"--values cannot hold '#', got {args.values!r}")
     return _run_points(args, args.param, values, args.svg)
 
 
 def cmd_analytic(args) -> int:
-    params = load_params(args.config, _parse_overrides(args.set))
+    params = load_params(args.config, args.set or ())
     modes = ANALYTIC_MODES[args.quantity]
     if args.mode not in modes:
         raise ConfigError(
             f"--mode for {args.quantity} must be {'|'.join(modes)}, got {args.mode!r}"
         )
     n, q = params.n_end_nodes, params.q_link
-    if args.mode == "exact":
-        analytics.check_node_cap(n)
+    analytics.check_node_cap(n)
+    forms = {(quantity, mode): form for _, quantity, mode, _, form in ANALYTIC_COLUMNS}
     result: dict = {"quantity": args.quantity, "mode": args.mode, "params": asdict(params)}
-    if (args.quantity, args.mode) in CLOSED_FORMS:
-        result["value"] = CLOSED_FORMS[args.quantity, args.mode](params)
+    if (args.quantity, args.mode) in forms:
+        result["value"] = forms[args.quantity, args.mode](params)
     elif args.quantity == "order-stat":
         if args.index is None:
             raise ConfigError("order-stat needs --index")

@@ -1,10 +1,11 @@
-"""Protocol parameters, flat config files, and reproducible randomness."""
+"""Protocol parameters, read from a flat config file and from ``key = value``
+settings by one parser, and reproducible randomness."""
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -71,22 +72,10 @@ class SimParams:
             raise ConfigError(f"seed must be a 64-bit unsigned int, got {self.seed}")
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(SimParams)}
-_REQUIRED = ("n_end_nodes", "q_link")
-_INT_FIELDS = ("n_end_nodes", "shots", "seed")
-
-
-def _coerce(key: str, raw: str):
-    try:
-        if key in _INT_FIELDS:
-            return int(raw)
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"cannot parse value {raw!r} for key {key!r}") from None
-
-
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Parse flat ``key = value`` lines; unknown keys are rejected."""
+    """Parse flat ``key = value`` lines; unknown keys are rejected.  A key
+    is read as an int if ``SimParams`` annotates it ``int``, else as a float."""
+    types = {f.name: f.type for f in fields(SimParams)}
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -95,30 +84,42 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in types:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        values[key] = _coerce(key, raw)
+        try:
+            values[key] = int(raw) if types[key] == "int" else float(raw)
+        except ValueError:
+            raise ConfigError(
+                f"{source}:{lineno}: cannot parse value {raw!r} for key {key!r}"
+            ) from None
     return values
 
 
 def load_params(
-    path: str | Path | None = None, overrides: dict | None = None
+    path: str | Path | None = None, settings: Sequence[str] = (), point: str | None = None
 ) -> SimParams:
-    """Build SimParams from an optional config file plus override values."""
+    """Build SimParams from an optional config file, then each ``--set``
+    setting in order, then a sweep ``point`` read as ``--param``.  Each
+    setting holds exactly one ``key = value`` under the config-file rules
+    and overrides any earlier value of its key."""
     values: dict = {}
     if path is not None:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         values.update(parse_config_text(path.read_text(), source=str(path)))
-    if overrides:
-        for key, val in overrides.items():
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"unknown key {key!r}")
-            values[key] = _coerce(key, str(val))
-    missing = [key for key in _REQUIRED if key not in values]
+    sources = [("--set", text) for text in settings]
+    if point:
+        sources.append(("--param", point))
+    for source, text in sources:
+        setting = parse_config_text(text, source)
+        if len(setting) != 1:
+            raise ConfigError(f"{source} expects one 'key = value', got {text!r}")
+        values.update(setting)
+    required = [f.name for f in fields(SimParams) if f.default is MISSING]
+    missing = [key for key in required if key not in values]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     return SimParams(**values)

@@ -317,6 +317,12 @@ class TestAnalytic:
              "n_end_nodes"),
             (["--quantity", "order-stat", "--mode", "exact", "--index", "1", "--set",
               "n_end_nodes=200000"], "n_end_nodes"),
+            (["--quantity", "rate", "--mode", "leading", "--set", "n_end_nodes=1024"],
+             "n_end_nodes"),
+            (["--quantity", "order-stat", "--mode", "upper_bound", "--index", "1",
+              "--set", "n_end_nodes=1024"], "n_end_nodes"),
+            (["--quantity", "g", "--mode", "leading", "--positions", "1", "--set",
+              "n_end_nodes=1024"], "n_end_nodes"),
         ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, flags, named):

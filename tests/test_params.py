@@ -1,12 +1,13 @@
 """Parameter validation, config parsing, seeding, geometric sampling."""
 
 import math
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from ghzdist.cli import main
 from ghzdist.params import (
     ConfigError,
     SimParams,
@@ -103,7 +104,7 @@ class TestConfigFile:
     def test_cli_style_overrides_win(self, tmp_path):
         cfg = tmp_path / "point.cfg"
         cfg.write_text("n_end_nodes = 5\nq_link = 0.01\n")
-        p = load_params(cfg, {"q_link": "0.5"})
+        p = load_params(cfg, ["q_link=0.5"])
         assert p.q_link == 0.5
 
     def test_t_cl_is_an_unknown_key(self, tmp_path):
@@ -113,11 +114,93 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown key 't_cl'"):
             load_params(cfg)
         with pytest.raises(ConfigError, match="unknown key 't_cl'"):
-            load_params(None, {"n_end_nodes": "5", "q_link": "0.01", "t_cl": "0"})
+            load_params(None, ["n_end_nodes=5", "q_link=0.01", "t_cl=0"])
 
     def test_unparseable_value(self):
         with pytest.raises(ConfigError, match="cannot parse"):
             parse_config_text("q_link = fast\n")
+
+
+BASE_SETTINGS = ["n_end_nodes = 5", "q_link = 0.01"]
+INT_FIELDS = [f for f in fields(SimParams) if f.type == "int"]
+REQUIRED_FIELDS = [f for f in fields(SimParams) if f.default is MISSING]
+
+
+def field_line(field) -> str:
+    """A valid ``key = value`` line for one field: 7 for an int, 0.5 else."""
+    return f"{field.name} = {7 if field.type == 'int' else 0.5}"
+
+
+class TestOneReader:
+    """A config file, each ``--set`` and a sweep's ``--param`` are read by one
+    parser, and the integer and required keys come from the SimParams fields."""
+
+    def test_field_tables_are_not_empty(self):
+        # the cases below run over these, so an empty table would pass vacuously
+        assert [f.name for f in INT_FIELDS] == ["n_end_nodes", "shots", "seed"]
+        assert [f.name for f in REQUIRED_FIELDS] == ["n_end_nodes", "q_link"]
+
+    @pytest.mark.parametrize("field", fields(SimParams), ids=lambda f: f.name)
+    def test_config_line_and_setting_agree(self, tmp_path, field):
+        base = [line for line in BASE_SETTINGS if not line.startswith(field.name)]
+        with_line = tmp_path / "with.cfg"
+        with_line.write_text("\n".join([*base, field_line(field)]) + "\n")
+        without = tmp_path / "without.cfg"
+        without.write_text("\n".join(base) + "\n")
+        from_file = load_params(with_line)
+        assert load_params(without, [field_line(field)]) == from_file
+        assert load_params(without, [], field_line(field)) == from_file
+        value = getattr(from_file, field.name)
+        assert type(value) is (int if field.type == "int" else float)
+
+    @pytest.mark.parametrize("field", INT_FIELDS, ids=lambda f: f.name)
+    def test_fractional_int_fails_naming_the_key(self, tmp_path, field):
+        # read as a float, seed = 1.5 would pass SimParams' own range check
+        message = f"cannot parse value '1.5' for key '{field.name}'"
+        with pytest.raises(ConfigError, match=f"--set:1: {message}"):
+            load_params(None, [*BASE_SETTINGS, f"{field.name}=1.5"])
+        with pytest.raises(ConfigError, match=f"--param:1: {message}"):
+            load_params(None, BASE_SETTINGS, f"{field.name}=1.5")
+        cfg = tmp_path / "point.cfg"
+        cfg.write_text(f"{field.name} = 1.5\n")
+        with pytest.raises(ConfigError, match=message):
+            load_params(cfg, BASE_SETTINGS)
+
+    @pytest.mark.parametrize("field", REQUIRED_FIELDS, ids=lambda f: f.name)
+    def test_missing_required_field_is_named(self, field):
+        settings = [line for line in BASE_SETTINGS if not line.startswith(field.name)]
+        with pytest.raises(ConfigError, match=f"missing required keys: {field.name}$"):
+            load_params(None, settings)
+
+    def test_later_setting_wins(self):
+        settings = [*BASE_SETTINGS, "q_link=0.3", "seed = 4", "q_link = 0.2"]
+        p = load_params(None, settings)
+        assert p.q_link == 0.2 and p.seed == 4
+        assert load_params(None, settings, "q_link=0.7").q_link == 0.7
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--set", ""], "--set"),
+            (["--set", "   "], "--set"),
+            (["--set", "# only a comment"], "--set"),
+            (["--set", "q_bsm = 0.9\np_mem = 0.9"], "--set"),
+            (["--set", "q_bsm = 0.9\nq_bsm = 0.8"], "--set:2: duplicate key 'q_bsm'"),
+            (["--set", "q_linc = 0.2"], "--set:1: unknown key 'q_linc'"),
+            (["--set", "q_link"], "--set:1:"),
+            (["--param", "q_lonk", "--values", "0.1"], "--param:1: unknown key 'q_lonk'"),
+            (["--param", "", "--values", "0.1"], "--param:1: unknown key ''"),
+            (["--param", "seed", "--values", "1,1.5"], "--param:1: cannot parse"),
+            (["--param", "q_link", "--values", "0.1,0.2#x"], "--values"),
+        ],
+    )
+    def test_bad_setting_is_one_error_line(self, capsys, flags, named):
+        command = "sweep" if "--param" in flags else "simulate"
+        argv = [command, "--protocol", "factory", "--set", "n_end_nodes=3",
+                "--set", "q_link=0.5", *flags]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {named}")
 
 
 class TestRngStreams:

@@ -1,16 +1,17 @@
 """Monte Carlo engine for factory-node GHZ distribution.
 
 Each shot turns the drawn waiting times straight into per-qubit depolarizing
-parameters and the closed-form fidelity ``f_rand``.  The density-matrix
-replay of the same noisy teleportation that certifies this fast path lives
-in ``ghzdist.oracles``.
+parameters and the closed-form fidelity ``f_rand``.  ``run_shot_fast`` runs
+one shot on its own generator and is the reference; ``estimate`` runs
+``run_block``, which steps the PCG64 streams of a span of shots together on
+uint64 arrays and reproduces ``run_shot_fast`` on each of them bit for bit.
+The density-matrix replay of the same noisy teleportation that certifies
+this fast path lives in ``ghzdist.oracles``.
 """
 
 from __future__ import annotations
 
 import os
-from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -23,15 +24,26 @@ from .params import (
     SimParams,
     geometric_log_miss,
     geometric_rounds,
+    geometric_rounds_array,
     longest_geometric_round,
-    shot_rng,
+    shot_streams,
+    stream_random,
 )
-from .params import sample_geometric  # noqa: F401  traced by name as factory.sample_geometric
+# traced by name as factory.sample_geometric and factory.shot_rng; the block
+# engine calls neither
+from .params import sample_geometric, shot_rng  # noqa: F401
 
 WORKERS_ENV = "GHZDIST_WORKERS"
 # expected uniforms an estimate may draw: at about a microsecond per failed
 # attempt, tens of minutes of sampling at any N
 ATTEMPT_DRAW_BUDGET = 1e10
+# shots whose streams step together in run_block: a span's arrays stay
+# within a few hundred kB, and a 10^4-shot point is never one block
+_SPAN = 1024
+# most attempts a shot draws in one pass of run_block; as every pass draws
+# N + 1 times a power of two uniforms, few jump tables are built, none of
+# more than 64 (N + 1) rows
+_MAX_AHEAD = 64
 
 
 class ShotRecord(NamedTuple):
@@ -42,6 +54,15 @@ class ShotRecord(NamedTuple):
     rounds: tuple[int, ...]
     duration_rounds: int
     fidelity: float
+
+
+class ShotBlock(NamedTuple):
+    """``ShotRecord``'s fields for a run of consecutive shots, one row each."""
+
+    teleport_attempts: np.ndarray
+    rounds: np.ndarray
+    duration_rounds: np.ndarray
+    fidelity: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -132,16 +153,90 @@ def summarize(
     )
 
 
+def qubit_depolarizing(params: SimParams, deltas: np.ndarray) -> np.ndarray:
+    """p_link p_bsm^2 p_mem^(2 delta) for every entry of ``deltas``, as
+    ``fidelity_from_deltas`` computes it: each distinct delta once, with
+    Python's ``**`` (``np.power`` can round differently)."""
+    base = params.p_link * params.p_bsm**2
+    values, index = np.unique(deltas, return_inverse=True)
+    table = np.array([base * params.p_mem ** (2 * d) for d in values.tolist()])
+    return table[index.reshape(deltas.shape)]
+
+
+def block_fidelities(params: SimParams, deltas: np.ndarray) -> np.ndarray:
+    """``fidelity_from_deltas`` for every row of ``deltas``, bit for bit:
+    ``f_rand``'s three running products are taken column by column in its
+    order."""
+    p = qubit_depolarizing(params, deltas)
+    prod_p = np.ones(len(p))
+    lost = np.ones(len(p))
+    kept = np.ones(len(p))
+    for col in p.T:
+        prod_p *= col
+        lost *= (1.0 - col) / 2.0
+        kept *= (1.0 + col) / 2.0
+    core = 0.5 * (prod_p + lost + kept)
+    return (1.0 - params.p_ghz) / 2.0 ** p.shape[1] + params.p_ghz * core
+
+
+def run_block(params: SimParams, lo: int, hi: int) -> ShotBlock:
+    """``run_shot_fast(params, shot_rng(params.seed, s, TAG_FACTORY))`` for
+    every shot s in [lo, hi), bit for bit, with all the shots' streams
+    stepped together by ``params.stream_random``.
+
+    The draws follow ``run_shot_fast``: each attempt draws its N waits and
+    then, unless q_bsm = 1, its coin; a failed attempt adds the rounds of
+    its largest uniform, and only the successful attempt's uniforms become
+    rounds.  The fewer shots still run, the more attempts each draws in one
+    pass (a power of two up to ``_MAX_AHEAD``), so a pass handles about as
+    many attempts as the first; what a shot draws after its success goes
+    unused, as its own generator would never draw it.  Memory grows with
+    hi - lo.
+    """
+    n = params.n_end_nodes
+    log_miss = geometric_log_miss(params.q_link)
+    streams = shot_streams(params.seed, TAG_FACTORY, lo, hi)
+    attempts = np.ones(hi - lo, dtype=np.int64)
+    duration = np.zeros(hi - lo, dtype=np.int64)
+    if params.q_bsm == 1.0:  # no coin: the first attempt succeeds
+        rounds = geometric_rounds_array(stream_random(streams, n), log_miss)
+    else:
+        p_teleport = params.q_bsm**n
+        rounds = np.empty((hi - lo, n), dtype=np.int64)
+        running = np.arange(hi - lo)
+        while running.size:
+            # about _SPAN attempts per pass, a power of two per shot
+            ahead = min(_MAX_AHEAD, 1 << (max(1, _SPAN // running.size).bit_length() - 1))
+            u = stream_random(streams, ahead * (n + 1)).reshape(running.size, ahead, n + 1)
+            won = u[:, :, n] < p_teleport
+            done = won.any(axis=1)
+            failures = np.where(done, won.argmax(axis=1), ahead)
+            longest = geometric_rounds_array(u[:, :, :n].max(axis=2), log_miss)
+            longest[np.arange(ahead) >= failures[:, None]] = 0
+            duration[running] += longest.sum(axis=1)
+            attempts[running] += failures
+            last = u[done, failures[done], :n]
+            rounds[running[done]] = geometric_rounds_array(last, log_miss)
+            running = running[~done]
+            streams = streams[:, ~done]
+    n_all = rounds.max(axis=1)
+    duration += n_all
+    fidelity = block_fidelities(params, n_all[:, None] - rounds)
+    return ShotBlock(attempts, rounds, duration, fidelity)
+
+
 def _fast_chunk(args: tuple[SimParams, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Durations and fidelities of the shots [lo, hi), ``run_block`` over
+    spans of at most ``_SPAN`` shots cut at multiples of it."""
     params, lo, hi = args
-    # typed arrays append as fast as lists but hold 8 bytes per shot
-    durations = array("q")
-    fidelities = array("d")
-    for s in range(lo, hi):
-        rec = run_shot_fast(params, shot_rng(params.seed, s, TAG_FACTORY))
-        durations.append(rec.duration_rounds)
-        fidelities.append(rec.fidelity)
-    return np.array(durations, dtype=np.int64), np.array(fidelities)
+    cuts = [lo, *range((lo // _SPAN + 1) * _SPAN, hi, _SPAN), hi]
+    durations = np.empty(hi - lo, dtype=np.int64)
+    fidelities = np.empty(hi - lo)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        block = run_block(params, a, b)
+        durations[a - lo:b - lo] = block.duration_rounds
+        fidelities[a - lo:b - lo] = block.fidelity
+    return durations, fidelities
 
 
 def worker_count() -> int:
@@ -177,6 +272,10 @@ def estimate(params: SimParams) -> Estimates:
             for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo
         ]
+        # imported here: the process pool costs ~10 ms of import, which a
+        # single-worker run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_fast_chunk, jobs))
         durations = np.concatenate([p[0] for p in parts])

@@ -7,7 +7,8 @@ dense channel composition, the subset coefficients B_|U| from the
 coefficient identity against that sum, the closed-form fidelity from the
 literal sum over subsets of arrival ranks, per-shot fidelities from a full
 density-matrix replay of the teleportation pipeline, the factory's shot
-kernel from a loop that turns every attempt's uniforms into rounds, fusion
+kernel from a loop that turns every attempt's uniforms into rounds, its
+block engine from that kernel run shot by shot on each shot's own stream, fusion
 with its outcome-1 flip from a dense CNOT, a Z projection and dense X gates
 (not the XOR-mask gather under test), the per-shot streams from a literal
 numpy SeedSequence, the switch's entanglement swap with its pending noise
@@ -570,6 +571,31 @@ def factory_kernel_mismatches() -> int:
     return mismatches
 
 
+def block_factory_mismatches(rng: np.random.Generator) -> int:
+    """How many shots of ``factory.run_block`` differ in any field from
+    ``factory.run_shot_fast`` on the shot's own ``shot_rng`` stream, over N
+    in {2, 5, 16}, q_link in {1e-6, 0.01, 0.5, 1} and q_bsm in {1, 0.95,
+    0.8}, at one random seed and the shots around a 1,024-shot block edge
+    and around 2^32, where the shot index gains an entropy word."""
+    seed = int(rng.integers(2**64, dtype=np.uint64))
+    mismatches = 0
+    grid = itertools.product((2, 5, 16), (1e-6, 0.01, 0.5, 1.0), (1.0, 0.95, 0.8))
+    for n, q_link, q_bsm in grid:
+        params = SimParams(
+            n_end_nodes=n, q_link=q_link, q_bsm=q_bsm,
+            p_link=0.98, p_mem=0.999, p_bsm=0.99, p_ghz=0.9, seed=seed,
+        )
+        for lo, hi in ((1019, 1029), (2**32 - 5, 2**32 + 5)):
+            block = factory.run_block(params, lo, hi)
+            for row, s in enumerate(range(lo, hi)):
+                ref = factory.run_shot_fast(params, shot_rng(seed, s, TAG_FACTORY))
+                mismatches += ref != (
+                    block.teleport_attempts[row], tuple(block.rounds[row].tolist()),
+                    block.duration_rounds[row], block.fidelity[row],
+                )
+    return mismatches
+
+
 def werner_swap_error(rng: np.random.Generator) -> float:
     """Worst deviation of a successful ``switch.do_switch_bsms`` on two aged
     link pairs, both remotes then flushed, from the dense chain: each pair
@@ -687,6 +713,7 @@ CHECKS = (
     ("werner_swap_vs_dense_bsm", 1e-12, werner_swap_error),
     ("ghz_readout_vs_dense_flush", 1e-12, ghz_readout_error),
     ("factory_kernel_vs_reference", 0.0, lambda _rng: factory_kernel_mismatches()),
+    ("block_vs_scalar_factory", 0.0, block_factory_mismatches),
     ("g_lower_bound_gap_relative", 0.055, g_lower_bound_gap),
     ("switch_fidelity_vs_tree_closed_form", 1e-12, switch_fidelity_error),
 )

@@ -238,6 +238,111 @@ def shot_rng(seed: int, shot_index: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_ShotSeed(words)))
 
 
+# PCG64 as numpy runs it (O'Neill's 128-bit LCG with XSL-RR output), one
+# stream per column of a (4, shots) uint64 array: state high and low word,
+# increment high and low word.  Every operation is on arrays, where uint64
+# arithmetic wraps silently (numpy warns on scalar overflow).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# uint64 scalars, which array operations take faster than Python ints
+_LOW32 = np.uint64(_MASK32)
+_U1, _U11, _U32, _U58, _U63, _U64 = map(np.uint64, (1, 11, 32, 58, 63, 64))
+
+
+def _mul128(x_hi, x_lo, y_hi, y_lo) -> tuple[np.ndarray, np.ndarray]:
+    """x * y mod 2^128 on (high, low) uint64 word arrays that broadcast
+    together; the low words' 128-bit product from 32-bit halves."""
+    x0, x1 = x_lo & _LOW32, x_lo >> _U32
+    y0, y1 = y_lo & _LOW32, y_lo >> _U32
+    cross_a = x0 * y1
+    cross_b = x1 * y0
+    mid = x0 * y0
+    mid >>= _U32
+    mid += cross_a & _LOW32
+    mid += cross_b & _LOW32
+    hi = x1 * y1
+    hi += cross_a >> _U32
+    hi += cross_b >> _U32
+    hi += mid >> _U32
+    hi += x_hi * y_lo
+    hi += x_lo * y_hi
+    return hi, x_lo * y_lo
+
+
+@functools.lru_cache(maxsize=16)
+def _pcg_jumps(size: int) -> np.ndarray:
+    """Rows mult^j and 1 + mult + ... + mult^(j-1) (mod 2^128) as high and
+    low words, for j = 1..size: j steps take state s to
+    mult^j s + (1 + ... + mult^(j-1)) inc."""
+    words = np.empty((4, size), dtype=np.uint64)
+    power, total = 1, 0
+    for j in range(size):
+        total = (total + power) % 2**128
+        power = power * _PCG_MULT % 2**128
+        words[:, j] = power >> 64, power & 2**64 - 1, total >> 64, total & 2**64 - 1
+    words.flags.writeable = False
+    return words
+
+
+def _pcg_advance(streams: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low state words after each of the next ``size`` steps,
+    one row per step (rows run along the streams, where numpy's loops are
+    fast); the streams advance by ``size`` steps in place."""
+    hi, lo, inc_hi, inc_lo = streams[:, None, :]
+    mult_hi, mult_lo, sum_hi, sum_lo = _pcg_jumps(size)[:, :, None]
+    state_hi, state_lo = _mul128(hi, lo, mult_hi, mult_lo)
+    add_hi, add_lo = _mul128(inc_hi, inc_lo, sum_hi, sum_lo)
+    state_lo += add_lo
+    state_hi += add_hi
+    state_hi += state_lo < add_lo
+    streams[0], streams[1] = state_hi[-1], state_lo[-1]
+    return state_hi, state_lo
+
+
+def shot_streams(seed: int, tag: int, lo: int, hi: int) -> np.ndarray:
+    """The PCG64 streams of ``shot_rng(seed, s, tag)`` for s in [lo, hi), one
+    column per shot, before their first draw: ``stream_random`` then draws
+    what each shot's ``Generator.random`` draws.  Seeded as numpy seeds
+    PCG64 from the SeedSequence words w0..w3: state 0, increment
+    (w2:w3 << 1) | 1, one step (the state becomes the increment), add
+    w0:w1, one step."""
+    first, last = lo // _SEED_BLOCK, (hi - 1) // _SEED_BLOCK
+    words = np.concatenate([
+        _seed_block(seed, tag, block)[
+            max(lo - block * _SEED_BLOCK, 0):hi - block * _SEED_BLOCK
+        ]
+        for block in range(first, last + 1)
+    ]).T
+    streams = np.empty((4, hi - lo), dtype=np.uint64)
+    streams[2] = words[2] << _U1 | words[3] >> _U63
+    streams[3] = words[3] << _U1 | _U1
+    streams[1] = streams[3] + words[1]
+    streams[0] = streams[2] + words[0]
+    streams[0] += streams[1] < words[1]
+    _pcg_advance(streams, 1)
+    return streams
+
+
+def stream_random(streams: np.ndarray, size: int) -> np.ndarray:
+    """The next ``size`` doubles of every stream, one row per stream, as
+    ``Generator.random(size)`` draws them: after each step, the XSL-RR
+    output x = rotr(hi ^ lo, hi >> 58) and the double (x >> 11) * 2^-53.
+    All ``size`` states come from the current one by jump-ahead, so the
+    number of array operations does not grow with ``size``.  The streams
+    advance in place."""
+    hi, lo = _pcg_advance(streams, size)
+    rot = hi >> _U58
+    hi ^= lo
+    out = hi >> rot
+    rot = _U64 - rot
+    rot &= _U63
+    hi <<= rot
+    out |= hi
+    out >>= _U11
+    draws = out.astype(np.float64)
+    draws *= 2.0**-53
+    return draws.T
+
+
 def geometric_log_miss(q: float) -> float:
     """log(1 - q), the scale of the geometric inverse CDF; -inf at q = 1,
     where it maps every uniform to 1."""
@@ -254,6 +359,26 @@ def geometric_rounds(uniforms: Sequence[float], log_miss: float) -> list[int]:
     exceeds 1 + 53 ln 2 / q.
     """
     return [int(math.log1p(-u) / log_miss) + 1 for u in uniforms]
+
+
+def geometric_rounds_array(uniforms: np.ndarray, log_miss: float) -> np.ndarray:
+    """``geometric_rounds`` on an array of any shape, bit for bit.
+
+    ``np.log1p`` can differ from ``math.log1p`` by an ulp, which changes the
+    integer part only of a quotient within a few ulps of an integer; those
+    few are redone with ``math.log1p``.  At q = 1 (``log_miss`` = -inf)
+    every uniform maps to 1.
+    """
+    if log_miss == -math.inf:
+        return np.ones(uniforms.shape, dtype=np.int64)
+    quotient = np.log1p(-uniforms)
+    quotient /= log_miss
+    rounds = quotient.astype(np.int64)
+    near = np.abs(quotient - np.rint(quotient)) <= 4 * np.spacing(quotient)
+    if near.any():
+        rounds[near] = [int(math.log1p(-u) / log_miss) for u in uniforms[near].tolist()]
+    rounds += 1
+    return rounds
 
 
 def longest_geometric_round(uniforms: Sequence[float], log_miss: float) -> int:

@@ -14,6 +14,7 @@ from ghzdist.factory import (
     check_attempt_budget,
     estimate,
     fidelity_from_deltas,
+    run_block,
     run_shot_fast,
     summarize,
     worker_count,
@@ -128,6 +129,15 @@ class TestEstimate:
                 os.environ["GHZDIST_WORKERS"] = old
         assert one == three
 
+    def test_workers_cutting_spans_off_their_edges_change_nothing(self, monkeypatch):
+        # three workers split 10,000 shots at 3,333 and 6,666, inside the
+        # 1,024-shot spans a single worker runs
+        params = make_params(q_link=0.1, shots=10_000, seed=9)
+        monkeypatch.setenv("GHZDIST_WORKERS", "1")
+        one = estimate(params)
+        monkeypatch.setenv("GHZDIST_WORKERS", "3")
+        assert estimate(params) == one
+
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_worker_count_rejected(self, monkeypatch, value):
         monkeypatch.setenv("GHZDIST_WORKERS", value)
@@ -204,6 +214,56 @@ class TestKernelAgainstReference:
             rng = CountingGenerator(shot_rng(8, 0, TAG_FACTORY))
             rec = run_shot_fast(make_params(q_bsm=q_bsm), rng)
             assert rng.sizes == [draws] * rec.teleport_attempts
+
+
+def assert_block_matches_shots(params, lo, hi):
+    block = run_block(params, lo, hi)
+    for row, s in enumerate(range(lo, hi)):
+        rec = run_shot_fast(params, shot_rng(params.seed, s, TAG_FACTORY))
+        assert rec.teleport_attempts == block.teleport_attempts[row], s
+        assert rec.rounds == tuple(block.rounds[row].tolist()), s
+        assert rec.duration_rounds == block.duration_rounds[row], s
+        assert rec.fidelity == block.fidelity[row], s
+
+
+BLOCK_SEEDS = (0, 7, 2**40 + 3, 2**64 - 1)
+# a whole span and more, a span edge, an unaligned range, and the shot
+# indices where a second entropy word appears
+BLOCK_RANGES = ((0, 3000), (1023, 1026), (5, 1500), (2**32 - 2, 2**32 + 2))
+
+
+class TestBlockKernel:
+    """``run_block`` steps every shot's stream at once and must reproduce
+    ``run_shot_fast`` on each shot's own ``shot_rng`` stream, field by field."""
+
+    @pytest.mark.parametrize(
+        "n, q_link, q_bsm",
+        list(itertools.product((2, 5, 16), (1.0, 0.2, 1e-3), (1.0, 0.6, 0.95))),
+    )
+    def test_equals_per_shot_kernel(self, n, q_link, q_bsm):
+        # each seed takes one range, every range is taken; at N = 16,
+        # q_bsm = 0.6 a shot needs ~3,500 attempts, so only the short ranges
+        ranges = BLOCK_RANGES[1::2] if n == 16 and q_bsm == 0.6 else BLOCK_RANGES
+        for i, seed in enumerate(BLOCK_SEEDS):
+            params = make_params(
+                n_end_nodes=n, q_link=q_link, q_bsm=q_bsm, seed=seed,
+                p_link=0.98, p_mem=0.999, p_bsm=0.99, p_ghz=0.9,
+            )
+            assert_block_matches_shots(params, *ranges[(i + n) % len(ranges)])
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        n=st.integers(2, 12),
+        q_link=st.floats(1e-15, 1.0),
+        q_bsm=st.sampled_from([1.0, 0.99, 0.9, 0.75]),
+        seed=st.integers(0, 2**64 - 1),
+        shot=st.integers(0, 2**64 - 1),
+        shots=st.integers(1, 40),
+    )
+    def test_equals_per_shot_kernel_on_random_points(self, n, q_link, q_bsm, seed, shot, shots):
+        params = make_params(n_end_nodes=n, q_link=q_link, q_bsm=q_bsm, seed=seed, p_mem=0.999)
+        lo = min(shot, 2**64 - shots)
+        assert_block_matches_shots(params, lo, lo + shots)
 
 
 class TestAttemptBudget:

@@ -346,6 +346,10 @@ def _fidelity_with_single_memory_decay(params, delta_n):
     return analytics_module.f_rand(params.p_ghz, [base * params.p_mem**d for d in delta_n])
 
 
+def _depolarizing_via_np_power(params, deltas):
+    return params.p_link * params.p_bsm**2 * np.power(params.p_mem, 2 * deltas)
+
+
 def _closed_form_shifted(params, mode="leading"):
     exact = _EXACT_CLOSED_FORM(params, mode)
     return dataclasses.replace(exact, value=exact.value + 1e-9)
@@ -363,7 +367,8 @@ def _hash_bit_flipped(monkeypatch):
 
 # check name, optionally followed by "/" and the name of a further fault of
 # that check -> (a fault, every check that fault fails).  A fault in code that
-# several checks share fails each of them.
+# several checks share fails each of them; one in the per-shot factory kernel
+# also fails block_vs_scalar_factory, which holds the block engine to it.
 FAULTS = {
     "order_stat_exact_vs_enumeration": (
         _patch((analytics_module, "expected_order_stat",
@@ -393,12 +398,12 @@ FAULTS = {
     ),
     "f_rand_vs_dm_fidelity": (
         _f_rand_fault(mixed=1, core=0),
-        {"f_rand_vs_dm_fidelity", "dm_replay_vs_fast_kernel"},
+        {"f_rand_vs_dm_fidelity", "dm_replay_vs_fast_kernel", "block_vs_scalar_factory"},
     ),
     "f_rand_product_vs_subset_sum": (
         _f_rand_fault(mixed=0, core=1),
         {"f_rand_product_vs_subset_sum", "f_rand_vs_dm_fidelity",
-         "dm_replay_vs_fast_kernel"},
+         "dm_replay_vs_fast_kernel", "block_vs_scalar_factory"},
     ),
     "coefficient_identity": (
         _patch((analytics_module, "subset_coefficient_b",
@@ -417,7 +422,7 @@ FAULTS = {
     "dm_replay_vs_fast_kernel": (
         _patch((factory_module, "fidelity_from_deltas", _fidelity_with_single_memory_decay),
                (oracles_module, "fidelity_from_deltas", _fidelity_with_single_memory_decay)),
-        {"dm_replay_vs_fast_kernel"},
+        {"dm_replay_vs_fast_kernel", "block_vs_scalar_factory"},
     ),
     "fidelity_recursion_vs_subset_sum": (
         _patch((analytics_module, "fidelity_closed_form", _closed_form_shifted)),
@@ -448,7 +453,12 @@ FAULTS = {
     "factory_kernel_vs_reference": (
         _patch((factory_module, "longest_geometric_round",
                 lambda u, log_miss: _EXACT_LONGEST(u, log_miss) + 1)),
-        {"factory_kernel_vs_reference"},
+        {"factory_kernel_vs_reference", "block_vs_scalar_factory"},
+    ),
+    # each distinct delta's p_mem power through np.power, not the scalar **
+    "block_vs_scalar_factory": (
+        _patch((factory_module, "qubit_depolarizing", _depolarizing_via_np_power)),
+        {"block_vs_scalar_factory"},
     ),
     "g_lower_bound_gap_relative": (
         _patch((analytics_module, "_rank_factor", _rank_factor_lower_bound_low)),
@@ -490,6 +500,7 @@ class TestVerificationRunner:
             "werner_swap_vs_dense_bsm",
             "ghz_readout_vs_dense_flush",
             "factory_kernel_vs_reference",
+            "block_vs_scalar_factory",
             "g_lower_bound_gap_relative",
             "switch_fidelity_vs_tree_closed_form",
         ]

@@ -14,11 +14,14 @@ from ghzdist.params import (
     derive_p_ghz,
     geometric_log_miss,
     geometric_rounds,
+    geometric_rounds_array,
     load_params,
     longest_geometric_round,
     parse_config_text,
     sample_geometric,
     shot_rng,
+    shot_streams,
+    stream_random,
 )
 
 LARGEST_UNIFORM = 1.0 - 2.0**-53  # the largest double rng.random() returns
@@ -237,9 +240,10 @@ class TestRngStreams:
                 ref = np.random.PCG64(np.random.SeedSequence(entropy=(seed, shot, tag)))
                 got = shot_rng(seed, shot, tag)
                 assert got.bit_generator.state == ref.state, (seed, shot, tag)
-                np.testing.assert_array_equal(
-                    got.random(16), np.random.Generator(ref).random(16)
-                )
+                expected = np.random.Generator(ref).random(16)
+                np.testing.assert_array_equal(got.random(16), expected)
+                block = stream_random(shot_streams(seed, tag, shot, shot + 1), 16)
+                np.testing.assert_array_equal(block[0], expected)
 
     @pytest.mark.parametrize("arg", ["seed", "shot_index", "tag"])
     @pytest.mark.parametrize("value", [-1, 2**64])
@@ -286,6 +290,53 @@ class TestGeometricSampling:
         q, n = 1e-9, 200_000
         draws = np.array(sample_geometric(shot_rng(13, 0, 1), q, n), dtype=float)
         assert abs(draws.mean() - 1 / q) < 5 / (q * np.sqrt(n))
+
+
+def boundary_uniforms(q: float, steps: int) -> np.ndarray:
+    """The uniforms where the inverse CDF steps from k to k + 1, u_k =
+    -expm1(k log1p(-q)) for k = 1..steps, and one ulp either side, in [0, 1)."""
+    u = -np.expm1(np.arange(1, steps + 1) * geometric_log_miss(q))
+    near = np.concatenate([np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)])
+    return near[near <= LARGEST_UNIFORM]
+
+
+BOUNDARY_QS = (1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.2, 0.5, 0.9, 0.999)
+
+
+class TestGeometricRoundsArray:
+    """The block engine's geometric map must give ``geometric_rounds``'
+    integers, also where numpy's log1p rounds differently from math's."""
+
+    @pytest.mark.parametrize("q", BOUNDARY_QS)
+    def test_equals_scalar_map_at_the_steps(self, q):
+        u = boundary_uniforms(q, 20_000)
+        log_miss = geometric_log_miss(q)
+        got = geometric_rounds_array(u.reshape(-1, 1), log_miss)
+        assert got.shape == (len(u), 1) and got.dtype == np.int64
+        assert got.ravel().tolist() == geometric_rounds(u.tolist(), log_miss)
+
+    def test_plain_numpy_log1p_misses_a_step(self):
+        # negative control: without the math.log1p redo, some boundary
+        # uniform lands one round off
+        off = 0
+        for q in BOUNDARY_QS:
+            u = boundary_uniforms(q, 20_000)
+            log_miss = geometric_log_miss(q)
+            plain = (np.log1p(-u) / log_miss).astype(np.int64) + 1
+            off += int(np.sum(plain != geometric_rounds(u.tolist(), log_miss)))
+        assert off > 0
+
+    def test_certain_success_maps_every_uniform_to_one(self):
+        u = np.array([[0.0, 0.5], [LARGEST_UNIFORM, 2.0**-53]])
+        assert geometric_rounds_array(u, geometric_log_miss(1.0)).tolist() == [[1, 1], [1, 1]]
+
+    @settings(deadline=None)
+    @given(q=q_links, us=st.lists(uniforms, min_size=1, max_size=20))
+    @example(q=1e-15, us=[0.0, LARGEST_UNIFORM])
+    def test_equals_scalar_map(self, q, us):
+        log_miss = geometric_log_miss(q)
+        got = geometric_rounds_array(np.array(us), log_miss)
+        assert got.tolist() == geometric_rounds(us, log_miss)
 
 
 class TestLongestRound:

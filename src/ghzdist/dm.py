@@ -7,13 +7,12 @@ MAX_QUBITS qubits.  A real (float64) matrix stays real through ``tensor``,
 ``permute``, ``partial_trace``, ``depolarize`` and ``fuse``, and through
 ``apply_unitary`` with a real gate, which every Pauli correction is.
 
-Single-qubit depolarizing, the switch's hot channel, has two kernels with
-the same arithmetic in the same order, so the same bits.  Up to
-DEPOLARIZE_GATHER_MAX_QUBITS qubits it is one gather and two scatters
-through cached flat-index tables, which costs about half the per-call
-overhead of strided views on the small groups the switch keeps.  Above
-it the 6-D strided views are faster, and the tables, which grow as 4^k,
-are never built.
+Single-qubit depolarizing has two kernels with the same arithmetic in the
+same order, so the same bits.  Up to DEPOLARIZE_GATHER_MAX_QUBITS qubits it
+is one gather and two scatters through cached flat-index tables, which
+costs about half the per-call overhead of strided views on small
+registers.  Above it the 6-D strided views are faster, and the tables,
+which grow as 4^k, are never built.
 
 Conventions:
   * The register order is the label-list order; ``tensor`` appends.

@@ -19,6 +19,7 @@ import numpy as np
 
 from .analytics import f_rand
 from .params import (
+    STREAM_WORK_ROWS,
     TAG_FACTORY,
     ConfigError,
     SimParams,
@@ -154,29 +155,68 @@ def summarize(
 
 
 def qubit_depolarizing(params: SimParams, deltas: np.ndarray) -> np.ndarray:
-    """p_link p_bsm^2 p_mem^(2 delta) for every entry of ``deltas``, as
-    ``fidelity_from_deltas`` computes it: each distinct delta once, with
-    Python's ``**`` (``np.power`` can round differently)."""
+    """p_link p_bsm^2 p_mem^(2 delta) for every entry of a 1-D ``deltas``,
+    as ``fidelity_from_deltas`` computes it: with Python's ``**``
+    (``np.power`` can round differently)."""
     base = params.p_link * params.p_bsm**2
-    values, index = np.unique(deltas, return_inverse=True)
-    table = np.array([base * params.p_mem ** (2 * d) for d in values.tolist()])
-    return table[index.reshape(deltas.shape)]
+    return np.array([base * params.p_mem ** (2 * d) for d in deltas.tolist()])
 
 
-def block_fidelities(params: SimParams, deltas: np.ndarray) -> np.ndarray:
-    """``fidelity_from_deltas`` for every row of ``deltas``, bit for bit:
-    ``f_rand``'s three running products are taken column by column in its
+def block_fidelities(params: SimParams, n_all: np.ndarray, rounds: np.ndarray) -> np.ndarray:
+    """``fidelity_from_deltas`` for every row of ``rounds``, bit for bit,
+    its deltas being its largest round ``n_all`` minus each entry: each
+    distinct delta's parameter, and its two factors of ``f_rand``, once,
+    and ``f_rand``'s three running products taken column by column in its
     order."""
-    p = qubit_depolarizing(params, deltas)
-    prod_p = np.ones(len(p))
-    lost = np.ones(len(p))
-    kept = np.ones(len(p))
-    for col in p.T:
-        prod_p *= col
-        lost *= (1.0 - col) / 2.0
-        kept *= (1.0 + col) / 2.0
+    deltas = n_all - rounds.T  # one contiguous row per column of rounds
+    values, index = np.unique(deltas, return_inverse=True)
+    p = qubit_depolarizing(params, values)
+    lost_factor = (1.0 - p) / 2.0
+    kept_factor = (1.0 + p) / 2.0
+    prod_p = np.ones(len(rounds))
+    lost = np.ones(len(rounds))
+    kept = np.ones(len(rounds))
+    for col in index.reshape(deltas.shape):
+        prod_p *= p[col]
+        lost *= lost_factor[col]
+        kept *= kept_factor[col]
     core = 0.5 * (prod_p + lost + kept)
-    return (1.0 - params.p_ghz) / 2.0 ** p.shape[1] + params.p_ghz * core
+    return (1.0 - params.p_ghz) / 2.0 ** rounds.shape[1] + params.p_ghz * core
+
+
+def _draw_block(params: SimParams, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """The attempts, the successful attempt's rounds and the rounds of the
+    failed attempts of every shot in [lo, hi), as ``run_block`` draws them.
+    Every pass steps the streams in one work array, freed on return."""
+    n = params.n_end_nodes
+    log_miss = geometric_log_miss(params.q_link)
+    streams = shot_streams(params.seed, TAG_FACTORY, lo, hi)
+    attempts = np.ones(hi - lo, dtype=np.int64)
+    failed_rounds = np.zeros(hi - lo, dtype=np.int64)
+    # no pass draws more than (n + 1) max(_SPAN, hi - lo) uniforms
+    work = np.empty(STREAM_WORK_ROWS * (n + 1) * max(_SPAN, hi - lo), dtype=np.uint64)
+    if params.q_bsm == 1.0:  # no coin: the first attempt succeeds
+        rounds = geometric_rounds_array(stream_random(streams, n, work), log_miss)
+        return attempts, rounds, failed_rounds
+    p_teleport = params.q_bsm**n
+    rounds = np.empty((hi - lo, n), dtype=np.int64)
+    running = np.arange(hi - lo)
+    while running.size:
+        # about _SPAN attempts per pass, a power of two per shot
+        ahead = min(_MAX_AHEAD, 1 << (max(1, _SPAN // running.size).bit_length() - 1))
+        u = stream_random(streams, ahead * (n + 1), work).reshape(running.size, ahead, n + 1)
+        won = u[:, :, n] < p_teleport
+        done = won.any(axis=1)
+        failures = np.where(done, won.argmax(axis=1), ahead)
+        longest = geometric_rounds_array(u[:, :, :n].max(axis=2), log_miss)
+        longest[np.arange(ahead) >= failures[:, None]] = 0
+        failed_rounds[running] += longest.sum(axis=1)
+        attempts[running] += failures
+        last = u[done, failures[done], :n]
+        rounds[running[done]] = geometric_rounds_array(last, log_miss)
+        running = running[~done]
+        streams = streams[:, ~done]
+    return attempts, rounds, failed_rounds
 
 
 def run_block(params: SimParams, lo: int, hi: int) -> ShotBlock:
@@ -191,38 +231,18 @@ def run_block(params: SimParams, lo: int, hi: int) -> ShotBlock:
     pass (a power of two up to ``_MAX_AHEAD``), so a pass handles about as
     many attempts as the first; what a shot draws after its success goes
     unused, as its own generator would never draw it.  Memory grows with
-    hi - lo.
+    hi - lo.  The draws' work array is freed before the fidelities are
+    taken, so their temporaries reuse its memory and the heap stays the
+    same size from block to block.
     """
-    n = params.n_end_nodes
-    log_miss = geometric_log_miss(params.q_link)
-    streams = shot_streams(params.seed, TAG_FACTORY, lo, hi)
-    attempts = np.ones(hi - lo, dtype=np.int64)
-    duration = np.zeros(hi - lo, dtype=np.int64)
-    if params.q_bsm == 1.0:  # no coin: the first attempt succeeds
-        rounds = geometric_rounds_array(stream_random(streams, n), log_miss)
-    else:
-        p_teleport = params.q_bsm**n
-        rounds = np.empty((hi - lo, n), dtype=np.int64)
-        running = np.arange(hi - lo)
-        while running.size:
-            # about _SPAN attempts per pass, a power of two per shot
-            ahead = min(_MAX_AHEAD, 1 << (max(1, _SPAN // running.size).bit_length() - 1))
-            u = stream_random(streams, ahead * (n + 1)).reshape(running.size, ahead, n + 1)
-            won = u[:, :, n] < p_teleport
-            done = won.any(axis=1)
-            failures = np.where(done, won.argmax(axis=1), ahead)
-            longest = geometric_rounds_array(u[:, :, :n].max(axis=2), log_miss)
-            longest[np.arange(ahead) >= failures[:, None]] = 0
-            duration[running] += longest.sum(axis=1)
-            attempts[running] += failures
-            last = u[done, failures[done], :n]
-            rounds[running[done]] = geometric_rounds_array(last, log_miss)
-            running = running[~done]
-            streams = streams[:, ~done]
-    n_all = rounds.max(axis=1)
+    attempts, rounds, duration = _draw_block(params, lo, hi)
+    # column by column: numpy's max along a row of a few entries costs
+    # several times more
+    n_all = rounds[:, 0].copy()
+    for col in rounds.T[1:]:
+        np.maximum(n_all, col, out=n_all)
     duration += n_all
-    fidelity = block_fidelities(params, n_all[:, None] - rounds)
-    return ShotBlock(attempts, rounds, duration, fidelity)
+    return ShotBlock(attempts, rounds, duration, block_fidelities(params, n_all, rounds))
 
 
 def _fast_chunk(args: tuple[SimParams, int, int]) -> tuple[np.ndarray, np.ndarray]:

@@ -12,10 +12,12 @@ block engine from that kernel run shot by shot on each shot's own stream, fusion
 with its outcome-1 flip from a dense CNOT, a Z projection and dense X gates
 (not the XOR-mask gather under test), the per-shot streams from a literal
 numpy SeedSequence, the switch's entanglement swap with its pending noise
-from a dense Bell measurement, its diagonal read-out from dense per-qubit
-depolarizing, its link jump from a loop of single rounds, and its deliveries
-at p_mem = 1 from the tree closed form.  ``CHECKS`` lists the comparisons
-that ``verify`` runs.  The engines import nothing from here.
+from a dense Bell measurement, its fusions and noise-ledger read-out from
+the same fusions on dense matrices, ``dm.fidelity_to_ghz``'s diagonal
+read-out from dense per-qubit depolarizing, the switch's link jump from a
+loop of single rounds, and its deliveries at p_mem = 1 from the tree closed
+form.  ``CHECKS`` lists the comparisons that ``verify`` runs.  The engines
+import nothing from here.
 """
 
 from __future__ import annotations
@@ -598,10 +600,11 @@ def block_factory_mismatches(rng: np.random.Generator) -> int:
 
 def werner_swap_error(rng: np.random.Generator) -> float:
     """Worst deviation of a successful ``switch.do_switch_bsms`` on two aged
-    link pairs, both remotes then flushed, from the dense chain: each pair
+    link pairs, read out by its ledger, from the dense chain: each pair
     depolarized by p_link, both its qubits by p_mem per round waited and its
-    switch qubit by p_bsm, then each Bell outcome projected and
-    Pauli-corrected.  20 random draws of p_link, p_mem, p_bsm and waits."""
+    switch qubit by p_bsm, then each Bell outcome projected (with
+    probability 1/4) and Pauli-corrected, and <Phi+| rho |Phi+> taken.
+    20 random draws of p_link, p_mem, p_bsm and waits."""
     worst = 0.0
     for _ in range(20):
         params = SimParams(
@@ -617,8 +620,7 @@ def werner_swap_error(rng: np.random.Generator) -> float:
         state = switch.NetworkState(round=now, links=dict(links))
         switch.do_switch_bsms(state, params, rng)
         (group,) = state.groups
-        for q in group.qubits:
-            group.flush(q, now, params.p_mem)
+        fidelity = group.ghz_fidelity(now, params.p_mem)
         pairs = []
         for conn, link in links.items():
             held = Qubit(0, conn)
@@ -630,7 +632,67 @@ def werner_swap_error(rng: np.random.Generator) -> float:
         for bits in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             prob, post = dmod.project_bell(joint, Qubit(0, 1), Qubit(0, 2), bits)
             fixed = dmod.pauli_correct(post, links[2].remote, bits)
-            worst = max(worst, abs(prob - 0.25), dmod.max_abs_diff(fixed, group.dm))
+            worst = max(worst, abs(prob - 0.25), abs(dmod.fidelity_to_ghz(fixed) - fidelity))
+    return worst
+
+
+def switch_ledger_error(rng: np.random.Generator) -> float:
+    """Worst deviation of ``switch.do_fusions`` and the ledger read-out from
+    the same fusions on dense matrices, with the Z outcomes the engine drew.
+
+    For N in 2..7, a random chain through the end nodes holds one Phi+ group
+    per link, each qubit owing a random pending factor since a random round.
+    The links go in over two fusion phases, with p_mem aging between them and
+    before the read-out.  The dense side builds each pair with
+    ``dm.make_bell``, depolarizes each qubit by what it owes when it is
+    fused or read out, fuses with a dense CNOT and Z projection
+    (``fuse_by_cnot``, whose probability of reading 0 must be 1/2), flips the
+    target group's other qubits on outcome 1, and reads
+    ``dm.fidelity_to_ghz``.  Three chains per N."""
+    worst = 0.0
+    for n, _ in itertools.product(range(2, 8), range(3)):
+        params = SimParams(n_end_nodes=n, q_link=0.5, p_mem=0.8 + 0.2 * float(rng.random()))
+        nodes = [int(x) + 1 for x in rng.permutation(n)]
+        # a node's link to its successor takes its random slot, the one to
+        # its predecessor the other
+        slot = {node: int(rng.integers(2)) for node in nodes}
+        pairs = [(Qubit(u, slot[u]), Qubit(v, 1 - slot[v])) for u, v in zip(nodes, nodes[1:])]
+        owed = {q: (float(rng.random()), int(rng.integers(0, 3))) for pair in pairs for q in pair}
+        state = switch.NetworkState()
+        dense: dict[Qubit, DensityMatrix] = {}
+
+        def decay(group: DensityMatrix, q: Qubit, now: int) -> DensityMatrix:
+            """``group`` with the channel q owes at round now applied."""
+            d, since = owed[q]
+            owed[q] = (1.0, now)
+            return dmod.depolarize(group, (q,), d * params.p_mem ** (now - since))
+
+        first = int(rng.integers(len(pairs) + 1))
+        for batch in (pairs[:first], pairs[first:]):
+            state.round += int(rng.integers(3, 6))
+            for a, b in batch:
+                state.groups.append(switch.Component((a, b), {q: owed[q] for q in (a, b)}, 2))
+                dense[a] = dense[b] = dmod.make_bell(a, b)
+            for _, node, bit in switch.do_fusions(state, params, rng):
+                control, target = Qubit(node, 0), Qubit(node, 1)
+                group_a, group_b = dense[control], dense[target]
+                group_a = decay(group_a, control, state.round)
+                group_b = decay(group_b, target, state.round)
+                p0, fused = fuse_by_cnot(dmod.tensor(group_a, group_b), control, target, bit)
+                if bit:
+                    for q in group_b.labels:
+                        if q != target:
+                            fused = dmod.apply_unitary(fused, (q,), dmod.PAULI_X)
+                worst = max(worst, abs(p0 - 0.5))
+                del dense[target]
+                dense.update(dict.fromkeys(fused.labels, fused))
+        state.round += int(rng.integers(0, 3))
+        (group,) = state.groups
+        final = dense[group.qubits[0]]
+        for q in final.labels:
+            final = decay(final, q, state.round)
+        ref = dmod.fidelity_to_ghz(final)
+        worst = max(worst, abs(group.ghz_fidelity(state.round, params.p_mem) - ref))
     return worst
 
 
@@ -716,6 +778,7 @@ CHECKS = (
     ("block_vs_scalar_factory", 0.0, block_factory_mismatches),
     ("g_lower_bound_gap_relative", 0.055, g_lower_bound_gap),
     ("switch_fidelity_vs_tree_closed_form", 1e-12, switch_fidelity_error),
+    ("switch_ledger_vs_dense_groups", 1e-12, switch_ledger_error),
 )
 
 

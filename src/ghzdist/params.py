@@ -248,24 +248,28 @@ _LOW32 = np.uint64(_MASK32)
 _U1, _U11, _U32, _U58, _U63, _U64 = map(np.uint64, (1, 11, 32, 58, 63, 64))
 
 
-def _mul128(x_hi, x_lo, y_hi, y_lo) -> tuple[np.ndarray, np.ndarray]:
+def _mul128(x_hi, x_lo, y_hi, y_lo, out) -> None:
     """x * y mod 2^128 on (high, low) uint64 word arrays that broadcast
-    together; the low words' 128-bit product from 32-bit halves."""
+    together, into ``out``'s first two arrays (high, low); its other two
+    are scratch, and all four have the broadcast shape.  The low words'
+    128-bit product is taken from 32-bit halves."""
+    hi, lo, cross, t = out
     x0, x1 = x_lo & _LOW32, x_lo >> _U32
     y0, y1 = y_lo & _LOW32, y_lo >> _U32
-    cross_a = x0 * y1
-    cross_b = x1 * y0
-    mid = x0 * y0
-    mid >>= _U32
-    mid += cross_a & _LOW32
-    mid += cross_b & _LOW32
-    hi = x1 * y1
-    hi += cross_a >> _U32
-    hi += cross_b >> _U32
-    hi += mid >> _U32
-    hi += x_hi * y_lo
-    hi += x_lo * y_hi
-    return hi, x_lo * y_lo
+    np.multiply(x0, y0, out=lo)
+    lo >>= _U32
+    np.multiply(x1, y1, out=hi)
+    for a, b in ((x0, y1), (x1, y0)):
+        np.multiply(a, b, out=cross)
+        np.bitwise_and(cross, _LOW32, out=t)
+        lo += t
+        cross >>= _U32
+        hi += cross
+    np.right_shift(lo, _U32, out=t)
+    hi += t
+    hi += np.multiply(x_hi, y_lo, out=t)
+    hi += np.multiply(x_lo, y_hi, out=t)
+    np.multiply(x_lo, y_lo, out=lo)
 
 
 @functools.lru_cache(maxsize=16)
@@ -283,14 +287,24 @@ def _pcg_jumps(size: int) -> np.ndarray:
     return words
 
 
-def _pcg_advance(streams: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+# (size, streams) uint64 arrays that one stream_random call works in
+STREAM_WORK_ROWS = 6
+
+
+def _pcg_advance(
+    streams: np.ndarray, size: int, work: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The high and low state words after each of the next ``size`` steps,
     one row per step (rows run along the streams, where numpy's loops are
-    fast); the streams advance by ``size`` steps in place."""
+    fast), as ``work[0]`` and ``work[1]``; ``work`` holds
+    ``STREAM_WORK_ROWS`` arrays of shape (size, streams), the last four
+    scratch.  The streams advance by ``size`` steps in place."""
     hi, lo, inc_hi, inc_lo = streams[:, None, :]
     mult_hi, mult_lo, sum_hi, sum_lo = _pcg_jumps(size)[:, :, None]
-    state_hi, state_lo = _mul128(hi, lo, mult_hi, mult_lo)
-    add_hi, add_lo = _mul128(inc_hi, inc_lo, sum_hi, sum_lo)
+    add_hi, add_lo = work[2], work[3]
+    _mul128(inc_hi, inc_lo, sum_hi, sum_lo, (add_hi, add_lo, work[4], work[5]))
+    state_hi, state_lo = work[0], work[1]
+    _mul128(hi, lo, mult_hi, mult_lo, (state_hi, state_lo, work[4], work[5]))
     state_lo += add_lo
     state_hi += add_hi
     state_hi += state_lo < add_lo
@@ -318,29 +332,39 @@ def shot_streams(seed: int, tag: int, lo: int, hi: int) -> np.ndarray:
     streams[1] = streams[3] + words[1]
     streams[0] = streams[2] + words[0]
     streams[0] += streams[1] < words[1]
-    _pcg_advance(streams, 1)
+    _pcg_advance(streams, 1, np.empty((STREAM_WORK_ROWS, 1, hi - lo), dtype=np.uint64))
     return streams
 
 
-def stream_random(streams: np.ndarray, size: int) -> np.ndarray:
+def stream_random(
+    streams: np.ndarray, size: int, work: np.ndarray | None = None
+) -> np.ndarray:
     """The next ``size`` doubles of every stream, one row per stream, as
     ``Generator.random(size)`` draws them: after each step, the XSL-RR
     output x = rotr(hi ^ lo, hi >> 58) and the double (x >> 11) * 2^-53.
     All ``size`` states come from the current one by jump-ahead, so the
     number of array operations does not grow with ``size``.  The streams
-    advance in place."""
-    hi, lo = _pcg_advance(streams, size)
-    rot = hi >> _U58
+    advance in place.
+
+    The arithmetic runs in ``work``, a flat uint64 array of at least
+    ``STREAM_WORK_ROWS * size * streams.shape[1]`` entries (a fresh one if
+    none is given); the draws are a view of it, valid until its next use.
+    Reusing one ``work`` across calls spares the allocator a heap that
+    grows and shrinks on every call."""
+    shape = (STREAM_WORK_ROWS, size, streams.shape[1])
+    if work is None:
+        work = np.empty(math.prod(shape), dtype=np.uint64)
+    work = work[:math.prod(shape)].reshape(shape)
+    hi, lo = _pcg_advance(streams, size, work)
+    rot = np.right_shift(hi, _U58, out=work[2])
     hi ^= lo
-    out = hi >> rot
-    rot = _U64 - rot
+    out = np.right_shift(hi, rot, out=work[3])
+    np.subtract(_U64, rot, out=rot)
     rot &= _U63
     hi <<= rot
     out |= hi
     out >>= _U11
-    draws = out.astype(np.float64)
-    draws *= 2.0**-53
-    return draws.T
+    return np.multiply(out, 2.0**-53, out=work[4].view(np.float64)).T
 
 
 def geometric_log_miss(q: float) -> float:

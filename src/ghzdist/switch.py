@@ -6,46 +6,52 @@ until a Bell measurement consumes it), and the end-to-end groups built by
 successful measurements and by fusions.  It persists across executions: pairs
 not consumed while building one GHZ state seed the next one.
 
-All noise (p_link, p_mem per round, p_bsm) is single-qubit depolarizing,
-which composes by multiplying parameters and commutes with whatever acts on
-other qubits.  So it has one rule: each group qubit owes the channel of its
-pending factor (``Component.factor``), applied when the qubit is fused
-(``Component.flush``) or folded into the read-out's one pass over the
-diagonal (``dm.fidelity_to_ghz``).  A link pair is only its remote and birth
+No group is stored as a matrix.  Every operation of the switch (a Bell
+measurement with its Pauli correction, a CNOT fusion with its Z read-out and
+outcome-1 X correction) is Clifford, and all noise (p_link, p_mem per round,
+p_bsm) is single-qubit depolarizing.  So a group is its GHZ state under a
+ledger of independent noise entries (d, S), S a set of its qubits: with
+probability 1 - d an entry applies one of I, X_S, Z, X_S Z, chosen uniformly
+(on a GHZ state every single-qubit Z acts alike, and X_S as X on the rest of
+the group).  Depolarizing qubit q by d is the entry (d, {q}).  Parameters of
+one qubit's channels multiply, so each group qubit owes one pending factor
+(``Component.factor``), entered into the ledger when the qubit is fused
+(``Component.flush``) or read out.  A link pair is only its remote and birth
 round: a successful Bell measurement on two gives each outcome with
-probability 1/4 and, once Pauli-corrected, Phi+ on the remotes (one shared
-read-only matrix) with both pairs' noise pending on one remote
-(``swapped_weight``), as depolarizing either qubit of Phi+ gives one state.
-Dense matrices exist only per group and are real (float64): every state the
-switch reaches is real in the computational basis.  A phase runs only when it
-can act: the Bell measurements when at least two links wait, the fusions and
-the delivery check only after a measurement succeeded.  Each phase reads the
-group labels once per call: ``do_switch_bsms`` pairs only end nodes in
-different clusters (one id per node), and ``do_fusions`` visits the nodes
-holding two group qubits in ascending order, with each fusion's outcome-1
-correction inside ``dm.fuse``'s gather; a node with a waiting link pair holds
-no second group qubit.
+probability 1/4 and, once Pauli-corrected, Phi+ on the remotes with an empty
+ledger and both pairs' noise pending on one remote (``swapped_weight``), as
+depolarizing either qubit of Phi+ gives one state.  A fusion of control a in
+group A with target b in group B turns an A-side S into A minus S when a is
+in S, and a B-side S into B minus S when b is in S; its Z outcome has
+probability 1/2 and, once corrected, leaves the same state.  The read-out
+(``Component.ghz_fidelity``) is the character sum
+F = 1/2 prod_e d_e + 2^-k sum_t prod_e d_e^[<t, S_e> odd] over the
+even-weight t in {0, 1}^k, whose 2^(k-1) terms bound N by MAX_END_NODES.
+
+A phase runs only when it can act: the Bell measurements when at least two
+links wait, the fusions and the delivery check only after a measurement
+succeeded.  Each phase reads the group labels once per call:
+``do_switch_bsms`` pairs only end nodes in different clusters (one id per
+node), and ``do_fusions`` visits the nodes holding two group qubits in
+ascending order; a node with a waiting link pair holds no second group qubit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from . import dm as dmod
-from .dm import DensityMatrix, Qubit
+from .dm import Qubit
 from .factory import Estimates, summarize
 from .params import TAG_SWITCH, ConfigError, SimParams, sample_geometric, shot_rng
 
 NODE_MEMORY_SLOTS = 2
-
-# Phi+ on two qubits, shared by every swapped pair, so kept read-only
-_PHI_PLUS = np.zeros((4, 4))
-_PHI_PLUS[::3, ::3] = 0.5
-_PHI_PLUS.flags.writeable = False
+# the read-out sums 2^(N-1) terms over N qubits
+MAX_END_NODES = 11
 
 
 class ProtocolInvariantError(RuntimeError):
@@ -62,19 +68,25 @@ class Link(NamedTuple):
     born: int
 
 
+@lru_cache(maxsize=None)
+def _even_weight_rows(k: int) -> np.ndarray:
+    """Every t in {0, 1}^k of even weight, one read-only 0/1 row each."""
+    bits = np.arange(2**k)[:, None] >> np.arange(k) & 1
+    rows = bits[bits.sum(axis=1) % 2 == 0]
+    rows.flags.writeable = False
+    return rows
+
+
 @dataclass
 class Component:
-    """One end-to-end group: its density matrix, the pending factor
-    ``(d, since)`` of each qubit (it owes depolarizing by d p_mem^(now -
-    since)), and how many link-level Bell pairs it has absorbed."""
+    """One end-to-end group: its qubits, the pending factor ``(d, since)`` of
+    each (it owes depolarizing by d p_mem^(now - since)), how many link-level
+    Bell pairs it has absorbed, and its noise ledger of entries (d, S)."""
 
-    dm: DensityMatrix
+    qubits: tuple[Qubit, ...]
     pending: dict[Qubit, tuple[float, int]]
     pairs_consumed: int
-
-    @property
-    def qubits(self) -> tuple[Qubit, ...]:
-        return self.dm.labels
+    entries: list[tuple[float, frozenset[Qubit]]] = field(default_factory=list)
 
     def factor(self, q: Qubit, now: int, p_mem: float) -> float:
         """The depolarizing parameter q owes at round now."""
@@ -82,11 +94,34 @@ class Component:
         return d * p_mem ** (now - since)
 
     def flush(self, q: Qubit, now: int, p_mem: float) -> None:
-        """Apply q's pending channel to the matrix; q then owes nothing."""
+        """Enter q's pending channel into the ledger; q then owes nothing."""
         p = self.factor(q, now, p_mem)
         if p != 1.0:
-            self.dm = dmod.depolarize(self.dm, (q,), p)
+            self.entries.append((p, frozenset((q,))))
         self.pending[q] = (1.0, now)
+
+    def fused_entries(self, q: Qubit) -> list[tuple[float, frozenset[Qubit]]]:
+        """The ledger as a fusion at q, control or target, leaves it: an S
+        holding q becomes the rest of the group, X on which acts on the
+        group's GHZ state as X_S does and passes the fusion unchanged."""
+        side = frozenset(self.qubits)
+        return [(d, side - s if q in s else s) for d, s in self.entries]
+
+    def ghz_fidelity(self, now: int, p_mem: float) -> float:
+        """Fidelity to the GHZ state on the group's k qubits at round now,
+        each qubit's pending channel entered as (d_q, {q}):
+        1/2 prod_e d_e + 2^-k sum_t prod_e d_e^[<t, S_e> odd] over the
+        even-weight t.  The first term holds the Z part, which each entry
+        draws together with its X part, not independently of it."""
+        qubits = self.qubits
+        entries = self.entries + [
+            (self.factor(q, now, p_mem), frozenset((q,))) for q in qubits
+        ]
+        d = np.array([p for p, _ in entries])
+        members = np.array([[q in s for q in qubits] for _, s in entries], dtype=np.int64)
+        odd = (_even_weight_rows(len(qubits)) @ members.T) & 1
+        terms = np.where(odd, d, 1.0).prod(axis=1)
+        return float(0.5 * d.prod() + terms.sum() / 2 ** len(qubits))
 
 
 @dataclass
@@ -101,7 +136,7 @@ class NetworkState:
     def full_component(self, n_end_nodes: int) -> Component | None:
         """The group spanning every end node, if one exists: one of >= n_end_nodes qubits."""
         for comp in self.groups:
-            labels = comp.dm.labels
+            labels = comp.qubits
             if len(labels) >= n_end_nodes and len({node for node, _ in labels}) == n_end_nodes:
                 return comp
         return None
@@ -109,7 +144,9 @@ class NetworkState:
     def validate(self, n_end_nodes: int) -> None:
         """Where each qubit lives: links are keyed by their end node, with a
         birth no later than now; groups hold end-node qubits only, each with a
-        pending factor; labels are unique, slot capacities kept, dm healthy."""
+        pending factor, and ledger entries (d, S) with d in [0, 1] and S a
+        non-empty set of the group's qubits; labels are unique and slot
+        capacities kept."""
         for conn, link in self.links.items():
             node = link.remote.node
             if node == 0 or node != conn or link.born > self.round:
@@ -118,8 +155,10 @@ class NetworkState:
             if any(q.node == 0 for q in comp.qubits):
                 raise ProtocolInvariantError("a group holds a switch qubit")
             if set(comp.pending) != set(comp.qubits):
-                raise ProtocolInvariantError("decoherence ledger out of sync")
-            comp.dm.validate(context="component")
+                raise ProtocolInvariantError("pending factors out of sync")
+            for d, s in comp.entries:
+                if not (0.0 <= d <= 1.0 and s and s <= set(comp.qubits)):
+                    raise ProtocolInvariantError(f"bad ledger entry ({d}, {sorted(s)})")
         held = [link.remote for link in self.links.values()]
         held += [q for comp in self.groups for q in comp.qubits]
         if len(set(held)) != len(held):
@@ -133,7 +172,7 @@ def _eligible_connections(state: NetworkState, n_end_nodes: int) -> list[tuple[i
     """(connection, node slot to fill) for each connection with no link pair
     waiting, in order.  Between rounds a node holds at most one group qubit (a
     second is fused in the round it arrives), so its other slot is free."""
-    group_slot = {node: slot for comp in state.groups for node, slot in comp.dm.labels}
+    group_slot = {node: slot for comp in state.groups for node, slot in comp.qubits}
     return [(conn, 1 - group_slot.get(conn, 1))
             for conn in range(1, n_end_nodes + 1) if conn not in state.links]
 
@@ -192,7 +231,7 @@ def do_switch_bsms(
     """
     cluster = list(range(params.n_end_nodes + 1))  # a lone node's id is itself
     for gid, comp in enumerate(state.groups, start=len(cluster)):
-        for node, _ in comp.dm.labels:
+        for node, _ in comp.qubits:
             if cluster[node] not in (node, gid):
                 raise ProtocolInvariantError(f"node {node} in two groups")
             cluster[node] = gid
@@ -212,8 +251,7 @@ def do_switch_bsms(
         rng.random()  # Born draw, unused: all four outcomes leave the same pair
         w = swapped_weight(link_a, link_b, state.round, params)
         pending = {link_a.remote: (1.0, link_a.born), link_b.remote: (w, link_b.born)}
-        pair = DensityMatrix((link_a.remote, link_b.remote), _PHI_PLUS)
-        state.groups.append(Component(pair, pending, 2))
+        state.groups.append(Component((link_a.remote, link_b.remote), pending, 2))
         old, new = cluster[b], cluster[a]
         cluster = [new if c == old else c for c in cluster]
         events.append(("bsm", a, b, True))
@@ -227,14 +265,18 @@ def do_fusions(
     Only nodes holding two group qubits are visited, in ascending index: a
     fusion keeps every other qubit where it was, so it never gives another
     node a second one.  A waiting link pair takes one of its node's
-    NODE_MEMORY_SLOTS = 2 slots, so no fusion meets it.  ``dm.fuse`` applies
-    the outcome-1 correction, X on the detached branch, inside its gather.
+    NODE_MEMORY_SLOTS = 2 slots, so no fusion meets it.  The control is the
+    lower slot's qubit a in group A, the target b in group B; the merged
+    group holds A's qubits, then B's without b, and both sides' ledgers as
+    the fusion leaves them (``Component.fused_entries``).  The Z outcome, 1
+    with probability 1/2, is drawn and reported; once corrected by X on B's
+    other qubits, either outcome leaves the same state.
     """
     owner: dict[Qubit, Component] = {}
     first: dict[int, Qubit] = {}
     shared: list[tuple[int, Qubit, Qubit]] = []
     for comp in state.groups:
-        for q in comp.dm.labels:
+        for q in comp.qubits:
             owner[q] = comp
             other = first.setdefault(q.node, q)
             if other != q:
@@ -246,17 +288,18 @@ def do_fusions(
             raise ProtocolInvariantError(f"node {node} holds two qubits of one component")
         comp_a.flush(q_a, state.round, params.p_mem)
         comp_b.flush(q_b, state.round, params.p_mem)
-        joint = dmod.tensor(comp_a.dm, comp_b.dm)
-        # classical broadcast of the outcome: on 1, flip the detached branch
-        branch = tuple(q for q in comp_b.dm.labels if q != q_b)
-        bit, post = dmod.fuse(joint, q_a, q_b, rng.random(), branch)
+        bit = int(rng.random() >= 0.5)
+        entries = comp_a.fused_entries(q_a) + comp_b.fused_entries(q_b)
+        qubits = comp_a.qubits + tuple(q for q in comp_b.qubits if q != q_b)
         pending = {**comp_a.pending, **comp_b.pending}
         del pending[q_b]
-        merged = Component(post, pending, comp_a.pairs_consumed + comp_b.pairs_consumed)
+        merged = Component(
+            qubits, pending, comp_a.pairs_consumed + comp_b.pairs_consumed, entries
+        )
         state.groups.remove(comp_a)
         state.groups.remove(comp_b)
         state.groups.append(merged)
-        owner.update(dict.fromkeys(post.labels, merged))
+        owner.update(dict.fromkeys(qubits, merged))
         events.append(("fusion", node, bit))
     return events
 
@@ -297,10 +340,9 @@ def run_to_ghz(
             continue
         if len(full.qubits) != n:
             raise ProtocolInvariantError("delivered state is not an n-qubit GHZ")
-        pending = [full.factor(q, state.round, params.p_mem) for q in full.qubits]
         record = SwitchRecord(
             duration_rounds=state.round - start,
-            fidelity=dmod.fidelity_to_ghz(full.dm, pending),
+            fidelity=full.ghz_fidelity(state.round, params.p_mem),
             pairs_consumed=full.pairs_consumed,
         )
         state.groups.remove(full)
@@ -310,20 +352,18 @@ def run_to_ghz(
 WARMUP_EXECUTIONS = 1
 
 
-def check_register_limit(params: SimParams) -> None:
-    """Reject a point whose widest register exceeds ``dm.MAX_QUBITS``."""
-    # the widest register is a fusion's joint state: every end node's qubit
-    # plus the second qubit at the fused node
-    if params.n_end_nodes + 1 > dmod.MAX_QUBITS:
+def check_node_limit(params: SimParams) -> None:
+    """Reject a point with more than ``MAX_END_NODES`` end nodes."""
+    if params.n_end_nodes > MAX_END_NODES:
         raise ConfigError(
-            f"the switch supports n_end_nodes <= {dmod.MAX_QUBITS - 1}, "
+            f"the switch supports n_end_nodes <= {MAX_END_NODES}, "
             f"got {params.n_end_nodes}"
         )
 
 
 def run_executions(params: SimParams, shots: int) -> list[SwitchRecord]:
     """Consecutive executions on one persistent network stream."""
-    check_register_limit(params)
+    check_node_limit(params)
     rng = shot_rng(params.seed, 0, TAG_SWITCH)
     state = NetworkState()
     for _ in range(WARMUP_EXECUTIONS):

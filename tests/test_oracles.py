@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -287,6 +288,7 @@ _EXACT_CLOSED_FORM = analytics_module.fidelity_closed_form
 _EXACT_DEPOLARIZE_ONE = dm_module._depolarize_one
 _EXACT_F_RAND = analytics_module.f_rand
 _EXACT_FUSE = dm_module.fuse
+_EXACT_FUSED_ENTRIES = switch_module.Component.fused_entries
 _EXACT_FUSION_INDICES = dm_module._fusion_indices
 _EXACT_LONGEST = params_module.longest_geometric_round
 _EXACT_ORDER_STAT = analytics_module.expected_order_stat
@@ -355,6 +357,31 @@ def _closed_form_shifted(params, mode="leading"):
     return dataclasses.replace(exact, value=exact.value + 1e-9)
 
 
+def _control_side_uncomplemented(comp, q):
+    # the control's group (its qubit in slot 0) keeps its ledger as it was
+    return list(comp.entries) if q.slot == 0 else _EXACT_FUSED_ENTRIES(comp, q)
+
+
+def _product_of_marginals_readout(comp, now, p_mem):
+    """The ledger read out as P(no Z flip) times P(X pattern trivial), as if
+    each entry's X and Z parts were independent: (1 + w)^2 / 4, not
+    (1 + 3 w) / 4, for a Werner pair."""
+    qubits = comp.qubits
+    entries = comp.entries + [
+        (comp.factor(q, now, p_mem), frozenset((q,))) for q in qubits
+    ]
+    x_trivial = 0.0
+    for t in itertools.product((0, 1), repeat=len(qubits)):
+        if sum(t) % 2 == 0:
+            term = 1.0
+            for d, s in entries:
+                if sum(b for b, q in zip(t, qubits) if q in s) % 2:
+                    term *= d
+            x_trivial += term
+    z_trivial = (1.0 + np.prod([d for d, _ in entries])) / 2.0
+    return z_trivial * x_trivial / 2.0 ** (len(qubits) - 1)
+
+
 def _hash_bit_flipped(monkeypatch):
     """shot_rng with one bit of a hash constant flipped, on a block cache of
     its own, so the real cache never holds a mutated block."""
@@ -381,14 +408,14 @@ FAULTS = {
                 _order_stat_shifted(lambda i, n: i == n > 4))),
         {"n_all_alternating_sum_vs_recursion"},
     ),
-    # a single-qubit channel whose parameters do not multiply
-    # the switch's fusions flush pending factors through it even at p_mem = 1
+    # a single-qubit channel whose parameters do not multiply; the dense
+    # sides of the switch's swap and fusion checks depolarize through it
     "depolarize_composition": (
         _patch((dm_module, "_depolarize_one",
                 lambda dm, pos, p: _EXACT_DEPOLARIZE_ONE(dm, pos, p + 0.01 * p * (1.0 - p)))),
         {"depolarize_composition", "f_rand_vs_dm_fidelity",
          "dm_replay_vs_fast_kernel", "werner_swap_vs_dense_bsm",
-         "ghz_readout_vs_dense_flush", "switch_fidelity_vs_tree_closed_form"},
+         "ghz_readout_vs_dense_flush", "switch_ledger_vs_dense_groups"},
     ),
     # X corrected for the Z bit and Z for the X bit
     "noiseless_teleportation_identity": (
@@ -432,13 +459,13 @@ FAULTS = {
     "fuse_gather_vs_cnot_projection": (
         _patch((dm_module, "_fusion_indices",
                 lambda k, c, t, bit: _EXACT_FUSION_INDICES(k, t, c, bit))),
-        {"fuse_gather_vs_cnot_projection", "switch_fidelity_vs_tree_closed_form"},
+        {"fuse_gather_vs_cnot_projection"},
     ),
     # the outcome-1 flip mask misses the last qubit of the flip set
     "fuse_gather_vs_cnot_projection/flip_mask_misses_a_qubit": (
         _patch((dm_module, "fuse",
                 lambda dm, c, t, u, flip=(): _EXACT_FUSE(dm, c, t, u, tuple(flip)[:-1]))),
-        {"fuse_gather_vs_cnot_projection", "switch_fidelity_vs_tree_closed_form"},
+        {"fuse_gather_vs_cnot_projection"},
     ),
     "shot_rng_vs_seed_sequence": (_hash_bit_flipped, {"shot_rng_vs_seed_sequence"}),
     "werner_swap_vs_dense_bsm": (
@@ -469,6 +496,16 @@ FAULTS = {
         _patch((analytics_module, "switch_fidelity_perfect_memory",
                 lambda *args: _EXACT_SWITCH_FIDELITY(*args) * (1.0 + 1e-9))),
         {"switch_fidelity_vs_tree_closed_form"},
+    ),
+    "switch_ledger_vs_dense_groups": (
+        _patch((switch_module.Component, "fused_entries", _control_side_uncomplemented)),
+        {"switch_ledger_vs_dense_groups"},
+    ),
+    # every delivery and the swap check read out through it too
+    "switch_ledger_vs_dense_groups/product_of_marginals_readout": (
+        _patch((switch_module.Component, "ghz_fidelity", _product_of_marginals_readout)),
+        {"switch_ledger_vs_dense_groups", "werner_swap_vs_dense_bsm",
+         "switch_fidelity_vs_tree_closed_form"},
     ),
 }
 
@@ -503,6 +540,7 @@ class TestVerificationRunner:
             "block_vs_scalar_factory",
             "g_lower_bound_gap_relative",
             "switch_fidelity_vs_tree_closed_form",
+            "switch_ledger_vs_dense_groups",
         ]
 
     def test_negative_control_trips_identity_check(self, skewed_b0):

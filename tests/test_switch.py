@@ -32,7 +32,7 @@ def make_params(**kwargs):
 
 
 def bell_component(a: Qubit, b: Qubit, born_round=0) -> Component:
-    return Component(dmod.make_bell(a, b), {a: (1.0, born_round), b: (1.0, born_round)}, 2)
+    return Component((a, b), {a: (1.0, born_round), b: (1.0, born_round)}, 2)
 
 
 def network(*comps: Component) -> NetworkState:
@@ -79,15 +79,16 @@ class TestAdvanceRound:
         assert swapped_weight(a, b, state.round, params) == 0.9 * 0.9
 
     def test_lazy_memory_aging_matches_direct_channel(self):
-        # a group qubit owing (d, since) flushes to the dense state with d
-        # applied once and p_mem once per round since, whatever the clock did
+        # a group qubit owing (d, since) flushes into the ledger as one entry
+        # with d applied once and p_mem once per round since, whatever the
+        # clock did, and reads out as the dense state does
         params = make_params(q_link=1e-9, p_mem=0.9)
         a, b = Qubit(1, 0), Qubit(2, 0)
-        comp = Component(dmod.make_bell(a, b), {a: (1.0, 0), b: (0.95, 1)}, 2)
+        comp = Component((a, b), {a: (1.0, 0), b: (0.95, 1)}, 2)
         state = NetworkState(groups=[comp])
         for _ in range(4):
             advance_round(state, params, shot_rng(0, 1, 9))
-        reference = dmod.depolarize(comp.dm, (b,), 0.95)
+        reference = dmod.depolarize(dmod.make_bell(a, b), (b,), 0.95)
         for q, waited in ((a, 4), (b, 3)):
             for _ in range(waited):
                 reference = dmod.depolarize(reference, (q,), 0.9)
@@ -95,7 +96,9 @@ class TestAdvanceRound:
         for q in (a, b):
             comp.flush(q, state.round, params.p_mem)
         assert comp.pending == {a: (1.0, 4), b: (1.0, 4)}
-        assert dmod.max_abs_diff(comp.dm, reference) < 1e-12
+        assert comp.entries == [(0.9**4, frozenset({a})), (0.95 * 0.9**3, frozenset({b}))]
+        fidelity = comp.ghz_fidelity(state.round, params.p_mem)
+        assert fidelity == pytest.approx(dmod.fidelity_to_ghz(reference), abs=1e-12)
 
     def test_success_frequency(self):
         params = make_params(q_link=0.01)
@@ -131,18 +134,23 @@ class TestAdvanceRound:
 class TestWerner:
     @pytest.mark.parametrize("w", [0.0, 0.3, 0.99, 1.0])
     def test_closed_form_is_the_dense_mixture(self, w):
-        # a swapped pair is Phi+ owing w = p_link^2 on one remote; flushed,
-        # it is the Werner state w Phi+ + (1 - w) 1/4
+        # a swapped pair is Phi+ owing w = p_link^2 on one remote, that is
+        # the Werner state w Phi+ + (1 - w) 1/4, of fidelity (1 + 3 w) / 4;
+        # independent X and Z marginals would give (1 + w)^2 / 4
         a, b = Qubit(1, 0), Qubit(2, 0)
         state = NetworkState(links={1: Link(a, 0), 2: Link(b, 0)})
         params = make_params(n_end_nodes=2, p_link=float(np.sqrt(w)))
         do_switch_bsms(state, params, shot_rng(0, 0, 9))
         (pair,) = state.groups
+        assert pair.qubits == (a, b) and pair.entries == []
+        fidelity = pair.ghz_fidelity(state.round, params.p_mem)
+        assert fidelity == pytest.approx((1 + 3 * w) / 4, rel=1e-15)
+        dense = w * dmod.make_bell(a, b).mat + (1.0 - w) / 4.0 * np.eye(4)
+        assert fidelity == pytest.approx(
+            dmod.fidelity_to_ghz(dmod.DensityMatrix((a, b), dense)), rel=1e-15)
         for q in (a, b):
             pair.flush(q, state.round, params.p_mem)
-        dense = w * dmod.make_bell().mat.real + (1.0 - w) / 4.0 * np.eye(4)
-        assert pair.qubits == (a, b) and pair.dm.mat.dtype == np.float64
-        assert np.abs(pair.dm.mat - dense).max() < 1e-15
+        assert pair.ghz_fidelity(state.round, params.p_mem) == pytest.approx(fidelity, rel=1e-15)
 
 
 class TestSwitchBsms:
@@ -157,7 +165,8 @@ class TestSwitchBsms:
         comp = state.groups[0]
         assert set(comp.qubits) == {Qubit(1, 0), Qubit(2, 0)}
         state.validate(2)
-        assert dmod.fidelity_to_ghz(comp.dm) == pytest.approx(1.0, abs=1e-12)
+        assert comp.entries == []
+        assert comp.ghz_fidelity(state.round, 1.0) == pytest.approx(1.0, abs=1e-12)
         assert comp.pairs_consumed == 2
 
     def test_failed_measurement_destroys_both_pairs(self):
@@ -245,7 +254,23 @@ class TestFusions:
         assert len(state.groups) == 1
         comp = state.groups[0]
         assert {q.node for q in comp.qubits} == {1, 2, 3}
-        assert dmod.fidelity_to_ghz(comp.dm) == pytest.approx(1.0, abs=1e-12)
+        assert comp.ghz_fidelity(state.round, 1.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_fused_qubits_entries_become_the_rest_of_their_group(self):
+        a, b = Qubit(1, 0), Qubit(1, 1)  # control in the first group, target in the second
+        first = Component((a, Qubit(2, 0)), {a: (1.0, 0), Qubit(2, 0): (1.0, 0)}, 2,
+                          [(0.9, frozenset({a})), (0.8, frozenset({Qubit(2, 0)}))])
+        second = Component((b, Qubit(3, 0)), {b: (1.0, 0), Qubit(3, 0): (1.0, 0)}, 2,
+                           [(0.7, frozenset({b})), (0.6, frozenset({Qubit(3, 0)}))])
+        state = network(first, second)
+        do_fusions(state, make_params(n_end_nodes=3, p_mem=1.0), shot_rng(0, 0, 9))
+        (merged,) = state.groups
+        assert merged.qubits == (a, Qubit(2, 0), Qubit(3, 0))
+        assert merged.entries == [
+            (0.9, frozenset({Qubit(2, 0)})), (0.8, frozenset({Qubit(2, 0)})),
+            (0.7, frozenset({Qubit(3, 0)})), (0.6, frozenset({Qubit(3, 0)})),
+        ]
+        assert merged.pairs_consumed == 4
 
     def test_no_shared_node_no_fusion(self):
         state = network(
@@ -269,7 +294,7 @@ class TestFusions:
             assert len(state.groups) == 1
             comp = state.groups[0]
             assert {q.node for q in comp.qubits} == {1, 2, 3, 4}
-            assert dmod.fidelity_to_ghz(comp.dm) == pytest.approx(1.0, abs=1e-12)
+            assert comp.ghz_fidelity(state.round, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_link_pair_is_not_absorbed(self):
         state = network(
@@ -280,8 +305,8 @@ class TestFusions:
         assert list(state.links) == [1] and len(state.groups) == 1
 
     def test_same_component_twice_at_node_is_flagged(self):
-        ghz = dmod.make_ghz(3, (Qubit(1, 0), Qubit(1, 1), Qubit(2, 0)))
-        state = network(Component(ghz, dict.fromkeys(ghz.labels, (1.0, 0)), 4))
+        labels = (Qubit(1, 0), Qubit(1, 1), Qubit(2, 0))
+        state = network(Component(labels, dict.fromkeys(labels, (1.0, 0)), 4))
         with pytest.raises(ProtocolInvariantError):
             do_fusions(state, make_params(n_end_nodes=2), shot_rng(0, 0, 9))
 
@@ -363,7 +388,7 @@ class TestJumpEquivalence:
                 if full is not None:
                     for q in full.qubits:
                         full.flush(q, state.round, params.p_mem)
-                    fid = dmod.fidelity_to_ghz(full.dm)
+                    fid = full.ghz_fidelity(state.round, params.p_mem)
                     state.groups.remove(full)
                     return state.round - start, fid
 
@@ -388,7 +413,7 @@ class TestJumpEquivalence:
 
 def literal_executions(params: SimParams, shots: int) -> list[tuple[int, int, float]]:
     """run_executions as a literal loop: every phase runs every iteration,
-    every group qubit's pending channel is applied densely after each phase,
+    every group qubit's pending channel enters the ledger after each phase,
     and the read-out has none left to fold in.  Returns (duration_rounds,
     pairs_consumed, fidelity) per delivery."""
     rng = shot_rng(params.seed, 0, TAG_SWITCH)
@@ -404,7 +429,7 @@ def literal_executions(params: SimParams, shots: int) -> list[tuple[int, int, fl
                     for q in comp.qubits:
                         comp.flush(q, state.round, params.p_mem)
             full = state.full_component(params.n_end_nodes)
-        fidelity = dmod.fidelity_to_ghz(full.dm)
+        fidelity = full.ghz_fidelity(state.round, params.p_mem)
         records.append((state.round - start, full.pairs_consumed, fidelity))
         state.groups.remove(full)
     return records[WARMUP_EXECUTIONS:]
@@ -415,7 +440,7 @@ NOISE = dict(p_link=0.97, p_mem=0.99, p_bsm=0.98)
 
 class TestSkippedPhasesAndDiagonalReadout:
     """run_to_ghz runs a phase only when it can act and reads out with the
-    pending channels folded into one diagonal pass; neither may change a
+    pending channels folded into the ledger's sum; neither may change a
     record."""
 
     @pytest.mark.parametrize(
@@ -440,13 +465,20 @@ class TestSkippedPhasesAndDiagonalReadout:
             assert r.fidelity == pytest.approx(fidelity, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("n", [5, 8])
-    def test_group_registers_stay_real(self, monkeypatch, n):
-        dtypes = set()
+    def test_ledgers_stay_well_formed(self, monkeypatch, n):
+        # after every phase each entry's S is a non-empty proper subset of
+        # its group, and d lies in [0, 1]
+        seen = []
 
         def watch(phase):
             def run(state, params, rng):
                 events = phase(state, params, rng)
-                dtypes.update(comp.dm.mat.dtype for comp in state.groups)
+                for comp in state.groups:
+                    group = set(comp.qubits)
+                    for d, s in comp.entries:
+                        assert 0.0 <= d <= 1.0 and s and s < group
+                        seen.append(len(s))
+                state.validate(params.n_end_nodes)
                 return events
             return run
 
@@ -454,7 +486,8 @@ class TestSkippedPhasesAndDiagonalReadout:
             monkeypatch.setattr(switch_module, name, watch(getattr(switch_module, name)))
         run_executions(make_params(n_end_nodes=n, q_link=0.3, q_bsm=0.95, shots=4,
                                    **NOISE), 4)
-        assert dtypes == {np.dtype(np.float64)}
+        # fusions complement entries into sets of more than one qubit
+        assert max(seen) > 1
 
 
 def perfect_memory_gap(configs: int = 30, shots: int = 8) -> float:
@@ -555,6 +588,18 @@ class TestValidate:
         state = NetworkState(round=3, links={conn: link})
         with pytest.raises(ProtocolInvariantError, match=f"connection {conn}"):
             state.validate(2)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [(0.5, frozenset()), (0.5, frozenset({Qubit(3, 0)})), (1.5, frozenset({Qubit(1, 0)})),
+         (-0.1, frozenset({Qubit(2, 0)}))],
+        ids=["empty-set", "qubit-outside-the-group", "d-above-1", "d-below-0"],
+    )
+    def test_bad_ledger_entry_is_flagged(self, entry):
+        comp = bell_component(Qubit(1, 0), Qubit(2, 0))
+        comp.entries.append(entry)
+        with pytest.raises(ProtocolInvariantError, match="bad ledger entry"):
+            NetworkState(groups=[comp]).validate(3)
 
     def test_qubit_in_two_components(self):
         state = network(

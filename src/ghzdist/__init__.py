@@ -2,9 +2,11 @@
 
 Monte Carlo engines for the factory-node and 2-switch protocols under
 depolarizing noise, the closed-form rate/fidelity expressions they are
-validated against, and brute-force oracles tying the two together.  The
-dense density-matrix kernels and the oracles' internals are reached as
-``ghzdist.dm.*`` and ``ghzdist.oracles.*``.
+validated against, and brute-force oracles tying the two together.  Dense
+density matrices are the oracles' reference only: no engine uses them, and
+the switch shares just the ``Qubit`` label (``ghzdist.labels``) with them.
+The dense kernels and the oracles' internals are reached as ``ghzdist.dm.*``
+and ``ghzdist.oracles.*``.
 """
 
 from .analytics import (
@@ -21,8 +23,9 @@ from .analytics import (
     rate_exact,
     rate_leading,
 )
-from .dm import DensityMatrix, Qubit, fidelity_to_ghz
+from .dm import DensityMatrix, fidelity_to_ghz
 from .factory import Estimates, ShotRecord, estimate, run_shot_fast
+from .labels import Qubit
 from .oracles import enumerate_waiting_times, mc_g, replay_factory_dm, run_verification
 from .params import ConfigError, SimParams, derive_p_ghz, load_params, sample_geometric, shot_rng
 from .switch import NetworkState, SwitchRecord, estimate_switch, run_to_ghz

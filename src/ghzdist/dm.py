@@ -1,18 +1,15 @@
-"""Dense density-matrix engine for small labeled qubit registers.
+"""Dense density matrices on small labeled qubit registers: the plain
+reference that the oracles hold the engines to.  No engine calls them.
 
 States live on an ordered register of labeled qubits (node, slot).  The only
 channel is depolarizing; gates, measurements and Pauli corrections are
 noiseless.  Matrices are stored densely, so the register is hard-capped at
-MAX_QUBITS qubits.  A real (float64) matrix stays real through ``tensor``,
-``permute``, ``partial_trace``, ``depolarize`` and ``fuse``, and through
-``apply_unitary`` with a real gate, which every Pauli correction is.
-
-Single-qubit depolarizing has two kernels with the same arithmetic in the
-same order, so the same bits.  Up to DEPOLARIZE_GATHER_MAX_QUBITS qubits it
-is one gather and two scatters through cached flat-index tables, which
-costs about half the per-call overhead of strided views on small
-registers.  Above it the 6-D strided views are faster, and the tables,
-which grow as 4^k, are never built.
+MAX_QUBITS qubits.  Each operation has one implementation, and every result
+is built by ``DensityMatrix``, which checks its labels and shape.  A real
+(float64) matrix stays real through ``tensor``, ``permute``,
+``partial_trace``, ``depolarize``, ``project_z``, ``fusion`` and ``fuse``,
+and through ``apply_unitary`` with a real gate, which ``CNOT`` and every
+Pauli correction are.
 
 Conventions:
   * The register order is the label-list order; ``tensor`` appends.
@@ -20,32 +17,26 @@ Conventions:
   * Bell basis: ``|phi_ij> = (1 (x) X^i Z^j) |phi_00>``.  A measurement
     outcome (i, j) is undone at the remote qubit by ``Z^j X^i``.
   * Every projection (``project_bell``, ``project_z``, ``bsm``'s post-state)
-    goes through ``_project``; every Pauli outside ``fuse`` through
-    ``apply_unitary``.
+    goes through ``_project``; every gate through ``apply_unitary``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+
+from .labels import Qubit
 
 MAX_QUBITS = 12
 
 TRACE_TOL = 1e-10  # trace deviation and state-equality comparisons
 HERM_TOL = 1e-12  # entrywise Hermiticity
 PSD_TOL = 1e-10  # eigenvalue floor allowed in validate()
-# tensor writes one scaled copy of a per entry of b once a has this many
-# times b's dimension; below it the plain broadcast is faster
-TENSOR_LOOP_RATIO = 8
-# single-qubit depolarize gathers through flat-index tables up to this many
-# qubits; above it the strided views are faster and no table is built
-DEPOLARIZE_GATHER_MAX_QUBITS = 6
 
 CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+    [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]]
 )
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 # row 2i + j: |phi_ij> over the computational basis |ab>
@@ -56,13 +47,6 @@ _BELL = np.array(
 _CORRECTIONS = (
     np.eye(2), np.diag([1.0, -1.0]), PAULI_X, np.array([[0.0, 1.0], [-1.0, 0.0]])
 )
-
-
-class Qubit(NamedTuple):
-    """Register label.  Node 0 is the central node, 1..N are end nodes."""
-
-    node: int
-    slot: int = 0
 
 
 class RegisterError(ValueError):
@@ -121,15 +105,6 @@ class DensityMatrix:
                 raise AssertionError(f"negative eigenvalue {lo}{where}")
 
 
-def _trusted(labels: tuple[Qubit, ...], mat: np.ndarray) -> DensityMatrix:
-    """A kernel's result, not re-checked by ``__post_init__``: its labels are
-    the input's, the input's minus one, or a checked concatenation."""
-    dm = object.__new__(DensityMatrix)
-    object.__setattr__(dm, "labels", labels)
-    object.__setattr__(dm, "mat", mat)
-    return dm
-
-
 def _tensor_view(dm: DensityMatrix) -> np.ndarray:
     k = dm.num_qubits
     return dm.mat.reshape((2,) * (2 * k))
@@ -163,19 +138,12 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     if overlap:
         raise RegisterError(f"label collision in tensor: {sorted(overlap)}")
     labels = a.labels + b.labels
+    # checked before the product is formed, whose size grows as 4^k
     if len(labels) > MAX_QUBITS:
         raise RegisterError(f"register of {len(labels)} qubits exceeds cap {MAX_QUBITS}")
-    da, db = a.mat.shape[0], b.mat.shape[0]
-    if da >= TENSOR_LOOP_RATIO * db:
-        # the broadcast's inner loop would span only b's columns; one scaled
-        # copy of a per entry of b forms the same products in long runs
-        out = np.empty((da, db, da, db), dtype=np.result_type(a.mat, b.mat))
-        for j in range(db):
-            for k in range(db):
-                out[:, j, :, k] = a.mat * b.mat[j, k]
-    else:
-        out = a.mat[:, None, :, None] * b.mat[None, :, None, :]
-    return _trusted(labels, out.reshape(da * db, da * db))
+    dim = a.mat.shape[0] * b.mat.shape[0]
+    out = a.mat[:, None, :, None] * b.mat[None, :, None, :]
+    return DensityMatrix(labels, out.reshape(dim, dim))
 
 
 def permute(dm: DensityMatrix, new_labels: Sequence[Qubit]) -> DensityMatrix:
@@ -226,40 +194,8 @@ def apply_unitary(
     return DensityMatrix(dm.labels, t.reshape(2**k, 2**k))
 
 
-@lru_cache(maxsize=None)
-def _pair_entries(k: int, pos: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (row-major) indices of the k-qubit entries whose row and column
-    both have qubit ``pos`` at 0, and of their partners with it at 1 in both.
-
-    Cached per register shape; the returned arrays are read-only.
-    """
-    dim = 2**k
-    bit = 1 << (k - 1 - pos)
-    free = np.arange(dim)
-    free = free[free & bit == 0]
-    zero = (free[:, None] * dim + free[None, :]).ravel()
-    one = zero + bit * (dim + 1)
-    zero.flags.writeable = False
-    one.flags.writeable = False
-    return zero, one
-
-
-def _depolarize_gather(mat: np.ndarray, pos: int, p: float) -> np.ndarray:
-    """Single-qubit depolarizing as one gather and two scatters through the
-    cached flat-index tables: low per-call overhead on small registers."""
-    zero, one = _pair_entries(mat.shape[0].bit_length() - 1, pos)
-    flat = mat.ravel()
-    half = (0.5 * (1.0 - p)) * (flat[zero] + flat[one])
-    out = np.multiply(p, mat, order="C")
-    flat_out = out.reshape(-1)
-    flat_out[zero] += half
-    flat_out[one] += half
-    return out
-
-
 def _depolarize_strided(mat: np.ndarray, pos: int, p: float) -> np.ndarray:
-    """Single-qubit depolarizing on 6-D strided views: no index tables, and
-    faster than the gather on large registers."""
+    """Single-qubit depolarizing of qubit ``pos`` on 6-D strided views."""
     dim = mat.shape[0]
     pre = 2**pos
     post = dim // (2 * pre)
@@ -270,14 +206,6 @@ def _depolarize_strided(mat: np.ndarray, pos: int, p: float) -> np.ndarray:
     out[:, 0, :, :, 0, :] += half
     out[:, 1, :, :, 1, :] += half
     return out.reshape(dim, dim)
-
-
-def _depolarize_one(dm: DensityMatrix, pos: int, p: float) -> DensityMatrix:
-    """Single-qubit depolarizing by the kernel that is faster at the
-    register's size (hot path)."""
-    if dm.num_qubits <= DEPOLARIZE_GATHER_MAX_QUBITS:
-        return _trusted(dm.labels, _depolarize_gather(dm.mat, pos, p))
-    return _trusted(dm.labels, _depolarize_strided(dm.mat, pos, p))
 
 
 def depolarize(
@@ -298,11 +226,11 @@ def depolarize(
         return dm
     m = len(targets)
     if m == 1:
-        return _depolarize_one(dm, positions[0], p)
+        return DensityMatrix(dm.labels, _depolarize_strided(dm.mat, positions[0], p))
     rest = partial_trace(dm, targets)
     mixed = DensityMatrix(targets, np.eye(2**m) / 2**m)
     rebuilt = permute(tensor(rest, mixed), dm.labels)
-    return _trusted(dm.labels, p * dm.mat + (1.0 - p) * rebuilt.mat)
+    return DensityMatrix(dm.labels, p * dm.mat + (1.0 - p) * rebuilt.mat)
 
 
 def _project_vector(
@@ -337,7 +265,7 @@ def _project(
     if prob <= 0.0:
         raise ArithmeticError(f"projecting {targets} has outcome probability {prob}")
     kept = tuple(q for q in dm.labels if q not in targets)
-    return prob, _trusted(kept, reduced / prob)
+    return prob, DensityMatrix(kept, reduced / prob)
 
 
 def project_bell(
@@ -373,92 +301,56 @@ def pauli_correct(dm: DensityMatrix, q: Qubit, bits: tuple[int, int]) -> Density
 
 def project_z(dm: DensityMatrix, q: Qubit, bit: int) -> tuple[float, DensityMatrix]:
     """Project qubit q onto |bit>; q leaves the register."""
-    return _project(dm, (q,), np.eye(2, dtype=complex)[bit])
+    return _project(dm, (q,), np.eye(2)[bit])
 
 
-@lru_cache(maxsize=None)
-def _fusion_indices(k: int, c: int, t: int, bit: int) -> np.ndarray:
-    """Full-register indices that CNOT(c -> t) followed by the Z readout
-    ``bit`` of t keeps, listed in the order of the reduced basis (t removed).
+def fusion(
+    dm: DensityMatrix, control: Qubit, target: Qubit,
+    outcome: Callable[[float], int], flip: Sequence[Qubit] = (),
+) -> tuple[float, int, DensityMatrix]:
+    """CNOT(control -> target), then a Z measurement of the target that reads
+    ``outcome(p0)``, p0 being its probability of reading 0, and on outcome 1
+    X on each qubit of ``flip``.  Returns p0, the outcome and the normalized
+    post-measurement state; the target leaves the register.
 
-    Each keeps its other bits and carries t = (bit of c) XOR ``bit``.
-    Cached per register shape; the returned array is read-only.
+    ``flip`` must name distinct register qubits other than the target; it is
+    checked whatever the outcome.
     """
-    reduced = np.arange(2 ** (k - 1))
-    low = k - 1 - t  # bits below the target in the full index
-    c_shift = k - 2 - (c if c < t else c - 1)  # control's bit in the reduced index
-    t_bit = ((reduced >> c_shift) & 1) ^ bit
-    high = reduced >> low
-    idx = (high << (low + 1)) | (t_bit << low) | (reduced & ((1 << low) - 1))
-    idx.flags.writeable = False
-    return idx
+    flip = tuple(flip)
+    if control == target:
+        raise RegisterError("fusion needs two distinct qubits")
+    if target in flip:
+        raise RegisterError(f"the measured qubit {target} cannot be flipped")
+    if len(set(flip)) != len(flip) or not set(flip) <= set(dm.labels):
+        raise RegisterError(f"flip set {flip} must name distinct qubits of {dm.labels}")
+    rotated = apply_unitary(dm, (control, target), CNOT)
+    red = partial_trace(rotated, tuple(q for q in rotated.labels if q != target))
+    p0 = float(red.mat[0, 0].real)
+    bit = outcome(p0)
+    _, post = project_z(rotated, target, bit)
+    if bit:
+        for q in flip:
+            post = apply_unitary(post, (q,), PAULI_X)
+    return p0, bit, post
 
 
 def fuse(
     dm: DensityMatrix, control: Qubit, target: Qubit, u: float,
     flip: Sequence[Qubit] = (),
 ) -> tuple[int, DensityMatrix]:
-    """CNOT(control -> target) followed by a Z measurement of the target,
-    which reads 0 iff the uniform ``u`` is below its probability p0, and on
-    outcome 1 the protocol's correction, X on each qubit of ``flip``.
-
-    The target leaves the register and the state is renormalized.  All three
-    are noiseless and only permute basis states, so the state is one gather
-    of the entries it keeps, with the X folded in by XOR-ing the gather
-    indices; the outcome probability is summed from the diagonal before it.
-    """
-    if control == target:
-        raise RegisterError("fusion needs two distinct qubits")
-    k, c, t = dm.num_qubits, dm.pos(control), dm.pos(target)
-    diag = dm.mat.diagonal().real
-    p0 = min(max(float(diag[_fusion_indices(k, c, t, 0)].sum()), 0.0), 1.0)
-    bit = 0 if u < p0 else 1
-    idx = _fusion_indices(k, c, t, bit)
-    prob = float(diag[idx].sum())
-    if prob <= 0.0:
-        raise ArithmeticError(f"Z outcome {bit} has probability {prob}")
-    if bit and flip:
-        if target in flip:
-            raise RegisterError(f"the measured qubit {target} cannot be flipped")
-        # X on the control also flips the target bit the CNOT wrote
-        flipped = {*flip, target} if control in flip else set(flip)
-        idx = idx ^ sum(1 << (k - 1 - dm.pos(q)) for q in flipped)
-    post = dm.mat.take(idx, axis=0).take(idx, axis=1)
-    post /= prob
-    return bit, _trusted(tuple(q for q in dm.labels if q != target), post)
+    """``fusion`` whose Z measurement reads 0 iff the uniform ``u`` is below
+    p0: the outcome and the post-measurement state."""
+    _, bit, post = fusion(dm, control, target, lambda p0: 0 if u < p0 else 1, flip)
+    return bit, post
 
 
-@lru_cache(maxsize=None)
-def _basis_bits(k: int) -> np.ndarray:
-    """Bit q of every basis index of a k-qubit register, qubit 0 most
-    significant: a read-only (2^k, k) boolean table."""
-    bits = ((np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(bool)
-    bits.flags.writeable = False
-    return bits
-
-
-def fidelity_to_ghz(
-    dm: DensityMatrix, pending: Sequence[float] | None = None
-) -> float:
-    """<GHZ| D(rho) |GHZ> for the register's own qubit count (>= 2), where D
-    depolarizes each register qubit q by ``pending[q]`` (default: no channel).
-
-    A local depolarizing channel maps the diagonal to the diagonal and scales
-    the corner rho_{0..0,1..1} by d_q, so this is one pass over the diagonal:
-    (1/2) sum_x rho_xx [prod_q (1 +- d_q)/2 + prod_q (1 -+ d_q)/2]
-    + Re rho_{0..0,1..1} prod_q d_q, the upper sign where x_q = 0.  The
-    second product at x is the first at the complement of x, which is the
-    reversed diagonal's entry.
-    """
-    k = dm.num_qubits
-    if k < 2:
+def fidelity_to_ghz(dm: DensityMatrix) -> float:
+    """<GHZ| rho |GHZ> for the register's own qubit count (>= 2), read from
+    the GHZ corner of rho: (rho[0, 0] + rho[-1, -1]) / 2 + Re rho[0, -1]."""
+    if dm.num_qubits < 2:
         raise RegisterError("GHZ fidelity needs at least 2 qubits")
-    d = np.ones(k) if pending is None else np.asarray(pending, dtype=float)
-    if d.shape != (k,):
-        raise RegisterError(f"{len(d)} depolarizing parameters for {dm.labels}")
-    weight = np.where(_basis_bits(k), (1.0 - d) / 2.0, (1.0 + d) / 2.0).prod(axis=1)
-    diag = dm.mat.diagonal().real
-    return float(0.5 * ((diag + diag[::-1]) @ weight) + dm.mat[0, -1].real * d.prod())
+    m = dm.mat
+    return float(0.5 * (m[0, 0].real + m[-1, -1].real) + m[0, -1].real)
 
 
 def max_abs_diff(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -8,16 +8,14 @@ coefficient identity against that sum, the closed-form fidelity from the
 literal sum over subsets of arrival ranks, per-shot fidelities from a full
 density-matrix replay of the teleportation pipeline, the factory's shot
 kernel from a loop that turns every attempt's uniforms into rounds, its
-block engine from that kernel run shot by shot on each shot's own stream, fusion
-with its outcome-1 flip from a dense CNOT, a Z projection and dense X gates
-(not the XOR-mask gather under test), the per-shot streams from a literal
-numpy SeedSequence, the switch's entanglement swap with its pending noise
-from a dense Bell measurement, its fusions and noise-ledger read-out from
-the same fusions on dense matrices, ``dm.fidelity_to_ghz``'s diagonal
-read-out from dense per-qubit depolarizing, the switch's link jump from a
-loop of single rounds, and its deliveries at p_mem = 1 from the tree closed
-form.  ``CHECKS`` lists the comparisons that ``verify`` runs.  The engines
-import nothing from here.
+block engine from that kernel run shot by shot on each shot's own stream, the
+per-shot streams from a literal numpy SeedSequence, the switch's
+entanglement swap with its pending noise from a dense Bell measurement, its
+fusions and noise-ledger read-out from the same fusions on dense matrices
+(a dense CNOT, a Z projection and dense X gates), its link jump from a loop
+of single rounds, and its deliveries at p_mem = 1 from the tree closed form.
+The dense side is ``ghzdist.dm``.  ``CHECKS`` lists the comparisons that
+``verify`` runs.  The engines import nothing from here.
 """
 
 from __future__ import annotations
@@ -33,8 +31,9 @@ import numpy as np
 
 from . import analytics, dm as dmod, factory, switch
 from .analytics import GSpec
-from .dm import DensityMatrix, Qubit
+from .dm import DensityMatrix
 from .factory import ShotRecord, fidelity_from_deltas
+from .labels import Qubit
 from .params import (
     TAG_FACTORY,
     TAG_SWITCH,
@@ -217,18 +216,6 @@ def fidelity_subset_sum(params: SimParams, mode: str) -> float:
         spec = GSpec(n, positions, (rate,) * len(positions))
         total += coeff * analytics.g_value(spec, params.q_link, mode)
     return (1.0 - params.p_ghz) / 2.0**n + params.p_ghz * total
-
-
-def fuse_by_cnot(
-    dm: DensityMatrix, control: Qubit, target: Qubit, bit: int
-) -> tuple[float, DensityMatrix]:
-    """Fusion through the dense kernels: the probability p0 of reading 0 on
-    the target after CNOT(control -> target), and the normalized state left
-    by reading ``bit``."""
-    rotated = dmod.apply_unitary(dm, (control, target), dmod.CNOT)
-    red = dmod.partial_trace(rotated, tuple(q for q in rotated.labels if q != target))
-    _, post = dmod.project_z(rotated, target, bit)
-    return float(red.mat[0, 0].real), post
 
 
 def teleport_pipeline(
@@ -531,29 +518,6 @@ def fidelity_recursion_error(rng: np.random.Generator) -> float:
     return worst
 
 
-def fuse_error(rng: np.random.Generator) -> float:
-    """Fusion as an index gather against the dense CNOT and Z projection,
-    followed on outcome 1 by X, as a dense gate, on a random flip set of the
-    kept qubits: a draw just below (above) the reference p0 must read 0 (1)
-    and leave the reference state."""
-    worst = 0.0
-    for k in range(3, 7):
-        state = _random_state(rng, k)
-        for _ in range(2):
-            a, b = (state.labels[int(i)] for i in rng.choice(k, 2, replace=False))
-            for control, target in ((a, b), (b, a)):
-                flip = tuple(q for q in state.labels if q != target and rng.random() < 0.5)
-                for bit, shift in ((0, -1e-12), (1, 1e-12)):
-                    p0, ref = fuse_by_cnot(state, control, target, bit)
-                    if bit:
-                        for q in flip:
-                            ref = dmod.apply_unitary(ref, (q,), dmod.PAULI_X)
-                    got, post = dmod.fuse(state, control, target, p0 + shift, flip)
-                    err = dmod.max_abs_diff(ref, post) if got == bit else math.inf
-                    worst = max(worst, err)
-    return worst
-
-
 def factory_kernel_mismatches() -> int:
     """How many ``factory.run_shot_fast`` records differ in any field from
     ``reference_run_shot``, over N in {2, 5, 16}, q_link in {1e-6, 0.01,
@@ -645,9 +609,9 @@ def switch_ledger_error(rng: np.random.Generator) -> float:
     The links go in over two fusion phases, with p_mem aging between them and
     before the read-out.  The dense side builds each pair with
     ``dm.make_bell``, depolarizes each qubit by what it owes when it is
-    fused or read out, fuses with a dense CNOT and Z projection
-    (``fuse_by_cnot``, whose probability of reading 0 must be 1/2), flips the
-    target group's other qubits on outcome 1, and reads
+    fused or read out, fuses with ``dm.fusion`` read as the engine's outcome
+    (a dense CNOT and Z projection, whose probability of reading 0 must be
+    1/2, then on outcome 1 X on the target group's other qubits), and reads
     ``dm.fidelity_to_ghz``.  Three chains per N."""
     worst = 0.0
     for n, _ in itertools.product(range(2, 8), range(3)):
@@ -678,11 +642,10 @@ def switch_ledger_error(rng: np.random.Generator) -> float:
                 group_a, group_b = dense[control], dense[target]
                 group_a = decay(group_a, control, state.round)
                 group_b = decay(group_b, target, state.round)
-                p0, fused = fuse_by_cnot(dmod.tensor(group_a, group_b), control, target, bit)
-                if bit:
-                    for q in group_b.labels:
-                        if q != target:
-                            fused = dmod.apply_unitary(fused, (q,), dmod.PAULI_X)
+                flip = [q for q in group_b.labels if q != target]
+                p0, _, fused = dmod.fusion(
+                    dmod.tensor(group_a, group_b), control, target, lambda _: bit, flip
+                )
                 worst = max(worst, abs(p0 - 0.5))
                 del dense[target]
                 dense.update(dict.fromkeys(fused.labels, fused))
@@ -693,30 +656,6 @@ def switch_ledger_error(rng: np.random.Generator) -> float:
             final = decay(final, q, state.round)
         ref = dmod.fidelity_to_ghz(final)
         worst = max(worst, abs(group.ghz_fidelity(state.round, params.p_mem) - ref))
-    return worst
-
-
-def ghz_readout_error(rng: np.random.Generator) -> float:
-    """Worst deviation of ``dm.fidelity_to_ghz`` with pending depolarizing
-    parameters from depolarizing each qubit densely and then reading the
-    plain corner formula, on random full-rank complex states of 2..7 qubits.
-    Per size, one draw holds a 0 and a 1, one is all 1, one is uniform."""
-    worst = 0.0
-    for k in range(2, 8):
-        for trial in range(3):
-            state = _random_state(rng, k)
-            d = rng.random(k)
-            if trial == 0:
-                i, j = rng.choice(k, 2, replace=False)
-                d[i], d[j] = 0.0, 1.0
-            elif trial == 1:
-                d[:] = 1.0
-            flushed = state
-            for q, dq in zip(state.labels, d):
-                flushed = dmod.depolarize(flushed, (q,), float(dq))
-            m = flushed.mat
-            ref = float((m[0, 0] + m[0, -1] + m[-1, 0] + m[-1, -1]).real / 2.0)
-            worst = max(worst, abs(dmod.fidelity_to_ghz(state, d.tolist()) - ref))
     return worst
 
 
@@ -769,11 +708,9 @@ CHECKS = (
     ("g_lower_bound_below_mc", 3.0, g_lower_bound_z),
     ("dm_replay_vs_fast_kernel", 1e-10, dm_replay_error),
     ("fidelity_recursion_vs_subset_sum", 1e-12, fidelity_recursion_error),
-    ("fuse_gather_vs_cnot_projection", 1e-12, fuse_error),
     ("shot_rng_vs_seed_sequence", 0.0,
      lambda rng: shot_rng_mismatches(shot_rng_cases(rng))),
     ("werner_swap_vs_dense_bsm", 1e-12, werner_swap_error),
-    ("ghz_readout_vs_dense_flush", 1e-12, ghz_readout_error),
     ("factory_kernel_vs_reference", 0.0, lambda _rng: factory_kernel_mismatches()),
     ("block_vs_scalar_factory", 0.0, block_factory_mismatches),
     ("g_lower_bound_gap_relative", 0.055, g_lower_bound_gap),

@@ -45,8 +45,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dm import Qubit
 from .factory import Estimates, summarize
+from .labels import Qubit
 from .params import TAG_SWITCH, ConfigError, SimParams, sample_geometric, shot_rng
 
 NODE_MEMORY_SLOTS = 2

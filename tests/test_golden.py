@@ -4,12 +4,12 @@ The per-shot streams are counter-based, so the integer draws, and with them
 every rate, standard error of the rate and shot count, are a pure function of
 the code's draw order; they must match with ``==``.  The factory fidelity is
 plain Python arithmetic and matches with ``==`` too.  The switch fidelity
-passes through numpy's vectorised kernels on the groups' real registers
-(``depolarize``, ``tensor`` and ``fuse``, and the read-out's one dot product
-over the diagonal, which folds in the memory decoherence still pending),
-whose SIMD width and summation order depend on the CPU, so its last bits may
-differ between hosts; it is compared to 1e-12 relative, far below what a
-reordered, added or dropped draw moves it by.  The switch skips phases that
+is the noise ledger's character sum (``Component.ghz_fidelity``), whose
+products and sums over the ledger entries and the even-weight terms run in
+numpy's vectorised reductions, whose SIMD width and summation order depend
+on the CPU, so its last bits may differ between hosts; it is compared to
+1e-12 relative, far below what a reordered, added or dropped draw moves it
+by.  The switch skips phases that
 cannot act, which draws nothing.
 A change that alters the RNG scheme on purpose updates these values and says
 so in CHANGES.md.

@@ -1,6 +1,6 @@
 """Import layering: dense density matrices stay behind the oracles (the
-switch reads only the qubit label from them), and the closed forms are plain
-Python."""
+engines share only the qubit label with them, from its own module), and the
+closed forms are plain Python."""
 
 import ast
 from pathlib import Path
@@ -32,37 +32,11 @@ def under(names: set[str], package: str) -> set[str]:
     return {n for n in names if n == package or n.startswith(package + ".")}
 
 
-@pytest.mark.parametrize("module", ["factory", "analytics", "params", "cli", "svgplot"])
+@pytest.mark.parametrize(
+    "module", ["factory", "switch", "analytics", "params", "cli", "svgplot", "labels"]
+)
 def test_imports_nothing_from_dm(module):
     assert under(imported_names(module), "ghzdist.dm") == set()
-
-
-def dm_names_read(module: str) -> set[str]:
-    """Names ``ghzdist.<module>`` reads from ``ghzdist.dm``: those it imports
-    from it and the attributes it reads off a name bound to the module."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-    imported = under(imported_names(module), "ghzdist.dm") - {"ghzdist.dm"}
-    names = {n.rsplit(".", 1)[-1] for n in imported}
-    aliases = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level and node.module is None
-        for alias in node.names
-        if alias.name == "dm"
-    }
-    names.update(
-        node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-        and node.value.id in aliases
-    )
-    return names
-
-
-def test_switch_reads_only_its_dm_kernels():
-    # the switch keeps noise ledgers, not matrices: a dense kernel in its hot
-    # path is a design change, not a drive-by import
-    assert dm_names_read("switch") == {"Qubit"}
 
 
 def test_analytics_imports_no_numpy():

@@ -22,7 +22,6 @@ from ghzdist.oracles import (
     coefficient_identity_check,
     enumerate_waiting_times,
     factory_kernel_mismatches,
-    ghz_readout_error,
     mc_g,
     replay_factory_dm,
     run_verification,
@@ -240,56 +239,12 @@ class TestWernerSwapCheck:
         assert werner_swap_error(np.random.default_rng(5)) > 1e-3
 
 
-def _wrong_readout(swap_signs=False, drop_corner_factor=False, drop_flipped_term=False):
-    """fidelity_to_ghz with pending channels read out by a mistaken formula;
-    without pending channels it is left exact, so only the read-out check
-    can see it."""
-    exact = dm_module.fidelity_to_ghz
-
-    def readout(dm, pending=None):
-        if pending is None:
-            return exact(dm)
-        same = flipped = np.ones(1)
-        for d in pending:
-            same = np.outer(same, ((1.0 + d) / 2.0, (1.0 - d) / 2.0)).ravel()
-            flipped = np.outer(flipped, ((1.0 - d) / 2.0, (1.0 + d) / 2.0)).ravel()
-        if swap_signs:
-            same = flipped
-        weight = same if drop_flipped_term else same + flipped
-        corner = 1.0 if drop_corner_factor else np.prod(pending)
-        diag = dm.mat.diagonal().real
-        return float(0.5 * (diag @ weight) + dm.mat[0, -1].real * corner)
-
-    return readout
-
-
-class TestGhzReadoutCheck:
-    def test_diagonal_readout_matches_dense_flush(self, monkeypatch):
-        for seed in range(10):
-            assert ghz_readout_error(np.random.default_rng(seed)) < 1e-12
-        # the mistaken forms below start from an exact copy
-        monkeypatch.setattr(dm_module, "fidelity_to_ghz", _wrong_readout())
-        assert ghz_readout_error(np.random.default_rng(5)) < 1e-12
-
-    @pytest.mark.parametrize(
-        "wrong",
-        [dict(swap_signs=True), dict(drop_corner_factor=True),
-         dict(drop_flipped_term=True)],
-        ids=["signs-swapped", "corner-factor-dropped", "flipped-term-dropped"],
-    )
-    def test_wrong_readout_trips_check(self, monkeypatch, wrong):
-        monkeypatch.setattr(dm_module, "fidelity_to_ghz", _wrong_readout(**wrong))
-        assert ghz_readout_error(np.random.default_rng(5)) > 1e-3
-
-
 # the exact functions that the faults below wrap
 _EXACT_B = analytics_module.subset_coefficient_b
 _EXACT_CLOSED_FORM = analytics_module.fidelity_closed_form
-_EXACT_DEPOLARIZE_ONE = dm_module._depolarize_one
+_EXACT_DEPOLARIZE = dm_module._depolarize_strided
 _EXACT_F_RAND = analytics_module.f_rand
-_EXACT_FUSE = dm_module.fuse
 _EXACT_FUSED_ENTRIES = switch_module.Component.fused_entries
-_EXACT_FUSION_INDICES = dm_module._fusion_indices
 _EXACT_LONGEST = params_module.longest_geometric_round
 _EXACT_ORDER_STAT = analytics_module.expected_order_stat
 _EXACT_PAULI_CORRECT = dm_module.pauli_correct
@@ -411,11 +366,11 @@ FAULTS = {
     # a single-qubit channel whose parameters do not multiply; the dense
     # sides of the switch's swap and fusion checks depolarize through it
     "depolarize_composition": (
-        _patch((dm_module, "_depolarize_one",
-                lambda dm, pos, p: _EXACT_DEPOLARIZE_ONE(dm, pos, p + 0.01 * p * (1.0 - p)))),
+        _patch((dm_module, "_depolarize_strided",
+                lambda mat, pos, p: _EXACT_DEPOLARIZE(mat, pos, p + 0.01 * p * (1.0 - p)))),
         {"depolarize_composition", "f_rand_vs_dm_fidelity",
          "dm_replay_vs_fast_kernel", "werner_swap_vs_dense_bsm",
-         "ghz_readout_vs_dense_flush", "switch_ledger_vs_dense_groups"},
+         "switch_ledger_vs_dense_groups"},
     ),
     # X corrected for the Z bit and Z for the X bit
     "noiseless_teleportation_identity": (
@@ -455,26 +410,10 @@ FAULTS = {
         _patch((analytics_module, "fidelity_closed_form", _closed_form_shifted)),
         {"fidelity_recursion_vs_subset_sum"},
     ),
-    # control and target swapped in the gather
-    "fuse_gather_vs_cnot_projection": (
-        _patch((dm_module, "_fusion_indices",
-                lambda k, c, t, bit: _EXACT_FUSION_INDICES(k, t, c, bit))),
-        {"fuse_gather_vs_cnot_projection"},
-    ),
-    # the outcome-1 flip mask misses the last qubit of the flip set
-    "fuse_gather_vs_cnot_projection/flip_mask_misses_a_qubit": (
-        _patch((dm_module, "fuse",
-                lambda dm, c, t, u, flip=(): _EXACT_FUSE(dm, c, t, u, tuple(flip)[:-1]))),
-        {"fuse_gather_vs_cnot_projection"},
-    ),
     "shot_rng_vs_seed_sequence": (_hash_bit_flipped, {"shot_rng_vs_seed_sequence"}),
     "werner_swap_vs_dense_bsm": (
         _patch((switch_module, "swapped_weight", _weight_dropping_p_bsm)),
         {"werner_swap_vs_dense_bsm", "switch_fidelity_vs_tree_closed_form"},
-    ),
-    "ghz_readout_vs_dense_flush": (
-        _patch((dm_module, "fidelity_to_ghz", _wrong_readout(swap_signs=True))),
-        {"ghz_readout_vs_dense_flush"},
     ),
     # a failed attempt that adds one round too many to the duration
     "factory_kernel_vs_reference": (
@@ -532,10 +471,8 @@ class TestVerificationRunner:
             "g_lower_bound_below_mc",
             "dm_replay_vs_fast_kernel",
             "fidelity_recursion_vs_subset_sum",
-            "fuse_gather_vs_cnot_projection",
             "shot_rng_vs_seed_sequence",
             "werner_swap_vs_dense_bsm",
-            "ghz_readout_vs_dense_flush",
             "factory_kernel_vs_reference",
             "block_vs_scalar_factory",
             "g_lower_bound_gap_relative",

@@ -79,24 +79,30 @@ class TestConstructors:
             tensor(make_bell(Qubit(1, 0), Qubit(2, 0)), make_bell(Qubit(3, 0), Qubit(4, 0)))
 
 
-class TestCheckedResults:
+class TestUncheckedResults:
     """Every kernel builds its result through the constructor, so each result
-    has passed the label, cap and shape checks."""
+    has passed the label, cap and shape checks and equals the validated
+    construction of its labels and matrix. The case ids keep the names of the
+    kernel paths these inputs once took (a gather and a strided one-qubit
+    depolarize, a copy-loop and a broadcast tensor); one path serves each now."""
 
     @pytest.mark.parametrize(
-        "kernel",
+        "k, kernel",
         [
-            lambda s: depolarize(s, (s.labels[1],), 0.3),
-            lambda s: depolarize(s, s.labels[1:3], 0.3),
-            lambda s: fuse(s, s.labels[0], s.labels[2], 0.7, (s.labels[1],))[1],
-            lambda s: project_z(s, s.labels[1], 1)[1],
-            lambda s: project_bell(s, s.labels[3], s.labels[1], (1, 0))[1],
-            lambda s: tensor(s, make_bell(*PAIR)),
+            (4, lambda s: depolarize(s, (s.labels[1],), 0.3)),
+            (7, lambda s: depolarize(s, (s.labels[1],), 0.3)),
+            (4, lambda s: depolarize(s, s.labels[1:3], 0.3)),
+            (4, lambda s: fuse(s, s.labels[0], s.labels[2], 0.7, (s.labels[1],))[1]),
+            (4, lambda s: project_z(s, s.labels[1], 1)[1]),
+            (4, lambda s: project_bell(s, s.labels[3], s.labels[1], (1, 0))[1]),
+            (4, lambda s: tensor(s, make_bell(*PAIR))),
+            (2, lambda s: tensor(make_bell(*PAIR), s)),
         ],
-        ids=["depolarize-one", "depolarize-two", "fuse", "project-z", "project-bell",
-             "tensor"],
+        ids=["depolarize-gather", "depolarize-strided", "depolarize-two", "fuse",
+             "project-z", "project-bell", "tensor-loop", "tensor-broadcast"],
     )
-    def test_result_passed_the_constructor_checks(self, monkeypatch, kernel):
+    def test_result_equals_validated_construction(self, monkeypatch, k, kernel):
+        state = real_state(np.random.default_rng(50 + k), k)
         checked = []
         check = DensityMatrix.__post_init__
 
@@ -104,10 +110,13 @@ class TestCheckedResults:
             check(dm)
             checked.append(dm)
 
-        state = real_state(np.random.default_rng(54), 4)
         monkeypatch.setattr(DensityMatrix, "__post_init__", recording_check)
         out = kernel(state)
         assert any(dm is out for dm in checked)
+        monkeypatch.undo()
+        validated = DensityMatrix(out.labels, out.mat)
+        assert type(out) is DensityMatrix and out.labels == validated.labels
+        assert out.mat is validated.mat and out.mat.shape == (2**len(out.labels),) * 2
 
 
 class TestDepolarize:

@@ -1,16 +1,18 @@
 """Monte Carlo engine for factory-node GHZ distribution.
 
 Each shot turns the drawn waiting times straight into per-qubit depolarizing
-parameters and the closed-form fidelity ``f_rand``.  ``run_shot_fast`` runs
-one shot on its own generator and is the reference; ``estimate`` runs
-``run_block``, which steps the PCG64 streams of a span of shots together on
-uint64 arrays and reproduces ``run_shot_fast`` on each of them bit for bit.
-The density-matrix replay of the same noisy teleportation that certifies
-this fast path lives in ``ghzdist.oracles``.
+parameters and the closed-form fidelity ``f_rand``.  Shots come in spans of
+1,024, each drawing from one stream, ``shot_rng(seed, span, TAG_FACTORY)``.
+``run_shot_fast`` runs one shot on a generator and is the reference;
+``estimate`` runs ``run_block``, which draws a span's attempts as rows of an
+array and reproduces ``run_shot_fast`` called shot after shot on the span's
+stream, bit for bit.  The density-matrix replay of the same noisy
+teleportation that certifies this fast path lives in ``ghzdist.oracles``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -19,7 +21,6 @@ import numpy as np
 
 from .analytics import f_rand
 from .params import (
-    STREAM_WORK_ROWS,
     TAG_FACTORY,
     ConfigError,
     SimParams,
@@ -27,24 +28,20 @@ from .params import (
     geometric_rounds,
     geometric_rounds_array,
     longest_geometric_round,
-    shot_streams,
-    stream_random,
+    shot_rng,
 )
-# traced by name as factory.sample_geometric and factory.shot_rng; the block
-# engine calls neither
-from .params import sample_geometric, shot_rng  # noqa: F401
+# traced by name as factory.sample_geometric; the engine does not call it
+from .params import sample_geometric  # noqa: F401
 
 WORKERS_ENV = "GHZDIST_WORKERS"
 # expected uniforms an estimate may draw: at about a microsecond per failed
 # attempt, tens of minutes of sampling at any N
 ATTEMPT_DRAW_BUDGET = 1e10
-# shots whose streams step together in run_block: a span's arrays stay
-# within a few hundred kB, and a 10^4-shot point is never one block
+# shots per factory stream: span k, shots [k _SPAN, (k + 1) _SPAN), draws
+# from shot_rng(seed, k, TAG_FACTORY)
 _SPAN = 1024
-# most attempts a shot draws in one pass of run_block; as every pass draws
-# N + 1 times a power of two uniforms, few jump tables are built, none of
-# more than 64 (N + 1) rows
-_MAX_AHEAD = 64
+# most uniforms run_block draws at once: 1 MiB of doubles
+_DRAW_CAP = 2**17
 
 
 class ShotRecord(NamedTuple):
@@ -184,58 +181,61 @@ def block_fidelities(params: SimParams, n_all: np.ndarray, rounds: np.ndarray) -
     return (1.0 - params.p_ghz) / 2.0 ** rounds.shape[1] + params.p_ghz * core
 
 
-def _draw_block(params: SimParams, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-    """The attempts, the successful attempt's rounds and the rounds of the
-    failed attempts of every shot in [lo, hi), as ``run_block`` draws them.
-    Every pass steps the streams in one work array, freed on return."""
+def _tally(
+    won: np.ndarray, lost: np.ndarray, carry: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+    """The attempts and failed rounds of each shot that succeeds at a row in
+    ``won``, and the carry into the next chunk.  ``lost`` holds each row's
+    failed rounds (0 for a success); ``carry`` holds the attempts and rounds
+    failed since the last success in earlier chunks."""
+    total = np.cumsum(lost)
+    ends = np.concatenate(([-1 - carry[0]], won))
+    spent = np.concatenate(([-carry[1]], total[won]))
+    return np.diff(ends), np.diff(spent), (len(lost) - 1 - ends[-1], total[-1] - spent[-1])
+
+
+def run_block(params: SimParams, span: int, shots: int) -> ShotBlock:
+    """The first ``shots`` shots of span ``span``, bit for bit as that many
+    sequential ``run_shot_fast`` calls on ``shot_rng(params.seed, span,
+    TAG_FACTORY)`` record them.
+
+    Each attempt is one row of N waits and, unless q_bsm = 1, its coin, drawn
+    in (rows, N + 1) chunks of at most ``_DRAW_CAP`` uniforms, sized for the
+    shots still to run.  A shot ends at the first row whose coin is below
+    q_bsm^N; it took the attempts since the previous shot's success, and a
+    failed attempt adds the rounds of its largest uniform.  Rows drawn after
+    the last shot's success go unused.
+    """
     n = params.n_end_nodes
     log_miss = geometric_log_miss(params.q_link)
-    streams = shot_streams(params.seed, TAG_FACTORY, lo, hi)
-    attempts = np.ones(hi - lo, dtype=np.int64)
-    failed_rounds = np.zeros(hi - lo, dtype=np.int64)
-    # no pass draws more than (n + 1) max(_SPAN, hi - lo) uniforms
-    work = np.empty(STREAM_WORK_ROWS * (n + 1) * max(_SPAN, hi - lo), dtype=np.uint64)
-    if params.q_bsm == 1.0:  # no coin: the first attempt succeeds
-        rounds = geometric_rounds_array(stream_random(streams, n, work), log_miss)
-        return attempts, rounds, failed_rounds
+    coin = params.q_bsm != 1.0  # at q_bsm = 1 no coin is drawn
     p_teleport = params.q_bsm**n
-    rounds = np.empty((hi - lo, n), dtype=np.int64)
-    running = np.arange(hi - lo)
-    while running.size:
-        # about _SPAN attempts per pass, a power of two per shot
-        ahead = min(_MAX_AHEAD, 1 << (max(1, _SPAN // running.size).bit_length() - 1))
-        u = stream_random(streams, ahead * (n + 1), work).reshape(running.size, ahead, n + 1)
-        won = u[:, :, n] < p_teleport
-        done = won.any(axis=1)
-        failures = np.where(done, won.argmax(axis=1), ahead)
-        longest = geometric_rounds_array(u[:, :, :n].max(axis=2), log_miss)
-        longest[np.arange(ahead) >= failures[:, None]] = 0
-        failed_rounds[running] += longest.sum(axis=1)
-        attempts[running] += failures
-        last = u[done, failures[done], :n]
-        rounds[running[done]] = geometric_rounds_array(last, log_miss)
-        running = running[~done]
-        streams = streams[:, ~done]
-    return attempts, rounds, failed_rounds
-
-
-def run_block(params: SimParams, lo: int, hi: int) -> ShotBlock:
-    """``run_shot_fast(params, shot_rng(params.seed, s, TAG_FACTORY))`` for
-    every shot s in [lo, hi), bit for bit, with all the shots' streams
-    stepped together by ``params.stream_random``.
-
-    The draws follow ``run_shot_fast``: each attempt draws its N waits and
-    then, unless q_bsm = 1, its coin; a failed attempt adds the rounds of
-    its largest uniform, and only the successful attempt's uniforms become
-    rounds.  The fewer shots still run, the more attempts each draws in one
-    pass (a power of two up to ``_MAX_AHEAD``), so a pass handles about as
-    many attempts as the first; what a shot draws after its success goes
-    unused, as its own generator would never draw it.  Memory grows with
-    hi - lo.  The draws' work array is freed before the fidelities are
-    taken, so their temporaries reuse its memory and the heap stays the
-    same size from block to block.
-    """
-    attempts, rounds, duration = _draw_block(params, lo, hi)
+    rng = shot_rng(params.seed, span, TAG_FACTORY)
+    attempts = np.empty(shots, dtype=np.int64)
+    duration = np.empty(shots, dtype=np.int64)
+    rounds = np.empty((shots, n), dtype=np.int64)
+    # every chunk is drawn into a block of the cap, whatever its rows: blocks
+    # of one size let glibc's allocator keep its heap from chunk to chunk
+    # rather than return it and fault it back in (at N = 16, about 1,300
+    # page faults per 10^4-shot estimate on Linux)
+    cap = max(1, _DRAW_CAP // (n + coin))
+    done, carry = 0, (0, 0)
+    while done < shots:
+        need = shots - done
+        # the expected rows and four standard deviations: mostly one chunk
+        rows = math.ceil((need + 4 * math.sqrt(need * (1.0 - p_teleport))) / p_teleport)
+        u = rng.random(out=np.empty((cap, n + coin))[:min(rows, cap)])
+        lost = np.zeros(len(u), dtype=np.int64)
+        if coin:
+            failed = u[:, n] >= p_teleport
+            won = np.flatnonzero(~failed)[:need]
+            lost[failed] = geometric_rounds_array(u[failed, :n].max(axis=1), log_miss)
+        else:
+            won = np.arange(len(u))
+        found = slice(done, done + len(won))
+        attempts[found], duration[found], carry = _tally(won, lost, carry)
+        rounds[found] = geometric_rounds_array(u[won, :n], log_miss)
+        done += len(won)
     # column by column: numpy's max along a row of a few entries costs
     # several times more
     n_all = rounds[:, 0].copy()
@@ -245,18 +245,16 @@ def run_block(params: SimParams, lo: int, hi: int) -> ShotBlock:
     return ShotBlock(attempts, rounds, duration, block_fidelities(params, n_all, rounds))
 
 
-def _fast_chunk(args: tuple[SimParams, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Durations and fidelities of the shots [lo, hi), ``run_block`` over
-    spans of at most ``_SPAN`` shots cut at multiples of it."""
-    params, lo, hi = args
-    cuts = [lo, *range((lo // _SPAN + 1) * _SPAN, hi, _SPAN), hi]
-    durations = np.empty(hi - lo, dtype=np.int64)
-    fidelities = np.empty(hi - lo)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        block = run_block(params, a, b)
-        durations[a - lo:b - lo] = block.duration_rounds
-        fidelities[a - lo:b - lo] = block.fidelity
-    return durations, fidelities
+def _run_spans(args: tuple[SimParams, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Durations and fidelities of the shots of spans [first, last), each
+    span cut at ``params.shots``."""
+    params, first, last = args
+    parts = []
+    for k in range(first, last):
+        block = run_block(params, k, min(_SPAN, params.shots - k * _SPAN))
+        parts.append((block.duration_rounds, block.fidelity))
+    durations, fidelities = zip(*parts)
+    return np.concatenate(durations), np.concatenate(fidelities)
 
 
 def worker_count() -> int:
@@ -277,27 +275,21 @@ def worker_count() -> int:
 def estimate(params: SimParams) -> Estimates:
     """Run params.shots independent fast-path executions and aggregate.
 
-    Shots are seeded per index, so the result is identical no matter how many
-    workers split the range.
+    Workers take whole spans, and each span has its own stream, so the result
+    is identical no matter how many workers split the range; a single span
+    starts no worker process.
     """
     check_attempt_budget(params)
-    shots = params.shots
-    workers = worker_count()
-    if workers == 1 or shots < 4 * workers:
-        durations, fidelities = _fast_chunk((params, 0, shots))
-    else:
-        bounds = np.linspace(0, shots, workers + 1, dtype=int)
-        jobs = [
-            (params, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        # imported here: the process pool costs ~10 ms of import, which a
-        # single-worker run never needs
-        from concurrent.futures import ProcessPoolExecutor
+    spans = -(-params.shots // _SPAN)
+    workers = min(worker_count(), spans)
+    if workers == 1:
+        return summarize(*_run_spans((params, 0, spans)), params.dt)
+    bounds = np.linspace(0, spans, workers + 1, dtype=int)
+    jobs = [(params, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    # imported here: the process pool costs ~10 ms of import, which a
+    # single-worker run never needs
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_fast_chunk, jobs))
-        durations = np.concatenate([p[0] for p in parts])
-        fidelities = np.concatenate([p[1] for p in parts])
-    return summarize(durations, fidelities, params.dt)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        durations, fidelities = zip(*pool.map(_run_spans, jobs))
+    return summarize(np.concatenate(durations), np.concatenate(fidelities), params.dt)

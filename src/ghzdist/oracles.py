@@ -8,12 +8,12 @@ coefficient identity against that sum, the closed-form fidelity from the
 literal sum over subsets of arrival ranks, per-shot fidelities from a full
 density-matrix replay of the teleportation pipeline, the factory's shot
 kernel from a loop that turns every attempt's uniforms into rounds, its
-block engine from that kernel run shot by shot on each shot's own stream, the
-per-shot streams from a literal numpy SeedSequence, the switch's
-entanglement swap with its pending noise from a dense Bell measurement, its
-fusions and noise-ledger read-out from the same fusions on dense matrices
-(a dense CNOT, a Z projection and dense X gates), its link jump from a loop
-of single rounds, and its deliveries at p_mem = 1 from the tree closed form.
+block engine from that kernel run shot after shot on the span's stream, the
+switch's entanglement swap with its pending noise from a dense Bell
+measurement, its fusions and noise-ledger read-out from the same fusions on
+dense matrices (a dense CNOT, a Z projection and dense X gates), its link
+jump from a loop of single rounds, and its deliveries at p_mem = 1 from the
+tree closed form.
 The dense side is ``ghzdist.dm``.  ``CHECKS`` lists the comparisons that
 ``verify`` runs.  The engines import nothing from here.
 """
@@ -36,7 +36,6 @@ from .factory import ShotRecord, fidelity_from_deltas
 from .labels import Qubit
 from .params import (
     TAG_FACTORY,
-    TAG_SWITCH,
     ConfigError,
     SimParams,
     sample_geometric,
@@ -347,39 +346,6 @@ def advance_round(
     return events
 
 
-def reference_shot_rng(seed: int, shot_index: int, tag: int) -> np.random.Generator:
-    """The per-shot stream as numpy builds it from the entropy tuple."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=(seed, shot_index, tag)))
-    )
-
-
-def shot_rng_cases(
-    rng: np.random.Generator, count: int = 64
-) -> list[tuple[int, int, int]]:
-    """(seed, shot, tag) triples: ``count`` random ones of random bit width,
-    so every entropy word count occurs, plus the edges of the word count and
-    of power-of-two shot blocks."""
-
-    def draw() -> int:
-        return int(rng.integers(2 ** int(rng.integers(1, 65)), dtype=np.uint64))
-
-    cases = [(draw(), draw(), draw()) for _ in range(count)]
-    for seed in (0, 2**32 + 5, 2**64 - 1):
-        for shot in (0, 1023, 1024, 2**32 - 1, 2**32, 2**64 - 1):
-            cases.extend((seed, shot, tag) for tag in (TAG_FACTORY, TAG_SWITCH))
-    return cases
-
-
-def shot_rng_mismatches(cases: Sequence[tuple[int, int, int]]) -> int:
-    """How many cases' first 16 doubles from ``shot_rng`` differ from the
-    reference stream."""
-    return sum(
-        not np.array_equal(shot_rng(*c).random(16), reference_shot_rng(*c).random(16))
-        for c in cases
-    )
-
-
 def order_stat_error(_rng) -> float:
     """Waiting-time enumeration against the exact order-statistic recursion."""
     worst = 0.0
@@ -538,27 +504,32 @@ def factory_kernel_mismatches() -> int:
 
 
 def block_factory_mismatches(rng: np.random.Generator) -> int:
-    """How many shots of ``factory.run_block`` differ in any field from
-    ``factory.run_shot_fast`` on the shot's own ``shot_rng`` stream, over N
-    in {2, 5, 16}, q_link in {1e-6, 0.01, 0.5, 1} and q_bsm in {1, 0.95,
-    0.8}, at one random seed and the shots around a 1,024-shot block edge
-    and around 2^32, where the shot index gains an entropy word."""
+    """How many shots of ``factory.run_block(params, span, m)`` differ in any
+    field from m sequential ``factory.run_shot_fast`` calls on
+    ``shot_rng(seed, span, TAG_FACTORY)``, at one random seed.  Over q_bsm
+    in {1, 0.95, 0.8}, N in {2, 5, 16} and q_link in {1e-6, 0.01, 0.5, 1},
+    (span, m) runs through (0, a whole span), (1, 7) and (2^40, 1), so each
+    (q_bsm, N) meets all three; and m = 3 at span 1 at N = 16, q_bsm = 0.6,
+    where a chunk of draws can hold no success (one does on the ``verify``
+    stream)."""
     seed = int(rng.integers(2**64, dtype=np.uint64))
+    cases = itertools.cycle(((0, factory._SPAN), (1, 7), (2**40, 1)))
+    grid = itertools.product((1.0, 0.95, 0.8), (2, 5, 16), (1e-6, 0.01, 0.5, 1.0))
+    points = [(n, q_link, q_bsm, *next(cases)) for q_bsm, n, q_link in grid]
+    points.append((16, 0.5, 0.6, 1, 3))
     mismatches = 0
-    grid = itertools.product((2, 5, 16), (1e-6, 0.01, 0.5, 1.0), (1.0, 0.95, 0.8))
-    for n, q_link, q_bsm in grid:
+    for n, q_link, q_bsm, span, m in points:
         params = SimParams(
             n_end_nodes=n, q_link=q_link, q_bsm=q_bsm,
             p_link=0.98, p_mem=0.999, p_bsm=0.99, p_ghz=0.9, seed=seed,
         )
-        for lo, hi in ((1019, 1029), (2**32 - 5, 2**32 + 5)):
-            block = factory.run_block(params, lo, hi)
-            for row, s in enumerate(range(lo, hi)):
-                ref = factory.run_shot_fast(params, shot_rng(seed, s, TAG_FACTORY))
-                mismatches += ref != (
-                    block.teleport_attempts[row], tuple(block.rounds[row].tolist()),
-                    block.duration_rounds[row], block.fidelity[row],
-                )
+        block = factory.run_block(params, span, m)
+        stream = shot_rng(seed, span, TAG_FACTORY)
+        for row in range(m):
+            mismatches += factory.run_shot_fast(params, stream) != (
+                block.teleport_attempts[row], tuple(block.rounds[row].tolist()),
+                block.duration_rounds[row], block.fidelity[row],
+            )
     return mismatches
 
 
@@ -708,8 +679,6 @@ CHECKS = (
     ("g_lower_bound_below_mc", 3.0, g_lower_bound_z),
     ("dm_replay_vs_fast_kernel", 1e-10, dm_replay_error),
     ("fidelity_recursion_vs_subset_sum", 1e-12, fidelity_recursion_error),
-    ("shot_rng_vs_seed_sequence", 0.0,
-     lambda rng: shot_rng_mismatches(shot_rng_cases(rng))),
     ("werner_swap_vs_dense_bsm", 1e-12, werner_swap_error),
     ("factory_kernel_vs_reference", 0.0, lambda _rng: factory_kernel_mismatches()),
     ("block_vs_scalar_factory", 0.0, block_factory_mismatches),

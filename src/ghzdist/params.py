@@ -1,16 +1,15 @@
 """Protocol parameters, read from a flat config file and from ``key = value``
-settings by one parser, and reproducible randomness."""
+settings by one parser, and reproducible randomness: counter-based numpy
+streams (``shot_rng``) and the geometric inverse CDF on their uniforms."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 # stream tags: one per independent consumer of randomness
 TAG_FACTORY = 1
@@ -125,246 +124,23 @@ def load_params(
     return SimParams(**values)
 
 
-# numpy's SeedSequence (pool of 4 uint32 words): hashmix multiplies by a
-# constant that starts at INIT_A and advances by MULT_A on every call, the
-# output hash by one from INIT_B and MULT_B.  Neither chain depends on the
-# data, so both are tabled.
-_MASK32 = 0xFFFFFFFF
-_POOL = 4
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# at most 6 entropy words (two per 64-bit value): 4 fills, 12 pool mixes and
-# 4 mixes per word beyond the pool
-_MAX_HASHMIX = _POOL + _POOL * (_POOL - 1) + _POOL * 2
-
-
-def _constant_chain(init: int, mult: int, calls: int) -> np.ndarray:
-    chain = [init]
-    for _ in range(calls):
-        chain.append(chain[-1] * mult & _MASK32)
-    return np.array(chain, dtype=np.uint32)
-
-
-_HASH_A = _constant_chain(0x43B0D7E5, 0x931E8875, _MAX_HASHMIX)
-_HASH_B = _constant_chain(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
-# shots per cached block; a power of two, so a block never straddles 2**32
-# and all its indices have the same number of entropy words
-_SEED_BLOCK = 1024
-
-
-def _uint32_words(value: int) -> list[int]:
-    """A non-negative int as SeedSequence reads it: little-endian uint32
-    words, one word for 0."""
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
-@functools.lru_cache(maxsize=4)
-def _seed_block(seed: int, tag: int, block: int) -> np.ndarray:
-    """``SeedSequence(entropy=(seed, s, tag)).generate_state(4, np.uint64)``
-    for the shots s of one aligned block, one read-only row per shot."""
-    first = block * _SEED_BLOCK
-    shots = np.arange(first, first + _SEED_BLOCK, dtype=np.uint64)
-    shot_words = [(shots & _MASK32).astype(np.uint32)]
-    if first >> 32:
-        shot_words.append((shots >> 32).astype(np.uint32))
-
-    def const(word: int) -> np.ndarray:
-        return np.full(_SEED_BLOCK, word, dtype=np.uint32)
-
-    entropy = [
-        *map(const, _uint32_words(seed)),
-        *shot_words,
-        *map(const, _uint32_words(tag)),
-    ]
-    calls = iter(range(_MAX_HASHMIX))
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        k = next(calls)
-        value = (value ^ _HASH_A[k]) * _HASH_A[k + 1]
-        return value ^ (value >> 16)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        value = x * _MIX_L - y * _MIX_R
-        return value ^ (value >> 16)
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else const(0)) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    state = np.empty((_SEED_BLOCK, 2 * _POOL), dtype=np.uint32)
-    for i in range(2 * _POOL):
-        value = (pool[i % _POOL] ^ _HASH_B[i]) * _HASH_B[i + 1]
-        state[:, i] = value ^ (value >> 16)
-    words = state.astype("<u4").view("<u8").astype(np.uint64)
-    words.flags.writeable = False
-    return words
-
-
-class _ShotSeed(ISeedSequence):
-    """The four PCG64 seed words of one shot, hashed by ``_seed_block``."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or dtype is not np.uint64:
-            raise ValueError("a shot seed holds exactly PCG64's 4 uint64 words")
-        return self.words
-
-
 def shot_rng(seed: int, shot_index: int, tag: int) -> np.random.Generator:
-    """Counter-based per-shot stream.
+    """Counter-based stream ``Generator(PCG64(SeedSequence(entropy=(seed,
+    shot_index, tag))))``.
 
     Identical (seed, shot_index, tag) gives the identical draw sequence no
-    matter how shots are scheduled across workers.  The stream is
-    ``Generator(PCG64(SeedSequence(entropy=(seed, shot_index, tag))))`` draw
-    for draw; the SeedSequence hash is computed for a block of shots at a
-    time, so ``bit_generator.seed_seq`` is not a SeedSequence and cannot
-    ``spawn``.  Each argument must lie in [0, 2**64).
+    matter how the work is scheduled across workers.  The factory takes one
+    stream per span of shots, indexed by the span's number, and the switch
+    one stream at index 0.  Each argument must lie in [0, 2**64), which
+    ``SeedSequence`` alone would not enforce.
     """
     if not (0 <= seed < 2**64 and 0 <= shot_index < 2**64 and 0 <= tag < 2**64):
         args = {"seed": seed, "shot_index": shot_index, "tag": tag}
         name = next(name for name, value in args.items() if not 0 <= value < 2**64)
         raise ValueError(f"{name} must lie in [0, 2**64), got {args[name]}")
-    block, row = divmod(shot_index, _SEED_BLOCK)
-    words = _seed_block(seed, tag, block)[row]
-    return np.random.Generator(np.random.PCG64(_ShotSeed(words)))
-
-
-# PCG64 as numpy runs it (O'Neill's 128-bit LCG with XSL-RR output), one
-# stream per column of a (4, shots) uint64 array: state high and low word,
-# increment high and low word.  Every operation is on arrays, where uint64
-# arithmetic wraps silently (numpy warns on scalar overflow).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# uint64 scalars, which array operations take faster than Python ints
-_LOW32 = np.uint64(_MASK32)
-_U1, _U11, _U32, _U58, _U63, _U64 = map(np.uint64, (1, 11, 32, 58, 63, 64))
-
-
-def _mul128(x_hi, x_lo, y_hi, y_lo, out) -> None:
-    """x * y mod 2^128 on (high, low) uint64 word arrays that broadcast
-    together, into ``out``'s first two arrays (high, low); its other two
-    are scratch, and all four have the broadcast shape.  The low words'
-    128-bit product is taken from 32-bit halves."""
-    hi, lo, cross, t = out
-    x0, x1 = x_lo & _LOW32, x_lo >> _U32
-    y0, y1 = y_lo & _LOW32, y_lo >> _U32
-    np.multiply(x0, y0, out=lo)
-    lo >>= _U32
-    np.multiply(x1, y1, out=hi)
-    for a, b in ((x0, y1), (x1, y0)):
-        np.multiply(a, b, out=cross)
-        np.bitwise_and(cross, _LOW32, out=t)
-        lo += t
-        cross >>= _U32
-        hi += cross
-    np.right_shift(lo, _U32, out=t)
-    hi += t
-    hi += np.multiply(x_hi, y_lo, out=t)
-    hi += np.multiply(x_lo, y_hi, out=t)
-    np.multiply(x_lo, y_lo, out=lo)
-
-
-@functools.lru_cache(maxsize=16)
-def _pcg_jumps(size: int) -> np.ndarray:
-    """Rows mult^j and 1 + mult + ... + mult^(j-1) (mod 2^128) as high and
-    low words, for j = 1..size: j steps take state s to
-    mult^j s + (1 + ... + mult^(j-1)) inc."""
-    words = np.empty((4, size), dtype=np.uint64)
-    power, total = 1, 0
-    for j in range(size):
-        total = (total + power) % 2**128
-        power = power * _PCG_MULT % 2**128
-        words[:, j] = power >> 64, power & 2**64 - 1, total >> 64, total & 2**64 - 1
-    words.flags.writeable = False
-    return words
-
-
-# (size, streams) uint64 arrays that one stream_random call works in
-STREAM_WORK_ROWS = 6
-
-
-def _pcg_advance(
-    streams: np.ndarray, size: int, work: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low state words after each of the next ``size`` steps,
-    one row per step (rows run along the streams, where numpy's loops are
-    fast), as ``work[0]`` and ``work[1]``; ``work`` holds
-    ``STREAM_WORK_ROWS`` arrays of shape (size, streams), the last four
-    scratch.  The streams advance by ``size`` steps in place."""
-    hi, lo, inc_hi, inc_lo = streams[:, None, :]
-    mult_hi, mult_lo, sum_hi, sum_lo = _pcg_jumps(size)[:, :, None]
-    add_hi, add_lo = work[2], work[3]
-    _mul128(inc_hi, inc_lo, sum_hi, sum_lo, (add_hi, add_lo, work[4], work[5]))
-    state_hi, state_lo = work[0], work[1]
-    _mul128(hi, lo, mult_hi, mult_lo, (state_hi, state_lo, work[4], work[5]))
-    state_lo += add_lo
-    state_hi += add_hi
-    state_hi += state_lo < add_lo
-    streams[0], streams[1] = state_hi[-1], state_lo[-1]
-    return state_hi, state_lo
-
-
-def shot_streams(seed: int, tag: int, lo: int, hi: int) -> np.ndarray:
-    """The PCG64 streams of ``shot_rng(seed, s, tag)`` for s in [lo, hi), one
-    column per shot, before their first draw: ``stream_random`` then draws
-    what each shot's ``Generator.random`` draws.  Seeded as numpy seeds
-    PCG64 from the SeedSequence words w0..w3: state 0, increment
-    (w2:w3 << 1) | 1, one step (the state becomes the increment), add
-    w0:w1, one step."""
-    first, last = lo // _SEED_BLOCK, (hi - 1) // _SEED_BLOCK
-    words = np.concatenate([
-        _seed_block(seed, tag, block)[
-            max(lo - block * _SEED_BLOCK, 0):hi - block * _SEED_BLOCK
-        ]
-        for block in range(first, last + 1)
-    ]).T
-    streams = np.empty((4, hi - lo), dtype=np.uint64)
-    streams[2] = words[2] << _U1 | words[3] >> _U63
-    streams[3] = words[3] << _U1 | _U1
-    streams[1] = streams[3] + words[1]
-    streams[0] = streams[2] + words[0]
-    streams[0] += streams[1] < words[1]
-    _pcg_advance(streams, 1, np.empty((STREAM_WORK_ROWS, 1, hi - lo), dtype=np.uint64))
-    return streams
-
-
-def stream_random(
-    streams: np.ndarray, size: int, work: np.ndarray | None = None
-) -> np.ndarray:
-    """The next ``size`` doubles of every stream, one row per stream, as
-    ``Generator.random(size)`` draws them: after each step, the XSL-RR
-    output x = rotr(hi ^ lo, hi >> 58) and the double (x >> 11) * 2^-53.
-    All ``size`` states come from the current one by jump-ahead, so the
-    number of array operations does not grow with ``size``.  The streams
-    advance in place.
-
-    The arithmetic runs in ``work``, a flat uint64 array of at least
-    ``STREAM_WORK_ROWS * size * streams.shape[1]`` entries (a fresh one if
-    none is given); the draws are a view of it, valid until its next use.
-    Reusing one ``work`` across calls spares the allocator a heap that
-    grows and shrinks on every call."""
-    shape = (STREAM_WORK_ROWS, size, streams.shape[1])
-    if work is None:
-        work = np.empty(math.prod(shape), dtype=np.uint64)
-    work = work[:math.prod(shape)].reshape(shape)
-    hi, lo = _pcg_advance(streams, size, work)
-    rot = np.right_shift(hi, _U58, out=work[2])
-    hi ^= lo
-    out = np.right_shift(hi, rot, out=work[3])
-    np.subtract(_U64, rot, out=rot)
-    rot &= _U63
-    hi <<= rot
-    out |= hi
-    out >>= _U11
-    return np.multiply(out, 2.0**-53, out=work[4].view(np.float64)).T
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=(seed, shot_index, tag)))
+    )
 
 
 def geometric_log_miss(q: float) -> float:

@@ -1,5 +1,6 @@
 """Factory-protocol engine: fast path and aggregation."""
 
+import concurrent.futures
 import itertools
 import os
 from dataclasses import replace
@@ -8,8 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ghzdist import factory as factory_module
 from ghzdist.analytics import rate_exact
 from ghzdist.factory import (
+    _DRAW_CAP,
+    _SPAN,
     ATTEMPT_DRAW_BUDGET,
     check_attempt_budget,
     estimate,
@@ -129,14 +133,23 @@ class TestEstimate:
                 os.environ["GHZDIST_WORKERS"] = old
         assert one == three
 
-    def test_workers_cutting_spans_off_their_edges_change_nothing(self, monkeypatch):
-        # three workers split 10,000 shots at 3,333 and 6,666, inside the
-        # 1,024-shot spans a single worker runs
-        params = make_params(q_link=0.1, shots=10_000, seed=9)
-        monkeypatch.setenv("GHZDIST_WORKERS", "1")
-        one = estimate(params)
+    def test_one_two_and_three_workers_give_equal_estimates(self, monkeypatch):
+        # 2,500 shots are three spans: one worker runs all, two split them
+        # 1 + 2, three take one each
+        params = make_params(q_link=0.1, shots=2500, seed=9)
+        estimates = []
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("GHZDIST_WORKERS", workers)
+            estimates.append(estimate(params))
+        assert estimates[0] == estimates[1] == estimates[2]
+
+    def test_one_span_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setenv("GHZDIST_WORKERS", "3")
-        assert estimate(params) == one
+        assert estimate(make_params(q_link=0.1, shots=_SPAN, seed=9)).shots == _SPAN
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_worker_count_rejected(self, monkeypatch, value):
@@ -216,40 +229,53 @@ class TestKernelAgainstReference:
             assert rng.sizes == [draws] * rec.teleport_attempts
 
 
-def assert_block_matches_shots(params, lo, hi):
-    block = run_block(params, lo, hi)
-    for row, s in enumerate(range(lo, hi)):
-        rec = run_shot_fast(params, shot_rng(params.seed, s, TAG_FACTORY))
-        assert rec.teleport_attempts == block.teleport_attempts[row], s
-        assert rec.rounds == tuple(block.rounds[row].tolist()), s
-        assert rec.duration_rounds == block.duration_rounds[row], s
-        assert rec.fidelity == block.fidelity[row], s
+def assert_block_matches_shots(params, span, shots):
+    block = run_block(params, span, shots)
+    rng = shot_rng(params.seed, span, TAG_FACTORY)
+    for row in range(shots):
+        rec = run_shot_fast(params, rng)
+        assert rec.teleport_attempts == block.teleport_attempts[row], row
+        assert rec.rounds == tuple(block.rounds[row].tolist()), row
+        assert rec.duration_rounds == block.duration_rounds[row], row
+        assert rec.fidelity == block.fidelity[row], row
 
 
 BLOCK_SEEDS = (0, 7, 2**40 + 3, 2**64 - 1)
-# a whole span and more, a span edge, an unaligned range, and the shot
-# indices where a second entropy word appears
-BLOCK_RANGES = ((0, 3000), (1023, 1026), (5, 1500), (2**32 - 2, 2**32 + 2))
+# (span, shots): a whole span, an odd count, a single shot, and the last
+# span index
+BLOCK_CASES = ((0, _SPAN), (1, 7), (2**40, 1), (2**64 - 1, 300))
+
+
+class CountingGenerator:
+    """A generator that keeps every array its ``random`` draws."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def random(self, size=None, out=None):
+        self.draws.append(self.rng.random(size, out=out))
+        return self.draws[-1]
 
 
 class TestBlockKernel:
-    """``run_block`` steps every shot's stream at once and must reproduce
-    ``run_shot_fast`` on each shot's own ``shot_rng`` stream, field by field."""
+    """``run_block(params, span, m)`` must reproduce m sequential
+    ``run_shot_fast`` calls on the span's ``shot_rng`` stream, field by
+    field."""
 
     @pytest.mark.parametrize(
         "n, q_link, q_bsm",
         list(itertools.product((2, 5, 16), (1.0, 0.2, 1e-3), (1.0, 0.6, 0.95))),
     )
     def test_equals_per_shot_kernel(self, n, q_link, q_bsm):
-        # each seed takes one range, every range is taken; at N = 16,
-        # q_bsm = 0.6 a shot needs ~3,500 attempts, so only the short ranges
-        ranges = BLOCK_RANGES[1::2] if n == 16 and q_bsm == 0.6 else BLOCK_RANGES
+        # each seed takes one case, every case is taken; at N = 16,
+        # q_bsm = 0.6 a shot needs ~3,500 attempts, so only the short ones
+        cases = BLOCK_CASES[1:3] if n == 16 and q_bsm == 0.6 else BLOCK_CASES
         for i, seed in enumerate(BLOCK_SEEDS):
             params = make_params(
                 n_end_nodes=n, q_link=q_link, q_bsm=q_bsm, seed=seed,
                 p_link=0.98, p_mem=0.999, p_bsm=0.99, p_ghz=0.9,
             )
-            assert_block_matches_shots(params, *ranges[(i + n) % len(ranges)])
+            assert_block_matches_shots(params, *cases[(i + n) % len(cases)])
 
     @settings(deadline=None, max_examples=50)
     @given(
@@ -257,13 +283,35 @@ class TestBlockKernel:
         q_link=st.floats(1e-15, 1.0),
         q_bsm=st.sampled_from([1.0, 0.99, 0.9, 0.75]),
         seed=st.integers(0, 2**64 - 1),
-        shot=st.integers(0, 2**64 - 1),
+        span=st.integers(0, 2**64 - 1),
         shots=st.integers(1, 40),
     )
-    def test_equals_per_shot_kernel_on_random_points(self, n, q_link, q_bsm, seed, shot, shots):
+    def test_equals_per_shot_kernel_on_random_points(self, n, q_link, q_bsm, seed, span, shots):
         params = make_params(n_end_nodes=n, q_link=q_link, q_bsm=q_bsm, seed=seed, p_mem=0.999)
-        lo = min(shot, 2**64 - shots)
-        assert_block_matches_shots(params, lo, lo + shots)
+        assert_block_matches_shots(params, span, shots)
+
+    @pytest.mark.parametrize(
+        "n, q_bsm, shots, seed",
+        # several chunks of a whole span; shots of ~3,500 attempts, where
+        # seed 13 draws a chunk that holds no success; 200 waits a row at
+        # q_bsm = 1
+        [(16, 0.8, _SPAN, 4), (16, 0.6, 3, 13), (200, 1.0, _SPAN, 4)],
+    )
+    def test_no_draw_exceeds_the_cap(self, monkeypatch, n, q_bsm, shots, seed):
+        params = make_params(n_end_nodes=n, q_link=0.01, q_bsm=q_bsm, seed=seed)
+        streams = []
+
+        def counting_shot_rng(*args):
+            streams.append(CountingGenerator(shot_rng(*args)))
+            return streams[-1]
+
+        monkeypatch.setattr(factory_module, "shot_rng", counting_shot_rng)
+        assert_block_matches_shots(params, 1, shots)
+        (stream,) = streams
+        assert len(stream.draws) > 1
+        assert all(u.size <= _DRAW_CAP for u in stream.draws)
+        if q_bsm == 0.6:
+            assert any((u[:, n] >= q_bsm**n).all() for u in stream.draws)
 
 
 class TestAttemptBudget:

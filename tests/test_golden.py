@@ -1,16 +1,17 @@
 """Fixed-seed golden values of both Monte Carlo engines.
 
-The per-shot streams are counter-based, so the integer draws, and with them
-every rate, standard error of the rate and shot count, are a pure function of
-the code's draw order; they must match with ``==``.  The factory fidelity is
-plain Python arithmetic and matches with ``==`` too.  The switch fidelity
-is the noise ledger's character sum (``Component.ghz_fidelity``), whose
-products and sums over the ledger entries and the even-weight terms run in
-numpy's vectorised reductions, whose SIMD width and summation order depend
-on the CPU, so its last bits may differ between hosts; it is compared to
-1e-12 relative, far below what a reordered, added or dropped draw moves it
-by.  The switch skips phases that
-cannot act, which draws nothing.
+The streams are counter-based (``shot_rng``: one per 1,024-shot span for
+the factory, one per run for the switch), so the integer draws, and with
+them every rate, standard error of the rate and shot count, are a pure
+function of the code's draw order; they must match with ``==``.  The
+factory fidelity is plain Python arithmetic and matches with ``==`` too.
+The switch fidelity is the noise ledger's character sum
+(``Component.ghz_fidelity``), whose products and sums over the ledger
+entries and the even-weight terms run in numpy's vectorised reductions,
+whose SIMD width and summation order depend on the CPU, so its last bits
+may differ between hosts; it is compared to 1e-12 relative, far below what
+a reordered, added or dropped draw moves it by.  The switch skips phases
+that cannot act, which draws nothing.
 A change that alters the RNG scheme on purpose updates these values and says
 so in CHANGES.md.
 """
@@ -28,12 +29,12 @@ NOISE = dict(q_link=0.1, q_bsm=0.9, p_link=0.98, p_mem=0.99, p_bsm=0.99, p_ghz=0
     "n, expected",
     [
         (5, Estimates(
-            rate_mean=0.03038590094196293, rate_stderr=0.0014696557879216882,
-            fidelity_mean=0.42467797758997916, fidelity_stderr=0.011079917211183087,
+            rate_mean=0.025227043390514632, rate_stderr=0.0013580953924396373,
+            fidelity_mean=0.4152478902102162, fidelity_stderr=0.010416343466022023,
             shots=200)),
         (16, Estimates(
-            rate_mean=0.005565294821493169, rate_stderr=0.0003519526423269355,
-            fidelity_mean=0.03333904926062715, fidelity_stderr=0.002235136581693801,
+            rate_mean=0.005760202759137122, rate_stderr=0.0003439589912797228,
+            fidelity_mean=0.02942979465206865, fidelity_stderr=0.002245938878079087,
             shots=200)),
     ],
 )

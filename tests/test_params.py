@@ -20,8 +20,6 @@ from ghzdist.params import (
     parse_config_text,
     sample_geometric,
     shot_rng,
-    shot_streams,
-    stream_random,
 )
 
 LARGEST_UNIFORM = 1.0 - 2.0**-53  # the largest double rng.random() returns
@@ -242,8 +240,6 @@ class TestRngStreams:
                 assert got.bit_generator.state == ref.state, (seed, shot, tag)
                 expected = np.random.Generator(ref).random(16)
                 np.testing.assert_array_equal(got.random(16), expected)
-                block = stream_random(shot_streams(seed, tag, shot, shot + 1), 16)
-                np.testing.assert_array_equal(block[0], expected)
 
     @pytest.mark.parametrize("arg", ["seed", "shot_index", "tag"])
     @pytest.mark.parametrize("value", [-1, 2**64])

@@ -6,8 +6,11 @@ parameters and the closed-form fidelity ``f_rand``.  Shots come in spans of
 ``run_shot_fast`` runs one shot on a generator and is the reference;
 ``estimate`` runs ``run_block``, which draws a span's attempts as rows of an
 array and reproduces ``run_shot_fast`` called shot after shot on the span's
-stream, bit for bit.  The density-matrix replay of the same noisy
-teleportation that certifies this fast path lives in ``ghzdist.oracles``.
+stream, bit for bit.  The spans of one job share a ``DepolarizingTable``,
+the depolarizing parameter at every wait Δ up to the largest seen, from
+which each span gathers its shots' parameters.  The density-matrix replay of
+the same noisy teleportation that certifies this fast path lives in
+``ghzdist.oracles``.
 """
 
 from __future__ import annotations
@@ -154,29 +157,62 @@ def summarize(
 def qubit_depolarizing(params: SimParams, deltas: np.ndarray) -> np.ndarray:
     """p_link p_bsm^2 p_mem^(2 delta) for every entry of a 1-D ``deltas``,
     as ``fidelity_from_deltas`` computes it: with Python's ``**``
-    (``np.power`` can round differently)."""
+    (``np.power`` can round differently).  ``DepolarizingTable`` makes every
+    call the engine makes."""
     base = params.p_link * params.p_bsm**2
     return np.array([base * params.p_mem ** (2 * d) for d in deltas.tolist()])
 
 
-def block_fidelities(params: SimParams, n_all: np.ndarray, rounds: np.ndarray) -> np.ndarray:
+class DepolarizingTable:
+    """``qubit_depolarizing`` at every wait Δ = 0, 1, ..., up to the largest
+    Δ seen, shared by the spans of one job of ``waits`` waits (N per shot).
+
+    A span whose largest Δ reaches half of ``waits`` takes its distinct
+    deltas from ``np.unique`` instead, so the table holds, and spends
+    ``**`` on, fewer entries than half the job's waits: at small q_link the
+    waits spread over millions of rounds, and a dense table would hold that
+    many."""
+
+    def __init__(self, params: SimParams, waits: int):
+        self.params = params
+        self.limit = waits / 2
+        self.p = np.empty(0)
+
+    def gather(self, deltas: np.ndarray) -> np.ndarray:
+        """The depolarizing parameter of every entry of ``deltas``."""
+        top = int(deltas.max(initial=0))
+        if top >= self.limit:
+            values, index = np.unique(deltas, return_inverse=True)
+            return qubit_depolarizing(self.params, values)[index.reshape(deltas.shape)]
+        if top >= len(self.p):
+            self._grow(top)
+        return self.p[deltas]
+
+    def _grow(self, top: int) -> None:
+        """Extend the table through Δ = ``top``."""
+        more = qubit_depolarizing(self.params, np.arange(len(self.p), top + 1))
+        self.p = np.concatenate((self.p, more))
+
+
+def block_fidelities(
+    params: SimParams, n_all: np.ndarray, rounds: np.ndarray, table: DepolarizingTable
+) -> np.ndarray:
     """``fidelity_from_deltas`` for every row of ``rounds``, bit for bit,
     its deltas being its largest round ``n_all`` minus each entry: each
-    distinct delta's parameter, and its two factors of ``f_rand``, once,
-    and ``f_rand``'s three running products taken column by column in its
+    entry's parameter p gathered from ``table``, its two factors of
+    ``f_rand``, (1 - p) / 2 and (1 + p) / 2, taken elementwise, and
+    ``f_rand``'s three running products taken column by column in its
     order."""
-    deltas = n_all - rounds.T  # one contiguous row per column of rounds
-    values, index = np.unique(deltas, return_inverse=True)
-    p = qubit_depolarizing(params, values)
+    p = table.gather(n_all - rounds.T)  # one contiguous row per column of rounds
     lost_factor = (1.0 - p) / 2.0
     kept_factor = (1.0 + p) / 2.0
     prod_p = np.ones(len(rounds))
     lost = np.ones(len(rounds))
     kept = np.ones(len(rounds))
-    for col in index.reshape(deltas.shape):
-        prod_p *= p[col]
-        lost *= lost_factor[col]
-        kept *= kept_factor[col]
+    for p_col, lost_col, kept_col in zip(p, lost_factor, kept_factor):
+        prod_p *= p_col
+        lost *= lost_col
+        kept *= kept_col
     core = 0.5 * (prod_p + lost + kept)
     return (1.0 - params.p_ghz) / 2.0 ** rounds.shape[1] + params.p_ghz * core
 
@@ -194,10 +230,13 @@ def _tally(
     return np.diff(ends), np.diff(spent), (len(lost) - 1 - ends[-1], total[-1] - spent[-1])
 
 
-def run_block(params: SimParams, span: int, shots: int) -> ShotBlock:
+def run_block(
+    params: SimParams, span: int, shots: int, table: DepolarizingTable | None = None
+) -> ShotBlock:
     """The first ``shots`` shots of span ``span``, bit for bit as that many
     sequential ``run_shot_fast`` calls on ``shot_rng(params.seed, span,
-    TAG_FACTORY)`` record them.
+    TAG_FACTORY)`` record them, with depolarizing parameters from ``table``
+    (by default one of its own, for a job of these shots alone).
 
     Each attempt is one row of N waits and, unless q_bsm = 1, its coin, drawn
     in (rows, N + 1) chunks of at most ``_DRAW_CAP`` uniforms, sized for the
@@ -211,6 +250,8 @@ def run_block(params: SimParams, span: int, shots: int) -> ShotBlock:
     coin = params.q_bsm != 1.0  # at q_bsm = 1 no coin is drawn
     p_teleport = params.q_bsm**n
     rng = shot_rng(params.seed, span, TAG_FACTORY)
+    if table is None:
+        table = DepolarizingTable(params, n * shots)
     attempts = np.empty(shots, dtype=np.int64)
     duration = np.empty(shots, dtype=np.int64)
     rounds = np.empty((shots, n), dtype=np.int64)
@@ -242,16 +283,18 @@ def run_block(params: SimParams, span: int, shots: int) -> ShotBlock:
     for col in rounds.T[1:]:
         np.maximum(n_all, col, out=n_all)
     duration += n_all
-    return ShotBlock(attempts, rounds, duration, block_fidelities(params, n_all, rounds))
+    return ShotBlock(attempts, rounds, duration, block_fidelities(params, n_all, rounds, table))
 
 
 def _run_spans(args: tuple[SimParams, int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Durations and fidelities of the shots of spans [first, last), each
-    span cut at ``params.shots``."""
+    span cut at ``params.shots``, with one ``DepolarizingTable`` for all."""
     params, first, last = args
+    shots = min(last * _SPAN, params.shots) - first * _SPAN
+    table = DepolarizingTable(params, params.n_end_nodes * shots)
     parts = []
     for k in range(first, last):
-        block = run_block(params, k, min(_SPAN, params.shots - k * _SPAN))
+        block = run_block(params, k, min(_SPAN, params.shots - k * _SPAN), table)
         parts.append((block.duration_rounds, block.fidelity))
     durations, fidelities = zip(*parts)
     return np.concatenate(durations), np.concatenate(fidelities)

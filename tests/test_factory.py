@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import itertools
+import math
 import os
 from dataclasses import replace
 
@@ -15,6 +16,8 @@ from ghzdist.factory import (
     _DRAW_CAP,
     _SPAN,
     ATTEMPT_DRAW_BUDGET,
+    DepolarizingTable,
+    _run_spans,
     check_attempt_budget,
     estimate,
     fidelity_from_deltas,
@@ -246,6 +249,58 @@ BLOCK_SEEDS = (0, 7, 2**40 + 3, 2**64 - 1)
 BLOCK_CASES = ((0, _SPAN), (1, 7), (2**40, 1), (2**64 - 1, 300))
 
 
+def assert_job_matches_shots(params, first, last):
+    """``_run_spans`` over spans [first, last), one job sharing one table,
+    gives each shot the duration and fidelity of sequential
+    ``run_shot_fast`` calls on its span's stream."""
+    durations, fidelities = _run_spans((params, first, last))
+    records = []
+    for span in range(first, last):
+        rng = shot_rng(params.seed, span, TAG_FACTORY)
+        shots = min(_SPAN, params.shots - span * _SPAN)
+        records += [run_shot_fast(params, rng) for _ in range(shots)]
+    assert durations.tolist() == [r.duration_rounds for r in records]
+    assert fidelities.tolist() == [r.fidelity for r in records]
+
+
+def largest_wait(block):
+    """The largest wait Δ of any shot of a ``ShotBlock``."""
+    return int((block.rounds.max(axis=1) - block.rounds.min(axis=1)).max())
+
+
+# N = 2, three whole spans: the job's table bound is N * shots / 2 = 3,072
+# rounds, and at seed 1 span 0 waits at most 2,286 rounds (below it, the
+# table) and spans 1 and 2 3,194 and 3,462 (at or above it, np.unique)
+STRADDLING_JOB = dict(
+    n_end_nodes=2, q_link=0.0025, q_bsm=0.95, seed=1, shots=3 * _SPAN,
+    p_link=0.98, p_mem=0.999, p_bsm=0.99, p_ghz=0.9,
+)
+
+
+class WaitsPastBound(Exception):
+    """``qubit_depolarizing`` was asked for more waits than allowed."""
+
+
+def depolarizing_waits(monkeypatch, params, bound):
+    """The waits one single-worker ``estimate(params)`` passes to
+    ``qubit_depolarizing``; raises ``WaitsPastBound`` as soon as they pass
+    ``bound``, before the call that would pass it runs."""
+    original = factory_module.qubit_depolarizing
+    waits = 0
+
+    def counting(params, deltas):
+        nonlocal waits
+        waits += len(deltas)
+        if waits > bound:
+            raise WaitsPastBound(waits)
+        return original(params, deltas)
+
+    monkeypatch.setenv("GHZDIST_WORKERS", "1")
+    monkeypatch.setattr(factory_module, "qubit_depolarizing", counting)
+    estimate(params)
+    return waits
+
+
 class CountingGenerator:
     """A generator that keeps every array its ``random`` draws."""
 
@@ -312,6 +367,82 @@ class TestBlockKernel:
         assert all(u.size <= _DRAW_CAP for u in stream.draws)
         if q_bsm == 0.6:
             assert any((u[:, n] >= q_bsm**n).all() for u in stream.draws)
+
+    def test_job_straddling_the_table_bound_equals_per_shot_kernel(self):
+        params = make_params(**STRADDLING_JOB)
+        bound = params.n_end_nodes * params.shots / 2
+        tops = [largest_wait(run_block(params, k, _SPAN)) for k in range(3)]
+        assert tops[0] < bound <= min(tops[1:])
+        assert_job_matches_shots(params, 0, 3)
+
+    def test_only_spans_at_or_above_the_bound_take_distinct_deltas(self, monkeypatch):
+        # the straddling job asks qubit_depolarizing for span 0's table,
+        # every Δ through its largest, then for each later span's distinct Δ
+        params = make_params(**STRADDLING_JOB)
+        blocks = [run_block(params, k, _SPAN) for k in range(3)]
+        waits = [b.rounds.max(axis=1)[:, None] - b.rounds for b in blocks]
+        original = factory_module.qubit_depolarizing
+        calls = []
+
+        def recording(params, deltas):
+            calls.append(deltas.tolist())
+            return original(params, deltas)
+
+        monkeypatch.setattr(factory_module, "qubit_depolarizing", recording)
+        _run_spans((params, 0, 3))
+        assert calls == [
+            list(range(largest_wait(blocks[0]) + 1)),
+            np.unique(waits[1]).tolist(),
+            np.unique(waits[2]).tolist(),
+        ]
+
+    def test_table_one_entry_off_fails_the_job_check(self, monkeypatch):
+        # negative control: the table's entry for Δ holds Δ + 1's parameter
+        def grow_one_off(table, top):
+            more = factory_module.qubit_depolarizing(
+                table.params, np.arange(len(table.p) + 1, top + 2)
+            )
+            table.p = np.concatenate((table.p, more))
+
+        monkeypatch.setattr(DepolarizingTable, "_grow", grow_one_off)
+        with pytest.raises(AssertionError):
+            assert_job_matches_shots(make_params(**STRADDLING_JOB), 0, 3)
+
+    def test_grown_table_gives_what_a_fresh_table_gives(self):
+        params = make_params(q_link=0.05, p_mem=0.999, p_link=0.98, seed=21)
+        table = DepolarizingTable(params, params.n_end_nodes * 4 * _SPAN)
+        sizes = []
+        for k, shots in ((1, 10), (2, 100), (3, _SPAN)):
+            run_block(params, k, shots, table)
+            sizes.append(len(table.p))
+        assert sizes[0] < sizes[1] < sizes[2]  # grown by each span
+        shared = run_block(params, 0, 300, table)
+        # span 0 took every parameter from entries the other spans made
+        assert len(table.p) == sizes[2]
+        fresh = run_block(params, 0, 300)
+        assert largest_wait(fresh) < params.n_end_nodes * 300 / 2  # its own table's side
+        for field, value in shared._asdict().items():
+            assert np.array_equal(value, getattr(fresh, field)), field
+
+    def test_depolarizing_waits_stay_within_twice_the_job_waits(self, monkeypatch):
+        # at q_link = 1e-6 a span's waits reach millions of rounds: every
+        # span takes np.unique, and no table grows to its largest wait
+        params = make_params(q_link=1e-6, shots=10_000)
+        bound = 2 * params.n_end_nodes * params.shots
+        assert 0 < depolarizing_waits(monkeypatch, params, bound) <= bound
+
+    def test_unbounded_table_passes_more_waits(self, monkeypatch):
+        # negative control: a table that grows to any span's largest wait
+        bounded_init = DepolarizingTable.__init__
+
+        def unbounded_init(table, params, waits):
+            bounded_init(table, params, waits)
+            table.limit = math.inf
+
+        monkeypatch.setattr(DepolarizingTable, "__init__", unbounded_init)
+        params = make_params(q_link=1e-6, shots=10_000)
+        with pytest.raises(WaitsPastBound):
+            depolarizing_waits(monkeypatch, params, 2 * params.n_end_nodes * params.shots)
 
 
 class TestAttemptBudget:

@@ -23,11 +23,9 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-
-from .labels import Qubit
 
 MAX_QUBITS = 12
 
@@ -51,6 +49,14 @@ _CORRECTIONS = (
 
 class RegisterError(ValueError):
     """Label collision, unknown label, or register overflow."""
+
+
+class Qubit(NamedTuple):
+    """Register label (node, slot).  Node 0 is the central node, 1..N are
+    end nodes."""
+
+    node: int
+    slot: int = 0
 
 
 @dataclass(frozen=True)

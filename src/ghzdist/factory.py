@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .analytics import f_rand
+from .analytics import f_rand, harmonic
 from .params import (
     TAG_FACTORY,
     ConfigError,
@@ -40,6 +40,10 @@ WORKERS_ENV = "GHZDIST_WORKERS"
 # expected uniforms an estimate may draw: at about a microsecond per failed
 # attempt, tens of minutes of sampling at any N
 ATTEMPT_DRAW_BUDGET = 1e10
+# a shot's rounds are int64: its expected rounds stay this factor below
+# 2^63, so a shot running that many times its mean would still fit (for a
+# sum of geometric attempts, a chance of about e^-64 per shot)
+DURATION_SAFETY = 64
 # shots per factory stream: span k, shots [k _SPAN, (k + 1) _SPAN), draws
 # from shot_rng(seed, k, TAG_FACTORY)
 _SPAN = 1024
@@ -118,7 +122,9 @@ def run_shot_fast(params: SimParams, rng: np.random.Generator) -> ShotRecord:
 
 def check_attempt_budget(params: SimParams) -> None:
     """Reject a point whose expected draws, q_bsm^-N attempts of N + 1
-    uniforms per shot, exceed ``ATTEMPT_DRAW_BUDGET``."""
+    uniforms per shot, exceed ``ATTEMPT_DRAW_BUDGET``, or whose expected
+    rounds per shot, q_bsm^-N attempts of about H_N / q_link rounds, come
+    within ``DURATION_SAFETY`` of the int64 durations' 2^63."""
     n = params.n_end_nodes
     draws = params.q_bsm**-n * (n + 1) * params.shots
     if draws > ATTEMPT_DRAW_BUDGET:
@@ -127,6 +133,14 @@ def check_attempt_budget(params: SimParams) -> None:
             f"{ATTEMPT_DRAW_BUDGET:.0e}): each shot needs q_bsm ** -n_end_nodes = "
             f"{params.q_bsm**-n:.2g} teleportation attempts at q_bsm = {params.q_bsm}, "
             f"n_end_nodes = {n}; raise q_bsm or lower shots ({params.shots})"
+        )
+    rounds = params.q_bsm**-n * harmonic(n) / params.q_link
+    if rounds * DURATION_SAFETY > 2.0**63:
+        raise ConfigError(
+            f"a factory shot would last ~{rounds:.2g} rounds on average, more than "
+            f"2**63 / {DURATION_SAFETY} (its int64 duration keeps a factor "
+            f"{DURATION_SAFETY} of headroom): raise q_link ({params.q_link}) or "
+            f"q_bsm ({params.q_bsm})"
         )
 
 

@@ -31,9 +31,8 @@ import numpy as np
 
 from . import analytics, dm as dmod, factory, switch
 from .analytics import GSpec
-from .dm import DensityMatrix
+from .dm import DensityMatrix, Qubit
 from .factory import ShotRecord, fidelity_from_deltas
-from .labels import Qubit
 from .params import (
     TAG_FACTORY,
     ConfigError,
@@ -336,12 +335,12 @@ def advance_round(
     state: switch.NetworkState, params: SimParams, rng: np.random.Generator
 ) -> list[tuple]:
     """One time step: stored qubits age by one round, then every connection
-    with a free switch slot and a free end-node slot attempts a Bell pair."""
+    with no link pair waiting attempts one."""
     state.round += 1
     events: list[tuple] = []
-    for conn, slot in switch._eligible_connections(state, params.n_end_nodes):
-        if rng.random() < params.q_link:
-            state.links[conn] = switch.Link(Qubit(conn, slot), state.round)
+    for conn in range(1, params.n_end_nodes + 1):
+        if state.born[conn] == switch.NO_LINK and rng.random() < params.q_link:
+            state.add_link(conn)
             events.append(("link", conn))
     return events
 
@@ -549,24 +548,25 @@ def werner_swap_error(rng: np.random.Generator) -> float:
             p_mem=float(rng.choice([1.0, 0.8 + 0.2 * rng.random()])),
             p_bsm=0.8 + 0.2 * rng.random(),
         )
-        born = [int(b) for b in rng.integers(0, 5, size=2)]
-        now = max(born) + int(rng.integers(0, 4))
-        links = {c: switch.Link(Qubit(c, 0), b) for c, b in zip((1, 2), born)}
-        state = switch.NetworkState(round=now, links=dict(links))
+        born = {c: int(b) for c, b in zip((1, 2), rng.integers(0, 5, size=2))}
+        now = max(born.values()) + int(rng.integers(0, 4))
+        state = switch.NetworkState(round=now)
+        for conn, b in born.items():
+            state.born[conn] = b
         switch.do_switch_bsms(state, params, rng)
-        (group,) = state.groups
+        (group,) = state.groups()
         fidelity = group.ghz_fidelity(now, params.p_mem)
         pairs = []
-        for conn, link in links.items():
-            held = Qubit(0, conn)
-            pair = dmod.depolarize(dmod.make_bell(held, link.remote), (held,), params.p_link)
-            for q in [held, link.remote] * (now - link.born):
+        for conn, b in born.items():
+            held, remote = Qubit(0, conn), Qubit(conn, 0)
+            pair = dmod.depolarize(dmod.make_bell(held, remote), (held,), params.p_link)
+            for q in [held, remote] * (now - b):
                 pair = dmod.depolarize(pair, (q,), params.p_mem)
             pairs.append(dmod.depolarize(pair, (held,), params.p_bsm))
         joint = dmod.tensor(*pairs)
         for bits in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             prob, post = dmod.project_bell(joint, Qubit(0, 1), Qubit(0, 2), bits)
-            fixed = dmod.pauli_correct(post, links[2].remote, bits)
+            fixed = dmod.pauli_correct(post, Qubit(2, 0), bits)
             worst = max(worst, abs(prob - 0.25), abs(dmod.fidelity_to_ghz(fixed) - fidelity))
     return worst
 
@@ -606,7 +606,11 @@ def switch_ledger_error(rng: np.random.Generator) -> float:
         for batch in (pairs[:first], pairs[first:]):
             state.round += int(rng.integers(3, 6))
             for a, b in batch:
-                state.groups.append(switch.Component((a, b), {q: owed[q] for q in (a, b)}, 2))
+                group = switch.Component(
+                    [a.node, b.node], 1 << a.node | 1 << b.node,
+                    {q.node: owed[q] for q in (a, b)}, 2)
+                for q in (a, b):
+                    state.hold(group, q.node, q.slot)
                 dense[a] = dense[b] = dmod.make_bell(a, b)
             for _, node, bit in switch.do_fusions(state, params, rng):
                 control, target = Qubit(node, 0), Qubit(node, 1)
@@ -621,8 +625,8 @@ def switch_ledger_error(rng: np.random.Generator) -> float:
                 del dense[target]
                 dense.update(dict.fromkeys(fused.labels, fused))
         state.round += int(rng.integers(0, 3))
-        (group,) = state.groups
-        final = dense[group.qubits[0]]
+        (group,) = state.groups()
+        final = dense[Qubit(group.nodes[0], state.slot[group.nodes[0]])]
         for q in final.labels:
             final = decay(final, q, state.round)
         ref = dmod.fidelity_to_ghz(final)

@@ -1,39 +1,50 @@
 """Discrete-event Monte Carlo engine for 2-switch GHZ distribution.
 
-The state says where each qubit lives: the link pair waiting at the switch on
-each connection (the central node holds at most one qubit per connection,
-until a Bell measurement consumes it), and the end-to-end groups built by
-successful measurements and by fusions.  It persists across executions: pairs
-not consumed while building one GHZ state seed the next one.
+The state is flat per-node data, indexed by end node 1..N (connection c
+joins the switch to end node c).  Per connection: the birth round of the
+link pair waiting at the switch (``NO_LINK`` for none; the central node
+holds at most one qubit per connection, until a Bell measurement consumes
+it) and the slot its remote qubit takes at the end node.  Per node: the
+end-to-end group holding its qubit, that qubit's slot, and a persistent
+cluster label.  It persists across executions: pairs not consumed while
+building one GHZ state seed the next one.
 
 No group is stored as a matrix.  Every operation of the switch (a Bell
 measurement with its Pauli correction, a CNOT fusion with its Z read-out and
 outcome-1 X correction) is Clifford, and all noise (p_link, p_mem per round,
-p_bsm) is single-qubit depolarizing.  So a group is its GHZ state under a
-ledger of independent noise entries (d, S), S a set of its qubits: with
-probability 1 - d an entry applies one of I, X_S, Z, X_S Z, chosen uniformly
-(on a GHZ state every single-qubit Z acts alike, and X_S as X on the rest of
-the group).  Depolarizing qubit q by d is the entry (d, {q}).  Parameters of
-one qubit's channels multiply, so each group qubit owes one pending factor
-(``Component.factor``), entered into the ledger when the qubit is fused
-(``Component.flush``) or read out.  A link pair is only its remote and birth
-round: a successful Bell measurement on two gives each outcome with
-probability 1/4 and, once Pauli-corrected, Phi+ on the remotes with an empty
-ledger and both pairs' noise pending on one remote (``swapped_weight``), as
-depolarizing either qubit of Phi+ gives one state.  A fusion of control a in
-group A with target b in group B turns an A-side S into A minus S when a is
-in S, and a B-side S into B minus S when b is in S; its Z outcome has
-probability 1/2 and, once corrected, leaves the same state.  The read-out
-(``Component.ghz_fidelity``) is the character sum
+p_bsm) is single-qubit depolarizing.  A group holds one qubit per node, so
+it is its nodes in qubit order, their bitmask, and its GHZ state under a
+ledger of independent noise entries (d, S), S a node bitmask within the
+group's: with probability 1 - d an entry applies one of I, X_S, Z, X_S Z,
+chosen uniformly (on a GHZ state every single-qubit Z acts alike, and X_S
+as X on the rest of the group).  Depolarizing node v's qubit by d is the
+entry (d, 1 << v).  Parameters of one qubit's channels multiply, so each
+group qubit owes one pending factor (``Component.factor``), entered into
+the ledger when the qubit is fused (``Component.flush``) or read out.  A
+waiting link pair is only its birth round and remote slot: a successful
+Bell measurement on two gives each outcome with probability 1/4 and, once
+Pauli-corrected, Phi+ on the remotes with an empty ledger and both pairs'
+noise pending on one remote (``swapped_weight``), as depolarizing either
+qubit of Phi+ gives one state.  A fusion at node v of control a (the lower
+slot) in group A with target b in group B turns an S holding v into the
+rest of its side, ``mask ^ S`` (``Component.fused_entries``); its Z outcome
+has probability 1/2 and, once corrected, leaves the same state.  The
+read-out (``Component.ghz_fidelity``) is the character sum
 F = 1/2 prod_e d_e + 2^-k sum_t prod_e d_e^[<t, S_e> odd] over the
-even-weight t in {0, 1}^k, whose 2^(k-1) terms bound N by MAX_END_NODES.
+even-weight t in {0, 1}^k, whose 2^(k-1) terms bound N by MAX_END_NODES;
+each entry's members are read from S by bit shifts in the group's qubit
+order.
 
-A phase runs only when it can act: the Bell measurements when at least two
-links wait, the fusions and the delivery check only after a measurement
-succeeded.  Each phase reads the group labels once per call:
-``do_switch_bsms`` pairs only end nodes in different clusters (one id per
-node), and ``do_fusions`` visits the nodes holding two group qubits in
-ascending order; a node with a waiting link pair holds no second group qubit.
+The cluster labels say which end nodes a chain of groups joins: a
+successful measurement merges its two nodes' labels, and a delivery resets
+its nodes' labels to their own index, so the labels are never rebuilt from
+the groups.  A phase runs only when it can act: the Bell measurements when
+at least two links wait, the fusions and the delivery check only after a
+measurement succeeded.  ``do_switch_bsms`` pairs only end nodes with
+different labels; a node whose link it consumes while the node holds a
+group qubit keeps the new group as its second qubit (``NetworkState.
+second``), and ``do_fusions`` fuses those nodes in ascending order.  A
+group spans every end node when its mask is bits 1..N.
 """
 
 from __future__ import annotations
@@ -41,31 +52,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
 from .factory import Estimates, summarize
-from .labels import Qubit
 from .params import TAG_SWITCH, ConfigError, SimParams, sample_geometric, shot_rng
 
 NODE_MEMORY_SLOTS = 2
 # the read-out sums 2^(N-1) terms over N qubits
 MAX_END_NODES = 11
+NO_LINK = -1
 
 
 class ProtocolInvariantError(RuntimeError):
     """The network reached a state the protocol rules are meant to exclude."""
-
-
-class Link(NamedTuple):
-    """A link pair waiting at the switch: Phi+ on (Qubit(0, connection),
-    remote), created at round born.  Its noise is not stored: the Bell
-    measurement that consumes it turns it into the swapped pair's pending
-    factors."""
-
-    remote: Qubit
-    born: int
 
 
 @lru_cache(maxsize=None)
@@ -79,112 +79,171 @@ def _even_weight_rows(k: int) -> np.ndarray:
 
 @dataclass
 class Component:
-    """One end-to-end group: its qubits, the pending factor ``(d, since)`` of
-    each (it owes depolarizing by d p_mem^(now - since)), how many link-level
-    Bell pairs it has absorbed, and its noise ledger of entries (d, S)."""
+    """One end-to-end group: its end nodes in qubit order, their bitmask
+    (bit v for node v), the pending factor ``(d, since)`` of each node's
+    qubit (it owes depolarizing by d p_mem^(now - since)), how many
+    link-level Bell pairs it has absorbed, and its noise ledger of entries
+    (d, S), S a node bitmask."""
 
-    qubits: tuple[Qubit, ...]
-    pending: dict[Qubit, tuple[float, int]]
+    nodes: list[int]
+    mask: int
+    pending: dict[int, tuple[float, int]]
     pairs_consumed: int
-    entries: list[tuple[float, frozenset[Qubit]]] = field(default_factory=list)
+    entries: list[tuple[float, int]] = field(default_factory=list)
 
-    def factor(self, q: Qubit, now: int, p_mem: float) -> float:
-        """The depolarizing parameter q owes at round now."""
-        d, since = self.pending[q]
+    def factor(self, node: int, now: int, p_mem: float) -> float:
+        """The depolarizing parameter node's qubit owes at round now."""
+        d, since = self.pending[node]
         return d * p_mem ** (now - since)
 
-    def flush(self, q: Qubit, now: int, p_mem: float) -> None:
-        """Enter q's pending channel into the ledger; q then owes nothing."""
-        p = self.factor(q, now, p_mem)
+    def flush(self, node: int, now: int, p_mem: float) -> None:
+        """Enter node's pending channel into the ledger; it then owes nothing."""
+        p = self.factor(node, now, p_mem)
         if p != 1.0:
-            self.entries.append((p, frozenset((q,))))
-        self.pending[q] = (1.0, now)
+            self.entries.append((p, 1 << node))
+        self.pending[node] = (1.0, now)
 
-    def fused_entries(self, q: Qubit) -> list[tuple[float, frozenset[Qubit]]]:
-        """The ledger as a fusion at q, control or target, leaves it: an S
-        holding q becomes the rest of the group, X on which acts on the
+    def fused_entries(self, node: int) -> list[tuple[float, int]]:
+        """The ledger as a fusion at node, control or target, leaves it: an S
+        holding node becomes the rest of the group, X on which acts on the
         group's GHZ state as X_S does and passes the fusion unchanged."""
-        side = frozenset(self.qubits)
-        return [(d, side - s if q in s else s) for d, s in self.entries]
+        bit, mask = 1 << node, self.mask
+        return [(d, mask ^ s if s & bit else s) for d, s in self.entries]
+
+    def absorb(self, other: Component, node: int) -> None:
+        """Fuse other into this group at node, this group's qubit there the
+        control: the group keeps its nodes, then other's without node, and
+        both sides' ledgers as the fusion leaves them.  Both qubits at node
+        must have been flushed."""
+        self.entries = self.fused_entries(node) + other.fused_entries(node)
+        del other.pending[node]
+        self.nodes += [v for v in other.nodes if v != node]
+        self.mask |= other.mask
+        self.pending.update(other.pending)
+        self.pairs_consumed += other.pairs_consumed
 
     def ghz_fidelity(self, now: int, p_mem: float) -> float:
         """Fidelity to the GHZ state on the group's k qubits at round now,
-        each qubit's pending channel entered as (d_q, {q}):
+        each qubit's pending channel entered as (d_v, 1 << v):
         1/2 prod_e d_e + 2^-k sum_t prod_e d_e^[<t, S_e> odd] over the
         even-weight t.  The first term holds the Z part, which each entry
         draws together with its X part, not independently of it."""
-        qubits = self.qubits
-        entries = self.entries + [
-            (self.factor(q, now, p_mem), frozenset((q,))) for q in qubits
-        ]
+        nodes = self.nodes
+        entries = self.entries + [(self.factor(v, now, p_mem), 1 << v) for v in nodes]
         d = np.array([p for p, _ in entries])
-        members = np.array([[q in s for q in qubits] for _, s in entries], dtype=np.int64)
-        odd = (_even_weight_rows(len(qubits)) @ members.T) & 1
+        members = np.array([s for _, s in entries])[:, None] >> np.array(nodes) & 1
+        odd = (_even_weight_rows(len(nodes)) @ members.T) & 1
         terms = np.where(odd, d, 1.0).prod(axis=1)
-        return float(0.5 * d.prod() + terms.sum() / 2 ** len(qubits))
+        return 0.5 * float(d.prod()) + float(terms.sum()) / 2 ** len(nodes)
 
 
-@dataclass
 class NetworkState:
-    """Persistent 2-switch network: the round clock, the link pair waiting at
-    the switch on each connection, and the end-to-end groups."""
+    """Persistent 2-switch network, as lists indexed by end node (index 0
+    is the switch and holds nothing), sized for MAX_END_NODES.
 
-    round: int = 0
-    links: dict[int, Link] = field(default_factory=dict)
-    groups: list[Component] = field(default_factory=list)
+    ``round`` is the clock.  Per connection: ``born``, the waiting link
+    pair's birth round or NO_LINK, and ``link_slot``, its remote's slot.  Per
+    node: ``owner``, the group holding its qubit, ``slot``, that qubit's
+    slot, and ``label``, its cluster label.  ``second`` maps a node that a
+    successful measurement gave a second group qubit (in the other slot) to
+    that qubit's group, until ``do_fusions`` fuses the two."""
+
+    def __init__(self, round: int = 0):
+        size = MAX_END_NODES + 1
+        self.round = round
+        self.born = [NO_LINK] * size
+        self.link_slot = [0] * size
+        self.owner: list[Component | None] = [None] * size
+        self.slot = [0] * size
+        self.label = list(range(size))
+        self.second: dict[int, Component] = {}
+
+    def add_link(self, conn: int) -> None:
+        """A link pair born now on conn.  Between rounds a node holds at most
+        one group qubit (a second is fused in the round it arrives), so its
+        remote takes the node's other slot."""
+        self.born[conn] = self.round
+        self.link_slot[conn] = 0 if self.owner[conn] is None else 1 - self.slot[conn]
+
+    def hold(self, comp: Component, node: int, slot: int) -> None:
+        """Put comp's qubit at node into slot: the node's qubit, or its
+        second when it holds one already."""
+        if self.owner[node] is None:
+            self.owner[node], self.slot[node] = comp, slot
+        else:
+            self.second[node] = comp
+
+    def remove(self, comp: Component) -> None:
+        """Take a delivered group out: its nodes hold no group qubit, and
+        each is a cluster of its own again."""
+        for v in comp.nodes:
+            self.owner[v] = None
+            self.label[v] = v
+
+    def groups(self) -> list[Component]:
+        """Every group in the network, once each."""
+        held = [c for c in self.owner if c is not None] + list(self.second.values())
+        return list({id(c): c for c in held}.values())
 
     def full_component(self, n_end_nodes: int) -> Component | None:
-        """The group spanning every end node, if one exists: one of >= n_end_nodes qubits."""
-        for comp in self.groups:
-            labels = comp.qubits
-            if len(labels) >= n_end_nodes and len({node for node, _ in labels}) == n_end_nodes:
-                return comp
+        """The group spanning every end node, if one exists: node 1's, when
+        its mask is bits 1..n_end_nodes."""
+        comp = self.owner[1]
+        if comp is not None and comp.mask == (2 << n_end_nodes) - 2:
+            return comp
         return None
 
     def validate(self, n_end_nodes: int) -> None:
-        """Where each qubit lives: links are keyed by their end node, with a
-        birth no later than now; groups hold end-node qubits only, each with a
+        """Where each qubit lives: links wait only on connections 1..N, born
+        no later than now, their remotes in a memory slot; groups hold
+        end-node qubits only, one per node of their mask, each with a
         pending factor, and ledger entries (d, S) with d in [0, 1] and S a
-        non-empty set of the group's qubits; labels are unique and slot
-        capacities kept."""
-        for conn, link in self.links.items():
-            node = link.remote.node
-            if node == 0 or node != conn or link.born > self.round:
-                raise ProtocolInvariantError(f"connection {conn} holds a bad link {link}")
-        for comp in self.groups:
-            if any(q.node == 0 for q in comp.qubits):
+        non-empty subset of the group's mask; a group's nodes share one
+        label; owner and mask agree; no slot holds two qubits and slot
+        capacities are kept."""
+        nodes = range(1, n_end_nodes + 1)
+        for conn, born in enumerate(self.born):
+            if born != NO_LINK and not (
+                conn in nodes and born <= self.round
+                and 0 <= self.link_slot[conn] < NODE_MEMORY_SLOTS
+            ):
+                raise ProtocolInvariantError(f"connection {conn} holds a bad link")
+        for comp in self.groups():
+            if comp.mask & 1:
                 raise ProtocolInvariantError("a group holds a switch qubit")
-            if set(comp.pending) != set(comp.qubits):
+            if comp.mask != sum(1 << v for v in comp.nodes) or len(set(comp.nodes)) != len(comp.nodes):
+                raise ProtocolInvariantError(f"group nodes {comp.nodes} and mask disagree")
+            if set(comp.pending) != set(comp.nodes):
                 raise ProtocolInvariantError("pending factors out of sync")
             for d, s in comp.entries:
-                if not (0.0 <= d <= 1.0 and s and s <= set(comp.qubits)):
-                    raise ProtocolInvariantError(f"bad ledger entry ({d}, {sorted(s)})")
-        held = [link.remote for link in self.links.values()]
-        held += [q for comp in self.groups for q in comp.qubits]
-        if len(set(held)) != len(held):
-            raise ProtocolInvariantError("a qubit in two components")
-        for node in range(1, n_end_nodes + 1):
-            if len([q for q in held if q.node == node]) > NODE_MEMORY_SLOTS:
-                raise ProtocolInvariantError(f"node {node} over memory capacity")
+                if not (0.0 <= d <= 1.0 and s and not s & ~comp.mask):
+                    raise ProtocolInvariantError(f"bad ledger entry ({d}, {s:#b})")
+            if len({self.label[v] for v in comp.nodes}) != 1:
+                raise ProtocolInvariantError(f"labels disagree across group {comp.nodes}")
+            for v in comp.nodes:
+                if comp is not self.owner[v] and comp is not self.second.get(v):
+                    raise ProtocolInvariantError(f"group {comp.nodes} not held at node {v}")
+        held = [(v, c) for v, c in enumerate(self.owner) if c is not None]
+        for v, comp in held + list(self.second.items()):
+            if not comp.mask >> v & 1:
+                raise ProtocolInvariantError(f"node {v} held by a group outside its mask")
+        for v in nodes:
+            qubits = (self.owner[v] is not None) + (v in self.second) + (self.born[v] != NO_LINK)
+            if qubits > NODE_MEMORY_SLOTS:
+                raise ProtocolInvariantError(f"node {v} over memory capacity")
+            if self.owner[v] is not None and self.born[v] != NO_LINK and self.link_slot[v] == self.slot[v]:
+                raise ProtocolInvariantError("a qubit in two components")
 
 
-def _eligible_connections(state: NetworkState, n_end_nodes: int) -> list[tuple[int, int]]:
-    """(connection, node slot to fill) for each connection with no link pair
-    waiting, in order.  Between rounds a node holds at most one group qubit (a
-    second is fused in the round it arrives), so its other slot is free."""
-    group_slot = {node: slot for comp in state.groups for node, slot in comp.qubits}
-    return [(conn, 1 - group_slot.get(conn, 1))
-            for conn in range(1, n_end_nodes + 1) if conn not in state.links]
-
-
-def swapped_weight(a: Link, b: Link, round_now: int, params: SimParams) -> float:
-    """Pending factor a successful BSM on the switch qubits of a and b adds to
-    the swapped pair: each link's p_link, its switch qubit's p_mem per round
-    since the link's birth, and p_bsm before the measurement.  The remotes'
-    own aging stays pending from their links' births."""
+def swapped_weight(born_a: int, born_b: int, round_now: int, params: SimParams) -> float:
+    """Pending factor a successful BSM on the switch qubits of links born at
+    born_a and born_b adds to the swapped pair: each link's p_link, its
+    switch qubit's p_mem per round since the link's birth, and p_bsm before
+    the measurement.  The remotes' own aging stays pending from their links'
+    births."""
     w = 1.0
-    for link in (a, b):
-        w *= params.p_link * params.p_mem ** (round_now - link.born) * params.p_bsm
+    for born in (born_a, born_b):
+        w *= params.p_link * params.p_mem ** (round_now - born) * params.p_bsm
     return w
 
 
@@ -194,12 +253,14 @@ def advance_to_link_event(
     """Fast-forward: ``oracles.advance_round`` repeated until a pair is created.
 
     Equivalent in distribution to the per-round loop by memorylessness: each
-    eligible connection draws its geometric time to success, the clock jumps
-    to the earliest one, and every connection attaining it succeeds in that
-    round.  With no eligible connection the clock moves a single round.
-    Memory decoherence is unaffected: it is bookkept from the round counter.
+    connection with no link waiting draws its geometric time to success, the
+    clock jumps to the earliest one, and every connection attaining it
+    succeeds in that round.  With no eligible connection the clock moves a
+    single round.  Memory decoherence is unaffected: it is bookkept from the
+    round counter.
     """
-    eligible = _eligible_connections(state, params.n_end_nodes)
+    born = state.born
+    eligible = [c for c in range(1, params.n_end_nodes + 1) if born[c] < 0]
     if not eligible:
         state.round += 1
         return []
@@ -207,9 +268,9 @@ def advance_to_link_event(
     first = min(times)
     state.round += first
     events: list[tuple] = []
-    for (conn, slot), t in zip(eligible, times):
+    for conn, t in zip(eligible, times):
         if t == first:
-            state.links[conn] = Link(Qubit(conn, slot), state.round)
+            state.add_link(conn)
             events.append(("link", conn))
     return events
 
@@ -223,38 +284,42 @@ def do_switch_bsms(
     different clusters, a cluster being the end nodes joined by a chain of
     groups: every connected group is fused into one GHZ-like state by the end
     of the round, and pairing inside a cluster would create a cycle that
-    fusion cannot absorb.  The clusters are one id per node, read from the
-    groups (node-disjoint between fusion phases) and relabelled as
-    measurements succeed; a failed one changes no group.  Success merges the
-    two link pairs into Phi+ on their remotes (Pauli-corrected at the second
-    end node), its noise pending on the second remote; failure resets both.
+    fusion cannot absorb.  The clusters are the persistent node labels;
+    a failed measurement changes none.  Success merges the two link pairs
+    into Phi+ on their remotes (Pauli-corrected at the second end node), its
+    noise pending on the second remote, and merges the two nodes' labels;
+    failure resets both pairs.
     """
-    cluster = list(range(params.n_end_nodes + 1))  # a lone node's id is itself
-    for gid, comp in enumerate(state.groups, start=len(cluster)):
-        for node, _ in comp.qubits:
-            if cluster[node] not in (node, gid):
-                raise ProtocolInvariantError(f"node {node} in two groups")
-            cluster[node] = gid
-    links = state.links
+    if state.second:
+        raise ProtocolInvariantError(f"node {min(state.second)} in two groups")
+    born, label = state.born, state.label
+    waiting = [c for c in range(1, params.n_end_nodes + 1) if born[c] >= 0]
     events: list[tuple] = []
-    while True:
-        valid = [(a, b) for a, b in combinations(sorted(links), 2) if cluster[a] != cluster[b]]
+    while len(waiting) > 1:
+        valid = [(a, b) for a, b in combinations(waiting, 2) if label[a] != label[b]]
         if not valid:
-            return events
+            break
         # integers(1) draws nothing, so a single valid pair skips the call
         a, b = valid[rng.integers(len(valid))] if len(valid) > 1 else valid[0]
-        link_a, link_b = links.pop(a), links.pop(b)
+        waiting.remove(a)
+        waiting.remove(b)
+        born_a, born_b = born[a], born[b]
+        born[a] = born[b] = NO_LINK
         if params.q_bsm < 1.0 and rng.random() >= params.q_bsm:
             # failed measurement: both source pairs are reset in full
             events.append(("bsm", a, b, False))
             continue
         rng.random()  # Born draw, unused: all four outcomes leave the same pair
-        w = swapped_weight(link_a, link_b, state.round, params)
-        pending = {link_a.remote: (1.0, link_a.born), link_b.remote: (w, link_b.born)}
-        state.groups.append(Component((link_a.remote, link_b.remote), pending, 2))
-        old, new = cluster[b], cluster[a]
-        cluster = [new if c == old else c for c in cluster]
+        w = swapped_weight(born_a, born_b, state.round, params)
+        comp = Component([a, b], 1 << a | 1 << b, {a: (1.0, born_a), b: (w, born_b)}, 2, [])
+        state.hold(comp, a, state.link_slot[a])
+        state.hold(comp, b, state.link_slot[b])
+        old, new = label[b], label[a]
+        for v in range(1, params.n_end_nodes + 1):
+            if label[v] == old:
+                label[v] = new
         events.append(("bsm", a, b, True))
+    return events
 
 
 def do_fusions(
@@ -262,44 +327,33 @@ def do_fusions(
 ) -> list[tuple]:
     """Fuse end-to-end groups at every node holding two of their qubits.
 
-    Only nodes holding two group qubits are visited, in ascending index: a
-    fusion keeps every other qubit where it was, so it never gives another
-    node a second one.  A waiting link pair takes one of its node's
+    Only nodes in ``state.second`` are visited, in ascending index: a fusion
+    keeps every other qubit where it was, so it never gives another node a
+    second one.  A waiting link pair takes one of its node's
     NODE_MEMORY_SLOTS = 2 slots, so no fusion meets it.  The control is the
-    lower slot's qubit a in group A, the target b in group B; the merged
-    group holds A's qubits, then B's without b, and both sides' ledgers as
-    the fusion leaves them (``Component.fused_entries``).  The Z outcome, 1
-    with probability 1/2, is drawn and reported; once corrected by X on B's
-    other qubits, either outcome leaves the same state.
+    lower slot's qubit a in group A, the target b in group B; A absorbs B
+    (``Component.absorb``) and every node B held points to A.  The Z
+    outcome, 1 with probability 1/2, is drawn and reported; once corrected
+    by X on B's other qubits, either outcome leaves the same state.
     """
-    owner: dict[Qubit, Component] = {}
-    first: dict[int, Qubit] = {}
-    shared: list[tuple[int, Qubit, Qubit]] = []
-    for comp in state.groups:
-        for q in comp.qubits:
-            owner[q] = comp
-            other = first.setdefault(q.node, q)
-            if other != q:
-                shared.append((q.node, *sorted((other, q))))
+    owner, slot, second = state.owner, state.slot, state.second
     events: list[tuple] = []
-    for node, q_a, q_b in sorted(shared):
-        comp_a, comp_b = owner[q_a], owner.pop(q_b)
+    for node in sorted(second):
+        held, arrived = owner[node], second.pop(node)
+        comp_a, comp_b = (held, arrived) if slot[node] == 0 else (arrived, held)
         if comp_a is comp_b:
             raise ProtocolInvariantError(f"node {node} holds two qubits of one component")
-        comp_a.flush(q_a, state.round, params.p_mem)
-        comp_b.flush(q_b, state.round, params.p_mem)
+        comp_a.flush(node, state.round, params.p_mem)
+        comp_b.flush(node, state.round, params.p_mem)
         bit = int(rng.random() >= 0.5)
-        entries = comp_a.fused_entries(q_a) + comp_b.fused_entries(q_b)
-        qubits = comp_a.qubits + tuple(q for q in comp_b.qubits if q != q_b)
-        pending = {**comp_a.pending, **comp_b.pending}
-        del pending[q_b]
-        merged = Component(
-            qubits, pending, comp_a.pairs_consumed + comp_b.pairs_consumed, entries
-        )
-        state.groups.remove(comp_a)
-        state.groups.remove(comp_b)
-        state.groups.append(merged)
-        owner.update(dict.fromkeys(qubits, merged))
+        comp_a.absorb(comp_b, node)
+        for v in comp_b.nodes:
+            if owner[v] is comp_b:
+                owner[v] = comp_a
+        for v, comp in second.items():
+            if comp is comp_b:
+                second[v] = comp_a
+        slot[node] = 0
         events.append(("fusion", node, bit))
     return events
 
@@ -328,24 +382,25 @@ def run_to_ghz(
     """
     start = state.round
     n = params.n_end_nodes
+    born = state.born
     while True:
         advance_to_link_event(state, params, rng)
-        if len(state.links) < 2:
+        if len(born) - born.count(NO_LINK) < 2:
             continue
-        if not any(ok for *_, ok in do_switch_bsms(state, params, rng)):
+        if not any(event[3] for event in do_switch_bsms(state, params, rng)):
             continue
         do_fusions(state, params, rng)
         full = state.full_component(n)
         if full is None:
             continue
-        if len(full.qubits) != n:
+        if len(full.nodes) != n:
             raise ProtocolInvariantError("delivered state is not an n-qubit GHZ")
         record = SwitchRecord(
             duration_rounds=state.round - start,
             fidelity=full.ghz_fidelity(state.round, params.p_mem),
             pairs_consumed=full.pairs_consumed,
         )
-        state.groups.remove(full)
+        state.remove(full)
         return record, state
 
 

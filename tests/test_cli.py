@@ -163,6 +163,15 @@ class TestSimulate:
         assert proc.returncode == 1 and proc.stdout == ""
         assert len(err) == 1 and err[0].startswith("error:") and "q_bsm" in err[0]
 
+    def test_factory_duration_past_int64_is_one_error_line(self, capsys):
+        # ~1.1e19 rounds a shot: durations would wrap past 2^63
+        argv = ["simulate", "--protocol", "factory", "--set", "n_end_nodes=40",
+                "--set", "q_bsm=0.8", "--set", "q_link=2.97e-15", "--set", "shots=2326",
+                "--set", "seed=0"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "q_link" in err[0]
+
     @pytest.mark.parametrize("target", ["output", "svg", "config"])
     def test_file_error_is_one_error_line(self, tmp_path, capsys, target):
         missing = str(tmp_path / "no_such_dir" / "x")

@@ -462,6 +462,28 @@ class TestAttemptBudget:
         with pytest.raises(ConfigError, match="q_bsm"):
             estimate(params)
 
+    def test_rejects_durations_near_int64(self):
+        # q_bsm^-40 H_40 / q_link ~ 1.1e19 rounds a shot, past 2^63: run_block
+        # would wrap durations negative
+        params = make_params(n_end_nodes=40, q_bsm=0.8, q_link=2.97e-15, shots=2326, seed=0)
+        with pytest.raises(ConfigError, match="q_link"):
+            check_attempt_budget(params)
+        with pytest.raises(ConfigError, match="q_link"):
+            estimate(params)
+
+    def test_durations_within_headroom_run_exactly(self):
+        # q_bsm^-2 H_2 / q_link ~ 1.7e16 rounds a shot, a factor ~550 below
+        # 2^63: accepted, and a whole span matches the scalar reference with
+        # no overflow warning (warnings are errors in this suite)
+        params = make_params(n_end_nodes=2, q_bsm=0.3, q_link=1e-15, shots=_SPAN, seed=0)
+        check_attempt_budget(params)
+        block = run_block(params, 0, _SPAN)
+        rng = shot_rng(params.seed, 0, TAG_FACTORY)
+        for row in range(_SPAN):
+            rec = reference_run_shot(params, rng)
+            assert rec.duration_rounds == block.duration_rounds[row] > 0, row
+            assert rec.fidelity == block.fidelity[row], row
+
     def test_budget_scales_with_shots(self):
         shots = int(ATTEMPT_DRAW_BUDGET / 6)
         check_attempt_budget(make_params(q_bsm=1.0, shots=shots))

@@ -1,6 +1,6 @@
-"""Import layering: dense density matrices stay behind the oracles (the
-engines share only the qubit label with them, from its own module), and the
-closed forms are plain Python."""
+"""Import layering: dense density matrices stay behind the oracles (no
+engine imports ``ghzdist.dm``, not even its qubit label), and the closed
+forms are plain Python."""
 
 import ast
 from pathlib import Path
@@ -33,7 +33,7 @@ def under(names: set[str], package: str) -> set[str]:
 
 
 @pytest.mark.parametrize(
-    "module", ["factory", "switch", "analytics", "params", "cli", "svgplot", "labels"]
+    "module", ["factory", "switch", "analytics", "params", "cli", "svgplot"]
 )
 def test_imports_nothing_from_dm(module):
     assert under(imported_names(module), "ghzdist.dm") == set()

@@ -182,18 +182,18 @@ class TestFactoryKernelCheck:
         assert factory_kernel_mismatches() > 0
 
 
-def _weight_dropping_p_bsm(a, b, round_now, params):
-    return params.p_link**2 * params.p_mem ** (2 * round_now - a.born - b.born)
+def _weight_dropping_p_bsm(born_a, born_b, round_now, params):
+    return params.p_link**2 * params.p_mem ** (2 * round_now - born_a - born_b)
 
 
-def _weight_as_sum(a, b, round_now, params):
+def _weight_as_sum(born_a, born_b, round_now, params):
     # the two links' factors averaged where they multiply
-    terms = [params.p_link * params.p_mem ** (round_now - link.born) * params.p_bsm
-             for link in (a, b)]
+    terms = [params.p_link * params.p_mem ** (round_now - born) * params.p_bsm
+             for born in (born_a, born_b)]
     return sum(terms) / 2.0
 
 
-def _weight_without_memory(a, b, round_now, params):
+def _weight_without_memory(born_a, born_b, round_now, params):
     return params.p_link**2 * params.p_bsm**2
 
 
@@ -284,29 +284,34 @@ def _closed_form_shifted(params, mode="leading"):
     return dataclasses.replace(exact, value=exact.value + 1e-9)
 
 
-def _control_side_uncomplemented(comp, q):
-    # the control's group (its qubit in slot 0) keeps its ledger as it was
-    return list(comp.entries) if q.slot == 0 else _EXACT_FUSED_ENTRIES(comp, q)
+def _control_side_uncomplemented(monkeypatch):
+    """The control's group (its qubit in slot 0) keeps its ledger as it
+    was.  Each fusion transforms the control's ledger first and the
+    target's second, so the fault leaves every other call's ledger alone."""
+    calls = itertools.count()
+
+    def fused_entries(comp, node):
+        return list(comp.entries) if next(calls) % 2 == 0 else _EXACT_FUSED_ENTRIES(comp, node)
+
+    monkeypatch.setattr(switch_module.Component, "fused_entries", fused_entries)
 
 
 def _product_of_marginals_readout(comp, now, p_mem):
     """The ledger read out as P(no Z flip) times P(X pattern trivial), as if
     each entry's X and Z parts were independent: (1 + w)^2 / 4, not
     (1 + 3 w) / 4, for a Werner pair."""
-    qubits = comp.qubits
-    entries = comp.entries + [
-        (comp.factor(q, now, p_mem), frozenset((q,))) for q in qubits
-    ]
+    nodes = comp.nodes
+    entries = comp.entries + [(comp.factor(v, now, p_mem), 1 << v) for v in nodes]
     x_trivial = 0.0
-    for t in itertools.product((0, 1), repeat=len(qubits)):
+    for t in itertools.product((0, 1), repeat=len(nodes)):
         if sum(t) % 2 == 0:
             term = 1.0
             for d, s in entries:
-                if sum(b for b, q in zip(t, qubits) if q in s) % 2:
+                if sum(b for b, v in zip(t, nodes) if s >> v & 1) % 2:
                     term *= d
             x_trivial += term
     z_trivial = (1.0 + np.prod([d for d, _ in entries])) / 2.0
-    return z_trivial * x_trivial / 2.0 ** (len(qubits) - 1)
+    return z_trivial * x_trivial / 2.0 ** (len(nodes) - 1)
 
 
 # check name, optionally followed by "/" and the name of a further fault of
@@ -405,7 +410,7 @@ FAULTS = {
         {"switch_fidelity_vs_tree_closed_form"},
     ),
     "switch_ledger_vs_dense_groups": (
-        _patch((switch_module.Component, "fused_entries", _control_side_uncomplemented)),
+        _control_side_uncomplemented,
         {"switch_ledger_vs_dense_groups"},
     ),
     # every delivery and the swap check read out through it too

@@ -9,10 +9,10 @@ from ghzdist.dm import Qubit
 from ghzdist.oracles import advance_round
 from ghzdist.params import TAG_SWITCH, SimParams, shot_rng
 from ghzdist.switch import (
+    NO_LINK,
     NODE_MEMORY_SLOTS,
     WARMUP_EXECUTIONS,
     Component,
-    Link,
     NetworkState,
     ProtocolInvariantError,
     advance_to_link_event,
@@ -31,23 +31,39 @@ def make_params(**kwargs):
     return SimParams(**base)
 
 
-def bell_component(a: Qubit, b: Qubit, born_round=0) -> Component:
-    return Component((a, b), {a: (1.0, born_round), b: (1.0, born_round)}, 2)
+def group(*qubits: Qubit, entries=(), pairs=2) -> Component:
+    """A group on the qubits' nodes, in their order, owing nothing since round 0."""
+    nodes = [q.node for q in qubits]
+    return Component(nodes, sum(1 << v for v in nodes), dict.fromkeys(nodes, (1.0, 0)), pairs,
+                     list(entries))
 
 
-def network(*comps: Component) -> NetworkState:
+def place(state: NetworkState, comp: Component, *qubits: Qubit) -> None:
+    """Hold comp's qubits where the engine keeps them and join their nodes'
+    clusters."""
+    joined = state.label[qubits[0].node]
+    for q in qubits:
+        state.hold(comp, q.node, q.slot)
+        old = state.label[q.node]
+        state.label = [joined if c == old else c for c in state.label]
+
+
+def network(*pairs: tuple[Qubit, Qubit]) -> NetworkState:
     """A state holding each pair where the engine keeps it: a pair holding a
-    switch qubit as a Link under its connection, any other component among
-    the groups."""
+    switch qubit Qubit(0, conn) as a link waiting on conn since round 0, any
+    other as a two-node group."""
     state = NetworkState()
-    for comp in comps:
-        held = [q for q in comp.qubits if q.node == 0]
-        if held:
-            (remote,) = (q for q in comp.qubits if q.node != 0)
-            state.links[held[0].slot] = Link(remote, comp.pending[remote][1])
+    for a, b in pairs:
+        if a.node == 0:
+            state.born[a.slot], state.link_slot[a.slot] = 0, b.slot
         else:
-            state.groups.append(comp)
+            place(state, group(a, b), a, b)
     return state
+
+
+def links(state: NetworkState) -> list[int]:
+    """The connections with a link pair waiting."""
+    return [conn for conn, born in enumerate(state.born) if born != NO_LINK]
 
 
 class TestAdvanceRound:
@@ -56,9 +72,9 @@ class TestAdvanceRound:
         params = make_params(q_link=1.0, p_link=0.9)
         events = advance_round(state, params, shot_rng(0, 0, 9))
         assert sorted(events) == [("link", c) for c in range(1, 6)]
-        assert sorted(state.links) == [1, 2, 3, 4, 5] and state.groups == []
-        for conn, link in state.links.items():
-            assert link == Link(Qubit(conn, 0), 1)
+        assert links(state) == [1, 2, 3, 4, 5] and state.groups() == []
+        for conn in links(state):
+            assert (state.born[conn], state.link_slot[conn]) == (1, 0)
 
     def test_busy_connection_does_not_attempt(self):
         state = NetworkState()
@@ -71,12 +87,11 @@ class TestAdvanceRound:
         state = NetworkState()
         params = make_params(q_link=1.0, p_mem=1.0, p_link=0.9)
         advance_round(state, params, shot_rng(0, 0, 9))
-        before = dict(state.links)
+        before = (list(state.born), list(state.link_slot))
         for _ in range(5):
             advance_round(state, params, shot_rng(0, 2, 9))
-        assert state.links == before
-        a, b = state.links[1], state.links[2]
-        assert swapped_weight(a, b, state.round, params) == 0.9 * 0.9
+        assert (state.born, state.link_slot) == before
+        assert swapped_weight(state.born[1], state.born[2], state.round, params) == 0.9 * 0.9
 
     def test_lazy_memory_aging_matches_direct_channel(self):
         # a group qubit owing (d, since) flushes into the ledger as one entry
@@ -84,19 +99,20 @@ class TestAdvanceRound:
         # clock did, and reads out as the dense state does
         params = make_params(q_link=1e-9, p_mem=0.9)
         a, b = Qubit(1, 0), Qubit(2, 0)
-        comp = Component((a, b), {a: (1.0, 0), b: (0.95, 1)}, 2)
-        state = NetworkState(groups=[comp])
+        comp = Component([1, 2], 0b110, {1: (1.0, 0), 2: (0.95, 1)}, 2)
+        state = NetworkState()
+        place(state, comp, a, b)
         for _ in range(4):
             advance_round(state, params, shot_rng(0, 1, 9))
         reference = dmod.depolarize(dmod.make_bell(a, b), (b,), 0.95)
         for q, waited in ((a, 4), (b, 3)):
             for _ in range(waited):
                 reference = dmod.depolarize(reference, (q,), 0.9)
-        assert comp.factor(b, state.round, params.p_mem) == 0.95 * 0.9**3
-        for q in (a, b):
-            comp.flush(q, state.round, params.p_mem)
-        assert comp.pending == {a: (1.0, 4), b: (1.0, 4)}
-        assert comp.entries == [(0.9**4, frozenset({a})), (0.95 * 0.9**3, frozenset({b}))]
+        assert comp.factor(2, state.round, params.p_mem) == 0.95 * 0.9**3
+        for v in (1, 2):
+            comp.flush(v, state.round, params.p_mem)
+        assert comp.pending == {1: (1.0, 4), 2: (1.0, 4)}
+        assert comp.entries == [(0.9**4, 1 << 1), (0.95 * 0.9**3, 1 << 2)]
         fidelity = comp.ghz_fidelity(state.round, params.p_mem)
         assert fidelity == pytest.approx(dmod.fidelity_to_ghz(reference), abs=1e-12)
 
@@ -138,32 +154,32 @@ class TestWerner:
         # the Werner state w Phi+ + (1 - w) 1/4, of fidelity (1 + 3 w) / 4;
         # independent X and Z marginals would give (1 + w)^2 / 4
         a, b = Qubit(1, 0), Qubit(2, 0)
-        state = NetworkState(links={1: Link(a, 0), 2: Link(b, 0)})
+        state = network((Qubit(0, 1), a), (Qubit(0, 2), b))
         params = make_params(n_end_nodes=2, p_link=float(np.sqrt(w)))
         do_switch_bsms(state, params, shot_rng(0, 0, 9))
-        (pair,) = state.groups
-        assert pair.qubits == (a, b) and pair.entries == []
+        (pair,) = state.groups()
+        assert pair.nodes == [1, 2] and pair.entries == []
         fidelity = pair.ghz_fidelity(state.round, params.p_mem)
         assert fidelity == pytest.approx((1 + 3 * w) / 4, rel=1e-15)
         dense = w * dmod.make_bell(a, b).mat + (1.0 - w) / 4.0 * np.eye(4)
         assert fidelity == pytest.approx(
             dmod.fidelity_to_ghz(dmod.DensityMatrix((a, b), dense)), rel=1e-15)
-        for q in (a, b):
-            pair.flush(q, state.round, params.p_mem)
+        for v in (1, 2):
+            pair.flush(v, state.round, params.p_mem)
         assert pair.ghz_fidelity(state.round, params.p_mem) == pytest.approx(fidelity, rel=1e-15)
 
 
 class TestSwitchBsms:
     def test_two_pairs_merge_into_end_to_end_bell(self):
         state = network(
-            bell_component(Qubit(0, 1), Qubit(1, 0)),
-            bell_component(Qubit(0, 2), Qubit(2, 0)),
+            (Qubit(0, 1), Qubit(1, 0)),
+            (Qubit(0, 2), Qubit(2, 0)),
         )
         events = do_switch_bsms(state, make_params(n_end_nodes=2), shot_rng(0, 0, 9))
         assert events == [("bsm", 1, 2, True)]
-        assert state.links == {} and len(state.groups) == 1
-        comp = state.groups[0]
-        assert set(comp.qubits) == {Qubit(1, 0), Qubit(2, 0)}
+        assert links(state) == [] and len(state.groups()) == 1
+        comp = state.groups()[0]
+        assert set(comp.nodes) == {1, 2} and (state.slot[1], state.slot[2]) == (0, 0)
         state.validate(2)
         assert comp.entries == []
         assert comp.ghz_fidelity(state.round, 1.0) == pytest.approx(1.0, abs=1e-12)
@@ -171,14 +187,14 @@ class TestSwitchBsms:
 
     def test_failed_measurement_destroys_both_pairs(self):
         state = network(
-            bell_component(Qubit(0, 1), Qubit(1, 0)),
-            bell_component(Qubit(0, 2), Qubit(2, 0)),
+            (Qubit(0, 1), Qubit(1, 0)),
+            (Qubit(0, 2), Qubit(2, 0)),
         )
         events = do_switch_bsms(
             state, make_params(n_end_nodes=2, q_bsm=1e-6), shot_rng(0, 0, 9)
         )
         assert events == [("bsm", 1, 2, False)]
-        assert state.links == {} and state.groups == []
+        assert links(state) == [] and state.groups() == []
 
     def test_three_pairs_single_uniform_measurement(self):
         params = make_params(n_end_nodes=3)
@@ -186,7 +202,7 @@ class TestSwitchBsms:
         trials = 3000
         for s in range(trials):
             state = network(
-                *(bell_component(Qubit(0, c), Qubit(c, 0)) for c in (1, 2, 3))
+                *((Qubit(0, c), Qubit(c, 0)) for c in (1, 2, 3))
             )
             events = do_switch_bsms(state, params, shot_rng(13, s, 9))
             assert len(events) == 1
@@ -199,13 +215,13 @@ class TestSwitchBsms:
         # nodes 1 and 2 already share a Bell state: their fresh link pairs
         # must not be measured into a redundant second one
         state = network(
-            bell_component(Qubit(1, 0), Qubit(2, 0)),
-            bell_component(Qubit(0, 1), Qubit(1, 1)),
-            bell_component(Qubit(0, 2), Qubit(2, 1)),
+            (Qubit(1, 0), Qubit(2, 0)),
+            (Qubit(0, 1), Qubit(1, 1)),
+            (Qubit(0, 2), Qubit(2, 1)),
         )
         events = do_switch_bsms(state, make_params(n_end_nodes=2), shot_rng(0, 0, 9))
         assert events == []
-        assert sorted(state.links) == [1, 2] and len(state.groups) == 1
+        assert links(state) == [1, 2] and len(state.groups()) == 1
 
     def test_single_valid_pair_draws_no_choice(self):
         # the pair choice skips rng.integers(1), which would draw nothing
@@ -216,10 +232,10 @@ class TestSwitchBsms:
     def test_groups_sharing_a_node_are_flagged(self):
         # between fusion phases every node holds at most one group qubit
         state = network(
-            bell_component(Qubit(1, 0), Qubit(2, 0)),
-            bell_component(Qubit(1, 1), Qubit(3, 0)),
-            bell_component(Qubit(0, 2), Qubit(2, 1)),
-            bell_component(Qubit(0, 3), Qubit(3, 1)),
+            (Qubit(1, 0), Qubit(2, 0)),
+            (Qubit(1, 1), Qubit(3, 0)),
+            (Qubit(0, 2), Qubit(2, 1)),
+            (Qubit(0, 3), Qubit(3, 1)),
         )
         with pytest.raises(ProtocolInvariantError, match="node 1 in two groups"):
             do_switch_bsms(state, make_params(n_end_nodes=3), shot_rng(0, 0, 9))
@@ -229,56 +245,56 @@ class TestSwitchBsms:
         # groups 1-2 and 3-4 with a link waiting on every connection: the
         # first measured pair joins both clusters, so the other two links wait
         state = network(
-            bell_component(Qubit(1, 0), Qubit(2, 0)),
-            bell_component(Qubit(3, 0), Qubit(4, 0)),
-            *(bell_component(Qubit(0, c), Qubit(c, 1)) for c in (1, 2, 3, 4)),
+            (Qubit(1, 0), Qubit(2, 0)),
+            (Qubit(3, 0), Qubit(4, 0)),
+            *((Qubit(0, c), Qubit(c, 1)) for c in (1, 2, 3, 4)),
         )
         params = make_params(n_end_nodes=4, q_bsm=1.0)
         events = do_switch_bsms(state, params, shot_rng(seed, 0, 9))
         assert len(events) == 1 and events[0][3] is True
         a, b = events[0][1:3]
         assert (a in (1, 2)) != (b in (1, 2))
-        assert sorted(state.links) == sorted({1, 2, 3, 4} - {a, b})
-        assert len(state.groups) == 3
+        assert links(state) == sorted({1, 2, 3, 4} - {a, b})
+        assert len(state.groups()) == 3
         state.validate(4)
 
 
 class TestFusions:
     def test_fuses_two_bells_at_shared_node(self):
         state = network(
-            bell_component(Qubit(1, 0), Qubit(2, 0)),
-            bell_component(Qubit(1, 1), Qubit(3, 0)),
+            (Qubit(1, 0), Qubit(2, 0)),
+            (Qubit(1, 1), Qubit(3, 0)),
         )
         events = do_fusions(state, make_params(n_end_nodes=3), shot_rng(0, 0, 9))
         assert len(events) == 1 and events[0][0] == "fusion"
-        assert len(state.groups) == 1
-        comp = state.groups[0]
-        assert {q.node for q in comp.qubits} == {1, 2, 3}
+        assert len(state.groups()) == 1
+        comp = state.groups()[0]
+        assert set(comp.nodes) == {1, 2, 3}
         assert comp.ghz_fidelity(state.round, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_fused_qubits_entries_become_the_rest_of_their_group(self):
         a, b = Qubit(1, 0), Qubit(1, 1)  # control in the first group, target in the second
-        first = Component((a, Qubit(2, 0)), {a: (1.0, 0), Qubit(2, 0): (1.0, 0)}, 2,
-                          [(0.9, frozenset({a})), (0.8, frozenset({Qubit(2, 0)}))])
-        second = Component((b, Qubit(3, 0)), {b: (1.0, 0), Qubit(3, 0): (1.0, 0)}, 2,
-                           [(0.7, frozenset({b})), (0.6, frozenset({Qubit(3, 0)}))])
-        state = network(first, second)
+        # the target's group arrives first, so the control is found by its slot
+        second = group(b, Qubit(3, 0), entries=[(0.7, 1 << 1), (0.6, 1 << 3)])
+        first = group(a, Qubit(2, 0), entries=[(0.9, 1 << 1), (0.8, 1 << 2)])
+        state = NetworkState()
+        place(state, second, b, Qubit(3, 0))
+        place(state, first, a, Qubit(2, 0))
         do_fusions(state, make_params(n_end_nodes=3, p_mem=1.0), shot_rng(0, 0, 9))
-        (merged,) = state.groups
-        assert merged.qubits == (a, Qubit(2, 0), Qubit(3, 0))
-        assert merged.entries == [
-            (0.9, frozenset({Qubit(2, 0)})), (0.8, frozenset({Qubit(2, 0)})),
-            (0.7, frozenset({Qubit(3, 0)})), (0.6, frozenset({Qubit(3, 0)})),
-        ]
+        (merged,) = state.groups()
+        assert merged is first and merged.nodes == [1, 2, 3] and merged.mask == 0b1110
+        assert merged.entries == [(0.9, 1 << 2), (0.8, 1 << 2), (0.7, 1 << 3), (0.6, 1 << 3)]
         assert merged.pairs_consumed == 4
+        assert (state.owner[1], state.slot[1], state.second) == (first, 0, {})
+        assert state.owner[2] is state.owner[3] is first
 
     def test_no_shared_node_no_fusion(self):
         state = network(
-            bell_component(Qubit(1, 0), Qubit(2, 0)),
-            bell_component(Qubit(3, 0), Qubit(4, 0)),
+            (Qubit(1, 0), Qubit(2, 0)),
+            (Qubit(3, 0), Qubit(4, 0)),
         )
         assert do_fusions(state, make_params(), shot_rng(0, 0, 9)) == []
-        assert len(state.groups) == 2
+        assert len(state.groups()) == 2
 
     def test_fusion_cascade_builds_ghz4(self):
         chains = [
@@ -288,25 +304,26 @@ class TestFusions:
             [((3, 0), (4, 0)), ((2, 1), (3, 1)), ((1, 0), (2, 0))],
         ]
         for pairs in chains:
-            state = network(*(bell_component(Qubit(*a), Qubit(*b)) for a, b in pairs))
+            state = network(*((Qubit(*a), Qubit(*b)) for a, b in pairs))
             events = do_fusions(state, make_params(n_end_nodes=4), shot_rng(0, 0, 9))
             assert [e[:2] for e in events] == [("fusion", 2), ("fusion", 3)]
-            assert len(state.groups) == 1
-            comp = state.groups[0]
-            assert {q.node for q in comp.qubits} == {1, 2, 3, 4}
+            assert len(state.groups()) == 1
+            comp = state.groups()[0]
+            assert set(comp.nodes) == {1, 2, 3, 4}
+            state.validate(4)
             assert comp.ghz_fidelity(state.round, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_link_pair_is_not_absorbed(self):
         state = network(
-            bell_component(Qubit(1, 0), Qubit(2, 0)),
-            bell_component(Qubit(0, 1), Qubit(1, 1)),
+            (Qubit(1, 0), Qubit(2, 0)),
+            (Qubit(0, 1), Qubit(1, 1)),
         )
         assert do_fusions(state, make_params(), shot_rng(0, 0, 9)) == []
-        assert list(state.links) == [1] and len(state.groups) == 1
+        assert links(state) == [1] and len(state.groups()) == 1
 
     def test_same_component_twice_at_node_is_flagged(self):
-        labels = (Qubit(1, 0), Qubit(1, 1), Qubit(2, 0))
-        state = network(Component(labels, dict.fromkeys(labels, (1.0, 0)), 4))
+        state = NetworkState()
+        place(state, group(Qubit(1, 0), Qubit(2, 0), pairs=4), Qubit(1, 0), Qubit(1, 1), Qubit(2, 0))
         with pytest.raises(ProtocolInvariantError):
             do_fusions(state, make_params(n_end_nodes=2), shot_rng(0, 0, 9))
 
@@ -358,13 +375,14 @@ class TestRunToGhz:
             do_fusions(state, params, rng)
             state.validate(params.n_end_nodes)
             # every node that held two group qubits was fused, none skipped
-            nodes = [q.node for comp in state.groups for q in comp.qubits]
-            assert len(nodes) == len(set(nodes))
+            nodes = [v for comp in state.groups() for v in comp.nodes]
+            assert state.second == {} and len(nodes) == len(set(nodes))
             full = state.full_component(params.n_end_nodes)
             if full is not None:
-                assert len(full.qubits) == params.n_end_nodes
-                assert {q.node for q in full.qubits} == {1, 2, 3, 4}
-                state.groups.remove(full)
+                assert sorted(full.nodes) == [1, 2, 3, 4]
+                state.remove(full)
+                state.validate(params.n_end_nodes)
+                assert state.label[1:5] == [1, 2, 3, 4]
                 deliveries += 1
 
 
@@ -386,10 +404,10 @@ class TestJumpEquivalence:
                 do_fusions(state, params, rng)
                 full = state.full_component(params.n_end_nodes)
                 if full is not None:
-                    for q in full.qubits:
-                        full.flush(q, state.round, params.p_mem)
+                    for v in full.nodes:
+                        full.flush(v, state.round, params.p_mem)
                     fid = full.ghz_fidelity(state.round, params.p_mem)
-                    state.groups.remove(full)
+                    state.remove(full)
                     return state.round - start, fid
 
         rng = shot_rng(71, 0, TAG_SWITCH)
@@ -425,13 +443,13 @@ def literal_executions(params: SimParams, shots: int) -> list[tuple[int, int, fl
         while full is None:
             for phase in (advance_to_link_event, do_switch_bsms, do_fusions):
                 phase(state, params, rng)
-                for comp in state.groups:
-                    for q in comp.qubits:
-                        comp.flush(q, state.round, params.p_mem)
+                for comp in state.groups():
+                    for v in comp.nodes:
+                        comp.flush(v, state.round, params.p_mem)
             full = state.full_component(params.n_end_nodes)
         fidelity = full.ghz_fidelity(state.round, params.p_mem)
         records.append((state.round - start, full.pairs_consumed, fidelity))
-        state.groups.remove(full)
+        state.remove(full)
     return records[WARMUP_EXECUTIONS:]
 
 
@@ -467,17 +485,16 @@ class TestSkippedPhasesAndDiagonalReadout:
     @pytest.mark.parametrize("n", [5, 8])
     def test_ledgers_stay_well_formed(self, monkeypatch, n):
         # after every phase each entry's S is a non-empty proper subset of
-        # its group, and d lies in [0, 1]
+        # its group's mask, and d lies in [0, 1]
         seen = []
 
         def watch(phase):
             def run(state, params, rng):
                 events = phase(state, params, rng)
-                for comp in state.groups:
-                    group = set(comp.qubits)
+                for comp in state.groups():
                     for d, s in comp.entries:
-                        assert 0.0 <= d <= 1.0 and s and s < group
-                        seen.append(len(s))
+                        assert 0.0 <= d <= 1.0 and s and not s & ~comp.mask and s != comp.mask
+                        seen.append(bin(s).count("1"))
                 state.validate(params.n_end_nodes)
                 return events
             return run
@@ -528,8 +545,8 @@ class TestPerfectMemoryClosedForm:
         )
 
     def test_swap_without_p_bsm_fails(self, monkeypatch):
-        def without_p_bsm(a, b, round_now, params):
-            return params.p_link**2 * params.p_mem ** (2 * round_now - a.born - b.born)
+        def without_p_bsm(born_a, born_b, round_now, params):
+            return params.p_link**2 * params.p_mem ** (2 * round_now - born_a - born_b)
 
         monkeypatch.setattr(switch_module, "swapped_weight", without_p_bsm)
         assert perfect_memory_gap(configs=5) > 1e-3
@@ -560,59 +577,79 @@ class TestValidate:
 
     def test_engine_state_passes(self):
         network(
-            bell_component(Qubit(0, 1), Qubit(1, 0)),
-            bell_component(Qubit(1, 1), Qubit(2, 0)),
+            (Qubit(0, 1), Qubit(1, 0)),
+            (Qubit(1, 1), Qubit(2, 0)),
         ).validate(2)
 
     def test_group_holding_a_switch_qubit(self):
-        state = NetworkState(groups=[bell_component(Qubit(0, 1), Qubit(1, 0))])
+        state = NetworkState()
+        place(state, group(Qubit(0, 1), Qubit(1, 0)), Qubit(0, 1), Qubit(1, 0))
         with pytest.raises(ProtocolInvariantError, match="switch qubit"):
             state.validate(2)
 
     @pytest.mark.parametrize(
-        "conn, link",
-        [
-            (2, Link(Qubit(1, 0), 0)),
-            (1, Link(Qubit(2, 0), 0)),
-            (0, Link(Qubit(0, 0), 0)),
-            (1, Link(Qubit(1, 0), 4)),
-        ],
+        "conn, slot, born",
+        [(3, 0, 0), (1, NODE_MEMORY_SLOTS, 0), (0, 0, 0), (1, 0, 4)],
         ids=[
-            "stored-under-another-connection",
-            "remote-on-another-node",
+            "on-a-connection-beyond-n",
+            "remote-outside-its-slots",
             "remote-is-a-switch-qubit",
             "born-after-now",
         ],
     )
-    def test_bad_link_is_flagged(self, conn, link):
-        state = NetworkState(round=3, links={conn: link})
+    def test_bad_link_is_flagged(self, conn, slot, born):
+        state = NetworkState(round=3)
+        state.born[conn], state.link_slot[conn] = born, slot
         with pytest.raises(ProtocolInvariantError, match=f"connection {conn}"):
             state.validate(2)
 
     @pytest.mark.parametrize(
         "entry",
-        [(0.5, frozenset()), (0.5, frozenset({Qubit(3, 0)})), (1.5, frozenset({Qubit(1, 0)})),
-         (-0.1, frozenset({Qubit(2, 0)}))],
+        [(0.5, 0), (0.5, 1 << 3), (1.5, 1 << 1), (-0.1, 1 << 2)],
         ids=["empty-set", "qubit-outside-the-group", "d-above-1", "d-below-0"],
     )
     def test_bad_ledger_entry_is_flagged(self, entry):
-        comp = bell_component(Qubit(1, 0), Qubit(2, 0))
-        comp.entries.append(entry)
+        state = network((Qubit(1, 0), Qubit(2, 0)))
+        state.owner[1].entries.append(entry)
         with pytest.raises(ProtocolInvariantError, match="bad ledger entry"):
-            NetworkState(groups=[comp]).validate(3)
+            state.validate(3)
+
+    def test_labels_disagree_across_a_group(self):
+        state = network((Qubit(1, 0), Qubit(2, 0)))
+        state.label[2] = 3
+        with pytest.raises(ProtocolInvariantError, match="labels disagree"):
+            state.validate(3)
+
+    def test_nodes_and_mask_disagree(self):
+        state = network((Qubit(1, 0), Qubit(2, 0)))
+        state.owner[1].mask |= 1 << 3
+        with pytest.raises(ProtocolInvariantError, match="and mask disagree"):
+            state.validate(3)
+
+    def test_group_not_held_at_one_of_its_nodes(self):
+        state = network((Qubit(1, 0), Qubit(2, 0)))
+        state.owner[2] = None
+        with pytest.raises(ProtocolInvariantError, match="not held at node 2"):
+            state.validate(3)
+
+    def test_node_held_by_a_group_outside_its_mask(self):
+        state = network((Qubit(1, 0), Qubit(2, 0)))
+        state.owner[3] = state.owner[1]
+        with pytest.raises(ProtocolInvariantError, match="node 3 held by a group outside"):
+            state.validate(3)
 
     def test_qubit_in_two_components(self):
         state = network(
-            bell_component(Qubit(0, 1), Qubit(1, 0)),
-            bell_component(Qubit(1, 0), Qubit(2, 0)),
+            (Qubit(0, 1), Qubit(1, 0)),
+            (Qubit(1, 0), Qubit(2, 0)),
         )
         with pytest.raises(ProtocolInvariantError, match="two components"):
             state.validate(2)
 
     def test_node_over_memory_slots(self):
         state = network(
-            bell_component(Qubit(0, 1), Qubit(1, NODE_MEMORY_SLOTS)),
-            *(bell_component(Qubit(1, s), Qubit(s + 2, 0))
+            (Qubit(0, 1), Qubit(1, 0)),
+            *((Qubit(1, s), Qubit(s + 2, 0))
               for s in range(NODE_MEMORY_SLOTS)),
         )
         with pytest.raises(ProtocolInvariantError, match="node 1 over memory"):

@@ -13,6 +13,7 @@ make, and must fail some pin.
 import hashlib
 import inspect
 import math
+import textwrap
 
 import pytest
 
@@ -78,8 +79,16 @@ def stream(n: int, q_link: float, q_bsm: float) -> tuple[str, float]:
     return hashlib.sha256(ints.encode()).hexdigest(), math.fsum(r.fidelity for r in records)
 
 
+class Stalled(RuntimeError):
+    """A run took far more link events than any pinned point needs."""
+
+
 def matches(point) -> bool:
-    digest, total = stream(*point)
+    """Whether the point's stream equals its pin; a run that stalls does not."""
+    try:
+        digest, total = stream(*point)
+    except Stalled:
+        return False
     pinned_digest, pinned_total = PINS[point]
     return digest == pinned_digest and total == pytest.approx(pinned_total, rel=1e-12)
 
@@ -90,9 +99,9 @@ def test_stream_matches_pin(point):
 
 
 def without_line(function, marker: str):
-    """``function`` recompiled in its module without the one source line
-    holding ``marker``."""
-    lines = inspect.getsource(function).splitlines(keepends=True)
+    """``function`` (a module function or a method) recompiled in its module
+    without the one source line holding ``marker``."""
+    lines = textwrap.dedent(inspect.getsource(function)).splitlines(keepends=True)
     hits = [i for i, line in enumerate(lines) if marker in line]
     assert len(hits) == 1, hits
     del lines[hits[0]]
@@ -101,8 +110,48 @@ def without_line(function, marker: str):
     return namespace[function.__name__]
 
 
+def stall_guard(monkeypatch, budget: int = 20_000) -> None:
+    """Raise ``Stalled`` once a point's run has made ``budget`` link-event
+    calls, ten times what the slowest pinned point (1,947 calls at N = 11,
+    q_link 0.01, q_bsm 0.6) makes."""
+    phase = switch.advance_to_link_event
+    calls = [0]
+
+    def guarded(state, params, rng):
+        calls[0] += 1
+        if calls[0] > budget:
+            calls[0] = 0
+            raise Stalled
+        return phase(state, params, rng)
+
+    original = switch.run_executions
+
+    def fresh_budget(params, shots):
+        calls[0] = 0
+        return original(params, shots)
+
+    monkeypatch.setattr(switch, "advance_to_link_event", guarded)
+    monkeypatch.setattr(switch, "run_executions", fresh_budget)
+
+
 def test_skipped_born_draw_fails_the_pins(monkeypatch):
     # the unused Born draw still moves the stream every later draw reads
     monkeypatch.setattr(
         switch, "do_switch_bsms", without_line(switch.do_switch_bsms, "rng.random()  # Born draw"))
     assert not all(matches(point) for point in PINS)
+
+
+def test_labels_kept_across_a_delivery_fail_the_pins(monkeypatch):
+    # a delivered group's nodes stay one cluster: no later pair is valid, so
+    # the next delivery never comes
+    monkeypatch.setattr(
+        switch.NetworkState, "remove", without_line(switch.NetworkState.remove, "self.label[v] = v"))
+    stall_guard(monkeypatch)
+    assert not any(matches(point) for point in list(PINS)[:3])
+
+
+def test_stall_guard_passes_the_engine(monkeypatch):
+    # the slowest point passes under the guard
+    stall_guard(monkeypatch)
+    slowest = max(PINS, key=lambda point: (point[0], -point[1], -point[2]))
+    assert matches(slowest)

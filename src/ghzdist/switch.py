@@ -211,7 +211,8 @@ class NetworkState:
         for comp in self.groups():
             if comp.mask & 1:
                 raise ProtocolInvariantError("a group holds a switch qubit")
-            if comp.mask != sum(1 << v for v in comp.nodes) or len(set(comp.nodes)) != len(comp.nodes):
+            nodes_mask = sum(1 << v for v in set(comp.nodes))
+            if comp.mask != nodes_mask or len(set(comp.nodes)) != len(comp.nodes):
                 raise ProtocolInvariantError(f"group nodes {comp.nodes} and mask disagree")
             if set(comp.pending) != set(comp.nodes):
                 raise ProtocolInvariantError("pending factors out of sync")
@@ -223,15 +224,15 @@ class NetworkState:
             for v in comp.nodes:
                 if comp is not self.owner[v] and comp is not self.second.get(v):
                     raise ProtocolInvariantError(f"group {comp.nodes} not held at node {v}")
-        held = [(v, c) for v, c in enumerate(self.owner) if c is not None]
-        for v, comp in held + list(self.second.items()):
+        owned = [(v, c) for v, c in enumerate(self.owner) if c is not None]
+        for v, comp in owned + list(self.second.items()):
             if not comp.mask >> v & 1:
                 raise ProtocolInvariantError(f"node {v} held by a group outside its mask")
         for v in nodes:
-            qubits = (self.owner[v] is not None) + (v in self.second) + (self.born[v] != NO_LINK)
-            if qubits > NODE_MEMORY_SLOTS:
+            held, linked = self.owner[v] is not None, self.born[v] != NO_LINK
+            if held + (v in self.second) + linked > NODE_MEMORY_SLOTS:
                 raise ProtocolInvariantError(f"node {v} over memory capacity")
-            if self.owner[v] is not None and self.born[v] != NO_LINK and self.link_slot[v] == self.slot[v]:
+            if held and linked and self.link_slot[v] == self.slot[v]:
                 raise ProtocolInvariantError("a qubit in two components")
 
 
@@ -260,7 +261,7 @@ def advance_to_link_event(
     round counter.
     """
     born = state.born
-    eligible = [c for c in range(1, params.n_end_nodes + 1) if born[c] < 0]
+    eligible = [c for c in range(1, params.n_end_nodes + 1) if born[c] == NO_LINK]
     if not eligible:
         state.round += 1
         return []
@@ -293,7 +294,7 @@ def do_switch_bsms(
     if state.second:
         raise ProtocolInvariantError(f"node {min(state.second)} in two groups")
     born, label = state.born, state.label
-    waiting = [c for c in range(1, params.n_end_nodes + 1) if born[c] >= 0]
+    waiting = [c for c in range(1, params.n_end_nodes + 1) if born[c] != NO_LINK]
     events: list[tuple] = []
     while len(waiting) > 1:
         valid = [(a, b) for a, b in combinations(waiting, 2) if label[a] != label[b]]

@@ -323,7 +323,8 @@ class TestFusions:
 
     def test_same_component_twice_at_node_is_flagged(self):
         state = NetworkState()
-        place(state, group(Qubit(1, 0), Qubit(2, 0), pairs=4), Qubit(1, 0), Qubit(1, 1), Qubit(2, 0))
+        comp = group(Qubit(1, 0), Qubit(2, 0), pairs=4)
+        place(state, comp, Qubit(1, 0), Qubit(1, 1), Qubit(2, 0))
         with pytest.raises(ProtocolInvariantError):
             do_fusions(state, make_params(n_end_nodes=2), shot_rng(0, 0, 9))
 

@@ -144,8 +144,8 @@ def test_skipped_born_draw_fails_the_pins(monkeypatch):
 def test_labels_kept_across_a_delivery_fail_the_pins(monkeypatch):
     # a delivered group's nodes stay one cluster: no later pair is valid, so
     # the next delivery never comes
-    monkeypatch.setattr(
-        switch.NetworkState, "remove", without_line(switch.NetworkState.remove, "self.label[v] = v"))
+    kept = without_line(switch.NetworkState.remove, "self.label[v] = v")
+    monkeypatch.setattr(switch.NetworkState, "remove", kept)
     stall_guard(monkeypatch)
     assert not any(matches(point) for point in list(PINS)[:3])
 

@@ -180,6 +180,7 @@ class TestSwitchBsms:
         assert links(state) == [] and len(state.groups()) == 1
         comp = state.groups()[0]
         assert set(comp.nodes) == {1, 2} and (state.slot[1], state.slot[2]) == (0, 0)
+        assert state.label[1] == state.label[2]  # one cluster from now on
         state.validate(2)
         assert comp.entries == []
         assert comp.ghz_fidelity(state.round, 1.0) == pytest.approx(1.0, abs=1e-12)
@@ -195,6 +196,7 @@ class TestSwitchBsms:
         )
         assert events == [("bsm", 1, 2, False)]
         assert links(state) == [] and state.groups() == []
+        assert state.label[1:3] == [1, 2]  # a failed measurement joins no clusters
 
     def test_three_pairs_single_uniform_measurement(self):
         params = make_params(n_end_nodes=3)

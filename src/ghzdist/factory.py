@@ -3,14 +3,16 @@
 Each shot turns the drawn waiting times straight into per-qubit depolarizing
 parameters and the closed-form fidelity ``f_rand``.  Shots come in spans of
 1,024, each drawing from one stream, ``shot_rng(seed, span, TAG_FACTORY)``.
-``run_shot_fast`` runs one shot on a generator and is the reference;
-``estimate`` runs ``run_block``, which draws a span's attempts as rows of an
-array and reproduces ``run_shot_fast`` called shot after shot on the span's
-stream, bit for bit.  The spans of one job share a ``DepolarizingTable``,
-the depolarizing parameter at every wait Δ up to the largest seen, from
-which each span gathers its shots' parameters.  The density-matrix replay of
-the same noisy teleportation that certifies this fast path lives in
-``ghzdist.oracles``.
+``run_shot_fast`` runs one shot on a generator as a plain loop over its
+attempts and is the reference; ``estimate`` runs ``run_block``, which draws a
+span's attempts as rows of an array, turns a failed row into rounds only
+through its largest uniform (the inverse CDF is non-decreasing, so the
+largest uniform waits longest), and reproduces ``run_shot_fast`` called shot
+after shot on the span's stream, bit for bit.  The spans of one job share a
+``DepolarizingTable``, the depolarizing parameter at every wait Δ up to the
+largest seen, from which each span gathers its shots' parameters.  The
+density-matrix replay of the same noisy teleportation that certifies this
+fast path lives in ``ghzdist.oracles``.
 """
 
 from __future__ import annotations
@@ -28,13 +30,10 @@ from .params import (
     ConfigError,
     SimParams,
     geometric_log_miss,
-    geometric_rounds,
     geometric_rounds_array,
-    longest_geometric_round,
+    sample_geometric,
     shot_rng,
 )
-# traced by name as factory.sample_geometric; the engine does not call it
-from .params import sample_geometric  # noqa: F401
 
 WORKERS_ENV = "GHZDIST_WORKERS"
 # expected uniforms an estimate may draw: at about a microsecond per failed
@@ -91,32 +90,29 @@ def fidelity_from_deltas(params: SimParams, delta_n: Sequence[int]) -> float:
 
 
 def run_shot_fast(params: SimParams, rng: np.random.Generator) -> ShotRecord:
-    """One full protocol execution with closed-form noise bookkeeping.
+    """One full protocol execution as a scalar loop, the reference that
+    ``run_block`` reproduces: every attempt turns all N uniforms into rounds
+    with ``sample_geometric``, takes their maximum, and then, unless
+    q_bsm = 1, draws the Bernoulli(q_bsm^N) coin with a second call.
 
-    Each teleportation attempt draws its N link waits and then, unless
-    q_bsm = 1, its Bernoulli(q_bsm^N) success coin, in one ``rng.random``
-    call.  A failure restarts Bell distribution from scratch and adds only
-    the attempt's longest wait to the duration, so only the successful
-    attempt's uniforms are turned into rounds.
+    No estimate runs it.  It keeps its name because the benchmark's tracer
+    and ``tests/test_trace_sites.py`` look up ``factory.run_shot_fast``.
     """
     n = params.n_end_nodes
-    log_miss = geometric_log_miss(params.q_link)
-    coin = params.q_bsm != 1.0  # at q_bsm = 1 no coin is drawn
-    p_teleport = params.q_bsm**n
-    attempts = 1
+    attempts = 0
     duration = 0
-    u = rng.random(n + coin).tolist()
-    while coin and u.pop() >= p_teleport:
+    while True:
+        rounds = sample_geometric(rng, params.q_link, n)
+        n_all = max(rounds)
         attempts += 1
-        duration += longest_geometric_round(u, log_miss)
-        u = rng.random(n + 1).tolist()
-    rounds = geometric_rounds(u, log_miss)
-    n_all = max(rounds)
+        duration += n_all
+        if params.q_bsm == 1.0 or rng.random() < params.q_bsm**n:
+            break
     return ShotRecord(
-        attempts,
-        tuple(rounds),
-        duration + n_all,
-        fidelity_from_deltas(params, [n_all - r for r in rounds]),
+        teleport_attempts=attempts,
+        rounds=tuple(rounds),
+        duration_rounds=duration,
+        fidelity=fidelity_from_deltas(params, [n_all - r for r in rounds]),
     )
 
 

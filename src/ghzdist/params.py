@@ -181,12 +181,6 @@ def geometric_rounds_array(uniforms: np.ndarray, log_miss: float) -> np.ndarray:
     return rounds
 
 
-def longest_geometric_round(uniforms: Sequence[float], log_miss: float) -> int:
-    """``max(geometric_rounds(uniforms, log_miss))`` from a single log: the
-    inverse CDF is non-decreasing in u, so the largest uniform waits longest."""
-    return int(math.log1p(-max(uniforms)) / log_miss) + 1
-
-
 def sample_geometric(rng: np.random.Generator, q: float, size: int) -> list[int]:
     """``size`` geometric(q) numbers of attempts until first success.
 

@@ -431,6 +431,8 @@ def estimate_switch(params: SimParams) -> Estimates:
     """Aggregate params.shots consecutive executions (after one discarded
     warm-up execution that damps the empty-network transient)."""
     records = run_executions(params, params.shots)
-    durations = np.array([r.duration_rounds for r in records], dtype=np.int64)
+    # float64: exact below 2^53 and, past 2^63, no overflow; ``summarize``
+    # takes the durations to floats anyway
+    durations = np.array([r.duration_rounds for r in records], dtype=np.float64)
     fidelities = np.array([r.fidelity for r in records])
     return summarize(durations, fidelities, params.dt)

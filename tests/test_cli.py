@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -171,6 +172,20 @@ class TestSimulate:
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "q_link" in err[0]
+
+    def test_switch_duration_past_int64_runs(self, tmp_path, capsys):
+        # a delivery takes ~q_bsm^-1 / q_link ~ 1e19 rounds, past 2^63: the
+        # engine's round counter is a Python int, and the durations summarize
+        # reads must not overflow on their way into an array
+        out = tmp_path / "out.csv"
+        argv = ["simulate", "--protocol", "switch", "--set", "n_end_nodes=2",
+                "--set", "q_link=1e-15", "--set", "q_bsm=1e-4", "--set", "shots=2",
+                "--set", "seed=1", "--output", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        (row,) = read_rows(out)
+        rate = float(row["rate_mean"])
+        assert 0.0 < rate < 2.0**-63 and math.isfinite(rate)
 
     @pytest.mark.parametrize("target", ["output", "svg", "config"])
     def test_file_error_is_one_error_line(self, tmp_path, capsys, target):

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ghzdist import factory as factory_module
 from ghzdist.analytics import rate_exact
@@ -26,7 +26,6 @@ from ghzdist.factory import (
     summarize,
     worker_count,
 )
-from ghzdist.oracles import reference_run_shot
 from ghzdist.params import TAG_FACTORY, ConfigError, SimParams, shot_rng
 
 
@@ -174,64 +173,6 @@ class TestEstimate:
             summarize(np.array([3]), np.array([0.9]), 1.0)
 
 
-def assert_matches_reference(params, seed, shot):
-    fast = run_shot_fast(params, shot_rng(seed, shot, TAG_FACTORY))
-    ref = reference_run_shot(params, shot_rng(seed, shot, TAG_FACTORY))
-    assert fast._asdict() == ref._asdict()
-
-
-class TestKernelAgainstReference:
-    """The kernel turns only the successful attempt's uniforms into rounds;
-    the reference turns every attempt's and draws the coin separately."""
-
-    @pytest.mark.parametrize(
-        "n, q_link, q_bsm",
-        [
-            c
-            for c in itertools.product((2, 5, 16, 64), (1e-6, 0.01, 0.5, 1.0), (1.0, 0.95, 0.5))
-            # 0.5^64 is below a uniform's resolution, and 0.5^16 costs the
-            # reference ~65k attempts per shot (one case below)
-            if c[0] <= 5 or c[2] != 0.5
-        ],
-    )
-    def test_records_equal(self, n, q_link, q_bsm):
-        params = make_params(
-            n_end_nodes=n, q_link=q_link, q_bsm=q_bsm, p_link=0.98, p_mem=0.999
-        )
-        for seed, shot in ((4, 0), (4, 1), (2**32 + 4, 0), (2**40 + 1, 2**33 + 5)):
-            assert_matches_reference(params, seed, shot)
-
-    def test_records_equal_at_half_q_bsm_and_sixteen_nodes(self):
-        params = make_params(n_end_nodes=16, q_link=0.5, q_bsm=0.5)
-        assert_matches_reference(params, 2**32 + 4, 0)
-
-    @settings(deadline=None, max_examples=50)
-    @given(
-        n=st.integers(2, 12),
-        q_link=st.floats(1e-15, 1.0),
-        q_bsm=st.sampled_from([1.0, 0.99, 0.9, 0.75]),
-        seed=st.integers(0, 2**64 - 1),
-        shot=st.integers(0, 2**64 - 1),
-    )
-    def test_records_equal_on_random_points(self, n, q_link, q_bsm, seed, shot):
-        params = make_params(n_end_nodes=n, q_link=q_link, q_bsm=q_bsm)
-        assert_matches_reference(params, seed, shot)
-
-    def test_one_draw_call_per_attempt(self):
-        class CountingGenerator:
-            def __init__(self, rng):
-                self.rng, self.sizes = rng, []
-
-            def random(self, size):
-                self.sizes.append(size)
-                return self.rng.random(size)
-
-        for q_bsm, draws in ((1.0, 5), (0.6, 6)):
-            rng = CountingGenerator(shot_rng(8, 0, TAG_FACTORY))
-            rec = run_shot_fast(make_params(q_bsm=q_bsm), rng)
-            assert rng.sizes == [draws] * rec.teleport_attempts
-
-
 def assert_block_matches_shots(params, span, shots):
     block = run_block(params, span, shots)
     rng = shot_rng(params.seed, span, TAG_FACTORY)
@@ -247,6 +188,83 @@ BLOCK_SEEDS = (0, 7, 2**40 + 3, 2**64 - 1)
 # (span, shots): a whole span, an odd count, a single shot, and the last
 # span index
 BLOCK_CASES = ((0, _SPAN), (1, 7), (2**40, 1), (2**64 - 1, 300))
+
+
+# q_bsm^-40 H_40 / q_link ~ 1.1e19 rounds a shot, past 2^63: run_block
+# would wrap durations negative
+OVERFLOWING_POINT = dict(n_end_nodes=40, q_bsm=0.8, q_link=2.97e-15, shots=2326, seed=0)
+# the property guard runs as many shots of a point, up to a whole span, as
+# the loop's expected q_bsm^-N (N + 1) uniforms a shot allow within this
+GUARD_UNIFORMS = 20_000
+
+
+@st.composite
+def factory_points(draw):
+    """The keys of a factory point: N up to 1,023, any q_link ``SimParams``
+    accepts and q_bsm down to its floor q_bsm^N = 2^-53, drawn as the
+    point's q_bsm^-N attempts a shot on a log scale, so that cheap points
+    and points too costly to accept both come up."""
+    n = draw(st.integers(2, 1023))
+    attempts_log2 = draw(st.floats(0.0, 53.0))
+    return dict(
+        n_end_nodes=n,
+        q_link=draw(st.floats(1e-15, 1.0)),
+        q_bsm=2.0 ** (-attempts_log2 / n),
+        shots=draw(st.integers(2, 3000)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+def block_matches_loop_unless_rejected(point, uniforms=GUARD_UNIFORMS):
+    """Asserts that ``SimParams`` or ``check_attempt_budget`` rejects
+    ``point`` with a ``ConfigError``, or that ``run_block(params, 0, rows)``
+    equals ``rows`` sequential ``run_shot_fast`` calls, ``rows`` as many
+    shots as ``uniforms`` allow.  False for a point too costly to compare."""
+    try:
+        params = SimParams(**point)
+        factory_module.check_attempt_budget(params)
+    except ConfigError:
+        return True
+    n = params.n_end_nodes
+    rows = min(params.shots, _SPAN, int(uniforms / ((n + 1) * params.q_bsm**-n)))
+    if rows >= 1:
+        assert_block_matches_shots(params, 0, rows)
+    return rows >= 1
+
+
+class TestKernelAgainstReference:
+    """``run_block``, the kernel every estimate runs, against the plain loop
+    ``run_shot_fast`` (which turns every attempt's uniforms into rounds and
+    draws the coin with a second call): at N = 64, which the block grid
+    leaves out, at q_bsm = 0.5, and over the whole domain ``estimate``
+    accepts."""
+
+    @pytest.mark.parametrize(
+        "n, q_link, q_bsm",
+        [
+            c
+            for c in itertools.product((2, 5, 16, 64), (1e-6, 0.01, 0.5, 1.0), (1.0, 0.95, 0.5))
+            # 0.5^64 is below a uniform's resolution, and 0.5^16 costs the
+            # loop ~65k attempts per shot (one case below)
+            if c[0] <= 5 or c[2] != 0.5
+        ],
+    )
+    def test_records_equal(self, n, q_link, q_bsm):
+        for seed, span in ((4, 0), (4, 1), (2**32 + 4, 0), (2**40 + 1, 2**33 + 5)):
+            params = make_params(
+                n_end_nodes=n, q_link=q_link, q_bsm=q_bsm, p_link=0.98, p_mem=0.999, seed=seed
+            )
+            assert_block_matches_shots(params, span, 2)
+
+    def test_records_equal_at_half_q_bsm_and_sixteen_nodes(self):
+        params = make_params(n_end_nodes=16, q_link=0.5, q_bsm=0.5, seed=2**32 + 4)
+        assert_block_matches_shots(params, 0, 1)
+
+    @settings(deadline=None, max_examples=50)
+    @given(point=factory_points())
+    @example(point=OVERFLOWING_POINT)
+    def test_records_equal_on_random_points(self, point):
+        assume(block_matches_loop_unless_rejected(point))
 
 
 def assert_job_matches_shots(params, first, last):
@@ -462,25 +480,29 @@ class TestAttemptBudget:
         with pytest.raises(ConfigError, match="q_bsm"):
             estimate(params)
 
-    def test_rejects_durations_near_int64(self):
-        # q_bsm^-40 H_40 / q_link ~ 1.1e19 rounds a shot, past 2^63: run_block
-        # would wrap durations negative
-        params = make_params(n_end_nodes=40, q_bsm=0.8, q_link=2.97e-15, shots=2326, seed=0)
+    def test_rejects_durations_near_int64(self, monkeypatch):
+        params = SimParams(**OVERFLOWING_POINT)
         with pytest.raises(ConfigError, match="q_link"):
             check_attempt_budget(params)
         with pytest.raises(ConfigError, match="q_link"):
             estimate(params)
+        # negative control: let through, run_block's int64 durations wrap
+        # (an overflow warning, an error in this suite, or a mismatch with
+        # the loop); two shots of its ~3 * 10^5 uniforms each
+        monkeypatch.setattr(factory_module, "check_attempt_budget", lambda params: None)
+        with pytest.raises((AssertionError, RuntimeWarning)):
+            block_matches_loop_unless_rejected(OVERFLOWING_POINT, uniforms=7e5)
 
     def test_durations_within_headroom_run_exactly(self):
         # q_bsm^-2 H_2 / q_link ~ 1.7e16 rounds a shot, a factor ~550 below
-        # 2^63: accepted, and a whole span matches the scalar reference with
-        # no overflow warning (warnings are errors in this suite)
+        # 2^63: accepted, and a whole span matches the plain loop with no
+        # overflow warning (warnings are errors in this suite)
         params = make_params(n_end_nodes=2, q_bsm=0.3, q_link=1e-15, shots=_SPAN, seed=0)
         check_attempt_budget(params)
         block = run_block(params, 0, _SPAN)
         rng = shot_rng(params.seed, 0, TAG_FACTORY)
         for row in range(_SPAN):
-            rec = reference_run_shot(params, rng)
+            rec = run_shot_fast(params, rng)
             assert rec.duration_rounds == block.duration_rounds[row] > 0, row
             assert rec.fidelity == block.fidelity[row], row
 

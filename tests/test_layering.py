@@ -1,6 +1,6 @@
 """Import layering: dense density matrices stay behind the oracles (no
-engine imports ``ghzdist.dm``, not even its qubit label), and the closed
-forms are plain Python."""
+engine imports ``ghzdist.dm``, not even its qubit label), nothing but the
+command line imports the oracles, and the closed forms are plain Python."""
 
 import ast
 from pathlib import Path
@@ -37,6 +37,20 @@ def under(names: set[str], package: str) -> set[str]:
 )
 def test_imports_nothing_from_dm(module):
     assert under(imported_names(module), "ghzdist.dm") == set()
+
+
+@pytest.mark.parametrize(
+    "module", ["factory", "switch", "params", "analytics", "svgplot", "dm"]
+)
+def test_imports_nothing_from_oracles(module):
+    # the references check the engines, so no engine may lean on them
+    assert under(imported_names(module), "ghzdist.oracles") == set()
+
+
+def test_cli_seen_importing_oracles():
+    # the walk must see an import inside a function: the verify command's
+    assert under(imported_names("cli"), "ghzdist.oracles") == {
+        "ghzdist.oracles", "ghzdist.oracles.run_verification"}
 
 
 def test_analytics_imports_no_numpy():

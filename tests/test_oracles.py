@@ -11,16 +11,15 @@ from ghzdist import (
     dm as dm_module,
     factory as factory_module,
     oracles as oracles_module,
-    params as params_module,
     switch as switch_module,
 )
 from ghzdist.analytics import GSpec, expected_order_stat, g_value
 from ghzdist.factory import fidelity_from_deltas, run_shot_fast
 from ghzdist.oracles import (
     CHECKS,
+    block_factory_mismatches,
     coefficient_identity_check,
     enumerate_waiting_times,
-    factory_kernel_mismatches,
     mc_g,
     replay_factory_dm,
     run_verification,
@@ -173,13 +172,19 @@ class TestReplay:
 
 
 class TestFactoryKernelCheck:
+    """``block_factory_mismatches`` holds ``run_block`` to the plain loop
+    ``run_shot_fast``, at a seed other than the ``verify`` stream's."""
+
     def test_kernel_matches_reference(self):
-        assert factory_kernel_mismatches() == 0
+        assert block_factory_mismatches(np.random.default_rng(11)) == 0
 
     def test_off_by_one_longest_wait_trips_check(self, monkeypatch):
-        fault, _ = FAULTS["factory_kernel_vs_reference"]
-        fault(monkeypatch)
-        assert factory_kernel_mismatches() > 0
+        # every failed attempt adds one round more than its largest uniform's
+        monkeypatch.setattr(
+            factory_module, "_tally",
+            lambda won, lost, carry: _EXACT_TALLY(won, lost + (lost > 0), carry),
+        )
+        assert block_factory_mismatches(np.random.default_rng(11)) > 0
 
 
 def _weight_dropping_p_bsm(born_a, born_b, round_now, params):
@@ -216,7 +221,6 @@ _EXACT_CLOSED_FORM = analytics_module.fidelity_closed_form
 _EXACT_DEPOLARIZE = dm_module._depolarize_strided
 _EXACT_F_RAND = analytics_module.f_rand
 _EXACT_FUSED_ENTRIES = switch_module.Component.fused_entries
-_EXACT_LONGEST = params_module.longest_geometric_round
 _EXACT_ORDER_STAT = analytics_module.expected_order_stat
 _EXACT_PAULI_CORRECT = dm_module.pauli_correct
 _EXACT_RANK_FACTOR = analytics_module._rank_factor
@@ -316,7 +320,7 @@ def _product_of_marginals_readout(comp, now, p_mem):
 
 # check name, optionally followed by "/" and the name of a further fault of
 # that check -> (a fault, every check that fault fails).  A fault in code that
-# several checks share fails each of them; one in the per-shot factory kernel
+# several checks share fails each of them; one in the factory's plain loop
 # also fails block_vs_scalar_factory, which holds the block engine to it.
 FAULTS = {
     "order_stat_exact_vs_enumeration": (
@@ -381,12 +385,6 @@ FAULTS = {
         _patch((switch_module, "swapped_weight", _weight_dropping_p_bsm)),
         {"werner_swap_vs_dense_bsm", "switch_fidelity_vs_tree_closed_form"},
     ),
-    # a failed attempt that adds one round too many to the duration
-    "factory_kernel_vs_reference": (
-        _patch((factory_module, "longest_geometric_round",
-                lambda u, log_miss: _EXACT_LONGEST(u, log_miss) + 1)),
-        {"factory_kernel_vs_reference", "block_vs_scalar_factory"},
-    ),
     # each distinct delta's p_mem power through np.power, not the scalar **
     "block_vs_scalar_factory": (
         _patch((factory_module, "qubit_depolarizing", _depolarizing_via_np_power)),
@@ -445,7 +443,6 @@ class TestVerificationRunner:
             "dm_replay_vs_fast_kernel",
             "fidelity_recursion_vs_subset_sum",
             "werner_swap_vs_dense_bsm",
-            "factory_kernel_vs_reference",
             "block_vs_scalar_factory",
             "g_lower_bound_gap_relative",
             "switch_fidelity_vs_tree_closed_form",

@@ -16,7 +16,6 @@ from ghzdist.params import (
     geometric_rounds,
     geometric_rounds_array,
     load_params,
-    longest_geometric_round,
     parse_config_text,
     sample_geometric,
     shot_rng,
@@ -337,7 +336,9 @@ class TestGeometricRoundsArray:
 
 class TestLongestRound:
     """A failed teleportation attempt adds only the wait of its largest
-    uniform, which must equal the largest of its N rounds."""
+    uniform, which must equal the largest of its N rounds: ``run_block``
+    maps each failed row's largest uniform through
+    ``geometric_rounds_array``."""
 
     @settings(deadline=None)
     @given(q=q_links, us=st.lists(uniforms, min_size=1, max_size=20))
@@ -345,7 +346,8 @@ class TestLongestRound:
     @example(q=1e-15, us=[0.0, LARGEST_UNIFORM])
     def test_equals_max_of_rounds(self, q, us):
         log_miss = geometric_log_miss(q)
-        assert longest_geometric_round(us, log_miss) == max(geometric_rounds(us, log_miss))
+        longest = geometric_rounds_array(np.array([max(us)]), log_miss)[0]
+        assert longest == max(geometric_rounds(us, log_miss))
 
     @settings(deadline=None)
     @given(q=q_links, frac=st.floats(0.0, 1.0))
@@ -365,10 +367,7 @@ class TestLongestRound:
         near = [v for v in near if 0.0 <= v <= LARGEST_UNIFORM]
         rounds = geometric_rounds(near, log_miss)
         assert rounds == sorted(rounds)
-        for i in range(len(near)):
-            for j in range(i, len(near)):
-                pair = [near[j], near[i]]
-                assert longest_geometric_round(pair, log_miss) == rounds[j]
+        assert geometric_rounds_array(np.array(near), log_miss).tolist() == rounds
 
     def test_certain_success_maps_every_uniform_to_one(self):
         assert geometric_rounds([0.0, 0.5, LARGEST_UNIFORM], geometric_log_miss(1.0)) == [1, 1, 1]

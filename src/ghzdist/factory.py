@@ -233,11 +233,17 @@ def _tally(
     """The attempts and failed rounds of each shot that succeeds at a row in
     ``won``, and the carry into the next chunk.  ``lost`` holds each row's
     failed rounds (0 for a success); ``carry`` holds the attempts and rounds
-    failed since the last success in earlier chunks."""
+    failed since the last success in earlier chunks.
+
+    At a small q_link the running total of a chunk's rounds can pass 2^63
+    and wrap; each difference taken from it is rounds of one shot, far below
+    2^63 (``check_attempt_budget``), so int64's modular arithmetic still
+    gives it exactly.  They are all taken as one array ``np.diff``, which,
+    unlike a scalar subtraction, does not warn when it wraps."""
     total = np.cumsum(lost)
     ends = np.concatenate(([-1 - carry[0]], won))
-    spent = np.concatenate(([-carry[1]], total[won]))
-    return np.diff(ends), np.diff(spent), (len(lost) - 1 - ends[-1], total[-1] - spent[-1])
+    rounds = np.diff(np.concatenate(([-carry[1]], total[won], total[-1:])))
+    return np.diff(ends), rounds[:-1], (len(lost) - 1 - ends[-1], rounds[-1])
 
 
 def run_block(

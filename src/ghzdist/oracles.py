@@ -527,17 +527,19 @@ def werner_swap_error(rng: np.random.Generator) -> float:
 
 def switch_ledger_error(rng: np.random.Generator) -> float:
     """Worst deviation of ``switch.do_fusions`` and the ledger read-out from
-    the same fusions on dense matrices, with the Z outcomes the engine drew.
+    the same fusions on dense matrices, each Z outcome drawn here.
 
     For N in 2..7, a random chain through the end nodes holds one Phi+ group
     per link, each qubit owing a random pending factor since a random round.
     The links go in over two fusion phases, with p_mem aging between them and
     before the read-out.  The dense side builds each pair with
     ``dm.make_bell``, depolarizes each qubit by what it owes when it is
-    fused or read out, fuses with ``dm.fusion`` read as the engine's outcome
-    (a dense CNOT and Z projection, whose probability of reading 0 must be
-    1/2, then on outcome 1 X on the target group's other qubits), and reads
-    ``dm.fidelity_to_ghz``.  Three chains per N."""
+    fused or read out, fuses with ``dm.fusion`` read as a fair coin from this
+    check's stream (a dense CNOT and Z projection, whose probability of
+    reading 0 must be 1/2, then on outcome 1 X on the target group's other
+    qubits), and reads ``dm.fidelity_to_ghz``.  The engine draws no outcome,
+    as once corrected both leave one state; the coin makes the dense side
+    show it.  Three chains per N."""
     worst = 0.0
     for n, _ in itertools.product(range(2, 8), range(3)):
         params = SimParams(n_end_nodes=n, q_link=0.5, p_mem=0.8 + 0.2 * float(rng.random()))
@@ -566,7 +568,8 @@ def switch_ledger_error(rng: np.random.Generator) -> float:
                 for q in (a, b):
                     state.hold(group, q.node, q.slot)
                 dense[a] = dense[b] = dmod.make_bell(a, b)
-            for _, node, bit in switch.do_fusions(state, params, rng):
+            for _, node in switch.do_fusions(state, params, rng):
+                bit = int(rng.random() >= 0.5)
                 control, target = Qubit(node, 0), Qubit(node, 1)
                 group_a, group_b = dense[control], dense[target]
                 group_a = decay(group_a, control, state.round)

@@ -1,6 +1,7 @@
 """Protocol parameters, read from a flat config file and from ``key = value``
 settings by one parser, and reproducible randomness: counter-based numpy
-streams (``shot_rng``) and the geometric inverse CDF on their uniforms."""
+streams (``shot_rng``), a buffered reader of their uniforms (``Uniforms``)
+and the geometric inverse CDF on them."""
 
 from __future__ import annotations
 
@@ -141,6 +142,48 @@ def shot_rng(seed: int, shot_index: int, tag: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=(seed, shot_index, tag)))
     )
+
+
+# uniforms a ``Uniforms`` stream draws from its Generator at a time
+BLOCK = 1024
+
+
+class Uniforms:
+    """``rng``'s uniforms, drawn ``BLOCK`` at a time and handed out in draw
+    order.
+
+    ``random()`` returns the next one as a float and ``random(size)`` the
+    next ``size`` as an ndarray (a view of the block unless they cross its
+    end): draw for draw what the same calls on ``rng`` return, as
+    ``Generator.random(n)`` yields the doubles of n scalar calls, but without
+    a Generator call per draw.  Nothing else may draw from ``rng``.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._refill()
+
+    def _refill(self) -> None:
+        self._block = self._rng.random(BLOCK)
+        self._floats = self._block.tolist()
+        self._next = 0
+
+    def random(self, size: int | None = None):
+        i = self._next
+        if size is None:
+            if i == BLOCK:
+                self._refill()
+                i = 0
+            self._next = i + 1
+            return self._floats[i]
+        end = i + size
+        if end <= BLOCK:
+            self._next = end
+            return self._block[i:end]
+        # the block's rest, then the Generator's next draws, then a new block
+        head, rest = self._block[i:], self._rng.random(end - BLOCK)
+        self._refill()
+        return np.concatenate([head, rest])
 
 
 def geometric_log_miss(q: float) -> float:

@@ -28,8 +28,8 @@ noise pending on one remote (``swapped_weight``), as depolarizing either
 qubit of Phi+ gives one state.  A fusion at node v of control a (the lower
 slot) in group A with target b in group B turns an S holding v into the
 rest of its side, ``mask ^ S`` (``Component.fused_entries``); its Z outcome
-has probability 1/2 and, once corrected, leaves the same state.  The
-read-out (``Component.ghz_fidelity``) is the character sum
+has probability 1/2 and, once corrected, leaves the same state, so none is
+drawn.  The read-out (``Component.ghz_fidelity``) is the character sum
 F = 1/2 prod_e d_e + 2^-k sum_t prod_e d_e^[<t, S_e> odd] over the
 even-weight t in {0, 1}^k, whose 2^(k-1) terms bound N by MAX_END_NODES;
 each entry's members are read from S by bit shifts in the group's qubit
@@ -45,6 +45,13 @@ different labels; a node whose link it consumes while the node holds a
 group qubit keeps the new group as its second qubit (``NetworkState.
 second``), and ``do_fusions`` fuses those nodes in ascending order.  A
 group spans every end node when its mask is bits 1..N.
+
+A run reads one stream of uniforms (``params.Uniforms`` on ``shot_rng(seed,
+0, TAG_SWITCH)``) and draws nothing else, in this order: one per eligible
+connection of each link phase, then per Bell measurement the pair
+``valid[floor(u * len(valid))]`` when more than one pair is valid and the
+success coin when q_bsm < 1.  Nothing that leaves the state as it is, a Bell
+or fusion outcome, is drawn.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from itertools import combinations
 import numpy as np
 
 from .factory import Estimates, summarize
-from .params import TAG_SWITCH, ConfigError, SimParams, sample_geometric, shot_rng
+from .params import TAG_SWITCH, ConfigError, SimParams, Uniforms, sample_geometric, shot_rng
 
 NODE_MEMORY_SLOTS = 2
 # the read-out sums 2^(N-1) terms over N qubits
@@ -286,10 +293,14 @@ def do_switch_bsms(
     groups: every connected group is fused into one GHZ-like state by the end
     of the round, and pairing inside a cluster would create a cycle that
     fusion cannot absorb.  The clusters are the persistent node labels;
-    a failed measurement changes none.  Success merges the two link pairs
+    a failed measurement changes none.  The pair is ``valid[floor(u *
+    len(valid))]`` on one uniform, drawn only when more than one pair is
+    valid, and the measurement succeeds when a second uniform is below q_bsm,
+    drawn only when q_bsm < 1.  Success merges the two link pairs
     into Phi+ on their remotes (Pauli-corrected at the second end node), its
     noise pending on the second remote, and merges the two nodes' labels;
-    failure resets both pairs.
+    failure resets both pairs.  The Bell outcome is not drawn: once
+    Pauli-corrected, all four leave the same pair.
     """
     if state.second:
         raise ProtocolInvariantError(f"node {min(state.second)} in two groups")
@@ -300,8 +311,7 @@ def do_switch_bsms(
         valid = [(a, b) for a, b in combinations(waiting, 2) if label[a] != label[b]]
         if not valid:
             break
-        # integers(1) draws nothing, so a single valid pair skips the call
-        a, b = valid[rng.integers(len(valid))] if len(valid) > 1 else valid[0]
+        a, b = valid[int(rng.random() * len(valid))] if len(valid) > 1 else valid[0]
         waiting.remove(a)
         waiting.remove(b)
         born_a, born_b = born[a], born[b]
@@ -310,7 +320,6 @@ def do_switch_bsms(
             # failed measurement: both source pairs are reset in full
             events.append(("bsm", a, b, False))
             continue
-        rng.random()  # Born draw, unused: all four outcomes leave the same pair
         w = swapped_weight(born_a, born_b, state.round, params)
         comp = Component([a, b], 1 << a | 1 << b, {a: (1.0, born_a), b: (w, born_b)}, 2, [])
         state.hold(comp, a, state.link_slot[a])
@@ -334,8 +343,9 @@ def do_fusions(
     NODE_MEMORY_SLOTS = 2 slots, so no fusion meets it.  The control is the
     lower slot's qubit a in group A, the target b in group B; A absorbs B
     (``Component.absorb``) and every node B held points to A.  The Z
-    outcome, 1 with probability 1/2, is drawn and reported; once corrected
-    by X on B's other qubits, either outcome leaves the same state.
+    outcome, 1 with probability 1/2, is not drawn: once corrected by X on
+    B's other qubits, either outcome leaves the same state.  Each fusion is
+    reported as ``("fusion", node)``.
     """
     owner, slot, second = state.owner, state.slot, state.second
     events: list[tuple] = []
@@ -346,7 +356,6 @@ def do_fusions(
             raise ProtocolInvariantError(f"node {node} holds two qubits of one component")
         comp_a.flush(node, state.round, params.p_mem)
         comp_b.flush(node, state.round, params.p_mem)
-        bit = int(rng.random() >= 0.5)
         comp_a.absorb(comp_b, node)
         for v in comp_b.nodes:
             if owner[v] is comp_b:
@@ -355,7 +364,7 @@ def do_fusions(
             if comp is comp_b:
                 second[v] = comp_a
         slot[node] = 0
-        events.append(("fusion", node, bit))
+        events.append(("fusion", node))
     return events
 
 
@@ -418,9 +427,10 @@ def check_node_limit(params: SimParams) -> None:
 
 
 def run_executions(params: SimParams, shots: int) -> list[SwitchRecord]:
-    """Consecutive executions on one persistent network stream."""
+    """Consecutive executions on one persistent network, read through one
+    buffered stream of uniforms."""
     check_node_limit(params)
-    rng = shot_rng(params.seed, 0, TAG_SWITCH)
+    rng = Uniforms(shot_rng(params.seed, 0, TAG_SWITCH))
     state = NetworkState()
     for _ in range(WARMUP_EXECUTIONS):
         run_to_ghz(state, params, rng)

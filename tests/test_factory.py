@@ -193,6 +193,9 @@ BLOCK_CASES = ((0, _SPAN), (1, 7), (2**40, 1), (2**64 - 1, 300))
 # q_bsm^-40 H_40 / q_link ~ 1.1e19 rounds a shot, past 2^63: run_block
 # would wrap durations negative
 OVERFLOWING_POINT = dict(n_end_nodes=40, q_bsm=0.8, q_link=2.97e-15, shots=2326, seed=0)
+# ~8 attempts of ~1.5e15 rounds a shot: a span's running total of rounds
+# passes 2^63 while every shot stays far below it
+WRAPPING_TOTAL_POINT = dict(n_end_nodes=2, q_bsm=2**-1.5, q_link=1e-15, shots=774, seed=0)
 # the property guard runs as many shots of a point, up to a whole span, as
 # the loop's expected q_bsm^-N (N + 1) uniforms a shot allow within this
 GUARD_UNIFORMS = 20_000
@@ -263,6 +266,7 @@ class TestKernelAgainstReference:
     @settings(deadline=None, max_examples=50)
     @given(point=factory_points())
     @example(point=OVERFLOWING_POINT)
+    @example(point=WRAPPING_TOTAL_POINT)
     def test_records_equal_on_random_points(self, point):
         assume(block_matches_loop_unless_rejected(point))
 

@@ -49,12 +49,12 @@ def test_factory_estimate_is_bitwise_stable(n, expected):
     "n, expected",
     [
         (5, Estimates(
-            rate_mean=0.04024144869215292, rate_stderr=0.0037525720193579363,
-            fidelity_mean=0.38386930032383637, fidelity_stderr=0.024066020859898635,
+            rate_mean=0.03597122302158273, rate_stderr=0.004410560669379483,
+            fidelity_mean=0.3425772335866468, fidelity_stderr=0.030590040872416093,
             shots=20)),
         (8, Estimates(
-            rate_mean=0.038461538461538464, rate_stderr=0.003554510630136098,
-            fidelity_mean=0.20327712280463867, fidelity_stderr=0.02213773056359702,
+            rate_mean=0.03636363636363636, rate_stderr=0.0032834390452839324,
+            fidelity_mean=0.19529307490780443, fidelity_stderr=0.02060815669133639,
             shots=20)),
     ],
 )

@@ -221,6 +221,7 @@ _EXACT_CLOSED_FORM = analytics_module.fidelity_closed_form
 _EXACT_DEPOLARIZE = dm_module._depolarize_strided
 _EXACT_F_RAND = analytics_module.f_rand
 _EXACT_FUSED_ENTRIES = switch_module.Component.fused_entries
+_EXACT_FUSION = dm_module.fusion
 _EXACT_ORDER_STAT = analytics_module.expected_order_stat
 _EXACT_PAULI_CORRECT = dm_module.pauli_correct
 _EXACT_RANK_FACTOR = analytics_module._rank_factor
@@ -409,6 +410,14 @@ FAULTS = {
     ),
     "switch_ledger_vs_dense_groups": (
         _control_side_uncomplemented,
+        {"switch_ledger_vs_dense_groups"},
+    ),
+    # the dense fusion leaves outcome 1 uncorrected: only a check that
+    # draws both outcomes sees it
+    "switch_ledger_vs_dense_groups/outcome_one_uncorrected": (
+        _patch((dm_module, "fusion",
+                lambda dm, control, target, outcome, flip=():
+                    _EXACT_FUSION(dm, control, target, outcome))),
         {"switch_ledger_vs_dense_groups"},
     ),
     # every delivery and the swap check read out through it too

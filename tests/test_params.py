@@ -9,8 +9,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from ghzdist.cli import main
 from ghzdist.params import (
+    BLOCK,
     ConfigError,
     SimParams,
+    Uniforms,
     derive_p_ghz,
     geometric_log_miss,
     geometric_rounds,
@@ -246,6 +248,35 @@ class TestRngStreams:
         kwargs = {"seed": 5, "shot_index": 3, "tag": 1, arg: value}
         with pytest.raises(ValueError, match=arg):
             shot_rng(**kwargs)
+
+
+# one op of a draw sequence: a scalar draw (None) or a batch of that size,
+# some spanning more than one block
+draw_ops = st.one_of(st.none(), st.integers(0, 3 * BLOCK))
+
+
+class TestUniforms:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(ops=st.lists(draw_ops, max_size=12), seed=st.integers(0, 2**64 - 1))
+    @example(ops=[BLOCK - 1, None, None, 3], seed=0)
+    @example(ops=[None] * (BLOCK + 1), seed=1)
+    @example(ops=[BLOCK, BLOCK, None, 2 * BLOCK + 1, None], seed=2)
+    @example(ops=[5, 3 * BLOCK, 0, None], seed=3)
+    def test_equals_the_generator_draw_for_draw(self, ops, seed):
+        buffered, plain = Uniforms(shot_rng(seed, 0, 3)), shot_rng(seed, 0, 3)
+        for size in ops:
+            got, expected = buffered.random(size), plain.random(size)
+            if size is None:
+                assert type(got) is float and got == expected
+            else:
+                assert got.dtype == np.float64
+                np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("count", range(2, 56))
+    def test_largest_uniform_picks_the_last_of_count(self, count):
+        # the switch picks valid[int(u * count)] among at most C(11, 2) = 55
+        # pairs; the largest uniform must not round up to count
+        assert int(np.nextafter(1.0, 0.0) * count) == count - 1
 
 
 class TestGeometricSampling:

@@ -61,6 +61,21 @@ def network(*pairs: tuple[Qubit, Qubit]) -> NetworkState:
     return state
 
 
+class StandInStream:
+    """A Generator's ``random`` alone, counting the uniforms it hands out;
+    the switch draws nothing else, so ``integers`` raises."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.drawn = rng, 0
+
+    def random(self, size=None):
+        self.drawn += 1 if size is None else size
+        return self.rng.random(size)
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("the switch draws only uniforms")
+
+
 def links(state: NetworkState) -> list[int]:
     """The connections with a link pair waiting."""
     return [conn for conn, born in enumerate(state.born) if born != NO_LINK]
@@ -226,10 +241,11 @@ class TestSwitchBsms:
         assert links(state) == [1, 2] and len(state.groups()) == 1
 
     def test_single_valid_pair_draws_no_choice(self):
-        # the pair choice skips rng.integers(1), which would draw nothing
-        rng = shot_rng(0, 0, 9)
-        before = rng.bit_generator.state
-        assert rng.integers(1) == 0 and rng.bit_generator.state == before
+        # one valid pair at q_bsm = 1: neither a choice nor a coin is drawn
+        state = network((Qubit(0, 1), Qubit(1, 0)), (Qubit(0, 2), Qubit(2, 0)))
+        stream = StandInStream(shot_rng(0, 0, 9))
+        assert do_switch_bsms(state, make_params(n_end_nodes=2), stream) == [("bsm", 1, 2, True)]
+        assert stream.drawn == 0
 
     def test_groups_sharing_a_node_are_flagged(self):
         # between fusion phases every node holds at most one group qubit
@@ -387,6 +403,82 @@ class TestRunToGhz:
                 state.validate(params.n_end_nodes)
                 assert state.label[1:5] == [1, 2, 3, 4]
                 deliveries += 1
+
+
+def draw_rule_count(monkeypatch, params: SimParams, deliveries: int) -> tuple[int, int]:
+    """Uniforms ``deliveries`` ``run_to_ghz`` calls draw, and the count the
+    stream rule gives from the phases' states and events: one per eligible
+    connection of each link phase, one per BSM that had more than one valid
+    pair, and one per BSM when q_bsm < 1."""
+    expected = [0]
+    link_phase, bsm_phase = switch_module.advance_to_link_event, switch_module.do_switch_bsms
+    n = params.n_end_nodes
+
+    def links_counted(state, params, rng):
+        expected[0] += sum(state.born[c] == NO_LINK for c in range(1, n + 1))
+        return link_phase(state, params, rng)
+
+    def bsms_counted(state, params, rng):
+        waiting = [c for c in range(1, n + 1) if state.born[c] != NO_LINK]
+        label = list(state.label)
+        events = bsm_phase(state, params, rng)
+        for _, a, b, ok in events:
+            valid = [(x, y) for i, x in enumerate(waiting) for y in waiting[i + 1:]
+                     if label[x] != label[y]]
+            expected[0] += (len(valid) > 1) + (params.q_bsm < 1.0)
+            waiting.remove(a)
+            waiting.remove(b)
+            if ok:
+                old = label[b]
+                label = [label[a] if c == old else c for c in label]
+        return events
+
+    monkeypatch.setattr(switch_module, "advance_to_link_event", links_counted)
+    monkeypatch.setattr(switch_module, "do_switch_bsms", bsms_counted)
+    state, stream = NetworkState(), StandInStream(shot_rng(params.seed, 0, TAG_SWITCH))
+    for _ in range(deliveries):
+        run_to_ghz(state, params, stream)
+    return stream.drawn, expected[0]
+
+
+DRAW_POINTS = [
+    dict(n_end_nodes=2, q_link=0.3, q_bsm=1.0),
+    dict(n_end_nodes=3, q_link=0.5, q_bsm=0.6),
+    dict(n_end_nodes=5, q_link=0.01, q_bsm=0.95, p_mem=0.999),
+    dict(n_end_nodes=8, q_link=1.0, q_bsm=1.0),
+    dict(n_end_nodes=11, q_link=0.2, q_bsm=0.9),
+]
+
+
+class TestDrawRule:
+    """The switch's uniforms, in the order a lockstep engine must reproduce."""
+
+    @pytest.mark.parametrize("kwargs", DRAW_POINTS, ids=lambda k: f"n{k['n_end_nodes']}")
+    def test_draws_follow_the_stream_rule(self, monkeypatch, kwargs):
+        drawn, expected = draw_rule_count(monkeypatch, make_params(seed=4, **kwargs), 20)
+        assert drawn == expected > 0
+
+    def test_an_unused_draw_breaks_the_count(self, monkeypatch):
+        # negative control: the Born draw the engine no longer makes
+        bsm_phase = switch_module.do_switch_bsms
+
+        def with_born_draw(state, params, rng):
+            events = bsm_phase(state, params, rng)
+            for *_, ok in events:
+                if ok:
+                    rng.random()
+            return events
+
+        monkeypatch.setattr(switch_module, "do_switch_bsms", with_born_draw)
+        drawn, expected = draw_rule_count(monkeypatch, make_params(seed=4, **DRAW_POINTS[2]), 5)
+        assert drawn > expected
+
+    @pytest.mark.parametrize("kwargs", DRAW_POINTS, ids=lambda k: f"n{k['n_end_nodes']}")
+    def test_runs_on_uniforms_alone(self, kwargs):
+        state, stream = NetworkState(), StandInStream(shot_rng(9, 0, TAG_SWITCH))
+        for _ in range(10):
+            record, state = run_to_ghz(state, make_params(**kwargs), stream)
+            assert record.pairs_consumed == 2 * (kwargs["n_end_nodes"] - 1)
 
 
 class TestJumpEquivalence:

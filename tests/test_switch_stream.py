@@ -24,50 +24,50 @@ DELIVERIES = 60
 
 # (n_end_nodes, q_link, q_bsm): (sha256 of the integer stream, fsum of the fidelities)
 PINS = {
-    (2, 0.01, 0.6): ("6cc214c4cefd5e9b0f2deb53cfc8a40b20507d6618df97793d9116641c442d72", 53.390986164581136),
-    (2, 0.01, 0.95): ("5fe1d5b75d006af1b429d21496cdcfa948593e2a434bc7e798d10048430d5e69", 51.435772962236115),
-    (2, 0.01, 1.0): ("992ccd3e6936d5b0246a91b73501f8c06e1b9b38b6d8c7e3a1f823bd37a03265", 52.46541418202668),
-    (2, 0.3, 0.6): ("02b58fced4ce2dd228ffcd8a0ab659e44bbdec08c831ea2148deec954e3ab6d3", 59.784768818034344),
-    (2, 0.3, 0.95): ("b5e802b8af43a255ef0dc9e23b549ab2ad0b0a8237896aa76ad3c89d8c684da1", 59.752145830841954),
-    (2, 0.3, 1.0): ("6685574c1356b4e2c826f61b0b4de7d9ef6477646312ed41706c22157de8e4ce", 59.723833635529424),
-    (2, 1.0, 0.6): ("efcb52bad34dfa558e9ee3b3b69b84083af21f98b1427fa52e94b11da7e209a3", 60.0),
-    (2, 1.0, 0.95): ("4c65c5de94b25ad9b6ff1cec5ea0a4d51789c400d8712b49e5bcd0113cedd98e", 60.0),
+    (2, 0.01, 0.6): ("3a7529dc2b2cdfada16d74fa5822f5de91677491077b800567ec3326d8153bb7", 53.33356999619158),
+    (2, 0.01, 0.95): ("7f30fa57a943889277554be93847e300aee58f001d50cb618dbcb429d4ca8eee", 52.501863797191824),
+    (2, 0.01, 1.0): ("855701fdfb627565f90378fe3855dc0be66953b78b07223041981f0af1ec8f32", 51.966076000399845),
+    (2, 0.3, 0.6): ("b407c4d62f9ca91be0217844a6841816f9d4efc6547a5c10f0e05165016ab41f", 59.76842016556722),
+    (2, 0.3, 0.95): ("a62094d4106289144271bd7e137dd1703e6381beec51833964d178e5dd325260", 59.72235231367474),
+    (2, 0.3, 1.0): ("8ce77137f728cd2ddec0fc5ea0ebf65e37ed50b5ffacfd8a2962404ab97c0dd6", 59.743495406203905),
+    (2, 1.0, 0.6): ("0d3e8cfc8f6db08bd37268160b9a01904de508a7dcaecce5adbde1052fc8450f", 60.0),
+    (2, 1.0, 0.95): ("f788890e347bb5c7e966dcf296d6f3aeff5015cdfcbe455a018559bf61d4afe3", 60.0),
     (2, 1.0, 1.0): ("616834706f7055de3e1fa048e4c1963210df530906c59a7d2bd40218c6509a9e", 60.0),
-    (3, 0.01, 0.6): ("0fa15a549f9571acde0b7a25dc25eb1b7156aeafb45bb16c7b4d13d7dcc5b724", 39.39021959076639),
-    (3, 0.01, 0.95): ("e46da97d4f0b812b91d0599ec5e7ba61082beb5c15982d0cbc7de4c491edfabd", 39.3788266210453),
-    (3, 0.01, 1.0): ("3f2393e0988678be2edec3915a32e87e9495abc864795f1e0a4ac0e7ef59c0dc", 43.2466778671205),
-    (3, 0.3, 0.6): ("1a3d2d790ff322a6d186463183221033f433cb94c6f626448555e9ca46d59e13", 58.85638661228985),
-    (3, 0.3, 0.95): ("efc54170d54014747a6e0976407ad479c26d227f0946d0d27658e743012ffbfe", 59.23704975578236),
-    (3, 0.3, 1.0): ("2a7ca98de2a1e30a7f9a2a9ced80fa66b4cbf5b456561f84d2efa19cd079c30d", 59.330549331528445),
-    (3, 1.0, 0.6): ("ba14368fc667e0ef6cd20f1cecd36918f9a6abdcdef53ece5702aaa3a5d333e9", 59.65472968358428),
-    (3, 1.0, 0.95): ("b7597d5acae1c96f9b940d3b1d9961e5c2f00364804b7edf15d33fc14186db9c", 59.72912344610587),
+    (3, 0.01, 0.6): ("b2827a2ee4d693196d74ab8c7c7a4957b4c01edc296596c723b8a566d1007894", 37.32464668106454),
+    (3, 0.01, 0.95): ("125e3dda604fc13780eb9d533c389b380ef5aaf72dee32c4b8385967f2a42a60", 40.03920546535793),
+    (3, 0.01, 1.0): ("e35b3b96e2b763afe5ca9ec8401b161b2c48b5cf0113bfb6049d4aa85c4a56f9", 40.5365824520099),
+    (3, 0.3, 0.6): ("f387c68cbef68a0840b352cd9d21117483d99eeb72c7bbc1d2c225690293dd0f", 59.057238585264905),
+    (3, 0.3, 0.95): ("5c73fc2d2d2da372a275ac1fa15c0065de776710085d46b995a49790c17de0fa", 59.2905223208597),
+    (3, 0.3, 1.0): ("5d45bb23665a1cc0811a6169e9a15da3865af8439f8433fdc55d2629f99691b2", 59.3214662422541),
+    (3, 1.0, 0.6): ("85d298fd0c4e114dc4269800be64a06717b06d4c80b9e909657c93fc4cbd53db", 59.66369346465135),
+    (3, 1.0, 0.95): ("71733d1e166021914f45297344e2cbe062e8c006a013904dac0d0297b9fd0b08", 59.727633669643716),
     (3, 1.0, 1.0): ("3b9d882d0422c4213572807c303dbd99fc3c0d1c1a9bd13910ba2d0dec9243b9", 59.73061422056978),
-    (5, 0.01, 0.6): ("88f96f77f796c393ba85be55be4385342a4a12a9db1223832c55460584427c9b", 21.70981271727342),
-    (5, 0.01, 0.95): ("fc4ee50c8d92ce0e09d836e882f727ed7ef802ebc897d18fb3e8134ff7e84542", 26.656914843734498),
-    (5, 0.01, 1.0): ("3039f5c3d0edfb90c50d278c392167c0ca4d85f8e38d033d29d501b29845b6c8", 30.194646096534047),
-    (5, 0.3, 0.6): ("b2746a688d36bc7674d81b3ab2e5368208f0924bbe95f49582f17277c8c2321a", 57.550789636727714),
-    (5, 0.3, 0.95): ("f077e1f850247b0959c1d3024c275fe48a8adfdd4743a3b931c286127935822d", 58.23821405166246),
-    (5, 0.3, 1.0): ("cfeffd5350f8852ecd11c9e5fd0fa6e84d8b0d9354a3b7ec854da29d3586a244", 58.62684232801978),
-    (5, 1.0, 0.6): ("2c0356ca87359ae064d88a857878dbb631ad1f983cec7110a5b7d4896ed27a32", 59.33853183008895),
-    (5, 1.0, 0.95): ("01b339e5cb8289b6db8e9b0a100c3f739e760f668084d76c1d63fff174b693ab", 59.5883096704443),
+    (5, 0.01, 0.6): ("d0b80c54652bb02e6d46eeb196cbe5321fca2e94e03b38a0033b4a6810a270d5", 21.812508013906857),
+    (5, 0.01, 0.95): ("512c7228319b9c022cede75aac15ca167c618006337556c31bfa8c1fe8758554", 27.385440776582037),
+    (5, 0.01, 1.0): ("118d75b44a788a99a7c15bdbfc89999cb8242d8ae84d54476328f183994d3ea0", 30.357888620048016),
+    (5, 0.3, 0.6): ("a0826e46b16c650ec183013f4a85b7a21941cb6035f24f90ada9c1335c22fdfd", 57.5965169276328),
+    (5, 0.3, 0.95): ("8f20f9bde9bacd21e7f9f340b1890742dde3ca8c9c47bb764ea1b44e2083bc5d", 58.27611724068388),
+    (5, 0.3, 1.0): ("1c099f126a4f17f5c2ef24aee7479ad4a0d8c9ddbec83643e671883850931586", 58.32498606488814),
+    (5, 1.0, 0.6): ("e30543868097f294280c4cdab146f22a948c123ced6d3481661d1ace0a737c87", 59.27137168272011),
+    (5, 1.0, 0.95): ("eaa5f0003467e0fc38474e4b5b50f1b9d1e314f7e4dc0ede2325ac4b62e6517e", 59.61211593284259),
     (5, 1.0, 1.0): ("6353d9dd5725f0e0f0c502f403e0bae90695c370d624a424041d90d7d5725b5e", 59.64110793248057),
-    (8, 0.01, 0.6): ("9e57a4416df111bb2ce77b40889d3045b86913860b24696a270a87c4daef45d7", 12.676257781334733),
-    (8, 0.01, 0.95): ("963c808c01e761a06f064d4f0291057e8b1ed378eacb02bb387d379c69002aad", 16.88295914029858),
-    (8, 0.01, 1.0): ("39c56196f6d78f241d10b2cda02660e61c42889022f3960dfdbc5c1ab8f93938", 15.45069206029636),
-    (8, 0.3, 0.6): ("f866ee1831a2da445ffd3349708c82115b88b2b2c18f786010f74320f78f0f2d", 55.84470338771928),
-    (8, 0.3, 0.95): ("cb7cf4607dc5df8619b609d1a217915c6abc59ef741a2fd85e768dfe7772c787", 57.080790905210435),
-    (8, 0.3, 1.0): ("7cb5640b00206fc706029d014332d5c686dd3706417b18c63958ab28c96edd99", 57.2878794540371),
-    (8, 1.0, 0.6): ("83f610cdc61def16d0c897b984a10798a1d6754ba011ef65b553341e8a58f43e", 58.75621412104357),
-    (8, 1.0, 0.95): ("c41790a5a3a84ed51110139bbefb0a03dfd73ef55221071d45c4367b689a05c1", 59.415443273094546),
-    (8, 1.0, 1.0): ("dc43bf362aab7f2407ecc53b1c5f54dee36694b0f220b5b25f77395d9920ae17", 59.46257505208469),
-    (11, 0.01, 0.6): ("5c7d4a71e346bc7c22c470c6943f352d55b195c8ec4618e497696bfee0698fe9", 5.314486758056735),
-    (11, 0.01, 0.95): ("85f8ab5d1dd43a5aa494ec210f8e5a4f675b9d0bdfbad6ee5054a344cd9a4f9d", 9.111017860725248),
-    (11, 0.01, 1.0): ("f23772f2b1e8229eae0f5bc3099bdf94b1f43914c908f72df9a67308f81e0d91", 10.194101296387503),
-    (11, 0.3, 0.6): ("e5a640e1440d94b2820a47092e1780a4b087a0b62742b47f16ac0aa5afda2ffd", 52.58041644812076),
-    (11, 0.3, 0.95): ("0902959eebd1be81e5fbf2cb63c11b9aa30dcebe55c4518d1a73a8d97f63a299", 55.998937045920854),
-    (11, 0.3, 1.0): ("978c8268bbcb703012526b30a8518808539e05919bdff100bbeccb94abaaac7a", 55.58795692421012),
-    (11, 1.0, 0.6): ("a0a8d35029633aff96f3686ab84a2af3a6d8ca2e12e26e3d192d40cb2925a66e", 58.037823487180745),
-    (11, 1.0, 0.95): ("c74015471651259f70794a4c2a2e85f0e6e814bb01d1ecbc1c8282579e1aebb6", 58.80005910281664),
+    (8, 0.01, 0.6): ("0bb2e090ac15c8a4c63708bcf53275cc37caf26a8739145b17de4cb024496a43", 12.223207001806326),
+    (8, 0.01, 0.95): ("302d4f8381811281c4ae1422bdd12419aa01765fa331bddcef5d71d9aa905730", 17.91522065947289),
+    (8, 0.01, 1.0): ("75568a27fd87bae55a9dec6361ab32befd4f04143d80957e2df4531b0d87bd52", 17.004410919658806),
+    (8, 0.3, 0.6): ("3b7147e85d83a95dcbdd419ba99789bf6b72b0fa410fc5457da65377ad1085c0", 55.3425422671984),
+    (8, 0.3, 0.95): ("c44ac1ae5e8c32baa8ab12e4b45927607b9662dcbb78e3973fd7e804ab93da37", 56.79644299573339),
+    (8, 0.3, 1.0): ("6223d33868e2539d5cc40f6655d5a44921dfd242b5fadec5bed11b05681934d2", 56.984225413884644),
+    (8, 1.0, 0.6): ("f07fade8b271efcc473fedeb6f02927f015fb949e85b413ea77cf0de663702ae", 58.862505880252144),
+    (8, 1.0, 0.95): ("c8f6f4db36436b6569103df22429927b326618022297c83e7219edb441adf703", 59.409546519404195),
+    (8, 1.0, 1.0): ("dc43bf362aab7f2407ecc53b1c5f54dee36694b0f220b5b25f77395d9920ae17", 59.462575549590305),
+    (11, 0.01, 0.6): ("2970793023740d747d6bdb30061b040b5dc196e16cbc275df113a1b55751b591", 5.825414249711097),
+    (11, 0.01, 0.95): ("96effa26fcbdb4429343f18fe30e11fd36e1be27de257734cbc85fccb9e8418c", 10.312363703063305),
+    (11, 0.01, 1.0): ("54014d09f3a9f09976684927c76a8538127e96a24438a649e3713afce02e6a9e", 10.716411392462579),
+    (11, 0.3, 0.6): ("e934285929e88d7968cb7c4e60e77cc312d533346453f415e86ec04cd04e9c92", 53.719798574724216),
+    (11, 0.3, 0.95): ("bebe3185919218bfa239b44dc94a6fc26bd6cad8aae7c05b527583776bb3a894", 55.08122846242605),
+    (11, 0.3, 1.0): ("b2888e1ffea2fac45f828a10d186fe82532c809c77d1c5266103399f7c0c39a4", 55.51541359494105),
+    (11, 1.0, 0.6): ("660c9c98a2fa2a1b93d081ae7c7231a7015280565302a89229e2c0a7ab9883d5", 58.080751811338935),
+    (11, 1.0, 0.95): ("92a3f0e559c874d240d5fa1248615ec50b084cc919cf6c7b74b7453c9b2fea5d", 58.99745011772486),
     (11, 1.0, 1.0): ("8173efb466b3bb2bf6d2a496c035c3213ebb14e0e5b45654eae7ebc6f314cfff", 59.37348225328051),
 }
 
@@ -98,16 +98,25 @@ def test_stream_matches_pin(point):
     assert matches(point)
 
 
-def without_line(function, marker: str):
+def edited(function, marker: str, replacement: str | None = None):
     """``function`` (a module function or a method) recompiled in its module
-    without the one source line holding ``marker``."""
+    without the one source line holding ``marker``, or with ``marker`` in it
+    replaced by ``replacement``."""
     lines = textwrap.dedent(inspect.getsource(function)).splitlines(keepends=True)
     hits = [i for i, line in enumerate(lines) if marker in line]
     assert len(hits) == 1, hits
-    del lines[hits[0]]
+    if replacement is None:
+        del lines[hits[0]]
+    else:
+        lines[hits[0]] = lines[hits[0]].replace(marker, replacement)
     namespace = dict(vars(inspect.getmodule(function)))
     exec(compile("".join(lines), inspect.getsourcefile(function), "exec"), namespace)
     return namespace[function.__name__]
+
+
+def without_line(function, marker: str):
+    """``function`` recompiled without the one source line holding ``marker``."""
+    return edited(function, marker)
 
 
 def stall_guard(monkeypatch, budget: int = 20_000) -> None:
@@ -127,10 +136,17 @@ def stall_guard(monkeypatch, budget: int = 20_000) -> None:
     monkeypatch.setattr(switch, "advance_to_link_event", guarded)
 
 
-def test_skipped_born_draw_fails_the_pins(monkeypatch):
-    # the unused Born draw still moves the stream every later draw reads
-    monkeypatch.setattr(
-        switch, "do_switch_bsms", without_line(switch.do_switch_bsms, "rng.random()  # Born draw"))
+def test_first_valid_pair_always_fails_the_pins(monkeypatch):
+    # the choice among several valid pairs is drawn, not the first one taken
+    bsms = edited(switch.do_switch_bsms, "valid[int(rng.random() * len(valid))]", "valid[0]")
+    monkeypatch.setattr(switch, "do_switch_bsms", bsms)
+    assert not all(matches(point) for point in PINS)
+
+
+def test_coin_drawn_at_certain_success_fails_the_pins(monkeypatch):
+    # at q_bsm = 1 a measurement draws no coin, so no later draw moves
+    bsms = edited(switch.do_switch_bsms, "params.q_bsm < 1.0 and rng.random()", "rng.random()")
+    monkeypatch.setattr(switch, "do_switch_bsms", bsms)
     assert not all(matches(point) for point in PINS)
 
 

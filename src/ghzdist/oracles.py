@@ -12,8 +12,9 @@ turns every attempt's uniforms into rounds) run shot after shot on the
 span's stream, the switch's entanglement swap with its pending noise from a
 dense Bell measurement, its fusions and noise-ledger read-out from the same
 fusions on dense matrices (a dense CNOT, a Z projection and dense X gates),
-its link jump from a loop of single rounds, and its deliveries at
-p_mem = 1 from the tree closed form.
+the read-out's tree DP from the 2^(N-1)-term character sum, its link jump
+from a loop of single rounds, and its deliveries at p_mem = 1 from the tree
+closed form.
 The dense side is ``ghzdist.dm``.  ``CHECKS`` lists the comparisons that
 ``verify`` runs.  The engines import nothing from here, which
 ``tests/test_layering.py`` checks.
@@ -26,6 +27,7 @@ import math
 import time
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -304,6 +306,30 @@ def factory_outcome_branches(
     return branches
 
 
+@lru_cache(maxsize=None)
+def _even_weight_rows(k: int) -> np.ndarray:
+    """Every t in {0, 1}^k of even weight, one read-only 0/1 row each."""
+    bits = np.arange(2**k)[:, None] >> np.arange(k) & 1
+    rows = bits[bits.sum(axis=1) % 2 == 0]
+    rows.flags.writeable = False
+    return rows
+
+
+def ghz_fidelity_character_sum(group: switch.Component, now: int, p_mem: float) -> float:
+    """Fidelity to the GHZ state on the group's k qubits at round now,
+    each qubit's pending channel entered as (d_v, 1 << v):
+    1/2 prod_e d_e + 2^-k sum_t prod_e d_e^[<t, S_e> odd] over the
+    even-weight t, its 2^(k-1) terms one row each.  The reference for
+    ``switch.Component.ghz_fidelity``'s tree DP."""
+    nodes = group.nodes
+    entries = group.entries + [(group.factor(v, now, p_mem), 1 << v) for v in nodes]
+    d = np.array([p for p, _ in entries])
+    members = np.array([s for _, s in entries])[:, None] >> np.array(nodes) & 1
+    odd = (_even_weight_rows(len(nodes)) @ members.T) & 1
+    terms = np.where(odd, d, 1.0).prod(axis=1)
+    return 0.5 * float(d.prod()) + float(terms.sum()) / 2 ** len(nodes)
+
+
 def advance_round(
     state: switch.NetworkState, params: SimParams, rng: np.random.Generator
 ) -> list[tuple]:
@@ -504,7 +530,7 @@ def werner_swap_error(rng: np.random.Generator) -> float:
         )
         born = {c: int(b) for c, b in zip((1, 2), rng.integers(0, 5, size=2))}
         now = max(born.values()) + int(rng.integers(0, 4))
-        state = switch.NetworkState(round=now)
+        state = switch.NetworkState(2, round=now)
         for conn, b in born.items():
             state.born[conn] = b
         switch.do_switch_bsms(state, params, rng)
@@ -549,7 +575,7 @@ def switch_ledger_error(rng: np.random.Generator) -> float:
         slot = {node: int(rng.integers(2)) for node in nodes}
         pairs = [(Qubit(u, slot[u]), Qubit(v, 1 - slot[v])) for u, v in zip(nodes, nodes[1:])]
         owed = {q: (float(rng.random()), int(rng.integers(0, 3))) for pair in pairs for q in pair}
-        state = switch.NetworkState()
+        state = switch.NetworkState(n)
         dense: dict[Qubit, DensityMatrix] = {}
 
         def decay(group: DensityMatrix, q: Qubit, now: int) -> DensityMatrix:
@@ -593,18 +619,61 @@ def switch_ledger_error(rng: np.random.Generator) -> float:
 
 def switch_fidelity_error(rng: np.random.Generator) -> float:
     """Worst relative gap between switch deliveries at p_mem = 1 and the tree
-    closed form: 4 deliveries at each N in 2..7 and q_bsm in {1, 0.7}, with
-    p_link and p_bsm from [0.7, 1] and q_link from [0.2, 1]."""
+    closed form: 4 deliveries at each N in 2..7, 16 and 24 and q_bsm in
+    {1, 0.7}, with p_link and p_bsm from [0.7, 1] and q_link from [0.2, 1]."""
     worst = 0.0
-    for n, q_bsm in itertools.product(range(2, 8), (1.0, 0.7)):
+    for n, q_bsm in itertools.product((*range(2, 8), 16, 24), (1.0, 0.7)):
         p_link, p_bsm = 0.7 + 0.3 * rng.random(2)
         params = SimParams(n_end_nodes=n, q_link=0.2 + 0.8 * rng.random(), q_bsm=q_bsm,
                            p_link=float(p_link), p_bsm=float(p_bsm))
         ref = analytics.switch_fidelity_perfect_memory(n, params.p_link, params.p_bsm)
-        state = switch.NetworkState()
+        state = switch.NetworkState(n)
         for _ in range(4):
             fidelity = switch.run_to_ghz(state, params, rng)[0].fidelity
             worst = max(worst, abs(fidelity - ref) / ref)
+    return worst
+
+
+def switch_readout_error(rng: np.random.Generator) -> float:
+    """Worst relative gap between the tree DP ``switch.Component.
+    ghz_fidelity`` and the character sum ``ghz_fidelity_character_sum`` on
+    ledgers at N in 2..14, built as ``switch_ledger_error`` builds its: one
+    Phi+ group per edge of a random tree on the end nodes, each qubit owing
+    a pending factor since a random round, fused by ``switch.do_fusions``
+    with p_mem aging between fusion phases and before the read-out.  The
+    tree is a chain through a random order of the nodes, or joins each node
+    of that order to a random earlier one; its edges go in, in random
+    order, in phases that give no node two new qubits.  A factor is 0, 1 or
+    uniform, and the finished ledger gains a copy of a random entry's S
+    with d = 1.  Three ledgers per N and tree shape."""
+    worst = 0.0
+    for n, chain, _ in itertools.product(range(2, 15), (True, False), range(3)):
+        params = SimParams(n_end_nodes=n, q_link=0.5, p_mem=0.8 + 0.2 * float(rng.random()))
+        order = [int(x) + 1 for x in rng.permutation(n)]
+        edges = [(order[i - 1] if chain else order[int(rng.integers(i))], order[i])
+                 for i in range(1, n)]
+        state = switch.NetworkState(n)
+        phase: set[int] = set()
+        for k in rng.permutation(len(edges)):
+            u, v = edges[k]
+            if phase & {u, v}:
+                state.round += int(rng.integers(0, 3))
+                switch.do_fusions(state, params, rng)
+                phase.clear()
+            phase |= {u, v}
+            owed = {x: (float(rng.choice([0.0, 1.0, rng.random()], p=[0.1, 0.3, 0.6])),
+                        state.round - int(rng.integers(0, 3))) for x in (u, v)}
+            pair = switch.Component([u, v], 1 << u | 1 << v, owed, 2)
+            for x in (u, v):
+                free_slot = int(rng.integers(2)) if state.owner[x] is None else 1 - state.slot[x]
+                state.hold(pair, x, free_slot)
+        state.round += int(rng.integers(0, 3))
+        switch.do_fusions(state, params, rng)
+        (group,) = state.groups()
+        if group.entries:
+            group.entries.append((1.0, group.entries[int(rng.integers(len(group.entries)))][1]))
+        ref = ghz_fidelity_character_sum(group, state.round, params.p_mem)
+        worst = max(worst, abs(group.ghz_fidelity(state.round, params.p_mem) - ref) / ref)
     return worst
 
 
@@ -645,6 +714,7 @@ CHECKS = (
     ("g_lower_bound_gap_relative", 0.055, g_lower_bound_gap),
     ("switch_fidelity_vs_tree_closed_form", 1e-12, switch_fidelity_error),
     ("switch_ledger_vs_dense_groups", 1e-12, switch_ledger_error),
+    ("switch_readout_vs_character_sum", 1e-12, switch_readout_error),
 )
 
 

@@ -31,9 +31,12 @@ rest of its side, ``mask ^ S`` (``Component.fused_entries``); its Z outcome
 has probability 1/2 and, once corrected, leaves the same state, so none is
 drawn.  The read-out (``Component.ghz_fidelity``) is the character sum
 F = 1/2 prod_e d_e + 2^-k sum_t prod_e d_e^[<t, S_e> odd] over the
-even-weight t in {0, 1}^k, whose 2^(k-1) terms bound N by MAX_END_NODES;
-each entry's members are read from S by bit shifts in the group's qubit
-order.
+even-weight t in {0, 1}^k, evaluated by a tree DP: read as its side without
+the group's lowest node, each S is a cut of the tree of fusions that built
+the group, so the sides form a laminar family, and each side's parity
+weights are the XOR convolution of its children's and its free nodes'.  Its
+cost grows with the ledger, not as 2^k, so the switch takes any N;
+``oracles`` keeps the 2^(k-1)-term sum as its reference.
 
 The cluster labels say which end nodes a chain of groups joins: a
 successful measurement merges its two nodes' labels, and a delivery resets
@@ -57,31 +60,19 @@ or fusion outcome, is drawn.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .factory import Estimates, summarize
-from .params import TAG_SWITCH, ConfigError, SimParams, Uniforms, sample_geometric, shot_rng
+from .params import TAG_SWITCH, SimParams, Uniforms, sample_geometric, shot_rng
 
 NODE_MEMORY_SLOTS = 2
-# the read-out sums 2^(N-1) terms over N qubits
-MAX_END_NODES = 11
 NO_LINK = -1
 
 
 class ProtocolInvariantError(RuntimeError):
     """The network reached a state the protocol rules are meant to exclude."""
-
-
-@lru_cache(maxsize=None)
-def _even_weight_rows(k: int) -> np.ndarray:
-    """Every t in {0, 1}^k of even weight, one read-only 0/1 row each."""
-    bits = np.arange(2**k)[:, None] >> np.arange(k) & 1
-    rows = bits[bits.sum(axis=1) % 2 == 0]
-    rows.flags.writeable = False
-    return rows
 
 
 @dataclass
@@ -130,23 +121,66 @@ class Component:
         self.pairs_consumed += other.pairs_consumed
 
     def ghz_fidelity(self, now: int, p_mem: float) -> float:
-        """Fidelity to the GHZ state on the group's k qubits at round now,
-        each qubit's pending channel entered as (d_v, 1 << v):
-        1/2 prod_e d_e + 2^-k sum_t prod_e d_e^[<t, S_e> odd] over the
-        even-weight t.  The first term holds the Z part, which each entry
+        """Fidelity to the GHZ state on the group's qubits at round now, each
+        qubit's pending channel entered as (d_v, 1 << v), by a tree DP over
+        the entries' sides.
+
+        On the GHZ state X_S acts as X on the rest of the group, so an entry
+        stands for its side without the group's lowest node; entries of one
+        side act as one, their d's multiplied.  The sides form a laminar
+        family (a side crossing another raises), walked by increasing size.
+        A side's (even, odd) pair is the weight of the parity of a uniform
+        t on its nodes, each entry inside it weighing d_e when t is odd on
+        it: the XOR convolution of its children's pairs and of its free
+        nodes' (1/2, 1/2), its odd part times its own d.  The group is the
+        root, with its lowest node free, and F = 1/2 prod_e d_e plus the
+        root's even part; the first term holds the Z part, which each entry
         draws together with its X part, not independently of it."""
-        nodes = self.nodes
-        entries = self.entries + [(self.factor(v, now, p_mem), 1 << v) for v in nodes]
-        d = np.array([p for p, _ in entries])
-        members = np.array([s for _, s in entries])[:, None] >> np.array(nodes) & 1
-        odd = (_even_weight_rows(len(nodes)) @ members.T) & 1
-        terms = np.where(odd, d, 1.0).prod(axis=1)
-        return 0.5 * float(d.prod()) + float(terms.sum()) / 2 ** len(nodes)
+        mask = self.mask
+        low = mask & -mask
+        sides: dict[int, float] = {}
+        whole = 1.0
+        pending = [(d * p_mem ** (now - since), 1 << v) for v, (d, since) in self.pending.items()]
+        for d, s in self.entries + pending:
+            side = mask ^ s if s & low else s
+            sides[side] = sides.get(side, 1.0) * d
+            whole *= d
+        # per node bit, a walked side holding it; per walked side, the side
+        # that took it in as a child: following ``taken`` from any side
+        # holding a node reaches the top, the largest walked side holding it
+        held: dict[int, int] = {}
+        taken: dict[int, int] = {}
+        tops: dict[int, tuple[float, float]] = {}
+        for side in sorted(sides, key=int.bit_count):
+            even, odd, free, rest = 1.0, 0.0, False, side
+            while rest:
+                bit = rest & -rest
+                top = held.get(bit, 0)
+                while top in taken:
+                    top = taken[top]
+                held[bit] = side
+                if not top:
+                    free, rest = True, rest ^ bit
+                    continue
+                if top & ~side:
+                    raise ProtocolInvariantError(f"ledger sides {top:#b} and {side:#b} cross")
+                taken[top] = side
+                e, o = tops.pop(top)
+                even, odd = even * e + odd * o, even * o + odd * e
+                rest &= ~top
+            if free:
+                even = odd = (even + odd) / 2
+            tops[side] = (even, odd * sides[side])
+        # the root's lowest node is free: its even part is half its total
+        root = 1.0
+        for even, odd in tops.values():
+            root *= even + odd
+        return 0.5 * whole + 0.5 * root
 
 
 class NetworkState:
     """Persistent 2-switch network, as lists indexed by end node (index 0
-    is the switch and holds nothing), sized for MAX_END_NODES.
+    is the switch and holds nothing), sized for n_end_nodes end nodes.
 
     ``round`` is the clock.  Per connection: ``born``, the waiting link
     pair's birth round or NO_LINK, and ``link_slot``, its remote's slot.  Per
@@ -155,8 +189,8 @@ class NetworkState:
     successful measurement gave a second group qubit (in the other slot) to
     that qubit's group, until ``do_fusions`` fuses the two."""
 
-    def __init__(self, round: int = 0):
-        size = MAX_END_NODES + 1
+    def __init__(self, n_end_nodes: int, round: int = 0):
+        size = n_end_nodes + 1
         self.round = round
         self.born = [NO_LINK] * size
         self.link_slot = [0] * size
@@ -417,21 +451,11 @@ def run_to_ghz(
 WARMUP_EXECUTIONS = 1
 
 
-def check_node_limit(params: SimParams) -> None:
-    """Reject a point with more than ``MAX_END_NODES`` end nodes."""
-    if params.n_end_nodes > MAX_END_NODES:
-        raise ConfigError(
-            f"the switch supports n_end_nodes <= {MAX_END_NODES}, "
-            f"got {params.n_end_nodes}"
-        )
-
-
 def run_executions(params: SimParams, shots: int) -> list[SwitchRecord]:
     """Consecutive executions on one persistent network, read through one
     buffered stream of uniforms."""
-    check_node_limit(params)
     rng = Uniforms(shot_rng(params.seed, 0, TAG_SWITCH))
-    state = NetworkState()
+    state = NetworkState(params.n_end_nodes)
     for _ in range(WARMUP_EXECUTIONS):
         run_to_ghz(state, params, rng)
     return [run_to_ghz(state, params, rng)[0] for _ in range(shots)]

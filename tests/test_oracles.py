@@ -1,7 +1,9 @@
 """Brute-force references and the verification runner."""
 
 import dataclasses
+import inspect
 import itertools
+import textwrap
 
 import numpy as np
 import pytest
@@ -224,6 +226,7 @@ _EXACT_FUSED_ENTRIES = switch_module.Component.fused_entries
 _EXACT_FUSION = dm_module.fusion
 _EXACT_ORDER_STAT = analytics_module.expected_order_stat
 _EXACT_PAULI_CORRECT = dm_module.pauli_correct
+_EXACT_READOUT = switch_module.Component.ghz_fidelity
 _EXACT_RANK_FACTOR = analytics_module._rank_factor
 _EXACT_SWITCH_FIDELITY = analytics_module.switch_fidelity_perfect_memory
 _EXACT_TALLY = factory_module._tally
@@ -304,19 +307,22 @@ def _control_side_uncomplemented(monkeypatch):
 def _product_of_marginals_readout(comp, now, p_mem):
     """The ledger read out as P(no Z flip) times P(X pattern trivial), as if
     each entry's X and Z parts were independent: (1 + w)^2 / 4, not
-    (1 + 3 w) / 4, for a Werner pair."""
-    nodes = comp.nodes
-    entries = comp.entries + [(comp.factor(v, now, p_mem), 1 << v) for v in nodes]
-    x_trivial = 0.0
-    for t in itertools.product((0, 1), repeat=len(nodes)):
-        if sum(t) % 2 == 0:
-            term = 1.0
-            for d, s in entries:
-                if sum(b for b, v in zip(t, nodes) if s >> v & 1) % 2:
-                    term *= d
-            x_trivial += term
-    z_trivial = (1.0 + np.prod([d for d, _ in entries])) / 2.0
-    return z_trivial * x_trivial / 2.0 ** (len(nodes) - 1)
+    (1 + 3 w) / 4, for a Werner pair.  The exact read-out is
+    1/2 prod_e d_e plus half of P(X pattern trivial)."""
+    pending = [comp.factor(v, now, p_mem) for v in comp.nodes]
+    whole = np.prod([d for d, _ in comp.entries] + pending)
+    return (1.0 + whole) / 2.0 * (2.0 * _EXACT_READOUT(comp, now, p_mem) - whole)
+
+
+def _free_nodes_even_only(monkeypatch):
+    """The read-out's DP with a side's free nodes weighing (1, 0), all on
+    even parity, the identity of the XOR convolution, not (1/2, 1/2)."""
+    source = textwrap.dedent(inspect.getsource(_EXACT_READOUT))
+    marker = "even = odd = (even + odd) / 2"
+    assert source.count(marker) == 1
+    namespace = dict(vars(switch_module))
+    exec(source.replace(marker, "even, odd = even, odd"), namespace)
+    monkeypatch.setattr(switch_module.Component, "ghz_fidelity", namespace["ghz_fidelity"])
 
 
 # check name, optionally followed by "/" and the name of a further fault of
@@ -424,7 +430,13 @@ FAULTS = {
     "switch_ledger_vs_dense_groups/product_of_marginals_readout": (
         _patch((switch_module.Component, "ghz_fidelity", _product_of_marginals_readout)),
         {"switch_ledger_vs_dense_groups", "werner_swap_vs_dense_bsm",
-         "switch_fidelity_vs_tree_closed_form"},
+         "switch_fidelity_vs_tree_closed_form", "switch_readout_vs_character_sum"},
+    ),
+    # every check that reads a group out goes through the DP
+    "switch_readout_vs_character_sum": (
+        _free_nodes_even_only,
+        {"switch_readout_vs_character_sum", "switch_ledger_vs_dense_groups",
+         "werner_swap_vs_dense_bsm", "switch_fidelity_vs_tree_closed_form"},
     ),
 }
 
@@ -456,6 +468,7 @@ class TestVerificationRunner:
             "g_lower_bound_gap_relative",
             "switch_fidelity_vs_tree_closed_form",
             "switch_ledger_vs_dense_groups",
+            "switch_readout_vs_character_sum",
         ]
 
     def test_negative_control_trips_identity_check(self, skewed_b0):

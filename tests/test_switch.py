@@ -1,12 +1,15 @@
 """2-switch engine: round mechanics, measurements, fusions, carry-over."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghzdist import dm as dmod, switch as switch_module
 from ghzdist.analytics import switch_fidelity_perfect_memory
 from ghzdist.dm import Qubit
-from ghzdist.oracles import advance_round
+from ghzdist.oracles import advance_round, ghz_fidelity_character_sum
 from ghzdist.params import TAG_SWITCH, SimParams, shot_rng
 from ghzdist.switch import (
     NO_LINK,
@@ -49,10 +52,10 @@ def place(state: NetworkState, comp: Component, *qubits: Qubit) -> None:
 
 
 def network(*pairs: tuple[Qubit, Qubit]) -> NetworkState:
-    """A state holding each pair where the engine keeps it: a pair holding a
-    switch qubit Qubit(0, conn) as a link waiting on conn since round 0, any
-    other as a two-node group."""
-    state = NetworkState()
+    """A state for make_params' five end nodes holding each pair where the
+    engine keeps it: a pair holding a switch qubit Qubit(0, conn) as a link
+    waiting on conn since round 0, any other as a two-node group."""
+    state = NetworkState(5)
     for a, b in pairs:
         if a.node == 0:
             state.born[a.slot], state.link_slot[a.slot] = 0, b.slot
@@ -83,7 +86,7 @@ def links(state: NetworkState) -> list[int]:
 
 class TestAdvanceRound:
     def test_certain_links_fill_all_connections(self):
-        state = NetworkState()
+        state = NetworkState(5)
         params = make_params(q_link=1.0, p_link=0.9)
         events = advance_round(state, params, shot_rng(0, 0, 9))
         assert sorted(events) == [("link", c) for c in range(1, 6)]
@@ -92,14 +95,14 @@ class TestAdvanceRound:
             assert (state.born[conn], state.link_slot[conn]) == (1, 0)
 
     def test_busy_connection_does_not_attempt(self):
-        state = NetworkState()
+        state = NetworkState(5)
         params = make_params(q_link=1.0)
         advance_round(state, params, shot_rng(0, 0, 9))
         events = advance_round(state, params, shot_rng(0, 1, 9))
         assert events == []
 
     def test_perfect_memory_leaves_components_unchanged(self):
-        state = NetworkState()
+        state = NetworkState(5)
         params = make_params(q_link=1.0, p_mem=1.0, p_link=0.9)
         advance_round(state, params, shot_rng(0, 0, 9))
         before = (list(state.born), list(state.link_slot))
@@ -115,7 +118,7 @@ class TestAdvanceRound:
         params = make_params(q_link=1e-9, p_mem=0.9)
         a, b = Qubit(1, 0), Qubit(2, 0)
         comp = Component([1, 2], 0b110, {1: (1.0, 0), 2: (0.95, 1)}, 2)
-        state = NetworkState()
+        state = NetworkState(5)
         place(state, comp, a, b)
         for _ in range(4):
             advance_round(state, params, shot_rng(0, 1, 9))
@@ -137,7 +140,7 @@ class TestAdvanceRound:
         rounds = 100_000
         hits = 0
         for _ in range(rounds):
-            state = NetworkState()  # keep all five links free
+            state = NetworkState(5)  # keep all five links free
             hits += len(advance_round(state, params, rng))
         mean = rounds * 5 * 0.01
         sigma = np.sqrt(rounds * 5 * 0.01 * 0.99)
@@ -148,10 +151,10 @@ class TestAdvanceRound:
         jump_rounds = []
         loop_rounds = []
         for s in range(4000):
-            state = NetworkState()
+            state = NetworkState(3)
             advance_to_link_event(state, params, shot_rng(11, s, 9))
             jump_rounds.append(state.round)
-            state = NetworkState()
+            state = NetworkState(3)
             rng = shot_rng(12, s, 9)
             while not advance_round(state, params, rng):
                 pass
@@ -182,6 +185,58 @@ class TestWerner:
         for v in (1, 2):
             pair.flush(v, state.round, params.p_mem)
         assert pair.ghz_fidelity(state.round, params.p_mem) == pytest.approx(fidelity, rel=1e-15)
+
+
+@st.composite
+def tree_ledgers(draw) -> Component:
+    """A group on 2..12 nodes in a random qubit order whose ledger is the
+    cuts of a random tree on them, each entry (d, S) with S either side of
+    its cut, plus single-node entries, in random order; each node owes a
+    pending factor since a round in 0..5."""
+    n = draw(st.integers(2, 12))
+    nodes = draw(st.permutations(range(1, n + 1)))
+    unit = st.floats(0.0, 1.0)
+    # node i hangs below an earlier node; children are folded in first
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    below = [1 << v for v in nodes]
+    for i in range(n - 1, 0, -1):
+        below[parents[i - 1]] |= below[i]
+    mask = below[0]
+    entries = [(draw(unit), s if draw(st.booleans()) else mask ^ s) for s in below[1:]]
+    entries += [(draw(unit), 1 << v) for v in draw(st.lists(st.sampled_from(nodes)))]
+    pending = {v: (draw(unit), draw(st.integers(0, 5))) for v in nodes}
+    return Component(list(nodes), mask, pending, 2 * (n - 1), draw(st.permutations(entries)))
+
+
+class TestTreeReadout:
+    """The read-out's tree DP against the 2^(N-1)-term character sum."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(comp=tree_ledgers(), p_mem=st.floats(0.5, 1.0))
+    def test_dp_is_the_character_sum(self, comp, p_mem):
+        reference = ghz_fidelity_character_sum(comp, 5, p_mem)
+        assert abs(comp.ghz_fidelity(5, p_mem) - reference) <= 1e-12 * reference
+
+    def test_crossing_sides_are_flagged(self):
+        # {1, 2} reads as its side {3, 4}, which crosses {2, 3}: no tree of
+        # fusions leaves both cuts
+        comp = group(*(Qubit(v, 0) for v in (1, 2, 3, 4)),
+                     entries=[(0.9, 0b00110), (0.8, 0b01100)])
+        assert 0.0 < ghz_fidelity_character_sum(comp, 0, 1.0) < 1.0
+        with pytest.raises(ProtocolInvariantError, match="cross"):
+            comp.ghz_fidelity(0, 1.0)
+
+    def test_two_thousand_node_chain_reads_a_fidelity(self):
+        rng = np.random.default_rng(2000)
+        nodes = list(range(1, 2001))
+        mask = (2 << 2000) - 2
+        cuts = [sum(1 << v for v in nodes[:i]) for i in range(1, 2000)]
+        sides = [s if flip else mask ^ s for s, flip in zip(cuts, rng.integers(0, 2, 1999))]
+        entries = [(float(d), s) for d, s in zip(rng.uniform(0.99, 1.0, 1999), sides)]
+        comp = Component(nodes, mask, {v: (float(rng.uniform(0.99, 1.0)), 0) for v in nodes},
+                         3998, [entries[i] for i in rng.permutation(1999)])
+        fidelity = comp.ghz_fidelity(3, 0.999)
+        assert math.isfinite(fidelity) and 0.0 <= fidelity <= 1.0
 
 
 class TestSwitchBsms:
@@ -295,7 +350,7 @@ class TestFusions:
         # the target's group arrives first, so the control is found by its slot
         second = group(b, Qubit(3, 0), entries=[(0.7, 1 << 1), (0.6, 1 << 3)])
         first = group(a, Qubit(2, 0), entries=[(0.9, 1 << 1), (0.8, 1 << 2)])
-        state = NetworkState()
+        state = NetworkState(3)
         place(state, second, b, Qubit(3, 0))
         place(state, first, a, Qubit(2, 0))
         do_fusions(state, make_params(n_end_nodes=3, p_mem=1.0), shot_rng(0, 0, 9))
@@ -340,7 +395,7 @@ class TestFusions:
         assert links(state) == [1] and len(state.groups()) == 1
 
     def test_same_component_twice_at_node_is_flagged(self):
-        state = NetworkState()
+        state = NetworkState(2)
         comp = group(Qubit(1, 0), Qubit(2, 0), pairs=4)
         place(state, comp, Qubit(1, 0), Qubit(1, 1), Qubit(2, 0))
         with pytest.raises(ProtocolInvariantError):
@@ -350,7 +405,7 @@ class TestFusions:
 class TestRunToGhz:
     def test_perfect_links_two_rounds(self):
         params = make_params(q_link=1.0)
-        state = NetworkState()
+        state = NetworkState(5)
         rec, state = run_to_ghz(state, params, shot_rng(2, 0, TAG_SWITCH))
         assert rec.duration_rounds == 2
         assert rec.fidelity == pytest.approx(1.0, abs=1e-12)
@@ -363,7 +418,7 @@ class TestRunToGhz:
                 q_link=float(rng_outer.uniform(0.2, 1.0)),
                 q_bsm=float(rng_outer.uniform(0.5, 1.0)),
             )
-            state = NetworkState()
+            state = NetworkState(params.n_end_nodes)
             rng = shot_rng(int(rng_outer.integers(2**32)), 0, TAG_SWITCH)
             for _ in range(4):
                 rec, state = run_to_ghz(state, params, rng)
@@ -373,7 +428,7 @@ class TestRunToGhz:
         # every delivered GHZ absorbs exactly 2(N-1) link pairs when no
         # measurement can fail
         params = make_params(n_end_nodes=4, q_link=0.3, q_bsm=1.0)
-        state = NetworkState()
+        state = NetworkState(4)
         rng = shot_rng(8, 0, TAG_SWITCH)
         for _ in range(30):
             rec, state = run_to_ghz(state, params, rng)
@@ -383,7 +438,7 @@ class TestRunToGhz:
         params = make_params(
             n_end_nodes=4, q_link=0.4, q_bsm=0.7, p_link=0.95, p_mem=0.999, p_bsm=0.97
         )
-        state = NetworkState()
+        state = NetworkState(4)
         rng = shot_rng(3, 0, TAG_SWITCH)
         deliveries = 0
         while deliveries < 12:
@@ -435,7 +490,8 @@ def draw_rule_count(monkeypatch, params: SimParams, deliveries: int) -> tuple[in
 
     monkeypatch.setattr(switch_module, "advance_to_link_event", links_counted)
     monkeypatch.setattr(switch_module, "do_switch_bsms", bsms_counted)
-    state, stream = NetworkState(), StandInStream(shot_rng(params.seed, 0, TAG_SWITCH))
+    state = NetworkState(params.n_end_nodes)
+    stream = StandInStream(shot_rng(params.seed, 0, TAG_SWITCH))
     for _ in range(deliveries):
         run_to_ghz(state, params, stream)
     return stream.drawn, expected[0]
@@ -475,7 +531,8 @@ class TestDrawRule:
 
     @pytest.mark.parametrize("kwargs", DRAW_POINTS, ids=lambda k: f"n{k['n_end_nodes']}")
     def test_runs_on_uniforms_alone(self, kwargs):
-        state, stream = NetworkState(), StandInStream(shot_rng(9, 0, TAG_SWITCH))
+        state = NetworkState(kwargs["n_end_nodes"])
+        stream = StandInStream(shot_rng(9, 0, TAG_SWITCH))
         for _ in range(10):
             record, state = run_to_ghz(state, make_params(**kwargs), stream)
             assert record.pairs_consumed == 2 * (kwargs["n_end_nodes"] - 1)
@@ -506,11 +563,11 @@ class TestJumpEquivalence:
                     return state.round - start, fid
 
         rng = shot_rng(71, 0, TAG_SWITCH)
-        state = NetworkState()
+        state = NetworkState(params.n_end_nodes)
         literal = np.array([run_literal(state, rng) for _ in range(n_exec)])
 
         rng = shot_rng(72, 0, TAG_SWITCH)
-        state = NetworkState()
+        state = NetworkState(params.n_end_nodes)
         jump = []
         for _ in range(n_exec):
             rec, state = run_to_ghz(state, params, rng)
@@ -530,7 +587,7 @@ def literal_executions(params: SimParams, shots: int) -> list[tuple[int, int, fl
     and the read-out has none left to fold in.  Returns (duration_rounds,
     pairs_consumed, fidelity) per delivery."""
     rng = shot_rng(params.seed, 0, TAG_SWITCH)
-    state = NetworkState()
+    state = NetworkState(params.n_end_nodes)
     records = []
     for _ in range(WARMUP_EXECUTIONS + shots):
         start = state.round
@@ -662,7 +719,7 @@ class TestEstimateSwitch:
         params = make_params(q_link=0.7, shots=25, seed=6)
         records = run_executions(params, 25)
         assert len(records) == 25
-        state, rng = NetworkState(), shot_rng(6, 0, TAG_SWITCH)
+        state, rng = NetworkState(params.n_end_nodes), shot_rng(6, 0, TAG_SWITCH)
         stream = [run_to_ghz(state, params, rng)[0] for _ in range(26)]
         assert records == stream[1:]
 
@@ -677,7 +734,7 @@ class TestValidate:
         ).validate(2)
 
     def test_group_holding_a_switch_qubit(self):
-        state = NetworkState()
+        state = NetworkState(2)
         place(state, group(Qubit(0, 1), Qubit(1, 0)), Qubit(0, 1), Qubit(1, 0))
         with pytest.raises(ProtocolInvariantError, match="switch qubit"):
             state.validate(2)
@@ -693,7 +750,7 @@ class TestValidate:
         ],
     )
     def test_bad_link_is_flagged(self, conn, slot, born):
-        state = NetworkState(round=3)
+        state = NetworkState(3, round=3)
         state.born[conn], state.link_slot[conn] = born, slot
         with pytest.raises(ProtocolInvariantError, match=f"connection {conn}"):
             state.validate(2)

@@ -121,7 +121,7 @@ def without_line(function, marker: str):
 
 def stall_guard(monkeypatch, budget: int = 20_000) -> None:
     """Raise ``Stalled`` once ``budget`` link-event calls were made since the
-    last stall, ten times what the slowest pinned point (1,947 calls at
+    last stall, ten times what the slowest pinned point (1,913 calls at
     N = 11, q_link 0.01, q_bsm 0.6) makes."""
     phase = switch.advance_to_link_event
     calls = [0]

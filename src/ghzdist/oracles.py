@@ -321,7 +321,7 @@ def ghz_fidelity_character_sum(group: switch.Component, now: int, p_mem: float) 
     1/2 prod_e d_e + 2^-k sum_t prod_e d_e^[<t, S_e> odd] over the
     even-weight t, its 2^(k-1) terms one row each.  The reference for
     ``switch.Component.ghz_fidelity``'s tree DP."""
-    nodes = group.nodes
+    nodes = list(group.pending)
     entries = group.entries + [(group.factor(v, now, p_mem), 1 << v) for v in nodes]
     d = np.array([p for p, _ in entries])
     members = np.array([s for _, s in entries])[:, None] >> np.array(nodes) & 1
@@ -339,7 +339,7 @@ def advance_round(
     events: list[tuple] = []
     for conn in range(1, params.n_end_nodes + 1):
         if state.born[conn] == switch.NO_LINK and rng.random() < params.q_link:
-            state.add_link(conn)
+            state.born[conn] = state.round
             events.append(("link", conn))
     return events
 
@@ -565,7 +565,9 @@ def switch_ledger_error(rng: np.random.Generator) -> float:
     reading 0 must be 1/2, then on outcome 1 X on the target group's other
     qubits), and reads ``dm.fidelity_to_ghz``.  The engine draws no outcome,
     as once corrected both leave one state; the coin makes the dense side
-    show it.  Three chains per N."""
+    show it.  The dense control is the qubit in slot 0, the engine's that of
+    the group already held at the node, so either may be the one that
+    arrived.  Three chains per N."""
     worst = 0.0
     for n, _ in itertools.product(range(2, 8), range(3)):
         params = SimParams(n_end_nodes=n, q_link=0.5, p_mem=0.8 + 0.2 * float(rng.random()))
@@ -589,10 +591,9 @@ def switch_ledger_error(rng: np.random.Generator) -> float:
             state.round += int(rng.integers(3, 6))
             for a, b in batch:
                 group = switch.Component(
-                    [a.node, b.node], 1 << a.node | 1 << b.node,
-                    {q.node: owed[q] for q in (a, b)}, 2)
+                    1 << a.node | 1 << b.node, {q.node: owed[q] for q in (a, b)}, 2)
                 for q in (a, b):
-                    state.hold(group, q.node, q.slot)
+                    state.hold(group, q.node)
                 dense[a] = dense[b] = dmod.make_bell(a, b)
             for _, node in switch.do_fusions(state, params, rng):
                 bit = int(rng.random() >= 0.5)
@@ -609,7 +610,8 @@ def switch_ledger_error(rng: np.random.Generator) -> float:
                 dense.update(dict.fromkeys(fused.labels, fused))
         state.round += int(rng.integers(0, 3))
         (group,) = state.groups()
-        final = dense[Qubit(group.nodes[0], state.slot[group.nodes[0]])]
+        # every label left maps to the one fused matrix
+        final = next(iter(dense.values()))
         for q in final.labels:
             final = decay(final, q, state.round)
         ref = dmod.fidelity_to_ghz(final)
@@ -663,10 +665,9 @@ def switch_readout_error(rng: np.random.Generator) -> float:
             phase |= {u, v}
             owed = {x: (float(rng.choice([0.0, 1.0, rng.random()], p=[0.1, 0.3, 0.6])),
                         state.round - int(rng.integers(0, 3))) for x in (u, v)}
-            pair = switch.Component([u, v], 1 << u | 1 << v, owed, 2)
+            pair = switch.Component(1 << u | 1 << v, owed, 2)
             for x in (u, v):
-                free_slot = int(rng.integers(2)) if state.owner[x] is None else 1 - state.slot[x]
-                state.hold(pair, x, free_slot)
+                state.hold(pair, x)
         state.round += int(rng.integers(0, 3))
         switch.do_fusions(state, params, rng)
         (group,) = state.groups()

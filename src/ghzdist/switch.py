@@ -4,32 +4,34 @@ The state is flat per-node data, indexed by end node 1..N (connection c
 joins the switch to end node c).  Per connection: the birth round of the
 link pair waiting at the switch (``NO_LINK`` for none; the central node
 holds at most one qubit per connection, until a Bell measurement consumes
-it) and the slot its remote qubit takes at the end node.  Per node: the
-end-to-end group holding its qubit, that qubit's slot, and a persistent
-cluster label.  It persists across executions: pairs not consumed while
-building one GHZ state seed the next one.
+it).  Per node: the end-to-end group holding its qubit and a persistent
+cluster label.  No qubit is given a memory slot, as which of a node's
+qubits is which never changes a state; a node holds at most
+``NODE_MEMORY_SLOTS`` qubits.  The state persists across executions: pairs
+not consumed while building one GHZ state seed the next one.
 
 No group is stored as a matrix.  Every operation of the switch (a Bell
 measurement with its Pauli correction, a CNOT fusion with its Z read-out and
 outcome-1 X correction) is Clifford, and all noise (p_link, p_mem per round,
 p_bsm) is single-qubit depolarizing.  A group holds one qubit per node, so
-it is its nodes in qubit order, their bitmask, and its GHZ state under a
-ledger of independent noise entries (d, S), S a node bitmask within the
-group's: with probability 1 - d an entry applies one of I, X_S, Z, X_S Z,
-chosen uniformly (on a GHZ state every single-qubit Z acts alike, and X_S
-as X on the rest of the group).  Depolarizing node v's qubit by d is the
-entry (d, 1 << v).  Parameters of one qubit's channels multiply, so each
-group qubit owes one pending factor (``Component.factor``), entered into
-the ledger when the qubit is fused (``Component.flush``) or read out.  A
-waiting link pair is only its birth round and remote slot: a successful
-Bell measurement on two gives each outcome with probability 1/4 and, once
-Pauli-corrected, Phi+ on the remotes with an empty ledger and both pairs'
-noise pending on one remote (``swapped_weight``), as depolarizing either
-qubit of Phi+ gives one state.  A fusion at node v of control a (the lower
-slot) in group A with target b in group B turns an S holding v into the
-rest of its side, ``mask ^ S`` (``Component.fused_entries``); its Z outcome
-has probability 1/2 and, once corrected, leaves the same state, so none is
-drawn.  The read-out (``Component.ghz_fidelity``) is the character sum
+it is its node bitmask, each node qubit's pending factor, and its GHZ state
+under a ledger of independent noise entries (d, S), S a node bitmask within
+the group's: with probability 1 - d an entry applies one of I, X_S, Z,
+X_S Z, chosen uniformly (on a GHZ state every single-qubit Z acts alike,
+and X_S as X on the rest of the group).  Depolarizing node v's qubit by d
+is the entry (d, 1 << v).  Parameters of one qubit's channels multiply, so
+each group qubit owes one pending factor (``Component.factor``), entered
+into the ledger when the qubit is fused (``Component.flush``) or read out.
+A waiting link pair is only its birth round: a successful Bell measurement
+on two gives each outcome with probability 1/4 and, once Pauli-corrected,
+Phi+ on the remotes with an empty ledger and both pairs' noise pending on
+one remote (``swapped_weight``), as depolarizing either qubit of Phi+ gives
+one state.  A fusion at node v, its control the qubit of the group A
+already held at v and its target that of the arriving group B, turns an S
+holding v into the rest of its side, ``mask ^ S``
+(``Component.fused_entries``); its Z outcome has probability 1/2 and, once
+corrected, leaves the same state, so none is drawn.  The read-out
+(``Component.ghz_fidelity``) is the character sum
 F = 1/2 prod_e d_e + 2^-k sum_t prod_e d_e^[<t, S_e> odd] over the
 even-weight t in {0, 1}^k, evaluated by a tree DP: read as its side without
 the group's lowest node, each S is a cut of the tree of fusions that built
@@ -77,13 +79,12 @@ class ProtocolInvariantError(RuntimeError):
 
 @dataclass
 class Component:
-    """One end-to-end group: its end nodes in qubit order, their bitmask
-    (bit v for node v), the pending factor ``(d, since)`` of each node's
-    qubit (it owes depolarizing by d p_mem^(now - since)), how many
-    link-level Bell pairs it has absorbed, and its noise ledger of entries
-    (d, S), S a node bitmask."""
+    """One end-to-end group: its end nodes' bitmask (bit v for node v), the
+    pending factor ``(d, since)`` of each node's qubit (it owes depolarizing
+    by d p_mem^(now - since)), keyed by node in the order the nodes joined,
+    how many link-level Bell pairs it has absorbed, and its noise ledger of
+    entries (d, S), S a node bitmask."""
 
-    nodes: list[int]
     mask: int
     pending: dict[int, tuple[float, int]]
     pairs_consumed: int
@@ -115,7 +116,6 @@ class Component:
         must have been flushed."""
         self.entries = self.fused_entries(node) + other.fused_entries(node)
         del other.pending[node]
-        self.nodes += [v for v in other.nodes if v != node]
         self.mask |= other.mask
         self.pending.update(other.pending)
         self.pairs_consumed += other.pairs_consumed
@@ -183,41 +183,31 @@ class NetworkState:
     is the switch and holds nothing), sized for n_end_nodes end nodes.
 
     ``round`` is the clock.  Per connection: ``born``, the waiting link
-    pair's birth round or NO_LINK, and ``link_slot``, its remote's slot.  Per
-    node: ``owner``, the group holding its qubit, ``slot``, that qubit's
-    slot, and ``label``, its cluster label.  ``second`` maps a node that a
-    successful measurement gave a second group qubit (in the other slot) to
-    that qubit's group, until ``do_fusions`` fuses the two."""
+    pair's birth round or NO_LINK.  Per node: ``owner``, the group holding
+    its qubit, and ``label``, its cluster label.  ``second`` maps a node that
+    a successful measurement gave a second group qubit to that qubit's
+    group, until ``do_fusions`` fuses the two."""
 
     def __init__(self, n_end_nodes: int, round: int = 0):
         size = n_end_nodes + 1
         self.round = round
         self.born = [NO_LINK] * size
-        self.link_slot = [0] * size
         self.owner: list[Component | None] = [None] * size
-        self.slot = [0] * size
         self.label = list(range(size))
         self.second: dict[int, Component] = {}
 
-    def add_link(self, conn: int) -> None:
-        """A link pair born now on conn.  Between rounds a node holds at most
-        one group qubit (a second is fused in the round it arrives), so its
-        remote takes the node's other slot."""
-        self.born[conn] = self.round
-        self.link_slot[conn] = 0 if self.owner[conn] is None else 1 - self.slot[conn]
-
-    def hold(self, comp: Component, node: int, slot: int) -> None:
-        """Put comp's qubit at node into slot: the node's qubit, or its
-        second when it holds one already."""
+    def hold(self, comp: Component, node: int) -> None:
+        """Hold comp's qubit at node: the node's qubit, or its second when it
+        holds one already."""
         if self.owner[node] is None:
-            self.owner[node], self.slot[node] = comp, slot
+            self.owner[node] = comp
         else:
             self.second[node] = comp
 
     def remove(self, comp: Component) -> None:
         """Take a delivered group out: its nodes hold no group qubit, and
         each is a cluster of its own again."""
-        for v in comp.nodes:
+        for v in comp.pending:
             self.owner[v] = None
             self.label[v] = v
 
@@ -236,35 +226,35 @@ class NetworkState:
 
     def validate(self, n_end_nodes: int) -> None:
         """Where each qubit lives: links wait only on connections 1..N, born
-        no later than now, their remotes in a memory slot; groups hold
-        end-node qubits only, one per node of their mask, each with a
-        pending factor, and ledger entries (d, S) with d in [0, 1] and S a
-        non-empty subset of the group's mask; a group's nodes share one
-        label; owner and mask agree; no slot holds two qubits and slot
-        capacities are kept."""
+        no later than now; groups hold end-node qubits only, one pending
+        factor per node of their mask, and ledger entries (d, S) with d in
+        [0, 1] and S a non-empty subset of the group's mask whose sides (S
+        without the group's lowest node) are pairwise nested or disjoint; a
+        group's nodes share one label; owner and mask agree; no node holds
+        more than NODE_MEMORY_SLOTS qubits."""
         nodes = range(1, n_end_nodes + 1)
         for conn, born in enumerate(self.born):
-            if born != NO_LINK and not (
-                conn in nodes and born <= self.round
-                and 0 <= self.link_slot[conn] < NODE_MEMORY_SLOTS
-            ):
+            if born != NO_LINK and not (conn in nodes and born <= self.round):
                 raise ProtocolInvariantError(f"connection {conn} holds a bad link")
         for comp in self.groups():
             if comp.mask & 1:
                 raise ProtocolInvariantError("a group holds a switch qubit")
-            nodes_mask = sum(1 << v for v in set(comp.nodes))
-            if comp.mask != nodes_mask or len(set(comp.nodes)) != len(comp.nodes):
-                raise ProtocolInvariantError(f"group nodes {comp.nodes} and mask disagree")
-            if set(comp.pending) != set(comp.nodes):
-                raise ProtocolInvariantError("pending factors out of sync")
+            if comp.mask != sum(1 << v for v in comp.pending):
+                raise ProtocolInvariantError(
+                    f"group pending factors {list(comp.pending)} and mask disagree")
             for d, s in comp.entries:
                 if not (0.0 <= d <= 1.0 and s and not s & ~comp.mask):
                     raise ProtocolInvariantError(f"bad ledger entry ({d}, {s:#b})")
-            if len({self.label[v] for v in comp.nodes}) != 1:
-                raise ProtocolInvariantError(f"labels disagree across group {comp.nodes}")
-            for v in comp.nodes:
+            low = comp.mask & -comp.mask
+            sides = sorted({comp.mask ^ s if s & low else s for _, s in comp.entries})
+            for a, b in combinations(sides, 2):
+                if a & b and a & ~b and b & ~a:
+                    raise ProtocolInvariantError(f"ledger sides {a:#b} and {b:#b} cross")
+            if len({self.label[v] for v in comp.pending}) != 1:
+                raise ProtocolInvariantError(f"labels disagree across group {comp.mask:#b}")
+            for v in comp.pending:
                 if comp is not self.owner[v] and comp is not self.second.get(v):
-                    raise ProtocolInvariantError(f"group {comp.nodes} not held at node {v}")
+                    raise ProtocolInvariantError(f"group {comp.mask:#b} not held at node {v}")
         owned = [(v, c) for v, c in enumerate(self.owner) if c is not None]
         for v, comp in owned + list(self.second.items()):
             if not comp.mask >> v & 1:
@@ -273,8 +263,6 @@ class NetworkState:
             held, linked = self.owner[v] is not None, self.born[v] != NO_LINK
             if held + (v in self.second) + linked > NODE_MEMORY_SLOTS:
                 raise ProtocolInvariantError(f"node {v} over memory capacity")
-            if held and linked and self.link_slot[v] == self.slot[v]:
-                raise ProtocolInvariantError("a qubit in two components")
 
 
 def swapped_weight(born_a: int, born_b: int, round_now: int, params: SimParams) -> float:
@@ -312,7 +300,7 @@ def advance_to_link_event(
     events: list[tuple] = []
     for conn, t in zip(eligible, times):
         if t == first:
-            state.add_link(conn)
+            born[conn] = state.round
             events.append(("link", conn))
     return events
 
@@ -355,9 +343,9 @@ def do_switch_bsms(
             events.append(("bsm", a, b, False))
             continue
         w = swapped_weight(born_a, born_b, state.round, params)
-        comp = Component([a, b], 1 << a | 1 << b, {a: (1.0, born_a), b: (w, born_b)}, 2, [])
-        state.hold(comp, a, state.link_slot[a])
-        state.hold(comp, b, state.link_slot[b])
+        comp = Component(1 << a | 1 << b, {a: (1.0, born_a), b: (w, born_b)}, 2, [])
+        state.hold(comp, a)
+        state.hold(comp, b)
         old, new = label[b], label[a]
         for v in range(1, params.n_end_nodes + 1):
             if label[v] == old:
@@ -373,31 +361,29 @@ def do_fusions(
 
     Only nodes in ``state.second`` are visited, in ascending index: a fusion
     keeps every other qubit where it was, so it never gives another node a
-    second one.  A waiting link pair takes one of its node's
-    NODE_MEMORY_SLOTS = 2 slots, so no fusion meets it.  The control is the
-    lower slot's qubit a in group A, the target b in group B; A absorbs B
-    (``Component.absorb``) and every node B held points to A.  The Z
-    outcome, 1 with probability 1/2, is not drawn: once corrected by X on
-    B's other qubits, either outcome leaves the same state.  Each fusion is
-    reported as ``("fusion", node)``.
+    second one.  A waiting link pair is not a group qubit, so no fusion
+    meets it.  The control is the qubit of the group A already held at the
+    node, the target that of the arriving group B; which is which does not
+    change the fused state.  A absorbs B (``Component.absorb``) and every
+    node B held points to A.  The Z outcome, 1 with probability 1/2, is not
+    drawn: once corrected by X on B's other qubits, either outcome leaves
+    the same state.  Each fusion is reported as ``("fusion", node)``.
     """
-    owner, slot, second = state.owner, state.slot, state.second
+    owner, second = state.owner, state.second
     events: list[tuple] = []
     for node in sorted(second):
         held, arrived = owner[node], second.pop(node)
-        comp_a, comp_b = (held, arrived) if slot[node] == 0 else (arrived, held)
-        if comp_a is comp_b:
+        if held is arrived:
             raise ProtocolInvariantError(f"node {node} holds two qubits of one component")
-        comp_a.flush(node, state.round, params.p_mem)
-        comp_b.flush(node, state.round, params.p_mem)
-        comp_a.absorb(comp_b, node)
-        for v in comp_b.nodes:
-            if owner[v] is comp_b:
-                owner[v] = comp_a
+        held.flush(node, state.round, params.p_mem)
+        arrived.flush(node, state.round, params.p_mem)
+        held.absorb(arrived, node)
+        for v in arrived.pending:
+            if owner[v] is arrived:
+                owner[v] = held
         for v, comp in second.items():
-            if comp is comp_b:
-                second[v] = comp_a
-        slot[node] = 0
+            if comp is arrived:
+                second[v] = held
         events.append(("fusion", node))
     return events
 
@@ -437,7 +423,7 @@ def run_to_ghz(
         full = state.full_component(n)
         if full is None:
             continue
-        if len(full.nodes) != n:
+        if len(full.pending) != n:
             raise ProtocolInvariantError("delivered state is not an n-qubit GHZ")
         record = SwitchRecord(
             duration_rounds=state.round - start,

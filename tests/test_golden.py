@@ -6,12 +6,12 @@ them every rate, standard error of the rate and shot count, are a pure
 function of the code's draw order; they must match with ``==``.  The
 factory fidelity is plain Python arithmetic and matches with ``==`` too.
 The switch fidelity is the noise ledger's character sum
-(``Component.ghz_fidelity``, entries (d, S) with S a node bitmask, read in
-the group's qubit order), whose products and sums over the ledger entries
-and the even-weight terms run in numpy's vectorised reductions, whose SIMD
-width and summation order depend on the CPU, so its last bits may differ
-between hosts; it is compared to 1e-12 relative, far below what a
-reordered, added or dropped draw moves it by.  The switch skips phases
+(``Component.ghz_fidelity``, entries (d, S) with S a node bitmask),
+evaluated by a plain-Python tree DP whose products follow the ledger's
+order and whose p_mem powers go through the platform's ``pow``: a change
+that reorders a ledger moves its last bits, and so may another host; it is
+compared to 1e-12 relative, far below what a reordered, added or dropped
+draw moves it by.  The switch skips phases
 that cannot act, which draws nothing, and keeps its cluster labels from
 call to call instead of rebuilding them; ``test_switch_stream.py`` pins its
 record stream over a wider grid of points.

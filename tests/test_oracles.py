@@ -293,9 +293,10 @@ def _closed_form_shifted(params, mode="leading"):
 
 
 def _control_side_uncomplemented(monkeypatch):
-    """The control's group (its qubit in slot 0) keeps its ledger as it
-    was.  Each fusion transforms the control's ledger first and the
-    target's second, so the fault leaves every other call's ledger alone."""
+    """The control's group (the one already held at the node) keeps its
+    ledger as it was.  Each fusion transforms the control's ledger first and
+    the target's second, so the fault leaves every other call's ledger
+    alone."""
     calls = itertools.count()
 
     def fused_entries(comp, node):
@@ -309,7 +310,7 @@ def _product_of_marginals_readout(comp, now, p_mem):
     each entry's X and Z parts were independent: (1 + w)^2 / 4, not
     (1 + 3 w) / 4, for a Werner pair.  The exact read-out is
     1/2 prod_e d_e plus half of P(X pattern trivial)."""
-    pending = [comp.factor(v, now, p_mem) for v in comp.nodes]
+    pending = [comp.factor(v, now, p_mem) for v in comp.pending]
     whole = np.prod([d for d, _ in comp.entries] + pending)
     return (1.0 + whole) / 2.0 * (2.0 * _EXACT_READOUT(comp, now, p_mem) - whole)
 

@@ -3,8 +3,9 @@
 Each point runs ``run_executions`` for 60 deliveries at p_mem = 0.999 and
 seed 1; the pin is the sha256 of its ``(duration_rounds, pairs_consumed)``
 sequence and the ``math.fsum`` of its fidelities.  The integers follow from
-the draw order alone and match with ``==``; the fidelities go through
-numpy's reductions (see ``test_golden.py``) and match to 1e-12 relative.
+the draw order alone and match with ``==``; the fidelities' last bits
+follow the ledgers' order and the platform's ``pow`` (see
+``test_golden.py``), so they match to 1e-12 relative.
 A change of the engine's state that keeps its draws and its records passes
 unedited; each negative control below is a single slip such a change could
 make, and must fail some pin.

@@ -168,6 +168,9 @@ def cmd_analytic(args) -> int:
         )
     n, q = params.n_end_nodes, params.q_link
     analytics.check_node_cap(n)
+    # every rate is a factor q_bsm^N, which below the normal doubles would lose digits
+    if args.quantity == "rate" and params.q_bsm**n < 2.0**-1022:
+        raise ConfigError(f"q_bsm ** n_end_nodes underflows (q_bsm = {params.q_bsm}, N = {n})")
     forms = {(quantity, mode): form for _, quantity, mode, _, form in ANALYTIC_COLUMNS}
     result: dict = {"quantity": args.quantity, "mode": args.mode, "params": asdict(params)}
     if (args.quantity, args.mode) in forms:

@@ -122,15 +122,17 @@ def check_attempt_budget(params: SimParams) -> None:
     rounds per shot, q_bsm^-N attempts of about H_N / q_link rounds, come
     within ``DURATION_SAFETY`` of the int64 durations' 2^63."""
     n = params.n_end_nodes
-    draws = params.q_bsm**-n * (n + 1) * params.shots
+    p_teleport = params.q_bsm**n  # may underflow to 0, where q_bsm ** -n raises
+    attempts = 1.0 / p_teleport if p_teleport else math.inf
+    draws = attempts * (n + 1) * params.shots
     if draws > ATTEMPT_DRAW_BUDGET:
         raise ConfigError(
             f"the factory would draw ~{draws:.2g} uniforms (budget "
             f"{ATTEMPT_DRAW_BUDGET:.0e}): each shot needs q_bsm ** -n_end_nodes = "
-            f"{params.q_bsm**-n:.2g} teleportation attempts at q_bsm = {params.q_bsm}, "
+            f"{attempts:.2g} teleportation attempts at q_bsm = {params.q_bsm}, "
             f"n_end_nodes = {n}; raise q_bsm or lower shots ({params.shots})"
         )
-    rounds = params.q_bsm**-n * harmonic(n) / params.q_link
+    rounds = attempts * harmonic(n) / params.q_link
     if rounds * DURATION_SAFETY > 2.0**63:
         raise ConfigError(
             f"a factory shot would last ~{rounds:.2g} rounds on average, more than "

@@ -47,16 +47,12 @@ class SimParams:
         # durations are int64 and a geometric draw is at most 1 + 53 ln 2 / q_link
         if not 1e-15 <= self.q_link <= 1.0:
             raise ConfigError(f"q_link must be in [1e-15, 1], got {self.q_link}")
-        if not 0.0 < self.q_bsm <= 1.0:
-            raise ConfigError(f"q_bsm must be in (0, 1], got {self.q_bsm}")
-        # the teleportation coin u < q_bsm^N draws u on a 2^-53 grid, so a
-        # smaller q_bsm^N lands only at u = 0, with the wrong probability
-        if self.q_bsm**self.n_end_nodes < 2.0**-53:
-            raise ConfigError(
-                f"q_bsm ** n_end_nodes is below 2**-53 (q_bsm = {self.q_bsm}, "
-                f"n_end_nodes = {self.n_end_nodes}): a uniform draw cannot resolve "
-                "the teleportation success probability"
-            )
+        # a success coin u < q_bsm draws u on a 2^-53 grid, so a smaller
+        # q_bsm lands only at u = 0, with the wrong probability; the
+        # factory's coin u < q_bsm^N is held to its draw budget instead
+        # (``factory.check_attempt_budget``), which a q_bsm^N < 2^-53 exceeds
+        if not 2.0**-53 <= self.q_bsm <= 1.0:
+            raise ConfigError(f"q_bsm must be in [2**-53, 1], got {self.q_bsm}")
         for name in ("p_link", "p_mem", "p_bsm", "p_ghz"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:

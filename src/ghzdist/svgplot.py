@@ -31,8 +31,6 @@ class Panel:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo, lo + (hi - lo) / 2.0, hi]
 
 
@@ -84,10 +82,10 @@ def render_sweep_svg(
                 f'<text x="{MARGIN_L - 6}" y="{y_px(tick) + 4}" text-anchor="end">'
                 f"{_fmt(tick)}</text>"
             )
-        for tick_val, tick_pos in zip(_ticks(min(x), max(x)), _ticks(x_lo, x_hi)):
+        for tick_pos in _ticks(x_lo, x_hi):
             out.append(
                 f'<text x="{x_px(tick_pos)}" y="{top + PANEL_H + 16}" '
-                f'text-anchor="middle">{_fmt(tick_val)}</text>'
+                f'text-anchor="middle">{_fmt(10**tick_pos if log_x else tick_pos)}</text>'
             )
         out.append(
             f'<text x="{MARGIN_L + PANEL_W / 2}" y="{top + PANEL_H + 32}" '

@@ -4,11 +4,11 @@ The state is flat per-node data, indexed by end node 1..N (connection c
 joins the switch to end node c).  Per connection: the birth round of the
 link pair waiting at the switch (``NO_LINK`` for none; the central node
 holds at most one qubit per connection, until a Bell measurement consumes
-it).  Per node: the end-to-end group holding its qubit and a persistent
-cluster label.  No qubit is given a memory slot, as which of a node's
-qubits is which never changes a state; a node holds at most
-``NODE_MEMORY_SLOTS`` qubits.  The state persists across executions: pairs
-not consumed while building one GHZ state seed the next one.
+it).  Per node: the end-to-end group holding its qubit.  No qubit is given
+a memory slot, as which of a node's qubits is which never changes a state;
+a node holds at most ``NODE_MEMORY_SLOTS`` qubits.  The state persists
+across executions: pairs not consumed while building one GHZ state seed the
+next one.
 
 No group is stored as a matrix.  Every operation of the switch (a Bell
 measurement with its Pauli correction, a CNOT fusion with its Z read-out and
@@ -40,16 +40,14 @@ weights are the XOR convolution of its children's and its free nodes'.  Its
 cost grows with the ledger, not as 2^k, so the switch takes any N;
 ``oracles`` keeps the 2^(k-1)-term sum as its reference.
 
-The cluster labels say which end nodes a chain of groups joins: a
-successful measurement merges its two nodes' labels, and a delivery resets
-its nodes' labels to their own index, so the labels are never rebuilt from
-the groups.  A phase runs only when it can act: the Bell measurements when
-at least two links wait, the fusions and the delivery check only after a
-measurement succeeded.  ``do_switch_bsms`` pairs only end nodes with
-different labels; a node whose link it consumes while the node holds a
-group qubit keeps the new group as its second qubit (``NetworkState.
-second``), and ``do_fusions`` fuses those nodes in ascending order.  A
-group spans every end node when its mask is bits 1..N.
+Each success is fused at once, so the groups are the clusters the protocol
+pairs across: ``do_switch_bsms`` pairs only end nodes not both held by one
+group and stops at its first success, whose nodes holding a group qubit
+already keep the new one as their second (``NetworkState.second``);
+``do_fusions`` fuses them in ascending order.  A phase runs only when it can act: the
+Bell measurements when at least two links wait, the fusions and the
+delivery check only after a measurement succeeded.  A group spans every
+end node when its mask is bits 1..N.
 
 A run reads one stream of uniforms (``params.Uniforms`` on ``shot_rng(seed,
 0, TAG_SWITCH)``) and draws nothing else, in this order: one per eligible
@@ -184,16 +182,14 @@ class NetworkState:
 
     ``round`` is the clock.  Per connection: ``born``, the waiting link
     pair's birth round or NO_LINK.  Per node: ``owner``, the group holding
-    its qubit, and ``label``, its cluster label.  ``second`` maps a node that
-    a successful measurement gave a second group qubit to that qubit's
-    group, until ``do_fusions`` fuses the two."""
+    its qubit.  ``second`` maps a node that a successful measurement gave a
+    second group qubit to its group, until ``do_fusions`` fuses the two."""
 
     def __init__(self, n_end_nodes: int, round: int = 0):
         size = n_end_nodes + 1
         self.round = round
         self.born = [NO_LINK] * size
         self.owner: list[Component | None] = [None] * size
-        self.label = list(range(size))
         self.second: dict[int, Component] = {}
 
     def hold(self, comp: Component, node: int) -> None:
@@ -205,11 +201,9 @@ class NetworkState:
             self.second[node] = comp
 
     def remove(self, comp: Component) -> None:
-        """Take a delivered group out: its nodes hold no group qubit, and
-        each is a cluster of its own again."""
+        """Take a delivered group out: its nodes hold no group qubit."""
         for v in comp.pending:
             self.owner[v] = None
-            self.label[v] = v
 
     def groups(self) -> list[Component]:
         """Every group in the network, once each."""
@@ -229,9 +223,9 @@ class NetworkState:
         no later than now; groups hold end-node qubits only, one pending
         factor per node of their mask, and ledger entries (d, S) with d in
         [0, 1] and S a non-empty subset of the group's mask whose sides (S
-        without the group's lowest node) are pairwise nested or disjoint; a
-        group's nodes share one label; owner and mask agree; no node holds
-        more than NODE_MEMORY_SLOTS qubits."""
+        without the group's lowest node) are pairwise nested or disjoint;
+        owner and mask agree; no node holds more than NODE_MEMORY_SLOTS
+        qubits."""
         nodes = range(1, n_end_nodes + 1)
         for conn, born in enumerate(self.born):
             if born != NO_LINK and not (conn in nodes and born <= self.round):
@@ -250,8 +244,6 @@ class NetworkState:
             for a, b in combinations(sides, 2):
                 if a & b and a & ~b and b & ~a:
                     raise ProtocolInvariantError(f"ledger sides {a:#b} and {b:#b} cross")
-            if len({self.label[v] for v in comp.pending}) != 1:
-                raise ProtocolInvariantError(f"labels disagree across group {comp.mask:#b}")
             for v in comp.pending:
                 if comp is not self.owner[v] and comp is not self.second.get(v):
                     raise ProtocolInvariantError(f"group {comp.mask:#b} not held at node {v}")
@@ -282,12 +274,15 @@ def advance_to_link_event(
 ) -> list[tuple]:
     """Fast-forward: ``oracles.advance_round`` repeated until a pair is created.
 
-    Equivalent in distribution to the per-round loop by memorylessness: each
-    connection with no link waiting draws its geometric time to success, the
-    clock jumps to the earliest one, and every connection attaining it
-    succeeds in that round.  With no eligible connection the clock moves a
-    single round.  Memory decoherence is unaffected: it is bookkept from the
-    round counter.
+    By memorylessness, each connection with no link waiting draws its
+    geometric time to success, the clock jumps to the earliest one, and
+    every connection attaining it succeeds in that round.  With no eligible
+    connection the clock moves a single round.  Memory decoherence is
+    unaffected: it is bookkept from the round counter.  This is the
+    per-round loop in distribution only while no valid pair waits: links
+    left waiting at a delivered group's nodes wait here for the next
+    arrival, where that loop measures them in the next round (ROADMAP
+    item 2).
     """
     born = state.born
     eligible = [c for c in range(1, params.n_end_nodes + 1) if born[c] == NO_LINK]
@@ -308,29 +303,29 @@ def advance_to_link_event(
 def do_switch_bsms(
     state: NetworkState, params: SimParams, rng: np.random.Generator
 ) -> list[tuple]:
-    """Measure random valid pairs of switch qubits until none remain.
+    """Measure random valid pairs of switch qubits until one succeeds.
 
-    A pair is valid when the end nodes reached through the two qubits are in
-    different clusters, a cluster being the end nodes joined by a chain of
-    groups: every connected group is fused into one GHZ-like state by the end
-    of the round, and pairing inside a cluster would create a cycle that
-    fusion cannot absorb.  The clusters are the persistent node labels;
-    a failed measurement changes none.  The pair is ``valid[floor(u *
-    len(valid))]`` on one uniform, drawn only when more than one pair is
-    valid, and the measurement succeeds when a second uniform is below q_bsm,
-    drawn only when q_bsm < 1.  Success merges the two link pairs
-    into Phi+ on their remotes (Pauli-corrected at the second end node), its
-    noise pending on the second remote, and merges the two nodes' labels;
-    failure resets both pairs.  The Bell outcome is not drawn: once
-    Pauli-corrected, all four leave the same pair.
+    A pair is valid unless one group holds both end nodes reached through
+    the two qubits: pairing inside a group would create a cycle that fusion
+    cannot absorb.  The groups are the clusters, as every success is fused
+    (``do_fusions``) before the next call; a failed measurement changes
+    none.  The pair is ``valid[floor(u * len(valid))]`` on one uniform,
+    drawn only when more than one pair is valid, and the measurement
+    succeeds when a second uniform is below q_bsm, drawn only when
+    q_bsm < 1.  Success merges the two link pairs into Phi+ on their remotes
+    (Pauli-corrected at the second end node), its noise pending on the
+    second remote, and ends the call; failure resets both pairs.  The Bell
+    outcome is not drawn: once Pauli-corrected, all four leave the same
+    pair.
     """
     if state.second:
         raise ProtocolInvariantError(f"node {min(state.second)} in two groups")
-    born, label = state.born, state.label
+    born, owner = state.born, state.owner
     waiting = [c for c in range(1, params.n_end_nodes + 1) if born[c] != NO_LINK]
     events: list[tuple] = []
     while len(waiting) > 1:
-        valid = [(a, b) for a, b in combinations(waiting, 2) if label[a] != label[b]]
+        valid = [(a, b) for a, b in combinations(waiting, 2)
+                 if owner[a] is None or owner[a] is not owner[b]]
         if not valid:
             break
         a, b = valid[int(rng.random() * len(valid))] if len(valid) > 1 else valid[0]
@@ -346,11 +341,8 @@ def do_switch_bsms(
         comp = Component(1 << a | 1 << b, {a: (1.0, born_a), b: (w, born_b)}, 2, [])
         state.hold(comp, a)
         state.hold(comp, b)
-        old, new = label[b], label[a]
-        for v in range(1, params.n_end_nodes + 1):
-            if label[v] == old:
-                label[v] = new
         events.append(("bsm", a, b, True))
+        break
     return events
 
 
@@ -403,12 +395,13 @@ def run_to_ghz(
 ) -> tuple[SwitchRecord, NetworkState]:
     """Advance the network until a component spans all end nodes.
 
-    The finished component is measured out of the network (its fidelity to the
-    GHZ state recorded) and the remaining entanglement carries over.  A phase
-    is skipped when it cannot act, which draws nothing: with fewer than two
-    links waiting no pair is valid, and groups change, so that a node can hold
-    two group qubits or a group can span every end node, only through a
-    successful measurement.
+    The finished component is measured out of the network (its fidelity to
+    the GHZ state recorded) and the remaining entanglement carries over.
+    After each link event, measurements and fusions alternate until a
+    measurement call ends without success.  A phase is skipped when it
+    cannot act, which draws nothing: with fewer than two links waiting no
+    pair is valid, and groups change, so that a node can hold two group
+    qubits or a group can span every end node, only through a success.
     """
     start = state.round
     n = params.n_end_nodes
@@ -417,21 +410,19 @@ def run_to_ghz(
         advance_to_link_event(state, params, rng)
         if len(born) - born.count(NO_LINK) < 2:
             continue
-        if not any(event[3] for event in do_switch_bsms(state, params, rng)):
-            continue
-        do_fusions(state, params, rng)
-        full = state.full_component(n)
-        if full is None:
-            continue
-        if len(full.pending) != n:
-            raise ProtocolInvariantError("delivered state is not an n-qubit GHZ")
-        record = SwitchRecord(
-            duration_rounds=state.round - start,
-            fidelity=full.ghz_fidelity(state.round, params.p_mem),
-            pairs_consumed=full.pairs_consumed,
-        )
-        state.remove(full)
-        return record, state
+        while any(event[3] for event in do_switch_bsms(state, params, rng)):
+            do_fusions(state, params, rng)
+            full = state.full_component(n)
+            if full is not None:
+                if len(full.pending) != n:
+                    raise ProtocolInvariantError("delivered state is not an n-qubit GHZ")
+                record = SwitchRecord(
+                    duration_rounds=state.round - start,
+                    fidelity=full.ghz_fidelity(state.round, params.p_mem),
+                    pairs_consumed=full.pairs_consumed,
+                )
+                state.remove(full)
+                return record, state
 
 
 WARMUP_EXECUTIONS = 1

@@ -84,6 +84,18 @@ class TestSimulate:
         closed_form = switch_fidelity_perfect_memory(n, 0.99, 0.98)
         assert abs(float(row["fid_mean"]) - closed_form) <= 1e-12
 
+    def test_switch_runs_where_the_factory_coin_cannot(self, capsys):
+        # q_bsm^32 ~ 1.9e-17 is below 2^-53, which only the factory's coin
+        # u < q_bsm^N meets (its draw budget rejects the point); the
+        # switch's coin is u < q_bsm
+        argv = ["simulate", "--set", "n_end_nodes=32", "--set", "q_link=0.3",
+                "--set", "q_bsm=0.3", "--set", "shots=2"]
+        assert main([*argv, "--protocol", "switch"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert main([*argv, "--protocol", "factory"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "q_bsm" in err[0]
+
     def test_fidelity_node_cap_fires_before_the_exact_rate(self, capsys, monkeypatch):
         # the exact rate costs O(N^2), seconds at N = 4000, and its value
         # would be thrown away once the closed-form fidelity rejects N
@@ -141,10 +153,22 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "q_bsm" in err[0]
 
+    @pytest.mark.parametrize("mode", ["exact", "leading"])
+    def test_rate_below_the_normal_doubles_is_one_error_line(self, capsys, mode):
+        # q_bsm^40 = 1e-400 underflows to 0 and 1e-320 is subnormal: the
+        # rate would print as 0, or with lost digits
+        for q_bsm in ("1e-10", "1e-8"):
+            argv = ["analytic", "--quantity", "rate", "--mode", mode, "--set",
+                    "n_end_nodes=40", "--set", "q_link=0.5", "--set", f"q_bsm={q_bsm}"]
+            assert main(argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and "q_bsm" in err[0]
+
     @pytest.mark.parametrize("protocol", ["factory", "switch"])
     def test_unresolvable_q_bsm_power_is_one_error_line(self, capsys, protocol):
-        # q_bsm^5 = 1e-300 does not underflow, but a uniform draw on the 2^-53
-        # grid meets it only at u = 0, so both engines would all but hang
+        # q_bsm = 1e-60 and q_bsm^5 = 1e-300 do not underflow, but a uniform
+        # draw on the 2^-53 grid meets either only at u = 0, so the switch's
+        # coin u < q_bsm and the factory's u < q_bsm^5 would all but hang
         argv = ["simulate", "--protocol", protocol, "--set", "n_end_nodes=5",
                 "--set", "q_link=0.5", "--set", "q_bsm=1e-60", "--set", "shots=2"]
         assert main(argv) == 1

@@ -204,9 +204,10 @@ GUARD_UNIFORMS = 20_000
 @st.composite
 def factory_points(draw):
     """The keys of a factory point: N up to 1,023, any q_link ``SimParams``
-    accepts and q_bsm down to its floor q_bsm^N = 2^-53, drawn as the
-    point's q_bsm^-N attempts a shot on a log scale, so that cheap points
-    and points too costly to accept both come up."""
+    accepts and q_bsm down to q_bsm^N = 2^-53 (below it the draw budget
+    rejects every point), drawn as the point's q_bsm^-N attempts a shot on
+    a log scale, so that cheap points and points too costly to accept both
+    come up."""
     n = draw(st.integers(2, 1023))
     attempts_log2 = draw(st.floats(0.0, 53.0))
     return dict(

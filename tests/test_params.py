@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ghzdist.cli import main
+from ghzdist.factory import check_attempt_budget
 from ghzdist.params import (
     BLOCK,
     ConfigError,
@@ -62,14 +63,23 @@ class TestSimParams:
         "q_bsm, n", [(1e-70, 5), (1e-60, 5), (1e-10, 40), (5e-324, 2), (1e-8, 2)]
     )
     def test_rejects_q_bsm_power_underflow(self, q_bsm, n):
-        # the success coin u < q_bsm^N draws u on a 2^-53 grid: below that
-        # step it lands only at u = 0, with the wrong probability
+        # the factory's coin u < q_bsm^N draws u on a 2^-53 grid: below that
+        # step it lands only at u = 0, with the wrong probability.  SimParams
+        # rejects a q_bsm below it, the draw budget any smaller q_bsm^N
+        # (q_bsm^N = 0 and q_bsm^-N = inf included)
         with pytest.raises(ConfigError, match="q_bsm"):
-            SimParams(n_end_nodes=n, q_link=0.01, q_bsm=q_bsm)
+            check_attempt_budget(SimParams(n_end_nodes=n, q_link=0.01, q_bsm=q_bsm))
 
     def test_accepts_small_q_bsm_power(self):
         assert SimParams(n_end_nodes=5, q_link=0.01, q_bsm=1e-3).q_bsm == 1e-3
         assert SimParams(n_end_nodes=2, q_link=0.01, q_bsm=1e-6).q_bsm == 1e-6
+
+    def test_coin_limit_is_on_q_bsm_alone(self):
+        # the switch's coin is u < q_bsm, whatever q_bsm^N
+        assert SimParams(n_end_nodes=32, q_link=0.3, q_bsm=0.3).q_bsm == 0.3
+        assert SimParams(n_end_nodes=2, q_link=0.01, q_bsm=2.0**-53).q_bsm == 2.0**-53
+        with pytest.raises(ConfigError, match="q_bsm"):
+            SimParams(n_end_nodes=2, q_link=0.01, q_bsm=2.0**-54)
 
     def test_overrides(self):
         p = replace(SimParams(n_end_nodes=5, q_link=0.01), p_mem=0.5)

@@ -41,12 +41,9 @@ def group(*nodes: int, entries=(), pairs=2) -> Component:
 
 
 def place(state: NetworkState, comp: Component, *nodes: int) -> None:
-    """Hold comp's qubits at the nodes, in order, and join their clusters."""
-    joined = state.label[nodes[0]]
+    """Hold comp's qubits at the nodes, in order."""
     for v in nodes:
         state.hold(comp, v)
-        old = state.label[v]
-        state.label = [joined if c == old else c for c in state.label]
 
 
 def network(*pairs: tuple[int, int]) -> NetworkState:
@@ -245,7 +242,6 @@ class TestSwitchBsms:
         assert links(state) == [] and len(state.groups()) == 1
         comp = state.groups()[0]
         assert comp.mask == 0b110 and state.owner[1] is state.owner[2] is comp
-        assert state.label[1] == state.label[2]  # one cluster from now on
         state.validate(2)
         assert comp.entries == []
         assert comp.ghz_fidelity(state.round, 1.0) == pytest.approx(1.0, abs=1e-12)
@@ -258,7 +254,7 @@ class TestSwitchBsms:
         )
         assert events == [("bsm", 1, 2, False)]
         assert links(state) == [] and state.groups() == []
-        assert state.label[1:3] == [1, 2]  # a failed measurement joins no clusters
+        assert state.owner[1:3] == [None, None]  # a failed measurement joins no clusters
 
     def test_three_pairs_single_uniform_measurement(self):
         params = make_params(n_end_nodes=3)
@@ -297,7 +293,8 @@ class TestSwitchBsms:
     @pytest.mark.parametrize("seed", range(8))
     def test_success_joins_clusters_within_the_call(self, seed):
         # groups 1-2 and 3-4 with a link waiting on every connection: the
-        # first measured pair joins both clusters, so the other two links wait
+        # call stops at its first success, whose fusions join both groups,
+        # so the other two links are no valid pair
         state = network((1, 2), (3, 4), *((0, c) for c in (1, 2, 3, 4)))
         params = make_params(n_end_nodes=4, q_bsm=1.0)
         events = do_switch_bsms(state, params, shot_rng(seed, 0, 9))
@@ -305,7 +302,14 @@ class TestSwitchBsms:
         a, b = events[0][1:3]
         assert (a in (1, 2)) != (b in (1, 2))
         assert links(state) == sorted({1, 2, 3, 4} - {a, b})
-        assert len(state.groups()) == 3
+        assert len(state.groups()) == 3 and sorted(state.second) == sorted((a, b))
+        state.validate(4)
+        assert do_fusions(state, params, shot_rng(seed, 0, 9)) == [
+            ("fusion", min(a, b)), ("fusion", max(a, b))]
+        assert len(state.groups()) == 1
+        stream = StandInStream(shot_rng(seed, 0, 9))
+        assert do_switch_bsms(state, params, stream) == [] and stream.drawn == 0
+        assert links(state) == sorted({1, 2, 3, 4} - {a, b})
         state.validate(4)
 
 
@@ -414,19 +418,21 @@ class TestRunToGhz:
         while deliveries < 12:
             advance_round(state, params, rng)
             state.validate(params.n_end_nodes)
-            do_switch_bsms(state, params, rng)
-            state.validate(params.n_end_nodes)
-            do_fusions(state, params, rng)
-            state.validate(params.n_end_nodes)
-            # every node that held two group qubits was fused, none skipped
-            nodes = [v for comp in state.groups() for v in comp.pending]
-            assert state.second == {} and len(nodes) == len(set(nodes))
+            success = True
+            while success:
+                success = any(e[3] for e in do_switch_bsms(state, params, rng))
+                state.validate(params.n_end_nodes)
+                do_fusions(state, params, rng)
+                state.validate(params.n_end_nodes)
+                # every node that held two group qubits was fused, none skipped
+                nodes = [v for comp in state.groups() for v in comp.pending]
+                assert state.second == {} and len(nodes) == len(set(nodes))
             full = state.full_component(params.n_end_nodes)
             if full is not None:
                 assert sorted(full.pending) == list(range(1, n + 1))
                 state.remove(full)
                 state.validate(params.n_end_nodes)
-                assert state.label[1:] == list(range(1, n + 1))
+                assert state.owner[1:] == [None] * n and state.second == {}
                 deliveries += 1
 
 
@@ -444,18 +450,17 @@ def draw_rule_count(monkeypatch, params: SimParams, deliveries: int) -> tuple[in
         return link_phase(state, params, rng)
 
     def bsms_counted(state, params, rng):
+        # a call ends at its first success, so every pair it measures is
+        # drawn under the groups it started with
         waiting = [c for c in range(1, n + 1) if state.born[c] != NO_LINK]
-        label = list(state.label)
+        owner = list(state.owner)
         events = bsm_phase(state, params, rng)
-        for _, a, b, ok in events:
+        for _, a, b, _ in events:
             valid = [(x, y) for i, x in enumerate(waiting) for y in waiting[i + 1:]
-                     if label[x] != label[y]]
+                     if owner[x] is None or owner[x] is not owner[y]]
             expected[0] += (len(valid) > 1) + (params.q_bsm < 1.0)
             waiting.remove(a)
             waiting.remove(b)
-            if ok:
-                old = label[b]
-                label = [label[a] if c == old else c for c in label]
         return events
 
     monkeypatch.setattr(switch_module, "advance_to_link_event", links_counted)
@@ -522,8 +527,8 @@ class TestJumpEquivalence:
             start = state.round
             while True:
                 advance_round(state, params, rng)
-                do_switch_bsms(state, params, rng)
-                do_fusions(state, params, rng)
+                while any(e[3] for e in do_switch_bsms(state, params, rng)):
+                    do_fusions(state, params, rng)
                 full = state.full_component(params.n_end_nodes)
                 if full is not None:
                     for v in full.pending:
@@ -553,21 +558,30 @@ class TestJumpEquivalence:
 
 def literal_executions(params: SimParams, shots: int) -> list[tuple[int, int, float]]:
     """run_executions as a literal loop: every phase runs every iteration,
-    every group qubit's pending channel enters the ledger after each phase,
-    and the read-out has none left to fold in.  Returns (duration_rounds,
-    pairs_consumed, fidelity) per delivery."""
+    measurement and fusion alternating until a measurement call ends
+    without success, every group qubit's pending channel enters the ledger
+    after each phase, and the read-out has none left to fold in.  Returns
+    (duration_rounds, pairs_consumed, fidelity) per delivery."""
     rng = shot_rng(params.seed, 0, TAG_SWITCH)
     state = NetworkState(params.n_end_nodes)
+
+    def run(phase) -> list[tuple]:
+        events = phase(state, params, rng)
+        for comp in state.groups():
+            for v in comp.pending:
+                comp.flush(v, state.round, params.p_mem)
+        return events
+
     records = []
     for _ in range(WARMUP_EXECUTIONS + shots):
         start = state.round
         full = None
         while full is None:
-            for phase in (advance_to_link_event, do_switch_bsms, do_fusions):
-                phase(state, params, rng)
-                for comp in state.groups():
-                    for v in comp.pending:
-                        comp.flush(v, state.round, params.p_mem)
+            run(advance_to_link_event)
+            success = True
+            while success:
+                success = any(e[3] for e in run(do_switch_bsms))
+                run(do_fusions)
             full = state.full_component(params.n_end_nodes)
         fidelity = full.ghz_fidelity(state.round, params.p_mem)
         records.append((state.round - start, full.pairs_consumed, fidelity))
@@ -726,12 +740,6 @@ class TestValidate:
         state = network((1, 2))
         state.owner[1].entries.append(entry)
         with pytest.raises(ProtocolInvariantError, match="bad ledger entry"):
-            state.validate(3)
-
-    def test_labels_disagree_across_a_group(self):
-        state = network((1, 2))
-        state.label[2] = 3
-        with pytest.raises(ProtocolInvariantError, match="labels disagree"):
             state.validate(3)
 
     def test_nodes_and_mask_disagree(self):

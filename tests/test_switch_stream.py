@@ -99,25 +99,17 @@ def test_stream_matches_pin(point):
     assert matches(point)
 
 
-def edited(function, marker: str, replacement: str | None = None):
+def edited(function, marker: str, replacement: str):
     """``function`` (a module function or a method) recompiled in its module
-    without the one source line holding ``marker``, or with ``marker`` in it
-    replaced by ``replacement``."""
+    with ``marker``, which one source line holds, replaced by
+    ``replacement``."""
     lines = textwrap.dedent(inspect.getsource(function)).splitlines(keepends=True)
     hits = [i for i, line in enumerate(lines) if marker in line]
     assert len(hits) == 1, hits
-    if replacement is None:
-        del lines[hits[0]]
-    else:
-        lines[hits[0]] = lines[hits[0]].replace(marker, replacement)
+    lines[hits[0]] = lines[hits[0]].replace(marker, replacement)
     namespace = dict(vars(inspect.getmodule(function)))
     exec(compile("".join(lines), inspect.getsourcefile(function), "exec"), namespace)
     return namespace[function.__name__]
-
-
-def without_line(function, marker: str):
-    """``function`` recompiled without the one source line holding ``marker``."""
-    return edited(function, marker)
 
 
 def stall_guard(monkeypatch, budget: int = 20_000) -> None:
@@ -151,11 +143,23 @@ def test_coin_drawn_at_certain_success_fails_the_pins(monkeypatch):
     assert not all(matches(point) for point in PINS)
 
 
-def test_labels_kept_across_a_delivery_fail_the_pins(monkeypatch):
-    # a delivered group's nodes stay one cluster: no later pair is valid, so
-    # the next delivery never comes
-    kept = without_line(switch.NetworkState.remove, "self.label[v] = v")
+def test_owner_kept_across_a_delivery_stalls(monkeypatch):
+    # a delivered group still holds its nodes: they stay one cluster, no
+    # later pair is valid, and the next delivery never comes
+    kept = edited(switch.NetworkState.remove, "self.owner[v] = None", "pass")
     monkeypatch.setattr(switch.NetworkState, "remove", kept)
+    stall_guard(monkeypatch)
+    for point in list(PINS)[:3]:
+        with pytest.raises(Stalled):
+            stream(*point)
+
+
+def test_free_nodes_never_valid_fail_the_pins(monkeypatch):
+    # two nodes that hold no group qubit are both owned by None: read as
+    # one group, they never form a valid pair
+    bsms = edited(switch.do_switch_bsms, "owner[a] is None or owner[a] is not owner[b]",
+                  "owner[a] is not owner[b]")
+    monkeypatch.setattr(switch, "do_switch_bsms", bsms)
     stall_guard(monkeypatch)
     assert not any(matches(point) for point in list(PINS)[:3])
 

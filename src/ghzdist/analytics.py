@@ -225,6 +225,10 @@ def f_rand(p_ghz: float, p: Sequence[float]) -> float:
     The subset sum with weights 2^(delta_{|U|,0} + delta_{|U|,N} - 1)
     (``oracles.ghz_overlap_subset_sum``) collapses to the product form
     (1-p_ghz)/2^N + p_ghz [prod p_i + prod (1-p_i)/2 + prod (1+p_i)/2] / 2.
+
+    Each p_i may instead be a row of a numpy array, one entry per state: the
+    same IEEE operations then run elementwise, so each entry of the result
+    equals, bit for bit, the call on that state's scalars.
     """
     n = len(p)
     if n < 2:

@@ -22,7 +22,7 @@ from .analytics import GSpec
 from .factory import check_attempt_budget, estimate, worker_count
 from .params import ConfigError, SimParams, load_params
 from .svgplot import Panel, Series, render_sweep_svg
-from .switch import WARMUP_EXECUTIONS, estimate_switch
+from .switch import WARMUP_EXECUTIONS, check_measurement_budget, estimate_switch
 
 # (column, quantity, mode, chart label, form); forms look up analytics.<fn> when called
 ANALYTIC_COLUMNS = [
@@ -79,6 +79,7 @@ def _resolve_point(protocol: str, params: SimParams) -> dict:
     """The analytic columns of one point; raises on any input the point
     would fail on, so that a run checks every point before simulating one."""
     if protocol == "switch":
+        check_measurement_budget(params)
         return {column: "" for column, *_ in ANALYTIC_COLUMNS}
     check_attempt_budget(params)
     worker_count()

@@ -206,29 +206,6 @@ class DepolarizingTable:
         self.p = np.concatenate((self.p, more))
 
 
-def block_fidelities(
-    params: SimParams, n_all: np.ndarray, rounds: np.ndarray, table: DepolarizingTable
-) -> np.ndarray:
-    """``fidelity_from_deltas`` for every row of ``rounds``, bit for bit,
-    its deltas being its largest round ``n_all`` minus each entry: each
-    entry's parameter p gathered from ``table``, its two factors of
-    ``f_rand``, (1 - p) / 2 and (1 + p) / 2, taken elementwise, and
-    ``f_rand``'s three running products taken column by column in its
-    order."""
-    p = table.gather(n_all - rounds.T)  # one contiguous row per column of rounds
-    lost_factor = (1.0 - p) / 2.0
-    kept_factor = (1.0 + p) / 2.0
-    prod_p = np.ones(len(rounds))
-    lost = np.ones(len(rounds))
-    kept = np.ones(len(rounds))
-    for p_col, lost_col, kept_col in zip(p, lost_factor, kept_factor):
-        prod_p *= p_col
-        lost *= lost_col
-        kept *= kept_col
-    core = 0.5 * (prod_p + lost + kept)
-    return (1.0 - params.p_ghz) / 2.0 ** rounds.shape[1] + params.p_ghz * core
-
-
 def _tally(
     won: np.ndarray, lost: np.ndarray, carry: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
@@ -301,7 +278,10 @@ def run_block(
     for col in rounds.T[1:]:
         np.maximum(n_all, col, out=n_all)
     duration += n_all
-    return ShotBlock(attempts, rounds, duration, block_fidelities(params, n_all, rounds, table))
+    # one contiguous row of parameters per column of rounds, scored by f_rand
+    # elementwise: ``fidelity_from_deltas`` on each shot, bit for bit
+    fidelity = f_rand(params.p_ghz, table.gather(n_all - rounds.T))
+    return ShotBlock(attempts, rounds, duration, fidelity)
 
 
 def _run_spans(args: tuple[SimParams, int, int]) -> tuple[np.ndarray, np.ndarray]:

@@ -557,8 +557,8 @@ def switch_ledger_error(rng: np.random.Generator) -> float:
 
     For N in 2..7, a random chain through the end nodes holds one Phi+ group
     per link, each qubit owing a random pending factor since a random round.
-    The links go in over two fusion phases, with p_mem aging between them and
-    before the read-out.  The dense side builds each pair with
+    The links go in over two rounds, each fused as it goes in, with p_mem
+    aging between the rounds and before the read-out.  The dense side builds each pair with
     ``dm.make_bell``, depolarizes each qubit by what it owes when it is
     fused or read out, fuses with ``dm.fusion`` read as a fair coin from this
     check's stream (a dense CNOT and Z projection, whose probability of
@@ -590,24 +590,21 @@ def switch_ledger_error(rng: np.random.Generator) -> float:
         for batch in (pairs[:first], pairs[first:]):
             state.round += int(rng.integers(3, 6))
             for a, b in batch:
-                group = switch.Component(
+                state.arriving = switch.Component(
                     1 << a.node | 1 << b.node, {q.node: owed[q] for q in (a, b)}, 2)
-                for q in (a, b):
-                    state.hold(group, q.node)
                 dense[a] = dense[b] = dmod.make_bell(a, b)
-            for _, node in switch.do_fusions(state, params, rng):
-                bit = int(rng.random() >= 0.5)
-                control, target = Qubit(node, 0), Qubit(node, 1)
-                group_a, group_b = dense[control], dense[target]
-                group_a = decay(group_a, control, state.round)
-                group_b = decay(group_b, target, state.round)
-                flip = [q for q in group_b.labels if q != target]
-                p0, _, fused = dmod.fusion(
-                    dmod.tensor(group_a, group_b), control, target, lambda _: bit, flip
-                )
-                worst = max(worst, abs(p0 - 0.5))
-                del dense[target]
-                dense.update(dict.fromkeys(fused.labels, fused))
+                for _, node in switch.do_fusions(state, params, rng):
+                    bit = int(rng.random() >= 0.5)
+                    control, target = Qubit(node, 0), Qubit(node, 1)
+                    group_a = decay(dense[control], control, state.round)
+                    group_b = decay(dense[target], target, state.round)
+                    flip = [q for q in group_b.labels if q != target]
+                    p0, _, fused = dmod.fusion(
+                        dmod.tensor(group_a, group_b), control, target, lambda _: bit, flip
+                    )
+                    worst = max(worst, abs(p0 - 0.5))
+                    del dense[target]
+                    dense.update(dict.fromkeys(fused.labels, fused))
         state.round += int(rng.integers(0, 3))
         (group,) = state.groups()
         # every label left maps to the one fused matrix
@@ -642,10 +639,10 @@ def switch_readout_error(rng: np.random.Generator) -> float:
     ledgers at N in 2..14, built as ``switch_ledger_error`` builds its: one
     Phi+ group per edge of a random tree on the end nodes, each qubit owing
     a pending factor since a random round, fused by ``switch.do_fusions``
-    with p_mem aging between fusion phases and before the read-out.  The
-    tree is a chain through a random order of the nodes, or joins each node
-    of that order to a random earlier one; its edges go in, in random
-    order, in phases that give no node two new qubits.  A factor is 0, 1 or
+    as it goes in, with p_mem aging between the edges and before the
+    read-out.  The tree is a chain through a random order of the nodes, or
+    joins each node of that order to a random earlier one; its edges go in
+    in random order.  A factor is 0, 1 or
     uniform, and the finished ledger gains a copy of a random entry's S
     with d = 1.  Three ledgers per N and tree shape."""
     worst = 0.0
@@ -655,21 +652,14 @@ def switch_readout_error(rng: np.random.Generator) -> float:
         edges = [(order[i - 1] if chain else order[int(rng.integers(i))], order[i])
                  for i in range(1, n)]
         state = switch.NetworkState(n)
-        phase: set[int] = set()
         for k in rng.permutation(len(edges)):
             u, v = edges[k]
-            if phase & {u, v}:
-                state.round += int(rng.integers(0, 3))
-                switch.do_fusions(state, params, rng)
-                phase.clear()
-            phase |= {u, v}
+            state.round += int(rng.integers(0, 3))
             owed = {x: (float(rng.choice([0.0, 1.0, rng.random()], p=[0.1, 0.3, 0.6])),
                         state.round - int(rng.integers(0, 3))) for x in (u, v)}
-            pair = switch.Component(1 << u | 1 << v, owed, 2)
-            for x in (u, v):
-                state.hold(pair, x)
+            state.arriving = switch.Component(1 << u | 1 << v, owed, 2)
+            switch.do_fusions(state, params, rng)
         state.round += int(rng.integers(0, 3))
-        switch.do_fusions(state, params, rng)
         (group,) = state.groups()
         if group.entries:
             group.entries.append((1.0, group.entries[int(rng.integers(len(group.entries)))][1]))

@@ -205,7 +205,7 @@ def geometric_rounds_array(uniforms: np.ndarray, log_miss: float) -> np.ndarray:
 
     ``np.log1p`` can differ from ``math.log1p`` by an ulp, which changes the
     integer part only of a quotient within a few ulps of an integer; those
-    few are redone with ``math.log1p``.  At q = 1 (``log_miss`` = -inf)
+    few are redone by ``geometric_rounds``.  At q = 1 (``log_miss`` = -inf)
     every uniform maps to 1.
     """
     if log_miss == -math.inf:
@@ -213,10 +213,10 @@ def geometric_rounds_array(uniforms: np.ndarray, log_miss: float) -> np.ndarray:
     quotient = np.log1p(-uniforms)
     quotient /= log_miss
     rounds = quotient.astype(np.int64)
+    rounds += 1
     near = np.abs(quotient - np.rint(quotient)) <= 4 * np.spacing(quotient)
     if near.any():
-        rounds[near] = [int(math.log1p(-u) / log_miss) for u in uniforms[near].tolist()]
-    rounds += 1
+        rounds[near] = geometric_rounds(uniforms[near].tolist(), log_miss)
     return rounds
 
 

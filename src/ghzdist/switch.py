@@ -4,11 +4,12 @@ The state is flat per-node data, indexed by end node 1..N (connection c
 joins the switch to end node c).  Per connection: the birth round of the
 link pair waiting at the switch (``NO_LINK`` for none; the central node
 holds at most one qubit per connection, until a Bell measurement consumes
-it).  Per node: the end-to-end group holding its qubit.  No qubit is given
-a memory slot, as which of a node's qubits is which never changes a state;
-a node holds at most ``NODE_MEMORY_SLOTS`` qubits.  The state persists
-across executions: pairs not consumed while building one GHZ state seed the
-next one.
+it).  Per node: the end-to-end group holding its qubit.  Besides them, at
+most one group arrives: the pair a successful measurement made, until the
+fusion phase places it.  No qubit is given a memory slot, as which of a
+node's qubits is which never changes a state; a node holds at most
+``NODE_MEMORY_SLOTS`` qubits.  The state persists across executions: pairs
+not consumed while building one GHZ state seed the next one.
 
 No group is stored as a matrix.  Every operation of the switch (a Bell
 measurement with its Pauli correction, a CNOT fusion with its Z read-out and
@@ -42,12 +43,12 @@ cost grows with the ledger, not as 2^k, so the switch takes any N;
 
 Each success is fused at once, so the groups are the clusters the protocol
 pairs across: ``do_switch_bsms`` pairs only end nodes not both held by one
-group and stops at its first success, whose nodes holding a group qubit
-already keep the new one as their second (``NetworkState.second``);
-``do_fusions`` fuses them in ascending order.  A phase runs only when it can act: the
-Bell measurements when at least two links wait, the fusions and the
-delivery check only after a measurement succeeded.  A group spans every
-end node when its mask is bits 1..N.
+group and stops at its first success, whose pair waits as the arriving group
+(``NetworkState.arriving``); ``do_fusions`` places it node by node, in
+ascending order, each held group absorbing the arriving one.  A phase runs
+only when it can act: the Bell measurements when at least two links wait,
+the fusions and the delivery check only after a measurement succeeded.  A
+group spans every end node when its mask is bits 1..N.
 
 A run reads one stream of uniforms (``params.Uniforms`` on ``shot_rng(seed,
 0, TAG_SWITCH)``) and draws nothing else, in this order: one per eligible
@@ -65,10 +66,13 @@ from itertools import combinations
 import numpy as np
 
 from .factory import Estimates, summarize
-from .params import TAG_SWITCH, SimParams, Uniforms, sample_geometric, shot_rng
+from .params import TAG_SWITCH, ConfigError, SimParams, Uniforms, sample_geometric, shot_rng
 
 NODE_MEMORY_SLOTS = 2
 NO_LINK = -1
+# expected Bell measurements an estimate may make: at 4 to 10 us a
+# measurement, 7 to 17 minutes of sampling
+BSM_BUDGET = 1e8
 
 
 class ProtocolInvariantError(RuntimeError):
@@ -138,7 +142,7 @@ class Component:
         low = mask & -mask
         sides: dict[int, float] = {}
         whole = 1.0
-        pending = [(d * p_mem ** (now - since), 1 << v) for v, (d, since) in self.pending.items()]
+        pending = [(self.factor(v, now, p_mem), 1 << v) for v in self.pending]
         for d, s in self.entries + pending:
             side = mask ^ s if s & low else s
             sides[side] = sides.get(side, 1.0) * d
@@ -182,23 +186,15 @@ class NetworkState:
 
     ``round`` is the clock.  Per connection: ``born``, the waiting link
     pair's birth round or NO_LINK.  Per node: ``owner``, the group holding
-    its qubit.  ``second`` maps a node that a successful measurement gave a
-    second group qubit to its group, until ``do_fusions`` fuses the two."""
+    its qubit.  ``arriving`` is the pair a successful measurement made, held
+    at none of its nodes until ``do_fusions`` places it."""
 
     def __init__(self, n_end_nodes: int, round: int = 0):
         size = n_end_nodes + 1
         self.round = round
         self.born = [NO_LINK] * size
         self.owner: list[Component | None] = [None] * size
-        self.second: dict[int, Component] = {}
-
-    def hold(self, comp: Component, node: int) -> None:
-        """Hold comp's qubit at node: the node's qubit, or its second when it
-        holds one already."""
-        if self.owner[node] is None:
-            self.owner[node] = comp
-        else:
-            self.second[node] = comp
+        self.arriving: Component | None = None
 
     def remove(self, comp: Component) -> None:
         """Take a delivered group out: its nodes hold no group qubit."""
@@ -207,7 +203,7 @@ class NetworkState:
 
     def groups(self) -> list[Component]:
         """Every group in the network, once each."""
-        held = [c for c in self.owner if c is not None] + list(self.second.values())
+        held = [c for c in self.owner + [self.arriving] if c is not None]
         return list({id(c): c for c in held}.values())
 
     def full_component(self, n_end_nodes: int) -> Component | None:
@@ -224,8 +220,8 @@ class NetworkState:
         factor per node of their mask, and ledger entries (d, S) with d in
         [0, 1] and S a non-empty subset of the group's mask whose sides (S
         without the group's lowest node) are pairwise nested or disjoint;
-        owner and mask agree; no node holds more than NODE_MEMORY_SLOTS
-        qubits."""
+        owner and mask agree, the arriving group aside; no node holds more
+        than NODE_MEMORY_SLOTS qubits, the arriving group's counted."""
         nodes = range(1, n_end_nodes + 1)
         for conn, born in enumerate(self.born):
             if born != NO_LINK and not (conn in nodes and born <= self.round):
@@ -245,15 +241,15 @@ class NetworkState:
                 if a & b and a & ~b and b & ~a:
                     raise ProtocolInvariantError(f"ledger sides {a:#b} and {b:#b} cross")
             for v in comp.pending:
-                if comp is not self.owner[v] and comp is not self.second.get(v):
+                if comp is not self.owner[v] and comp is not self.arriving:
                     raise ProtocolInvariantError(f"group {comp.mask:#b} not held at node {v}")
-        owned = [(v, c) for v, c in enumerate(self.owner) if c is not None]
-        for v, comp in owned + list(self.second.items()):
-            if not comp.mask >> v & 1:
+        for v, comp in enumerate(self.owner):
+            if comp is not None and not comp.mask >> v & 1:
                 raise ProtocolInvariantError(f"node {v} held by a group outside its mask")
+        arriving = self.arriving.mask if self.arriving is not None else 0
         for v in nodes:
             held, linked = self.owner[v] is not None, self.born[v] != NO_LINK
-            if held + (v in self.second) + linked > NODE_MEMORY_SLOTS:
+            if held + (arriving >> v & 1) + linked > NODE_MEMORY_SLOTS:
                 raise ProtocolInvariantError(f"node {v} over memory capacity")
 
 
@@ -314,12 +310,12 @@ def do_switch_bsms(
     succeeds when a second uniform is below q_bsm, drawn only when
     q_bsm < 1.  Success merges the two link pairs into Phi+ on their remotes
     (Pauli-corrected at the second end node), its noise pending on the
-    second remote, and ends the call; failure resets both pairs.  The Bell
-    outcome is not drawn: once Pauli-corrected, all four leave the same
-    pair.
+    second remote, makes it the arriving group and ends the call; failure
+    resets both pairs.  The Bell outcome is not drawn: once Pauli-corrected,
+    all four leave the same pair.
     """
-    if state.second:
-        raise ProtocolInvariantError(f"node {min(state.second)} in two groups")
+    if state.arriving is not None:
+        raise ProtocolInvariantError(f"group {state.arriving.mask:#b} still arriving")
     born, owner = state.born, state.owner
     waiting = [c for c in range(1, params.n_end_nodes + 1) if born[c] != NO_LINK]
     events: list[tuple] = []
@@ -338,9 +334,7 @@ def do_switch_bsms(
             events.append(("bsm", a, b, False))
             continue
         w = swapped_weight(born_a, born_b, state.round, params)
-        comp = Component(1 << a | 1 << b, {a: (1.0, born_a), b: (w, born_b)}, 2, [])
-        state.hold(comp, a)
-        state.hold(comp, b)
+        state.arriving = Component(1 << a | 1 << b, {a: (1.0, born_a), b: (w, born_b)}, 2, [])
         events.append(("bsm", a, b, True))
         break
     return events
@@ -349,33 +343,34 @@ def do_switch_bsms(
 def do_fusions(
     state: NetworkState, params: SimParams, rng: np.random.Generator
 ) -> list[tuple]:
-    """Fuse end-to-end groups at every node holding two of their qubits.
+    """Place the arriving group at each of its nodes, in ``pending`` order.
 
-    Only nodes in ``state.second`` are visited, in ascending index: a fusion
-    keeps every other qubit where it was, so it never gives another node a
-    second one.  A waiting link pair is not a group qubit, so no fusion
-    meets it.  The control is the qubit of the group A already held at the
-    node, the target that of the arriving group B; which is which does not
-    change the fused state.  A absorbs B (``Component.absorb``) and every
-    node B held points to A.  The Z outcome, 1 with probability 1/2, is not
-    drawn: once corrected by X on B's other qubits, either outcome leaves
-    the same state.  Each fusion is reported as ``("fusion", node)``.
+    A free node takes the group.  At a node already holding a group A, the
+    control is A's qubit and the target that of the arriving group B; which
+    is which does not change the fused state.  A absorbs B
+    (``Component.absorb``), every node B held points to A, and A arrives at
+    B's next node.  A waiting link pair is not a group qubit, so no fusion
+    meets it.  The Z outcome, 1 with probability 1/2, is not drawn: once
+    corrected by X on B's other qubits, either outcome leaves the same
+    state.  Each fusion is reported as ``("fusion", node)``.
     """
-    owner, second = state.owner, state.second
+    owner, pair = state.owner, state.arriving
+    state.arriving = None
     events: list[tuple] = []
-    for node in sorted(second):
-        held, arrived = owner[node], second.pop(node)
-        if held is arrived:
+    for node in list(pair.pending):
+        held = owner[node]
+        if held is None:
+            owner[node] = pair
+            continue
+        if held is pair:
             raise ProtocolInvariantError(f"node {node} holds two qubits of one component")
         held.flush(node, state.round, params.p_mem)
-        arrived.flush(node, state.round, params.p_mem)
-        held.absorb(arrived, node)
-        for v in arrived.pending:
-            if owner[v] is arrived:
+        pair.flush(node, state.round, params.p_mem)
+        held.absorb(pair, node)
+        for v in pair.pending:
+            if owner[v] is pair:
                 owner[v] = held
-        for v, comp in second.items():
-            if comp is arrived:
-                second[v] = held
+        pair = held
         events.append(("fusion", node))
     return events
 
@@ -400,8 +395,8 @@ def run_to_ghz(
     After each link event, measurements and fusions alternate until a
     measurement call ends without success.  A phase is skipped when it
     cannot act, which draws nothing: with fewer than two links waiting no
-    pair is valid, and groups change, so that a node can hold two group
-    qubits or a group can span every end node, only through a success.
+    pair is valid, and only a success makes a group arrive, and with it a
+    group that may span every end node.
     """
     start = state.round
     n = params.n_end_nodes
@@ -428,6 +423,21 @@ def run_to_ghz(
 WARMUP_EXECUTIONS = 1
 
 
+def check_measurement_budget(params: SimParams) -> None:
+    """Reject a point whose expected Bell measurements, (N - 1) / q_bsm per
+    delivery over the warm-up and params.shots deliveries, exceed
+    ``BSM_BUDGET``."""
+    per_delivery = (params.n_end_nodes - 1) / params.q_bsm
+    bsms = (params.shots + WARMUP_EXECUTIONS) * per_delivery
+    if bsms > BSM_BUDGET:
+        raise ConfigError(
+            f"the switch would make ~{bsms:.2g} Bell measurements (budget "
+            f"{BSM_BUDGET:.0e}): each delivery needs (n_end_nodes - 1) / q_bsm = "
+            f"{per_delivery:.2g} of them at q_bsm = {params.q_bsm}; raise q_bsm or lower "
+            f"shots ({params.shots})"
+        )
+
+
 def run_executions(params: SimParams, shots: int) -> list[SwitchRecord]:
     """Consecutive executions on one persistent network, read through one
     buffered stream of uniforms."""
@@ -441,6 +451,7 @@ def run_executions(params: SimParams, shots: int) -> list[SwitchRecord]:
 def estimate_switch(params: SimParams) -> Estimates:
     """Aggregate params.shots consecutive executions (after one discarded
     warm-up execution that damps the empty-network transient)."""
+    check_measurement_budget(params)
     records = run_executions(params, params.shots)
     # float64: exact below 2^53 and, past 2^63, no overflow; ``summarize``
     # takes the durations to floats anyway

@@ -96,6 +96,15 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "q_bsm" in err[0]
 
+    def test_switch_measurement_budget_is_one_error_line(self, capsys):
+        # (2 + 1) deliveries of (5 - 1) / 1e-7 measurements each: 1.2e8, at
+        # 4 to 10 us a measurement 8 to 20 minutes
+        argv = ["simulate", "--protocol", "switch", "--set", "n_end_nodes=5",
+                "--set", "q_link=1", "--set", "q_bsm=1e-7", "--set", "shots=2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "q_bsm" in err[0]
+
     def test_fidelity_node_cap_fires_before_the_exact_rate(self, capsys, monkeypatch):
         # the exact rate costs O(N^2), seconds at N = 4000, and its value
         # would be thrown away once the closed-form fidelity rejects N

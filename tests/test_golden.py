@@ -12,9 +12,9 @@ order and whose p_mem powers go through the platform's ``pow``: a change
 that reorders a ledger moves its last bits, and so may another host; it is
 compared to 1e-12 relative, far below what a reordered, added or dropped
 draw moves it by.  The switch skips phases
-that cannot act, which draws nothing, and keeps its cluster labels from
-call to call instead of rebuilding them; ``test_switch_stream.py`` pins its
-record stream over a wider grid of points.
+that cannot act, which draws nothing, and fuses each successful measurement's
+pair before the next measurement; ``test_switch_stream.py`` pins its record
+stream over a wider grid of points.
 A change that alters the RNG scheme on purpose updates these values and says
 so in CHANGES.md.
 """

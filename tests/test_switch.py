@@ -1,6 +1,7 @@
 """2-switch engine: round mechanics, measurements, fusions, carry-over."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from ghzdist import dm as dmod, switch as switch_module
 from ghzdist.analytics import switch_fidelity_perfect_memory
 from ghzdist.dm import Qubit
 from ghzdist.oracles import advance_round, ghz_fidelity_character_sum
-from ghzdist.params import TAG_SWITCH, SimParams, shot_rng
+from ghzdist.params import TAG_SWITCH, ConfigError, SimParams, shot_rng
 from ghzdist.switch import (
+    BSM_BUDGET,
     NO_LINK,
     NODE_MEMORY_SLOTS,
     WARMUP_EXECUTIONS,
@@ -19,6 +21,7 @@ from ghzdist.switch import (
     NetworkState,
     ProtocolInvariantError,
     advance_to_link_event,
+    check_measurement_budget,
     do_fusions,
     do_switch_bsms,
     estimate_switch,
@@ -41,16 +44,20 @@ def group(*nodes: int, entries=(), pairs=2) -> Component:
 
 
 def place(state: NetworkState, comp: Component, *nodes: int) -> None:
-    """Hold comp's qubits at the nodes, in order."""
-    for v in nodes:
-        state.hold(comp, v)
+    """Hold comp's qubits at the nodes or, when one of them holds a group
+    already, make comp the arriving group."""
+    if any(state.owner[v] is not None for v in nodes):
+        state.arriving = comp
+    else:
+        for v in nodes:
+            state.owner[v] = comp
 
 
 def network(*pairs: tuple[int, int]) -> NetworkState:
     """A state for make_params' five end nodes holding each pair in order:
     (0, conn) as a link waiting on conn since round 0, any other (u, v) as a
-    two-node group, which a node already holding a group keeps as its
-    second."""
+    two-node group, which becomes the arriving group when one of its nodes
+    holds a group already."""
     state = NetworkState(5)
     for u, v in pairs:
         if u == 0:
@@ -241,7 +248,11 @@ class TestSwitchBsms:
         assert events == [("bsm", 1, 2, True)]
         assert links(state) == [] and len(state.groups()) == 1
         comp = state.groups()[0]
+        assert state.arriving is comp and state.owner[1:3] == [None, None]
+        state.validate(2)
+        assert do_fusions(state, make_params(n_end_nodes=2), shot_rng(0, 0, 9)) == []
         assert comp.mask == 0b110 and state.owner[1] is state.owner[2] is comp
+        assert state.arriving is None
         state.validate(2)
         assert comp.entries == []
         assert comp.ghz_fidelity(state.round, 1.0) == pytest.approx(1.0, abs=1e-12)
@@ -285,9 +296,10 @@ class TestSwitchBsms:
         assert stream.drawn == 0
 
     def test_groups_sharing_a_node_are_flagged(self):
-        # between fusion phases every node holds at most one group qubit
+        # 1-3 arrives where 1-2 is held: a measurement call starts only once
+        # the last success was fused
         state = network((1, 2), (1, 3), (0, 2), (0, 3))
-        with pytest.raises(ProtocolInvariantError, match="node 1 in two groups"):
+        with pytest.raises(ProtocolInvariantError, match="group 0b1010 still arriving"):
             do_switch_bsms(state, make_params(n_end_nodes=3), shot_rng(0, 0, 9))
 
     @pytest.mark.parametrize("seed", range(8))
@@ -302,7 +314,7 @@ class TestSwitchBsms:
         a, b = events[0][1:3]
         assert (a in (1, 2)) != (b in (1, 2))
         assert links(state) == sorted({1, 2, 3, 4} - {a, b})
-        assert len(state.groups()) == 3 and sorted(state.second) == sorted((a, b))
+        assert len(state.groups()) == 3 and state.arriving.mask == 1 << a | 1 << b
         state.validate(4)
         assert do_fusions(state, params, shot_rng(seed, 0, 9)) == [
             ("fusion", min(a, b)), ("fusion", max(a, b))]
@@ -331,25 +343,27 @@ class TestFusions:
         state = NetworkState(4)
         place(state, held, 1, 2)
         place(state, arrived, 1, 3, 4)
-        assert state.second == {1: arrived}
+        assert state.arriving is arrived
         do_fusions(state, make_params(n_end_nodes=4, p_mem=1.0), shot_rng(0, 0, 9))
         (merged,) = state.groups()
         assert merged is held and list(merged.pending) == [1, 2, 3, 4]
         assert merged.mask == 0b11110
         assert merged.entries == [(0.9, 1 << 2), (0.8, 1 << 2), (0.7, 0b11000), (0.6, 1 << 3)]
         assert merged.pairs_consumed == 6
-        assert state.owner[1:5] == [held] * 4 and state.second == {}
+        assert state.owner[1:5] == [held] * 4 and state.arriving is None
 
     def test_no_shared_node_no_fusion(self):
-        state = network((1, 2), (3, 4))
+        # free nodes take the arriving group as it is
+        state = network((1, 2))
+        state.arriving = arrived = group(3, 4)
         assert do_fusions(state, make_params(), shot_rng(0, 0, 9)) == []
-        assert len(state.groups()) == 2
+        assert len(state.groups()) == 2 and state.owner[3] is state.owner[4] is arrived
 
     def test_fusion_cascade_builds_ghz4(self):
         chains = [
             [(1, 2), (2, 3), (3, 4)],
-            # shared nodes out of group order: the single ascending pass
-            # still fuses node 2 and then node 3 in one call
+            # groups placed out of chain order: the arriving 2-3 is fused at
+            # node 2 and the group it joined arrives at node 3, in one call
             [(3, 4), (2, 3), (1, 2)],
         ]
         for pairs in chains:
@@ -363,15 +377,17 @@ class TestFusions:
             assert comp.ghz_fidelity(state.round, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_link_pair_is_not_absorbed(self):
-        state = network((1, 2), (0, 1))
+        state = network((0, 1))
+        state.arriving = group(1, 2)
         assert do_fusions(state, make_params(), shot_rng(0, 0, 9)) == []
         assert links(state) == [1] and len(state.groups()) == 1
 
     def test_same_component_twice_at_node_is_flagged(self):
         state = NetworkState(2)
-        comp = group(1, 2, pairs=4)
-        place(state, comp, 1, 1, 2)
-        with pytest.raises(ProtocolInvariantError):
+        comp = group(1, 2)
+        place(state, comp, 1, 2)
+        place(state, comp, 1, 2)  # held at both nodes, it arrives there again
+        with pytest.raises(ProtocolInvariantError, match="node 1 holds two qubits of one"):
             do_fusions(state, make_params(n_end_nodes=2), shot_rng(0, 0, 9))
 
 
@@ -418,21 +434,20 @@ class TestRunToGhz:
         while deliveries < 12:
             advance_round(state, params, rng)
             state.validate(params.n_end_nodes)
-            success = True
-            while success:
-                success = any(e[3] for e in do_switch_bsms(state, params, rng))
+            while any(e[3] for e in do_switch_bsms(state, params, rng)):
                 state.validate(params.n_end_nodes)
                 do_fusions(state, params, rng)
                 state.validate(params.n_end_nodes)
-                # every node that held two group qubits was fused, none skipped
+                # the arriving group was placed at every node, none skipped
                 nodes = [v for comp in state.groups() for v in comp.pending]
-                assert state.second == {} and len(nodes) == len(set(nodes))
+                assert state.arriving is None and len(nodes) == len(set(nodes))
+            state.validate(params.n_end_nodes)
             full = state.full_component(params.n_end_nodes)
             if full is not None:
                 assert sorted(full.pending) == list(range(1, n + 1))
                 state.remove(full)
                 state.validate(params.n_end_nodes)
-                assert state.owner[1:] == [None] * n and state.second == {}
+                assert state.owner[1:] == [None] * n and state.arriving is None
                 deliveries += 1
 
 
@@ -557,9 +572,9 @@ class TestJumpEquivalence:
 
 
 def literal_executions(params: SimParams, shots: int) -> list[tuple[int, int, float]]:
-    """run_executions as a literal loop: every phase runs every iteration,
-    measurement and fusion alternating until a measurement call ends
-    without success, every group qubit's pending channel enters the ledger
+    """run_executions as a literal loop: the link and measurement phases run
+    every iteration, measurement and fusion alternating until a measurement
+    call ends without success, every group qubit's pending channel enters the ledger
     after each phase, and the read-out has none left to fold in.  Returns
     (duration_rounds, pairs_consumed, fidelity) per delivery."""
     rng = shot_rng(params.seed, 0, TAG_SWITCH)
@@ -578,9 +593,7 @@ def literal_executions(params: SimParams, shots: int) -> list[tuple[int, int, fl
         full = None
         while full is None:
             run(advance_to_link_event)
-            success = True
-            while success:
-                success = any(e[3] for e in run(do_switch_bsms))
+            while any(e[3] for e in run(do_switch_bsms)):
                 run(do_fusions)
             full = state.full_component(params.n_end_nodes)
         fidelity = full.ghz_fidelity(state.round, params.p_mem)
@@ -693,6 +706,14 @@ class TestEstimateSwitch:
         params = make_params(q_link=0.6, shots=40, seed=5)
         assert estimate_switch(params) == estimate_switch(params)
 
+    def test_measurement_budget(self):
+        # (shots + warm-up) (N - 1) / q_bsm expected measurements: 1.2e8 here
+        params = make_params(q_link=1.0, q_bsm=1e-7, shots=2)
+        with pytest.raises(ConfigError, match="q_bsm = 1e-07"):
+            estimate_switch(params)
+        assert (2 + WARMUP_EXECUTIONS) * 4 / 1.25e-7 < BSM_BUDGET
+        check_measurement_budget(replace(params, q_bsm=1.25e-7))
+
     def test_perfect_point_rate_half(self):
         params = make_params(q_link=1.0, shots=60)
         est = estimate_switch(params)
@@ -770,6 +791,8 @@ class TestValidate:
             state.validate(3)
 
     def test_node_over_memory_slots(self):
-        state = network((0, 1), *((1, v) for v in range(2, NODE_MEMORY_SLOTS + 2)))
+        # node 1 holds a group qubit, the arriving group's and a waiting link
+        assert NODE_MEMORY_SLOTS == 2
+        state = network((0, 1), (1, 2), (1, 3))
         with pytest.raises(ProtocolInvariantError, match="node 1 over memory"):
             state.validate(NODE_MEMORY_SLOTS + 2)

@@ -164,6 +164,27 @@ def test_free_nodes_never_valid_fail_the_pins(monkeypatch):
     assert not any(matches(point) for point in list(PINS)[:3])
 
 
+def test_absorbed_pair_arriving_on_raises(monkeypatch):
+    # the absorbed pair, not the group that took it in, arrives at the
+    # pair's next node: where that node is held too, as it can be from
+    # N = 4 on, a stale group joins the ledgers
+    fusions = edited(switch.do_fusions, "pair = held", "pass")
+    monkeypatch.setattr(switch, "do_fusions", fusions)
+    stall_guard(monkeypatch)
+    for point in [point for point in PINS if point[0] == 5][:3]:
+        with pytest.raises(switch.ProtocolInvariantError, match="not an n-qubit GHZ"):
+            stream(*point)
+
+
+def test_free_node_not_taking_the_pair_fails_the_pins(monkeypatch):
+    # a free node that does not take the arriving group still reads as
+    # free, so the pair's qubit there belongs to no cluster
+    fusions = edited(switch.do_fusions, "owner[node] = pair", "pass")
+    monkeypatch.setattr(switch, "do_fusions", fusions)
+    stall_guard(monkeypatch)
+    assert not any(matches(point) for point in list(PINS)[:3])
+
+
 def test_stall_guard_passes_the_engine(monkeypatch):
     # the slowest point passes under the guard
     stall_guard(monkeypatch)

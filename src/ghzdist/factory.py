@@ -8,9 +8,10 @@ attempts and is the reference; ``estimate`` runs ``run_block``, which draws a
 span's attempts as rows of an array, turns a failed row into rounds only
 through its largest uniform (the inverse CDF is non-decreasing, so the
 largest uniform waits longest), and reproduces ``run_shot_fast`` called shot
-after shot on the span's stream, bit for bit.  The spans of one job share a
-``DepolarizingTable``, the depolarizing parameter at every wait Δ up to the
-largest seen, from which each span gathers its shots' parameters.  The
+after shot on the span's stream, bit for bit.  Each span gathers its shots'
+depolarizing parameters from one ``DepolarizingTable`` per process, kept
+for the latest noise setting and filled entry by entry with the waits Δ the
+spans use, so the estimates of a sweep at fixed noise share it.  The
 density-matrix replay of the same noisy teleportation that certifies this
 fast path lives in ``ghzdist.oracles``.
 """
@@ -176,34 +177,69 @@ def qubit_depolarizing(params: SimParams, deltas: np.ndarray) -> np.ndarray:
 
 
 class DepolarizingTable:
-    """``qubit_depolarizing`` at every wait Δ = 0, 1, ..., up to the largest
-    Δ seen, shared by the spans of one job of ``waits`` waits (N per shot).
+    """``qubit_depolarizing`` at waits Δ = 0, 1, ..., for one noise setting,
+    keyed by (p_link p_bsm^2, p_mem): the entries depend on nothing else.
 
-    A span whose largest Δ reaches half of ``waits`` takes its distinct
-    deltas from ``np.unique`` instead, so the table holds, and spends
-    ``**`` on, fewer entries than half the job's waits: at small q_link the
-    waits spread over millions of rounds, and a dense table would hold that
-    many."""
+    ``depolarizing_table`` keeps one per process, the latest key's, so every
+    span of every estimate at that noise (a ``sweep`` over q_link, say)
+    gathers from it.  Entries are filled one at a time, each the first time
+    a span uses its Δ (a NaN marks one not filled yet), and only below the
+    gathering job's bound, half its waits (N per shot): at small q_link the
+    waits spread over millions of rounds, so a span's waits at or above the
+    bound take their distinct deltas from ``np.unique`` instead, and no job
+    grows the table past, or fills more entries than, half its waits."""
 
-    def __init__(self, params: SimParams, waits: int):
+    def __init__(self, params: SimParams):
         self.params = params
-        self.limit = waits / 2
+        self.key = self.key_of(params)
         self.p = np.empty(0)
 
-    def gather(self, deltas: np.ndarray) -> np.ndarray:
-        """The depolarizing parameter of every entry of ``deltas``."""
-        top = int(deltas.max(initial=0))
-        if top >= self.limit:
-            values, index = np.unique(deltas, return_inverse=True)
-            return qubit_depolarizing(self.params, values)[index.reshape(deltas.shape)]
-        if top >= len(self.p):
-            self._grow(top)
-        return self.p[deltas]
+    @staticmethod
+    def key_of(params: SimParams) -> tuple[float, float]:
+        """The noise that fixes every entry: p_link p_bsm^2 and p_mem."""
+        return params.p_link * params.p_bsm**2, params.p_mem
 
-    def _grow(self, top: int) -> None:
-        """Extend the table through Δ = ``top``."""
-        more = qubit_depolarizing(self.params, np.arange(len(self.p), top + 1))
-        self.p = np.concatenate((self.p, more))
+    def gather(self, deltas: np.ndarray, bound: float) -> np.ndarray:
+        """The depolarizing parameter of every entry of ``deltas``, for a
+        job whose table bound is ``bound``."""
+        top = int(deltas.max(initial=0))
+        if top >= bound:
+            far = deltas >= bound
+            values, index = np.unique(deltas[far], return_inverse=True)
+            p = np.empty(deltas.shape)
+            p[far] = qubit_depolarizing(self.params, values)[index]
+            p[~far] = self.gather(deltas[~far], bound)
+            return p
+        if top >= len(self.p):
+            self.p = np.concatenate((self.p, np.full(top + 1 - len(self.p), np.nan)))
+        p = self.p[deltas]
+        missing = np.isnan(p)
+        if missing.any():
+            # with return_inverse, np.unique does not import numpy.ma, ~20 ms
+            # of a process's first estimate
+            fill, index = np.unique(deltas[missing], return_inverse=True)
+            p[missing] = self._fill(fill)[index]
+        return p
+
+    def _fill(self, deltas: np.ndarray) -> np.ndarray:
+        """Fill the entries at the distinct ``deltas``; returns their values."""
+        values = qubit_depolarizing(self.params, deltas)
+        self.p[deltas] = values
+        return values
+
+
+# the latest noise setting's table: at most one is alive per process
+_table: DepolarizingTable | None = None
+
+
+def depolarizing_table(params: SimParams) -> DepolarizingTable:
+    """The process's table for ``params``' noise, a new empty one (replacing
+    the last) when its key differs from the last table's.  Worker processes
+    keep tables of their own."""
+    global _table
+    if _table is None or _table.key != DepolarizingTable.key_of(params):
+        _table = DepolarizingTable(params)
+    return _table
 
 
 def _tally(
@@ -225,13 +261,23 @@ def _tally(
     return np.diff(ends), rounds[:-1], (len(lost) - 1 - ends[-1], rounds[-1])
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """The largest entry of each row of a 2-D array, column by column: numpy's
+    max along a row of a few entries costs several times more."""
+    top = a[:, 0].copy()
+    for col in a.T[1:]:
+        np.maximum(top, col, out=top)
+    return top
+
+
 def run_block(
-    params: SimParams, span: int, shots: int, table: DepolarizingTable | None = None
+    params: SimParams, span: int, shots: int, job_shots: int | None = None
 ) -> ShotBlock:
     """The first ``shots`` shots of span ``span``, bit for bit as that many
     sequential ``run_shot_fast`` calls on ``shot_rng(params.seed, span,
-    TAG_FACTORY)`` record them, with depolarizing parameters from ``table``
-    (by default one of its own, for a job of these shots alone).
+    TAG_FACTORY)`` record them, with depolarizing parameters from the
+    process's ``depolarizing_table``, for a job of ``job_shots`` shots (by
+    default these shots alone).
 
     Each attempt is one row of N waits and, unless q_bsm = 1, its coin, drawn
     in (rows, N + 1) chunks of at most ``_DRAW_CAP`` uniforms, sized for the
@@ -245,8 +291,6 @@ def run_block(
     coin = params.q_bsm != 1.0  # at q_bsm = 1 no coin is drawn
     p_teleport = params.q_bsm**n
     rng = shot_rng(params.seed, span, TAG_FACTORY)
-    if table is None:
-        table = DepolarizingTable(params, n * shots)
     attempts = np.empty(shots, dtype=np.int64)
     duration = np.empty(shots, dtype=np.int64)
     rounds = np.empty((shots, n), dtype=np.int64)
@@ -265,34 +309,30 @@ def run_block(
         if coin:
             failed = u[:, n] >= p_teleport
             won = np.flatnonzero(~failed)[:need]
-            lost[failed] = geometric_rounds_array(u[failed, :n].max(axis=1), log_miss)
+            lost[failed] = geometric_rounds_array(_row_max(u[failed, :n]), log_miss)
         else:
             won = np.arange(len(u))
         found = slice(done, done + len(won))
         attempts[found], duration[found], carry = _tally(won, lost, carry)
         rounds[found] = geometric_rounds_array(u[won, :n], log_miss)
         done += len(won)
-    # column by column: numpy's max along a row of a few entries costs
-    # several times more
-    n_all = rounds[:, 0].copy()
-    for col in rounds.T[1:]:
-        np.maximum(n_all, col, out=n_all)
+    n_all = _row_max(rounds)
     duration += n_all
     # one contiguous row of parameters per column of rounds, scored by f_rand
     # elementwise: ``fidelity_from_deltas`` on each shot, bit for bit
-    fidelity = f_rand(params.p_ghz, table.gather(n_all - rounds.T))
+    bound = n * (shots if job_shots is None else job_shots) / 2
+    fidelity = f_rand(params.p_ghz, depolarizing_table(params).gather(n_all - rounds.T, bound))
     return ShotBlock(attempts, rounds, duration, fidelity)
 
 
 def _run_spans(args: tuple[SimParams, int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Durations and fidelities of the shots of spans [first, last), each
-    span cut at ``params.shots``, with one ``DepolarizingTable`` for all."""
+    span cut at ``params.shots``: one job, whose table bound is half its waits."""
     params, first, last = args
     shots = min(last * _SPAN, params.shots) - first * _SPAN
-    table = DepolarizingTable(params, params.n_end_nodes * shots)
     parts = []
     for k in range(first, last):
-        block = run_block(params, k, min(_SPAN, params.shots - k * _SPAN), table)
+        block = run_block(params, k, min(_SPAN, params.shots - k * _SPAN), shots)
         parts.append((block.duration_rounds, block.fidelity))
     durations, fidelities = zip(*parts)
     return np.concatenate(durations), np.concatenate(fidelities)

@@ -200,21 +200,30 @@ def geometric_rounds(uniforms: Sequence[float], log_miss: float) -> list[int]:
     return [int(math.log1p(-u) / log_miss) + 1 for u in uniforms]
 
 
+# relative half-width of the bracket ``geometric_rounds_array`` truncates at
+NEAR_INTEGER = 2.0**-49
+
+
 def geometric_rounds_array(uniforms: np.ndarray, log_miss: float) -> np.ndarray:
     """``geometric_rounds`` on an array of any shape, bit for bit.
 
     ``np.log1p`` can differ from ``math.log1p`` by an ulp, which changes the
-    integer part only of a quotient within a few ulps of an integer; those
-    few are redone by ``geometric_rounds``.  At q = 1 (``log_miss`` = -inf)
-    every uniform maps to 1.
+    integer part only of a quotient q within a few ulps of an integer.  Each
+    q is truncated at both ends of q (1 -/+ ``NEAR_INTEGER``); where the two
+    differ, q lies within 2^-49 q of an integer, and ``geometric_rounds``
+    redoes it.  That flags every q within 4 spacing(q) <= 2^-50 q of a
+    nonzero integer; a zero quotient (u = 0) is exact either way.  At q = 1
+    (``log_miss`` = -inf) every uniform maps to 1.
     """
     if log_miss == -math.inf:
         return np.ones(uniforms.shape, dtype=np.int64)
-    quotient = np.log1p(-uniforms)
+    quotient = np.negative(uniforms)
+    np.log1p(quotient, out=quotient)
     quotient /= log_miss
-    rounds = quotient.astype(np.int64)
+    rounds = (quotient * (1.0 + NEAR_INTEGER)).astype(np.int64)
+    quotient *= 1.0 - NEAR_INTEGER
+    near = quotient.astype(np.int64) != rounds
     rounds += 1
-    near = np.abs(quotient - np.rint(quotient)) <= 4 * np.spacing(quotient)
     if near.any():
         rounds[near] = geometric_rounds(uniforms[near].tolist(), log_miss)
     return rounds

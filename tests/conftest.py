@@ -2,7 +2,14 @@
 
 import pytest
 
-from ghzdist import analytics
+from ghzdist import analytics, factory
+
+
+@pytest.fixture(autouse=True)
+def cleared_depolarizing_table():
+    """Each test starts with no factory depolarizing table, so none depends
+    on which tests filled it before."""
+    factory._table = None
 
 
 @pytest.fixture

@@ -300,6 +300,14 @@ STRADDLING_JOB = dict(
 )
 
 
+def job_waits(params):
+    """Each span's waits Δ, one array per span of ``params.shots``."""
+    spans = range(-(-params.shots // _SPAN))
+    blocks = [run_block(params, k, min(_SPAN, params.shots - k * _SPAN)) for k in spans]
+    factory_module._table = None
+    return [b.rounds.max(axis=1)[:, None] - b.rounds for b in blocks]
+
+
 class WaitsPastBound(Exception):
     """``qubit_depolarizing`` was asked for more waits than allowed."""
 
@@ -318,9 +326,10 @@ def depolarizing_waits(monkeypatch, params, bound):
             raise WaitsPastBound(waits)
         return original(params, deltas)
 
-    monkeypatch.setenv("GHZDIST_WORKERS", "1")
-    monkeypatch.setattr(factory_module, "qubit_depolarizing", counting)
-    estimate(params)
+    with monkeypatch.context() as patch:
+        patch.setenv("GHZDIST_WORKERS", "1")
+        patch.setattr(factory_module, "qubit_depolarizing", counting)
+        estimate(params)
     return waits
 
 
@@ -399,11 +408,12 @@ class TestBlockKernel:
         assert_job_matches_shots(params, 0, 3)
 
     def test_only_spans_at_or_above_the_bound_take_distinct_deltas(self, monkeypatch):
-        # the straddling job asks qubit_depolarizing for span 0's table,
-        # every Δ through its largest, then for each later span's distinct Δ
+        # on a cleared table the straddling job asks qubit_depolarizing for
+        # each Δ below the bound once, the first time a span uses it, and
+        # for the distinct Δ at or above it of each span that reaches it
         params = make_params(**STRADDLING_JOB)
-        blocks = [run_block(params, k, _SPAN) for k in range(3)]
-        waits = [b.rounds.max(axis=1)[:, None] - b.rounds for b in blocks]
+        bound = params.n_end_nodes * params.shots / 2
+        waits = job_waits(params)
         original = factory_module.qubit_depolarizing
         calls = []
 
@@ -413,59 +423,130 @@ class TestBlockKernel:
 
         monkeypatch.setattr(factory_module, "qubit_depolarizing", recording)
         _run_spans((params, 0, 3))
-        assert calls == [
-            list(range(largest_wait(blocks[0]) + 1)),
-            np.unique(waits[1]).tolist(),
-            np.unique(waits[2]).tolist(),
-        ]
+        assert all(min(c) >= bound or max(c) < bound for c in calls)
+        far = [c for c in calls if min(c) >= bound]
+        near = [d for c in calls if max(c) < bound for d in c]
+        assert far == [np.unique(w[w >= bound]).tolist() for w in waits[1:]]
+        below = np.unique(np.concatenate([w[w < bound] for w in waits]))
+        assert sorted(near) == below.tolist()  # each Δ below the bound once
 
     def test_table_one_entry_off_fails_the_job_check(self, monkeypatch):
-        # negative control: the table's entry for Δ holds Δ + 1's parameter
-        def grow_one_off(table, top):
-            more = factory_module.qubit_depolarizing(
-                table.params, np.arange(len(table.p) + 1, top + 2)
-            )
-            table.p = np.concatenate((table.p, more))
+        # negative control: the table's entry for Δ holds Δ + 1's parameter;
+        # the table starts cleared, so the faulty fill makes every entry
+        def fill_one_off(table, deltas):
+            table.p[deltas] = factory_module.qubit_depolarizing(table.params, deltas + 1)
+            return table.p[deltas]
 
-        monkeypatch.setattr(DepolarizingTable, "_grow", grow_one_off)
+        assert factory_module._table is None
+        monkeypatch.setattr(DepolarizingTable, "_fill", fill_one_off)
         with pytest.raises(AssertionError):
             assert_job_matches_shots(make_params(**STRADDLING_JOB), 0, 3)
 
     def test_grown_table_gives_what_a_fresh_table_gives(self):
         params = make_params(q_link=0.05, p_mem=0.999, p_link=0.98, seed=21)
-        table = DepolarizingTable(params, params.n_end_nodes * 4 * _SPAN)
-        sizes = []
+        job = 4 * _SPAN
+        filled = []
         for k, shots in ((1, 10), (2, 100), (3, _SPAN)):
-            run_block(params, k, shots, table)
-            sizes.append(len(table.p))
-        assert sizes[0] < sizes[1] < sizes[2]  # grown by each span
-        shared = run_block(params, 0, 300, table)
-        # span 0 took every parameter from entries the other spans made
-        assert len(table.p) == sizes[2]
+            run_block(params, k, shots, job)
+            filled.append(int(np.count_nonzero(~np.isnan(factory_module._table.p))))
+        assert filled[0] < filled[1] < filled[2]  # filled by each span
+        shared = run_block(params, 0, 300, job)
+        factory_module._table = None
         fresh = run_block(params, 0, 300)
-        assert largest_wait(fresh) < params.n_end_nodes * 300 / 2  # its own table's side
+        assert largest_wait(fresh) < params.n_end_nodes * 300 / 2  # its own bound's side
         for field, value in shared._asdict().items():
             assert np.array_equal(value, getattr(fresh, field)), field
 
     def test_depolarizing_waits_stay_within_twice_the_job_waits(self, monkeypatch):
-        # at q_link = 1e-6 a span's waits reach millions of rounds: every
-        # span takes np.unique, and no table grows to its largest wait
-        params = make_params(q_link=1e-6, shots=10_000)
-        bound = 2 * params.n_end_nodes * params.shots
-        assert 0 < depolarizing_waits(monkeypatch, params, bound) <= bound
+        # at q_link = 1e-6 (1e-5) a span's waits reach millions (about a
+        # million) of rounds: waits at or above the bound take np.unique,
+        # and the table holds no entry past the bound
+        for q_link in (1e-6, 1e-5):
+            factory_module._table = None
+            params = make_params(q_link=q_link, shots=10_000)
+            bound = 2 * params.n_end_nodes * params.shots
+            assert 0 < depolarizing_waits(monkeypatch, params, bound) <= bound
+            assert len(factory_module._table.p) <= params.n_end_nodes * params.shots / 2
 
-    def test_unbounded_table_passes_more_waits(self, monkeypatch):
+    def test_unbounded_table_holds_more_entries(self, monkeypatch):
         # negative control: a table that grows to any span's largest wait
-        bounded_init = DepolarizingTable.__init__
+        bounded_gather = DepolarizingTable.gather
 
-        def unbounded_init(table, params, waits):
-            bounded_init(table, params, waits)
-            table.limit = math.inf
+        def unbounded_gather(table, deltas, bound):
+            return bounded_gather(table, deltas, math.inf)
 
-        monkeypatch.setattr(DepolarizingTable, "__init__", unbounded_init)
-        params = make_params(q_link=1e-6, shots=10_000)
-        with pytest.raises(WaitsPastBound):
-            depolarizing_waits(monkeypatch, params, 2 * params.n_end_nodes * params.shots)
+        monkeypatch.setattr(DepolarizingTable, "gather", unbounded_gather)
+        params = make_params(q_link=1e-5, shots=10_000)
+        depolarizing_waits(monkeypatch, params, 2 * params.n_end_nodes * params.shots)
+        assert len(factory_module._table.p) > params.n_end_nodes * params.shots / 2
+
+    @pytest.mark.parametrize("seed", [11, 15])
+    def test_cliff_job_fills_only_the_deltas_it_uses(self, monkeypatch, seed):
+        # at N = 5, q_link = 3e-4 and 10^4 shots the largest waits of the
+        # spans sit about the bound, 25,000 rounds: each Δ below it is
+        # computed once for the job, each Δ above it once for its span
+        params = make_params(q_link=3e-4, shots=10_000, seed=seed, p_mem=0.9999)
+        bound = params.n_end_nodes * params.shots / 2
+        waits = job_waits(params)
+        assert any(w.max() >= bound for w in waits) and any(w.max() < bound for w in waits)
+        below = len(np.unique(np.concatenate([w[w < bound] for w in waits])))
+        above = sum(len(np.unique(w[w >= bound])) for w in waits)
+        assert depolarizing_waits(monkeypatch, params, below + above) <= below + above
+
+
+NOISE = dict(p_link=0.98, p_mem=0.999, p_bsm=0.99, p_ghz=0.9)
+# two noise settings, q_link on both sides of the table bound (N = 2 at
+# 0.0025 straddles it), a few shots each
+SHARED_GRID = [
+    make_params(n_end_nodes=n, q_link=q_link, shots=shots, seed=seed, **noise)
+    for noise in (NOISE, dict(NOISE, p_mem=0.9999))
+    for n, q_link, shots, seed in ((5, 0.01, 2000, 3), (2, 0.0025, 3 * _SPAN, 1), (5, 0.5, 2, 9), (8, 1e-3, 1500, 4))
+]
+
+
+def changed_noise_estimates(field):
+    """``estimate`` with ``field`` lowered by 0.01, after an estimate at the
+    unchanged noise, and again from a cleared table."""
+    params = make_params(**NOISE)
+    changed = replace(params, **{field: getattr(params, field) - 0.01})
+    estimate(params)
+    shared = estimate(changed)
+    factory_module._table = None
+    return shared, estimate(changed)
+
+
+class TestSharedTable:
+    """One ``DepolarizingTable`` per noise setting serves every estimate in a
+    process; what an estimate returns does not depend on what ran before."""
+
+    def test_second_estimate_at_the_same_noise_asks_for_no_entry(self, monkeypatch):
+        params = make_params(q_link=0.01, shots=3000, **NOISE)
+        estimate(params)
+        assert depolarizing_waits(monkeypatch, params, 0) == 0
+
+    def test_grid_is_equal_forward_reversed_or_cleared(self, monkeypatch):
+        monkeypatch.setenv("GHZDIST_WORKERS", "1")
+        forward = [estimate(p) for p in SHARED_GRID]
+        factory_module._table = None
+        backward = [estimate(p) for p in SHARED_GRID[::-1]][::-1]
+        cleared = []
+        for p in SHARED_GRID:
+            factory_module._table = None
+            cleared.append(estimate(p))
+        assert forward == backward == cleared
+
+    @pytest.mark.parametrize("field", ["p_link", "p_bsm", "p_mem"])
+    def test_changed_noise_gives_what_a_cleared_table_gives(self, field):
+        shared, cleared = changed_noise_estimates(field)
+        assert shared == cleared
+
+    def test_key_without_p_bsm_fails(self, monkeypatch):
+        # negative control: p_bsm alone changed keeps the stale table
+        monkeypatch.setattr(
+            DepolarizingTable, "key_of", staticmethod(lambda params: (params.p_link, params.p_mem))
+        )
+        shared, cleared = changed_noise_estimates("p_bsm")
+        assert shared != cleared
 
 
 class TestAttemptBudget:

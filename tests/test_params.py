@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from ghzdist import params as params_module
 from ghzdist.cli import main
 from ghzdist.factory import check_attempt_budget
 from ghzdist.params import (
@@ -360,6 +361,38 @@ class TestGeometricRoundsArray:
             log_miss = geometric_log_miss(q)
             plain = (np.log1p(-u) / log_miss).astype(np.int64) + 1
             off += int(np.sum(plain != geometric_rounds(u.tolist(), log_miss)))
+        assert off > 0
+
+    def test_guard_flags_what_the_spacing_rule_flags(self, monkeypatch):
+        # every boundary uniform whose quotient lies within 4 spacing(q) of
+        # an integer, the rule before the two-truncation guard, is redone
+        redone = []
+
+        def recording(us, log_miss):
+            redone.extend(us)
+            return geometric_rounds(us, log_miss)
+
+        monkeypatch.setattr(params_module, "geometric_rounds", recording)
+        flagged = 0
+        for q in BOUNDARY_QS:
+            u = boundary_uniforms(q, 20_000)
+            redone.clear()
+            geometric_rounds_array(u, geometric_log_miss(q))
+            quotient = np.log1p(-u) / geometric_log_miss(q)
+            spacing_rule = np.abs(quotient - np.rint(quotient)) <= 4 * np.spacing(quotient)
+            assert set(u[spacing_rule].tolist()) <= set(redone), q
+            flagged += int(spacing_rule.sum())
+        assert flagged > 0
+
+    def test_narrow_guard_misses_a_step(self, monkeypatch):
+        # negative control: a 2^-60 bracket rounds back onto the quotient
+        # itself, flags nothing, and some boundary uniform lands one round off
+        monkeypatch.setattr(params_module, "NEAR_INTEGER", 2.0**-60)
+        off = 0
+        for q in BOUNDARY_QS:
+            u = boundary_uniforms(q, 20_000)
+            log_miss = geometric_log_miss(q)
+            off += int(np.sum(geometric_rounds_array(u, log_miss) != geometric_rounds(u.tolist(), log_miss)))
         assert off > 0
 
     def test_certain_success_maps_every_uniform_to_one(self):

@@ -9,11 +9,11 @@ span's attempts as rows of an array, turns a failed row into rounds only
 through its largest uniform (the inverse CDF is non-decreasing, so the
 largest uniform waits longest), and reproduces ``run_shot_fast`` called shot
 after shot on the span's stream, bit for bit.  Each span gathers its shots'
-depolarizing parameters from one ``DepolarizingTable`` per process, kept
-for the latest noise setting and filled entry by entry with the waits Δ the
-spans use, so the estimates of a sweep at fixed noise share it.  The
-density-matrix replay of the same noisy teleportation that certifies this
-fast path lives in ``ghzdist.oracles``.
+depolarizing parameters through ``depolarizing`` from one table per process,
+kept for the latest noise setting and filled entry by entry with the waits
+Δ below the estimate's bound that the spans use, so the estimates of a
+sweep at fixed noise share it.  The density-matrix replay of the same noisy
+teleportation that certifies this fast path lives in ``ghzdist.oracles``.
 """
 
 from __future__ import annotations
@@ -170,76 +170,62 @@ def summarize(
 def qubit_depolarizing(params: SimParams, deltas: np.ndarray) -> np.ndarray:
     """p_link p_bsm^2 p_mem^(2 delta) for every entry of a 1-D ``deltas``,
     as ``fidelity_from_deltas`` computes it: with Python's ``**``
-    (``np.power`` can round differently).  ``DepolarizingTable`` makes every
-    call the engine makes."""
+    (``np.power`` can round differently).  ``depolarizing`` makes every call
+    the engine makes."""
     base = params.p_link * params.p_bsm**2
     return np.array([base * params.p_mem ** (2 * d) for d in deltas.tolist()])
 
 
-class DepolarizingTable:
-    """``qubit_depolarizing`` at waits Δ = 0, 1, ..., for one noise setting,
-    keyed by (p_link p_bsm^2, p_mem): the entries depend on nothing else.
+def depolarizing_key(params: SimParams) -> tuple[float, float]:
+    """The noise that fixes every table entry: p_link p_bsm^2 and p_mem."""
+    return params.p_link * params.p_bsm**2, params.p_mem
 
-    ``depolarizing_table`` keeps one per process, the latest key's, so every
-    span of every estimate at that noise (a ``sweep`` over q_link, say)
-    gathers from it.  Entries are filled one at a time, each the first time
-    a span uses its Δ (a NaN marks one not filled yet), and only below the
-    gathering job's bound, half its waits (N per shot): at small q_link the
-    waits spread over millions of rounds, so a span's waits at or above the
-    bound take their distinct deltas from ``np.unique`` instead, and no job
-    grows the table past, or fills more entries than, half its waits."""
 
-    def __init__(self, params: SimParams):
-        self.params = params
-        self.key = self.key_of(params)
-        self.p = np.empty(0)
+# the latest noise setting's key and its table, entry Δ the depolarizing
+# parameter at wait Δ (NaN until filled): at most one table per process
+_key: tuple[float, float] | None = None
+_table = np.empty(0)
 
-    @staticmethod
-    def key_of(params: SimParams) -> tuple[float, float]:
-        """The noise that fixes every entry: p_link p_bsm^2 and p_mem."""
-        return params.p_link * params.p_bsm**2, params.p_mem
 
-    def gather(self, deltas: np.ndarray, bound: float) -> np.ndarray:
-        """The depolarizing parameter of every entry of ``deltas``, for a
-        job whose table bound is ``bound``."""
-        top = int(deltas.max(initial=0))
-        if top >= bound:
-            far = deltas >= bound
-            values, index = np.unique(deltas[far], return_inverse=True)
-            p = np.empty(deltas.shape)
-            p[far] = qubit_depolarizing(self.params, values)[index]
-            p[~far] = self.gather(deltas[~far], bound)
-            return p
-        if top >= len(self.p):
-            self.p = np.concatenate((self.p, np.full(top + 1 - len(self.p), np.nan)))
-        p = self.p[deltas]
-        missing = np.isnan(p)
-        if missing.any():
-            # with return_inverse, np.unique does not import numpy.ma, ~20 ms
-            # of a process's first estimate
-            fill, index = np.unique(deltas[missing], return_inverse=True)
-            p[missing] = self._fill(fill)[index]
+def depolarizing(params: SimParams, deltas: np.ndarray) -> np.ndarray:
+    """``qubit_depolarizing`` of every entry of ``deltas``, through the
+    process's table for ``params``' noise: a new empty one (replacing the
+    last) when its key differs from the last table's, so every span of every
+    estimate at that noise (a ``sweep`` over q_link, say) gathers from it.
+
+    Entries are filled one at a time, each the first time a span uses its Δ,
+    and only below the estimate's bound, half its waits (N per shot): at
+    small q_link the waits spread over millions of rounds, so a span's waits
+    at or above the bound take their distinct deltas from ``np.unique``
+    instead, and the table never grows past half the estimate's waits.
+    Worker processes keep tables of their own."""
+    global _key, _table
+    key = depolarizing_key(params)
+    if key != _key:
+        _key, _table = key, np.empty(0)
+    bound = params.n_end_nodes * params.shots / 2
+    near, top = deltas, int(deltas.max(initial=0))
+    if top >= bound:
+        far = deltas >= bound
+        near = deltas[~far]
+        top = int(near.max(initial=0))
+    if top >= len(_table):
+        _table = np.concatenate((_table, np.full(top + 1 - len(_table), np.nan)))
+    p = _table[near]
+    missing = np.isnan(p)
+    if missing.any():
+        # with return_inverse, np.unique does not import numpy.ma, ~20 ms
+        # of a process's first estimate
+        fill, index = np.unique(near[missing], return_inverse=True)
+        values = qubit_depolarizing(params, fill)
+        _table[fill] = values
+        p[missing] = values[index]
+    if near is deltas:
         return p
-
-    def _fill(self, deltas: np.ndarray) -> np.ndarray:
-        """Fill the entries at the distinct ``deltas``; returns their values."""
-        values = qubit_depolarizing(self.params, deltas)
-        self.p[deltas] = values
-        return values
-
-
-# the latest noise setting's table: at most one is alive per process
-_table: DepolarizingTable | None = None
-
-
-def depolarizing_table(params: SimParams) -> DepolarizingTable:
-    """The process's table for ``params``' noise, a new empty one (replacing
-    the last) when its key differs from the last table's.  Worker processes
-    keep tables of their own."""
-    global _table
-    if _table is None or _table.key != DepolarizingTable.key_of(params):
-        _table = DepolarizingTable(params)
-    return _table
+    values, index = np.unique(deltas[far], return_inverse=True)
+    gathered = np.empty(deltas.shape)
+    gathered[far], gathered[~far] = qubit_depolarizing(params, values)[index], p
+    return gathered
 
 
 def _tally(
@@ -270,14 +256,11 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return top
 
 
-def run_block(
-    params: SimParams, span: int, shots: int, job_shots: int | None = None
-) -> ShotBlock:
+def run_block(params: SimParams, span: int, shots: int) -> ShotBlock:
     """The first ``shots`` shots of span ``span``, bit for bit as that many
     sequential ``run_shot_fast`` calls on ``shot_rng(params.seed, span,
-    TAG_FACTORY)`` record them, with depolarizing parameters from the
-    process's ``depolarizing_table``, for a job of ``job_shots`` shots (by
-    default these shots alone).
+    TAG_FACTORY)`` record them, with depolarizing parameters from
+    ``depolarizing``.
 
     Each attempt is one row of N waits and, unless q_bsm = 1, its coin, drawn
     in (rows, N + 1) chunks of at most ``_DRAW_CAP`` uniforms, sized for the
@@ -320,19 +303,17 @@ def run_block(
     duration += n_all
     # one contiguous row of parameters per column of rounds, scored by f_rand
     # elementwise: ``fidelity_from_deltas`` on each shot, bit for bit
-    bound = n * (shots if job_shots is None else job_shots) / 2
-    fidelity = f_rand(params.p_ghz, depolarizing_table(params).gather(n_all - rounds.T, bound))
+    fidelity = f_rand(params.p_ghz, depolarizing(params, n_all - rounds.T))
     return ShotBlock(attempts, rounds, duration, fidelity)
 
 
 def _run_spans(args: tuple[SimParams, int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Durations and fidelities of the shots of spans [first, last), each
-    span cut at ``params.shots``: one job, whose table bound is half its waits."""
+    span cut at ``params.shots``."""
     params, first, last = args
-    shots = min(last * _SPAN, params.shots) - first * _SPAN
     parts = []
     for k in range(first, last):
-        block = run_block(params, k, min(_SPAN, params.shots - k * _SPAN), shots)
+        block = run_block(params, k, min(_SPAN, params.shots - k * _SPAN))
         parts.append((block.duration_rounds, block.fidelity))
     durations, fidelities = zip(*parts)
     return np.concatenate(durations), np.concatenate(fidelities)

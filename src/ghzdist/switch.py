@@ -165,7 +165,8 @@ class Component:
                     free, rest = True, rest ^ bit
                     continue
                 if top & ~side:
-                    raise ProtocolInvariantError(f"ledger sides {top:#b} and {side:#b} cross")
+                    a, b = sorted((top, side))
+                    raise ProtocolInvariantError(f"ledger sides {a:#b} and {b:#b} cross")
                 taken[top] = side
                 e, o = tops.pop(top)
                 even, odd = even * e + odd * o, even * o + odd * e
@@ -206,22 +207,15 @@ class NetworkState:
         held = [c for c in self.owner + [self.arriving] if c is not None]
         return list({id(c): c for c in held}.values())
 
-    def full_component(self, n_end_nodes: int) -> Component | None:
-        """The group spanning every end node, if one exists: node 1's, when
-        its mask is bits 1..n_end_nodes."""
-        comp = self.owner[1]
-        if comp is not None and comp.mask == (2 << n_end_nodes) - 2:
-            return comp
-        return None
-
     def validate(self, n_end_nodes: int) -> None:
         """Where each qubit lives: links wait only on connections 1..N, born
         no later than now; groups hold end-node qubits only, one pending
         factor per node of their mask, and ledger entries (d, S) with d in
         [0, 1] and S a non-empty subset of the group's mask whose sides (S
-        without the group's lowest node) are pairwise nested or disjoint;
-        owner and mask agree, the arriving group aside; no node holds more
-        than NODE_MEMORY_SLOTS qubits, the arriving group's counted."""
+        without the group's lowest node) are pairwise nested or disjoint (the
+        read-out's walk raises on a crossing); owner and mask agree, the
+        arriving group aside; no node holds more than NODE_MEMORY_SLOTS
+        qubits, the arriving group's counted."""
         nodes = range(1, n_end_nodes + 1)
         for conn, born in enumerate(self.born):
             if born != NO_LINK and not (conn in nodes and born <= self.round):
@@ -235,11 +229,7 @@ class NetworkState:
             for d, s in comp.entries:
                 if not (0.0 <= d <= 1.0 and s and not s & ~comp.mask):
                     raise ProtocolInvariantError(f"bad ledger entry ({d}, {s:#b})")
-            low = comp.mask & -comp.mask
-            sides = sorted({comp.mask ^ s if s & low else s for _, s in comp.entries})
-            for a, b in combinations(sides, 2):
-                if a & b and a & ~b and b & ~a:
-                    raise ProtocolInvariantError(f"ledger sides {a:#b} and {b:#b} cross")
+            comp.ghz_fidelity(self.round, 1.0)
             for v in comp.pending:
                 if comp is not self.owner[v] and comp is not self.arriving:
                     raise ProtocolInvariantError(f"group {comp.mask:#b} not held at node {v}")
@@ -400,15 +390,16 @@ def run_to_ghz(
     """
     start = state.round
     n = params.n_end_nodes
-    born = state.born
+    born, owner = state.born, state.owner
+    every_node = (2 << n) - 2  # bits 1..N
     while True:
         advance_to_link_event(state, params, rng)
         if len(born) - born.count(NO_LINK) < 2:
             continue
         while any(event[3] for event in do_switch_bsms(state, params, rng)):
             do_fusions(state, params, rng)
-            full = state.full_component(n)
-            if full is not None:
+            full = owner[1]
+            if full is not None and full.mask == every_node:
                 if len(full.pending) != n:
                     raise ProtocolInvariantError("delivered state is not an n-qubit GHZ")
                 record = SwitchRecord(

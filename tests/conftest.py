@@ -1,5 +1,6 @@
 """Shared fixtures."""
 
+import numpy as np
 import pytest
 
 from ghzdist import analytics, factory
@@ -9,7 +10,7 @@ from ghzdist import analytics, factory
 def cleared_depolarizing_table():
     """Each test starts with no factory depolarizing table, so none depends
     on which tests filled it before."""
-    factory._table = None
+    factory._key, factory._table = None, np.empty(0)
 
 
 @pytest.fixture

@@ -2,8 +2,6 @@
 
 import concurrent.futures
 import itertools
-import math
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +14,6 @@ from ghzdist.factory import (
     _DRAW_CAP,
     _SPAN,
     ATTEMPT_DRAW_BUDGET,
-    DepolarizingTable,
     _run_spans,
     check_attempt_budget,
     estimate,
@@ -33,6 +30,20 @@ def make_params(**kwargs):
     base = dict(n_end_nodes=5, q_link=0.01, q_bsm=0.95, seed=123, shots=100)
     base.update(kwargs)
     return SimParams(**base)
+
+
+def clear_table():
+    """Drop the process's depolarizing table, as the autouse fixture does."""
+    factory_module._key, factory_module._table = None, np.empty(0)
+
+
+# N = 2, three whole spans: the estimate's table bound is N * shots / 2 =
+# 3,072 rounds, and at seed 1 span 0 waits at most 2,286 rounds (below it,
+# the table) and spans 1 and 2 3,194 and 3,462 (at or above it, np.unique)
+STRADDLING_JOB = dict(
+    n_end_nodes=2, q_link=0.0025, q_bsm=0.95, seed=1, shots=3 * _SPAN,
+    p_link=0.98, p_mem=0.999, p_bsm=0.99, p_ghz=0.9,
+)
 
 
 class TestRunShotFast:
@@ -120,30 +131,17 @@ class TestEstimate:
         assert slow.rate_mean == pytest.approx(fast.rate_mean / 2.0, rel=1e-12)
         assert slow.fidelity_mean == fast.fidelity_mean
 
-    def test_worker_count_does_not_change_results(self):
-        params = make_params(q_link=0.1, shots=600, seed=9)
-        old = os.environ.get("GHZDIST_WORKERS")
-        try:
-            os.environ["GHZDIST_WORKERS"] = "1"
-            one = estimate(params)
-            os.environ["GHZDIST_WORKERS"] = "3"
-            three = estimate(params)
-        finally:
-            if old is None:
-                os.environ.pop("GHZDIST_WORKERS", None)
-            else:
-                os.environ["GHZDIST_WORKERS"] = old
-        assert one == three
-
     def test_one_two_and_three_workers_give_equal_estimates(self, monkeypatch):
         # 2,500 shots are three spans: one worker runs all, two split them
-        # 1 + 2, three take one each
-        params = make_params(q_link=0.1, shots=2500, seed=9)
-        estimates = []
-        for workers in ("1", "2", "3"):
-            monkeypatch.setenv("GHZDIST_WORKERS", workers)
-            estimates.append(estimate(params))
-        assert estimates[0] == estimates[1] == estimates[2]
+        # 1 + 2, three take one each; the straddling job's last two spans
+        # reach the estimate's table bound in whichever worker runs them
+        for params in (make_params(q_link=0.1, shots=2500, seed=9), make_params(**STRADDLING_JOB)):
+            estimates = []
+            for workers in ("1", "2", "3"):
+                monkeypatch.setenv("GHZDIST_WORKERS", workers)
+                clear_table()
+                estimates.append(estimate(params))
+            assert estimates[0] == estimates[1] == estimates[2]
 
     def test_one_span_starts_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -291,20 +289,11 @@ def largest_wait(block):
     return int((block.rounds.max(axis=1) - block.rounds.min(axis=1)).max())
 
 
-# N = 2, three whole spans: the job's table bound is N * shots / 2 = 3,072
-# rounds, and at seed 1 span 0 waits at most 2,286 rounds (below it, the
-# table) and spans 1 and 2 3,194 and 3,462 (at or above it, np.unique)
-STRADDLING_JOB = dict(
-    n_end_nodes=2, q_link=0.0025, q_bsm=0.95, seed=1, shots=3 * _SPAN,
-    p_link=0.98, p_mem=0.999, p_bsm=0.99, p_ghz=0.9,
-)
-
-
 def job_waits(params):
     """Each span's waits Δ, one array per span of ``params.shots``."""
     spans = range(-(-params.shots // _SPAN))
     blocks = [run_block(params, k, min(_SPAN, params.shots - k * _SPAN)) for k in spans]
-    factory_module._table = None
+    clear_table()
     return [b.rounds.max(axis=1)[:, None] - b.rounds for b in blocks]
 
 
@@ -430,30 +419,27 @@ class TestBlockKernel:
         below = np.unique(np.concatenate([w[w < bound] for w in waits]))
         assert sorted(near) == below.tolist()  # each Δ below the bound once
 
-    def test_table_one_entry_off_fails_the_job_check(self, monkeypatch):
-        # negative control: the table's entry for Δ holds Δ + 1's parameter;
-        # the table starts cleared, so the faulty fill makes every entry
-        def fill_one_off(table, deltas):
-            table.p[deltas] = factory_module.qubit_depolarizing(table.params, deltas + 1)
-            return table.p[deltas]
-
-        assert factory_module._table is None
-        monkeypatch.setattr(DepolarizingTable, "_fill", fill_one_off)
+    def test_table_one_entry_off_fails_the_job_check(self):
+        # negative control: the table at the job's noise holds, for each Δ
+        # below the bound, Δ + 1's parameter
+        params = make_params(**STRADDLING_JOB)
+        bound = params.n_end_nodes * params.shots // 2
+        factory_module._key = factory_module.depolarizing_key(params)
+        factory_module._table = factory_module.qubit_depolarizing(params, np.arange(bound) + 1)
         with pytest.raises(AssertionError):
-            assert_job_matches_shots(make_params(**STRADDLING_JOB), 0, 3)
+            assert_job_matches_shots(params, 0, 3)
 
     def test_grown_table_gives_what_a_fresh_table_gives(self):
-        params = make_params(q_link=0.05, p_mem=0.999, p_link=0.98, seed=21)
-        job = 4 * _SPAN
+        params = make_params(q_link=0.05, p_mem=0.999, p_link=0.98, seed=21, shots=4 * _SPAN)
         filled = []
         for k, shots in ((1, 10), (2, 100), (3, _SPAN)):
-            run_block(params, k, shots, job)
-            filled.append(int(np.count_nonzero(~np.isnan(factory_module._table.p))))
+            run_block(params, k, shots)
+            filled.append(int(np.count_nonzero(~np.isnan(factory_module._table))))
         assert filled[0] < filled[1] < filled[2]  # filled by each span
-        shared = run_block(params, 0, 300, job)
-        factory_module._table = None
+        shared = run_block(params, 0, 300)
+        clear_table()
         fresh = run_block(params, 0, 300)
-        assert largest_wait(fresh) < params.n_end_nodes * 300 / 2  # its own bound's side
+        assert largest_wait(fresh) < params.n_end_nodes * params.shots / 2  # the table's side
         for field, value in shared._asdict().items():
             assert np.array_equal(value, getattr(fresh, field)), field
 
@@ -462,23 +448,24 @@ class TestBlockKernel:
         # million) of rounds: waits at or above the bound take np.unique,
         # and the table holds no entry past the bound
         for q_link in (1e-6, 1e-5):
-            factory_module._table = None
+            clear_table()
             params = make_params(q_link=q_link, shots=10_000)
             bound = 2 * params.n_end_nodes * params.shots
             assert 0 < depolarizing_waits(monkeypatch, params, bound) <= bound
-            assert len(factory_module._table.p) <= params.n_end_nodes * params.shots / 2
+            assert len(factory_module._table) <= params.n_end_nodes * params.shots / 2
 
     def test_unbounded_table_holds_more_entries(self, monkeypatch):
-        # negative control: a table that grows to any span's largest wait
-        bounded_gather = DepolarizingTable.gather
+        # negative control: a table that grows to any span's largest wait,
+        # its bound that of an estimate of 2^50 shots
+        bounded = factory_module.depolarizing
 
-        def unbounded_gather(table, deltas, bound):
-            return bounded_gather(table, deltas, math.inf)
+        def unbounded(params, deltas):
+            return bounded(replace(params, shots=2**50), deltas)
 
-        monkeypatch.setattr(DepolarizingTable, "gather", unbounded_gather)
+        monkeypatch.setattr(factory_module, "depolarizing", unbounded)
         params = make_params(q_link=1e-5, shots=10_000)
         depolarizing_waits(monkeypatch, params, 2 * params.n_end_nodes * params.shots)
-        assert len(factory_module._table.p) > params.n_end_nodes * params.shots / 2
+        assert len(factory_module._table) > params.n_end_nodes * params.shots / 2
 
     @pytest.mark.parametrize("seed", [11, 15])
     def test_cliff_job_fills_only_the_deltas_it_uses(self, monkeypatch, seed):
@@ -511,12 +498,12 @@ def changed_noise_estimates(field):
     changed = replace(params, **{field: getattr(params, field) - 0.01})
     estimate(params)
     shared = estimate(changed)
-    factory_module._table = None
+    clear_table()
     return shared, estimate(changed)
 
 
 class TestSharedTable:
-    """One ``DepolarizingTable`` per noise setting serves every estimate in a
+    """One depolarizing table per noise setting serves every estimate in a
     process; what an estimate returns does not depend on what ran before."""
 
     def test_second_estimate_at_the_same_noise_asks_for_no_entry(self, monkeypatch):
@@ -527,11 +514,11 @@ class TestSharedTable:
     def test_grid_is_equal_forward_reversed_or_cleared(self, monkeypatch):
         monkeypatch.setenv("GHZDIST_WORKERS", "1")
         forward = [estimate(p) for p in SHARED_GRID]
-        factory_module._table = None
+        clear_table()
         backward = [estimate(p) for p in SHARED_GRID[::-1]][::-1]
         cleared = []
         for p in SHARED_GRID:
-            factory_module._table = None
+            clear_table()
             cleared.append(estimate(p))
         assert forward == backward == cleared
 
@@ -543,7 +530,7 @@ class TestSharedTable:
     def test_key_without_p_bsm_fails(self, monkeypatch):
         # negative control: p_bsm alone changed keeps the stale table
         monkeypatch.setattr(
-            DepolarizingTable, "key_of", staticmethod(lambda params: (params.p_link, params.p_mem))
+            factory_module, "depolarizing_key", lambda params: (params.p_link, params.p_mem)
         )
         shared, cleared = changed_noise_estimates("p_bsm")
         assert shared != cleared

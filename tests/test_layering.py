@@ -1,6 +1,7 @@
 """Import layering: dense density matrices stay behind the oracles (no
 engine imports ``ghzdist.dm``, not even its qubit label), nothing but the
-command line imports the oracles, and the closed forms are plain Python."""
+command line imports the oracles, the closed forms are plain Python, and no
+module state but the factory's depolarizing table is rebound."""
 
 import ast
 from pathlib import Path
@@ -127,6 +128,50 @@ def test_every_module_level_definition_is_referenced():
         if not any(other is not stmt and name in names for other, names in uses)
     ]
     assert dead == []
+
+
+def global_statements(tree: ast.AST, where: str = "<module>") -> list[tuple[str, list[str]]]:
+    """(innermost enclosing function, names) of each ``global`` statement."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Global):
+            found.append((where, node.names))
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        found += global_statements(node, inner)
+    return found
+
+
+def attributes_assigned(tree: ast.AST, module: str) -> set[str]:
+    """Attributes of the name ``module`` that an assignment in ``tree`` binds."""
+    return {
+        sub.attr
+        for node in ast.walk(tree) if isinstance(node, ast.Assign)
+        for target in node.targets for sub in ast.walk(target)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+        and sub.value.id == module
+    }
+
+
+def test_global_statements_and_assigned_attributes_are_found():
+    tree = ast.parse("global a\ndef f():\n    global b, c\n    def g():\n        global d\n"
+                     "class C:\n    def h(self):\n        if a:\n            global e\n"
+                     "m.x, (m.y, n.z) = m.w = 1, (2, 3)\nm.v += 1\n")
+    assert global_statements(tree) == [
+        ("<module>", ["a"]), ("f", ["b", "c"]), ("g", ["d"]), ("h", ["e"])]
+    assert attributes_assigned(tree, "m") == {"x", "y", "w"}
+
+
+def test_only_global_state_is_the_depolarizing_table_which_conftest_resets():
+    # module state that a function rebinds outlives a test: the one such
+    # state, the factory's table, is what the autouse fixture clears
+    found = [
+        (path.stem, *statement)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for statement in global_statements(ast.parse(path.read_text()))
+    ]
+    assert found == [("factory", "depolarizing", ["_key", "_table"])]
+    conftest = ast.parse((ROOT / "tests" / "conftest.py").read_text())
+    assert attributes_assigned(conftest, "factory") == {"_key", "_table"}
 
 
 def test_dm_draws_nothing():

@@ -53,6 +53,13 @@ def place(state: NetworkState, comp: Component, *nodes: int) -> None:
             state.owner[v] = comp
 
 
+def spanning_group(state: NetworkState, n: int) -> Component | None:
+    """The group spanning end nodes 1..n, if one exists: node 1's, when its
+    mask is bits 1..n."""
+    comp = state.owner[1]
+    return comp if comp is not None and comp.mask == (2 << n) - 2 else None
+
+
 def network(*pairs: tuple[int, int]) -> NetworkState:
     """A state for make_params' five end nodes holding each pair in order:
     (0, conn) as a link waiting on conn since round 0, any other (u, v) as a
@@ -442,7 +449,7 @@ class TestRunToGhz:
                 nodes = [v for comp in state.groups() for v in comp.pending]
                 assert state.arriving is None and len(nodes) == len(set(nodes))
             state.validate(params.n_end_nodes)
-            full = state.full_component(params.n_end_nodes)
+            full = spanning_group(state, params.n_end_nodes)
             if full is not None:
                 assert sorted(full.pending) == list(range(1, n + 1))
                 state.remove(full)
@@ -544,7 +551,7 @@ class TestJumpEquivalence:
                 advance_round(state, params, rng)
                 while any(e[3] for e in do_switch_bsms(state, params, rng)):
                     do_fusions(state, params, rng)
-                full = state.full_component(params.n_end_nodes)
+                full = spanning_group(state, params.n_end_nodes)
                 if full is not None:
                     for v in full.pending:
                         full.flush(v, state.round, params.p_mem)
@@ -595,7 +602,7 @@ def literal_executions(params: SimParams, shots: int) -> list[tuple[int, int, fl
             run(advance_to_link_event)
             while any(e[3] for e in run(do_switch_bsms)):
                 run(do_fusions)
-            full = state.full_component(params.n_end_nodes)
+            full = spanning_group(state, params.n_end_nodes)
         fidelity = full.ghz_fidelity(state.round, params.p_mem)
         records.append((state.round - start, full.pairs_consumed, fidelity))
         state.remove(full)

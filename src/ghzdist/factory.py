@@ -12,8 +12,10 @@ after shot on the span's stream, bit for bit.  Each span gathers its shots'
 depolarizing parameters through ``depolarizing`` from one table per process,
 kept for the latest noise setting and filled entry by entry with the waits
 Δ below the estimate's bound that the spans use, so the estimates of a
-sweep at fixed noise share it.  The density-matrix replay of the same noisy
-teleportation that certifies this fast path lives in ``ghzdist.oracles``.
+sweep at fixed noise share it.  ``summarize`` corrects the mean fidelity by
+each shot's summed wait, a control of exactly known mean.  The
+density-matrix replay of the same noisy teleportation that certifies this
+fast path lives in ``ghzdist.oracles``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .analytics import f_rand, harmonic
+from .analytics import expected_n_all_exact, f_rand, harmonic
 from .params import (
     TAG_FACTORY,
     ConfigError,
@@ -62,17 +64,23 @@ class ShotRecord(NamedTuple):
 
 
 class ShotBlock(NamedTuple):
-    """``ShotRecord``'s fields for a run of consecutive shots, one row each."""
+    """``ShotRecord``'s fields for a run of consecutive shots, one row each,
+    and each shot's summed wait S = sum_i (n_all - rounds_i) as a double,
+    the control of ``summarize``'s fidelity estimate."""
 
     teleport_attempts: np.ndarray
     rounds: np.ndarray
     duration_rounds: np.ndarray
     fidelity: np.ndarray
+    summed_wait: np.ndarray
 
 
 @dataclass(frozen=True)
 class Estimates:
-    """Monte Carlo point estimates; stderr is the standard deviation of the mean."""
+    """Monte Carlo point estimates, each with the standard deviation of its
+    sampling distribution as stderr.  The rate is the reciprocal of the mean
+    duration.  The fidelity is the plain mean for the switch and, for the
+    factory, the mean corrected by the summed-wait control (``summarize``)."""
 
     rate_mean: float
     rate_stderr: float
@@ -144,25 +152,61 @@ def check_attempt_budget(params: SimParams) -> None:
 
 
 def summarize(
-    durations_rounds: np.ndarray, fidelities: np.ndarray, dt: float
+    durations_rounds: np.ndarray,
+    fidelities: np.ndarray,
+    dt: float,
+    controls: np.ndarray | None = None,
+    control_mean: float = 0.0,
 ) -> Estimates:
     """Aggregate per-shot results.
 
     The rate is 1 / mean(duration * dt); its stderr follows by error
-    propagation through the reciprocal.  Fidelity stderr is the plain standard
-    deviation of the mean.
+    propagation through the reciprocal.
+
+    The fidelity is estimated as mean(F) - beta (mean(S) - E[S]), with S the
+    per-shot ``controls`` of known mean ``control_mean`` and beta the sample
+    regression slope of F on S (a control variate: Lavenberg and Welch; Law
+    and Kelton).  Its stderr is the residual standard deviation, with n - 2
+    degrees of freedom, times sqrt(1/n + (mean(S) - E[S])^2 / S_xx), where
+    S_xx is the sum of squared deviations of S.  Without controls (the
+    switch), when S has no spread (q_link = 1) or with fewer than 3 shots,
+    beta = 0: the plain mean and its standard deviation of the mean, with
+    n - 1 degrees of freedom.
     """
     shots = len(durations_rounds)
     if shots < 2:
         raise ValueError("need at least 2 shots for standard errors")
-    times = durations_rounds * dt
-    t_mean = float(times.mean())
-    t_stderr = float(times.std(ddof=1)) / float(np.sqrt(shots))
+    # float even for an integer dt, as the in-place steps below need
+    times = durations_rounds * float(dt)
+    t_mean = float(times.sum()) / shots
+    # the steps of ndarray.std(ddof=1), bit for bit, in place and at half
+    # its cost
+    times -= t_mean
+    t_var = float(np.square(times, out=times).sum()) / (shots - 1)
+    t_stderr = math.sqrt(t_var) / math.sqrt(shots)
+    f_mean = float(fidelities.sum()) / shots
+    df = fidelities - f_mean
+    beta = sxy = gap = leverage = 0.0
+    dof = shots - 1
+    # the dot products are products summed by ndarray.sum, whose pairwise
+    # order is fixed, rather than einsum or BLAS, whose order follows the
+    # host's vector width: every field is a pure function of the draws
+    if controls is not None and shots > 2:
+        s_mean = float(controls.sum()) / shots
+        ds = np.subtract(controls, s_mean, out=times)  # times is spent
+        sxy = float((ds * df).sum())
+        sxx = float(np.square(ds, out=ds).sum())
+        if sxx > 0.0:
+            beta, gap = sxy / sxx, s_mean - control_mean
+            leverage, dof = gap * gap / sxx, shots - 2
+    residual = max(float(np.square(df, out=df).sum()) - beta * sxy, 0.0)
     return Estimates(
         rate_mean=1.0 / t_mean,
         rate_stderr=t_stderr / t_mean**2,
-        fidelity_mean=float(fidelities.mean()),
-        fidelity_stderr=float(fidelities.std(ddof=1)) / float(np.sqrt(shots)),
+        fidelity_mean=f_mean - beta * gap,
+        # at beta = 0, ndarray.std(ddof=1) / sqrt(shots), bit for bit
+        fidelity_stderr=math.sqrt(residual / dof * (1.0 + shots * leverage))
+        / math.sqrt(shots),
         shots=shots,
     )
 
@@ -301,22 +345,29 @@ def run_block(params: SimParams, span: int, shots: int) -> ShotBlock:
         done += len(won)
     n_all = _row_max(rounds)
     duration += n_all
-    # one contiguous row of parameters per column of rounds, scored by f_rand
-    # elementwise: ``fidelity_from_deltas`` on each shot, bit for bit
-    fidelity = f_rand(params.p_ghz, depolarizing(params, n_all - rounds.T))
-    return ShotBlock(attempts, rounds, duration, fidelity)
+    # one contiguous row of waits per column of rounds (a gather keeps its
+    # index's layout, and f_rand walks contiguous rows a fifth faster),
+    # scored by f_rand elementwise: ``fidelity_from_deltas`` on each shot,
+    # bit for bit
+    deltas = np.subtract(n_all, rounds.T, order="C")
+    fidelity = f_rand(params.p_ghz, depolarizing(params, deltas))
+    # as doubles, which hold S exactly below 2^53 and, unlike int64 at
+    # large N and tiny q_link, never wrap
+    summed_wait = deltas.sum(axis=0, dtype=np.float64)
+    return ShotBlock(attempts, rounds, duration, fidelity, summed_wait)
 
 
-def _run_spans(args: tuple[SimParams, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Durations and fidelities of the shots of spans [first, last), each
-    span cut at ``params.shots``."""
+def _run_spans(
+    args: tuple[SimParams, int, int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Durations, fidelities and summed waits of the shots of spans
+    [first, last), each span cut at ``params.shots``."""
     params, first, last = args
     parts = []
     for k in range(first, last):
         block = run_block(params, k, min(_SPAN, params.shots - k * _SPAN))
-        parts.append((block.duration_rounds, block.fidelity))
-    durations, fidelities = zip(*parts)
-    return np.concatenate(durations), np.concatenate(fidelities)
+        parts.append((block.duration_rounds, block.fidelity, block.summed_wait))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def worker_count() -> int:
@@ -337,21 +388,31 @@ def worker_count() -> int:
 def estimate(params: SimParams) -> Estimates:
     """Run params.shots independent fast-path executions and aggregate.
 
+    The fidelity takes each shot's summed wait S as its control: the
+    successful attempt's rounds are plain geometric draws (its coin is
+    independent of them), so E[S] = N (E[n_all] - 1 / q_link) exactly, from
+    ``expected_n_all_exact``, computed once per call at O(N^2) cost (~0.1 ms
+    at N = 16, ~0.15 s at N = 1,000).
+
     Workers take whole spans, and each span has its own stream, so the result
     is identical no matter how many workers split the range; a single span
     starts no worker process.
     """
     check_attempt_budget(params)
+    n, q_link = params.n_end_nodes, params.q_link
+    mean_wait = n * (expected_n_all_exact(n, q_link) - 1.0 / q_link)
     spans = -(-params.shots // _SPAN)
     workers = min(worker_count(), spans)
     if workers == 1:
-        return summarize(*_run_spans((params, 0, spans)), params.dt)
-    bounds = np.linspace(0, spans, workers + 1, dtype=int)
-    jobs = [(params, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-    # imported here: the process pool costs ~10 ms of import, which a
-    # single-worker run never needs
-    from concurrent.futures import ProcessPoolExecutor
+        columns = _run_spans((params, 0, spans))
+    else:
+        bounds = np.linspace(0, spans, workers + 1, dtype=int)
+        jobs = [(params, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        # imported here: the process pool costs ~10 ms of import, which a
+        # single-worker run never needs
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        durations, fidelities = zip(*pool.map(_run_spans, jobs))
-    return summarize(np.concatenate(durations), np.concatenate(fidelities), params.dt)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            columns = [np.concatenate(c) for c in zip(*pool.map(_run_spans, jobs))]
+    durations, fidelities, summed_waits = columns
+    return summarize(durations, fidelities, params.dt, summed_waits, mean_wait)

@@ -485,12 +485,14 @@ def fidelity_recursion_error(rng: np.random.Generator) -> float:
 def block_factory_mismatches(rng: np.random.Generator) -> int:
     """How many shots of ``factory.run_block(params, span, m)`` differ in any
     field from m sequential calls of the plain loop ``factory.run_shot_fast``
-    on ``shot_rng(seed, span, TAG_FACTORY)``, at one random seed.  Over q_bsm
-    in {1, 0.95, 0.8}, N in {2, 5, 16} and q_link in {1e-6, 0.01, 0.5, 1},
+    on ``shot_rng(seed, span, TAG_FACTORY)``, at one random seed; the summed
+    wait S must equal the record's sum of n_all - r_i.  Over q_bsm in
+    {1, 0.95, 0.8}, N in {2, 5, 16} and q_link in {1e-6, 0.01, 0.5, 1},
     (span, m) runs through (0, a whole span), (1, 7) and (2^40, 1), so each
     (q_bsm, N) meets all three; and m = 3 at span 1 at N = 16, q_bsm = 0.6,
     where a chunk of draws can hold no success (one does on the ``verify``
-    stream)."""
+    stream; ``tests/test_oracles.py`` lists the ``run_block`` branches this
+    check takes there)."""
     seed = int(rng.integers(2**64, dtype=np.uint64))
     cases = itertools.cycle(((0, factory._SPAN), (1, 7), (2**40, 1)))
     grid = itertools.product((1.0, 0.95, 0.8), (2, 5, 16), (1e-6, 0.01, 0.5, 1.0))
@@ -505,9 +507,11 @@ def block_factory_mismatches(rng: np.random.Generator) -> int:
         block = factory.run_block(params, span, m)
         stream = shot_rng(seed, span, TAG_FACTORY)
         for row in range(m):
-            mismatches += factory.run_shot_fast(params, stream) != (
+            record = factory.run_shot_fast(params, stream)
+            n_all = max(record.rounds)
+            mismatches += (*record, sum(n_all - r for r in record.rounds)) != (
                 block.teleport_attempts[row], tuple(block.rounds[row].tolist()),
-                block.duration_rounds[row], block.fidelity[row],
+                block.duration_rounds[row], block.fidelity[row], block.summed_wait[row],
             )
     return mismatches
 

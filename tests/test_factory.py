@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ghzdist import factory as factory_module
-from ghzdist.analytics import rate_exact
+from ghzdist.analytics import expected_n_all_exact, rate_exact
 from ghzdist.factory import (
     _DRAW_CAP,
     _SPAN,
@@ -23,7 +23,7 @@ from ghzdist.factory import (
     summarize,
     worker_count,
 )
-from ghzdist.params import TAG_FACTORY, ConfigError, SimParams, shot_rng
+from ghzdist.params import TAG_FACTORY, ConfigError, SimParams, derive_p_ghz, shot_rng
 
 
 def make_params(**kwargs):
@@ -170,6 +170,97 @@ class TestEstimate:
         with pytest.raises(ValueError):
             summarize(np.array([3]), np.array([0.9]), 1.0)
 
+    def test_integer_dt_gives_the_float_dt_estimate(self):
+        # summarize works on the durations times dt in place, which an
+        # integer product could not hold
+        params = make_params(q_link=0.3, shots=500, seed=4)
+        assert estimate(replace(params, dt=2)) == estimate(replace(params, dt=2.0))
+
+
+# the paper's Fig-5 noise at N = 5, local GHZ fidelity 0.9
+FIG5 = dict(n_end_nodes=5, q_bsm=0.95, p_link=0.99, p_bsm=0.99, p_mem=1 - 1e-4,
+            p_ghz=derive_p_ghz(0.9, 5))
+
+
+def mean_summed_wait(params):
+    """E[S] = N (E[n_all] - 1 / q_link): the successful attempt's rounds
+    are plain geometric draws."""
+    n, q = params.n_end_nodes, params.q_link
+    return n * (expected_n_all_exact(n, q) - 1.0 / q)
+
+
+def plain_and_control(params, mean_wait=None):
+    """``summarize`` of one run of ``params``' spans without controls (the
+    plain mean) and with the summed waits of known mean ``mean_wait``
+    (default E[S])."""
+    durations, fidelities, summed_waits = _run_spans((params, 0, -(-params.shots // _SPAN)))
+    if mean_wait is None:
+        mean_wait = mean_summed_wait(params)
+    return (summarize(durations, fidelities, params.dt),
+            summarize(durations, fidelities, params.dt, summed_waits, mean_wait))
+
+
+class TestControlVariate:
+    """The factory's fidelity is the plain mean corrected by the summed-wait
+    control, mean(F) - beta (mean(S) - E[S]); its stderr comes from the
+    regression residuals."""
+
+    def test_estimate_is_summarize_with_the_exact_mean_wait(self):
+        params = make_params(shots=3000, seed=5, p_mem=0.999, p_link=0.98)
+        _, control = plain_and_control(params)
+        assert estimate(params) == control
+
+    @pytest.mark.parametrize("q_link", [0.001, 0.01])
+    def test_reported_stderr_covers_the_spread_over_seeds(self, q_link):
+        # the spread of 40 estimates over their mean reported stderr; 40
+        # seeds resolve the ratio to about +-0.11
+        ests = [estimate(SimParams(q_link=q_link, shots=10_000, seed=seed, **FIG5))
+                for seed in range(40)]
+        spread = np.std([e.fidelity_mean for e in ests], ddof=1)
+        ratio = spread / np.mean([e.fidelity_stderr for e in ests])
+        assert 0.8 <= ratio <= 1.25, ratio
+
+    @pytest.mark.parametrize(
+        "n, q_link, q_bsm, p_mem",
+        list(itertools.product((2, 5, 16), (0.001, 0.05, 0.5), (0.8, 1.0), (0.999, 1 - 1e-5))),
+    )
+    def test_control_and_plain_means_agree(self, n, q_link, q_bsm, p_mem):
+        params = make_params(n_end_nodes=n, q_link=q_link, q_bsm=q_bsm, p_mem=p_mem,
+                             p_link=0.98, p_bsm=0.99, p_ghz=0.9, shots=3000, seed=n)
+        plain, control = plain_and_control(params)
+        assert abs(control.fidelity_mean - plain.fidelity_mean) <= 5 * plain.fidelity_stderr
+        # the residuals never spread wider than F; n - 2 degrees of freedom
+        # and the (mean(S) - E[S])^2 / S_xx term widen by O(1 / shots)
+        assert control.fidelity_stderr <= 1.01 * plain.fidelity_stderr
+        assert (control.rate_mean, control.rate_stderr) == (plain.rate_mean, plain.rate_stderr)
+
+    def test_shifted_mean_wait_fails_agreement(self):
+        # negative control: E[S] off by 1 / q_link moves the estimate by
+        # beta / q_link, far beyond 5 plain stderrs
+        params = SimParams(q_link=0.01, shots=10_000, seed=1, **FIG5)
+        plain, control = plain_and_control(params, mean_summed_wait(params) + 1 / params.q_link)
+        assert abs(control.fidelity_mean - plain.fidelity_mean) > 5 * plain.fidelity_stderr
+
+    @pytest.mark.parametrize(
+        "point",
+        # S has no spread: every link arrives in round 1
+        [dict(q_link=1.0, shots=3000),
+         # no residual degree of freedom is left after the slope
+         dict(q_link=0.01, shots=2)],
+    )
+    def test_plain_mean_where_no_slope_is_fit(self, point):
+        params = SimParams(seed=7, **point, **FIG5)
+        plain, control = plain_and_control(params)
+        assert estimate(params) == control == plain
+
+    def test_plain_summary_is_numpy_mean_and_std(self):
+        # the switch's case: no controls, n - 1 degrees of freedom
+        rng = np.random.default_rng(3)
+        fidelities = rng.random(500)
+        est = summarize(rng.integers(1, 100, 500), fidelities, 1.0)
+        assert est.fidelity_mean == fidelities.mean()
+        assert est.fidelity_stderr == fidelities.std(ddof=1) / np.sqrt(500)
+
 
 def assert_block_matches_shots(params, span, shots):
     block = run_block(params, span, shots)
@@ -180,6 +271,23 @@ def assert_block_matches_shots(params, span, shots):
         assert rec.rounds == tuple(block.rounds[row].tolist()), row
         assert rec.duration_rounds == block.duration_rounds[row], row
         assert rec.fidelity == block.fidelity[row], row
+        assert_summed_wait(rec, block.summed_wait[row])
+
+
+def summed_wait(record):
+    """A shot record's summed wait S, the sum of n_all - r_i."""
+    return sum(max(record.rounds) - r for r in record.rounds)
+
+
+def assert_summed_wait(record, got):
+    """``got``, a double, is the record's summed wait: exactly below 2^53,
+    and past it (N of about 10^3 at a q_link near 1e-15) within the N
+    roundings of its sum."""
+    want = summed_wait(record)
+    if want < 2**53:
+        assert got == want, record
+    else:
+        assert got == pytest.approx(want, rel=len(record.rounds) * 2.0**-53), record
 
 
 BLOCK_SEEDS = (0, 7, 2**40 + 3, 2**64 - 1)
@@ -272,9 +380,9 @@ class TestKernelAgainstReference:
 
 def assert_job_matches_shots(params, first, last):
     """``_run_spans`` over spans [first, last), one job sharing one table,
-    gives each shot the duration and fidelity of sequential
+    gives each shot the duration, fidelity and summed wait of sequential
     ``run_shot_fast`` calls on its span's stream."""
-    durations, fidelities = _run_spans((params, first, last))
+    durations, fidelities, summed_waits = _run_spans((params, first, last))
     records = []
     for span in range(first, last):
         rng = shot_rng(params.seed, span, TAG_FACTORY)
@@ -282,6 +390,8 @@ def assert_job_matches_shots(params, first, last):
         records += [run_shot_fast(params, rng) for _ in range(shots)]
     assert durations.tolist() == [r.duration_rounds for r in records]
     assert fidelities.tolist() == [r.fidelity for r in records]
+    for record, got in zip(records, summed_waits.tolist(), strict=True):
+        assert_summed_wait(record, got)
 
 
 def largest_wait(block):

@@ -3,9 +3,14 @@
 The streams are counter-based (``shot_rng``: one per 1,024-shot span for
 the factory, one per run for the switch), so the integer draws, and with
 them every rate, standard error of the rate and shot count, are a pure
-function of the code's draw order; they must match with ``==``.  The
-factory fidelity is plain Python arithmetic and matches with ``==`` too.
-The switch fidelity is the noise ledger's character sum
+function of the code's draw order; they must match with ``==``.  Each
+factory shot's fidelity is plain Python arithmetic, and ``summarize``
+sums in ``ndarray.sum``'s fixed pairwise order, so the factory's reported
+fidelity and its stderr, the plain mean corrected by the summed-wait
+control, match with ``==`` too.  The plain mean of a point's shot
+fidelities is pinned with ``==`` as well, so a change in draw order shows
+apart from a change in the estimator.  The switch fidelity is the noise
+ledger's character sum
 (``Component.ghz_fidelity``, entries (d, S) with S a node bitmask),
 evaluated by a plain-Python tree DP whose products follow the ledger's
 order and whose p_mem powers go through the platform's ``pow``: a change
@@ -21,7 +26,7 @@ so in CHANGES.md.
 
 import pytest
 
-from ghzdist.factory import Estimates, estimate
+from ghzdist.factory import Estimates, _run_spans, estimate
 from ghzdist.params import SimParams
 from ghzdist.switch import estimate_switch
 
@@ -33,16 +38,22 @@ NOISE = dict(q_link=0.1, q_bsm=0.9, p_link=0.98, p_mem=0.99, p_bsm=0.99, p_ghz=0
     [
         (5, Estimates(
             rate_mean=0.025227043390514632, rate_stderr=0.0013580953924396373,
-            fidelity_mean=0.4152478902102162, fidelity_stderr=0.010416343466022023,
+            fidelity_mean=0.41360384717159215, fidelity_stderr=0.003703965243687417,
             shots=200)),
         (16, Estimates(
             rate_mean=0.005760202759137122, rate_stderr=0.0003439589912797228,
-            fidelity_mean=0.02942979465206865, fidelity_stderr=0.002245938878079087,
+            fidelity_mean=0.031066604231037593, fidelity_stderr=0.0015625831284022083,
             shots=200)),
     ],
 )
 def test_factory_estimate_is_bitwise_stable(n, expected):
     assert estimate(SimParams(n_end_nodes=n, shots=200, seed=2024, **NOISE)) == expected
+
+
+@pytest.mark.parametrize("n, expected", [(5, 0.4152478902102162), (16, 0.02942979465206865)])
+def test_factory_plain_fidelity_mean_is_bitwise_stable(n, expected):
+    _, fidelities, _ = _run_spans((SimParams(n_end_nodes=n, shots=200, seed=2024, **NOISE), 0, 1))
+    assert float(fidelities.mean()) == expected
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from ghzdist import (
     dm as dm_module,
     factory as factory_module,
     oracles as oracles_module,
+    params as params_module,
     switch as switch_module,
 )
 from ghzdist.analytics import GSpec, expected_order_stat, g_value
@@ -188,6 +189,111 @@ class TestFactoryKernelCheck:
         )
         assert block_factory_mismatches(np.random.default_rng(11)) > 0
 
+    def test_verify_stream_takes_every_block_branch(self, monkeypatch):
+        # the near-integer redo of geometric_rounds_array is not among them:
+        # it fires for a quotient within 2^-49 of its value of an integer, a
+        # chance of about 2^-48 q per uniform, so no random stream of the
+        # check's size takes it; the next test widens the bracket until it
+        # does, and tests/test_params.py covers the real bracket with
+        # boundary uniforms
+        monkeypatch.setattr(oracles_module, "CHECKS", FACTORY_CHECK)
+        taken = block_branches_taken(monkeypatch, run_verification)
+        assert taken == BLOCK_BRANCHES
+
+    def test_check_holds_through_the_redo_under_a_wide_bracket(self, monkeypatch):
+        # the redo itself, inside run_block: a 2^-30 bracket flags about
+        # 2^-29 q of each uniform, so the verify stream takes it, and the
+        # redone rounds still equal the scalar loop's
+        monkeypatch.setattr(params_module, "NEAR_INTEGER", 2.0**-30)
+        monkeypatch.setattr(oracles_module, "CHECKS", FACTORY_CHECK)
+        reports = []
+        taken = block_branches_taken(monkeypatch, lambda: reports.append(run_verification()))
+        assert "the near-integer redo" in taken
+        assert reports[0]["all_passed"], reports
+
+    def test_branch_probe_sees_a_plain_span_take_none(self, monkeypatch):
+        # negative control: 7 shots of one chunk, with coin, below the
+        # table bound, at q_link = 0.5 and span 1
+        params = SimParams(n_end_nodes=5, q_link=0.5, q_bsm=0.95, p_mem=0.99, seed=3)
+        taken = block_branches_taken(monkeypatch, lambda: factory_module.run_block(params, 1, 7))
+        assert taken == set()
+
+
+FACTORY_CHECK = [c for c in CHECKS if c[0] == "block_vs_scalar_factory"]
+
+# the branches of ``run_block`` that block_vs_scalar_factory exists to take
+BLOCK_BRANCHES = {
+    "a span over several chunks",
+    "a chunk with no success",
+    "a carry across chunks",
+    "q_bsm = 1, no coin",
+    "q_link = 1",
+    "the np.unique side of depolarizing",
+    "span 2^40",
+}
+
+
+def block_branches_taken(monkeypatch, run) -> set:
+    """The names of ``BLOCK_BRANCHES`` (and "the near-integer redo") that
+    the ``run_block`` calls made by ``run()`` take."""
+    taken = set()
+    chunks = []
+    in_array_map = []  # non-empty inside geometric_rounds_array
+
+    class RecordingStream:
+        def __init__(self, stream):
+            self.stream = stream
+
+        def random(self, *args, **kwargs):
+            chunks.append(self.stream.random(*args, **kwargs))
+            return chunks[-1]
+
+    def run_block(params, span, shots):
+        chunks.clear()
+        block = _EXACT_RUN_BLOCK(params, span, shots)
+        n, coin = params.n_end_nodes, params.q_bsm != 1.0
+        taken.update(name for name, hit in (
+            ("a span over several chunks", len(chunks) > 1),
+            ("a chunk with no success",
+             coin and any((u[:, n] >= params.q_bsm**n).all() for u in chunks)),
+            ("q_bsm = 1, no coin", not coin and all(u.shape[1] == n for u in chunks)),
+            ("q_link = 1", params.q_link == 1.0),
+            ("span 2^40", span == 2**40),
+        ) if hit)
+        return block
+
+    def tally(won, lost, carry):
+        if carry[0] > 0:
+            taken.add("a carry across chunks")
+        return _EXACT_TALLY(won, lost, carry)
+
+    def depolarizing(params, deltas):
+        if deltas.max(initial=0) >= params.n_end_nodes * params.shots / 2:
+            taken.add("the np.unique side of depolarizing")
+        return _EXACT_DEPOLARIZING(params, deltas)
+
+    def rounds_array(uniforms, log_miss):
+        in_array_map.append(True)
+        try:
+            return _EXACT_ROUNDS_ARRAY(uniforms, log_miss)
+        finally:
+            in_array_map.pop()
+
+    def scalar_rounds(uniforms, log_miss):
+        if in_array_map:
+            taken.add("the near-integer redo")
+        return _EXACT_SCALAR_ROUNDS(uniforms, log_miss)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(factory_module, "shot_rng", lambda *key: RecordingStream(_EXACT_SHOT_RNG(*key)))
+        for name, value in (("run_block", run_block), ("_tally", tally),
+                            ("depolarizing", depolarizing),
+                            ("geometric_rounds_array", rounds_array)):
+            patch.setattr(factory_module, name, value)
+        patch.setattr(params_module, "geometric_rounds", scalar_rounds)
+        run()
+    return taken
+
 
 def _weight_dropping_p_bsm(born_a, born_b, round_now, params):
     return params.p_link**2 * params.p_mem ** (2 * round_now - born_a - born_b)
@@ -230,6 +336,11 @@ _EXACT_READOUT = switch_module.Component.ghz_fidelity
 _EXACT_RANK_FACTOR = analytics_module._rank_factor
 _EXACT_SWITCH_FIDELITY = analytics_module.switch_fidelity_perfect_memory
 _EXACT_TALLY = factory_module._tally
+_EXACT_RUN_BLOCK = factory_module.run_block
+_EXACT_DEPOLARIZING = factory_module.depolarizing
+_EXACT_ROUNDS_ARRAY = factory_module.geometric_rounds_array
+_EXACT_SCALAR_ROUNDS = params_module.geometric_rounds
+_EXACT_SHOT_RNG = factory_module.shot_rng
 
 
 def _patch(*patches):
@@ -285,6 +396,12 @@ def _fidelity_with_single_memory_decay(params, delta_n):
 
 def _depolarizing_via_np_power(params, deltas):
     return params.p_link * params.p_bsm**2 * np.power(params.p_mem, 2 * deltas)
+
+
+def _summed_wait_off_by_one(params, span, shots):
+    block = _EXACT_RUN_BLOCK(params, span, shots)
+    block.summed_wait[0] += 1
+    return block
 
 
 def _closed_form_shifted(params, mode="leading"):
@@ -404,6 +521,11 @@ FAULTS = {
     "block_vs_scalar_factory/dropped_carry": (
         _patch((factory_module, "_tally",
                 lambda won, lost, carry: _EXACT_TALLY(won, lost, (0, 0)))),
+        {"block_vs_scalar_factory"},
+    ),
+    # the first shot of every block reports a summed wait one round long
+    "block_vs_scalar_factory/summed_wait_off_by_one": (
+        _patch((factory_module, "run_block", _summed_wait_off_by_one)),
         {"block_vs_scalar_factory"},
     ),
     "g_lower_bound_gap_relative": (

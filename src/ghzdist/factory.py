@@ -79,8 +79,10 @@ class ShotBlock(NamedTuple):
 class Estimates:
     """Monte Carlo point estimates, each with the standard deviation of its
     sampling distribution as stderr.  The rate is the reciprocal of the mean
-    duration.  The fidelity is the plain mean for the switch and, for the
-    factory, the mean corrected by the summed-wait control (``summarize``)."""
+    duration.  The fidelity is the mean corrected by a control of exact mean
+    (``summarize``): for the factory each shot's summed wait, for the switch
+    each delivery's duration (the plain mean above
+    ``chain.CHAIN_MAX_NODES`` end nodes)."""
 
     rate_mean: float
     rate_stderr: float
@@ -169,7 +171,8 @@ def summarize(
     and Kelton).  Its stderr is the residual standard deviation, with n - 2
     degrees of freedom, times sqrt(1/n + (mean(S) - E[S])^2 / S_xx), where
     S_xx is the sum of squared deviations of S.  Without controls (the
-    switch), when S has no spread (q_link = 1) or with fewer than 3 shots,
+    switch above ``chain.CHAIN_MAX_NODES`` end nodes), when S has no spread
+    (q_link = 1; for the switch, q_bsm = 1 too) or with fewer than 3 shots,
     beta = 0: the plain mean and its standard deviation of the mean, with
     n - 1 degrees of freedom.
     """

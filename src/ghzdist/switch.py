@@ -56,6 +56,11 @@ connection of each link phase, then per Bell measurement the pair
 ``valid[floor(u * len(valid))]`` when more than one pair is valid and the
 success coin when q_bsm < 1.  Nothing that leaves the state as it is, a Bell
 or fusion outcome, is drawn.
+
+``estimate_switch`` reports the plain mean fidelity corrected by each
+delivery's duration, whose exact mean comes from the lumped chain in
+``ghzdist.chain``: that chain follows this module's protocol order, so a
+change to the order changes it too.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .chain import CHAIN_MAX_NODES, mean_delivery_rounds
 from .factory import Estimates, summarize
 from .params import TAG_SWITCH, ConfigError, SimParams, Uniforms, sample_geometric, shot_rng
 
@@ -441,11 +447,22 @@ def run_executions(params: SimParams, shots: int) -> list[SwitchRecord]:
 
 def estimate_switch(params: SimParams) -> Estimates:
     """Aggregate params.shots consecutive executions (after one discarded
-    warm-up execution that damps the empty-network transient)."""
+    warm-up execution that damps the empty-network transient).
+
+    The fidelity takes each delivery's duration T as its control: a longer
+    delivery leaves its qubits waiting longer (corr(F, T) is about -0.66 at
+    the Fig-5 noise), and E[T] is exact from the lumped chain
+    (``chain.mean_delivery_rounds``, in the engine's order).  Above
+    ``CHAIN_MAX_NODES`` end nodes no chain is built and the fidelity is the
+    plain mean.  The rate fields do not depend on the control."""
     check_measurement_budget(params)
     records = run_executions(params, params.shots)
     # float64: exact below 2^53 and, past 2^63, no overflow; ``summarize``
     # takes the durations to floats anyway
     durations = np.array([r.duration_rounds for r in records], dtype=np.float64)
     fidelities = np.array([r.fidelity for r in records])
-    return summarize(durations, fidelities, params.dt)
+    n = params.n_end_nodes
+    if n > CHAIN_MAX_NODES:
+        return summarize(durations, fidelities, params.dt)
+    mean = mean_delivery_rounds(n, params.q_link, params.q_bsm)
+    return summarize(durations, fidelities, params.dt, durations, mean)

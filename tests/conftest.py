@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ghzdist import analytics, factory
+from ghzdist import analytics, chain, factory
 
 
 @pytest.fixture(autouse=True)
@@ -11,6 +11,14 @@ def cleared_depolarizing_table():
     """Each test starts with no factory depolarizing table, so none depends
     on which tests filled it before."""
     factory._key, factory._table = None, np.empty(0)
+
+
+@pytest.fixture(autouse=True)
+def cleared_exact_means():
+    """Each test starts with empty caches of the exact means, so none reads
+    a value that a function patched by an earlier test left behind."""
+    analytics.expected_n_all_exact.cache_clear()
+    chain.mean_delivery_rounds.cache_clear()
 
 
 @pytest.fixture

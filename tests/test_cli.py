@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ghzdist.analytics import switch_fidelity_perfect_memory
+from ghzdist.analytics import expected_n_all_exact, switch_fidelity_perfect_memory
 from ghzdist.cli import CSV_COLUMNS, main
 
 
@@ -41,6 +41,16 @@ class TestSimulate:
         assert list(rows[0].keys()) == CSV_COLUMNS
         assert float(rows[0]["rate_mean"]) == 1.0
         assert float(rows[0]["analytic_rate_exact"]) == 1.0
+
+    def test_factory_point_computes_the_exact_n_all_once(self, tmp_path):
+        # E[n_all] costs O(N^2): the control's mean and analytic_rate_exact
+        # share one computation
+        cfg = write_config(tmp_path, n_end_nodes=16, q_link=0.01, q_bsm=0.95, shots=50, seed=3)
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--protocol", "factory", "--config", cfg,
+                     "--output", str(out)]) == 0
+        info = expected_n_all_exact.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_switch_perfect_rate_near_half(self, tmp_path):
         cfg = write_config(

@@ -1,7 +1,8 @@
 """Import layering: dense density matrices stay behind the oracles (no
 engine imports ``ghzdist.dm``, not even its qubit label), nothing but the
-command line imports the oracles, the closed forms are plain Python, and no
-module state but the factory's depolarizing table is rebound."""
+command line imports the oracles, the closed forms are plain Python, the
+switch's lumped chain leans on no part of the engine it is checked against,
+and no module state but the factory's depolarizing table is rebound."""
 
 import ast
 from pathlib import Path
@@ -34,18 +35,26 @@ def under(names: set[str], package: str) -> set[str]:
 
 
 @pytest.mark.parametrize(
-    "module", ["factory", "switch", "analytics", "params", "cli", "svgplot"]
+    "module", ["factory", "switch", "chain", "analytics", "params", "cli", "svgplot"]
 )
 def test_imports_nothing_from_dm(module):
     assert under(imported_names(module), "ghzdist.dm") == set()
 
 
 @pytest.mark.parametrize(
-    "module", ["factory", "switch", "params", "analytics", "svgplot", "dm"]
+    "module", ["factory", "switch", "chain", "params", "analytics", "svgplot", "dm"]
 )
 def test_imports_nothing_from_oracles(module):
     # the references check the engines, so no engine may lean on them
     assert under(imported_names(module), "ghzdist.oracles") == set()
+
+
+def test_chain_imports_nothing_from_the_switch():
+    # the chain's E[T] checks the switch's durations and is the control's
+    # mean, so it must not share the engine's rules
+    assert under(imported_names("chain"), "ghzdist.switch") == set()
+    assert under(imported_names("switch"), "ghzdist.chain") == {
+        "ghzdist.chain", "ghzdist.chain.CHAIN_MAX_NODES", "ghzdist.chain.mean_delivery_rounds"}
 
 
 def test_cli_seen_importing_oracles():

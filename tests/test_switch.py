@@ -1,5 +1,6 @@
 """2-switch engine: round mechanics, measurements, fusions, carry-over."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -11,7 +12,9 @@ from ghzdist import dm as dmod, switch as switch_module
 from ghzdist.analytics import switch_fidelity_perfect_memory
 from ghzdist.dm import Qubit
 from ghzdist.oracles import advance_round, ghz_fidelity_character_sum
-from ghzdist.params import TAG_SWITCH, ConfigError, SimParams, shot_rng
+from ghzdist.chain import mean_delivery_rounds
+from ghzdist.factory import summarize
+from ghzdist.params import TAG_SWITCH, ConfigError, SimParams, derive_p_ghz, shot_rng
 from ghzdist.switch import (
     BSM_BUDGET,
     NO_LINK,
@@ -734,6 +737,92 @@ class TestEstimateSwitch:
         state, rng = NetworkState(params.n_end_nodes), shot_rng(6, 0, TAG_SWITCH)
         stream = [run_to_ghz(state, params, rng)[0] for _ in range(26)]
         assert records == stream[1:]
+
+
+FIG5 = dict(n_end_nodes=5, q_bsm=0.95, p_link=0.99, p_bsm=0.99, p_mem=1 - 1e-4,
+            p_ghz=derive_p_ghz(0.9, 5))
+
+
+def durations_and_fidelities(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
+    records = run_executions(params, params.shots)
+    return (np.array([r.duration_rounds for r in records], dtype=np.float64),
+            np.array([r.fidelity for r in records]))
+
+
+def summaries(params: SimParams, runs, scale: float = 1.0) -> tuple[list, list]:
+    """``summarize`` of each (durations, fidelities) run without controls
+    (the plain mean) and with the durations, of mean ``scale`` times the
+    chain's E[T]."""
+    mean = scale * mean_delivery_rounds(params.n_end_nodes, params.q_link, params.q_bsm)
+    return ([summarize(t, f, params.dt) for t, f in runs],
+            [summarize(t, f, params.dt, t, mean) for t, f in runs])
+
+
+@functools.lru_cache(maxsize=None)
+def seed_runs(q_link: float) -> list:
+    """Durations and fidelities of 40 seeds x 200 deliveries at the Fig-5
+    point."""
+    return [durations_and_fidelities(SimParams(q_link=q_link, shots=200, seed=seed, **FIG5))
+            for seed in range(40)]
+
+
+def pooled_gap(q_link: float, scale: float = 1.0) -> float:
+    """The pooled control and plain means' gap over their pooled stderrs,
+    each taken from the spread over seeds."""
+    plain, control = summaries(SimParams(q_link=q_link, **FIG5), seed_runs(q_link), scale)
+    means = [np.array([e.fidelity_mean for e in es]) for es in (plain, control)]
+    sigma = math.hypot(*(m.std(ddof=1) / math.sqrt(len(m)) for m in means))
+    return abs(means[1].mean() - means[0].mean()) / sigma
+
+
+class TestDurationControl:
+    """The switch's fidelity is the plain mean corrected by each delivery's
+    duration, mean(F) - beta (mean(T) - E[T]), E[T] from the lumped chain."""
+
+    def test_estimate_is_summarize_with_the_chain_mean(self):
+        params = make_params(q_link=0.05, q_bsm=0.9, p_mem=0.999, p_link=0.98, shots=300)
+        [plain], [control] = summaries(params, [durations_and_fidelities(params)])
+        est = estimate_switch(params)
+        assert est == control
+        assert control.fidelity_stderr < plain.fidelity_stderr
+        assert (est.rate_mean, est.rate_stderr, est.shots) == (
+            plain.rate_mean, plain.rate_stderr, plain.shots)
+
+    @pytest.mark.parametrize("q_link", [0.001, 0.01])
+    def test_reported_stderr_covers_the_spread_over_seeds(self, q_link):
+        # deliveries share leftover links, so both stderrs understate the
+        # spread (ROADMAP item 4); the control's less so.  40 seeds resolve
+        # each ratio to about +-0.11
+        def ratio(ests):
+            spread = np.std([e.fidelity_mean for e in ests], ddof=1)
+            return spread / np.mean([e.fidelity_stderr for e in ests])
+
+        plain, control = summaries(SimParams(q_link=q_link, **FIG5), seed_runs(q_link))
+        assert ratio(control) <= min(ratio(plain), 1.3), (ratio(control), ratio(plain))
+
+    @pytest.mark.parametrize("q_link", [0.001, 0.01])
+    def test_control_and_plain_means_agree(self, q_link):
+        assert pooled_gap(q_link) <= 5
+
+    @pytest.mark.parametrize("q_link", [0.001, 0.01])
+    def test_high_mean_duration_fails_agreement(self, q_link):
+        # negative control: an E[T] 10 % high moves each estimate by beta
+        # E[T] / 10
+        assert pooled_gap(q_link, scale=1.1) > 5
+
+    @pytest.mark.parametrize(
+        "point",
+        # T has no spread: every delivery takes two rounds
+        [dict(q_link=1.0, q_bsm=1.0, shots=100),
+         # no residual degree of freedom is left after the slope
+         dict(q_link=0.01, shots=2),
+         # beyond the chain's nodes: no control
+         dict(q_link=0.3, n_end_nodes=9, shots=20)],
+    )
+    def test_plain_mean_where_no_slope_is_fit(self, point):
+        params = SimParams(**{**FIG5, "seed": 7, **point})
+        durations, fidelities = durations_and_fidelities(params)
+        assert estimate_switch(params) == summarize(durations, fidelities, params.dt)
 
 
 class TestValidate:

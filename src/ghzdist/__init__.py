@@ -23,7 +23,7 @@ from .analytics import (
     rate_leading,
 )
 from .dm import DensityMatrix, Qubit, fidelity_to_ghz
-from .factory import Estimates, ShotRecord, estimate, run_shot_fast
+from .factory import Estimates, ShotRecord, estimate, run_shot_fast, run_shots_fast
 from .oracles import enumerate_waiting_times, mc_g, replay_factory_dm, run_verification
 from .params import ConfigError, SimParams, derive_p_ghz, load_params, sample_geometric, shot_rng
 from .switch import NetworkState, SwitchRecord, estimate_switch, run_to_ghz
@@ -58,6 +58,7 @@ __all__ = [
     "rate_leading",
     "replay_factory_dm",
     "run_shot_fast",
+    "run_shots_fast",
     "run_to_ghz",
     "run_verification",
     "sample_geometric",

@@ -230,18 +230,23 @@ def f_rand(p_ghz: float, p: Sequence[float]) -> float:
     (``oracles.ghz_overlap_subset_sum``) collapses to the product form
     (1-p_ghz)/2^N + p_ghz [prod p_i + prod (1-p_i)/2 + prod (1+p_i)/2] / 2.
 
-    Each p_i may instead be a row of a numpy array, one entry per state: the
-    same IEEE operations then run elementwise, so each entry of the result
-    equals, bit for bit, the call on that state's scalars.
+    Each p_i may instead be a row of a 2-D numpy array, one entry per state:
+    the same IEEE operations then run elementwise, each product over the
+    rows in order (``prod(axis=0)``, from the first row, where the scalar
+    loop starts from 1.0), so each entry of the result equals, bit for bit,
+    the call on that state's scalars.
     """
     n = len(p)
     if n < 2:
         raise ValueError("f_rand needs at least 2 qubits")
-    prod_p = lost = kept = 1.0
-    for pi in p:
-        prod_p *= pi
-        lost *= (1.0 - pi) / 2.0
-        kept *= (1.0 + pi) / 2.0
+    if getattr(p, "ndim", 0) == 2:
+        prod_p, lost, kept = (rows.prod(axis=0) for rows in (p, (1.0 - p) / 2.0, (1.0 + p) / 2.0))
+    else:
+        prod_p = lost = kept = 1.0
+        for pi in p:
+            prod_p *= pi
+            lost *= (1.0 - pi) / 2.0
+            kept *= (1.0 + pi) / 2.0
     core = 0.5 * (prod_p + lost + kept)
     return (1.0 - p_ghz) / 2.0**n + p_ghz * core
 

@@ -2,20 +2,21 @@
 
 Each shot turns the drawn waiting times straight into per-qubit depolarizing
 parameters and the closed-form fidelity ``f_rand``.  Shots come in spans of
-1,024, each drawing from one stream, ``shot_rng(seed, span, TAG_FACTORY)``.
-``run_shot_fast`` runs one shot on a generator as a plain loop over its
-attempts and is the reference; ``estimate`` runs ``run_block``, which draws a
-span's attempts as rows of an array, turns a failed row into rounds only
-through its largest uniform (the inverse CDF is non-decreasing, so the
-largest uniform waits longest), and reproduces ``run_shot_fast`` called shot
-after shot on the span's stream, bit for bit.  Each span gathers its shots'
-depolarizing parameters through ``depolarizing`` from one table per process,
-kept for the latest noise setting and filled entry by entry with the waits
-Δ below the estimate's bound that the spans use, so the estimates of a
-sweep at fixed noise share it.  ``summarize`` corrects the mean fidelity by
-each shot's summed wait, a control of exactly known mean.  The
-density-matrix replay of the same noisy teleportation that certifies this
-fast path lives in ``ghzdist.oracles``.
+1,024, each drawing from one stream, ``shot_rng(seed, span, TAG_FACTORY)``,
+in three parts: each shot's number of teleportation attempts, geometric in
+q_bsm^N (no draw at q_bsm = 1); each shot's N waits of its successful
+attempt; then one uniform per failed attempt, in shot order, which gives
+the longest of that attempt's N waits (``longest_rounds``), all that a
+failed attempt adds.  So the draws of a span's first m shots depend on m.
+``run_shots_fast`` runs m shots of a span as plain loops and is the
+reference; ``estimate`` runs ``run_block``, which reproduces it on arrays,
+bit for bit.  Each span gathers its shots' depolarizing parameters through
+``depolarizing`` from one table per process, kept for the latest noise
+setting and filled entry by entry with the waits Δ below the estimate's
+bound that the spans use, so the estimates of a sweep at fixed noise share
+it.  ``summarize`` corrects the mean fidelity by each shot's summed wait, a
+control of exactly known mean.  The density-matrix replay of the same noisy
+teleportation that certifies this fast path lives in ``ghzdist.oracles``.
 """
 
 from __future__ import annotations
@@ -33,14 +34,18 @@ from .params import (
     ConfigError,
     SimParams,
     geometric_log_miss,
+    geometric_rounds,
     geometric_rounds_array,
+    longest_rounds,
+    longest_rounds_array,
     sample_geometric,
     shot_rng,
 )
 
 WORKERS_ENV = "GHZDIST_WORKERS"
-# expected uniforms an estimate may draw: at about a microsecond per failed
-# attempt, tens of minutes of sampling at any N
+# expected uniforms an estimate may draw: minutes of sampling at any N (on
+# one core of a 2-core x86 host, ~9 min for 2 * 10^9 shots at N = 5,
+# q_bsm = 1, ~3 min for 2.8 * 10^6 shots at N = 16, q_bsm = 0.6)
 ATTEMPT_DRAW_BUDGET = 1e10
 # a shot's rounds are int64: its expected rounds stay this factor below
 # 2^63, so a shot running that many times its mean would still fit (for a
@@ -49,8 +54,9 @@ DURATION_SAFETY = 64
 # shots per factory stream: span k, shots [k _SPAN, (k + 1) _SPAN), draws
 # from shot_rng(seed, k, TAG_FACTORY)
 _SPAN = 1024
-# most uniforms run_block draws at once: 1 MiB of doubles
-_DRAW_CAP = 2**17
+# most uniforms run_block draws at once: 128 KiB of doubles, a span's
+# waits at N = 16
+_DRAW_CAP = 2**14
 
 
 class ShotRecord(NamedTuple):
@@ -100,48 +106,63 @@ def fidelity_from_deltas(params: SimParams, delta_n: Sequence[int]) -> float:
     return f_rand(params.p_ghz, [base * params.p_mem ** (2 * d) for d in delta_n])
 
 
-def run_shot_fast(params: SimParams, rng: np.random.Generator) -> ShotRecord:
-    """One full protocol execution as a scalar loop, the reference that
-    ``run_block`` reproduces: every attempt turns all N uniforms into rounds
-    with ``sample_geometric``, takes their maximum, and then, unless
-    q_bsm = 1, draws the Bernoulli(q_bsm^N) coin with a second call.
+def run_shots_fast(
+    params: SimParams, rng: np.random.Generator, shots: int
+) -> list[ShotRecord]:
+    """The first ``shots`` shots of a span whose stream is ``rng``, as plain
+    loops: the reference that ``run_block`` reproduces.  Each shot's
+    attempts come from one uniform through ``geometric_rounds`` at
+    q_bsm^N (all 1 at q_bsm = 1, with no draw), then each shot's N waits
+    from ``sample_geometric``, then, shot by shot, ``run_shot_fast`` draws
+    its failed attempts."""
+    n = params.n_end_nodes
+    if params.q_bsm == 1.0:
+        attempts = [1] * shots
+    else:
+        log_fail = geometric_log_miss(params.q_bsm**n)
+        attempts = geometric_rounds(rng.random(shots).tolist(), log_fail)
+    waits = [sample_geometric(rng, params.q_link, n) for _ in range(shots)]
+    return [run_shot_fast(params, rng, a, rounds) for a, rounds in zip(attempts, waits)]
+
+
+def run_shot_fast(
+    params: SimParams, rng: np.random.Generator, attempts: int, rounds: list[int]
+) -> ShotRecord:
+    """One shot of ``attempts`` teleportation attempts whose successful one
+    waited ``rounds``: each failed attempt draws one uniform from ``rng`` and
+    lasts the longest of N waits it gives (``longest_rounds``).
 
     No estimate runs it.  It keeps its name because the benchmark's tracer
     and ``tests/test_trace_sites.py`` look up ``factory.run_shot_fast``.
     """
-    n = params.n_end_nodes
-    attempts = 0
-    duration = 0
-    while True:
-        rounds = sample_geometric(rng, params.q_link, n)
-        n_all = max(rounds)
-        attempts += 1
-        duration += n_all
-        if params.q_bsm == 1.0 or rng.random() < params.q_bsm**n:
-            break
+    n_all = max(rounds)
+    uniforms = rng.random(attempts - 1).tolist()
+    failed = longest_rounds(uniforms, params.n_end_nodes, geometric_log_miss(params.q_link))
     return ShotRecord(
         teleport_attempts=attempts,
         rounds=tuple(rounds),
-        duration_rounds=duration,
+        duration_rounds=n_all + sum(failed),
         fidelity=fidelity_from_deltas(params, [n_all - r for r in rounds]),
     )
 
 
 def check_attempt_budget(params: SimParams) -> None:
-    """Reject a point whose expected draws, q_bsm^-N attempts of N + 1
-    uniforms per shot, exceed ``ATTEMPT_DRAW_BUDGET``, or whose expected
-    rounds per shot, q_bsm^-N attempts of about H_N / q_link rounds, come
-    within ``DURATION_SAFETY`` of the int64 durations' 2^63."""
+    """Reject a point whose expected draws exceed ``ATTEMPT_DRAW_BUDGET``, or
+    whose expected rounds per shot, q_bsm^-N attempts of about H_N / q_link
+    rounds, come within ``DURATION_SAFETY`` of the int64 durations' 2^63.
+
+    A shot draws its N waits and, unless q_bsm = 1, one uniform for its
+    attempts and one per failed attempt: N + q_bsm^-N uniforms expected."""
     n = params.n_end_nodes
     p_teleport = params.q_bsm**n  # may underflow to 0, where q_bsm ** -n raises
     attempts = 1.0 / p_teleport if p_teleport else math.inf
-    draws = attempts * (n + 1) * params.shots
+    draws = (n + (attempts if params.q_bsm != 1.0 else 0.0)) * params.shots
     if draws > ATTEMPT_DRAW_BUDGET:
         raise ConfigError(
             f"the factory would draw ~{draws:.2g} uniforms (budget "
-            f"{ATTEMPT_DRAW_BUDGET:.0e}): each shot needs q_bsm ** -n_end_nodes = "
-            f"{attempts:.2g} teleportation attempts at q_bsm = {params.q_bsm}, "
-            f"n_end_nodes = {n}; raise q_bsm or lower shots ({params.shots})"
+            f"{ATTEMPT_DRAW_BUDGET:.0e}): each shot needs n_end_nodes = {n} waits and "
+            f"q_bsm ** -n_end_nodes = {attempts:.2g} teleportation attempts at "
+            f"q_bsm = {params.q_bsm}; raise q_bsm or lower shots ({params.shots})"
         )
     rounds = attempts * harmonic(n) / params.q_link
     if rounds * DURATION_SAFETY > 2.0**63:
@@ -275,84 +296,54 @@ def depolarizing(params: SimParams, deltas: np.ndarray) -> np.ndarray:
     return gathered
 
 
-def _tally(
-    won: np.ndarray, lost: np.ndarray, carry: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-    """The attempts and failed rounds of each shot that succeeds at a row in
-    ``won``, and the carry into the next chunk.  ``lost`` holds each row's
-    failed rounds (0 for a success); ``carry`` holds the attempts and rounds
-    failed since the last success in earlier chunks.
-
-    At a small q_link the running total of a chunk's rounds can pass 2^63
-    and wrap; each difference taken from it is rounds of one shot, far below
-    2^63 (``check_attempt_budget``), so int64's modular arithmetic still
-    gives it exactly.  They are all taken as one array ``np.diff``, which,
-    unlike a scalar subtraction, does not warn when it wraps."""
-    total = np.cumsum(lost)
-    ends = np.concatenate(([-1 - carry[0]], won))
-    rounds = np.diff(np.concatenate(([-carry[1]], total[won], total[-1:])))
-    return np.diff(ends), rounds[:-1], (len(lost) - 1 - ends[-1], rounds[-1])
-
-
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """The largest entry of each row of a 2-D array, column by column: numpy's
-    max along a row of a few entries costs several times more."""
-    top = a[:, 0].copy()
-    for col in a.T[1:]:
-        np.maximum(top, col, out=top)
-    return top
-
-
 def run_block(params: SimParams, span: int, shots: int) -> ShotBlock:
-    """The first ``shots`` shots of span ``span``, bit for bit as that many
-    sequential ``run_shot_fast`` calls on ``shot_rng(params.seed, span,
-    TAG_FACTORY)`` record them, with depolarizing parameters from
-    ``depolarizing``.
+    """The first ``shots`` shots of span ``span``, bit for bit as
+    ``run_shots_fast`` records them on ``shot_rng(params.seed, span,
+    TAG_FACTORY)``, with depolarizing parameters from ``depolarizing``.
 
-    Each attempt is one row of N waits and, unless q_bsm = 1, its coin, drawn
-    in (rows, N + 1) chunks of at most ``_DRAW_CAP`` uniforms, sized for the
-    shots still to run.  A shot ends at the first row whose coin is below
-    q_bsm^N; it took the attempts since the previous shot's success, and a
-    failed attempt adds the rounds of its largest uniform.  Rows drawn after
-    the last shot's success go unused.
+    The stream gives, in order: one uniform per shot for its attempts,
+    unless q_bsm = 1; the shots' N waits; one uniform per failed attempt, in
+    shot order.  The waits and the failed attempts are drawn in blocks of
+    at most ``_DRAW_CAP`` uniforms, and each failed attempt's rounds are
+    added to its own shot's duration alone: no sum runs across shots, so
+    none nears 2^63 unless a shot does (``check_attempt_budget``).
     """
     n = params.n_end_nodes
     log_miss = geometric_log_miss(params.q_link)
-    coin = params.q_bsm != 1.0  # at q_bsm = 1 no coin is drawn
-    p_teleport = params.q_bsm**n
     rng = shot_rng(params.seed, span, TAG_FACTORY)
-    attempts = np.empty(shots, dtype=np.int64)
-    duration = np.empty(shots, dtype=np.int64)
+    if params.q_bsm == 1.0:
+        attempts = np.ones(shots, dtype=np.int64)
+    else:
+        attempts = geometric_rounds_array(rng.random(shots), geometric_log_miss(params.q_bsm**n))
+    # every block is drawn into one buffer of the cap, whatever its size:
+    # blocks of one size let glibc's allocator keep its heap from block to
+    # block rather than return it and fault it back in (a fresh array per
+    # block costs about 700 page faults per 10^4-shot estimate at N = 16,
+    # q_bsm = 0.95, on Linux)
+    buffer = np.empty(_DRAW_CAP)
     rounds = np.empty((shots, n), dtype=np.int64)
-    # every chunk is drawn into a block of the cap, whatever its rows: blocks
-    # of one size let glibc's allocator keep its heap from chunk to chunk
-    # rather than return it and fault it back in (at N = 16, about 1,300
-    # page faults per 10^4-shot estimate on Linux)
-    cap = max(1, _DRAW_CAP // (n + coin))
-    done, carry = 0, (0, 0)
-    while done < shots:
-        need = shots - done
-        # the expected rows and four standard deviations: mostly one chunk
-        rows = math.ceil((need + 4 * math.sqrt(need * (1.0 - p_teleport))) / p_teleport)
-        u = rng.random(out=np.empty((cap, n + coin))[:min(rows, cap)])
-        lost = np.zeros(len(u), dtype=np.int64)
-        if coin:
-            failed = u[:, n] >= p_teleport
-            won = np.flatnonzero(~failed)[:need]
-            lost[failed] = geometric_rounds_array(_row_max(u[failed, :n]), log_miss)
-        else:
-            won = np.arange(len(u))
-        found = slice(done, done + len(won))
-        attempts[found], duration[found], carry = _tally(won, lost, carry)
-        rounds[found] = geometric_rounds_array(u[won, :n], log_miss)
-        done += len(won)
-    n_all = _row_max(rounds)
-    duration += n_all
-    # one contiguous row of waits per column of rounds (a gather keeps its
-    # index's layout, and f_rand walks contiguous rows a fifth faster),
-    # scored by f_rand elementwise: ``fidelity_from_deltas`` on each shot,
-    # bit for bit
-    deltas = np.subtract(n_all, rounds.T, order="C")
+    waits = rounds.reshape(-1)
+    for start in range(0, waits.size, _DRAW_CAP):
+        u = rng.random(out=buffer[:min(_DRAW_CAP, waits.size - start)])
+        waits[start:start + len(u)] = geometric_rounds_array(u, log_miss)
+    # one contiguous row of waits per column of rounds, the layout on which
+    # the maximum over the rows and f_rand's products run fastest; f_rand
+    # scores them elementwise: ``fidelity_from_deltas`` on each shot, bit
+    # for bit
+    deltas = rounds.T.copy()
+    n_all = np.maximum.reduce(deltas)
+    np.subtract(n_all, deltas, out=deltas)
+    duration = n_all.copy()
+    # shot i's failed attempts are those from edges[i] to edges[i + 1]; a
+    # block's share of them, edges clipped to the block, goes to their shot
+    edges = np.zeros(shots + 1, dtype=np.int64)
+    np.cumsum(attempts - 1, out=edges[1:])
+    failed, owners = int(edges[-1]), np.arange(shots)
+    for start in range(0, failed, _DRAW_CAP):
+        u = rng.random(out=buffer[:min(_DRAW_CAP, failed - start)])
+        inside = np.minimum(np.maximum(edges, start), start + len(u))
+        owner = np.repeat(owners, inside[1:] - inside[:-1])
+        np.add.at(duration, owner, longest_rounds_array(u, n, log_miss))
     fidelity = f_rand(params.p_ghz, depolarizing(params, deltas))
     # as doubles, which hold S exactly below 2^53 and, unlike int64 at
     # large N and tiny q_link, never wrap

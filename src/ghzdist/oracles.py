@@ -7,10 +7,10 @@ dense channel composition, the subset coefficients B_|U| from the
 coefficient identity against that sum, the closed-form fidelity from the
 literal sum over subsets of arrival ranks, per-shot fidelities from a full
 density-matrix replay of the teleportation pipeline, the factory's block
-engine from its plain per-attempt loop (``factory.run_shot_fast``, which
-turns every attempt's uniforms into rounds) run shot after shot on the
-span's stream, the switch's entanglement swap with its pending noise from a
-dense Bell measurement, its fusions and noise-ledger read-out from the same
+engine from its plain loops over a span's shots and their failed attempts
+(``factory.run_shots_fast``) on the span's stream, the switch's
+entanglement swap with its pending noise from a dense Bell measurement,
+its fusions and noise-ledger read-out from the same
 fusions on dense matrices (a dense CNOT, a Z projection and dense X gates),
 the read-out's tree DP from the 2^(N-1)-term character sum, its link jump
 from a loop of single rounds, and its deliveries at p_mem = 1 from the tree
@@ -484,15 +484,16 @@ def fidelity_recursion_error(rng: np.random.Generator) -> float:
 
 def block_factory_mismatches(rng: np.random.Generator) -> int:
     """How many shots of ``factory.run_block(params, span, m)`` differ in any
-    field from m sequential calls of the plain loop ``factory.run_shot_fast``
-    on ``shot_rng(seed, span, TAG_FACTORY)``, at one random seed; the summed
-    wait S must equal the record's sum of n_all - r_i.  Over q_bsm in
-    {1, 0.95, 0.8}, N in {2, 5, 16} and q_link in {1e-6, 0.01, 0.5, 1},
-    (span, m) runs through (0, a whole span), (1, 7) and (2^40, 1), so each
-    (q_bsm, N) meets all three; and m = 3 at span 1 at N = 16, q_bsm = 0.6,
-    where a chunk of draws can hold no success (one does on the ``verify``
-    stream; ``tests/test_oracles.py`` lists the ``run_block`` branches this
-    check takes there)."""
+    field from ``factory.run_shots_fast`` on ``shot_rng(seed, span,
+    TAG_FACTORY)`` for m shots, at one random seed; the summed wait S must
+    equal the record's sum of n_all - r_i.  Over q_bsm in {1, 0.95, 0.8},
+    N in {2, 5, 16} and q_link in {1e-6, 0.01, 0.5, 1}, (span, m) runs
+    through (0, a whole span), (1, 7) and (2^40, 1), so each (q_bsm, N)
+    meets all three; and m = 3 at span 1 at N = 16, q_bsm = 0.6, where each
+    shot fails ~3,550 attempts: counts in the thousands from the count map
+    at q_bsm^N = 2.8e-4, and thousands of failed attempts owned by one shot
+    (``tests/test_oracles.py`` lists the ``run_block`` branches this check
+    takes)."""
     seed = int(rng.integers(2**64, dtype=np.uint64))
     cases = itertools.cycle(((0, factory._SPAN), (1, 7), (2**40, 1)))
     grid = itertools.product((1.0, 0.95, 0.8), (2, 5, 16), (1e-6, 0.01, 0.5, 1.0))
@@ -505,9 +506,8 @@ def block_factory_mismatches(rng: np.random.Generator) -> int:
             p_link=0.98, p_mem=0.999, p_bsm=0.99, p_ghz=0.9, seed=seed,
         )
         block = factory.run_block(params, span, m)
-        stream = shot_rng(seed, span, TAG_FACTORY)
-        for row in range(m):
-            record = factory.run_shot_fast(params, stream)
+        records = factory.run_shots_fast(params, shot_rng(seed, span, TAG_FACTORY), m)
+        for row, record in enumerate(records):
             n_all = max(record.rounds)
             mismatches += (*record, sum(n_all - r for r in record.rounds)) != (
                 block.teleport_attempts[row], tuple(block.rounds[row].tolist()),

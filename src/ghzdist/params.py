@@ -1,7 +1,8 @@
 """Protocol parameters, read from a flat config file and from ``key = value``
 settings by one parser, and reproducible randomness: counter-based numpy
-streams (``shot_rng``), a buffered reader of their uniforms (``Uniforms``)
-and the geometric inverse CDF on them."""
+streams (``shot_rng``), a buffered reader of their uniforms (``Uniforms``),
+the geometric inverse CDF on them, and the longest of n geometric waits
+from one uniform."""
 
 from __future__ import annotations
 
@@ -49,8 +50,9 @@ class SimParams:
             raise ConfigError(f"q_link must be in [1e-15, 1], got {self.q_link}")
         # a success coin u < q_bsm draws u on a 2^-53 grid, so a smaller
         # q_bsm lands only at u = 0, with the wrong probability; the
-        # factory's coin u < q_bsm^N is held to its draw budget instead
-        # (``factory.check_attempt_budget``), which a q_bsm^N < 2^-53 exceeds
+        # factory's attempts, geometric in q_bsm^N, are held to its draw
+        # budget instead (``factory.check_attempt_budget``), which a
+        # q_bsm^N < 2^-53 exceeds
         if not 2.0**-53 <= self.q_bsm <= 1.0:
             raise ConfigError(f"q_bsm must be in [2**-53, 1], got {self.q_bsm}")
         for name in ("p_link", "p_mem", "p_bsm", "p_ghz"):
@@ -217,16 +219,84 @@ def geometric_rounds_array(uniforms: np.ndarray, log_miss: float) -> np.ndarray:
     """
     if log_miss == -math.inf:
         return np.ones(uniforms.shape, dtype=np.int64)
-    quotient = np.negative(uniforms)
-    np.log1p(quotient, out=quotient)
-    quotient /= log_miss
-    rounds = (quotient * (1.0 + NEAR_INTEGER)).astype(np.int64)
-    quotient *= 1.0 - NEAR_INTEGER
-    near = quotient.astype(np.int64) != rounds
+    logs = np.negative(uniforms)
+    np.log1p(logs, out=logs)
+    return _guarded_rounds(
+        logs, log_miss, NEAR_INTEGER, uniforms, lambda us: geometric_rounds(us, log_miss)
+    )
+
+
+def _guarded_rounds(
+    logs: np.ndarray, log_miss: float, width: float, uniforms: np.ndarray, redo
+) -> np.ndarray:
+    """int(logs / log_miss) + 1, with ``redo`` on the list of their uniforms
+    giving the rounds of every quotient whose truncations at 1 -/+ ``width``
+    times itself differ, that is, whose lower end lies below the upper
+    end's truncation.  Each bracket end is ``logs`` times one factor,
+    (1 -/+ width) / log_miss, which moves it a few ulps from the quotient
+    times 1 -/+ width, far inside ``width``.  ``logs`` is overwritten."""
+    rounds = (logs * ((1.0 + width) / log_miss)).astype(np.int64)
+    logs *= (1.0 - width) / log_miss
+    near = logs < rounds
     rounds += 1
     if near.any():
-        rounds[near] = geometric_rounds(uniforms[near].tolist(), log_miss)
+        rounds[near] = redo(uniforms[near].tolist())
     return rounds
+
+
+# below x = -log 2, log1p(-exp(x)) keeps the digits of log(1 - e^x), above
+# it log(-expm1(x)) does (Maechler, "Accurately computing log(1 - exp(-|a|))")
+_LOG2 = math.log(2.0)
+# the largest |log V| of a nonzero uniform, which the generator draws on a
+# 2^-53 grid
+_LOG_SMALLEST_UNIFORM = 53 * _LOG2
+
+
+def longest_rounds(uniforms: Sequence[float], n: int, log_miss: float) -> list[int]:
+    """The longest of n geometric numbers of attempts, drawn from one uniform
+    V each: the largest of n uniforms is distributed as V^(1/n) (Devroye,
+    "Non-Uniform Random Variate Generation", on order statistics), and the
+    inverse CDF of ``geometric_rounds`` is non-decreasing, so the longest
+    wait is ``int(log1p(-V^(1/n)) / log_miss) + 1``.
+
+    log1p(-V^(1/n)) is taken as log(-expm1(x)) for x = log(V) / n above
+    -log 2 and as log1p(-exp(x)) at or below it, each well conditioned on
+    its side; V = 0 waits 1 round.
+    """
+    rounds = []
+    for v in uniforms:
+        x = math.log(v) / n if v else -math.inf
+        log_gap = math.log(-math.expm1(x)) if x > -_LOG2 else math.log1p(-math.exp(x))
+        rounds.append(int(log_gap / log_miss) + 1)
+    return rounds
+
+
+def longest_rounds_array(uniforms: np.ndarray, n: int, log_miss: float) -> np.ndarray:
+    """``longest_rounds`` on a 1-D array of uniforms drawn on the generator's
+    2^-53 grid, bit for bit.
+
+    Each of numpy's log, expm1, exp and log1p can differ from ``math``'s by
+    an ulp.  Through log(-expm1(x)) that moves the quotient by a few ulps
+    relative; through exp(x) by |x| times as many, and |x| <= 53 log(2) / n
+    for a nonzero uniform.  The redo bracket of ``geometric_rounds_array``
+    is widened by that factor, to ``NEAR_INTEGER`` (1 + 53 log(2) / n).  At
+    q = 1 every uniform maps to 1.
+    """
+    if log_miss == -math.inf:
+        return np.ones(uniforms.shape, dtype=np.int64)
+    with np.errstate(divide="ignore"):  # log(0) = -inf, one round
+        x = np.log(uniforms)
+    x /= n
+    logs = np.expm1(x)
+    np.negative(logs, out=logs)
+    np.log(logs, out=logs)
+    low = x <= -_LOG2  # V <= 2^-n
+    if low.any():
+        logs[low] = np.log1p(-np.exp(x[low]))
+    width = NEAR_INTEGER * (1.0 + _LOG_SMALLEST_UNIFORM / n)
+    return _guarded_rounds(
+        logs, log_miss, width, uniforms, lambda us: longest_rounds(us, n, log_miss)
+    )
 
 
 def sample_geometric(rng: np.random.Generator, q: float, size: int) -> list[int]:

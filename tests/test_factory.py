@@ -19,7 +19,7 @@ from ghzdist.factory import (
     estimate,
     fidelity_from_deltas,
     run_block,
-    run_shot_fast,
+    run_shots_fast,
     summarize,
     worker_count,
 )
@@ -38,18 +38,24 @@ def clear_table():
 
 
 # N = 2, three whole spans: the estimate's table bound is N * shots / 2 =
-# 3,072 rounds, and at seed 1 span 0 waits at most 2,286 rounds (below it,
-# the table) and spans 1 and 2 3,194 and 3,462 (at or above it, np.unique)
+# 3,072 rounds, and at seed 40 span 0 waits at most 2,892 rounds (below it,
+# the table) and spans 1 and 2 4,088 and 3,113 (at or above it, np.unique)
 STRADDLING_JOB = dict(
-    n_end_nodes=2, q_link=0.0025, q_bsm=0.95, seed=1, shots=3 * _SPAN,
+    n_end_nodes=2, q_link=0.0025, q_bsm=0.95, seed=40, shots=3 * _SPAN,
     p_link=0.98, p_mem=0.999, p_bsm=0.99, p_ghz=0.9,
 )
+
+
+def first_shot(params, rng):
+    """The record of a span's shot 0 when the span holds one shot."""
+    (record,) = run_shots_fast(params, rng, 1)
+    return record
 
 
 class TestRunShotFast:
     def test_instant_success(self):
         params = make_params(q_link=1.0, q_bsm=1.0)
-        rec = run_shot_fast(params, shot_rng(0, 0, TAG_FACTORY))
+        rec = first_shot(params, shot_rng(0, 0, TAG_FACTORY))
         assert rec.duration_rounds == 1
         assert rec.teleport_attempts == 1
         assert rec.rounds == (1,) * 5
@@ -57,13 +63,13 @@ class TestRunShotFast:
     def test_noiseless_fidelity_is_one(self):
         params = make_params(q_link=0.2, q_bsm=0.8)
         for s in range(50):
-            rec = run_shot_fast(params, shot_rng(5, s, TAG_FACTORY))
+            rec = first_shot(params, shot_rng(5, s, TAG_FACTORY))
             assert rec.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_no_waiting_means_memory_independent(self):
         for p_mem in (0.2, 0.7, 1.0):
             params = make_params(q_link=1.0, q_bsm=1.0, p_mem=p_mem, p_link=0.9)
-            rec = run_shot_fast(params, shot_rng(9, 0, TAG_FACTORY))
+            rec = first_shot(params, shot_rng(9, 0, TAG_FACTORY))
             assert rec.rounds == (1,) * 5
             assert rec.fidelity == pytest.approx(
                 fidelity_from_deltas(params, (0,) * 5), abs=1e-14
@@ -72,7 +78,7 @@ class TestRunShotFast:
     def test_record_consistency(self):
         params = make_params(q_link=0.05)
         for s in range(100):
-            rec = run_shot_fast(params, shot_rng(7, s, TAG_FACTORY))
+            rec = first_shot(params, shot_rng(7, s, TAG_FACTORY))
             n_all = max(rec.rounds)
             assert all(r >= 1 for r in rec.rounds)
             assert rec.duration_rounds >= n_all
@@ -83,8 +89,8 @@ class TestRunShotFast:
 
     def test_deterministic_given_seed(self):
         params = make_params(p_mem=0.999, p_link=0.98)
-        a = [run_shot_fast(params, shot_rng(3, s, TAG_FACTORY)) for s in range(20)]
-        b = [run_shot_fast(params, shot_rng(3, s, TAG_FACTORY)) for s in range(20)]
+        a = [first_shot(params, shot_rng(3, s, TAG_FACTORY)) for s in range(20)]
+        b = [first_shot(params, shot_rng(3, s, TAG_FACTORY)) for s in range(20)]
         assert a == b
 
     def test_timing_invariant_under_noise_parameters(self):
@@ -92,8 +98,8 @@ class TestRunShotFast:
         base = make_params(p_link=1.0, p_mem=1.0, p_bsm=1.0, p_ghz=1.0)
         noisy = make_params(p_link=0.9, p_mem=0.95, p_bsm=0.9, p_ghz=0.8)
         for s in range(50):
-            rec_a = run_shot_fast(base, shot_rng(21, s, TAG_FACTORY))
-            rec_b = run_shot_fast(noisy, shot_rng(21, s, TAG_FACTORY))
+            rec_a = first_shot(base, shot_rng(21, s, TAG_FACTORY))
+            rec_b = first_shot(noisy, shot_rng(21, s, TAG_FACTORY))
             assert rec_a.duration_rounds == rec_b.duration_rounds
             assert rec_a.rounds == rec_b.rounds
 
@@ -105,7 +111,7 @@ class TestRunShotFast:
                     make_params(q_link=0.1, p_link=0.9, p_mem=0.99, p_bsm=0.9, p_ghz=0.9),
                     **{name: value},
                 )
-                rec = run_shot_fast(params, shot_rng(31, 0, TAG_FACTORY))
+                rec = first_shot(params, shot_rng(31, 0, TAG_FACTORY))
                 if last is not None:
                     assert rec.fidelity >= last - 1e-12
                 last = rec.fidelity
@@ -175,6 +181,38 @@ class TestEstimate:
         # integer product could not hold
         params = make_params(q_link=0.3, shots=500, seed=4)
         assert estimate(replace(params, dt=2)) == estimate(replace(params, dt=2.0))
+
+
+def attempts_cdf_gap(p_teleport):
+    """The largest gap between the empirical CDF of ``run_block``'s attempt
+    counts over 20 spans at N = 5, q_bsm = 0.8 and that of geometric
+    attempts at success probability ``p_teleport``, 1 - (1 - p)^a."""
+    params = make_params(q_bsm=0.8, q_link=0.5, seed=8)
+    attempts = np.sort(np.concatenate([run_block(params, k, _SPAN).teleport_attempts for k in range(20)]))
+    a = np.arange(1, attempts[-1] + 1)
+    empirical = np.searchsorted(attempts, a, side="right") / len(attempts)
+    return float(np.abs(empirical + np.expm1(a * np.log1p(-p_teleport))).max())
+
+
+class TestDrawDistribution:
+    """A shot's attempts are geometric in q_bsm^N, and by Wald's identity its
+    mean duration is E[attempts] E[n_all], the reciprocal of the exact rate."""
+
+    def test_attempts_are_geometric_in_the_teleportation_probability(self):
+        # 20,480 counts put the largest CDF gap below 1.95 / sqrt(20,480) =
+        # 0.0136 but at a chance of about 10^-3
+        assert attempts_cdf_gap(0.8**5) < 0.0136
+
+    def test_attempts_fail_a_geometric_of_another_probability(self):
+        # negative control: q_bsm^(N - 1), one node's measurement too few
+        assert attempts_cdf_gap(0.8**4) > 0.0136
+
+    @pytest.mark.parametrize(
+        "n, q_link, q_bsm", list(itertools.product((2, 5, 16), (0.01, 0.5, 1.0), (0.8, 0.95, 1.0)))
+    )
+    def test_mean_duration_matches_the_exact_rate(self, n, q_link, q_bsm):
+        est = estimate(make_params(n_end_nodes=n, q_link=q_link, q_bsm=q_bsm, shots=4000, seed=n))
+        assert abs(est.rate_mean - rate_exact(n, q_link, q_bsm)) <= 5 * est.rate_stderr
 
 
 # the paper's Fig-5 noise at N = 5, local GHZ fidelity 0.9
@@ -264,9 +302,8 @@ class TestControlVariate:
 
 def assert_block_matches_shots(params, span, shots):
     block = run_block(params, span, shots)
-    rng = shot_rng(params.seed, span, TAG_FACTORY)
-    for row in range(shots):
-        rec = run_shot_fast(params, rng)
+    records = run_shots_fast(params, shot_rng(params.seed, span, TAG_FACTORY), shots)
+    for row, rec in enumerate(records):
         assert rec.teleport_attempts == block.teleport_attempts[row], row
         assert rec.rounds == tuple(block.rounds[row].tolist()), row
         assert rec.duration_rounds == block.duration_rounds[row], row
@@ -299,11 +336,11 @@ BLOCK_CASES = ((0, _SPAN), (1, 7), (2**40, 1), (2**64 - 1, 300))
 # q_bsm^-40 H_40 / q_link ~ 1.1e19 rounds a shot, past 2^63: run_block
 # would wrap durations negative
 OVERFLOWING_POINT = dict(n_end_nodes=40, q_bsm=0.8, q_link=2.97e-15, shots=2326, seed=0)
-# ~8 attempts of ~1.5e15 rounds a shot: a span's running total of rounds
-# passes 2^63 while every shot stays far below it
+# ~8 attempts of ~1.5e15 rounds a shot: a span's total of rounds passes
+# 2^63 while every shot stays far below it, so no sum may run across shots
 WRAPPING_TOTAL_POINT = dict(n_end_nodes=2, q_bsm=2**-1.5, q_link=1e-15, shots=774, seed=0)
 # the property guard runs as many shots of a point, up to a whole span, as
-# the loop's expected q_bsm^-N (N + 1) uniforms a shot allow within this
+# the loop's expected N + q_bsm^-N uniforms a shot allow within this
 GUARD_UNIFORMS = 20_000
 
 
@@ -328,26 +365,25 @@ def factory_points(draw):
 def block_matches_loop_unless_rejected(point, uniforms=GUARD_UNIFORMS):
     """Asserts that ``SimParams`` or ``check_attempt_budget`` rejects
     ``point`` with a ``ConfigError``, or that ``run_block(params, 0, rows)``
-    equals ``rows`` sequential ``run_shot_fast`` calls, ``rows`` as many
-    shots as ``uniforms`` allow.  False for a point too costly to compare."""
+    equals ``run_shots_fast`` for ``rows`` shots, ``rows`` as many shots as
+    ``uniforms`` allow.  False for a point too costly to compare."""
     try:
         params = SimParams(**point)
         factory_module.check_attempt_budget(params)
     except ConfigError:
         return True
     n = params.n_end_nodes
-    rows = min(params.shots, _SPAN, int(uniforms / ((n + 1) * params.q_bsm**-n)))
+    rows = min(params.shots, _SPAN, int(uniforms / (n + params.q_bsm**-n)))
     if rows >= 1:
         assert_block_matches_shots(params, 0, rows)
     return rows >= 1
 
 
 class TestKernelAgainstReference:
-    """``run_block``, the kernel every estimate runs, against the plain loop
-    ``run_shot_fast`` (which turns every attempt's uniforms into rounds and
-    draws the coin with a second call): at N = 64, which the block grid
-    leaves out, at q_bsm = 0.5, and over the whole domain ``estimate``
-    accepts."""
+    """``run_block``, the kernel every estimate runs, against the plain loops
+    of ``run_shots_fast`` (a scalar map per attempt count, per wait and per
+    failed attempt): at N = 64, which the block grid leaves out, at
+    q_bsm = 0.5, and over the whole domain ``estimate`` accepts."""
 
     @pytest.mark.parametrize(
         "n, q_link, q_bsm",
@@ -381,13 +417,12 @@ class TestKernelAgainstReference:
 def assert_job_matches_shots(params, first, last):
     """``_run_spans`` over spans [first, last), one job sharing one table,
     gives each shot the duration, fidelity and summed wait of sequential
-    ``run_shot_fast`` calls on its span's stream."""
+    ``run_shots_fast`` on its span's stream."""
     durations, fidelities, summed_waits = _run_spans((params, first, last))
     records = []
     for span in range(first, last):
         rng = shot_rng(params.seed, span, TAG_FACTORY)
-        shots = min(_SPAN, params.shots - span * _SPAN)
-        records += [run_shot_fast(params, rng) for _ in range(shots)]
+        records += run_shots_fast(params, rng, min(_SPAN, params.shots - span * _SPAN))
     assert durations.tolist() == [r.duration_rounds for r in records]
     assert fidelities.tolist() == [r.fidelity for r in records]
     for record, got in zip(records, summed_waits.tolist(), strict=True):
@@ -443,10 +478,25 @@ class CountingGenerator:
         return self.draws[-1]
 
 
+def span_draws(monkeypatch, params, shots):
+    """Asserts that ``run_block(params, 1, shots)`` equals the plain loop,
+    and returns the arrays that its stream drew, in order."""
+    streams = []
+
+    def counting_shot_rng(*args):
+        streams.append(CountingGenerator(shot_rng(*args)))
+        return streams[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(factory_module, "shot_rng", counting_shot_rng)
+        assert_block_matches_shots(params, 1, shots)
+    (stream,) = streams
+    return stream.draws
+
+
 class TestBlockKernel:
-    """``run_block(params, span, m)`` must reproduce m sequential
-    ``run_shot_fast`` calls on the span's ``shot_rng`` stream, field by
-    field."""
+    """``run_block(params, span, m)`` must reproduce ``run_shots_fast`` for m
+    shots on the span's ``shot_rng`` stream, field by field."""
 
     @pytest.mark.parametrize(
         "n, q_link, q_bsm",
@@ -478,26 +528,21 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize(
         "n, q_bsm, shots, seed",
-        # several chunks of a whole span; shots of ~3,500 attempts, where
-        # seed 13 draws a chunk that holds no success; 200 waits a row at
-        # q_bsm = 1
+        # ~35,000 failed attempts of a whole span; shots of ~3,500 attempts
+        # each; 200 waits a shot at q_bsm = 1, with no count draw
         [(16, 0.8, _SPAN, 4), (16, 0.6, 3, 13), (200, 1.0, _SPAN, 4)],
     )
     def test_no_draw_exceeds_the_cap(self, monkeypatch, n, q_bsm, shots, seed):
-        params = make_params(n_end_nodes=n, q_link=0.01, q_bsm=q_bsm, seed=seed)
-        streams = []
+        draws = span_draws(monkeypatch, make_params(n_end_nodes=n, q_link=0.01, q_bsm=q_bsm, seed=seed), shots)
+        assert len(draws) > 1
+        assert all(u.size <= _DRAW_CAP for u in draws)
 
-        def counting_shot_rng(*args):
-            streams.append(CountingGenerator(shot_rng(*args)))
-            return streams[-1]
-
-        monkeypatch.setattr(factory_module, "shot_rng", counting_shot_rng)
-        assert_block_matches_shots(params, 1, shots)
-        (stream,) = streams
-        assert len(stream.draws) > 1
-        assert all(u.size <= _DRAW_CAP for u in stream.draws)
-        if q_bsm == 0.6:
-            assert any((u[:, n] >= q_bsm**n).all() for u in stream.draws)
+    def test_failed_attempts_over_several_blocks_equal_the_loop(self, monkeypatch):
+        # 8 shots of ~3,550 attempts: their failed attempts fill two blocks
+        # after the count draw and the one block of waits
+        params = make_params(n_end_nodes=16, q_link=0.01, q_bsm=0.6, seed=13)
+        draws = span_draws(monkeypatch, params, 8)
+        assert len(draws) - 2 >= 2
 
     def test_job_straddling_the_table_bound_equals_per_shot_kernel(self):
         params = make_params(**STRADDLING_JOB)
@@ -597,7 +642,7 @@ NOISE = dict(p_link=0.98, p_mem=0.999, p_bsm=0.99, p_ghz=0.9)
 SHARED_GRID = [
     make_params(n_end_nodes=n, q_link=q_link, shots=shots, seed=seed, **noise)
     for noise in (NOISE, dict(NOISE, p_mem=0.9999))
-    for n, q_link, shots, seed in ((5, 0.01, 2000, 3), (2, 0.0025, 3 * _SPAN, 1), (5, 0.5, 2, 9), (8, 1e-3, 1500, 4))
+    for n, q_link, shots, seed in ((5, 0.01, 2000, 3), (2, 0.0025, 3 * _SPAN, 40), (5, 0.5, 2, 9), (8, 1e-3, 1500, 4))
 ]
 
 
@@ -656,7 +701,7 @@ class TestAttemptBudget:
         check_attempt_budget(make_params(**point))
 
     def test_rejects_expected_draws_over_budget(self):
-        # q_bsm^-5 = 1e15 attempts of 6 uniforms per shot
+        # q_bsm^-5 = 1e15 attempts a shot, a uniform for each that fails
         params = make_params(q_link=0.5, q_bsm=1e-3, shots=2)
         with pytest.raises(ConfigError, match="q_bsm"):
             check_attempt_budget(params)
@@ -671,10 +716,11 @@ class TestAttemptBudget:
             estimate(params)
         # negative control: let through, run_block's int64 durations wrap
         # (an overflow warning, an error in this suite, or a mismatch with
-        # the loop); two shots of its ~3 * 10^5 uniforms each
+        # the loop); three shots of its ~7,600 uniforms each, the third of
+        # which, at 6,472 attempts, runs past 2^63
         monkeypatch.setattr(factory_module, "check_attempt_budget", lambda params: None)
         with pytest.raises((AssertionError, RuntimeWarning)):
-            block_matches_loop_unless_rejected(OVERFLOWING_POINT, uniforms=7e5)
+            block_matches_loop_unless_rejected(OVERFLOWING_POINT, uniforms=3e4)
 
     def test_durations_within_headroom_run_exactly(self):
         # q_bsm^-2 H_2 / q_link ~ 1.7e16 rounds a shot, a factor ~550 below
@@ -683,14 +729,14 @@ class TestAttemptBudget:
         params = make_params(n_end_nodes=2, q_bsm=0.3, q_link=1e-15, shots=_SPAN, seed=0)
         check_attempt_budget(params)
         block = run_block(params, 0, _SPAN)
-        rng = shot_rng(params.seed, 0, TAG_FACTORY)
-        for row in range(_SPAN):
-            rec = run_shot_fast(params, rng)
+        records = run_shots_fast(params, shot_rng(params.seed, 0, TAG_FACTORY), _SPAN)
+        for row, rec in enumerate(records):
             assert rec.duration_rounds == block.duration_rounds[row] > 0, row
             assert rec.fidelity == block.fidelity[row], row
 
     def test_budget_scales_with_shots(self):
-        shots = int(ATTEMPT_DRAW_BUDGET / 6)
+        # at q_bsm = 1 a shot draws its N = 5 waits and nothing else
+        shots = int(ATTEMPT_DRAW_BUDGET / 5)
         check_attempt_budget(make_params(q_bsm=1.0, shots=shots))
         with pytest.raises(ConfigError, match="shots"):
             check_attempt_budget(make_params(q_bsm=1.0, shots=shots + 1))

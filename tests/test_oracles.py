@@ -17,7 +17,7 @@ from ghzdist import (
     switch as switch_module,
 )
 from ghzdist.analytics import GSpec, expected_order_stat, g_value
-from ghzdist.factory import fidelity_from_deltas, run_shot_fast
+from ghzdist.factory import fidelity_from_deltas, run_shots_fast
 from ghzdist.oracles import (
     CHECKS,
     block_factory_mismatches,
@@ -148,12 +148,12 @@ class TestReplay:
     def test_noiseless_fast_records(self):
         params = SimParams(n_end_nodes=3, q_link=0.3, q_bsm=0.9)
         for s in range(10):
-            rec = run_shot_fast(params, shot_rng(17, s, TAG_FACTORY))
+            (rec,) = run_shots_fast(params, shot_rng(17, s, TAG_FACTORY), 1)
             assert replay_factory_dm(params, rec.rounds) == pytest.approx(1.0, abs=1e-12)
 
     def test_dead_ghz_source_gives_mixed(self):
         params = SimParams(n_end_nodes=3, q_link=0.5, p_ghz=0.0)
-        rec = run_shot_fast(params, shot_rng(19, 0, TAG_FACTORY))
+        (rec,) = run_shots_fast(params, shot_rng(19, 0, TAG_FACTORY), 1)
         assert replay_factory_dm(params, rec.rounds) == pytest.approx(1 / 8, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -170,50 +170,51 @@ class TestReplay:
                 p_ghz=float(rng.uniform(0.7, 1.0)),
                 seed=int(rng.integers(2**32)),
             )
-            rec = run_shot_fast(params, shot_rng(params.seed, trial, TAG_FACTORY))
+            (rec,) = run_shots_fast(params, shot_rng(params.seed, trial, TAG_FACTORY), 1)
             assert abs(replay_factory_dm(params, rec.rounds) - rec.fidelity) < 1e-10
 
 
 class TestFactoryKernelCheck:
-    """``block_factory_mismatches`` holds ``run_block`` to the plain loop
-    ``run_shot_fast``, at a seed other than the ``verify`` stream's."""
+    """``block_factory_mismatches`` holds ``run_block`` to the plain loops
+    of ``run_shots_fast``, at a seed other than the ``verify`` stream's."""
 
     def test_kernel_matches_reference(self):
         assert block_factory_mismatches(np.random.default_rng(11)) == 0
 
     def test_off_by_one_longest_wait_trips_check(self, monkeypatch):
-        # every failed attempt adds one round more than its largest uniform's
+        # every failed attempt adds one round more than its uniform's
         monkeypatch.setattr(
-            factory_module, "_tally",
-            lambda won, lost, carry: _EXACT_TALLY(won, lost + (lost > 0), carry),
+            factory_module, "longest_rounds_array",
+            lambda uniforms, n, log_miss: _EXACT_LONGEST_ROUNDS_ARRAY(uniforms, n, log_miss) + 1,
         )
         assert block_factory_mismatches(np.random.default_rng(11)) > 0
 
     def test_verify_stream_takes_every_block_branch(self, monkeypatch):
-        # the near-integer redo of geometric_rounds_array is not among them:
-        # it fires for a quotient within 2^-49 of its value of an integer, a
-        # chance of about 2^-48 q per uniform, so no random stream of the
-        # check's size takes it; the next test widens the bracket until it
-        # does, and tests/test_params.py covers the real bracket with
-        # boundary uniforms
+        # the near-integer redos of geometric_rounds_array and
+        # longest_rounds_array are not among them: each fires for a quotient
+        # within a few 2^-49 of its value of an integer, a chance of about
+        # 2^-48 q per uniform, so no random stream of the check's size takes
+        # it; the next test widens the bracket until it does, and
+        # tests/test_params.py covers the real brackets with boundary
+        # uniforms
         monkeypatch.setattr(oracles_module, "CHECKS", FACTORY_CHECK)
         taken = block_branches_taken(monkeypatch, run_verification)
         assert taken == BLOCK_BRANCHES
 
     def test_check_holds_through_the_redo_under_a_wide_bracket(self, monkeypatch):
         # the redo itself, inside run_block: a 2^-30 bracket flags about
-        # 2^-29 q of each uniform, so the verify stream takes it, and the
-        # redone rounds still equal the scalar loop's
+        # 2^-29 q of each uniform, so the verify stream takes it in both
+        # maps, and the redone rounds still equal the scalar loop's
         monkeypatch.setattr(params_module, "NEAR_INTEGER", 2.0**-30)
         monkeypatch.setattr(oracles_module, "CHECKS", FACTORY_CHECK)
         reports = []
         taken = block_branches_taken(monkeypatch, lambda: reports.append(run_verification()))
-        assert "the near-integer redo" in taken
+        assert {"the near-integer redo", "the near-integer redo of a failed attempt"} <= taken
         assert reports[0]["all_passed"], reports
 
     def test_branch_probe_sees_a_plain_span_take_none(self, monkeypatch):
-        # negative control: 7 shots of one chunk, with coin, below the
-        # table bound, at q_link = 0.5 and span 1
+        # negative control: 7 shots of one block, with a count draw, below
+        # the table bound, at q_link = 0.5 and span 1
         params = SimParams(n_end_nodes=5, q_link=0.5, q_bsm=0.95, p_mem=0.99, seed=3)
         taken = block_branches_taken(monkeypatch, lambda: factory_module.run_block(params, 1, 7))
         assert taken == set()
@@ -223,10 +224,8 @@ FACTORY_CHECK = [c for c in CHECKS if c[0] == "block_vs_scalar_factory"]
 
 # the branches of ``run_block`` that block_vs_scalar_factory exists to take
 BLOCK_BRANCHES = {
-    "a span over several chunks",
-    "a chunk with no success",
-    "a carry across chunks",
-    "q_bsm = 1, no coin",
+    "failed attempts over several blocks",
+    "q_bsm = 1, no count draw",
     "q_link = 1",
     "the np.unique side of depolarizing",
     "span 2^40",
@@ -234,38 +233,46 @@ BLOCK_BRANCHES = {
 
 
 def block_branches_taken(monkeypatch, run) -> set:
-    """The names of ``BLOCK_BRANCHES`` (and "the near-integer redo") that
-    the ``run_block`` calls made by ``run()`` take."""
+    """The names of ``BLOCK_BRANCHES`` (and "the near-integer redo", of the
+    geometric map, and "the near-integer redo of a failed attempt", of the
+    longest-wait map) that the ``run_block`` calls made by ``run()`` take."""
     taken = set()
-    chunks = []
-    in_array_map = []  # non-empty inside geometric_rounds_array
+    counted = []  # each draw: whether it was the count draw, with no out
+    failed_blocks = []
+    in_array_map = []  # non-empty inside either array map
 
     class RecordingStream:
         def __init__(self, stream):
             self.stream = stream
 
         def random(self, *args, **kwargs):
-            chunks.append(self.stream.random(*args, **kwargs))
-            return chunks[-1]
+            counted.append("out" not in kwargs)
+            return self.stream.random(*args, **kwargs)
 
     def run_block(params, span, shots):
-        chunks.clear()
+        counted.clear()
+        failed_blocks.clear()
         block = _EXACT_RUN_BLOCK(params, span, shots)
-        n, coin = params.n_end_nodes, params.q_bsm != 1.0
         taken.update(name for name, hit in (
-            ("a span over several chunks", len(chunks) > 1),
-            ("a chunk with no success",
-             coin and any((u[:, n] >= params.q_bsm**n).all() for u in chunks)),
-            ("q_bsm = 1, no coin", not coin and all(u.shape[1] == n for u in chunks)),
+            ("failed attempts over several blocks", len(failed_blocks) > 1),
+            ("q_bsm = 1, no count draw", params.q_bsm == 1.0 and not any(counted)),
             ("q_link = 1", params.q_link == 1.0),
             ("span 2^40", span == 2**40),
         ) if hit)
         return block
 
-    def tally(won, lost, carry):
-        if carry[0] > 0:
-            taken.add("a carry across chunks")
-        return _EXACT_TALLY(won, lost, carry)
+    def longest_rounds_array(uniforms, n, log_miss):
+        failed_blocks.append(len(uniforms))
+        in_array_map.append(True)
+        try:
+            return _EXACT_LONGEST_ROUNDS_ARRAY(uniforms, n, log_miss)
+        finally:
+            in_array_map.pop()
+
+    def scalar_longest_rounds(uniforms, n, log_miss):
+        if in_array_map:
+            taken.add("the near-integer redo of a failed attempt")
+        return _EXACT_LONGEST_ROUNDS(uniforms, n, log_miss)
 
     def depolarizing(params, deltas):
         if deltas.max(initial=0) >= params.n_end_nodes * params.shots / 2:
@@ -286,11 +293,12 @@ def block_branches_taken(monkeypatch, run) -> set:
 
     with monkeypatch.context() as patch:
         patch.setattr(factory_module, "shot_rng", lambda *key: RecordingStream(_EXACT_SHOT_RNG(*key)))
-        for name, value in (("run_block", run_block), ("_tally", tally),
-                            ("depolarizing", depolarizing),
-                            ("geometric_rounds_array", rounds_array)):
+        for name, value in (("run_block", run_block), ("depolarizing", depolarizing),
+                            ("geometric_rounds_array", rounds_array),
+                            ("longest_rounds_array", longest_rounds_array)):
             patch.setattr(factory_module, name, value)
         patch.setattr(params_module, "geometric_rounds", scalar_rounds)
+        patch.setattr(params_module, "longest_rounds", scalar_longest_rounds)
         run()
     return taken
 
@@ -335,7 +343,8 @@ _EXACT_PAULI_CORRECT = dm_module.pauli_correct
 _EXACT_READOUT = switch_module.Component.ghz_fidelity
 _EXACT_RANK_FACTOR = analytics_module._rank_factor
 _EXACT_SWITCH_FIDELITY = analytics_module.switch_fidelity_perfect_memory
-_EXACT_TALLY = factory_module._tally
+_EXACT_LONGEST_ROUNDS_ARRAY = factory_module.longest_rounds_array
+_EXACT_LONGEST_ROUNDS = params_module.longest_rounds
 _EXACT_RUN_BLOCK = factory_module.run_block
 _EXACT_DEPOLARIZING = factory_module.depolarizing
 _EXACT_ROUNDS_ARRAY = factory_module.geometric_rounds_array
@@ -396,6 +405,15 @@ def _fidelity_with_single_memory_decay(params, delta_n):
 
 def _depolarizing_via_np_power(params, deltas):
     return params.p_link * params.p_bsm**2 * np.power(params.p_mem, 2 * deltas)
+
+
+def _failed_rounds_to_next_shot(params, span, shots):
+    block = _EXACT_RUN_BLOCK(params, span, shots)
+    n_all = block.rounds.max(axis=1)
+    failed = block.duration_rounds - n_all
+    block.duration_rounds[:] = n_all
+    block.duration_rounds[1:] += failed[:-1]
+    return block
 
 
 def _summed_wait_off_by_one(params, span, shots):
@@ -516,11 +534,9 @@ FAULTS = {
         _patch((factory_module, "qubit_depolarizing", _depolarizing_via_np_power)),
         {"block_vs_scalar_factory"},
     ),
-    # each chunk of draws starts its first shot afresh, forgetting the
-    # attempts and rounds failed since the previous chunk's last success
-    "block_vs_scalar_factory/dropped_carry": (
-        _patch((factory_module, "_tally",
-                lambda won, lost, carry: _EXACT_TALLY(won, lost, (0, 0)))),
+    # each shot's failed rounds credited to the next shot's duration
+    "block_vs_scalar_factory/failed_rounds_to_next_shot": (
+        _patch((factory_module, "run_block", _failed_rounds_to_next_shot)),
         {"block_vs_scalar_factory"},
     ),
     # the first shot of every block reports a summed wait one round long

@@ -20,6 +20,8 @@ from ghzdist.params import (
     geometric_rounds,
     geometric_rounds_array,
     load_params,
+    longest_rounds,
+    longest_rounds_array,
     parse_config_text,
     sample_geometric,
     shot_rng,
@@ -28,6 +30,8 @@ from ghzdist.params import (
 LARGEST_UNIFORM = 1.0 - 2.0**-53  # the largest double rng.random() returns
 q_links = st.floats(1e-15, 1.0)
 uniforms = st.floats(0.0, LARGEST_UNIFORM)
+# what rng.random() draws: a multiple of 2^-53 in [0, 1)
+grid_uniforms = st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53)
 
 
 class TestSimParams:
@@ -408,11 +412,126 @@ class TestGeometricRoundsArray:
         assert got.tolist() == geometric_rounds(us, log_miss)
 
 
+def boundary_longest_uniforms(q: float, n: int, steps: int) -> np.ndarray:
+    """The uniforms V where the longest of n geometric(q) waits steps from k
+    to k + 1, V_k = (-expm1(k log1p(-q)))^n for k = 1..steps, and two ulps
+    either side, kept where the generator can draw them: in [2^-53, 1)."""
+    v = np.exp(n * np.log(-np.expm1(np.arange(1, steps + 1) * geometric_log_miss(q))))
+    near = [v]
+    for _ in range(2):
+        near = [np.nextafter(near[0], 0.0), *near, np.nextafter(near[-1], 1.0)]
+    v = np.concatenate(near)
+    return v[(v >= 2.0**-53) & (v <= LARGEST_UNIFORM)]
+
+
+LONGEST_NS = (2, 5, 16)
+
+
+def longest_mismatches(transform) -> int:
+    """Over ``BOUNDARY_QS`` and ``LONGEST_NS``, the boundary uniforms whose
+    rounds under ``transform(v, n, log_miss)`` differ from
+    ``longest_rounds``'."""
+    off = 0
+    for q in BOUNDARY_QS:
+        log_miss = geometric_log_miss(q)
+        for n in LONGEST_NS:
+            v = boundary_longest_uniforms(q, n, 2000)
+            off += int(np.sum(transform(v, n, log_miss) != longest_rounds(v.tolist(), n, log_miss)))
+    return off
+
+
+def unguarded_longest_rounds(v, n, log_miss):
+    """``longest_rounds_array``'s numpy transform with no redo."""
+    x = np.log(v) / n
+    logs = np.log(-np.expm1(x))
+    low = x <= -math.log(2.0)
+    logs[low] = np.log1p(-np.exp(x[low]))
+    return (logs / log_miss).astype(np.int64) + 1
+
+
+class TestLongestRoundsArray:
+    """A failed attempt lasts the longest of N waits, drawn from one uniform
+    V as V^(1/N): numpy's transform must give ``longest_rounds``' integers,
+    also where its log, expm1, exp and log1p round differently from
+    ``math``'s."""
+
+    @pytest.mark.parametrize("q", BOUNDARY_QS)
+    def test_equals_scalar_map_at_the_steps(self, q):
+        log_miss = geometric_log_miss(q)
+        for n in LONGEST_NS:
+            v = boundary_longest_uniforms(q, n, 2000)
+            got = longest_rounds_array(v, n, log_miss)
+            assert got.dtype == np.int64
+            assert got.tolist() == longest_rounds(v.tolist(), n, log_miss), n
+
+    def test_unguarded_transform_misses_a_step(self):
+        # negative control: without the math redo, some boundary uniform
+        # lands one round off
+        assert longest_mismatches(unguarded_longest_rounds) > 0
+
+    def test_narrow_guard_misses_a_step(self, monkeypatch):
+        # negative control: a 2^-60 bracket, even widened by the exp's
+        # conditioning, rounds back onto the quotient and flags nothing
+        monkeypatch.setattr(params_module, "NEAR_INTEGER", 2.0**-60)
+        assert longest_mismatches(longest_rounds_array) > 0
+
+    def test_single_form_misses_a_step(self, monkeypatch):
+        # negative control: log(-expm1(x)) at every x, in both maps; as
+        # V^(1/n) -> 0 one ulp of 1 - V^(1/n) is 1 / |log(1 - V^(1/n))|
+        # ulps of the quotient, far past the bracket
+        monkeypatch.setattr(params_module, "_LOG2", math.inf)
+        assert longest_mismatches(longest_rounds_array) > 0
+
+    def test_zero_waits_one_round(self):
+        # log(0) = -inf gives V^(1/n) = 0: one round, and no warning (an
+        # error in this suite)
+        log_miss = geometric_log_miss(0.01)
+        assert longest_rounds([0.0], 5, log_miss) == [1]
+        assert longest_rounds_array(np.array([0.0, 0.5]), 5, log_miss)[0] == 1
+
+    def test_certain_success_maps_every_uniform_to_one(self):
+        us = [0.0, 0.5, LARGEST_UNIFORM]
+        log_miss = geometric_log_miss(1.0)
+        assert longest_rounds(us, 3, log_miss) == [1, 1, 1]
+        assert longest_rounds_array(np.array(us), 3, log_miss).tolist() == [1, 1, 1]
+
+    @settings(deadline=None)
+    @given(q=q_links, n=st.integers(2, 1023), us=st.lists(grid_uniforms, min_size=1, max_size=20))
+    @example(q=1e-15, n=2, us=[0.0, 2.0**-53, LARGEST_UNIFORM])
+    @example(q=0.5, n=1023, us=[2.0**-53, 0.5])
+    def test_equals_scalar_map(self, q, n, us):
+        log_miss = geometric_log_miss(q)
+        got = longest_rounds_array(np.array(us), n, log_miss)
+        assert got.tolist() == longest_rounds(us, n, log_miss)
+
+    @pytest.mark.parametrize("n, q", [(2, 0.3), (5, 0.01), (16, 0.1)])
+    def test_rounds_follow_the_longest_wait_cdf(self, n, q):
+        # the longest of n geometric(q) waits is at most m with probability
+        # (1 - (1 - q)^m)^n; 2 * 10^5 draws put the largest CDF gap below
+        # 1.95 / sqrt(2 * 10^5) = 0.0044 but at a chance of about 10^-3
+        assert longest_cdf_gap(longest_rounds_array, n, q) < 0.0044
+
+    def test_uniform_for_its_nth_root_fails_the_cdf(self):
+        # negative control: V itself through the inverse CDF, one wait's
+        # law rather than the longest of n
+        gap = longest_cdf_gap(lambda v, n, log_miss: geometric_rounds_array(v, log_miss), 5, 0.01)
+        assert gap > 0.1
+
+
+def longest_cdf_gap(transform, n: int, q: float) -> float:
+    """The largest gap between the empirical CDF of ``transform``'s rounds
+    on 2 * 10^5 uniforms and (1 - (1 - q)^m)^n."""
+    log_miss = geometric_log_miss(q)
+    rounds = np.sort(transform(np.random.default_rng(5).random(200_000), n, log_miss))
+    m = np.arange(1, rounds[-1] + 1)
+    empirical = np.searchsorted(rounds, m, side="right") / len(rounds)
+    return float(np.abs(empirical - (-np.expm1(m * log_miss)) ** n).max())
+
+
 class TestLongestRound:
-    """A failed teleportation attempt adds only the wait of its largest
-    uniform, which must equal the largest of its N rounds: ``run_block``
-    maps each failed row's largest uniform through
-    ``geometric_rounds_array``."""
+    """The longest of N waits is the wait of the largest of their uniforms
+    (the inverse CDF is non-decreasing), which is what lets
+    ``longest_rounds`` draw a failed attempt's N waits as one uniform."""
 
     @settings(deadline=None)
     @given(q=q_links, us=st.lists(uniforms, min_size=1, max_size=20))

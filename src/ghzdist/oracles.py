@@ -8,11 +8,10 @@ coefficient identity against that sum, the closed-form fidelity from the
 literal sum over subsets of arrival ranks, per-shot fidelities from a full
 density-matrix replay of the teleportation pipeline, the factory's block
 engine from its plain loops over a span's shots and their failed attempts
-(``factory.run_shots_fast``) on the span's stream, the switch's
-entanglement swap with its pending noise from a dense Bell measurement,
-its fusions and noise-ledger read-out from the same
-fusions on dense matrices (a dense CNOT, a Z projection and dense X gates),
-the read-out's tree DP from the 2^(N-1)-term character sum, its link jump
+(``factory.run_shots_fast``) on the span's stream, whole switch runs from
+their replay on dense matrices (each link, Bell measurement, fusion and
+delivery the engine's phases return, rebuilt with ``dm`` alone), the
+switch read-out's tree DP from the 2^(N-1)-term character sum, its link jump
 from a loop of single rounds, and its deliveries at p_mem = 1 from the tree
 closed form.
 The dense side is ``ghzdist.dm``.  ``CHECKS`` lists the comparisons that
@@ -36,7 +35,7 @@ from . import analytics, dm as dmod, factory, switch
 from .analytics import GSpec
 from .dm import DensityMatrix, Qubit
 from .factory import fidelity_from_deltas
-from .params import TAG_FACTORY, ConfigError, SimParams, shot_rng
+from .params import TAG_FACTORY, TAG_SWITCH, ConfigError, SimParams, Uniforms, shot_rng
 
 SUBSET_SUM_MAX_QUBITS = 24  # 2^N subset enumeration feasibility cap
 ENUMERATION_MAX_LINKS = 4
@@ -516,110 +515,6 @@ def block_factory_mismatches(rng: np.random.Generator) -> int:
     return mismatches
 
 
-def werner_swap_error(rng: np.random.Generator) -> float:
-    """Worst deviation of a successful ``switch.do_switch_bsms`` on two aged
-    link pairs, read out by its ledger, from the dense chain: each pair
-    depolarized by p_link, both its qubits by p_mem per round waited and its
-    switch qubit by p_bsm, then each Bell outcome projected (with
-    probability 1/4) and Pauli-corrected, and <Phi+| rho |Phi+> taken.
-    20 random draws of p_link, p_mem, p_bsm and waits."""
-    worst = 0.0
-    for _ in range(20):
-        params = SimParams(
-            n_end_nodes=2,
-            q_link=0.5,
-            p_link=float(rng.random()),
-            p_mem=float(rng.choice([1.0, 0.8 + 0.2 * rng.random()])),
-            p_bsm=0.8 + 0.2 * rng.random(),
-        )
-        born = {c: int(b) for c, b in zip((1, 2), rng.integers(0, 5, size=2))}
-        now = max(born.values()) + int(rng.integers(0, 4))
-        state = switch.NetworkState(2, round=now)
-        for conn, b in born.items():
-            state.born[conn] = b
-        switch.do_switch_bsms(state, params, rng)
-        (group,) = state.groups()
-        fidelity = group.ghz_fidelity(now, params.p_mem)
-        pairs = []
-        for conn, b in born.items():
-            held, remote = Qubit(0, conn), Qubit(conn, 0)
-            pair = dmod.depolarize(dmod.make_bell(held, remote), (held,), params.p_link)
-            for q in [held, remote] * (now - b):
-                pair = dmod.depolarize(pair, (q,), params.p_mem)
-            pairs.append(dmod.depolarize(pair, (held,), params.p_bsm))
-        joint = dmod.tensor(*pairs)
-        for bits in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            prob, post = dmod.project_bell(joint, Qubit(0, 1), Qubit(0, 2), bits)
-            fixed = dmod.pauli_correct(post, Qubit(2, 0), bits)
-            worst = max(worst, abs(prob - 0.25), abs(dmod.fidelity_to_ghz(fixed) - fidelity))
-    return worst
-
-
-def switch_ledger_error(rng: np.random.Generator) -> float:
-    """Worst deviation of ``switch.do_fusions`` and the ledger read-out from
-    the same fusions on dense matrices, each Z outcome drawn here.
-
-    For N in 2..7, a random chain through the end nodes holds one Phi+ group
-    per link, each qubit owing a random pending factor since a random round.
-    The links go in over two rounds, each fused as it goes in, with p_mem
-    aging between the rounds and before the read-out.  The dense side builds each pair with
-    ``dm.make_bell``, depolarizes each qubit by what it owes when it is
-    fused or read out, fuses with ``dm.fusion`` read as a fair coin from this
-    check's stream (a dense CNOT and Z projection, whose probability of
-    reading 0 must be 1/2, then on outcome 1 X on the target group's other
-    qubits), and reads ``dm.fidelity_to_ghz``.  The engine draws no outcome,
-    as once corrected both leave one state; the coin makes the dense side
-    show it.  The dense control is the qubit in slot 0, the engine's that of
-    the group already held at the node, so either may be the one that
-    arrived.  Three chains per N."""
-    worst = 0.0
-    for n, _ in itertools.product(range(2, 8), range(3)):
-        params = SimParams(n_end_nodes=n, q_link=0.5, p_mem=0.8 + 0.2 * float(rng.random()))
-        nodes = [int(x) + 1 for x in rng.permutation(n)]
-        # a node's link to its successor takes its random slot, the one to
-        # its predecessor the other
-        slot = {node: int(rng.integers(2)) for node in nodes}
-        pairs = [(Qubit(u, slot[u]), Qubit(v, 1 - slot[v])) for u, v in zip(nodes, nodes[1:])]
-        owed = {q: (float(rng.random()), int(rng.integers(0, 3))) for pair in pairs for q in pair}
-        state = switch.NetworkState(n)
-        dense: dict[Qubit, DensityMatrix] = {}
-
-        def decay(group: DensityMatrix, q: Qubit, now: int) -> DensityMatrix:
-            """``group`` with the channel q owes at round now applied."""
-            d, since = owed[q]
-            owed[q] = (1.0, now)
-            return dmod.depolarize(group, (q,), d * params.p_mem ** (now - since))
-
-        first = int(rng.integers(len(pairs) + 1))
-        for batch in (pairs[:first], pairs[first:]):
-            state.round += int(rng.integers(3, 6))
-            for a, b in batch:
-                state.arriving = switch.Component(
-                    1 << a.node | 1 << b.node, {q.node: owed[q] for q in (a, b)}, 2)
-                dense[a] = dense[b] = dmod.make_bell(a, b)
-                for _, node in switch.do_fusions(state, params, rng):
-                    bit = int(rng.random() >= 0.5)
-                    control, target = Qubit(node, 0), Qubit(node, 1)
-                    group_a = decay(dense[control], control, state.round)
-                    group_b = decay(dense[target], target, state.round)
-                    flip = [q for q in group_b.labels if q != target]
-                    p0, _, fused = dmod.fusion(
-                        dmod.tensor(group_a, group_b), control, target, lambda _: bit, flip
-                    )
-                    worst = max(worst, abs(p0 - 0.5))
-                    del dense[target]
-                    dense.update(dict.fromkeys(fused.labels, fused))
-        state.round += int(rng.integers(0, 3))
-        (group,) = state.groups()
-        # every label left maps to the one fused matrix
-        final = next(iter(dense.values()))
-        for q in final.labels:
-            final = decay(final, q, state.round)
-        ref = dmod.fidelity_to_ghz(final)
-        worst = max(worst, abs(group.ghz_fidelity(state.round, params.p_mem) - ref))
-    return worst
-
-
 def switch_fidelity_error(rng: np.random.Generator) -> float:
     """Worst relative gap between switch deliveries at p_mem = 1 and the tree
     closed form: 4 deliveries at each N in 2..7, 16 and 24 and q_bsm in
@@ -640,15 +535,14 @@ def switch_fidelity_error(rng: np.random.Generator) -> float:
 def switch_readout_error(rng: np.random.Generator) -> float:
     """Worst relative gap between the tree DP ``switch.Component.
     ghz_fidelity`` and the character sum ``ghz_fidelity_character_sum`` on
-    ledgers at N in 2..14, built as ``switch_ledger_error`` builds its: one
-    Phi+ group per edge of a random tree on the end nodes, each qubit owing
-    a pending factor since a random round, fused by ``switch.do_fusions``
-    as it goes in, with p_mem aging between the edges and before the
-    read-out.  The tree is a chain through a random order of the nodes, or
-    joins each node of that order to a random earlier one; its edges go in
-    in random order.  A factor is 0, 1 or
-    uniform, and the finished ledger gains a copy of a random entry's S
-    with d = 1.  Three ledgers per N and tree shape."""
+    ledgers at N in 2..14: one Phi+ group per edge of a random tree on the
+    end nodes, each qubit owing a pending factor since a random round, fused
+    by ``switch.do_fusions`` as it goes in, with p_mem aging between the
+    edges and before the read-out.  The tree is a chain through a random
+    order of the nodes, or joins each node of that order to a random earlier
+    one; its edges go in in random order.  A factor is 0, 1 or uniform, and
+    the finished ledger gains a copy of a random entry's S with d = 1.
+    Three ledgers per N and tree shape."""
     worst = 0.0
     for n, chain, _ in itertools.product(range(2, 15), (True, False), range(3)):
         params = SimParams(n_end_nodes=n, q_link=0.5, p_mem=0.8 + 0.2 * float(rng.random()))
@@ -662,13 +556,109 @@ def switch_readout_error(rng: np.random.Generator) -> float:
             owed = {x: (float(rng.choice([0.0, 1.0, rng.random()], p=[0.1, 0.3, 0.6])),
                         state.round - int(rng.integers(0, 3))) for x in (u, v)}
             state.arriving = switch.Component(1 << u | 1 << v, owed, 2)
-            switch.do_fusions(state, params, rng)
+            switch.do_fusions(state, params)
         state.round += int(rng.integers(0, 3))
         (group,) = state.groups()
         if group.entries:
             group.entries.append((1.0, group.entries[int(rng.integers(len(group.entries)))][1]))
         ref = ghz_fidelity_character_sum(group, state.round, params.p_mem)
         worst = max(worst, abs(group.ghz_fidelity(state.round, params.p_mem) - ref) / ref)
+    return worst
+
+
+def replay_switch_run(params: SimParams, rng: np.random.Generator) -> float:
+    """Worst deviation of a switch run from its replay on dense matrices,
+    or inf when the run driven here is not ``run_executions``'.
+
+    The engine's phases run as ``run_to_ghz`` runs them, on its stream at
+    params.seed, through the warm-up and 3 deliveries.  Each returned event
+    is replayed with ``dm`` alone, every qubit aged by p_mem per round since
+    it last aged before each operation on it and at read-out: a link is
+    Phi+ with p_link on its switch qubit; a Bell measurement puts p_bsm on
+    both switch qubits, projects them on an outcome drawn from rng (its
+    probability must be 1/4) and corrects the second remote, or drops both
+    pairs when it fails; a fusion at node v is ``dm.fusion``, its control
+    the qubit of the group held at v and its target the arriving group's
+    there, read as a fair coin from rng (its probability of reading 0 must
+    be 1/2), on outcome 1 flipping the arriving group's other qubits; a node
+    with no group takes the arriving qubit.  Each delivery's fidelity must
+    match ``dm.fidelity_to_ghz`` of its replayed matrix."""
+    n, p_mem = params.n_end_nodes, params.p_mem
+    worst = 0.0
+    stream = Uniforms(shot_rng(params.seed, 0, TAG_SWITCH))
+    state = switch.NetworkState(n)
+    labels = itertools.count()
+    dense: dict[Qubit, DensityMatrix] = {}  # each live qubit's matrix
+    aged: dict[Qubit, int] = {}  # the round each live qubit last aged
+    links: dict[int, tuple[Qubit, Qubit]] = {}  # connection: (switch, remote)
+    held: dict[int, Qubit] = {}  # node: its group qubit
+
+    def age(rho: DensityMatrix, qubits: Sequence[Qubit], d: float = 1.0) -> DensityMatrix:
+        """rho with each of qubits aged to now, then depolarized by d."""
+        for q in qubits:
+            rho = dmod.depolarize(rho, (q,), d * p_mem ** (state.round - aged[q]))
+            aged[q] = state.round
+        return rho
+
+    records, start = [], 0
+    while len(records) < switch.WARMUP_EXECUTIONS + 3:
+        for _, conn in switch.advance_to_link_event(state, params, stream):
+            s, r = Qubit(0, next(labels)), Qubit(conn, next(labels))
+            links[conn] = (s, r)
+            dense[s] = dense[r] = dmod.depolarize(dmod.make_bell(s, r), (s,), params.p_link)
+            aged[s] = aged[r] = state.round
+        while True:
+            events = switch.do_switch_bsms(state, params, stream)
+            for _, a, b, ok in events:
+                (sa, ra), (sb, rb) = links.pop(a), links.pop(b)
+                if not ok:
+                    continue
+                rho = age(dmod.tensor(dense[sa], dense[sb]), (sa, sb), params.p_bsm)
+                bits = (int(rng.integers(2)), int(rng.integers(2)))
+                prob, rho = dmod.project_bell(rho, sa, sb, bits)
+                worst = max(worst, abs(prob - 0.25))
+                dense[ra] = dense[rb] = dmod.pauli_correct(rho, rb, bits)
+                arriving = {a: ra, b: rb}
+            if not any(event[3] for event in events):
+                break
+            for _, v in switch.do_fusions(state, params):
+                control, target = held[v], arriving[v]
+                rho = age(dmod.tensor(dense[control], dense[target]), (control, target))
+                flip = [q for q in dense[target].labels if q != target]
+                bit = int(rng.integers(2))
+                p0, _, rho = dmod.fusion(rho, control, target, lambda _: bit, flip)
+                worst = max(worst, abs(p0 - 0.5))
+                dense.update(dict.fromkeys(rho.labels, rho))
+            for v, q in arriving.items():
+                held.setdefault(v, q)
+            full = state.owner[1]
+            if full is not None and full.mask == (2 << n) - 2:
+                fidelity = full.ghz_fidelity(state.round, p_mem)
+                records.append(switch.SwitchRecord(
+                    state.round - start, fidelity, full.pairs_consumed))
+                state.remove(full)
+                start = state.round
+                rho = dense[held[1]]
+                rho = age(rho, rho.labels)
+                worst = max(worst, abs(dmod.fidelity_to_ghz(rho) - fidelity))
+                held.clear()
+                break
+    if records[switch.WARMUP_EXECUTIONS:] != switch.run_executions(params, 3):
+        return math.inf
+    return worst
+
+
+def switch_replay_error(rng: np.random.Generator) -> float:
+    """``replay_switch_run`` at each N in 2..5 and q_bsm in {1, 0.7}, with
+    q_link from [0.2, 1], p_link, p_mem and p_bsm from [0.8, 1] and the seed
+    drawn from rng."""
+    worst = 0.0
+    for n, q_bsm in itertools.product(range(2, 6), (1.0, 0.7)):
+        p_link, p_mem, p_bsm = (float(x) for x in 0.8 + 0.2 * rng.random(3))
+        params = SimParams(n_end_nodes=n, q_link=0.2 + 0.8 * float(rng.random()), q_bsm=q_bsm,
+                           p_link=p_link, p_mem=p_mem, p_bsm=p_bsm,
+                           seed=int(rng.integers(2**63)))
+        worst = max(worst, replay_switch_run(params, rng))
     return worst
 
 
@@ -704,12 +694,11 @@ CHECKS = (
     ("g_lower_bound_below_mc", 3.0, g_lower_bound_z),
     ("dm_replay_vs_fast_kernel", 1e-10, dm_replay_error),
     ("fidelity_recursion_vs_subset_sum", 1e-12, fidelity_recursion_error),
-    ("werner_swap_vs_dense_bsm", 1e-12, werner_swap_error),
     ("block_vs_scalar_factory", 0.0, block_factory_mismatches),
     ("g_lower_bound_gap_relative", 0.055, g_lower_bound_gap),
     ("switch_fidelity_vs_tree_closed_form", 1e-12, switch_fidelity_error),
-    ("switch_ledger_vs_dense_groups", 1e-12, switch_ledger_error),
     ("switch_readout_vs_character_sum", 1e-12, switch_readout_error),
+    ("switch_runs_vs_dense_replay", 1e-12, switch_replay_error),
 )
 
 

@@ -59,8 +59,10 @@ or fusion outcome, is drawn.
 
 ``estimate_switch`` reports the plain mean fidelity corrected by each
 delivery's duration, whose exact mean comes from the lumped chain in
-``ghzdist.chain``: that chain follows this module's protocol order, so a
-change to the order changes it too.
+``ghzdist.chain``.  That chain, and the dense replay of whole runs in
+``oracles`` (which drives these phases as ``run_to_ghz`` does and holds its
+deliveries to ``run_executions``'), follow this module's protocol order, so
+a change to the order changes both.
 """
 
 from __future__ import annotations
@@ -336,9 +338,7 @@ def do_switch_bsms(
     return events
 
 
-def do_fusions(
-    state: NetworkState, params: SimParams, rng: np.random.Generator
-) -> list[tuple]:
+def do_fusions(state: NetworkState, params: SimParams) -> list[tuple]:
     """Place the arriving group at each of its nodes, in ``pending`` order.
 
     A free node takes the group.  At a node already holding a group A, the
@@ -403,7 +403,7 @@ def run_to_ghz(
         if len(born) - born.count(NO_LINK) < 2:
             continue
         while any(event[3] for event in do_switch_bsms(state, params, rng)):
-            do_fusions(state, params, rng)
+            do_fusions(state, params)
             full = owner[1]
             if full is not None and full.mask == every_node:
                 if len(full.pending) != n:

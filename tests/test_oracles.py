@@ -3,10 +3,12 @@
 import dataclasses
 import inspect
 import itertools
+import math
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghzdist import (
     analytics as analytics_module,
@@ -25,10 +27,11 @@ from ghzdist.oracles import (
     enumerate_waiting_times,
     mc_g,
     replay_factory_dm,
+    replay_switch_run,
     run_verification,
-    werner_swap_error,
+    switch_replay_error,
 )
-from ghzdist.params import TAG_FACTORY, ConfigError, SimParams, shot_rng
+from ghzdist.params import TAG_FACTORY, TAG_SWITCH, ConfigError, SimParams, Uniforms, shot_rng
 
 
 class TestEnumeration:
@@ -318,17 +321,121 @@ def _weight_without_memory(born_a, born_b, round_now, params):
     return params.p_link**2 * params.p_bsm**2
 
 
-class TestWernerSwapCheck:
-    def test_closed_form_matches_dense_bsm(self):
+class TestSwitchReplayCheck:
+    """``switch_replay_error`` replays whole switch runs on dense matrices,
+    at seeds other than the ``verify`` stream's."""
+
+    def test_runs_match_their_replay(self):
         for seed in range(10):
-            assert werner_swap_error(np.random.default_rng(seed)) < 1e-12
+            assert switch_replay_error(np.random.default_rng(seed)) < 1e-12
 
     @pytest.mark.parametrize(
         "wrong", [_weight_dropping_p_bsm, _weight_as_sum, _weight_without_memory]
     )
     def test_wrong_closed_form_trips_check(self, monkeypatch, wrong):
         monkeypatch.setattr(switch_module, "swapped_weight", wrong)
-        assert werner_swap_error(np.random.default_rng(5)) > 1e-3
+        assert switch_replay_error(np.random.default_rng(5)) > 1e-3
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 5), q_link=st.floats(0.05, 1.0), q_bsm=st.floats(0.3, 1.0),
+           noise=st.tuples(*[st.floats(0.5, 1.0)] * 3), seed=st.integers(0, 2**63))
+    def test_random_short_runs_match_their_replay(self, n, q_link, q_bsm, noise, seed):
+        p_link, p_mem, p_bsm = noise
+        params = SimParams(n_end_nodes=n, q_link=q_link, q_bsm=q_bsm, p_link=p_link,
+                           p_mem=p_mem, p_bsm=p_bsm, seed=seed)
+        assert replay_switch_run(params, np.random.default_rng(seed)) < 1e-12
+
+    def test_a_run_other_than_the_engines_reads_inf(self, monkeypatch):
+        # negative control: run_executions without its warm-up delivery, so
+        # the records the replay drove are not the engine's
+        def without_warmup(params, shots):
+            stream = Uniforms(shot_rng(params.seed, 0, TAG_SWITCH))
+            state = switch_module.NetworkState(params.n_end_nodes)
+            return [switch_module.run_to_ghz(state, params, stream)[0] for _ in range(shots)]
+
+        monkeypatch.setattr(switch_module, "run_executions", without_warmup)
+        assert switch_replay_error(np.random.default_rng(5)) == math.inf
+
+    def test_verify_stream_takes_every_switch_branch(self, monkeypatch):
+        monkeypatch.setattr(oracles_module, "CHECKS", SWITCH_REPLAY_CHECK)
+        assert switch_branches_taken(monkeypatch, run_verification) == SWITCH_BRANCHES
+
+    def test_branch_probe_sees_certain_measurements_never_fail(self, monkeypatch):
+        # negative control: the same check on a q_bsm = 1 grid
+        monkeypatch.setattr(oracles_module, "CHECKS", SWITCH_REPLAY_CHECK)
+        monkeypatch.setattr(oracles_module, "SimParams",
+                            lambda **kwargs: SimParams(**{**kwargs, "q_bsm": 1.0}))
+        taken = switch_branches_taken(monkeypatch, run_verification)
+        assert taken == SWITCH_BRANCHES - {"a failed Bell measurement"}
+
+
+SWITCH_REPLAY_CHECK = [c for c in CHECKS if c[0] == "switch_runs_vs_dense_replay"]
+
+# the engine branches (and the dense fusion's two Z outcomes) that
+# switch_runs_vs_dense_replay exists to take
+SWITCH_BRANCHES = {
+    "a failed Bell measurement",
+    "Z outcome 0",
+    "Z outcome 1",
+    "a fusion at a pair's first node",
+    "a fusion at a pair's second node",
+    "a group qubit held where a link waits",
+    "a link event with several arrivals",
+    "a jump of several rounds",
+    "a delivery that leaves links waiting",
+}
+
+
+def switch_branches_taken(monkeypatch, run) -> set:
+    """The names of ``SWITCH_BRANCHES`` that the switch runs and dense
+    fusions made by ``run()`` take."""
+    taken = set()
+    link_phase, bsm_phase = switch_module.advance_to_link_event, switch_module.do_switch_bsms
+    fusion_phase, remove = switch_module.do_fusions, switch_module.NetworkState.remove
+
+    def links(state, params, rng):
+        before = state.round
+        events = link_phase(state, params, rng)
+        waiting = [c for c, born in enumerate(state.born) if born != switch_module.NO_LINK]
+        taken.update(name for name, hit in (
+            ("a link event with several arrivals", len(events) > 1),
+            ("a jump of several rounds", state.round - before > 1),
+            ("a group qubit held where a link waits",
+             any(state.owner[c] is not None for c in waiting)),
+        ) if hit)
+        return events
+
+    def bsms(state, params, rng):
+        events = bsm_phase(state, params, rng)
+        if not all(event[3] for event in events):
+            taken.add("a failed Bell measurement")
+        return events
+
+    def fusions(state, params):
+        first, second = state.arriving.pending
+        events = fusion_phase(state, params)
+        taken.update(f"a fusion at a pair's {'first' if v == first else 'second'} node"
+                     for _, v in events)
+        return events
+
+    def delivered(state, comp):
+        remove(state, comp)
+        if any(born != switch_module.NO_LINK for born in state.born):
+            taken.add("a delivery that leaves links waiting")
+
+    def dense_fusion(*args, **kwargs):
+        p0, bit, post = _EXACT_FUSION(*args, **kwargs)
+        taken.add(f"Z outcome {bit}")
+        return p0, bit, post
+
+    with monkeypatch.context() as patch:
+        for name, value in (("advance_to_link_event", links), ("do_switch_bsms", bsms),
+                            ("do_fusions", fusions)):
+            patch.setattr(switch_module, name, value)
+        patch.setattr(switch_module.NetworkState, "remove", delivered)
+        patch.setattr(dm_module, "fusion", dense_fusion)
+        run()
+    return taken
 
 
 # the exact functions that the faults below wrap
@@ -479,19 +586,18 @@ FAULTS = {
         {"n_all_alternating_sum_vs_recursion"},
     ),
     # a single-qubit channel whose parameters do not multiply; the dense
-    # sides of the switch's swap and fusion checks depolarize through it
+    # side of the switch replay depolarizes through it
     "depolarize_composition": (
         _patch((dm_module, "_depolarize_strided",
                 lambda mat, pos, p: _EXACT_DEPOLARIZE(mat, pos, p + 0.01 * p * (1.0 - p)))),
         {"depolarize_composition", "f_rand_vs_dm_fidelity",
-         "dm_replay_vs_fast_kernel", "werner_swap_vs_dense_bsm",
-         "switch_ledger_vs_dense_groups"},
+         "dm_replay_vs_fast_kernel", "switch_runs_vs_dense_replay"},
     ),
     # X corrected for the Z bit and Z for the X bit
     "noiseless_teleportation_identity": (
         _patch((dm_module, "pauli_correct",
                 lambda dm, q, bits: _EXACT_PAULI_CORRECT(dm, q, bits[::-1]))),
-        {"noiseless_teleportation_identity", "werner_swap_vs_dense_bsm"},
+        {"noiseless_teleportation_identity", "switch_runs_vs_dense_replay"},
     ),
     "f_rand_vs_dm_fidelity": (
         _f_rand_fault(mixed=1, core=0),
@@ -525,10 +631,6 @@ FAULTS = {
         _patch((analytics_module, "fidelity_closed_form", _closed_form_shifted)),
         {"fidelity_recursion_vs_subset_sum"},
     ),
-    "werner_swap_vs_dense_bsm": (
-        _patch((switch_module, "swapped_weight", _weight_dropping_p_bsm)),
-        {"werner_swap_vs_dense_bsm", "switch_fidelity_vs_tree_closed_form"},
-    ),
     # each distinct delta's p_mem power through np.power, not the scalar **
     "block_vs_scalar_factory": (
         _patch((factory_module, "qubit_depolarizing", _depolarizing_via_np_power)),
@@ -554,29 +656,33 @@ FAULTS = {
                 lambda *args: _EXACT_SWITCH_FIDELITY(*args) * (1.0 + 1e-9))),
         {"switch_fidelity_vs_tree_closed_form"},
     ),
-    "switch_ledger_vs_dense_groups": (
-        _control_side_uncomplemented,
-        {"switch_ledger_vs_dense_groups"},
-    ),
-    # the dense fusion leaves outcome 1 uncorrected: only a check that
-    # draws both outcomes sees it
-    "switch_ledger_vs_dense_groups/outcome_one_uncorrected": (
-        _patch((dm_module, "fusion",
-                lambda dm, control, target, outcome, flip=():
-                    _EXACT_FUSION(dm, control, target, outcome))),
-        {"switch_ledger_vs_dense_groups"},
-    ),
-    # every delivery and the swap check read out through it too
-    "switch_ledger_vs_dense_groups/product_of_marginals_readout": (
-        _patch((switch_module.Component, "ghz_fidelity", _product_of_marginals_readout)),
-        {"switch_ledger_vs_dense_groups", "werner_swap_vs_dense_bsm",
-         "switch_fidelity_vs_tree_closed_form", "switch_readout_vs_character_sum"},
-    ),
     # every check that reads a group out goes through the DP
     "switch_readout_vs_character_sum": (
         _free_nodes_even_only,
-        {"switch_readout_vs_character_sum", "switch_ledger_vs_dense_groups",
-         "werner_swap_vs_dense_bsm", "switch_fidelity_vs_tree_closed_form"},
+        {"switch_readout_vs_character_sum", "switch_runs_vs_dense_replay",
+         "switch_fidelity_vs_tree_closed_form"},
+    ),
+    "switch_runs_vs_dense_replay/swapped_weight_without_p_bsm": (
+        _patch((switch_module, "swapped_weight", _weight_dropping_p_bsm)),
+        {"switch_runs_vs_dense_replay", "switch_fidelity_vs_tree_closed_form"},
+    ),
+    "switch_runs_vs_dense_replay/control_side_uncomplemented": (
+        _control_side_uncomplemented,
+        {"switch_runs_vs_dense_replay"},
+    ),
+    # the dense fusion leaves outcome 1 uncorrected: only a check that
+    # draws both outcomes sees it
+    "switch_runs_vs_dense_replay/outcome_one_uncorrected": (
+        _patch((dm_module, "fusion",
+                lambda dm, control, target, outcome, flip=():
+                    _EXACT_FUSION(dm, control, target, outcome))),
+        {"switch_runs_vs_dense_replay"},
+    ),
+    # every delivery reads out through it too
+    "switch_runs_vs_dense_replay/product_of_marginals_readout": (
+        _patch((switch_module.Component, "ghz_fidelity", _product_of_marginals_readout)),
+        {"switch_runs_vs_dense_replay", "switch_fidelity_vs_tree_closed_form",
+         "switch_readout_vs_character_sum"},
     ),
 }
 
@@ -603,12 +709,11 @@ class TestVerificationRunner:
             "g_lower_bound_below_mc",
             "dm_replay_vs_fast_kernel",
             "fidelity_recursion_vs_subset_sum",
-            "werner_swap_vs_dense_bsm",
             "block_vs_scalar_factory",
             "g_lower_bound_gap_relative",
             "switch_fidelity_vs_tree_closed_form",
-            "switch_ledger_vs_dense_groups",
             "switch_readout_vs_character_sum",
+            "switch_runs_vs_dense_replay",
         ]
 
     def test_negative_control_trips_identity_check(self, skewed_b0):

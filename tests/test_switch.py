@@ -260,7 +260,7 @@ class TestSwitchBsms:
         comp = state.groups()[0]
         assert state.arriving is comp and state.owner[1:3] == [None, None]
         state.validate(2)
-        assert do_fusions(state, make_params(n_end_nodes=2), shot_rng(0, 0, 9)) == []
+        assert do_fusions(state, make_params(n_end_nodes=2)) == []
         assert comp.mask == 0b110 and state.owner[1] is state.owner[2] is comp
         assert state.arriving is None
         state.validate(2)
@@ -326,7 +326,7 @@ class TestSwitchBsms:
         assert links(state) == sorted({1, 2, 3, 4} - {a, b})
         assert len(state.groups()) == 3 and state.arriving.mask == 1 << a | 1 << b
         state.validate(4)
-        assert do_fusions(state, params, shot_rng(seed, 0, 9)) == [
+        assert do_fusions(state, params) == [
             ("fusion", min(a, b)), ("fusion", max(a, b))]
         assert len(state.groups()) == 1
         stream = StandInStream(shot_rng(seed, 0, 9))
@@ -338,7 +338,7 @@ class TestSwitchBsms:
 class TestFusions:
     def test_fuses_two_bells_at_shared_node(self):
         state = network((1, 2), (1, 3))
-        events = do_fusions(state, make_params(n_end_nodes=3), shot_rng(0, 0, 9))
+        events = do_fusions(state, make_params(n_end_nodes=3))
         assert len(events) == 1 and events[0][0] == "fusion"
         assert len(state.groups()) == 1
         comp = state.groups()[0]
@@ -354,7 +354,7 @@ class TestFusions:
         place(state, held, 1, 2)
         place(state, arrived, 1, 3, 4)
         assert state.arriving is arrived
-        do_fusions(state, make_params(n_end_nodes=4, p_mem=1.0), shot_rng(0, 0, 9))
+        do_fusions(state, make_params(n_end_nodes=4, p_mem=1.0))
         (merged,) = state.groups()
         assert merged is held and list(merged.pending) == [1, 2, 3, 4]
         assert merged.mask == 0b11110
@@ -366,7 +366,7 @@ class TestFusions:
         # free nodes take the arriving group as it is
         state = network((1, 2))
         state.arriving = arrived = group(3, 4)
-        assert do_fusions(state, make_params(), shot_rng(0, 0, 9)) == []
+        assert do_fusions(state, make_params()) == []
         assert len(state.groups()) == 2 and state.owner[3] is state.owner[4] is arrived
 
     def test_fusion_cascade_builds_ghz4(self):
@@ -378,7 +378,7 @@ class TestFusions:
         ]
         for pairs in chains:
             state = network(*pairs)
-            events = do_fusions(state, make_params(n_end_nodes=4), shot_rng(0, 0, 9))
+            events = do_fusions(state, make_params(n_end_nodes=4))
             assert [e[:2] for e in events] == [("fusion", 2), ("fusion", 3)]
             assert len(state.groups()) == 1
             comp = state.groups()[0]
@@ -389,7 +389,7 @@ class TestFusions:
     def test_link_pair_is_not_absorbed(self):
         state = network((0, 1))
         state.arriving = group(1, 2)
-        assert do_fusions(state, make_params(), shot_rng(0, 0, 9)) == []
+        assert do_fusions(state, make_params()) == []
         assert links(state) == [1] and len(state.groups()) == 1
 
     def test_same_component_twice_at_node_is_flagged(self):
@@ -398,7 +398,7 @@ class TestFusions:
         place(state, comp, 1, 2)
         place(state, comp, 1, 2)  # held at both nodes, it arrives there again
         with pytest.raises(ProtocolInvariantError, match="node 1 holds two qubits of one"):
-            do_fusions(state, make_params(n_end_nodes=2), shot_rng(0, 0, 9))
+            do_fusions(state, make_params(n_end_nodes=2))
 
 
 class TestRunToGhz:
@@ -446,7 +446,7 @@ class TestRunToGhz:
             state.validate(params.n_end_nodes)
             while any(e[3] for e in do_switch_bsms(state, params, rng)):
                 state.validate(params.n_end_nodes)
-                do_fusions(state, params, rng)
+                do_fusions(state, params)
                 state.validate(params.n_end_nodes)
                 # the arriving group was placed at every node, none skipped
                 nodes = [v for comp in state.groups() for v in comp.pending]
@@ -553,7 +553,7 @@ class TestJumpEquivalence:
             while True:
                 advance_round(state, params, rng)
                 while any(e[3] for e in do_switch_bsms(state, params, rng)):
-                    do_fusions(state, params, rng)
+                    do_fusions(state, params)
                 full = spanning_group(state, params.n_end_nodes)
                 if full is not None:
                     for v in full.pending:
@@ -590,8 +590,8 @@ def literal_executions(params: SimParams, shots: int) -> list[tuple[int, int, fl
     rng = shot_rng(params.seed, 0, TAG_SWITCH)
     state = NetworkState(params.n_end_nodes)
 
-    def run(phase) -> list[tuple]:
-        events = phase(state, params, rng)
+    def run(phase, *args) -> list[tuple]:
+        events = phase(state, params, *args)
         for comp in state.groups():
             for v in comp.pending:
                 comp.flush(v, state.round, params.p_mem)
@@ -602,8 +602,8 @@ def literal_executions(params: SimParams, shots: int) -> list[tuple[int, int, fl
         start = state.round
         full = None
         while full is None:
-            run(advance_to_link_event)
-            while any(e[3] for e in run(do_switch_bsms)):
+            run(advance_to_link_event, rng)
+            while any(e[3] for e in run(do_switch_bsms, rng)):
                 run(do_fusions)
             full = spanning_group(state, params.n_end_nodes)
         fidelity = full.ghz_fidelity(state.round, params.p_mem)
@@ -648,8 +648,8 @@ class TestSkippedPhasesAndDiagonalReadout:
         seen = []
 
         def watch(phase):
-            def run(state, params, rng):
-                events = phase(state, params, rng)
+            def run(state, params, *args):
+                events = phase(state, params, *args)
                 for comp in state.groups():
                     for d, s in comp.entries:
                         assert 0.0 <= d <= 1.0 and s and not s & ~comp.mask and s != comp.mask
